@@ -236,12 +236,12 @@ def _run_gain_surface(spec: ExperimentSpec, out: Path) -> None:
 
 
 def _run_synth(spec: ExperimentSpec, out: Path) -> None:
-    p = spec.params
+    restarts = spec.params.get("restarts", 20)
+    if isinstance(restarts, bool) or not isinstance(restarts, int) or restarts < 1:
+        raise ConfigError(f"'restarts' must be an integer >= 1, got {restarts!r}")
     seed = spec.seed
-    enc_circ, enc_res = synth.synthesize_encoder(
-        seed=seed, restarts=p.get("restarts", 20))
-    u_circ, u_res = synth.synthesize_recovery_u(
-        seed=seed + 1, restarts=p.get("restarts", 20))
+    enc_circ, enc_res = synth.synthesize_encoder(seed=seed, restarts=restarts)
+    u_circ, u_res = synth.synthesize_recovery_u(seed=seed + 1, restarts=restarts)
     rec_circ = synth.build_recovery_circuit(u_circ, 0.0, "approx")
     report = synth.verify_recovery_circuit(rec_circ, code3.RecoveryMap.approximate())
     d_circ = synth.block_encode_diagonal(0.0, "approx")

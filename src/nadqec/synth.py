@@ -1,8 +1,8 @@
 """Variational circuit synthesis over the native gate set.
 
 Targets are matched by minimizing the masked squared Frobenius distance
-C(theta) = sum_{(i,j) in mask} |O_ij - U_ij(theta)|^2 with a seeded
-multi-start simplex search followed by finite-difference BFGS refinement.
+C(theta) = sum_{(i,j) in mask} |O_ij - U_ij(theta)|^2 by seeded
+multi-start BFGS on exact adjoint gradients.
 
 Also holds the SVD machinery for the non-unitary recovery factors and the
 block encoding of the diagonal part. The recovery factorization uses a
@@ -40,9 +40,6 @@ class NativeGateSet:
     two_qubit: tuple[str, ...] = ("CZ", "RZZ")
     edges: tuple[tuple[int, int], ...] = LINE_EDGES_3Q
 
-    def connected(self, a: int, b: int) -> bool:
-        return (a, b) in self.edges or (b, a) in self.edges
-
 
 @dataclass(frozen=True)
 class Ansatz:
@@ -77,46 +74,92 @@ class Ansatz:
 
 
 class _AnsatzEvaluator:
-    """Fast unitary evaluation: entangling layers are cached matrices,
-    rotation layers are applied through axis reshapes."""
+    """Cost and exact gradient of one synthesis problem.
 
-    def __init__(self, ansatz: Ansatz):
-        self.ansatz = ansatz
+    The ansatz is a fixed sequence of Pauli rotations exp(-i theta_k G_k / 2)
+    and diagonal CZ layers. The gradient is adjoint: a forward sweep builds U
+    and the masked residual E = U - T, a backward sweep peels each gate off
+    both, and dC/dtheta_k = Re <E_k, -i G_k U_k> where U_k, E_k are U, E
+    with every gate after gate k peeled off.
+    """
+
+    def __init__(self, problem: SynthesisProblem):
+        ansatz = problem.ansatz
         n = ansatz.n_qubits
-        ent = np.eye(2**n, dtype=complex)
+        # diagonal of the CZ layer: real +-1 entries, so it is its own inverse
+        self.entangler = np.ones(2**n)
         for a, b in ansatz.gateset.edges:
-            ent = embed(np.diag([1, 1, 1, -1]).astype(complex), [a, b], n) @ ent
-        self.entangler = ent
+            self.entangler *= np.diag(embed(np.diag([1, 1, 1, -1]), [a, b], n)).real
+        self.n_params = ansatz.parameter_count
+        # application order: (parameter index, qubit, generator), None = CZ layer
+        self.ops: list = []
+        k = 0
+        for layer in range(ansatz.layers + 1):
+            for q in range(n):
+                self.ops += [(k, q, _PAULI_X), (k + 1, q, _PAULI_Z)]
+                k += 2
+            if layer < ansatz.layers:
+                self.ops.append(None)
+        self.rows, self.cols = problem.mask_indices()
+        self.target_vals = problem.target[self.rows, self.cols]
+        self.phase_aligned = problem.phase_aligned
 
     def unitary(self, params: np.ndarray) -> np.ndarray:
-        a = self.ansatz
-        n = a.n_qubits
-        u = np.eye(2**n, dtype=complex)
-        k = 0
-        for layer in range(a.layers + 1):
-            for q in range(n):
-                u = _apply_1q(_rx_mat(params[k]), u, q, n)
-                u = _apply_1q(_rz_mat(params[k + 1]), u, q, n)
-                k += 2
-            if layer < a.layers:
-                u = self.entangler @ u
+        if params.shape != (self.n_params,):
+            raise ValueError(
+                f"expected {self.n_params} parameters, got {params.shape}")
+        u = np.eye(self.entangler.size, dtype=complex)
+        for op in self.ops:
+            if op is None:
+                u = self.entangler[:, None] * u
+            else:
+                k, q, gen = op
+                u = _apply_1q(_rot(gen, params[k]), u, q)
         return u
 
+    def residual(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """U and the masked U - T; phase-aligned, T is first rotated onto
+        U's global phase, which minimizes the distance over that phase."""
+        u = self.unitary(params)
+        vals = u[self.rows, self.cols]
+        tgt = self.target_vals
+        if self.phase_aligned:
+            tgt = tgt * np.exp(-1j * np.angle(np.vdot(vals, tgt)))
+        return u, vals - tgt
 
-def _rx_mat(t: float) -> np.ndarray:
-    c, s = math.cos(t / 2), math.sin(t / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]])
+    def gradient(self, params: np.ndarray) -> tuple[float, np.ndarray]:
+        """Cost and its exact gradient from one forward and one backward
+        sweep. With phase alignment the gradient is taken at the optimal
+        global phase, which is exact by the envelope theorem."""
+        u, res = self.residual(params)
+        e = np.zeros_like(u)
+        np.add.at(e, (self.rows, self.cols), res)
+        dim = u.shape[0]
+        w = np.hstack([u, e])  # peel U and E together
+        grad = np.empty(self.n_params)
+        for op in reversed(self.ops):
+            if op is None:
+                w = self.entangler[:, None] * w
+                continue
+            k, q, gen = op
+            # Re <E, -i G U> = Im <E, G U>
+            grad[k] = np.vdot(w[:, dim:], _apply_1q(gen, w[:, :dim], q)).imag
+            w = _apply_1q(_rot(gen, -params[k]), w, q)
+        return float(np.sum(np.abs(res) ** 2)), grad
 
 
-def _rz_mat(t: float) -> np.ndarray:
-    return np.array([[np.exp(-1j * t / 2), 0], [0, np.exp(1j * t / 2)]])
+_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_PAULI_Z = np.diag([1, -1]).astype(complex)
 
 
-def _apply_1q(g: np.ndarray, u: np.ndarray, q: int, n: int) -> np.ndarray:
-    dim = 2**n
-    t = u.reshape(2**q, 2, -1)
-    out = np.einsum("ab,ibj->iaj", g, t)
-    return out.reshape(dim, dim)
+def _rot(generator: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i t G / 2) for a Pauli generator G."""
+    return math.cos(t / 2) * np.eye(2) - 1j * math.sin(t / 2) * generator
+
+
+def _apply_1q(g: np.ndarray, u: np.ndarray, q: int) -> np.ndarray:
+    """g on qubit q of the row index of u (u may carry any column count)."""
+    return (g @ u.reshape(2**q, 2, -1)).reshape(u.shape)
 
 
 @dataclass(frozen=True)
@@ -147,22 +190,11 @@ class SynthesisProblem:
         return rows, cols
 
 
-def _masked_distance(target_vals: np.ndarray, u_vals: np.ndarray,
-                     phase_aligned: bool) -> float:
-    if phase_aligned:
-        inner = np.vdot(u_vals, target_vals)
-        aligned = u_vals * (inner / abs(inner)) if abs(inner) > 1e-15 else u_vals
-        return float(np.sum(np.abs(target_vals - aligned) ** 2))
-    return float(np.sum(np.abs(target_vals - u_vals) ** 2))
-
-
 def cost(problem: SynthesisProblem, params: Sequence[float]) -> float:
     """Masked squared Frobenius distance, literal by default; with
     ``phase_aligned`` the distance is minimized over a global phase first."""
-    u = _AnsatzEvaluator(problem.ansatz).unitary(np.asarray(params, dtype=float))
-    rows, cols = problem.mask_indices()
-    return _masked_distance(problem.target[rows, cols], u[rows, cols],
-                            problem.phase_aligned)
+    res = _AnsatzEvaluator(problem).residual(np.asarray(params, dtype=float))[1]
+    return float(np.sum(np.abs(res) ** 2))
 
 
 @dataclass(frozen=True)
@@ -174,56 +206,28 @@ class SynthesisResult:
     seed: int
 
 
-def optimize(
-    problem: SynthesisProblem,
-    seed: int = 0,
-    restarts: int = 20,
-    simplex_maxiter: Optional[int] = None,
-    fd_step: float = 1e-6,
-) -> SynthesisResult:
-    """Multi-start Nelder-Mead with central-difference BFGS refinement.
+def optimize(problem: SynthesisProblem, seed: int = 0,
+             restarts: int = 20) -> SynthesisResult:
+    """Multi-start BFGS on the exact adjoint gradient.
 
     Deterministic for a given (problem, seed); restarts stop early once the
     problem tolerance is met. Non-convergence is reported, not raised.
     """
-    evaluator = _AnsatzEvaluator(problem.ansatz)
-    rows, cols = problem.mask_indices()
-    tgt = problem.target[rows, cols]
-
-    def f(x: np.ndarray) -> float:
-        return _masked_distance(tgt, evaluator.unitary(x)[rows, cols],
-                                problem.phase_aligned)
-
-    def grad(x: np.ndarray) -> np.ndarray:
-        g = np.empty_like(x)
-        for i in range(x.size):
-            step = np.zeros_like(x)
-            step[i] = fd_step
-            g[i] = (f(x + step) - f(x - step)) / (2 * fd_step)
-        return g
-
-    nparams = problem.ansatz.parameter_count
-    maxiter = simplex_maxiter or 250 * nparams
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    evaluator = _AnsatzEvaluator(problem)
     best_x, best_c = None, math.inf
-    used = 0
     for r in range(restarts):
-        used = r + 1
         rng = np.random.default_rng((seed << 20) + r)
-        x0 = rng.uniform(-math.pi, math.pi, nparams)
-        res = sciopt.minimize(f, x0, method="Nelder-Mead",
-                              options={"maxiter": maxiter, "fatol": 1e-12,
-                                       "xatol": 1e-10})
-        x, c = res.x, float(res.fun)
-        ref = sciopt.minimize(f, x, jac=grad, method="BFGS",
+        x0 = rng.uniform(-math.pi, math.pi, evaluator.n_params)
+        res = sciopt.minimize(evaluator.gradient, x0, jac=True, method="BFGS",
                               options={"gtol": 1e-12, "maxiter": 400})
-        if float(ref.fun) < c:
-            x, c = ref.x, float(ref.fun)
-        if c < best_c:
-            best_x, best_c = x, c
+        if float(res.fun) < best_c:
+            best_x, best_c = res.x, float(res.fun)
         if best_c <= problem.tolerance:
             break
-    return SynthesisResult(np.asarray(best_x), best_c, best_c <= problem.tolerance,
-                           used, seed)
+    return SynthesisResult(best_x, best_c, best_c <= problem.tolerance,
+                           r + 1, seed)
 
 
 def synthesize(
@@ -582,13 +586,8 @@ def verify_recovery_circuit(circ: Circuit, rmap: "code3.RecoveryMap",
 def _post_selected_block(w: np.ndarray, a1_value: int) -> np.ndarray:
     """Data-space action of the 5-qubit recovery for a fixed syndrome bit,
     post-selected on the block ancilla a2 = 0 (register (q0,q1,q2,a1,a2))."""
-    block = np.zeros((8, 8), dtype=complex)
-    for col in range(8):
-        in_idx = col * 4 + a1_value * 2 + 0  # a1 bit, a2 = 0
-        for row in range(8):
-            out_idx = row * 4 + a1_value * 2 + 0
-            block[row, col] = w[out_idx, in_idx]
-    return block
+    # data index k sits at register index 4k + 2*a1 (a2 = 0)
+    return w[2 * a1_value::4, 2 * a1_value::4]
 
 
 def _channel_deviation(a: np.ndarray, b: np.ndarray) -> float:

@@ -96,6 +96,14 @@ class TestRun:
         path = write_spec(tmp_path, payload)
         assert cli.main(["run", str(path)]) == EXIT_NUMERICAL
 
+    @pytest.mark.parametrize("restarts", [0, -1, "2", 1.5, True])
+    def test_synth_restarts_validated(self, tmp_path, restarts):
+        payload = {"kind": "synth", "output": str(tmp_path / "synth.csv"),
+                   "params": {"restarts": restarts}}
+        path = write_spec(tmp_path, payload)
+        assert cli.main(["run", str(path)]) == EXIT_CONFIG
+        assert not (tmp_path / "synth.csv").exists()
+
     def test_delay_sweep(self, tmp_path):
         payload = {
             "kind": "delay-sweep",

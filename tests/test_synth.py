@@ -65,6 +65,13 @@ class TestCost:
         masked = cost(SynthesisProblem(target, ansatz, mask=[0, 1]), params)
         assert masked <= full + 1e-15
 
+    def test_parameter_count_checked(self):
+        ansatz = Ansatz(2, 1, NativeGateSet(edges=((0, 1),)))
+        problem = SynthesisProblem(np.eye(4, dtype=complex), ansatz)
+        for n in (7, 9):
+            with pytest.raises(ValueError, match="expected 8 parameters"):
+                cost(problem, np.zeros(n))
+
     def test_shape_mismatch(self):
         ansatz = Ansatz(2, 1)
         with pytest.raises(ValueError):
@@ -91,6 +98,13 @@ class TestOptimize:
         np.testing.assert_array_equal(a.params, b.params)
         assert a.cost == b.cost
 
+    def test_restarts_must_be_positive(self):
+        ansatz = Ansatz(1, 0, NativeGateSet(edges=()))
+        problem = SynthesisProblem(np.eye(2, dtype=complex), ansatz)
+        for restarts in (0, -1):
+            with pytest.raises(ValueError, match="restarts"):
+                optimize(problem, seed=0, restarts=restarts)
+
     def test_failure_reported_not_raised(self):
         # a target outside the ansatz's reach (wrong dimension parity trick:
         # a 2-design-free single layer cannot make a swap-like doubly
@@ -101,6 +115,34 @@ class TestOptimize:
         res = optimize(problem, seed=0, restarts=2)
         assert not res.converged
         assert res.cost > 1e-3
+
+
+def _random_unitary(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return np.linalg.qr(a)[0]
+
+
+class TestGradient:
+    """The adjoint gradient against central differences of ``cost``."""
+
+    @pytest.mark.parametrize("make_problem", [
+        lambda rng: SynthesisProblem(synth.encoder_target()[0], Ansatz(3, 3),
+                                     mask=synth.encoder_target()[1]),
+        lambda rng: SynthesisProblem(synth.recovery_u_target()[0], Ansatz(3, 4),
+                                     mask=synth.recovery_u_target()[1]),
+        lambda rng: SynthesisProblem(_random_unitary(rng, 8), Ansatz(3, 2),
+                                     mask=[1, 6], phase_aligned=True),
+    ], ids=["column-mask", "pair-mask", "phase-aligned"])
+    def test_matches_central_differences(self, make_problem):
+        rng = np.random.default_rng(21)
+        problem = make_problem(rng)
+        x = rng.uniform(-math.pi, math.pi, problem.ansatz.parameter_count)
+        c, g = synth._AnsatzEvaluator(problem).gradient(x)
+        assert abs(c - cost(problem, x)) < 1e-12
+        h = 1e-6
+        fd = np.array([(cost(problem, x + h * e) - cost(problem, x - h * e))
+                       / (2 * h) for e in np.eye(x.size)])
+        np.testing.assert_allclose(g, fd, atol=1e-7)
 
 
 class TestSvdSplit:
@@ -237,6 +279,9 @@ class TestMargolus:
 
 
 class TestRecoveryCircuit:
+    def test_factor_depth_at_ac6_seed(self, recovery_u):
+        assert recovery_u.count("CZ") == 8
+
     def test_approx_matches_analytic(self, recovery_u):
         circ = build_recovery_circuit(recovery_u, 0.0, "approx")
         report = verify_recovery_circuit(circ, code3.RecoveryMap.approximate())
@@ -287,6 +332,10 @@ class TestEncoderSynthesis:
         for g in circ.gates:
             if g.name == "CZ":
                 assert abs(g.qubits[0] - g.qubits[1]) == 1
+
+    def test_depth_at_ac6_seed(self):
+        circ, _ = synthesize_encoder(seed=7, tolerance=1e-12)
+        assert circ.count("CZ") == 6
 
 
 class TestDiagonalBlockCircuit:
