@@ -31,19 +31,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-THREADS_ENV = "NADQEC_THREADS"
-
-
-def _worker_count() -> int:
-    import os
-
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-
-
 class ConfigError(Exception):
     pass
 
@@ -213,8 +200,7 @@ def _run_crosstalk_toy(spec: ExperimentSpec, out: Path) -> None:
 def _run_gain_surface(spec: ExperimentSpec, out: Path) -> None:
     p = spec.params
     cells = metrics.gain_surface(p["t1_range"], p["emeas_range"],
-                                 p["delay_range"], theta=p.get("theta", math.pi),
-                                 workers=_worker_count())
+                                 p["delay_range"], theta=p.get("theta", math.pi))
     rows = [(c.t1_us, c.e_meas, c.delay_us, c.gain, c.f_qec, c.f_bare,
              c.p_success, spec.seed) for c in cells]
     _write_csv(out, ["T1_us", "E_meas", "delay_us", "gain", "F_qec", "F_bare",

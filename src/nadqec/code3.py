@@ -31,16 +31,14 @@ from .qcore import (
     DensityMatrix,
     Operator,
     PureState,
+    apply_local,
     apply_unitary,
     basis_state,
     embed,
     fidelity,
     measure_computational,
-    partial_trace,
-    rx,
     ry,
     rz,
-    tensor,
 )
 
 
@@ -139,21 +137,17 @@ class RecoveryMap:
 
     variant: str  # ideal | approximate | synthesized
     gamma: float = 0.0
-    r0: Optional[Operator] = None
-    r1: Optional[Operator] = None
     unitary: Optional[np.ndarray] = None  # 5-qubit combined recovery (synthesized)
 
     @classmethod
     def ideal(cls, gamma: float) -> "RecoveryMap":
-        r0, r1 = recovery_operators(gamma)
-        return cls("ideal", gamma=gamma,
-                   r0=Operator(r0, "non-unitary"), r1=Operator(r1, "non-unitary"))
+        if not 0.0 <= gamma <= 1.0:
+            raise ValueError(f"gamma {gamma} outside [0, 1]")
+        return cls("ideal", gamma=gamma)
 
     @classmethod
     def approximate(cls) -> "RecoveryMap":
-        r0, r1 = recovery_operators(0.0)
-        return cls("approximate", gamma=0.0,
-                   r0=Operator(r0, "non-unitary"), r1=Operator(r1, "non-unitary"))
+        return cls("approximate")
 
     @classmethod
     def synthesized(cls, unitary: np.ndarray) -> "RecoveryMap":
@@ -171,6 +165,24 @@ class RecoveryMap:
             return recovery_operators(0.0)
         raise ValueError("synthesized maps carry a circuit unitary, not operators")
 
+    def kraus(self) -> tuple[np.ndarray, np.ndarray]:
+        """The post-selected recovery as two Kraus operators on the data.
+
+        Parity extraction sets a1 to the excitation parity, the recovery
+        acts, and post-selection keeps a2 = 0 with a1 traced out. For the
+        analytic variants that is (R0 P_odd, R1 P_even). For a circuit
+        unitary W on (q0, q1, q2, a1, a2), whose index is 4 * data
+        + 2 * a1 + a2, the a1 = b outcome gives
+        K_b = W[2b::4, 0::4] P_even + W[2b::4, 2::4] P_odd.
+        """
+        p_odd, p_even = parity_projectors()
+        if self.variant == "synthesized":
+            w = self.unitary
+            return tuple(w[2 * b::4, 0::4] @ p_even + w[2 * b::4, 2::4] @ p_odd
+                         for b in (0, 1))
+        r0, r1 = self.operators()
+        return r0 @ p_odd, r1 @ p_even
+
 
 def parity_projectors() -> tuple[np.ndarray, np.ndarray]:
     """(P_odd, P_even) over the 3-qubit computational basis."""
@@ -180,42 +192,34 @@ def parity_projectors() -> tuple[np.ndarray, np.ndarray]:
 
 
 def syndrome_extract(rho: DensityMatrix) -> DensityMatrix:
-    """Parity extraction on a 3 data + 1 ancilla register.
+    """Parity extraction onto ancilla qubit 3 of a register whose qubits
+    0..2 are the data (4 or more qubits).
 
     Three CNOTs (data -> ancilla) leave the ancilla in |1> on the odd-parity
     (no-damping) branch and |0> on the even-parity (single-damping) branch.
     """
-    if rho.qubit_count != 4:
+    if rho.qubit_count < 4:
         raise ValueError(f"expected 3 data + 1 ancilla, got {rho.qubit_count} qubits")
     for q in range(3):
         rho = apply_unitary(rho, CX, targets=[q, 3])
     return rho
 
 
-@dataclass(frozen=True)
-class RecoverBranch:
-    """Result of applying one recovery operator with post-selection."""
+def apply_recovery(rho: DensityMatrix,
+                   rmap: RecoveryMap) -> tuple[DensityMatrix, float]:
+    """Post-selected recovery on data qubits 0..2 of a register of 3 or
+    more qubits; the other qubits are untouched.
 
-    success_state: DensityMatrix  # sub-normalized
-    success_weight: float
-    failure_weight: float
-
-
-def recover(rho: DensityMatrix, syndrome: int, rmap: RecoveryMap) -> RecoverBranch:
-    """Apply R0 (syndrome 1, no damping) or R1 (syndrome 0) to a branch.
-
-    The branch is block-encoded with one recovery ancilla; the success
-    branch is the ancilla-0 outcome with weight Tr[R rho R^dag], the failure
-    branch carries Tr[(I - R^dag R) rho].
+    Returns the renormalized success-branch state and the success
+    probability, the kept weight relative to rho's trace.
     """
-    if syndrome not in (0, 1):
-        raise ValueError(f"syndrome bit must be 0 or 1, got {syndrome}")
-    r0, r1 = rmap.operators()
-    r = r0 if syndrome == 1 else r1
-    succ = r @ rho.data @ r.conj().T
-    w_succ = float(np.real(np.trace(succ)))
-    w_fail = float(np.real(np.trace((np.eye(8) - r.conj().T @ r) @ rho.data)))
-    return RecoverBranch(DensityMatrix(succ, normalized=False), w_succ, w_fail)
+    if rho.qubit_count < 3:
+        raise ValueError(f"recovery needs 3 data qubits, got {rho.qubit_count}")
+    kept = apply_local(rho, rmap.kraus(), [0, 1, 2], normalized=False)
+    weight = kept.trace
+    if weight <= 0:
+        raise ValueError("post-selection removed all weight")
+    return DensityMatrix(kept.data / weight), weight / rho.trace
 
 
 @dataclass(frozen=True)
@@ -223,14 +227,6 @@ class QecOutcome:
     conditional_state: DensityMatrix
     success_probability: float
     fidelity: float
-
-
-def _apply_cycle_noise(rho: DensityMatrix, gamma: float, p: float) -> DensityMatrix:
-    for q in range(3):
-        rho = noise_mod.apply_channel(rho, noise_mod.amplitude_damping(gamma), q)
-        if p > 0:
-            rho = noise_mod.apply_channel(rho, noise_mod.dephasing(p), q)
-    return rho
 
 
 def qec_cycle(
@@ -242,10 +238,10 @@ def qec_cycle(
 ) -> QecOutcome:
     """One full cycle: noise, syndrome extraction, post-selected recovery.
 
-    Ancillas are handled exactly: conditioning the syndrome ancilla splits
-    the state into its parity blocks, and the recovery ancilla outcome 0
-    keeps the R rho R^dag branch. The returned success probability is the
-    combined weight of both syndrome branches after post-selection.
+    Ancillas are handled exactly through :meth:`RecoveryMap.kraus`: the
+    syndrome ancilla selects the branch operator and the recovery ancilla
+    outcome 0 keeps its success branch. The returned success probability
+    is the combined weight of both syndrome branches after post-selection.
     """
     if isinstance(state, PureState):
         if target is None:
@@ -257,46 +253,9 @@ def qec_cycle(
         raise ValueError("a fidelity target is required for mixed-state input")
     if rho.qubit_count != 3:
         raise ValueError("qec_cycle operates on the 3-qubit data register")
-
-    rho_noisy = _apply_cycle_noise(rho, gamma, p)
-
-    if rmap.variant == "synthesized":
-        sigma, p_succ = _cycle_via_circuit(rho_noisy, rmap.unitary)
-    else:
-        r0, r1 = rmap.operators()
-        p_odd, p_even = parity_projectors()
-        rho_odd = p_odd @ rho_noisy.data @ p_odd
-        rho_even = p_even @ rho_noisy.data @ p_even
-        succ = r0 @ rho_odd @ r0.conj().T + r1 @ rho_even @ r1.conj().T
-        p_succ = float(np.real(np.trace(succ))) / rho_noisy.trace
-        sigma = DensityMatrix(succ / np.trace(succ))
+    sigma, p_succ = apply_recovery(noise_mod.damp_dephase(rho, range(3), gamma, p),
+                                   rmap)
     return QecOutcome(sigma, p_succ, fidelity(sigma, target))
-
-
-def _cycle_via_circuit(rho3: DensityMatrix, w5: np.ndarray) -> tuple[DensityMatrix, float]:
-    """Syndrome + recovery through an explicit 5-qubit unitary.
-
-    Register order (q0, q1, q2, a1, a2); post-selects a2 = 0 and traces out
-    both ancillas.
-    """
-    anc = basis_state(2, 0).to_density_matrix()
-    full = tensor(rho3, anc)
-    full = syndrome_extract_5q(full)
-    full = apply_unitary(full, w5)
-    proj = embed(np.array([[1, 0], [0, 0]], dtype=complex), [4], 5)
-    kept = proj @ full.data @ proj
-    p_succ = float(np.real(np.trace(kept))) / full.trace
-    reduced = partial_trace(DensityMatrix(kept, normalized=False), [0, 1, 2])
-    return DensityMatrix(reduced.data / reduced.trace), p_succ
-
-
-def syndrome_extract_5q(rho: DensityMatrix) -> DensityMatrix:
-    """Parity CNOTs (data -> a1) on a (q0, q1, q2, a1, a2) register."""
-    if rho.qubit_count != 5:
-        raise ValueError("expected a 5-qubit register")
-    for q in range(3):
-        rho = apply_unitary(rho, CX, targets=[q, 3])
-    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +325,8 @@ def measured_circuit_distribution(
     en = encoder_unitary().data if encoder is None else np.asarray(encoder, complex)
     rho = apply_unitary(psi0, g, targets=[0])
     rho = apply_unitary(rho, en, targets=[0, 1, 2])
-    for q in range(3):
-        rho = noise_mod.apply_channel(rho, noise_mod.amplitude_damping(gamma), q)
-        if p > 0:
-            rho = noise_mod.apply_channel(rho, noise_mod.dephasing(p), q)
-    rho = syndrome_extract_5q(rho)
+    rho = noise_mod.damp_dephase(rho, range(3), gamma, p)
+    rho = syndrome_extract(rho)
     if rmap.variant == "synthesized":
         w5 = rmap.unitary
     else:

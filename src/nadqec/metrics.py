@@ -187,26 +187,16 @@ def gain_surface(
     emeas_range: Sequence[float],
     delay_range: Sequence[float],
     theta: float = math.pi,
-    workers: int = 1,
 ) -> list[GainCell]:
     """Gain over a (T1, E_meas, delay) grid with T2 = 2 T1 (no pure
-    dephasing). Grid order: T1 outer, then E_meas, then delay; cells are
-    independent, so more than one worker thread may evaluate them (the
-    result order stays deterministic)."""
+    dephasing). Grid order: T1 outer, then E_meas, then delay."""
     if not (len(t1_range) and len(emeas_range) and len(delay_range)):
         raise ValueError("all grid ranges must be non-empty")
-    points = [(t1, e, delay) for t1 in t1_range for e in emeas_range
-              for delay in delay_range]
-
-    def cell(point: tuple) -> GainCell:
-        t1, e, delay = point
-        det = gain_theoretical_detail(theta, gamma_of_t(delay, t1), 0.0, e)
-        return GainCell(t1, e, delay, det.gain, det.f_qec, det.f_bare,
-                        det.p_success)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(cell, points))
-    return [cell(p) for p in points]
+    cells = []
+    for t1 in t1_range:
+        for e in emeas_range:
+            for delay in delay_range:
+                det = gain_theoretical_detail(theta, gamma_of_t(delay, t1), 0.0, e)
+                cells.append(GainCell(t1, e, delay, det.gain, det.f_qec,
+                                      det.f_bare, det.p_success))
+    return cells

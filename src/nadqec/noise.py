@@ -22,7 +22,7 @@ from .qcore import (
     X,
     Y,
     Z,
-    embed,
+    apply_local,
 )
 
 # Default durations (microseconds) taken from the device-calibrated timing
@@ -189,30 +189,34 @@ def apply_channel(
 ) -> DensityMatrix:
     """Apply a channel to the listed qubit(s), identity elsewhere."""
     targets = [target] if isinstance(target, int) else list(target)
-    n = rho.qubit_count
-    if any(q < 0 or q >= n for q in targets):
-        raise ValueError(f"target {targets} out of range for {n} qubits")
-    out = np.zeros_like(rho.data)
-    for k in channel.matrices():
-        full = embed(k, targets, n)
-        out = out + full @ rho.data @ full.conj().T
-    return DensityMatrix(
-        out, normalized=rho.normalized and channel.trace_property == "preserving"
-    )
+    return apply_local(
+        rho, channel.matrices(), targets,
+        normalized=rho.normalized and channel.trace_property == "preserving")
+
+
+def damp_dephase(rho: DensityMatrix, qubits: Sequence[int],
+                 gamma: float | Sequence[float],
+                 p: float | Sequence[float]) -> DensityMatrix:
+    """AD(gamma) then dephasing(p) on each listed qubit; the dephasing is
+    skipped where p = 0. ``gamma`` and ``p`` are shared scalars or one
+    value per listed qubit."""
+    qubits = list(qubits)
+    gammas = np.broadcast_to(gamma, len(qubits))
+    ps = np.broadcast_to(p, len(qubits))
+    for q, g, pq in zip(qubits, gammas, ps):
+        rho = apply_channel(rho, amplitude_damping(float(g)), q)
+        if pq > 0:
+            rho = apply_channel(rho, dephasing(float(pq)), q)
+    return rho
 
 
 def idle_noise(rho: DensityMatrix, duration: float, params: NoiseParams,
                qubits: Sequence[int] | None = None) -> DensityMatrix:
     """Free-evolution noise: AD(gamma(t)) then dephasing(p(t)) per qubit."""
-    if qubits is None:
-        qubits = range(rho.qubit_count)
-    for q in qubits:
-        g = gamma_of_t(duration, params.t1_of(q))
-        rho = apply_channel(rho, amplitude_damping(g), q)
-        p = p_of_t(duration, params.tphi_of(q))
-        if p > 0:
-            rho = apply_channel(rho, dephasing(p), q)
-    return rho
+    qubits = range(rho.qubit_count) if qubits is None else list(qubits)
+    return damp_dephase(rho, qubits,
+                        [gamma_of_t(duration, params.t1_of(q)) for q in qubits],
+                        [p_of_t(duration, params.tphi_of(q)) for q in qubits])
 
 
 def readout_flip(distribution: np.ndarray, e_meas: float,

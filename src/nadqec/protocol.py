@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import code3
-from .noise import NoiseParams, amplitude_damping, apply_channel, dephasing, gamma_of_t, p_of_t
+from .noise import NoiseParams, gamma_of_t, idle_noise
 from .qcore import (
     DensityMatrix,
     PureState,
@@ -59,7 +59,6 @@ class ProtocolConfig:
     chadd_enabled: bool = False
     timing: Timing = field(default_factory=Timing)
     recovery_unitary: Optional[np.ndarray] = None  # for the synthesized variant
-    idle_noise_during_recovery: bool = False
 
     def __post_init__(self):
         if self.max_delay <= 0:
@@ -140,10 +139,9 @@ def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoi
     report fidelity against the ideal logical state and the cumulative
     post-selection probability.
 
-    Idle noise uses gamma(t) and p(t) over each delay; by default the
-    recovery window itself is noiseless (gates are time-accounted but
-    error-free), which keeps single-round runs exactly on the closed-form
-    oracle.
+    Idle noise uses gamma(t) and p(t) over each delay; the recovery window
+    itself is noiseless (gates are time-accounted but error-free), which
+    keeps single-round runs exactly on the closed-form oracle.
     """
     target = code3.encode_ideal(config.logical)
     points = []
@@ -151,21 +149,11 @@ def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoi
         schedule = schedule_rounds(total_free, config.max_delay)
         rho = target.to_density_matrix()
         p_total = 1.0
-        for i, delay in enumerate(schedule):
-            window = delay
-            if config.idle_noise_during_recovery and i > 0:
-                window += config.timing.t_recovery
-            gammas = [gamma_of_t(window, noise.t1_of(q)) for q in range(3)]
-            ps = [p_of_t(window, noise.tphi_of(q)) for q in range(3)]
-            for q in range(3):
-                rho = apply_channel(rho, amplitude_damping(gammas[q]), q)
-                if ps[q] > 0:
-                    rho = apply_channel(rho, dephasing(ps[q]), q)
-            gamma_round = gammas[0]
-            out = code3.qec_cycle(rho, 0.0, 0.0, _recovery_map(config, gamma_round),
-                                  target=target)
-            rho = out.conditional_state
-            p_total *= out.success_probability
+        for delay in schedule:
+            rho = idle_noise(rho, delay, noise)
+            rmap = _recovery_map(config, gamma_of_t(delay, noise.t1_of(0)))
+            rho, p_round = code3.apply_recovery(rho, rmap)
+            p_total *= p_round
         points.append(MultiQecPoint(
             total_free_us=total_free,
             total_evolution_us=total_evolution_time(schedule, config.timing),
@@ -500,7 +488,7 @@ def run_multiqec_with_chadd(
     into CHaDD cycles with instantaneous pulses.
 
     The two QEC ancillas stay implicit: syndrome conditioning and recovery
-    act on the data qubits through the exact branch arithmetic, and the
+    act on the data qubits through ``code3.apply_recovery``, and the
     ancilla reset is an exact replacement, so only their timing matters.
     """
     n = layout.n_qubits
@@ -512,8 +500,6 @@ def run_multiqec_with_chadd(
         h += g * embed(Z, [a], n) @ embed(Z, [b], n)
     collapse = collapse_operators(n, noise)
     colors = layout.resolved_colors()
-    r0, r1 = code3.recovery_operators(0.0)
-    p_odd, p_even = code3.parity_projectors()
 
     spect0 = basis_state(n - 3, 0).to_density_matrix() if n > 3 else None
 
@@ -537,12 +523,10 @@ def run_multiqec_with_chadd(
             else:
                 rho = evolve_lindblad(h, rho, delay, collapse,
                                       steps_per_interval * 8)
-            gamma_round = gamma_of_t(delay, noise.t1_of(0))
-            if config.recovery_variant == "ideal":
-                rr0, rr1 = code3.recovery_operators(gamma_round)
-            else:
-                rr0, rr1 = r0, r1
-            rho, p_round = _qec_on_register(rho, n, rr0, rr1, p_odd, p_even)
+            rmap = _recovery_map(config, gamma_of_t(delay, noise.t1_of(0)))
+            state, p_round = code3.apply_recovery(
+                DensityMatrix(rho, normalized=False), rmap)
+            rho = state.data
             p_total *= p_round
         reduced = partial_trace(DensityMatrix(rho, normalized=False),
                                 [0, 1, 2]).normalize()
@@ -557,17 +541,3 @@ def run_multiqec_with_chadd(
         ))
     return points
 
-
-def _qec_on_register(rho: np.ndarray, n: int, r0: np.ndarray, r1: np.ndarray,
-                     p_odd: np.ndarray, p_even: np.ndarray) -> tuple[np.ndarray, float]:
-    """One post-selected QEC cycle on data qubits 0..2 of an n-qubit
-    register, spectators untouched."""
-    eye_rest = np.eye(2 ** (n - 3), dtype=complex)
-    m0 = np.kron(r0 @ p_odd, eye_rest)
-    m1 = np.kron(r1 @ p_even, eye_rest)
-    out = m0 @ rho @ m0.conj().T + m1 @ rho @ m1.conj().T
-    weight = float(np.real(np.trace(out)))
-    total = float(np.real(np.trace(rho)))
-    if weight <= 0:
-        raise ValueError("post-selection removed all weight")
-    return out / weight, weight / total

@@ -21,10 +21,6 @@ import numpy as np
 TOL_STRUCT = 1e-10
 TOL_ARITH = 1e-12
 
-# Set to False to skip invariant validation on construction (hot loops
-# should operate on raw arrays instead).
-VALIDATE = True
-
 ArrayLike = Union[np.ndarray, Sequence]
 
 
@@ -50,10 +46,9 @@ class PureState:
     def __post_init__(self):
         object.__setattr__(self, "amplitudes", _as_complex(self.amplitudes))
         _qubit_count(self.dim)
-        if VALIDATE:
-            norm = np.linalg.norm(self.amplitudes)
-            if abs(norm - 1.0) > TOL_ARITH:
-                raise ValueError(f"state not normalized: |psi| = {norm}")
+        norm = np.linalg.norm(self.amplitudes)
+        if abs(norm - 1.0) > TOL_ARITH:
+            raise ValueError(f"state not normalized: |psi| = {norm}")
 
     @property
     def dim(self) -> int:
@@ -83,15 +78,14 @@ class DensityMatrix:
         if self.data.ndim != 2 or self.data.shape[0] != self.data.shape[1]:
             raise ValueError("density matrix must be square")
         _qubit_count(self.dim)
-        if VALIDATE:
-            herm = np.max(np.abs(self.data - self.data.conj().T))
-            if herm > TOL_ARITH:
-                raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm}")
-            if self.normalized and abs(self.trace - 1.0) > TOL_ARITH:
-                raise ValueError(f"trace {self.trace} != 1 for normalized matrix")
-            min_eig = np.linalg.eigvalsh(self.data)[0]
-            if min_eig < -TOL_STRUCT:
-                raise ValueError(f"not positive semidefinite: min eigenvalue {min_eig}")
+        herm = np.max(np.abs(self.data - self.data.conj().T))
+        if herm > TOL_ARITH:
+            raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm}")
+        if self.normalized and abs(self.trace - 1.0) > TOL_ARITH:
+            raise ValueError(f"trace {self.trace} != 1 for normalized matrix")
+        min_eig = np.linalg.eigvalsh(self.data)[0]
+        if min_eig < -TOL_STRUCT:
+            raise ValueError(f"not positive semidefinite: min eigenvalue {min_eig}")
 
     @property
     def dim(self) -> int:
@@ -124,11 +118,11 @@ class Operator:
         _qubit_count(self.dim)
         if self.kind not in ("unitary", "non-unitary", "hermitian"):
             raise ValueError(f"unknown operator kind {self.kind!r}")
-        if VALIDATE and self.kind == "unitary":
+        if self.kind == "unitary":
             dev = np.max(np.abs(self.data.conj().T @ self.data - np.eye(self.dim)))
             if dev > TOL_STRUCT:
                 raise ValueError(f"not unitary: max |O^dag O - I| = {dev}")
-        if VALIDATE and self.kind == "hermitian":
+        if self.kind == "hermitian":
             dev = np.max(np.abs(self.data - self.data.conj().T))
             if dev > TOL_STRUCT:
                 raise ValueError(f"not Hermitian: deviation {dev}")
@@ -140,9 +134,6 @@ class Operator:
     @property
     def qubit_count(self) -> int:
         return _qubit_count(self.dim)
-
-    def dagger(self) -> "Operator":
-        return Operator(self.data.conj().T, kind=self.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +237,47 @@ def embed(op: np.ndarray, targets: Sequence[int], n_qubits: int) -> np.ndarray:
     return full[np.ix_(idx, idx)]
 
 
+def apply_local(rho: DensityMatrix, ops: Sequence[np.ndarray],
+                targets: Sequence[int], normalized: bool | None = None) -> DensityMatrix:
+    """rho -> sum_K K rho K^dag with every k-qubit K acting on ``targets``.
+
+    ``targets[i]`` carries axis ``i`` of each K, as in :func:`embed`, but
+    no register-sized operator is built: rho is viewed as a (2,)*2n tensor
+    and each K is contracted into the target row axes and its conjugate
+    into the target column axes. ``normalized`` defaults to rho's flag.
+    """
+    n = rho.qubit_count
+    targets = list(targets)
+    k = len(targets)
+    if k == 0 or len(set(targets)) != k or any(t < 0 or t >= n for t in targets):
+        raise ValueError(f"invalid target set {targets} for {n} qubits")
+    rows, cols = targets, [n + t for t in targets]
+    t = rho.data.reshape((2,) * (2 * n))
+    out = np.zeros_like(t)
+    for op in ops:
+        op = np.asarray(op, dtype=complex)
+        if op.shape != (2**k, 2**k):
+            raise ValueError(f"operator of shape {op.shape} on {k} target qubits")
+        op = op.reshape((2,) * (2 * k))
+        out += _contract(_contract(t, op, rows), op.conj(), cols)
+    if normalized is None:
+        normalized = rho.normalized
+    return DensityMatrix(out.reshape(rho.data.shape), normalized=normalized)
+
+
+def _contract(t: np.ndarray, op: np.ndarray, axes: list[int]) -> np.ndarray:
+    """Contract op's input axes with ``axes`` of t; its output axes take
+    their place."""
+    k = len(axes)
+    out = np.tensordot(op, t, axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(out, range(k), axes)
+
+
 def apply_unitary(rho: DensityMatrix, u, targets: Sequence[int] | None = None) -> DensityMatrix:
-    """rho -> U rho U^dag, optionally embedding U onto ``targets``."""
+    """rho -> U rho U^dag; with ``targets``, U acts on those qubits only."""
     mat = u.data if isinstance(u, Operator) else np.asarray(u, dtype=complex)
     if targets is not None:
-        mat = embed(mat, targets, rho.qubit_count)
+        return apply_local(rho, [mat], targets)
     return DensityMatrix(mat @ rho.data @ mat.conj().T, normalized=rho.normalized)
 
 

@@ -29,16 +29,15 @@ from .noise import DEFAULT_GATE_DURATIONS
 from .circuits import Circuit, Gate, remapped
 from .qcore import TOL_STRUCT, embed, ry
 
-LINE_EDGES_3Q = ((0, 1), (1, 2))
-
 
 @dataclass(frozen=True)
 class NativeGateSet:
-    """Gate vocabulary plus the undirected coupling graph."""
+    """Gate vocabulary plus the undirected coupling graph; ``edges=None``
+    couples the register's qubits in a line."""
 
     single_qubit: tuple[str, ...] = ("RX", "RZ", "SX", "X", "ID")
     two_qubit: tuple[str, ...] = ("CZ", "RZZ")
-    edges: tuple[tuple[int, int], ...] = LINE_EDGES_3Q
+    edges: Optional[tuple[tuple[int, int], ...]] = None
 
 
 @dataclass(frozen=True)
@@ -54,6 +53,12 @@ class Ansatz:
     def parameter_count(self) -> int:
         return 2 * self.n_qubits * (self.layers + 1)
 
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        if self.gateset.edges is None:
+            return _line_edges(self.n_qubits)
+        return self.gateset.edges
+
     def circuit(self, params: Sequence[float]) -> Circuit:
         params = np.asarray(params, dtype=float)
         if params.shape != (self.parameter_count,):
@@ -68,7 +73,7 @@ class Ansatz:
                 gates.append(Gate("RZ", (q,), params[k + 1]))
                 k += 2
             if layer < self.layers:
-                for a, b in self.gateset.edges:
+                for a, b in self.edges:
                     gates.append(Gate("CZ", (a, b)))
         return Circuit(self.n_qubits, tuple(gates))
 
@@ -88,7 +93,7 @@ class _AnsatzEvaluator:
         n = ansatz.n_qubits
         # diagonal of the CZ layer: real +-1 entries, so it is its own inverse
         self.entangler = np.ones(2**n)
-        for a, b in ansatz.gateset.edges:
+        for a, b in ansatz.edges:
             self.entangler *= np.diag(embed(np.diag([1, 1, 1, -1]), [a, b], n)).real
         self.n_params = ansatz.parameter_count
         # application order: (parameter index, qubit, generator), None = CZ layer
@@ -242,7 +247,7 @@ def synthesize(
     restarts: int = 20,
 ) -> tuple[Circuit, SynthesisResult]:
     """Depth-growing synthesis: start shallow, add a layer on failure."""
-    gateset = gateset or NativeGateSet(edges=_line_edges(n_qubits))
+    gateset = gateset or NativeGateSet()
     result = None
     for layers in range(start_layers, max_layers + 1):
         ansatz = Ansatz(n_qubits, layers, gateset)

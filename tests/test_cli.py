@@ -186,25 +186,3 @@ class TestCheck:
         monkeypatch.chdir(tmp_path)
         assert cli.main(["check"]) == EXIT_OK
         assert (tmp_path / "oracle_check.csv").exists()
-
-    def test_thread_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NADQEC_THREADS", "2")
-        payload = {
-            "kind": "gain-surface",
-            "output": str(tmp_path / "gain.csv"),
-            "params": {"t1_range": [200.0], "emeas_range": [0.0, 0.01],
-                       "delay_range": [30.0]},
-        }
-        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_OK
-        rows = (tmp_path / "gain.csv").read_text().splitlines()
-        assert len(rows) == 3
-
-    def test_bad_thread_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NADQEC_THREADS", "lots")
-        payload = {
-            "kind": "gain-surface",
-            "output": str(tmp_path / "gain.csv"),
-            "params": {"t1_range": [200.0], "emeas_range": [0.0],
-                       "delay_range": [30.0]},
-        }
-        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_CONFIG

@@ -11,12 +11,15 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nadqec import code3
 from nadqec.code3 import (
     LogicalStateSpec,
     QecOutcome,
     RecoveryMap,
+    apply_recovery,
     codeword,
     encode_ideal,
     encoder_unitary,
@@ -31,13 +34,19 @@ from nadqec.code3 import (
     oracle_worst_case_fidelity,
     parity_projectors,
     qec_cycle,
-    recover,
     recovery_operators,
     success_probability_minus_form,
     success_probability_zero_logical,
     syndrome_extract,
 )
-from nadqec.qcore import DensityMatrix, basis_state, fidelity, tensor
+from nadqec.qcore import (
+    P0,
+    DensityMatrix,
+    apply_unitary,
+    basis_state,
+    partial_trace,
+    tensor,
+)
 
 
 def brute_force_cycle(theta, phi, gamma, p, recovery_gamma):
@@ -164,16 +173,62 @@ class TestRecoveryOperators:
     def test_recover_branch_weights(self):
         g = 0.1
         rho = codeword(1).to_density_matrix()
-        branch = recover(rho, 1, RecoveryMap.ideal(g))
-        assert abs(branch.success_weight - 1.0) < 1e-12  # R0 keeps |1_L>
+        _, weight = apply_recovery(rho, RecoveryMap.ideal(g))
+        assert abs(weight - 1.0) < 1e-12  # R0 keeps |1_L>
         w_state = codeword(0).to_density_matrix()
-        branch0 = recover(w_state, 1, RecoveryMap.ideal(g))
-        assert abs(branch0.success_weight - (1 - g) ** 2) < 1e-12
-        assert abs(branch0.success_weight + branch0.failure_weight - 1.0) < 1e-12
+        _, weight0 = apply_recovery(w_state, RecoveryMap.ideal(g))
+        assert abs(weight0 - (1 - g) ** 2) < 1e-12
 
-    def test_invalid_syndrome(self):
+
+def _haar_unitary(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(a)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _random_density(rng, n):
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    rho = a @ a.conj().T
+    return DensityMatrix(rho / np.trace(rho))
+
+
+class TestRecoveryEngine:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_synthesized_kraus_match_five_qubit_circuit(self, seed):
+        rng = np.random.default_rng(seed)
+        w = _haar_unitary(rng, 32)
+        rho3 = _random_density(rng, 3)
+        # reference: (q0, q1, q2, a1, a2) register, parity onto a1, W,
+        # keep a2 = 0, trace out both ancillas
+        full = tensor(rho3, basis_state(2, 0).to_density_matrix())
+        full = apply_unitary(syndrome_extract(full), w)
+        proj = np.kron(np.eye(16), P0)
+        kept = DensityMatrix(proj @ full.data @ proj, normalized=False)
+        reduced = partial_trace(kept, [0, 1, 2])
+        state, p_succ = apply_recovery(rho3, RecoveryMap.synthesized(w))
+        assert abs(p_succ - kept.trace / full.trace) < 1e-12
+        assert np.max(np.abs(state.data - reduced.data / reduced.trace)) < 1e-12
+
+    def test_spectators_untouched(self):
+        rng = np.random.default_rng(4)
+        rho3 = _random_density(rng, 3)
+        spect = _random_density(rng, 2)
+        state3, p3 = apply_recovery(rho3, RecoveryMap.ideal(0.2))
+        state5, p5 = apply_recovery(tensor(rho3, spect), RecoveryMap.ideal(0.2))
+        assert abs(p3 - p5) < 1e-12
+        np.testing.assert_allclose(state5.data, tensor(state3, spect).data,
+                                   atol=1e-14)
+
+    def test_zero_weight_raises(self):
+        # at gamma = 1 the no-damping branch removes the W state entirely
+        with pytest.raises(ValueError, match="removed all weight"):
+            apply_recovery(codeword(0).to_density_matrix(), RecoveryMap.ideal(1.0))
+
+    def test_register_too_small(self):
         with pytest.raises(ValueError):
-            recover(codeword(0).to_density_matrix(), 2, RecoveryMap.approximate())
+            apply_recovery(basis_state(2, 0).to_density_matrix(),
+                           RecoveryMap.approximate())
 
 
 class TestQecCycle:

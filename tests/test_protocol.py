@@ -265,6 +265,18 @@ class TestMultiQecWithChadd:
         assert abs(a.fidelity - b.fidelity) < 1e-9
         assert abs(a.success_probability - b.success_probability) < 1e-9
 
+    def test_synthesized_variant_uses_its_unitary(self):
+        w5 = code3.combined_recovery_unitary(0.3)
+        cfg = ProtocolConfig(code3.LogicalStateSpec(2.1, 0.4), max_delay=30,
+                             total_free=(45.0,), recovery_variant="synthesized",
+                             recovery_unitary=w5)
+        layout = SpectatorLayout(spectators=0, couplings=())
+        a = run_multiqec_with_chadd(cfg, self.noise, layout,
+                                    steps_per_interval=100)[0]
+        b = run_multiqec(cfg, self.noise)[0]
+        assert abs(a.fidelity - b.fidelity) < 1e-9
+        assert abs(a.success_probability - b.success_probability) < 1e-9
+
     def test_chadd_suppresses_spectator_crosstalk(self):
         layout = SpectatorLayout(spectators=1, couplings=((0, 3, 0.05),))
         fids = {}

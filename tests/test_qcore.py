@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nadqec import qcore
 from nadqec.qcore import (
@@ -17,6 +19,7 @@ from nadqec.qcore import (
     X,
     Y,
     Z,
+    apply_local,
     apply_unitary,
     basis_state,
     embed,
@@ -107,6 +110,45 @@ class TestEmbed:
             embed(X, [3], 2)
         with pytest.raises(ValueError):
             embed(CX, [0, 0], 2)
+
+
+def _random_density(rng, n):
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    rho = a @ a.conj().T
+    return DensityMatrix(rho / np.trace(rho))
+
+
+class TestApplyLocal:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(3, 7), k=st.integers(1, 2), count=st.integers(1, 3),
+           data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_embed_path(self, n, k, count, data, seed):
+        targets = data.draw(st.permutations(range(n)))[:k]
+        rng = np.random.default_rng(seed)
+        rho = _random_density(rng, n)
+        ops = [rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+               for _ in range(count)]
+        ops = [op / (np.linalg.norm(op, 2) * math.sqrt(count)) for op in ops]
+        want = sum(embed(op, targets, n) @ rho.data @ embed(op, targets, n).conj().T
+                   for op in ops)
+        got = apply_local(rho, ops, targets, normalized=False)
+        assert np.max(np.abs(got.data - want)) < 1e-13
+
+    def test_unitary_on_targets_matches_embed(self):
+        rho = _random_density(np.random.default_rng(3), 3)
+        u = embed(CX, [2, 0], 3)
+        want = u @ rho.data @ u.conj().T
+        np.testing.assert_allclose(apply_unitary(rho, CX, targets=[2, 0]).data,
+                                   want, atol=1e-14)
+
+    def test_invalid_targets(self):
+        rho = basis_state(3, 0).to_density_matrix()
+        with pytest.raises(ValueError):
+            apply_local(rho, [X], [3])
+        with pytest.raises(ValueError):
+            apply_local(rho, [CX], [1, 1])
+        with pytest.raises(ValueError):
+            apply_local(rho, [CX], [1])
 
 
 class TestPartialTrace:

@@ -74,8 +74,14 @@ class TestCost:
 
     def test_shape_mismatch(self):
         ansatz = Ansatz(2, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected 8 parameters"):
             cost(SynthesisProblem(np.eye(4, dtype=complex), ansatz), [0.0])
+
+    def test_default_gate_set_fits_two_qubits(self):
+        ansatz = Ansatz(2, 1)
+        assert ansatz.circuit(np.zeros(8)).count("CZ") == 1
+        c = cost(SynthesisProblem(np.eye(4, dtype=complex), ansatz), np.zeros(8))
+        assert abs(c - 4.0) < 1e-12  # the CZ layer alone: |(-1) - 1|^2
 
 
 class TestOptimize:
