@@ -21,6 +21,7 @@ from .qcore import CZ, I2, SX, X, embed, rx, ry, rz, rzz
 ROTATION_GATES = ("RX", "RY", "RZ", "RZZ")
 FIXED_GATES = ("X", "SX", "ID", "CZ")
 PARAM_GATES = ROTATION_GATES + ("DELAY",)
+_ROTATIONS = {"RX": rx, "RY": ry, "RZ": rz, "RZZ": rzz}
 
 
 @dataclass(frozen=True)
@@ -46,21 +47,9 @@ class Gate:
             raise ValueError(f"{name} takes no parameter")
 
     def matrix(self) -> np.ndarray:
-        if self.name == "RX":
-            return rx(self.param)
-        if self.name == "RY":
-            return ry(self.param)
-        if self.name == "RZ":
-            return rz(self.param)
-        if self.name == "RZZ":
-            return rzz(self.param)
-        if self.name == "X":
-            return X
-        if self.name == "SX":
-            return SX
-        if self.name == "CZ":
-            return CZ
-        return I2  # ID, DELAY
+        if self.name in _ROTATIONS:
+            return _ROTATIONS[self.name](self.param)
+        return {"X": X, "SX": SX, "CZ": CZ}.get(self.name, I2)  # ID, DELAY: I2
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,12 @@ class ExperimentSpec:
             raise ConfigError(
                 f"{path}: kind '{kind}' missing parameter field(s): "
                 + ", ".join(missing))
+        unknown = sorted(set(params) - set(CATALOG[kind].required)
+                         - set(CATALOG[kind].optional))
+        if unknown:
+            raise ConfigError(
+                f"{path}: kind '{kind}' has no parameter field(s): "
+                + ", ".join(unknown))
         return cls(kind=kind, params=params, output=raw["output"],
                    seed=int(raw.get("seed", 0)))
 
@@ -98,15 +104,24 @@ def _write_manifest(spec: ExperimentSpec, out_csv: Path, t0: float,
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _noise_from(params: Mapping) -> NoiseParams:
+def _noise_from(params: Mapping, n_qubits: int) -> NoiseParams:
+    """Noise for an ``n_qubits`` register; invalid values are config errors
+    (``e_meas`` is the readout error)."""
     if "t1" not in params:
         raise ConfigError("missing field 't1' in params")
     t1 = params["t1"]
-    if "t2" in params:
-        return NoiseParams.from_t1_t2(t1, params["t2"],
-                                      readout_error=params.get("e_meas", 0.0))
-    return NoiseParams(t1=t1, tphi=params.get("tphi", math.inf),
-                       readout_error=params.get("e_meas", 0.0))
+    readout = params.get("e_meas", 0.0)
+    try:
+        if "t2" in params:
+            noise = NoiseParams.from_t1_t2(t1, params["t2"],
+                                           readout_error=readout)
+        else:
+            noise = NoiseParams(t1=t1, tphi=params.get("tphi", math.inf),
+                                readout_error=readout)
+        noise.require_qubits(n_qubits)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid noise params: {exc}") from exc
+    return noise
 
 
 # ---------------------------------------------------------------------------
@@ -114,61 +129,47 @@ def _noise_from(params: Mapping) -> NoiseParams:
 # ---------------------------------------------------------------------------
 
 
-def _run_multiqec(spec: ExperimentSpec, out: Path) -> None:
-    p = spec.params
-    noise = _noise_from(p)
-    cfg = protocol.ProtocolConfig(
+_POINT_HEADER = ["total_evolution_us", "fidelity", "success_probability",
+                 "rounds", "variant", "chadd"]
+
+
+def _point_rows(pts) -> list[tuple]:
+    return [(x.total_evolution_us, x.fidelity, x.success_probability,
+             x.rounds, x.variant, x.chadd) for x in pts]
+
+
+def _protocol_config(p: Mapping, **kwargs) -> protocol.ProtocolConfig:
+    return protocol.ProtocolConfig(
         logical=code3.LogicalStateSpec(p["theta"], p.get("phi", 0.0)),
-        max_delay=p["max_delay"],
-        total_free=tuple(p["total_free"]),
-        recovery_variant=p.get("recovery", "ideal"),
-    )
-    pts = protocol.run_multiqec(cfg, noise)
-    _write_csv(out,
-               ["total_evolution_us", "fidelity", "success_probability",
-                "rounds", "variant", "chadd"],
-               [(x.total_evolution_us, x.fidelity, x.success_probability,
-                 x.rounds, x.variant, x.chadd) for x in pts])
+        max_delay=p["max_delay"], total_free=tuple(p["total_free"]),
+        recovery_variant=p.get("recovery", "ideal"), **kwargs)
+
+
+def _run_multiqec(spec: ExperimentSpec, out: Path) -> None:
+    pts = protocol.run_multiqec(_protocol_config(spec.params),
+                                _noise_from(spec.params, 3))
+    _write_csv(out, _POINT_HEADER, _point_rows(pts))
 
 
 def _run_multiqec_chadd(spec: ExperimentSpec, out: Path) -> None:
     p = spec.params
-    noise = _noise_from(p)
     layout = protocol.SpectatorLayout(
         spectators=p.get("spectators", 1),
-        couplings=tuple(tuple(c) for c in p.get(
-            "couplings", [[0, 3, 0.05]])),
-    )
+        couplings=tuple(tuple(c) for c in p.get("couplings", [[0, 3, 0.05]])))
+    noise = _noise_from(p, layout.n_qubits)
     rows = []
     for chadd in (False, True):
-        cfg = protocol.ProtocolConfig(
-            logical=code3.LogicalStateSpec(p["theta"], p.get("phi", 0.0)),
-            max_delay=p["max_delay"],
-            total_free=tuple(p["total_free"]),
-            recovery_variant=p.get("recovery", "ideal"),
-            chadd_enabled=chadd,
-        )
-        pts = protocol.run_multiqec_with_chadd(
-            cfg, noise, layout,
-            steps_per_interval=p.get("steps_per_interval", 60))
-        rows += [(x.total_evolution_us, x.fidelity, x.success_probability,
-                  x.rounds, x.variant, x.chadd) for x in pts]
-    _write_csv(out,
-               ["total_evolution_us", "fidelity", "success_probability",
-                "rounds", "variant", "chadd"], rows)
+        rows += _point_rows(protocol.run_multiqec_with_chadd(
+            _protocol_config(p, chadd_enabled=chadd), noise, layout))
+    _write_csv(out, _POINT_HEADER, rows)
 
 
 def _run_delay_sweep(spec: ExperimentSpec, out: Path) -> None:
     p = spec.params
-    noise = _noise_from(p)
+    noise = _noise_from(p, 3)
     rows = []
     for max_delay in p["delays"]:
-        cfg = protocol.ProtocolConfig(
-            logical=code3.LogicalStateSpec(p.get("theta", math.pi)),
-            max_delay=max_delay,
-            total_free=tuple(p["total_free"]),
-            recovery_variant=p.get("recovery", "ideal"),
-        )
+        cfg = _protocol_config({"theta": math.pi, **p, "max_delay": max_delay})
         for x in protocol.run_multiqec(cfg, noise):
             rows.append((max_delay, x.total_free_us, x.total_evolution_us,
                          x.fidelity, x.success_probability, x.rounds))
@@ -179,10 +180,10 @@ def _run_delay_sweep(spec: ExperimentSpec, out: Path) -> None:
 
 def _run_crosstalk_toy(spec: ExperimentSpec, out: Path) -> None:
     p = spec.params
+    noise = _noise_from(p, 2)
     model = protocol.CrosstalkModel(
         omega1=p.get("omega1", 0.3), omega2=p.get("omega2", 0.2),
-        g=p.get("g", 0.05), t1=p["t1"], tphi=p.get("tphi", math.inf),
-        steps_per_interval=p.get("steps_per_interval", 200))
+        g=p.get("g", 0.05), t1=noise.t1, tphi=noise.tphi)
     t_final = p.get("t_final", 60.0)
     cycles = p.get("cycles", 4)
     rows = []
@@ -288,30 +289,41 @@ class ExperimentKind:
     required: tuple[str, ...]
     figure: str
     description: str
+    optional: tuple[str, ...] = ()
+
+
+_NOISE_FIELDS = ("t2", "tphi", "e_meas")
+_PROTOCOL_FIELDS = ("phi", "recovery") + _NOISE_FIELDS
 
 
 CATALOG: dict[str, ExperimentKind] = {
     "multiqec": ExperimentKind(
         _run_multiqec, ("theta", "max_delay", "total_free", "t1"),
-        "fig1b/fig3", "multi-round logical fidelity and success probability"),
+        "fig1b/fig3", "multi-round logical fidelity and success probability",
+        _PROTOCOL_FIELDS),
     "multiqec-chadd": ExperimentKind(
         _run_multiqec_chadd, ("theta", "max_delay", "total_free", "t1"),
-        "fig3d-f", "multi-round QEC with CHaDD-interleaved delays vs plain"),
+        "fig3d-f", "multi-round QEC with CHaDD-interleaved delays vs plain",
+        _PROTOCOL_FIELDS + ("spectators", "couplings")),
     "delay-sweep": ExperimentKind(
         _run_delay_sweep, ("delays", "total_free", "t1"),
-        "fig8", "fidelity/success curves for several maximum delays"),
+        "fig8", "fidelity/success curves for several maximum delays",
+        ("theta", "recovery") + _NOISE_FIELDS),
     "crosstalk-toy": ExperimentKind(
         _run_crosstalk_toy, ("t1",),
-        "fig4a", "two-qubit ZZ toy model, probe populations with/without CHaDD"),
+        "fig4a", "two-qubit ZZ toy model, probe populations with/without CHaDD",
+        ("omega1", "omega2", "g", "t_final", "cycles") + _NOISE_FIELDS),
     "gain-surface": ExperimentKind(
         _run_gain_surface, ("t1_range", "emeas_range", "delay_range"),
-        "fig6", "gain over (T1, E_meas, delay) with T2 = 2 T1"),
+        "fig6", "gain over (T1, E_meas, delay) with T2 = 2 T1", ("theta",)),
     "synth": ExperimentKind(
         _run_synth, (),
-        "fig2b", "synthesize encoder + recovery circuits and verify them"),
+        "fig2b", "synthesize encoder + recovery circuits and verify them",
+        ("restarts",)),
     "oracle-check": ExperimentKind(
         _run_oracle_check, (),
-        "fig1b", "closed-form oracles vs simulation on a (theta, gamma) grid"),
+        "fig1b", "closed-form oracles vs simulation on a (theta, gamma) grid",
+        ("theta_points", "gamma_points")),
 }
 
 
@@ -333,8 +345,9 @@ def run(spec: ExperimentSpec) -> int:
 def list_experiments(as_json: bool = False) -> str:
     if as_json:
         return json.dumps(
-            {k: {"required": v.required, "figure": v.figure,
-                 "description": v.description} for k, v in CATALOG.items()},
+            {k: {"required": v.required, "optional": v.optional,
+                 "figure": v.figure, "description": v.description}
+             for k, v in CATALOG.items()},
             indent=2, sort_keys=True)
     lines = []
     for kind in sorted(CATALOG):

@@ -95,30 +95,48 @@ class NoiseParams:
     depolarizing_2q: float = 0.0
 
     def __post_init__(self):
-        for v in np.atleast_1d(np.asarray(self.t1, dtype=float)):
-            if v <= 0:
-                raise ValueError(f"T1 must be positive, got {v}")
-        for v in np.atleast_1d(np.asarray(self.tphi, dtype=float)):
-            if v <= 0:
-                raise ValueError(f"Tphi must be positive, got {v}")
-        if not 0.0 <= self.readout_error <= 0.5:
-            raise ValueError(f"readout error {self.readout_error} outside [0, 0.5]")
+        # +inf lifetimes mean no relaxation or no dephasing; NaN is rejected
+        for name in ("t1", "tphi"):
+            v = np.asarray(getattr(self, name), dtype=float)
+            if v.size == 0 or not np.all(v > 0):
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name, top in (("readout_error", 0.5), ("readout_error_10", 0.5),
+                          ("depolarizing_1q", 1.0), ("depolarizing_2q", 1.0)):
+            v = getattr(self, name)
+            if v is not None and not 0.0 <= v <= top:
+                raise ValueError(f"{name} {v} outside [0, {top}]")
 
     @classmethod
     def from_t1_t2(cls, t1: float, t2: float, **kwargs) -> "NoiseParams":
+        for name, v in (("t1", t1), ("t2", t2)):
+            if not (isinstance(v, (int, float)) and v > 0):
+                raise ValueError(f"{name} must be a positive number, got {v!r}")
         if t2 > 2 * t1 + 1e-12:
             raise ValueError(f"T2 = {t2} exceeds the physical bound 2*T1 = {2 * t1}")
         inv_tphi = 1.0 / t2 - 1.0 / (2.0 * t1)
         tphi = math.inf if inv_tphi <= 0 else 1.0 / inv_tphi
         return cls(t1=t1, tphi=tphi, **kwargs)
 
+    def _per_qubit(self, name: str, qubit: int) -> float:
+        arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+        if arr.size > 1 and not 0 <= qubit < arr.size:
+            raise ValueError(
+                f"{name} has {arr.size} per-qubit values, none for qubit {qubit}")
+        return float(arr[qubit] if arr.size > 1 else arr[0])
+
     def t1_of(self, qubit: int) -> float:
-        arr = np.atleast_1d(np.asarray(self.t1, dtype=float))
-        return float(arr[qubit % len(arr)]) if arr.size > 1 else float(arr[0])
+        return self._per_qubit("t1", qubit)
 
     def tphi_of(self, qubit: int) -> float:
-        arr = np.atleast_1d(np.asarray(self.tphi, dtype=float))
-        return float(arr[qubit % len(arr)]) if arr.size > 1 else float(arr[0])
+        return self._per_qubit("tphi", qubit)
+
+    def require_qubits(self, n_qubits: int) -> None:
+        """Raise unless each per-qubit sequence has one value per qubit."""
+        for name in ("t1", "tphi"):
+            size = np.size(getattr(self, name))
+            if size not in (1, n_qubits):
+                raise ValueError(f"{name} has {size} per-qubit values for a "
+                                 f"{n_qubits}-qubit register")
 
     @classmethod
     def from_dict(cls, cfg: Mapping) -> "NoiseParams":

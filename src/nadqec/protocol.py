@@ -15,6 +15,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
 from . import code3
 from .noise import NoiseParams, gamma_of_t, idle_noise
@@ -267,42 +269,40 @@ def pulse_matrix(kind: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Lindblad integrator (fixed-step RK4 on the density matrix)
+# Lindblad propagation (exact, on the sparse Liouvillian)
 # ---------------------------------------------------------------------------
 
 
-def lindblad_rhs(h: np.ndarray, rho: np.ndarray,
-                 collapse: Sequence[np.ndarray]) -> np.ndarray:
-    out = -1j * (h @ rho - rho @ h)
-    for c in collapse:
-        cd = c.conj().T
-        cdc = cd @ c
-        out += c @ rho @ cd - 0.5 * (cdc @ rho + rho @ cdc)
-    return out
+def liouvillian(h: np.ndarray, collapse: Sequence[np.ndarray]) -> sp.csr_matrix:
+    """Lindblad generator acting on the row-major vec of rho.
+
+    Built from vec(A rho B) = (A kron B^T) vec(rho). With the effective
+    Hamiltonian H_eff = H - (i/2) sum_C C^dag C it reads
+    -i(H_eff x I) + i(I x conj(H_eff)) + sum_C C x conj(C).
+    """
+    eye = sp.identity(h.shape[0], dtype=complex, format="csr")
+    ops = [sp.csr_matrix(c, dtype=complex) for c in collapse]
+    h_eff = sp.csr_matrix(h, dtype=complex)
+    for c in ops:
+        h_eff = h_eff - 0.5j * (c.conj().T @ c)
+    terms = [-1j * sp.kron(h_eff, eye), 1j * sp.kron(eye, h_eff.conj())]
+    terms += [sp.kron(c, c.conj()) for c in ops]
+    return sp.csr_matrix(sum(terms))
 
 
-def rk4_step(h: np.ndarray, rho: np.ndarray, dt: float,
-             collapse: Sequence[np.ndarray]) -> np.ndarray:
-    k1 = lindblad_rhs(h, rho, collapse)
-    k2 = lindblad_rhs(h, rho + 0.5 * dt * k1, collapse)
-    k3 = lindblad_rhs(h, rho + 0.5 * dt * k2, collapse)
-    k4 = lindblad_rhs(h, rho + dt * k3, collapse)
-    return rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def evolve_lindblad(h: np.ndarray, rho: np.ndarray, duration: float,
-                    collapse: Sequence[np.ndarray], steps: int) -> np.ndarray:
-    if steps < 1:
-        raise ValueError("need at least one step")
-    dt = duration / steps
-    for _ in range(steps):
-        rho = rk4_step(h, rho, dt, collapse)
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho
+def propagate(gen: sp.csr_matrix, rho: np.ndarray, duration: float) -> np.ndarray:
+    """exp(duration * gen) applied to rho (Al-Mohy & Higham's expm_multiply),
+    returned Hermitian."""
+    out = expm_multiply(duration * gen, rho.ravel()).reshape(rho.shape)
+    return 0.5 * (out + out.conj().T)
 
 
 def collapse_operators(n_qubits: int, params: NoiseParams) -> list[np.ndarray]:
-    """Per-qubit relaxation (sigma-) at 1/T1 and dephasing (Z) at 1/(2 Tphi)."""
+    """Per-qubit relaxation (sigma-) at 1/T1 and dephasing (Z) at 1/(2 Tphi).
+
+    Per-qubit T1 or Tphi sequences must give one value per register qubit.
+    """
+    params.require_qubits(n_qubits)
     sm = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
     ops = []
     for q in range(n_qubits):
@@ -325,7 +325,6 @@ class CrosstalkModel:
     g: float = 0.05
     t1: float = math.inf
     tphi: float = math.inf
-    steps_per_interval: int = 200
     pulse_duration: float = 0.0  # 0 means ideal instantaneous pulses
 
     def hamiltonian(self) -> np.ndarray:
@@ -368,8 +367,7 @@ class ToySeries:
 
 
 def run_crosstalk_toy(model: CrosstalkModel, probe_init: str,
-                      chadd: Optional[ChaddSequence], t_final: float,
-                      check_convergence: bool = False) -> ToySeries:
+                      chadd: Optional[ChaddSequence], t_final: float) -> ToySeries:
     """Evolve (probe, spectator=|0>) under the ZZ toy model, recording the
     probe populations and its fidelity to the initial probe state.
 
@@ -383,62 +381,49 @@ def run_crosstalk_toy(model: CrosstalkModel, probe_init: str,
         raise ValueError(f"probe_init must be one of {sorted(kets)}")
     probe = kets[probe_init]
     psi = np.kron(probe, kets["0"])
-    rho = np.outer(psi, psi.conj())
+    state = np.outer(psi, psi.conj())
     h = model.hamiltonian()
     collapse = model.collapse()
+    gen = liouvillian(h, collapse)
     colors = (1, 2)
 
-    def run(steps_scale: int) -> ToySeries:
-        times = [0.0]
-        rows = [rho]
-        state = rho.copy()
-        if chadd is None:
-            n_samples = 40
-            dt_sample = t_final / n_samples
-            steps = model.steps_per_interval * steps_scale
-            for i in range(n_samples):
-                state = evolve_lindblad(h, state, dt_sample, collapse, steps)
-                times.append((i + 1) * dt_sample)
-                rows.append(state)
-        else:
-            cycle = chadd.cycle_time
-            n_cycles = int(round(t_final / cycle))
-            if abs(n_cycles * cycle - t_final) > 1e-9:
-                raise ValueError(
-                    f"t_final {t_final} is not a whole number of CHaDD cycles "
-                    f"(cycle time {cycle})")
-            steps = model.steps_per_interval * steps_scale
-            for i in range(n_cycles):
-                for kind, color in chadd.pulses:
-                    state = evolve_lindblad(h, state, chadd.tau, collapse, steps)
-                    u = _color_matrix(colors, color, kind, 2)
-                    state = u @ state @ u.conj().T
-                    if model.pulse_duration > 0:
-                        # finite pulse window: dissipators act, drive ignored
-                        state = evolve_lindblad(np.zeros_like(h), state,
-                                                model.pulse_duration, collapse,
-                                                max(4, steps // 16))
-                times.append((i + 1) * cycle)
-                rows.append(state)
-        pop0, pop1, fid = [], [], []
-        proj_probe = np.outer(probe, probe.conj())
-        for r in rows:
-            reduced = partial_trace(DensityMatrix(r, normalized=False), [0]).data
-            pop0.append(float(np.real(reduced[0, 0])))
-            pop1.append(float(np.real(reduced[1, 1])))
-            fid.append(float(np.real(np.trace(proj_probe @ reduced))))
-        return ToySeries(np.asarray(times), np.asarray(pop0), np.asarray(pop1),
-                         np.asarray(fid))
-
-    series = run(1)
-    if check_convergence:
-        finer = run(2)
-        dev = np.max(np.abs(series.fidelity - finer.fidelity))
-        if dev > 1e-8:
-            raise RuntimeError(
-                f"integrator not converged: halving the step moved the "
-                f"fidelity trace by {dev:.2e} (> 1e-8); raise steps_per_interval")
-    return series
+    times = [0.0]
+    rows = [state]
+    if chadd is None:
+        n_samples = 40
+        dt_sample = t_final / n_samples
+        for i in range(n_samples):
+            state = propagate(gen, state, dt_sample)
+            times.append((i + 1) * dt_sample)
+            rows.append(state)
+    else:
+        cycle = chadd.cycle_time
+        n_cycles = int(round(t_final / cycle))
+        if abs(n_cycles * cycle - t_final) > 1e-9:
+            raise ValueError(
+                f"t_final {t_final} is not a whole number of CHaDD cycles "
+                f"(cycle time {cycle})")
+        # finite pulse window: dissipators act, drive ignored
+        window = liouvillian(np.zeros_like(h), collapse) \
+            if model.pulse_duration > 0 else None
+        for i in range(n_cycles):
+            for kind, color in chadd.pulses:
+                state = propagate(gen, state, chadd.tau)
+                u = _color_matrix(colors, color, kind, 2)
+                state = u @ state @ u.conj().T
+                if window is not None:
+                    state = propagate(window, state, model.pulse_duration)
+            times.append((i + 1) * cycle)
+            rows.append(state)
+    pop0, pop1, fid = [], [], []
+    proj_probe = np.outer(probe, probe.conj())
+    for r in rows:
+        reduced = partial_trace(DensityMatrix(r, normalized=False), [0]).data
+        pop0.append(float(np.real(reduced[0, 0])))
+        pop1.append(float(np.real(reduced[1, 1])))
+        fid.append(float(np.real(np.trace(proj_probe @ reduced))))
+    return ToySeries(np.asarray(times), np.asarray(pop0), np.asarray(pop1),
+                     np.asarray(fid))
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +464,6 @@ def run_multiqec_with_chadd(
     config: ProtocolConfig,
     noise: NoiseParams,
     layout: SpectatorLayout,
-    steps_per_interval: int = 60,
     robust: bool = True,
     cycles_per_delay: int = 1,
 ) -> list[MultiQecPoint]:
@@ -498,7 +482,7 @@ def run_multiqec_with_chadd(
     h = np.zeros((2**n, 2**n), dtype=complex)
     for a, b, g in layout.couplings:
         h += g * embed(Z, [a], n) @ embed(Z, [b], n)
-    collapse = collapse_operators(n, noise)
+    gen = liouvillian(h, collapse_operators(n, noise))
     colors = layout.resolved_colors()
 
     spect0 = basis_state(n - 3, 0).to_density_matrix() if n > 3 else None
@@ -516,13 +500,11 @@ def run_multiqec_with_chadd(
                 seq = chadd_sequence(2, tau, robust=robust)
                 for _ in range(cycles_per_delay):
                     for kind, color in seq.pulses:
-                        rho = evolve_lindblad(h, rho, tau, collapse,
-                                              steps_per_interval)
+                        rho = propagate(gen, rho, tau)
                         u = _color_matrix(colors, color, kind, n)
                         rho = u @ rho @ u.conj().T
             else:
-                rho = evolve_lindblad(h, rho, delay, collapse,
-                                      steps_per_interval * 8)
+                rho = propagate(gen, rho, delay)
             rmap = _recovery_map(config, gamma_of_t(delay, noise.t1_of(0)))
             state, p_round = code3.apply_recovery(
                 DensityMatrix(rho, normalized=False), rmap)

@@ -223,18 +223,12 @@ def embed(op: np.ndarray, targets: Sequence[int], n_qubits: int) -> np.ndarray:
     if len(set(targets)) != k or any(t < 0 or t >= n_qubits for t in targets):
         raise ValueError(f"invalid target set {targets} for {n_qubits} qubits")
     rest = [q for q in range(n_qubits) if q not in targets]
-    order = list(targets) + rest
     full = np.kron(op, np.eye(2 ** (n_qubits - k), dtype=complex))
-    # full's axis i corresponds to register qubit order[i]; permute basis
-    # indices so axis i corresponds to register qubit i.
-    idx = np.zeros(2**n_qubits, dtype=np.intp)
-    for p in range(2**n_qubits):
-        u = 0
-        for i, q in enumerate(order):
-            bit = (p >> (n_qubits - 1 - q)) & 1
-            u |= bit << (n_qubits - 1 - i)
-        idx[p] = u
-    return full[np.ix_(idx, idx)]
+    # full's qubit axis i carries register qubit (targets + rest)[i]; move
+    # every axis to its register position, on the row and column side alike
+    axes = list(np.argsort(list(targets) + rest))
+    t = full.reshape((2,) * (2 * n_qubits))
+    return t.transpose(axes + [n_qubits + a for a in axes]).reshape(full.shape)
 
 
 def apply_local(rho: DensityMatrix, ops: Sequence[np.ndarray],
@@ -320,16 +314,8 @@ def measure_computational(rho: DensityMatrix, qubits: Sequence[int]) -> np.ndarr
     n = rho.qubit_count
     if len(set(qubits)) != len(qubits) or any(q < 0 or q >= n for q in qubits):
         raise ValueError(f"invalid measurement qubits {qubits}")
-    reduced = partial_trace(rho, qubits)
-    diag = np.real(np.diag(reduced.data))
+    diag = np.real(np.diag(partial_trace(rho, qubits).data))
     # partial_trace keeps ascending register order; permute to listed order
     asc = sorted(qubits)
-    m = len(qubits)
-    probs = np.zeros(2**m)
-    for b_asc in range(2**m):
-        b_out = 0
-        for i, q in enumerate(asc):
-            bit = (b_asc >> (m - 1 - i)) & 1
-            b_out |= bit << (m - 1 - qubits.index(q))
-        probs[b_out] = diag[b_asc]
-    return probs
+    return diag.reshape((2,) * len(qubits)).transpose(
+        [asc.index(q) for q in qubits]).flatten()

@@ -18,7 +18,7 @@ which is why ``canonical_recovery_split`` exists alongside the generic
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -246,17 +246,19 @@ def synthesize(
     tolerance: float = 1e-10,
     restarts: int = 20,
 ) -> tuple[Circuit, SynthesisResult]:
-    """Depth-growing synthesis: start shallow, add a layer on failure."""
+    """Depth-growing synthesis: start shallow, add a layer on failure. The
+    result's ``restarts_used`` counts the starts of every level tried."""
     gateset = gateset or NativeGateSet()
-    result = None
+    starts = 0
     for layers in range(start_layers, max_layers + 1):
         ansatz = Ansatz(n_qubits, layers, gateset)
         problem = SynthesisProblem(np.asarray(target, dtype=complex), ansatz,
                                    mask=mask, tolerance=tolerance)
         result = optimize(problem, seed=seed, restarts=restarts)
+        starts += result.restarts_used
         if result.converged:
-            return ansatz.circuit(result.params), result
-    return Ansatz(n_qubits, max_layers, gateset).circuit(result.params), result
+            break
+    return ansatz.circuit(result.params), replace(result, restarts_used=starts)
 
 
 def _line_edges(n: int) -> tuple[tuple[int, int], ...]:

@@ -177,8 +177,7 @@ def test_ac8_chadd_exactness():
 
 
 def test_ac9_crosstalk_toy_directionality():
-    model = protocol.CrosstalkModel(omega1=0.3, omega2=0.2, g=0.05, t1=100.0,
-                                    steps_per_interval=120)
+    model = protocol.CrosstalkModel(omega1=0.3, omega2=0.2, g=0.05, t1=100.0)
     t_final = 60.0
     seq = protocol.chadd_sequence(2, t_final / 32)  # four full cycles
     outcomes = {}

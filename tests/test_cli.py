@@ -91,10 +91,68 @@ class TestRun:
         assert cli.main(["run", str(path)]) == EXIT_CONFIG
 
     def test_numerical_error_exit_code(self, tmp_path):
+        # T1 = 0.5 us damps a 30 us delay to gamma = 1: post-selection keeps
+        # no weight
         payload = multiqec_payload(tmp_path)
-        payload["params"]["t1"] = -5.0
+        payload["params"]["t1"] = 0.5
+        payload["params"]["t2"] = 1.0
         path = write_spec(tmp_path, payload)
         assert cli.main(["run", str(path)]) == EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("field,value,named", [
+        ("t1", -5.0, "t1"), ("t1", math.nan, "t1"), ("t1", "abc", "t1"),
+        ("t2", 1000.0, "T2"), ("e_meas", 0.7, "readout_error")])
+    def test_invalid_noise_is_config_error(self, tmp_path, field, value, named,
+                                           capsys):
+        payload = multiqec_payload(tmp_path)
+        payload["params"][field] = value
+        path = write_spec(tmp_path, payload)
+        assert cli.main(["run", str(path)]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("kind,t1,n", [
+        ("multiqec", [220.0, 200.0], 3), ("multiqec-chadd", [220.0] * 3, 4)])
+    def test_per_qubit_t1_must_cover_the_register(self, tmp_path, capsys,
+                                                  kind, t1, n):
+        payload = {
+            "kind": kind,
+            "output": str(tmp_path / "out.csv"),
+            "params": {"theta": 1.0, "max_delay": 30.0, "total_free": [30.0],
+                       "t1": t1},
+        }
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_CONFIG
+        assert f"t1 has {len(t1)} per-qubit values for a {n}-qubit register" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,params", [
+        ("multiqec-chadd", {"theta": 1.0, "max_delay": 30.0,
+                            "total_free": [30.0], "t1": 220.0}),
+        ("crosstalk-toy", {"t1": 100.0})])
+    def test_removed_steps_per_interval_rejected(self, tmp_path, kind, params):
+        payload = {"kind": kind, "output": str(tmp_path / "out.csv"),
+                   "params": dict(params, steps_per_interval=60)}
+        path = write_spec(tmp_path, payload)
+        with pytest.raises(ConfigError, match="steps_per_interval"):
+            ExperimentSpec.load(path)
+        assert cli.main(["run", str(path)]) == EXIT_CONFIG
+
+    def test_unknown_param_rejected(self, tmp_path):
+        payload = multiqec_payload(tmp_path)
+        payload["params"]["max_dealy"] = 10.0
+        with pytest.raises(ConfigError, match="max_dealy"):
+            ExperimentSpec.load(write_spec(tmp_path, payload))
+
+    def test_synth_restarts_column_counts_every_level(self, tmp_path):
+        # seed 10, two restarts: the 3-layer encoder level spends both
+        # starts and fails, then 4 layers converge on the first start
+        payload = {"kind": "synth", "seed": 10,
+                   "output": str(tmp_path / "synth.csv"),
+                   "params": {"restarts": 2}}
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_OK
+        rows = {r.split(",")[0]: r.split(",")
+                for r in (tmp_path / "synth.csv").read_text().splitlines()[1:]}
+        assert rows["encoder"][2:] == ["8", "3"]
 
     @pytest.mark.parametrize("restarts", [0, -1, "2", 1.5, True])
     def test_synth_restarts_validated(self, tmp_path, restarts):
@@ -119,8 +177,7 @@ class TestRun:
         payload = {
             "kind": "crosstalk-toy",
             "output": str(tmp_path / "toy.csv"),
-            "params": {"t1": 100.0, "t_final": 16.0, "cycles": 2,
-                       "steps_per_interval": 40},
+            "params": {"t1": 100.0, "t_final": 16.0, "cycles": 2},
         }
         assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_OK
         text = (tmp_path / "toy.csv").read_text()

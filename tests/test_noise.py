@@ -176,6 +176,46 @@ class TestNoiseParams:
         with pytest.raises(ValueError):
             NoiseParams(t1=100.0, readout_error=0.7)
 
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"t1": math.nan}, "t1"), ({"t1": -math.inf}, "t1"),
+        ({"t1": [100.0, 0.0]}, "t1"), ({"t1": []}, "t1"),
+        ({"t1": 100.0, "tphi": math.nan}, "tphi"),
+        ({"t1": 100.0, "readout_error_10": 3.0}, "readout_error_10"),
+        ({"t1": 100.0, "depolarizing_1q": -1.0}, "depolarizing_1q"),
+        ({"t1": 100.0, "depolarizing_2q": 1.5}, "depolarizing_2q")])
+    def test_invalid_values_rejected(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            NoiseParams(**kwargs)
+
+    def test_infinite_lifetimes_mean_no_noise(self):
+        p = NoiseParams(t1=math.inf)
+        assert gamma_of_t(10.0, p.t1_of(0)) == 0.0
+        assert p_of_t(10.0, p.tphi_of(0)) == 0.0
+
+    def test_from_t1_t2_rejects_invalid_t1(self):
+        for t1 in (-5.0, math.nan, [100.0, 200.0]):
+            with pytest.raises(ValueError, match="t1"):
+                NoiseParams.from_t1_t2(t1, 100.0)
+
+    def test_per_qubit_lookup_does_not_wrap(self):
+        p = NoiseParams(t1=[100.0, 200.0], tphi=[50.0, 60.0])
+        with pytest.raises(ValueError, match="t1 has 2 per-qubit values"):
+            p.t1_of(2)
+        with pytest.raises(ValueError, match="tphi has 2 per-qubit values"):
+            p.tphi_of(2)
+
+    def test_idle_noise_needs_a_value_per_qubit(self):
+        rho = PureState(np.eye(16)[15]).to_density_matrix()
+        with pytest.raises(ValueError, match="t1"):
+            idle_noise(rho, 10.0, NoiseParams(t1=[100.0, 200.0]))
+
+    def test_require_qubits(self):
+        NoiseParams(t1=100.0).require_qubits(5)
+        NoiseParams(t1=[1.0, 2.0, 3.0]).require_qubits(3)
+        with pytest.raises(ValueError, match="t1 has 3 per-qubit values "
+                                             "for a 4-qubit register"):
+            NoiseParams(t1=[1.0, 2.0, 3.0]).require_qubits(4)
+
     def test_idle_noise_matches_manual(self):
         params = NoiseParams.from_t1_t2(200.0, 150.0)
         rho = PureState(np.array([1, 1, 0, 0]) / math.sqrt(2)).to_density_matrix()

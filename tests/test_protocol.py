@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from lindblad_reference import evolve_lindblad, lindblad_rhs
 
 from nadqec import code3, protocol
 from nadqec.noise import NoiseParams
@@ -18,8 +21,9 @@ from nadqec.protocol import (
     chadd_cycle_unitary,
     chadd_sequence,
     collapse_operators,
-    evolve_lindblad,
     fit_lifetime,
+    liouvillian,
+    propagate,
     run_crosstalk_toy,
     run_multiqec,
     run_multiqec_with_chadd,
@@ -27,7 +31,7 @@ from nadqec.protocol import (
     total_evolution_time,
     total_evolution_time_exact,
 )
-from nadqec.qcore import fidelity
+from nadqec.qcore import Z, embed, fidelity
 
 
 class TestScheduling:
@@ -179,11 +183,26 @@ class TestChaddSequence:
             assert np.abs(u / phase - np.eye(4)).max() < 1e-8
 
 
+def _random_density(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+def _spectator_generator(n):
+    """H and collapse set of an n-qubit CHaDD register with the spectator
+    couplings of the benchmark (T1 = 220 us, T2 = 300 us)."""
+    couplings = ((0, 3, 0.05), (2, 4, 0.04), (1, 5, 0.03))[:n - 3]
+    h = sum(g * embed(Z, [a], n) @ embed(Z, [b], n) for a, b, g in couplings)
+    return h, collapse_operators(n, NoiseParams.from_t1_t2(220.0, 300.0))
+
+
 class TestLindblad:
     def test_trace_preserved(self):
         model = CrosstalkModel(omega1=0.4, omega2=0.1, g=0.07, t1=80.0, tphi=120.0)
         rho = np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex)
-        out = evolve_lindblad(model.hamiltonian(), rho, 25.0, model.collapse(), 800)
+        gen = liouvillian(model.hamiltonian(), model.collapse())
+        out = propagate(gen, rho, 25.0)
         assert abs(np.trace(out).real - 1.0) < 1e-9
 
     def test_richardson_convergence(self):
@@ -196,14 +215,49 @@ class TestLindblad:
     def test_relaxation_rate_matches_t1(self):
         ops = collapse_operators(1, NoiseParams(t1=150.0))
         rho = np.array([[0, 0], [0, 1]], dtype=complex)
-        out = evolve_lindblad(np.zeros((2, 2)), rho, 30.0, ops, 600)
+        out = propagate(liouvillian(np.zeros((2, 2)), ops), rho, 30.0)
         assert abs(out[1, 1].real - math.exp(-30.0 / 150.0)) < 1e-9
 
     def test_dephasing_rate_matches_tphi(self):
         ops = collapse_operators(1, NoiseParams(t1=1e12, tphi=90.0))
         rho = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-        out = evolve_lindblad(np.zeros((2, 2)), rho, 45.0, ops, 600)
+        out = propagate(liouvillian(np.zeros((2, 2)), ops), rho, 45.0)
         assert abs(out[0, 1].real - 0.5 * math.exp(-45.0 / 90.0)) < 1e-9
+
+    def test_collapse_operators_need_a_value_per_qubit(self):
+        with pytest.raises(ValueError, match="t1 has 2 per-qubit values"):
+            collapse_operators(4, NoiseParams(t1=[100.0, 200.0]))
+        assert len(collapse_operators(
+            2, NoiseParams(t1=[100.0, 200.0], tphi=[80.0, 90.0]))) == 4
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4), count=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_liouvillian_matches_rhs(self, n, count, seed):
+        # pins the row-major vec convention: L vec(rho) = vec(rhs(rho))
+        rng = np.random.default_rng(seed)
+        dim = 2**n
+
+        def gaussian():  # entries scaled so the operator norm stays O(1)
+            return (rng.normal(size=(dim, dim))
+                    + 1j * rng.normal(size=(dim, dim))) / math.sqrt(dim)
+
+        a = gaussian()
+        h = a + a.conj().T
+        collapse = [gaussian() for _ in range(count)]
+        rho = _random_density(rng, dim)
+        got = (liouvillian(h, collapse) @ rho.ravel()).reshape(dim, dim)
+        want = lindblad_rhs(h, rho, collapse)
+        assert np.abs(got - want).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_propagate_matches_rk4_on_spectator_register(self, n):
+        # one 3.75 us CHaDD interval from a non-stationary mixed state
+        h, collapse = _spectator_generator(n)
+        rho = _random_density(np.random.default_rng(n), 2**n)
+        exact = propagate(liouvillian(h, collapse), rho, 3.75)
+        reference = evolve_lindblad(h, rho, 3.75, collapse, 240)
+        assert np.abs(exact - reference).max() < 1e-10
 
 
 class TestCrosstalkToy:
@@ -213,25 +267,18 @@ class TestCrosstalkToy:
         np.testing.assert_allclose(series.pop1, 1.0, atol=1e-10)
 
     def test_probe_one_improves_with_chadd(self):
-        model = CrosstalkModel(omega1=0.3, omega2=0.2, g=0.05, t1=100.0,
-                               steps_per_interval=120)
+        model = CrosstalkModel(omega1=0.3, omega2=0.2, g=0.05, t1=100.0)
         seq = chadd_sequence(2, 60.0 / 32)
         with_dd = run_crosstalk_toy(model, "1", seq, 60.0)
         without = run_crosstalk_toy(model, "1", None, 60.0)
         assert with_dd.fidelity[-1] > without.fidelity[-1]
 
     def test_probe_zero_degrades_with_chadd(self):
-        model = CrosstalkModel(omega1=0.3, omega2=0.2, g=0.05, t1=100.0,
-                               steps_per_interval=120)
+        model = CrosstalkModel(omega1=0.3, omega2=0.2, g=0.05, t1=100.0)
         seq = chadd_sequence(2, 60.0 / 32)
         with_dd = run_crosstalk_toy(model, "0", seq, 60.0)
         without = run_crosstalk_toy(model, "0", None, 60.0)
         assert with_dd.fidelity[-1] < without.fidelity[-1]
-
-    def test_convergence_check_passes(self):
-        model = CrosstalkModel(g=0.05, t1=100.0, steps_per_interval=100)
-        seq = chadd_sequence(2, 16.0 / 8)
-        run_crosstalk_toy(model, "1", seq, 16.0, check_convergence=True)
 
     def test_incommensurate_final_time_rejected(self):
         seq = chadd_sequence(2, 1.0)
@@ -250,8 +297,7 @@ class TestMultiQecWithChadd:
         cfg = ProtocolConfig(code3.LogicalStateSpec(math.pi / 2), max_delay=30,
                              total_free=(60.0,), chadd_enabled=True)
         layout = SpectatorLayout(spectators=1, couplings=((0, 3, 0.0),))
-        pts = run_multiqec_with_chadd(cfg, NoiseParams(t1=1e12), layout,
-                                      steps_per_interval=40)
+        pts = run_multiqec_with_chadd(cfg, NoiseParams(t1=1e12), layout)
         assert abs(pts[0].fidelity - 1.0) < 1e-8
         assert abs(pts[0].success_probability - 1.0) < 1e-8
 
@@ -259,8 +305,7 @@ class TestMultiQecWithChadd:
         cfg = ProtocolConfig(code3.LogicalStateSpec(2.1, 0.4), max_delay=30,
                              total_free=(45.0,))
         layout = SpectatorLayout(spectators=0, couplings=())
-        a = run_multiqec_with_chadd(cfg, self.noise, layout,
-                                    steps_per_interval=100)[0]
+        a = run_multiqec_with_chadd(cfg, self.noise, layout)[0]
         b = run_multiqec(cfg, self.noise)[0]
         assert abs(a.fidelity - b.fidelity) < 1e-9
         assert abs(a.success_probability - b.success_probability) < 1e-9
@@ -271,8 +316,7 @@ class TestMultiQecWithChadd:
                              total_free=(45.0,), recovery_variant="synthesized",
                              recovery_unitary=w5)
         layout = SpectatorLayout(spectators=0, couplings=())
-        a = run_multiqec_with_chadd(cfg, self.noise, layout,
-                                    steps_per_interval=100)[0]
+        a = run_multiqec_with_chadd(cfg, self.noise, layout)[0]
         b = run_multiqec(cfg, self.noise)[0]
         assert abs(a.fidelity - b.fidelity) < 1e-9
         assert abs(a.success_probability - b.success_probability) < 1e-9
@@ -285,7 +329,7 @@ class TestMultiQecWithChadd:
                                  max_delay=30, total_free=(60.0,),
                                  chadd_enabled=chadd)
             fids[chadd] = run_multiqec_with_chadd(
-                cfg, self.noise, layout, steps_per_interval=40)[0].fidelity
+                cfg, self.noise, layout)[0].fidelity
         assert fids[True] >= fids[False]
 
     def test_chadd_hurts_zero_logical_without_crosstalk(self):
@@ -295,7 +339,7 @@ class TestMultiQecWithChadd:
             cfg = ProtocolConfig(code3.LogicalStateSpec(0.0), max_delay=30,
                                  total_free=(60.0,), chadd_enabled=chadd)
             fids[chadd] = run_multiqec_with_chadd(
-                cfg, self.noise, layout, steps_per_interval=40)[0].fidelity
+                cfg, self.noise, layout)[0].fidelity
         assert fids[True] < fids[False]
 
     def test_register_cap(self):
@@ -303,7 +347,19 @@ class TestMultiQecWithChadd:
                              total_free=(30.0,), chadd_enabled=True)
         with pytest.raises(ValueError):
             run_multiqec_with_chadd(cfg, self.noise,
-                                    SpectatorLayout(spectators=5), 40)
+                                    SpectatorLayout(spectators=5))
+
+    def test_seven_qubit_register_chadd_suppresses_crosstalk(self):
+        layout = SpectatorLayout(spectators=4, couplings=(
+            (0, 3, 0.05), (2, 4, 0.04), (1, 5, 0.03), (0, 6, 0.02)))
+        fids = {}
+        for chadd in (False, True):
+            cfg = ProtocolConfig(code3.LogicalStateSpec(math.pi / 2),
+                                 max_delay=30, total_free=(30.0,),
+                                 chadd_enabled=chadd)
+            fids[chadd] = run_multiqec_with_chadd(
+                cfg, self.noise, layout)[0].fidelity
+        assert fids[True] >= fids[False]
 
     def test_default_coloring_is_proper(self):
         layout = SpectatorLayout(spectators=2,
@@ -331,20 +387,18 @@ class TestEdgeCases:
 
 class TestFiniteDurationPulses:
     def test_finite_pulses_cost_fidelity(self):
-        base = CrosstalkModel(g=0.04, t1=80.0, steps_per_interval=80)
-        slow = CrosstalkModel(g=0.04, t1=80.0, steps_per_interval=80,
-                              pulse_duration=0.2)
+        base = CrosstalkModel(g=0.04, t1=80.0)
+        slow = CrosstalkModel(g=0.04, t1=80.0, pulse_duration=0.2)
         seq = chadd_sequence(2, 1.0)
         ideal = run_crosstalk_toy(base, "1", seq, 16.0)
         finite = run_crosstalk_toy(slow, "1", seq, 16.0)
         assert finite.fidelity[-1] < ideal.fidelity[-1]
 
     def test_zero_duration_is_default_path(self):
-        model = CrosstalkModel(g=0.04, t1=80.0, steps_per_interval=80)
+        model = CrosstalkModel(g=0.04, t1=80.0)
         seq = chadd_sequence(2, 1.0)
         a = run_crosstalk_toy(model, "1", seq, 8.0)
         b = run_crosstalk_toy(CrosstalkModel(g=0.04, t1=80.0,
-                                             steps_per_interval=80,
                                              pulse_duration=0.0),
                               "1", seq, 8.0)
         np.testing.assert_allclose(a.fidelity, b.fidelity, atol=0)

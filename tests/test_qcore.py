@@ -111,6 +111,22 @@ class TestEmbed:
         with pytest.raises(ValueError):
             embed(CX, [0, 0], 2)
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 7), k=st.integers(1, 3), data=st.data(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_index_loop_reference(self, n, k, data, seed):
+        # reference: kron onto the leading qubits, then permute basis
+        # indices bit by bit
+        k = min(k, n)
+        targets = data.draw(st.permutations(range(n)))[:k]
+        rng = np.random.default_rng(seed)
+        op = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+        order = list(targets) + [q for q in range(n) if q not in targets]
+        full = np.kron(op, np.eye(2 ** (n - k)))
+        idx = [sum(((p >> (n - 1 - q)) & 1) << (n - 1 - i)
+                   for i, q in enumerate(order)) for p in range(2**n)]
+        assert np.array_equal(embed(op, targets, n), full[np.ix_(idx, idx)])
+
 
 def _random_density(rng, n):
     a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
@@ -238,6 +254,21 @@ class TestMeasurement:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             measure_computational(random_density(1, 0), [])
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 5), data=st.data(), seed=st.integers(0, 2**16))
+    def test_matches_index_loop_reference(self, n, data, seed):
+        # reference: read the ascending-order marginal entry by entry and
+        # move each bit to its listed position
+        qubits = data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))]
+        rho = random_density(n, seed)
+        diag = np.real(np.diag(partial_trace(rho, qubits).data))
+        asc, m = sorted(qubits), len(qubits)
+        want = np.zeros(2**m)
+        for b in range(2**m):
+            want[sum(((b >> (m - 1 - i)) & 1) << (m - 1 - qubits.index(q))
+                     for i, q in enumerate(asc))] = diag[b]
+        assert np.array_equal(measure_computational(rho, qubits), want)
 
 
 class TestInvariantsAndGates:
