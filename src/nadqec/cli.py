@@ -138,16 +138,42 @@ def _point_rows(pts) -> list[tuple]:
              x.rounds, x.variant, x.chadd) for x in pts]
 
 
-def _protocol_config(p: Mapping, **kwargs) -> protocol.ProtocolConfig:
-    return protocol.ProtocolConfig(
-        logical=code3.LogicalStateSpec(p["theta"], p.get("phi", 0.0)),
-        max_delay=p["max_delay"], total_free=tuple(p["total_free"]),
-        recovery_variant=p.get("recovery", "ideal"), **kwargs)
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) \
+        and math.isfinite(v)
+
+
+def _require_numbers(p: Mapping, fields: Sequence[str],
+                     lists: Sequence[str] = ()) -> None:
+    """Each present field in ``fields`` is a finite number and each in
+    ``lists`` a list of them; anything else is a config error."""
+    for name in fields:
+        if name in p and not _is_number(p[name]):
+            raise ConfigError(f"'{name}' must be a finite number, got {p[name]!r}")
+    for name in lists:
+        v = p.get(name)
+        if not (isinstance(v, (list, tuple)) and all(_is_number(x) for x in v)):
+            raise ConfigError(
+                f"'{name}' must be a list of finite numbers, got {v!r}")
+
+
+def _protocol_config(p: Mapping, noise: NoiseParams,
+                     **kwargs) -> protocol.ProtocolConfig:
+    _require_numbers(p, ("theta", "phi", "max_delay"), lists=("total_free",))
+    try:
+        cfg = protocol.ProtocolConfig(
+            logical=code3.LogicalStateSpec(p["theta"], p.get("phi", 0.0)),
+            max_delay=p["max_delay"], total_free=tuple(p["total_free"]),
+            recovery_variant=p.get("recovery", "ideal"), **kwargs)
+        protocol.recovery_t1(cfg, noise)
+    except ValueError as exc:
+        raise ConfigError(f"invalid protocol params: {exc}") from exc
+    return cfg
 
 
 def _run_multiqec(spec: ExperimentSpec, out: Path) -> None:
-    pts = protocol.run_multiqec(_protocol_config(spec.params),
-                                _noise_from(spec.params, 3))
+    noise = _noise_from(spec.params, 3)
+    pts = protocol.run_multiqec(_protocol_config(spec.params, noise), noise)
     _write_csv(out, _POINT_HEADER, _point_rows(pts))
 
 
@@ -160,16 +186,18 @@ def _run_multiqec_chadd(spec: ExperimentSpec, out: Path) -> None:
     rows = []
     for chadd in (False, True):
         rows += _point_rows(protocol.run_multiqec_with_chadd(
-            _protocol_config(p, chadd_enabled=chadd), noise, layout))
+            _protocol_config(p, noise, chadd_enabled=chadd), noise, layout))
     _write_csv(out, _POINT_HEADER, rows)
 
 
 def _run_delay_sweep(spec: ExperimentSpec, out: Path) -> None:
     p = spec.params
     noise = _noise_from(p, 3)
+    _require_numbers(p, (), lists=("delays",))
     rows = []
     for max_delay in p["delays"]:
-        cfg = _protocol_config({"theta": math.pi, **p, "max_delay": max_delay})
+        cfg = _protocol_config({"theta": math.pi, **p, "max_delay": max_delay},
+                               noise)
         for x in protocol.run_multiqec(cfg, noise):
             rows.append((max_delay, x.total_free_us, x.total_evolution_us,
                          x.fidelity, x.success_probability, x.rounds))

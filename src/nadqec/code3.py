@@ -11,6 +11,13 @@ separates the no-damping branch (ancilla 1) from the single-damping branch
 block encoding with one extra ancilla and post-selecting on its 0 outcome,
 which makes the scheme probabilistic.
 
+One round on the data register, idle noise followed by the kept recovery
+branch, is a fixed linear map on the row-major vec of rho.
+``cycle_superop`` compiles it into a 64x64 matrix, sum_K K kron conj(K),
+the convention of ``protocol.liouvillian``; ``qec_cycle`` and
+``protocol.run_multiqec`` apply that matrix. ``apply_recovery`` serves the
+larger data + spectator registers of the CHaDD path.
+
 The success probability comes in two closed-form variants that disagree
 in one sign; see ``success_probability_minus_form`` /
 ``oracle_success_probability`` and ``match_success_form``. Branch-trace
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -222,6 +229,49 @@ def apply_recovery(rho: DensityMatrix,
     return DensityMatrix(kept.data / weight), weight / rho.trace
 
 
+def _superop(kraus) -> np.ndarray:
+    """sum_K K kron conj(K): the map rho -> sum_K K rho K^dag on the
+    row-major vec of rho, since vec(A rho B) = (A kron B^T) vec(rho)."""
+    k = np.asarray(kraus)
+    dim = k.shape[1]
+    return np.einsum("kab,kcd->acbd", k, k.conj()).reshape(dim * dim, dim * dim)
+
+
+def cycle_superop(gammas: float | Sequence[float], ps: float | Sequence[float],
+                  rmap: RecoveryMap) -> np.ndarray:
+    """One round on the 3 data qubits as a 64x64 superoperator: AD(gamma)
+    then dephasing(p) on each qubit, then the kept branch of ``rmap``.
+
+    ``gammas`` and ``ps`` are shared scalars or one value per data qubit.
+    The map is trace-non-increasing; the trace it removes is the
+    post-selection loss.
+    """
+    per_qubit = []
+    for g, p in zip(np.broadcast_to(gammas, 3), np.broadcast_to(ps, 3)):
+        ops = noise_mod.amplitude_damping(float(g)).matrices()
+        if p > 0:
+            ops = [d @ a for d in noise_mod.dephasing(float(p)).matrices()
+                   for a in ops]
+        per_qubit.append(_superop(ops).reshape(2, 2, 2, 2))  # (r, c, r', c')
+    # a product channel's map is the tensor product of the per-qubit maps,
+    # regrouped from (r0 c0 r1 c1 r2 c2) to the register's (r0 r1 r2 c0 c1 c2)
+    noise = np.einsum("aAbB,cCdD,eEfF->aceACEbdfBDF", *per_qubit)
+    return _superop(rmap.kraus()) @ noise.reshape(64, 64)
+
+
+def apply_cycle(superop: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, float]:
+    """A compiled round applied to the 8x8 matrix rho.
+
+    Returns the kept state renormalized to unit trace and its weight
+    relative to rho's trace.
+    """
+    out = (superop @ rho.ravel()).reshape(rho.shape)
+    weight = float(np.real(np.trace(out)))
+    if weight <= 0:
+        raise ValueError("post-selection removed all weight")
+    return out / weight, weight / float(np.real(np.trace(rho)))
+
+
 @dataclass(frozen=True)
 class QecOutcome:
     conditional_state: DensityMatrix
@@ -236,7 +286,8 @@ def qec_cycle(
     rmap: RecoveryMap,
     target: Optional[PureState] = None,
 ) -> QecOutcome:
-    """One full cycle: noise, syndrome extraction, post-selected recovery.
+    """One full cycle: noise, syndrome extraction, post-selected recovery,
+    applied as the compiled map of :func:`cycle_superop`.
 
     Ancillas are handled exactly through :meth:`RecoveryMap.kraus`: the
     syndrome ancilla selects the branch operator and the recovery ancilla
@@ -253,8 +304,8 @@ def qec_cycle(
         raise ValueError("a fidelity target is required for mixed-state input")
     if rho.qubit_count != 3:
         raise ValueError("qec_cycle operates on the 3-qubit data register")
-    sigma, p_succ = apply_recovery(noise_mod.damp_dephase(rho, range(3), gamma, p),
-                                   rmap)
+    kept, p_succ = apply_cycle(cycle_superop(gamma, p, rmap), rho.data)
+    sigma = DensityMatrix(kept)
     return QecOutcome(sigma, p_succ, fidelity(sigma, target))
 
 
@@ -355,9 +406,18 @@ def fidelity_from_distribution(probs: np.ndarray) -> tuple[float, float]:
 def oracle_fidelity_ad(theta: float, gamma: float) -> float:
     """Post-selected state fidelity under pure damping with the adapted
     recovery: (1 + g^2 s^2 c^2) / (1 + g^2 s^2), s = sin(theta/2)."""
+    return oracle_fidelity_multiround(theta, [gamma])
+
+
+def oracle_fidelity_multiround(theta: float, gammas: Sequence[float]) -> float:
+    """Post-selected fidelity after rounds of pure damping gammas[i], each
+    followed by the recovery adapted to that round's gamma:
+    (1 + G s^2 c^2) / (1 + G s^2) with G = sum_i gammas[i]^2. No rounds
+    gives 1."""
+    big_g = sum(g * g for g in gammas)
     s2 = math.sin(theta / 2) ** 2
     c2 = math.cos(theta / 2) ** 2
-    return (1 + gamma**2 * s2 * c2) / (1 + gamma**2 * s2)
+    return (1 + big_g * s2 * c2) / (1 + big_g * s2)
 
 
 def oracle_worst_case_fidelity(gamma: float) -> float:

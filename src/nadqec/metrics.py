@@ -148,9 +148,17 @@ def gain_theoretical_detail(theta: float, gamma: float, p: float,
     and the per-shot sigmas are binomial in the adjusted fidelities:
     gain = (F*_QEC sigma_bare) / (F*_bare sigma_QEC) * sqrt(p_success).
     """
+    return _gain_breakdown(_adapted_cycle(theta, gamma, p), gamma, e_meas)
+
+
+def _adapted_cycle(theta: float, gamma: float, p: float) -> code3.QecOutcome:
     spec = code3.LogicalStateSpec(theta)
-    out = code3.qec_cycle(code3.encode_ideal(spec), gamma, p,
-                          code3.RecoveryMap.ideal(gamma))
+    return code3.qec_cycle(code3.encode_ideal(spec), gamma, p,
+                           code3.RecoveryMap.ideal(gamma))
+
+
+def _gain_breakdown(out: code3.QecOutcome, gamma: float,
+                    e_meas: float) -> GainBreakdown:
     f_qec, p_success = out.fidelity, out.success_probability
     f_bare = 1.0 - gamma
     fq = f_star(f_qec, e_meas)
@@ -189,14 +197,19 @@ def gain_surface(
     theta: float = math.pi,
 ) -> list[GainCell]:
     """Gain over a (T1, E_meas, delay) grid with T2 = 2 T1 (no pure
-    dephasing). Grid order: T1 outer, then E_meas, then delay."""
+    dephasing). Grid order: T1 outer, then E_meas, then delay. The QEC
+    cycle is simulated once per distinct gamma."""
     if not (len(t1_range) and len(emeas_range) and len(delay_range)):
         raise ValueError("all grid ranges must be non-empty")
+    cycles: dict[float, code3.QecOutcome] = {}
     cells = []
     for t1 in t1_range:
         for e in emeas_range:
             for delay in delay_range:
-                det = gain_theoretical_detail(theta, gamma_of_t(delay, t1), 0.0, e)
+                g = gamma_of_t(delay, t1)
+                if g not in cycles:
+                    cycles[g] = _adapted_cycle(theta, g, 0.0)
+                det = _gain_breakdown(cycles[g], g, e)
                 cells.append(GainCell(t1, e, delay, det.gain, det.f_qec,
                                       det.f_bare, det.p_success))
     return cells

@@ -1,6 +1,12 @@
 """Multi-round QEC scheduling, CHaDD dynamical decoupling, and the
 two-qubit ZZ-crosstalk Lindblad toy model.
 
+``run_multiqec`` applies each QEC round as a compiled 64x64 map
+(``code3.cycle_superop``), one per distinct delay in a call: the full-round
+``max_delay`` and each remainder. Sweep points share the states after k full
+rounds, so a point costs at most one remainder-map product beyond the
+longest prefix reached so far.
+
 Timing defaults (microseconds): encoding 0.548, recovery 3.072, ancilla
 reset 2.72. The reset overlaps the following round's delay and only adds
 time when that delay is shorter than the reset itself. Durations are
@@ -9,6 +15,7 @@ handled as exact decimal fractions so worked examples come out exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,8 +26,9 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from . import code3
-from .noise import NoiseParams, gamma_of_t, idle_noise
+from .noise import NoiseParams, gamma_of_t, p_of_t
 from .qcore import (
+    I2,
     DensityMatrix,
     PureState,
     X,
@@ -66,6 +74,8 @@ class ProtocolConfig:
         if self.max_delay <= 0:
             raise ValueError("max_delay must be positive")
         object.__setattr__(self, "total_free", tuple(self.total_free))
+        if any(t < 0 for t in self.total_free):
+            raise ValueError("total_free must be non-negative")
         if self.recovery_variant not in ("ideal", "approximate", "synthesized"):
             raise ValueError(f"unknown recovery variant {self.recovery_variant!r}")
         if self.recovery_variant == "synthesized" and self.recovery_unitary is None:
@@ -136,6 +146,21 @@ def _recovery_map(config: ProtocolConfig, gamma: float) -> code3.RecoveryMap:
     return code3.RecoveryMap.synthesized(config.recovery_unitary)
 
 
+def recovery_t1(config: ProtocolConfig, noise: NoiseParams) -> float:
+    """The T1 whose gamma(delay) the recovery is built from: data qubit 0's.
+
+    The ideal recovery adapts to a single gamma. With T1 differing across
+    the data qubits its result would depend on qubit order, so that case
+    raises ValueError; the approximate and synthesized variants accept it.
+    """
+    t1s = [noise.t1_of(q) for q in range(3)]
+    if config.recovery_variant == "ideal" and len(set(t1s)) > 1:
+        raise ValueError(
+            f"the ideal recovery adapts to one T1, but the data qubits have "
+            f"t1 = {t1s}; use the approximate recovery for per-qubit T1")
+    return t1s[0]
+
+
 def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoint]:
     """Analytic multi-round protocol: encode, n x (idle noise + QEC cycle),
     report fidelity against the ideal logical state and the cumulative
@@ -144,23 +169,40 @@ def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoi
     Idle noise uses gamma(t) and p(t) over each delay; the recovery window
     itself is noiseless (gates are time-accounted but error-free), which
     keeps single-round runs exactly on the closed-form oracle.
+
+    Each round is the compiled map of its delay, built once per call.
+    Post-selection only rescales, so the normalized state after k full
+    rounds and its cumulative weight are kept and shared by every point.
     """
+    t1 = recovery_t1(config, noise)
     target = code3.encode_ideal(config.logical)
+    maps: dict[float, np.ndarray] = {}
+
+    def advance(delay: float, rho: np.ndarray, p_total: float):
+        if delay not in maps:
+            maps[delay] = code3.cycle_superop(
+                [gamma_of_t(delay, noise.t1_of(q)) for q in range(3)],
+                [p_of_t(delay, noise.tphi_of(q)) for q in range(3)],
+                _recovery_map(config, gamma_of_t(delay, t1)))
+        rho, p_round = code3.apply_cycle(maps[delay], rho)
+        return rho, p_total * p_round
+
+    full = float(_frac(config.max_delay))  # a full round's delay in a schedule
+    prefixes = [(target.to_density_matrix().data, 1.0)]
     points = []
     for total_free in config.total_free:
         schedule = schedule_rounds(total_free, config.max_delay)
-        rho = target.to_density_matrix()
-        p_total = 1.0
-        for delay in schedule:
-            rho = idle_noise(rho, delay, noise)
-            rmap = _recovery_map(config, gamma_of_t(delay, noise.t1_of(0)))
-            rho, p_round = code3.apply_recovery(rho, rmap)
-            p_total *= p_round
+        k = schedule.count(full)  # full rounds come first, a remainder last
+        while len(prefixes) <= k:
+            prefixes.append(advance(full, *prefixes[-1]))
+        rho, p_total = prefixes[k]
+        for delay in schedule[k:]:
+            rho, p_total = advance(delay, rho, p_total)
         points.append(MultiQecPoint(
             total_free_us=total_free,
             total_evolution_us=total_evolution_time(schedule, config.timing),
             rounds=len(schedule),
-            fidelity=fidelity(rho, target) if schedule else 1.0,
+            fidelity=fidelity(DensityMatrix(rho), target) if schedule else 1.0,
             success_probability=p_total,
             variant=config.recovery_variant,
             chadd=False,
@@ -338,11 +380,19 @@ class CrosstalkModel:
 
 def _color_matrix(colors: Sequence[int], color: int, kind: str,
                   n_qubits: int) -> np.ndarray:
-    u = np.eye(2**n_qubits, dtype=complex)
-    for q, c in enumerate(colors):
-        if c == color:
-            u = embed(pulse_matrix(kind), [q], n_qubits) @ u
-    return u
+    """The pulse ``kind`` on every qubit of ``color``, identity elsewhere."""
+    if len(colors) != n_qubits:
+        raise ValueError(f"{len(colors)} colors for {n_qubits} qubits")
+    pulse = pulse_matrix(kind)
+    return functools.reduce(np.kron, [pulse if c == color else I2 for c in colors])
+
+
+def _pulse_unitaries(pulses: Sequence[tuple], colors: Sequence[int],
+                     n_qubits: int) -> dict:
+    """Register-sized unitary of each distinct (kind, color) pulse, built
+    once for a run."""
+    return {(kind, color): _color_matrix(colors, color, kind, n_qubits)
+            for kind, color in set(pulses)}
 
 
 def chadd_cycle_unitary(seq: ChaddSequence, h: np.ndarray,
@@ -352,9 +402,10 @@ def chadd_cycle_unitary(seq: ChaddSequence, h: np.ndarray,
 
     n = int(round(math.log2(h.shape[0])))
     free = expm(-1j * h * seq.tau)
+    pulse_u = _pulse_unitaries(seq.pulses, colors, n)
     u = np.eye(h.shape[0], dtype=complex)
-    for kind, color in seq.pulses:
-        u = _color_matrix(colors, color, kind, n) @ (free @ u)
+    for pulse in seq.pulses:
+        u = pulse_u[pulse] @ (free @ u)
     return u
 
 
@@ -406,10 +457,11 @@ def run_crosstalk_toy(model: CrosstalkModel, probe_init: str,
         # finite pulse window: dissipators act, drive ignored
         window = liouvillian(np.zeros_like(h), collapse) \
             if model.pulse_duration > 0 else None
+        pulse_u = _pulse_unitaries(chadd.pulses, colors, 2)
         for i in range(n_cycles):
-            for kind, color in chadd.pulses:
+            for pulse in chadd.pulses:
                 state = propagate(gen, state, chadd.tau)
-                u = _color_matrix(colors, color, kind, 2)
+                u = pulse_u[pulse]
                 state = u @ state @ u.conj().T
                 if window is not None:
                     state = propagate(window, state, model.pulse_duration)
@@ -478,6 +530,7 @@ def run_multiqec_with_chadd(
     n = layout.n_qubits
     if n > 7:
         raise ValueError(f"register of {n} qubits exceeds the 7-qubit cap")
+    t1 = recovery_t1(config, noise)
     target3 = code3.encode_ideal(config.logical)
     h = np.zeros((2**n, 2**n), dtype=complex)
     for a, b, g in layout.couplings:
@@ -486,6 +539,8 @@ def run_multiqec_with_chadd(
     colors = layout.resolved_colors()
 
     spect0 = basis_state(n - 3, 0).to_density_matrix() if n > 3 else None
+    pulse_u = _pulse_unitaries(ROBUST_PULSES if robust else PLAIN_PULSES,
+                               colors, n)
 
     points = []
     for total_free in config.total_free:
@@ -499,13 +554,13 @@ def run_multiqec_with_chadd(
                     delay / (4.0 * cycles_per_delay)
                 seq = chadd_sequence(2, tau, robust=robust)
                 for _ in range(cycles_per_delay):
-                    for kind, color in seq.pulses:
+                    for pulse in seq.pulses:
                         rho = propagate(gen, rho, tau)
-                        u = _color_matrix(colors, color, kind, n)
+                        u = pulse_u[pulse]
                         rho = u @ rho @ u.conj().T
             else:
                 rho = propagate(gen, rho, delay)
-            rmap = _recovery_map(config, gamma_of_t(delay, noise.t1_of(0)))
+            rmap = _recovery_map(config, gamma_of_t(delay, t1))
             state, p_round = code3.apply_recovery(
                 DensityMatrix(rho, normalized=False), rmap)
             rho = state.data

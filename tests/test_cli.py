@@ -125,6 +125,36 @@ class TestRun:
         assert f"t1 has {len(t1)} per-qubit values for a {n}-qubit register" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,field,value", [
+        ("multiqec", "theta", "abc"), ("multiqec", "total_free", 30),
+        ("multiqec", "max_delay", "x"), ("multiqec", "total_free", ["a"]),
+        ("delay-sweep", "delays", 30), ("multiqec", "total_free", [-5.0])])
+    def test_bad_protocol_param_is_config_error(self, tmp_path, capsys, kind,
+                                                field, value):
+        params = {"total_free": [30.0], "t1": 220.0}
+        params.update({"delays": [30.0]} if kind == "delay-sweep"
+                      else {"theta": 1.0, "max_delay": 30.0})
+        params[field] = value
+        payload = {"kind": kind, "output": str(tmp_path / "out.csv"),
+                   "params": params}
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("kind,recovery,code", [
+        ("multiqec", "ideal", EXIT_CONFIG), ("multiqec", "approximate", EXIT_OK),
+        ("multiqec-chadd", "ideal", EXIT_CONFIG)])
+    def test_ideal_recovery_needs_equal_t1(self, tmp_path, capsys, kind,
+                                           recovery, code):
+        t1 = [100.0, 300.0, 300.0] + [300.0] * (kind == "multiqec-chadd")
+        payload = {"kind": kind, "output": str(tmp_path / "out.csv"),
+                   "params": {"theta": 1.0, "max_delay": 30.0,
+                              "total_free": [30.0], "t1": t1,
+                              "recovery": recovery}}
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == code
+        if code == EXIT_CONFIG:
+            assert "ideal recovery adapts to one T1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind,params", [
         ("multiqec-chadd", {"theta": 1.0, "max_delay": 30.0,
                             "total_free": [30.0], "t1": 220.0}),

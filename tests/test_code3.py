@@ -15,12 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nadqec import code3
+from nadqec import noise as noise_mod
 from nadqec.code3 import (
     LogicalStateSpec,
     QecOutcome,
     RecoveryMap,
+    apply_cycle,
     apply_recovery,
     codeword,
+    cycle_superop,
     encode_ideal,
     encoder_unitary,
     fidelity_from_distribution,
@@ -210,6 +213,25 @@ class TestRecoveryEngine:
         assert abs(p_succ - kept.trace / full.trace) < 1e-12
         assert np.max(np.abs(state.data - reduced.data / reduced.trace)) < 1e-12
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           variant=st.sampled_from(["ideal", "approximate", "synthesized"]))
+    def test_cycle_superop_matches_kraus_engine(self, seed, variant):
+        # per-qubit gamma and p, some p = 0, on a random mixed input
+        rng = np.random.default_rng(seed)
+        gammas = rng.uniform(0.0, 0.6, 3)
+        ps = rng.uniform(0.0, 0.5, 3) * (rng.random(3) < 0.7)
+        rmap = {"ideal": lambda: RecoveryMap.ideal(gammas[0]),
+                "approximate": RecoveryMap.approximate,
+                "synthesized": lambda: RecoveryMap.synthesized(
+                    _haar_unitary(rng, 32))}[variant]()
+        rho = _random_density(rng, 3)
+        want, p_want = apply_recovery(
+            noise_mod.damp_dephase(rho, range(3), gammas, ps), rmap)
+        got, p_got = apply_cycle(cycle_superop(gammas, ps, rmap), rho.data)
+        assert abs(p_got - p_want) < 1e-12
+        assert np.max(np.abs(got - want.data)) < 1e-12
+
     def test_spectators_untouched(self):
         rng = np.random.default_rng(4)
         rho3 = _random_density(rng, 3)
@@ -224,6 +246,10 @@ class TestRecoveryEngine:
         # at gamma = 1 the no-damping branch removes the W state entirely
         with pytest.raises(ValueError, match="removed all weight"):
             apply_recovery(codeword(0).to_density_matrix(), RecoveryMap.ideal(1.0))
+        # the compiled round of qec_cycle keeps the same check
+        with pytest.raises(ValueError, match="removed all weight"):
+            qec_cycle(encode_ideal(LogicalStateSpec(1.0)), 1.0, 0.0,
+                      RecoveryMap.ideal(1.0))
 
     def test_register_too_small(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nadqec import metrics
+from nadqec import code3, metrics
 from nadqec.metrics import (
     GainCell,
     ShotRecord,
@@ -160,6 +160,22 @@ class TestGainSurface:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             gain_surface([], [0.0], [30.0])
+
+    def test_one_cycle_per_distinct_gamma(self, monkeypatch):
+        # delay / T1 repeats across T1 rows and every E_meas reuses gamma
+        t1s, es, delays = [50.0, 100.0], [0.01, 0.05], [10.0, 20.0, 40.0]
+        cycles = []
+        qec_cycle = code3.qec_cycle
+        monkeypatch.setattr(code3, "qec_cycle",
+                            lambda *a: cycles.append(a[1]) or qec_cycle(*a))
+        cells = gain_surface(t1s, es, delays, theta=2.0)
+        assert sorted(cycles) == sorted({gamma_of_t(d, t1)
+                                         for t1 in t1s for d in delays})
+        for c in cells:
+            det = gain_theoretical_detail(2.0, gamma_of_t(c.delay_us, c.t1_us),
+                                          0.0, c.e_meas)
+            assert (c.gain, c.f_qec, c.f_bare, c.p_success) == \
+                (det.gain, det.f_qec, det.f_bare, det.p_success)
 
 
 class TestQecSampling:

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from lindblad_reference import evolve_lindblad, lindblad_rhs
+from multiqec_reference import run_multiqec as run_multiqec_reference
+from scipy.stats import unitary_group
 
 from nadqec import code3, protocol
-from nadqec.noise import NoiseParams
+from nadqec.noise import NoiseParams, gamma_of_t
 from nadqec.protocol import (
     ChaddSequence,
     CrosstalkModel,
@@ -123,6 +125,74 @@ class TestMultiQec:
             p_total *= out.success_probability
         assert abs(pts[0].fidelity - fidelity(rho, target)) < 1e-12
         assert abs(pts[0].success_probability - p_total) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(variant=st.sampled_from(["ideal", "approximate", "synthesized"]),
+           theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 6.28),
+           t1s=st.lists(st.floats(40.0, 500.0), min_size=3, max_size=3),
+           per_qubit=st.booleans(), tphi=st.floats(30.0, 3000.0),
+           max_delay=st.sampled_from([7.5, 12.0, 25.0, 30.0, 45.5]),
+           total_free=st.lists(st.floats(0.0, 150.0), min_size=1, max_size=5),
+           seed=st.integers(0, 2**31 - 1))
+    def test_matches_per_round_reference(self, variant, theta, phi, t1s,
+                                         per_qubit, tphi, max_delay,
+                                         total_free, seed):
+        # ideal needs one T1, the others take per-qubit T1; a finite Tphi
+        # puts T2 below 2 T1; max_delay mostly leaves a remainder round
+        t1 = t1s if per_qubit and variant != "ideal" else t1s[0]
+        noise = NoiseParams(t1=t1, tphi=tphi)
+        w = unitary_group.rvs(32, random_state=seed) \
+            if variant == "synthesized" else None
+        cfg = ProtocolConfig(code3.LogicalStateSpec(theta, phi), max_delay,
+                             tuple(total_free), recovery_variant=variant,
+                             recovery_unitary=w)
+        for got, want in zip(run_multiqec(cfg, noise),
+                             run_multiqec_reference(cfg, noise), strict=True):
+            assert got.rounds == want.rounds
+            assert got.total_evolution_us == want.total_evolution_us
+            assert abs(got.fidelity - want.fidelity) <= 1e-12
+            assert abs(got.success_probability - want.success_probability) \
+                <= 1e-12 * want.success_probability
+
+    def test_ideal_pinned_to_multiround_oracle(self):
+        # T2 = 2 T1: pure damping, so every schedule sits on the closed form
+        t1 = 220.0
+        noise = NoiseParams.from_t1_t2(t1, 2 * t1)
+        total_free = tuple(25.0 * k for k in range(1, 21))
+        for theta in np.linspace(0.0, math.pi, 9):
+            for max_delay in (30.0, 45.0, 120.0):
+                cfg = ProtocolConfig(code3.LogicalStateSpec(theta), max_delay,
+                                     total_free)
+                for pt in run_multiqec(cfg, noise):
+                    gammas = [gamma_of_t(d, t1)
+                              for d in schedule_rounds(pt.total_free_us, max_delay)]
+                    want = code3.oracle_fidelity_multiround(theta, gammas)
+                    assert abs(pt.fidelity - want) <= 1e-10
+
+    def test_one_round_map_per_distinct_delay(self, monkeypatch):
+        built = []
+        compile_map = code3.cycle_superop
+        monkeypatch.setattr(code3, "cycle_superop",
+                            lambda *a: built.append(a) or compile_map(*a))
+        cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
+                             total_free=(600.0, 30.0, 45.0, 75.0, 90.0, 20.0))
+        run_multiqec(cfg, NoiseParams(t1=220.0, tphi=300.0))
+        assert len(built) == 3  # 30, 15 and 20 us
+
+    def test_ideal_rejects_unequal_t1(self):
+        cfg = ProtocolConfig(code3.LogicalStateSpec(math.pi), max_delay=60,
+                             total_free=(60.0,))
+        with pytest.raises(ValueError, match="ideal recovery adapts to one T1"):
+            run_multiqec(cfg, NoiseParams(t1=[100.0, 300.0, 300.0]))
+
+    def test_approximate_accepts_per_qubit_t1(self):
+        cfg = ProtocolConfig(code3.LogicalStateSpec(math.pi), max_delay=60,
+                             total_free=(60.0,), recovery_variant="approximate")
+        fids = [run_multiqec(cfg, NoiseParams(t1=t1))[0].fidelity
+                for t1 in ([100.0, 300.0, 300.0], [300.0, 300.0, 100.0])]
+        # the approximate recovery does not adapt, so qubit order is moot
+        assert abs(fids[0] - fids[1]) < 1e-12
+        assert fids[0] < run_multiqec(cfg, NoiseParams(t1=300.0))[0].fidelity
 
     def test_break_even_lifetime(self):
         cfg = ProtocolConfig(code3.LogicalStateSpec(math.pi), max_delay=30,
@@ -360,6 +430,25 @@ class TestMultiQecWithChadd:
             fids[chadd] = run_multiqec_with_chadd(
                 cfg, self.noise, layout)[0].fidelity
         assert fids[True] >= fids[False]
+
+    def test_ideal_rejects_unequal_data_t1(self):
+        cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
+                             total_free=(30.0,))
+        with pytest.raises(ValueError, match="ideal recovery adapts to one T1"):
+            run_multiqec_with_chadd(cfg, NoiseParams(t1=[220.0, 100.0, 220.0, 220.0]),
+                                    SpectatorLayout(spectators=1))
+
+    def test_pulse_unitaries_built_once_per_run(self, monkeypatch):
+        built = []
+        color_matrix = protocol._color_matrix
+        monkeypatch.setattr(protocol, "_color_matrix",
+                            lambda *a: built.append(a) or color_matrix(*a))
+        cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
+                             total_free=(30.0, 75.0), chadd_enabled=True)
+        run_multiqec_with_chadd(cfg, self.noise, SpectatorLayout(
+            spectators=1, couplings=((0, 3, 0.05),)))
+        assert sorted(a[1:3] for a in built) == [
+            (1, "X"), (1, "XT"), (2, "X"), (2, "XT")]
 
     def test_default_coloring_is_proper(self):
         layout = SpectatorLayout(spectators=2,
