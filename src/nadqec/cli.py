@@ -69,8 +69,9 @@ class ExperimentSpec:
             raise ConfigError(
                 f"{path}: kind '{kind}' has no parameter field(s): "
                 + ", ".join(unknown))
+        _require_numbers(raw, ints={"seed": 0})
         return cls(kind=kind, params=params, output=raw["output"],
-                   seed=int(raw.get("seed", 0)))
+                   seed=raw.get("seed", 0))
 
 
 def _fmt(x) -> str:
@@ -138,15 +139,19 @@ def _point_rows(pts) -> list[tuple]:
              x.rounds, x.variant, x.chadd) for x in pts]
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) \
-        and math.isfinite(v)
+    return (_is_int(v) or isinstance(v, float)) and math.isfinite(v)
 
 
-def _require_numbers(p: Mapping, fields: Sequence[str],
-                     lists: Sequence[str] = ()) -> None:
-    """Each present field in ``fields`` is a finite number and each in
-    ``lists`` a list of them; anything else is a config error."""
+def _require_numbers(p: Mapping, fields: Sequence[str] = (),
+                     lists: Sequence[str] = (),
+                     ints: Optional[Mapping[str, int]] = None) -> None:
+    """Present ``fields`` are finite numbers, ``lists`` lists of them and
+    present ``ints`` integers at or above their minimum; else a config error."""
     for name in fields:
         if name in p and not _is_number(p[name]):
             raise ConfigError(f"'{name}' must be a finite number, got {p[name]!r}")
@@ -155,6 +160,9 @@ def _require_numbers(p: Mapping, fields: Sequence[str],
         if not (isinstance(v, (list, tuple)) and all(_is_number(x) for x in v)):
             raise ConfigError(
                 f"'{name}' must be a list of finite numbers, got {v!r}")
+    for name, low in (ints or {}).items():
+        if name in p and not (_is_int(p[name]) and p[name] >= low):
+            raise ConfigError(f"'{name}' must be an integer >= {low}, got {p[name]!r}")
 
 
 def _protocol_config(p: Mapping, noise: NoiseParams,
@@ -179,9 +187,16 @@ def _run_multiqec(spec: ExperimentSpec, out: Path) -> None:
 
 def _run_multiqec_chadd(spec: ExperimentSpec, out: Path) -> None:
     p = spec.params
+    _require_numbers(p, ints={"spectators": 0})
+    couplings = p.get("couplings", [[0, 3, 0.05]])
+    if not (isinstance(couplings, list) and all(
+            isinstance(c, list) and len(c) == 3 and _is_int(c[0]) and _is_int(c[1])
+            and _is_number(c[2]) for c in couplings)):
+        raise ConfigError(
+            f"'couplings' must be [qubit, qubit, g] triples, got {couplings!r}")
     layout = protocol.SpectatorLayout(
         spectators=p.get("spectators", 1),
-        couplings=tuple(tuple(c) for c in p.get("couplings", [[0, 3, 0.05]])))
+        couplings=tuple(tuple(c) for c in couplings))
     noise = _noise_from(p, layout.n_qubits)
     rows = []
     for chadd in (False, True):
@@ -208,6 +223,7 @@ def _run_delay_sweep(spec: ExperimentSpec, out: Path) -> None:
 
 def _run_crosstalk_toy(spec: ExperimentSpec, out: Path) -> None:
     p = spec.params
+    _require_numbers(p, ("omega1", "omega2", "g", "t_final"), ints={"cycles": 1})
     noise = _noise_from(p, 2)
     model = protocol.CrosstalkModel(
         omega1=p.get("omega1", 0.3), omega2=p.get("omega2", 0.2),
@@ -228,6 +244,7 @@ def _run_crosstalk_toy(spec: ExperimentSpec, out: Path) -> None:
 
 def _run_gain_surface(spec: ExperimentSpec, out: Path) -> None:
     p = spec.params
+    _require_numbers(p, ("theta",), lists=("t1_range", "emeas_range", "delay_range"))
     cells = metrics.gain_surface(p["t1_range"], p["emeas_range"],
                                  p["delay_range"], theta=p.get("theta", math.pi))
     rows = [(c.t1_us, c.e_meas, c.delay_us, c.gain, c.f_qec, c.f_bare,
@@ -251,9 +268,8 @@ def _run_gain_surface(spec: ExperimentSpec, out: Path) -> None:
 
 
 def _run_synth(spec: ExperimentSpec, out: Path) -> None:
+    _require_numbers(spec.params, ints={"restarts": 1})
     restarts = spec.params.get("restarts", 20)
-    if isinstance(restarts, bool) or not isinstance(restarts, int) or restarts < 1:
-        raise ConfigError(f"'restarts' must be an integer >= 1, got {restarts!r}")
     seed = spec.seed
     enc_circ, enc_res = synth.synthesize_encoder(seed=seed, restarts=restarts)
     u_circ, u_res = synth.synthesize_recovery_u(seed=seed + 1, restarts=restarts)
@@ -282,6 +298,7 @@ def _run_synth(spec: ExperimentSpec, out: Path) -> None:
 
 def _run_oracle_check(spec: ExperimentSpec, out: Path) -> None:
     p = spec.params
+    _require_numbers(p, ints={"theta_points": 1, "gamma_points": 1})
     thetas = np.linspace(0.0, math.pi, p.get("theta_points", 10))
     gammas = np.linspace(0.0, 0.3, p.get("gamma_points", 10))
     dev_f = dev_p_app = dev_p_main = 0.0

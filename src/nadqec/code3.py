@@ -11,12 +11,13 @@ separates the no-damping branch (ancilla 1) from the single-damping branch
 block encoding with one extra ancilla and post-selecting on its 0 outcome,
 which makes the scheme probabilistic.
 
-One round on the data register, idle noise followed by the kept recovery
-branch, is a fixed linear map on the row-major vec of rho.
-``cycle_superop`` compiles it into a 64x64 matrix, sum_K K kron conj(K),
-the convention of ``protocol.liouvillian``; ``qec_cycle`` and
-``protocol.run_multiqec`` apply that matrix. ``apply_recovery`` serves the
-larger data + spectator registers of the CHaDD path.
+``noise_superop`` compiles per-qubit damping and dephasing of the data into
+a 64x64 map on the row-major vec of rho, sum_K K kron conj(K) (the
+convention of ``protocol.liouvillian``). ``cycle_superop`` appends the kept
+recovery branch to give one round, which ``qec_cycle`` and
+``protocol.run_multiqec`` apply. The measured estimator applies the same
+noise map, then its post-noise circuit as one 32x8 isometry.
+``apply_recovery`` serves the larger data + spectator registers of CHaDD.
 
 The success probability comes in two closed-form variants that disagree
 in one sign; see ``success_probability_minus_form`` /
@@ -26,6 +27,7 @@ simulation arbitrates (the "+" variant wins).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -34,14 +36,10 @@ import numpy as np
 
 from . import noise as noise_mod
 from .qcore import (
-    CX,
     DensityMatrix,
     Operator,
     PureState,
     apply_local,
-    apply_unitary,
-    basis_state,
-    embed,
     fidelity,
     measure_computational,
     ry,
@@ -88,11 +86,12 @@ def prep_unitary(spec: LogicalStateSpec) -> np.ndarray:
     return rz(spec.phi) @ ry(spec.theta)
 
 
+@functools.cache
 def encoder_unitary() -> Operator:
     """8x8 unitary mapping |000> -> |0_L> and |100> -> |1_L>.
 
     Only those two columns are contractually fixed; the remaining six are a
-    deterministic Gram-Schmidt completion over the standard basis.
+    deterministic Gram-Schmidt completion over the standard basis, built once.
     """
     cols = np.zeros((8, 8), dtype=complex)
     cols[:, 0] = codeword(0).amplitudes
@@ -198,20 +197,6 @@ def parity_projectors() -> tuple[np.ndarray, np.ndarray]:
     return p_odd, np.eye(8) - p_odd
 
 
-def syndrome_extract(rho: DensityMatrix) -> DensityMatrix:
-    """Parity extraction onto ancilla qubit 3 of a register whose qubits
-    0..2 are the data (4 or more qubits).
-
-    Three CNOTs (data -> ancilla) leave the ancilla in |1> on the odd-parity
-    (no-damping) branch and |0> on the even-parity (single-damping) branch.
-    """
-    if rho.qubit_count < 4:
-        raise ValueError(f"expected 3 data + 1 ancilla, got {rho.qubit_count} qubits")
-    for q in range(3):
-        rho = apply_unitary(rho, CX, targets=[q, 3])
-    return rho
-
-
 def apply_recovery(rho: DensityMatrix,
                    rmap: RecoveryMap) -> tuple[DensityMatrix, float]:
     """Post-selected recovery on data qubits 0..2 of a register of 3 or
@@ -237,15 +222,10 @@ def _superop(kraus) -> np.ndarray:
     return np.einsum("kab,kcd->acbd", k, k.conj()).reshape(dim * dim, dim * dim)
 
 
-def cycle_superop(gammas: float | Sequence[float], ps: float | Sequence[float],
-                  rmap: RecoveryMap) -> np.ndarray:
-    """One round on the 3 data qubits as a 64x64 superoperator: AD(gamma)
-    then dephasing(p) on each qubit, then the kept branch of ``rmap``.
-
-    ``gammas`` and ``ps`` are shared scalars or one value per data qubit.
-    The map is trace-non-increasing; the trace it removes is the
-    post-selection loss.
-    """
+def noise_superop(gammas: float | Sequence[float],
+                  ps: float | Sequence[float]) -> np.ndarray:
+    """AD(gamma) then dephasing(p) on each data qubit as a 64x64 map; the
+    gammas and ps are shared scalars or one value per data qubit."""
     per_qubit = []
     for g, p in zip(np.broadcast_to(gammas, 3), np.broadcast_to(ps, 3)):
         ops = noise_mod.amplitude_damping(float(g)).matrices()
@@ -256,7 +236,16 @@ def cycle_superop(gammas: float | Sequence[float], ps: float | Sequence[float],
     # a product channel's map is the tensor product of the per-qubit maps,
     # regrouped from (r0 c0 r1 c1 r2 c2) to the register's (r0 r1 r2 c0 c1 c2)
     noise = np.einsum("aAbB,cCdD,eEfF->aceACEbdfBDF", *per_qubit)
-    return _superop(rmap.kraus()) @ noise.reshape(64, 64)
+    return noise.reshape(64, 64)
+
+
+def cycle_superop(gammas: float | Sequence[float], ps: float | Sequence[float],
+                  rmap: RecoveryMap) -> np.ndarray:
+    """One round on the 3 data qubits as a 64x64 superoperator: the
+    :func:`noise_superop` map, then the kept branch of ``rmap``. The map is
+    trace-non-increasing; the trace it removes is the post-selection loss.
+    """
+    return _superop(rmap.kraus()) @ noise_superop(gammas, ps)
 
 
 def apply_cycle(superop: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, float]:
@@ -346,13 +335,11 @@ def combined_recovery_unitary(gamma: float,
     if rmap is None:
         rmap = RecoveryMap.ideal(gamma)
     r0, r1 = rmap.operators()
-    w0 = block_unitary(r0)  # on (a2, data)
-    w1 = block_unitary(r1)
-    w0_full = embed(w0, [4, 0, 1, 2], 5)
-    w1_full = embed(w1, [4, 0, 1, 2], 5)
-    p1_a1 = embed(np.array([[0, 0], [0, 1]], dtype=complex), [3], 5)
-    p0_a1 = embed(np.array([[1, 0], [0, 0]], dtype=complex), [3], 5)
-    return p1_a1 @ w0_full + p0_a1 @ w1_full
+    u = np.zeros((8, 2, 2, 8, 2, 2), dtype=complex)  # (d, a1, a2, d', a1', a2')
+    for a1, r in ((1, r0), (0, r1)):
+        w = block_unitary(r).reshape(2, 8, 2, 8)  # on (a2, data)
+        u[:, a1, :, :, a1, :] = w.transpose(1, 0, 3, 2)
+    return u.reshape(32, 32)
 
 
 def measured_circuit_distribution(
@@ -364,28 +351,28 @@ def measured_circuit_distribution(
 ) -> np.ndarray:
     """Outcome distribution of the full measured estimator circuit.
 
-    Runs G, the encoder, the noise channel, syndrome extraction, the
-    block-encoded recovery, then the inverted encoder and G^dag, and
-    measures (q0, q1, q2, a2). The all-zero probability conditioned on
-    a2 = 0 equals the post-selected state fidelity.
+    The circuit runs G, the encoder, the noise channel, syndrome
+    extraction, the block-encoded recovery W, then the inverted encoder and
+    G^dag, and measures (q0, q1, q2, a2). The all-zero probability
+    conditioned on a2 = 0 equals the post-selected state fidelity.
+
+    Compiled form: :func:`noise_superop` acts on the encoded data state
+    rho = En (G|0> x |00>). The ancillas are still |00> and parity
+    extraction sends |d>|00> to |d, parity(d), 0>, so the rest is the
+    isometry V0 = ((G^dag En^dag) x I4) W[:, 4d + 2 parity(d)] and the
+    measured 5-qubit state is V0 rho V0^dag.
     """
     if rmap is None:
         rmap = RecoveryMap.ideal(gamma)
-    psi0 = basis_state(5, 0).to_density_matrix()
-    g = prep_unitary(spec)
+    g = np.kron(prep_unitary(spec), np.eye(4))  # G on q0 of the data
     en = encoder_unitary().data if encoder is None else np.asarray(encoder, complex)
-    rho = apply_unitary(psi0, g, targets=[0])
-    rho = apply_unitary(rho, en, targets=[0, 1, 2])
-    rho = noise_mod.damp_dephase(rho, range(3), gamma, p)
-    rho = syndrome_extract(rho)
-    if rmap.variant == "synthesized":
-        w5 = rmap.unitary
-    else:
-        w5 = combined_recovery_unitary(gamma, rmap)
-    rho = apply_unitary(rho, w5)
-    rho = apply_unitary(rho, en.conj().T, targets=[0, 1, 2])
-    rho = apply_unitary(rho, g.conj().T, targets=[0])
-    return measure_computational(rho, [0, 1, 2, 4])
+    psi = en @ g[:, 0]
+    rho = (noise_superop(gamma, p) @ np.outer(psi, psi.conj()).ravel()).reshape(8, 8)
+    w5 = (rmap.unitary if rmap.variant == "synthesized"
+          else combined_recovery_unitary(gamma, rmap))
+    cols = [4 * d + 2 * (bin(d).count("1") % 2) for d in range(8)]  # |d, parity(d), 0>
+    v0 = np.kron(g.conj().T @ en.conj().T, np.eye(4)) @ w5[:, cols]
+    return measure_computational(DensityMatrix(v0 @ rho @ v0.conj().T), [0, 1, 2, 4])
 
 
 def fidelity_from_distribution(probs: np.ndarray) -> tuple[float, float]:
@@ -433,6 +420,15 @@ def oracle_success_probability(theta: float, gamma: float, p: float = 0.0) -> fl
     return (1 - gamma) ** 2 * (
         1 + gamma**2 * s2 + (8.0 / 3.0) * p * (p - 1) * (1 - gamma) * c2
     )
+
+
+def oracle_success_multiround(theta: float, gammas: Sequence[float]) -> float:
+    """Success probability after rounds of pure damping gammas[i], each
+    with the recovery adapted to its gamma: prod_i (1 - gammas[i])^2
+    (1 + G s^2), G = sum_i gammas[i]^2, s = sin(theta/2)."""
+    big_g = sum(g * g for g in gammas)
+    return math.prod((1 - g) ** 2 for g in gammas) \
+        * (1 + big_g * math.sin(theta / 2) ** 2)
 
 
 def success_probability_minus_form(theta: float, gamma: float) -> float:

@@ -192,6 +192,39 @@ class TestRun:
         assert cli.main(["run", str(path)]) == EXIT_CONFIG
         assert not (tmp_path / "synth.csv").exists()
 
+    @pytest.mark.parametrize("kind,field,value", [
+        ("multiqec-chadd", "spectators", "x"),
+        ("multiqec-chadd", "spectators", -1),
+        ("multiqec-chadd", "couplings", [[0, "3", 0.05]]),
+        ("multiqec-chadd", "couplings", [[0, 3]]),
+        ("gain-surface", "t1_range", 100),
+        ("gain-surface", "emeas_range", ["x"]),
+        ("gain-surface", "delay_range", 10.0),
+        ("gain-surface", "theta", "x"),
+        ("crosstalk-toy", "t_final", "x"),
+        ("crosstalk-toy", "cycles", 0),
+        ("crosstalk-toy", "omega1", "x"),
+        ("crosstalk-toy", "omega2", math.inf),
+        ("crosstalk-toy", "g", None),
+        ("oracle-check", "theta_points", "x"),
+        ("synth", "seed", "x"),
+        ("synth", "seed", 1.5)])
+    def test_bad_field_of_other_kinds_is_config_error(self, tmp_path, capsys,
+                                                       kind, field, value):
+        params = {"multiqec-chadd": {"theta": 1.0, "max_delay": 30.0,
+                                     "total_free": [30.0], "t1": 220.0},
+                  "gain-surface": {"t1_range": [100.0], "emeas_range": [0.01],
+                                   "delay_range": [10.0]},
+                  "crosstalk-toy": {"t1": 100.0},
+                  "oracle-check": {},
+                  "synth": {"restarts": 1}}[kind]
+        payload = {"kind": kind, "output": str(tmp_path / "out.csv"),
+                   "params": params}
+        (payload if field == "seed" else params)[field] = value
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_CONFIG
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_delay_sweep(self, tmp_path):
         payload = {
             "kind": "delay-sweep",

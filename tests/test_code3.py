@@ -11,6 +11,10 @@ from itertools import product
 
 import numpy as np
 import pytest
+from estimator_reference import combined_recovery_unitary_embed, syndrome_extract
+from estimator_reference import (
+    measured_circuit_distribution as measured_circuit_reference,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,7 +44,6 @@ from nadqec.code3 import (
     recovery_operators,
     success_probability_minus_form,
     success_probability_zero_logical,
-    syndrome_extract,
 )
 from nadqec.qcore import (
     P0,
@@ -329,6 +332,13 @@ class TestOracleGrids:
                                            - oracle_success_probability(theta, g, p)))
         assert worst < 1e-10
 
+    def test_multiround_success_oracle_reduces_to_one_round(self):
+        assert code3.oracle_success_multiround(1.0, []) == 1.0
+        for theta in np.linspace(0.0, math.pi, 7):
+            for g in np.linspace(0.0, 1.0, 11):
+                assert abs(code3.oracle_success_multiround(theta, [g])
+                           - oracle_success_probability(theta, g, 0.0)) < 1e-15
+
     def test_worst_case_curve(self):
         for g in np.linspace(0.0, 0.3, 10):
             out = qec_cycle(codeword(1), g, 0.0, RecoveryMap.ideal(g))
@@ -451,6 +461,45 @@ class TestMeasuredCircuit:
             out = qec_cycle(codeword(which), g, p, RecoveryMap.ideal(g))
             ref = qec_cycle(codeword(which), g, 0.0, RecoveryMap.ideal(g))
             assert abs(out.fidelity - ref.fidelity) < 10 * p**2
+
+
+class TestCompiledEstimator:
+    @settings(max_examples=40, deadline=None)
+    @given(theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2 * math.pi,
+                                                         exclude_max=True),
+           gamma=st.floats(0.0, 0.6), p=st.floats(0.0, 0.5),
+           variant=st.sampled_from(["ideal", "approximate", "synthesized"]),
+           custom_encoder=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_gate_by_gate_reference(self, theta, phi, gamma, p, variant,
+                                            custom_encoder, seed):
+        rng = np.random.default_rng(seed)
+        rmap = {"ideal": lambda: RecoveryMap.ideal(gamma),
+                "approximate": RecoveryMap.approximate,
+                "synthesized": lambda: RecoveryMap.synthesized(
+                    _haar_unitary(rng, 32))}[variant]()
+        encoder = None
+        if custom_encoder:
+            # same two codeword columns, completion shuffled and re-phased
+            encoder = encoder_unitary().data.copy()
+            free = [1, 2, 3, 5, 6, 7]
+            encoder[:, free] = encoder[:, rng.permutation(free)] \
+                * np.exp(2j * math.pi * rng.random(6))
+        spec = LogicalStateSpec(theta, phi)
+        got = measured_circuit_distribution(spec, gamma, p, rmap, encoder)
+        want = measured_circuit_reference(spec, gamma, p, rmap, encoder)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.07, 0.3, 1.0])
+    def test_combined_unitary_equals_embed_construction(self, gamma):
+        for rmap in (RecoveryMap.ideal(gamma), RecoveryMap.approximate()):
+            got = code3.combined_recovery_unitary(gamma, rmap)
+            assert np.array_equal(got, combined_recovery_unitary_embed(gamma, rmap))
+
+    @pytest.mark.parametrize("p", [0.0, 0.1])
+    def test_full_damping_removes_all_weight(self, p):
+        probs = measured_circuit_distribution(LogicalStateSpec(1.0, 0.5), 1.0, p)
+        with pytest.raises(ValueError, match="post-selection removed all weight"):
+            fidelity_from_distribution(probs)
 
 
 class TestEncoderInvariance:

@@ -168,6 +168,8 @@ class TestMultiQec:
                               for d in schedule_rounds(pt.total_free_us, max_delay)]
                     want = code3.oracle_fidelity_multiround(theta, gammas)
                     assert abs(pt.fidelity - want) <= 1e-10
+                    want_p = code3.oracle_success_multiround(theta, gammas)
+                    assert abs(pt.success_probability - want_p) <= 1e-10
 
     def test_one_round_map_per_distinct_delay(self, monkeypatch):
         built = []
