@@ -11,7 +11,10 @@ from itertools import product
 
 import numpy as np
 import pytest
-from estimator_reference import combined_recovery_unitary_embed, syndrome_extract
+from estimator_reference import (
+    combined_recovery_unitary_embed,
+    syndrome_extract,
+)
 from estimator_reference import (
     measured_circuit_distribution as measured_circuit_reference,
 )
