@@ -88,8 +88,7 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_manifest(spec: ExperimentSpec, out_csv: Path, t0: float,
-                    extra: Optional[Mapping] = None) -> None:
+def _write_manifest(spec: ExperimentSpec, out_csv: Path, t0: float) -> None:
     manifest = {
         "kind": spec.kind,
         "params": dict(spec.params),
@@ -99,8 +98,6 @@ def _write_manifest(spec: ExperimentSpec, out_csv: Path, t0: float,
         "version": __version__,
         "wall_time_s": round(time.time() - t0, 3),
     }
-    if extra:
-        manifest.update(extra)
     Path(str(out_csv) + ".manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -165,6 +162,17 @@ def _require_numbers(p: Mapping, fields: Sequence[str] = (),
             raise ConfigError(f"'{name}' must be an integer >= {low}, got {p[name]!r}")
 
 
+def _require_in(p: Mapping, name: str, ok: Callable[[float], bool],
+                what: str) -> None:
+    """The present field ``name``, a number or a non-empty list of them,
+    has only values that pass ``ok``; else a config error."""
+    if name not in p:
+        return
+    values = p[name] if isinstance(p[name], list) else [p[name]]
+    if not (values and all(ok(v) for v in values)):
+        raise ConfigError(f"'{name}' must be {what}, got {p[name]!r}")
+
+
 def _protocol_config(p: Mapping, noise: NoiseParams,
                      **kwargs) -> protocol.ProtocolConfig:
     _require_numbers(p, ("theta", "phi", "max_delay"), lists=("total_free",))
@@ -188,6 +196,7 @@ def _run_multiqec(spec: ExperimentSpec, out: Path) -> None:
 def _run_multiqec_chadd(spec: ExperimentSpec, out: Path) -> None:
     p = spec.params
     _require_numbers(p, ints={"spectators": 0})
+    _require_in(p, "spectators", lambda v: v <= 4, "at most 4 (7 qubits in all)")
     couplings = p.get("couplings", [[0, 3, 0.05]])
     if not (isinstance(couplings, list) and all(
             isinstance(c, list) and len(c) == 3 and _is_int(c[0]) and _is_int(c[1])
@@ -197,6 +206,11 @@ def _run_multiqec_chadd(spec: ExperimentSpec, out: Path) -> None:
     layout = protocol.SpectatorLayout(
         spectators=p.get("spectators", 1),
         couplings=tuple(tuple(c) for c in couplings))
+    n = layout.n_qubits
+    for a, b, g in couplings:
+        if a == b or not (0 <= a < n and 0 <= b < n):
+            raise ConfigError(f"'couplings' entry {[a, b, g]} must name two "
+                              f"distinct qubits of the {n}-qubit register")
     noise = _noise_from(p, layout.n_qubits)
     rows = []
     for chadd in (False, True):
@@ -224,6 +238,7 @@ def _run_delay_sweep(spec: ExperimentSpec, out: Path) -> None:
 def _run_crosstalk_toy(spec: ExperimentSpec, out: Path) -> None:
     p = spec.params
     _require_numbers(p, ("omega1", "omega2", "g", "t_final"), ints={"cycles": 1})
+    _require_in(p, "t_final", lambda v: v > 0, "positive")
     noise = _noise_from(p, 2)
     model = protocol.CrosstalkModel(
         omega1=p.get("omega1", 0.3), omega2=p.get("omega2", 0.2),
@@ -245,6 +260,11 @@ def _run_crosstalk_toy(spec: ExperimentSpec, out: Path) -> None:
 def _run_gain_surface(spec: ExperimentSpec, out: Path) -> None:
     p = spec.params
     _require_numbers(p, ("theta",), lists=("t1_range", "emeas_range", "delay_range"))
+    _require_in(p, "t1_range", lambda v: v > 0, "a non-empty list of positive numbers")
+    _require_in(p, "emeas_range", lambda v: 0 <= v <= 0.5,
+                "a non-empty list of numbers in [0, 0.5]")
+    _require_in(p, "delay_range", lambda v: v >= 0,
+                "a non-empty list of non-negative numbers")
     cells = metrics.gain_surface(p["t1_range"], p["emeas_range"],
                                  p["delay_range"], theta=p.get("theta", math.pi))
     rows = [(c.t1_us, c.e_meas, c.delay_us, c.gain, c.f_qec, c.f_bare,

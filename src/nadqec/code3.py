@@ -225,11 +225,12 @@ def _superop(kraus) -> np.ndarray:
 def noise_superop(gammas: float | Sequence[float],
                   ps: float | Sequence[float]) -> np.ndarray:
     """AD(gamma) then dephasing(p) on each data qubit as a 64x64 map; the
-    gammas and ps are shared scalars or one value per data qubit."""
+    gammas and ps are shared scalars or one value per data qubit, and a p
+    outside [0, 0.5] raises."""
     per_qubit = []
     for g, p in zip(np.broadcast_to(gammas, 3), np.broadcast_to(ps, 3)):
         ops = noise_mod.amplitude_damping(float(g)).matrices()
-        if p > 0:
+        if p != 0:
             ops = [d @ a for d in noise_mod.dephasing(float(p)).matrices()
                    for a in ops]
         per_qubit.append(_superop(ops).reshape(2, 2, 2, 2))  # (r, c, r', c')
@@ -305,24 +306,25 @@ def qec_cycle(
 
 def block_unitary(r: np.ndarray) -> np.ndarray:
     """Embed a trace-non-increasing operator as the ancilla-0 block of a
-    unitary on (ancilla, data): W = [[R, S'], [S, -R^dag]] with the square
-    roots chosen to make W unitary."""
+    unitary on (ancilla, data): W = [[R, S'], [S, -R^dag]] with
+    S = sqrt(I - R^dag R) and S' = sqrt(I - R R^dag).
+
+    Both roots come from one SVD R = U diag(s) V^dag, as V c V^dag and
+    U c U^dag with c = sqrt(1 - s^2). Separate eigendecompositions would put
+    the sqrt of rounding noise (about 1e-8) on directions where s = 1, where
+    it need not cancel between S and S'.
+    """
     r = np.asarray(r, dtype=complex)
     dim = r.shape[0]
-    eye = np.eye(dim)
-    s_in = _psd_sqrt(eye - r.conj().T @ r)
-    s_out = _psd_sqrt(eye - r @ r.conj().T)
+    u, sv, vh = np.linalg.svd(r)
+    c = np.sqrt(np.clip(1.0 - sv**2, 0.0, None))
+    s_in = (vh.conj().T * c) @ vh
+    s_out = (u * c) @ u.conj().T
     w = np.block([[r, s_out], [s_in, -r.conj().T]])
     dev = np.max(np.abs(w.conj().T @ w - np.eye(2 * dim)))
     if dev > 1e-9:
         raise ValueError(f"block completion failed to be unitary: deviation {dev}")
     return w
-
-
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(m)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
 def combined_recovery_unitary(gamma: float,
@@ -446,9 +448,9 @@ def success_probability_zero_logical(gamma: float, p: float) -> float:
     return (1 - gamma) ** 2 * (1 + (8 * p / 3.0) * (gamma + p - 1 - gamma * p))
 
 
-def match_success_form(tol: float = 1e-10) -> str:
+def match_success_form() -> str:
     """Report which printed success-probability form branch-trace
-    simulation reproduces: 'plus', 'minus', or 'neither'."""
+    simulation reproduces within 1e-10: 'plus', 'minus', or 'neither'."""
     thetas = np.linspace(0.0, math.pi, 5)
     gammas = np.linspace(0.0, 0.3, 5)
     dev_app = dev_main = 0.0
@@ -460,9 +462,9 @@ def match_success_form(tol: float = 1e-10) -> str:
                                        - oracle_success_probability(theta, g, 0.0)))
             dev_main = max(dev_main, abs(out.success_probability
                                          - success_probability_minus_form(theta, g)))
-    if dev_app < tol:
+    if dev_app < 1e-10:
         return "plus"
-    if dev_main < tol:
+    if dev_main < 1e-10:
         return "minus"
     return "neither"
 
@@ -533,27 +535,18 @@ def oracle_fidelity_series_time(theta: float, t: float, t1: float, t2: float,
                                 variant: str = "ideal") -> float:
     """The same expansions re-parameterized in (t, T1, T2).
 
-    Substitutes gamma = 1 - exp(-t/T1) and p = (1 - exp(-t/Tphi))/2 with
-    1/Tphi = 1/T2 - 1/(2 T1) and keeps the terms through t^2.
+    Substitutes gamma = 1 - exp(-t/T1) = t/T1 + O(t^2) and
+    p = (1 - exp(-r t))/2 = r t/2 - r^2 t^2/4 + O(t^3), with
+    r = 1/Tphi = 1/T2 - 1/(2 T1), and keeps the terms through t^2; no
+    term is linear in gamma, so its t^2 part drops out.
     """
-    s2 = math.sin(theta) ** 2
-    sh2 = math.sin(theta / 2) ** 2
-    lin = (2 * t1 - t2) * s2 / (3 * t1 * t2)
-    if variant == "ideal":
-        quad = (
-            (2 * t1 - t2) ** 2 * s2 * math.cos(theta)
-            - (2 * t1 - t2) * (t1 - 2 * t2) * s2
-            + 9 * t2**2 * sh2**2
-        ) / (9 * t1**2 * t2**2)
-    elif variant == "approximate":
-        quad = (
-            6 * t2 * (-t1 + 2 * t2)
-            + (2 * t1 - t2) * ((2 * t1 - 7 * t2) * math.cos(theta)
-                               + 2 * (t1 - 2 * t2) * math.cos(2 * theta))
-        ) * sh2 / (9 * t1**2 * t2**2)
-    else:
+    if variant not in _SERIES_COEFFS:
         raise ValueError(f"variant must be 'ideal' or 'approximate', got {variant!r}")
-    return 1.0 - lin * t - quad * t**2
+    cp, cpp, cpg, cgg = (c(theta) for c in _SERIES_COEFFS[variant])
+    r = 1 / t2 - 1 / (2 * t1)
+    p1, p2, g1 = r / 2, -r * r / 4, 1 / t1
+    quad = cp * p2 + cpp * p1**2 + cpg * p1 * g1 + cgg * g1**2
+    return 1.0 + cp * p1 * t + quad * t**2
 
 
 def oracle_fidelity_plus_state(gamma: float, p: float) -> float:

@@ -9,7 +9,7 @@ amplitude damping followed by dephasing on each qubit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -25,8 +25,8 @@ from .qcore import (
     apply_local,
 )
 
-# Default durations (microseconds) taken from the device-calibrated timing
-# used throughout the protocol module.
+# Default gate durations (microseconds) of the device-calibrated timing, used
+# for circuit duration estimates.
 DEFAULT_GATE_DURATIONS: Mapping[str, float] = {
     "RX": 0.032,
     "RY": 0.032,
@@ -75,7 +75,7 @@ class KrausChannel:
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Per-qubit coherence times plus gate, reset and readout error data.
+    """Per-qubit coherence times plus readout and depolarizing error data.
 
     ``t1`` and ``tphi`` may be scalars (shared by all qubits) or per-qubit
     sequences. ``tphi`` is the pure-dephasing lifetime; use
@@ -85,10 +85,6 @@ class NoiseParams:
 
     t1: float | Sequence[float]
     tphi: float | Sequence[float] = math.inf
-    gate_durations: Mapping[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_GATE_DURATIONS)
-    )
-    reset_duration: float = 2.72
     readout_error: float = 0.0
     readout_error_10: float | None = None  # asymmetric 1->0 rate, defaults equal
     depolarizing_1q: float = 0.0
@@ -216,14 +212,14 @@ def damp_dephase(rho: DensityMatrix, qubits: Sequence[int],
                  gamma: float | Sequence[float],
                  p: float | Sequence[float]) -> DensityMatrix:
     """AD(gamma) then dephasing(p) on each listed qubit; the dephasing is
-    skipped where p = 0. ``gamma`` and ``p`` are shared scalars or one
-    value per listed qubit."""
+    skipped where p = 0, and a p outside [0, 0.5] raises. ``gamma`` and
+    ``p`` are shared scalars or one value per listed qubit."""
     qubits = list(qubits)
     gammas = np.broadcast_to(gamma, len(qubits))
     ps = np.broadcast_to(p, len(qubits))
     for q, g, pq in zip(qubits, gammas, ps):
         rho = apply_channel(rho, amplitude_damping(float(g)), q)
-        if pq > 0:
+        if pq != 0:
             rho = apply_channel(rho, dephasing(float(pq)), q)
     return rho
 

@@ -1,11 +1,12 @@
 """Multi-round QEC scheduling, CHaDD dynamical decoupling, and the
 two-qubit ZZ-crosstalk Lindblad toy model.
 
-``run_multiqec`` applies each QEC round as a compiled 64x64 map
-(``code3.cycle_superop``), one per distinct delay in a call: the full-round
-``max_delay`` and each remainder. Sweep points share the states after k full
-rounds, so a point costs at most one remainder-map product beyond the
-longest prefix reached so far.
+Both multi-round runners share one sweep loop. It builds each distinct
+delay's round once per call and shares the states after k full rounds
+across sweep points. ``run_multiqec``'s round is a compiled 64x64 map
+(``code3.cycle_superop``); ``run_multiqec_with_chadd``'s is Lindblad
+evolution of the data + spectator register, optionally as one robust CHaDD
+cycle, then ``code3.apply_recovery``.
 
 Timing defaults (microseconds): encoding 0.548, recovery 3.072, ancilla
 reset 2.72. The reset overlaps the following round's delay and only adds
@@ -19,7 +20,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,7 +31,6 @@ from .noise import NoiseParams, gamma_of_t, p_of_t
 from .qcore import (
     I2,
     DensityMatrix,
-    PureState,
     X,
     Z,
     basis_state,
@@ -161,34 +161,23 @@ def recovery_t1(config: ProtocolConfig, noise: NoiseParams) -> float:
     return t1s[0]
 
 
-def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoint]:
-    """Analytic multi-round protocol: encode, n x (idle noise + QEC cycle),
-    report fidelity against the ideal logical state and the cumulative
-    post-selection probability.
-
-    Idle noise uses gamma(t) and p(t) over each delay; the recovery window
-    itself is noiseless (gates are time-accounted but error-free), which
-    keeps single-round runs exactly on the closed-form oracle.
-
-    Each round is the compiled map of its delay, built once per call.
-    Post-selection only rescales, so the normalized state after k full
-    rounds and its cumulative weight are kept and shared by every point.
-    """
-    t1 = recovery_t1(config, noise)
-    target = code3.encode_ideal(config.logical)
-    maps: dict[float, np.ndarray] = {}
+def _run_rounds(config: ProtocolConfig, rho0: np.ndarray,
+                round_for: Callable[[float], Callable],
+                fidelity_of: Callable[[np.ndarray], float],
+                chadd: bool) -> list[MultiQecPoint]:
+    """The sweep loop of both runners. ``round_for(delay)``, called once per
+    distinct delay, returns the round as rho -> (renormalized rho, p_round).
+    Post-selection only rescales, so the state after k full rounds and its
+    cumulative weight are shared by every point; a point with no rounds
+    keeps rho0 itself. ``fidelity_of`` scores a point's final state."""
+    round_for = functools.cache(round_for)
 
     def advance(delay: float, rho: np.ndarray, p_total: float):
-        if delay not in maps:
-            maps[delay] = code3.cycle_superop(
-                [gamma_of_t(delay, noise.t1_of(q)) for q in range(3)],
-                [p_of_t(delay, noise.tphi_of(q)) for q in range(3)],
-                _recovery_map(config, gamma_of_t(delay, t1)))
-        rho, p_round = code3.apply_cycle(maps[delay], rho)
+        rho, p_round = round_for(delay)(rho)
         return rho, p_total * p_round
 
     full = float(_frac(config.max_delay))  # a full round's delay in a schedule
-    prefixes = [(target.to_density_matrix().data, 1.0)]
+    prefixes = [(rho0, 1.0)]
     points = []
     for total_free in config.total_free:
         schedule = schedule_rounds(total_free, config.max_delay)
@@ -202,12 +191,38 @@ def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoi
             total_free_us=total_free,
             total_evolution_us=total_evolution_time(schedule, config.timing),
             rounds=len(schedule),
-            fidelity=fidelity(DensityMatrix(rho), target) if schedule else 1.0,
+            fidelity=fidelity_of(rho),
             success_probability=p_total,
             variant=config.recovery_variant,
-            chadd=False,
+            chadd=chadd,
         ))
     return points
+
+
+def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoint]:
+    """Analytic multi-round protocol: encode, n x (idle noise + QEC cycle),
+    report fidelity against the ideal logical state and the cumulative
+    post-selection probability.
+
+    Idle noise uses gamma(t) and p(t) over each delay; the recovery window
+    itself is noiseless (gates are time-accounted but error-free), which
+    keeps single-round runs exactly on the closed-form oracle. Each round
+    is the compiled map of its delay, applied by ``code3.apply_cycle``.
+    """
+    t1 = recovery_t1(config, noise)
+    target = code3.encode_ideal(config.logical)
+    rho0 = target.to_density_matrix().data
+
+    def round_for(delay: float):
+        return functools.partial(code3.apply_cycle, code3.cycle_superop(
+            [gamma_of_t(delay, noise.t1_of(q)) for q in range(3)],
+            [p_of_t(delay, noise.tphi_of(q)) for q in range(3)],
+            _recovery_map(config, gamma_of_t(delay, t1))))
+
+    def fidelity_of(rho: np.ndarray) -> float:  # rho0 is the target itself
+        return 1.0 if rho is rho0 else fidelity(DensityMatrix(rho), target)
+
+    return _run_rounds(config, rho0, round_for, fidelity_of, chadd=False)
 
 
 def bare_qubit_fidelity(t: float, t1: float) -> float:
@@ -395,6 +410,20 @@ def _pulse_unitaries(pulses: Sequence[tuple], colors: Sequence[int],
             for kind, color in set(pulses)}
 
 
+def _chadd_cycle(gen: sp.csr_matrix, rho: np.ndarray, seq: ChaddSequence,
+                 pulse_u: dict, window: Optional[tuple] = None) -> np.ndarray:
+    """One CHaDD cycle: each interval propagates under ``gen`` for tau, then
+    applies its pulse; ``window``, a (generator, duration) pair, follows
+    each pulse when pulses take time."""
+    for pulse in seq.pulses:
+        rho = propagate(gen, rho, seq.tau)
+        u = pulse_u[pulse]
+        rho = u @ rho @ u.conj().T
+        if window is not None:
+            rho = propagate(window[0], rho, window[1])
+    return rho
+
+
 def chadd_cycle_unitary(seq: ChaddSequence, h: np.ndarray,
                         colors: Sequence[int]) -> np.ndarray:
     """Closed-system propagator of one full cycle with ideal pulses."""
@@ -436,7 +465,6 @@ def run_crosstalk_toy(model: CrosstalkModel, probe_init: str,
     h = model.hamiltonian()
     collapse = model.collapse()
     gen = liouvillian(h, collapse)
-    colors = (1, 2)
 
     times = [0.0]
     rows = [state]
@@ -455,16 +483,11 @@ def run_crosstalk_toy(model: CrosstalkModel, probe_init: str,
                 f"t_final {t_final} is not a whole number of CHaDD cycles "
                 f"(cycle time {cycle})")
         # finite pulse window: dissipators act, drive ignored
-        window = liouvillian(np.zeros_like(h), collapse) \
+        window = (liouvillian(np.zeros_like(h), collapse), model.pulse_duration) \
             if model.pulse_duration > 0 else None
-        pulse_u = _pulse_unitaries(chadd.pulses, colors, 2)
+        pulse_u = _pulse_unitaries(chadd.pulses, (1, 2), 2)
         for i in range(n_cycles):
-            for pulse in chadd.pulses:
-                state = propagate(gen, state, chadd.tau)
-                u = pulse_u[pulse]
-                state = u @ state @ u.conj().T
-                if window is not None:
-                    state = propagate(window, state, model.pulse_duration)
+            state = _chadd_cycle(gen, state, chadd, pulse_u, window)
             times.append((i + 1) * cycle)
             rows.append(state)
     pop0, pop1, fid = [], [], []
@@ -488,22 +511,18 @@ class SpectatorLayout:
     """Data qubits 0..2 plus spectators, with static ZZ couplings.
 
     ``couplings`` are (qubit_a, qubit_b, g_rad_per_us) over the combined
-    register; ``colors`` assigns each register qubit a CHaDD color (the
-    default alternates along the data chain and gives each spectator the
-    color opposite its first coupled partner).
+    register. CHaDD colors alternate along the data chain, and each
+    spectator takes the color opposite its first coupled partner.
     """
 
     spectators: int = 1
     couplings: tuple = ()
-    colors: Optional[tuple] = None
 
     @property
     def n_qubits(self) -> int:
         return 3 + self.spectators
 
     def resolved_colors(self) -> tuple:
-        if self.colors is not None:
-            return tuple(self.colors)
         colors = {0: 1, 1: 2, 2: 1}
         for q in range(3, self.n_qubits):
             partner = next((a if b == q else b for a, b, _ in self.couplings
@@ -512,16 +531,11 @@ class SpectatorLayout:
         return tuple(colors[q] for q in range(self.n_qubits))
 
 
-def run_multiqec_with_chadd(
-    config: ProtocolConfig,
-    noise: NoiseParams,
-    layout: SpectatorLayout,
-    robust: bool = True,
-    cycles_per_delay: int = 1,
-) -> list[MultiQecPoint]:
+def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
+                            layout: SpectatorLayout) -> list[MultiQecPoint]:
     """Multi-round QEC where each delay is Lindblad free evolution of the
     data + spectator register (ZZ couplings included), optionally chopped
-    into CHaDD cycles with instantaneous pulses.
+    into one robust CHaDD cycle with instantaneous pulses.
 
     The two QEC ancillas stay implicit: syndrome conditioning and recovery
     act on the data qubits through ``code3.apply_recovery``, and the
@@ -536,45 +550,26 @@ def run_multiqec_with_chadd(
     for a, b, g in layout.couplings:
         h += g * embed(Z, [a], n) @ embed(Z, [b], n)
     gen = liouvillian(h, collapse_operators(n, noise))
-    colors = layout.resolved_colors()
+    pulse_u = _pulse_unitaries(ROBUST_PULSES, layout.resolved_colors(), n)
+    rho3 = target3.to_density_matrix()
+    rho0 = tensor(rho3, basis_state(n - 3, 0).to_density_matrix()).data \
+        if n > 3 else rho3.data
 
-    spect0 = basis_state(n - 3, 0).to_density_matrix() if n > 3 else None
-    pulse_u = _pulse_unitaries(ROBUST_PULSES if robust else PLAIN_PULSES,
-                               colors, n)
+    def round_for(delay: float):
+        seq = chadd_sequence(2, delay / len(ROBUST_PULSES)) \
+            if config.chadd_enabled else None
+        rmap = _recovery_map(config, gamma_of_t(delay, t1))
 
-    points = []
-    for total_free in config.total_free:
-        schedule = schedule_rounds(total_free, config.max_delay)
-        rho3 = target3.to_density_matrix()
-        rho = tensor(rho3, spect0).data if spect0 is not None else rho3.data
-        p_total = 1.0
-        for delay in schedule:
-            if config.chadd_enabled:
-                tau = delay / (8.0 * cycles_per_delay) if robust else \
-                    delay / (4.0 * cycles_per_delay)
-                seq = chadd_sequence(2, tau, robust=robust)
-                for _ in range(cycles_per_delay):
-                    for pulse in seq.pulses:
-                        rho = propagate(gen, rho, tau)
-                        u = pulse_u[pulse]
-                        rho = u @ rho @ u.conj().T
-            else:
-                rho = propagate(gen, rho, delay)
-            rmap = _recovery_map(config, gamma_of_t(delay, t1))
+        def one_round(rho: np.ndarray):
+            rho = _chadd_cycle(gen, rho, seq, pulse_u) if seq is not None \
+                else propagate(gen, rho, delay)
             state, p_round = code3.apply_recovery(
                 DensityMatrix(rho, normalized=False), rmap)
-            rho = state.data
-            p_total *= p_round
-        reduced = partial_trace(DensityMatrix(rho, normalized=False),
-                                [0, 1, 2]).normalize()
-        points.append(MultiQecPoint(
-            total_free_us=total_free,
-            total_evolution_us=total_evolution_time(schedule, config.timing),
-            rounds=len(schedule),
-            fidelity=fidelity(reduced, target3),
-            success_probability=p_total,
-            variant=config.recovery_variant,
-            chadd=config.chadd_enabled,
-        ))
-    return points
+            return state.data, p_round
+        return one_round
 
+    def fidelity_of(rho: np.ndarray) -> float:
+        reduced = partial_trace(DensityMatrix(rho, normalized=False), [0, 1, 2])
+        return fidelity(reduced.normalize(), target3)
+
+    return _run_rounds(config, rho0, round_for, fidelity_of, config.chadd_enabled)

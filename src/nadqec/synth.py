@@ -32,11 +32,9 @@ from .qcore import TOL_STRUCT, embed, ry
 
 @dataclass(frozen=True)
 class NativeGateSet:
-    """Gate vocabulary plus the undirected coupling graph; ``edges=None``
+    """The undirected coupling graph that CZ layers act on; ``edges=None``
     couples the register's qubits in a line."""
 
-    single_qubit: tuple[str, ...] = ("RX", "RZ", "SX", "X", "ID")
-    two_qubit: tuple[str, ...] = ("CZ", "RZZ")
     edges: Optional[tuple[tuple[int, int], ...]] = None
 
 
@@ -240,18 +238,15 @@ def synthesize(
     mask: Optional[object],
     n_qubits: int,
     seed: int = 0,
-    gateset: Optional[NativeGateSet] = None,
-    start_layers: int = 3,
-    max_layers: int = 8,
     tolerance: float = 1e-10,
     restarts: int = 20,
 ) -> tuple[Circuit, SynthesisResult]:
-    """Depth-growing synthesis: start shallow, add a layer on failure. The
-    result's ``restarts_used`` counts the starts of every level tried."""
-    gateset = gateset or NativeGateSet()
+    """Depth-growing synthesis on a line of qubits: start at 3 CZ layers,
+    add one on failure, up to 8. The result's ``restarts_used`` counts the
+    starts of every level tried."""
     starts = 0
-    for layers in range(start_layers, max_layers + 1):
-        ansatz = Ansatz(n_qubits, layers, gateset)
+    for layers in range(3, 9):
+        ansatz = Ansatz(n_qubits, layers)
         problem = SynthesisProblem(np.asarray(target, dtype=complex), ansatz,
                                    mask=mask, tolerance=tolerance)
         result = optimize(problem, seed=seed, restarts=restarts)
@@ -559,11 +554,12 @@ class RecoveryVerification:
     passed: bool
 
 
-def verify_recovery_circuit(circ: Circuit, rmap: "code3.RecoveryMap",
-                            tolerance: float = 1e-6,
-                            gate_times: Optional[dict] = None) -> RecoveryVerification:
+def verify_recovery_circuit(circ: Circuit,
+                            rmap: "code3.RecoveryMap") -> RecoveryVerification:
     """Compare the circuit's post-selected action against the analytic
-    recovery branches (restricted to each branch's parity sector)."""
+    recovery branches (restricted to each branch's parity sector); it
+    passes below a 1e-6 deviation. The duration uses the default gate
+    times."""
     if circ.n_qubits != 5:
         raise ValueError("expected the 5-qubit combined recovery circuit")
     w = circ.unitary()
@@ -576,17 +572,14 @@ def verify_recovery_circuit(circ: Circuit, rmap: "code3.RecoveryMap",
         ref = r @ proj
         dev = _channel_deviation(impl, ref)
         devs.append(dev)
-    times = dict(DEFAULT_GATE_DURATIONS)
-    if gate_times:
-        times.update(gate_times)
     max_dev = max(devs)
     return RecoveryVerification(
         max_deviation=max_dev,
         deviation_no_damping=devs[0],
         deviation_damping=devs[1],
         cz_count=circ.count("CZ"),
-        duration_us=circ.duration(times),
-        passed=max_dev < tolerance,
+        duration_us=circ.duration(DEFAULT_GATE_DURATIONS),
+        passed=max_dev < 1e-6,
     )
 
 

@@ -208,7 +208,21 @@ class TestRun:
         ("crosstalk-toy", "g", None),
         ("oracle-check", "theta_points", "x"),
         ("synth", "seed", "x"),
-        ("synth", "seed", 1.5)])
+        ("synth", "seed", 1.5),
+        ("multiqec-chadd", "couplings", [[0, 9, 0.05]]),
+        ("multiqec-chadd", "couplings", [[-1, 3, 0.05]]),
+        ("multiqec-chadd", "couplings", [[2, 2, 0.05]]),
+        ("multiqec-chadd", "spectators", 5),
+        ("gain-surface", "t1_range", []),
+        ("gain-surface", "t1_range", [100.0, 0.0]),
+        ("gain-surface", "t1_range", [-50.0]),
+        ("gain-surface", "emeas_range", []),
+        ("gain-surface", "emeas_range", [0.6]),
+        ("gain-surface", "emeas_range", [-0.01]),
+        ("gain-surface", "delay_range", []),
+        ("gain-surface", "delay_range", [10.0, -1.0]),
+        ("crosstalk-toy", "t_final", 0.0),
+        ("crosstalk-toy", "t_final", -60.0)])
     def test_bad_field_of_other_kinds_is_config_error(self, tmp_path, capsys,
                                                        kind, field, value):
         params = {"multiqec-chadd": {"theta": 1.0, "max_delay": 30.0,

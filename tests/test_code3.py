@@ -313,6 +313,20 @@ class TestQecCycle:
                         RecoveryMap.ideal(0.3))
         assert abs(out.conditional_state.trace - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("p", [-0.2, -1e-12, 0.6, math.nan])
+    @pytest.mark.parametrize("run", [
+        lambda p: qec_cycle(encode_ideal(LogicalStateSpec(1.0)), 0.1, p,
+                            RecoveryMap.ideal(0.1)),
+        lambda p: measured_circuit_distribution(LogicalStateSpec(1.0), 0.1, p),
+        lambda p: noise_mod.damp_dephase(
+            encode_ideal(LogicalStateSpec(1.0)).to_density_matrix(), range(3),
+            0.1, [0.0, p, 0.0]),
+    ], ids=["qec_cycle", "measured_circuit_distribution", "damp_dephase"])
+    def test_dephasing_outside_range_raises(self, run, p):
+        # p = 0 skips the dephasing; any other p reaches its range check
+        with pytest.raises(ValueError, match="outside \\[0, 0.5\\]"):
+            run(p)
+
 
 class TestOracleGrids:
     def test_fidelity_oracle_on_grid(self):
@@ -497,6 +511,15 @@ class TestCompiledEstimator:
         for rmap in (RecoveryMap.ideal(gamma), RecoveryMap.approximate()):
             got = code3.combined_recovery_unitary(gamma, rmap)
             assert np.array_equal(got, combined_recovery_unitary_embed(gamma, rmap))
+
+    @pytest.mark.parametrize("gamma", [0.0, 2.0**-52, 1e-300, 1e-15, 0.3, 1.0])
+    def test_block_unitary_near_unit_singular_values(self, gamma):
+        # at gamma = 2**-52 the block completion once missed unitarity by
+        # 1.4e-9, so the estimator raised for a valid gamma
+        for r in recovery_operators(gamma):
+            w = code3.block_unitary(r)
+            assert np.max(np.abs(w.conj().T @ w - np.eye(16))) < 1e-12
+            assert np.array_equal(w[:8, :8], r)
 
     @pytest.mark.parametrize("p", [0.0, 0.1])
     def test_full_damping_removes_all_weight(self, p):

@@ -452,6 +452,39 @@ class TestMultiQecWithChadd:
         assert sorted(a[1:3] for a in built) == [
             (1, "X"), (1, "XT"), (2, "X"), (2, "XT")]
 
+    @pytest.mark.parametrize("chadd", [False, True])
+    @pytest.mark.parametrize("spectators", [0, 1, 2])
+    def test_sweep_point_equals_its_lone_run(self, spectators, chadd):
+        # shared prefixes change no bit: a zero point, full rounds only,
+        # and remainders of 15 and 20 us, in an unsorted sweep
+        layout = SpectatorLayout(spectators, tuple(
+            (0, 3 + i, 0.05 - 0.01 * i) for i in range(spectators)))
+        total_free = (75.0, 0.0, 60.0, 20.0, 45.0)
+
+        def run(points):
+            cfg = ProtocolConfig(code3.LogicalStateSpec(2.0, 1.1), max_delay=30,
+                                 total_free=points, chadd_enabled=chadd)
+            return run_multiqec_with_chadd(cfg, self.noise, layout)
+
+        assert run(total_free) == [run((t,))[0] for t in total_free]
+
+    def test_one_round_per_distinct_delay(self, monkeypatch):
+        built = {"chadd_sequence": [], "_recovery_map": []}
+        for name, calls in built.items():
+            original = getattr(protocol, name)
+            monkeypatch.setattr(
+                protocol, name,
+                lambda *a, calls=calls, original=original:
+                    calls.append(a) or original(*a))
+        cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
+                             total_free=(90.0, 30.0, 45.0, 75.0, 20.0),
+                             chadd_enabled=True)
+        run_multiqec_with_chadd(cfg, self.noise, SpectatorLayout(
+            spectators=1, couplings=((0, 3, 0.05),)))
+        # 30, 15 and 20 us, each with one robust cycle of 8 intervals
+        assert [a[1] for a in built["chadd_sequence"]] == [30 / 8, 15 / 8, 20 / 8]
+        assert len(built["_recovery_map"]) == 3
+
     def test_default_coloring_is_proper(self):
         layout = SpectatorLayout(spectators=2,
                                  couplings=((0, 3, 0.1), (2, 4, 0.1)))
