@@ -2,4 +2,4 @@
 
 __version__ = "0.1.0"
 
-from . import circuits, cli, code3, metrics, noise, protocol, qcore, synth  # noqa: F401
+from . import circuits, code3, metrics, noise, protocol, qcore, synth  # noqa: F401

@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -85,6 +86,7 @@ def _fmt(x) -> str:
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     lines = [",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -103,19 +105,15 @@ def _write_manifest(spec: ExperimentSpec, out_csv: Path, t0: float) -> None:
 
 
 def _noise_from(params: Mapping, n_qubits: int) -> NoiseParams:
-    """Noise for an ``n_qubits`` register; invalid values are config errors
-    (``e_meas`` is the readout error)."""
+    """Noise for an ``n_qubits`` register; invalid values are config errors."""
     if "t1" not in params:
         raise ConfigError("missing field 't1' in params")
     t1 = params["t1"]
-    readout = params.get("e_meas", 0.0)
     try:
         if "t2" in params:
-            noise = NoiseParams.from_t1_t2(t1, params["t2"],
-                                           readout_error=readout)
+            noise = NoiseParams.from_t1_t2(t1, params["t2"])
         else:
-            noise = NoiseParams(t1=t1, tphi=params.get("tphi", math.inf),
-                                readout_error=readout)
+            noise = NoiseParams(t1=t1, tphi=params.get("tphi", math.inf))
         noise.require_qubits(n_qubits)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid noise params: {exc}") from exc
@@ -173,14 +171,13 @@ def _require_in(p: Mapping, name: str, ok: Callable[[float], bool],
         raise ConfigError(f"'{name}' must be {what}, got {p[name]!r}")
 
 
-def _protocol_config(p: Mapping, noise: NoiseParams,
-                     **kwargs) -> protocol.ProtocolConfig:
+def _protocol_config(p: Mapping, noise: NoiseParams) -> protocol.ProtocolConfig:
     _require_numbers(p, ("theta", "phi", "max_delay"), lists=("total_free",))
     try:
         cfg = protocol.ProtocolConfig(
             logical=code3.LogicalStateSpec(p["theta"], p.get("phi", 0.0)),
             max_delay=p["max_delay"], total_free=tuple(p["total_free"]),
-            recovery_variant=p.get("recovery", "ideal"), **kwargs)
+            recovery_variant=p.get("recovery", "ideal"))
         protocol.recovery_t1(cfg, noise)
     except ValueError as exc:
         raise ConfigError(f"invalid protocol params: {exc}") from exc
@@ -212,10 +209,11 @@ def _run_multiqec_chadd(spec: ExperimentSpec, out: Path) -> None:
             raise ConfigError(f"'couplings' entry {[a, b, g]} must name two "
                               f"distinct qubits of the {n}-qubit register")
     noise = _noise_from(p, layout.n_qubits)
+    cfg = _protocol_config(p, noise)
     rows = []
     for chadd in (False, True):
         rows += _point_rows(protocol.run_multiqec_with_chadd(
-            _protocol_config(p, noise, chadd_enabled=chadd), noise, layout))
+            cfg, noise, layout, chadd=chadd))
     _write_csv(out, _POINT_HEADER, rows)
 
 
@@ -357,7 +355,7 @@ class ExperimentKind:
     optional: tuple[str, ...] = ()
 
 
-_NOISE_FIELDS = ("t2", "tphi", "e_meas")
+_NOISE_FIELDS = ("t2", "tphi")
 _PROTOCOL_FIELDS = ("phi", "recovery") + _NOISE_FIELDS
 
 
@@ -395,7 +393,6 @@ CATALOG: dict[str, ExperimentKind] = {
 def run(spec: ExperimentSpec) -> int:
     t0 = time.time()
     out = Path(spec.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
     try:
         CATALOG[spec.kind].runner(spec, out)
     except ConfigError:
@@ -424,10 +421,11 @@ def list_experiments(as_json: bool = False) -> str:
 
 
 def check() -> int:
-    """Fast oracle/invariant sweep; exit 3 on any deviation."""
-    spec = ExperimentSpec(kind="oracle-check", params={},
-                          output="oracle_check.csv", seed=0)
-    return run(spec)
+    """Fast oracle/invariant sweep; exit 3 on any deviation. Its CSV and
+    manifest go to a temporary directory that is removed afterwards."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return run(ExperimentSpec(kind="oracle-check", params={},
+                                  output=str(Path(tmp) / "oracle_check.csv")))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -8,17 +8,20 @@ across sweep points. ``run_multiqec``'s round is a compiled 64x64 map
 evolution of the data + spectator register, optionally as one robust CHaDD
 cycle, then ``code3.apply_recovery``.
 
-Timing defaults (microseconds): encoding 0.548, recovery 3.072, ancilla
+A sweep point's schedule is the pair (full max_delay rounds, remainder)
+from ``split_rounds``, and its total evolution time a closed form in that
+pair (``total_evolution_time``); neither loops over rounds. The durations
+(microseconds) are constants: encoding 0.548, recovery 3.072, ancilla
 reset 2.72. The reset overlaps the following round's delay and only adds
-time when that delay is shorter than the reset itself. Durations are
-handled as exact decimal fractions so worked examples come out exact.
+time when that delay is shorter than the reset itself. Durations are exact
+decimal fractions, so worked examples come out exact.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -48,16 +51,11 @@ def _frac(x: float | str | Fraction) -> Fraction:
     return Fraction(str(x))
 
 
-@dataclass(frozen=True)
-class Timing:
-    t_encode: float = 0.548
-    t_recovery: float = 3.072
-    t_reset: float = 2.72
-
-    def __post_init__(self):
-        for name in ("t_encode", "t_recovery", "t_reset"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+# Durations (microseconds) of encoding (decoding mirrors it), one recovery
+# and the ancilla reset between rounds.
+T_ENCODE = Fraction("0.548")
+T_RECOVERY = Fraction("3.072")
+T_RESET = Fraction("2.72")
 
 
 @dataclass(frozen=True)
@@ -66,8 +64,6 @@ class ProtocolConfig:
     max_delay: float
     total_free: tuple[float, ...]  # sweep points, microseconds
     recovery_variant: str = "ideal"  # ideal | approximate | synthesized
-    chadd_enabled: bool = False
-    timing: Timing = field(default_factory=Timing)
     recovery_unitary: Optional[np.ndarray] = None  # for the synthesized variant
 
     def __post_init__(self):
@@ -82,49 +78,31 @@ class ProtocolConfig:
             raise ValueError("synthesized variant requires recovery_unitary")
 
 
-def schedule_rounds(total_free: float, max_delay: float) -> list[float]:
-    """Greedy fill: full max_delay rounds plus one remainder round.
-
-    Delay arithmetic runs on exact fractions so the delays sum to
-    total_free exactly.
-    """
+def split_rounds(total_free: float, max_delay: float) -> tuple[int, Fraction]:
+    """Greedy fill as (full max_delay rounds, remainder); a remainder of 0
+    means no remainder round. Exact fractions, so
+    full * max_delay + remainder == total_free."""
     if max_delay <= 0:
         raise ValueError("max_delay must be positive")
     total = _frac(total_free)
     if total < 0:
         raise ValueError("total_free must be non-negative")
-    step = _frac(max_delay)
-    out: list[Fraction] = []
-    while total >= step:
-        out.append(step)
-        total -= step
-    if total > 0:
-        out.append(total)
-    return [float(d) for d in out]
+    return divmod(total, _frac(max_delay))
 
 
-def total_evolution_time(schedule: Sequence[float], timing: Timing = Timing()) -> float:
-    """Encode + per-round (delay + recovery) + mirrored decode.
+def total_evolution_time(total_free: float, max_delay: float) -> Fraction:
+    """Encode + per-round (delay + recovery) + mirrored decode, exactly.
 
-    The ancilla reset between rounds overlaps the next delay; if that delay
-    is shorter than the reset, the shortfall is added.
+    The ancilla reset before every round but the first overlaps that
+    round's delay; if the delay is shorter than the reset, the shortfall
+    is added.
     """
-    return float(total_evolution_time_exact(schedule, timing))
-
-
-def total_evolution_time_exact(schedule: Sequence[float],
-                               timing: Timing = Timing()) -> Fraction:
-    enc = _frac(timing.t_encode)
-    rec = _frac(timing.t_recovery)
-    rst = _frac(timing.t_reset)
-    total = 2 * enc
-    for i, delay in enumerate(_frac(d) for d in schedule):
-        total += delay + rec
-        if i > 0:
-            shortfall = rst - delay
-            if shortfall > 0:
-                total += shortfall
-    return total
+    full, rest = split_rounds(total_free, max_delay)
+    rounds = full + (rest > 0)
+    shortfall = max(T_RESET - _frac(max_delay), 0) * max(full - 1, 0)
+    if full and rest:
+        shortfall += max(T_RESET - rest, 0)
+    return 2 * T_ENCODE + _frac(total_free) + rounds * T_RECOVERY + shortfall
 
 
 @dataclass(frozen=True)
@@ -176,21 +154,21 @@ def _run_rounds(config: ProtocolConfig, rho0: np.ndarray,
         rho, p_round = round_for(delay)(rho)
         return rho, p_total * p_round
 
-    full = float(_frac(config.max_delay))  # a full round's delay in a schedule
+    step = float(_frac(config.max_delay))  # a full round's delay
     prefixes = [(rho0, 1.0)]
     points = []
     for total_free in config.total_free:
-        schedule = schedule_rounds(total_free, config.max_delay)
-        k = schedule.count(full)  # full rounds come first, a remainder last
+        k, rest = split_rounds(total_free, config.max_delay)
         while len(prefixes) <= k:
-            prefixes.append(advance(full, *prefixes[-1]))
+            prefixes.append(advance(step, *prefixes[-1]))
         rho, p_total = prefixes[k]
-        for delay in schedule[k:]:
-            rho, p_total = advance(delay, rho, p_total)
+        if rest:
+            rho, p_total = advance(float(rest), rho, p_total)
         points.append(MultiQecPoint(
             total_free_us=total_free,
-            total_evolution_us=total_evolution_time(schedule, config.timing),
-            rounds=len(schedule),
+            total_evolution_us=float(
+                total_evolution_time(total_free, config.max_delay)),
+            rounds=k + (rest > 0),
             fidelity=fidelity_of(rho),
             success_probability=p_total,
             variant=config.recovery_variant,
@@ -532,10 +510,11 @@ class SpectatorLayout:
 
 
 def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
-                            layout: SpectatorLayout) -> list[MultiQecPoint]:
+                            layout: SpectatorLayout, *,
+                            chadd: bool) -> list[MultiQecPoint]:
     """Multi-round QEC where each delay is Lindblad free evolution of the
-    data + spectator register (ZZ couplings included), optionally chopped
-    into one robust CHaDD cycle with instantaneous pulses.
+    data + spectator register (ZZ couplings included), with ``chadd``
+    chopped into one robust CHaDD cycle with instantaneous pulses.
 
     The two QEC ancillas stay implicit: syndrome conditioning and recovery
     act on the data qubits through ``code3.apply_recovery``, and the
@@ -556,8 +535,7 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
         if n > 3 else rho3.data
 
     def round_for(delay: float):
-        seq = chadd_sequence(2, delay / len(ROBUST_PULSES)) \
-            if config.chadd_enabled else None
+        seq = chadd_sequence(2, delay / len(ROBUST_PULSES)) if chadd else None
         rmap = _recovery_map(config, gamma_of_t(delay, t1))
 
         def one_round(rho: np.ndarray):
@@ -572,4 +550,4 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
         reduced = partial_trace(DensityMatrix(rho, normalized=False), [0, 1, 2])
         return fidelity(reduced.normalize(), target3)
 
-    return _run_rounds(config, rho0, round_for, fidelity_of, config.chadd_enabled)
+    return _run_rounds(config, rho0, round_for, fidelity_of, chadd)

@@ -1,21 +1,62 @@
 """Multi-round QEC by the per-round Kraus loop.
 
 An independent reference for ``nadqec.protocol.run_multiqec``, which
-applies compiled round maps and shares prefixes between points: here every
-point restarts from the encoded state and applies idle noise and the
-post-selected recovery to the density matrix round by round.
+applies compiled round maps, shares prefixes between points and schedules
+and times each point in closed form: here every point lists its round
+delays, restarts from the encoded state, applies idle noise and the
+post-selected recovery to the density matrix round by round, and sums the
+timing over that list.
 """
+
+from fractions import Fraction
+from typing import Sequence
 
 from nadqec import code3
 from nadqec.noise import NoiseParams, gamma_of_t, idle_noise
 from nadqec.protocol import (
+    T_ENCODE,
+    T_RECOVERY,
+    T_RESET,
     MultiQecPoint,
     ProtocolConfig,
+    _frac,
     _recovery_map,
-    schedule_rounds,
-    total_evolution_time,
 )
 from nadqec.qcore import fidelity
+
+
+def schedule_rounds(total_free: float, max_delay: float) -> list[float]:
+    """Greedy fill: full max_delay rounds plus one remainder round.
+
+    Delay arithmetic runs on exact fractions so the delays sum to
+    total_free exactly.
+    """
+    if max_delay <= 0:
+        raise ValueError("max_delay must be positive")
+    total = _frac(total_free)
+    if total < 0:
+        raise ValueError("total_free must be non-negative")
+    step = _frac(max_delay)
+    out: list[Fraction] = []
+    while total >= step:
+        out.append(step)
+        total -= step
+    if total > 0:
+        out.append(total)
+    return [float(d) for d in out]
+
+
+def total_evolution_time_exact(schedule: Sequence[float]) -> Fraction:
+    """Encode + per-round (delay + recovery) + mirrored decode; the reset
+    before every round but the first adds its shortfall on a short delay."""
+    total = 2 * T_ENCODE
+    for i, delay in enumerate(_frac(d) for d in schedule):
+        total += delay + T_RECOVERY
+        if i > 0:
+            shortfall = T_RESET - delay
+            if shortfall > 0:
+                total += shortfall
+    return total
 
 
 def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoint]:
@@ -32,7 +73,7 @@ def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoi
             p_total *= p_round
         points.append(MultiQecPoint(
             total_free_us=total_free,
-            total_evolution_us=total_evolution_time(schedule, config.timing),
+            total_evolution_us=float(total_evolution_time_exact(schedule)),
             rounds=len(schedule),
             fidelity=fidelity(rho, target) if schedule else 1.0,
             success_probability=p_total,

@@ -154,11 +154,12 @@ def test_ac6_synthesis():
 
 
 def test_ac7_timing_worked_example():
-    sched = protocol.schedule_rounds(40.0, 30.0)
-    exact = protocol.total_evolution_time_exact(sched)
-    ok = (sched == [30.0, 10.0] and exact == Fraction("47.24")
-          and protocol.total_evolution_time(sched) == 47.24)
-    assert report(7, ok, f"schedule {sched} -> total evolution {float(exact)} us")
+    full, rest = protocol.split_rounds(40.0, 30.0)
+    exact = protocol.total_evolution_time(40.0, 30.0)
+    ok = ((full, rest) == (1, 10) and exact == Fraction("47.24")
+          and float(exact) == 47.24)
+    assert report(7, ok, f"{full} full round(s) + {float(rest)} us remainder "
+                         f"-> total evolution {float(exact)} us")
 
 
 def test_ac8_chadd_exactness():

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,7 +104,8 @@ class TestRun:
 
     @pytest.mark.parametrize("field,value,named", [
         ("t1", -5.0, "t1"), ("t1", math.nan, "t1"), ("t1", "abc", "t1"),
-        ("t2", 1000.0, "T2"), ("e_meas", 0.7, "readout_error")])
+        ("t2", 1000.0, "T2"), ("e_meas", 0.7, "e_meas"),
+        ("e_meas", 0.02, "e_meas")])
     def test_invalid_noise_is_config_error(self, tmp_path, field, value, named,
                                            capsys):
         payload = multiqec_payload(tmp_path)
@@ -140,6 +144,13 @@ class TestRun:
         assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_CONFIG
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
+
+    def test_failed_run_leaves_no_output_directory(self, tmp_path):
+        payload = multiqec_payload(tmp_path)
+        payload["output"] = str(tmp_path / "newdir" / "out.csv")
+        payload["params"]["theta"] = "abc"
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_CONFIG
+        assert not (tmp_path / "newdir").exists()
 
     @pytest.mark.parametrize("kind,recovery,code", [
         ("multiqec", "ideal", EXIT_CONFIG), ("multiqec", "approximate", EXIT_OK),
@@ -314,9 +325,19 @@ class TestCatalog:
         out = capsys.readouterr().out
         assert "multiqec" in out
 
+    def test_module_run_with_warnings_as_errors(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "nadqec.cli", "list"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
 
 class TestCheck:
     def test_check_command(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert cli.main(["check"]) == EXIT_OK
-        assert (tmp_path / "oracle_check.csv").exists()
+        assert list(tmp_path.iterdir()) == []

@@ -1,6 +1,7 @@
 """Scheduling, timing, multi-round QEC, CHaDD, and the Lindblad toy model."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from lindblad_reference import evolve_lindblad, lindblad_rhs
 from multiqec_reference import run_multiqec as run_multiqec_reference
+from multiqec_reference import schedule_rounds, total_evolution_time_exact
 from scipy.stats import unitary_group
 
 from nadqec import code3, protocol
@@ -18,7 +20,6 @@ from nadqec.protocol import (
     CrosstalkModel,
     ProtocolConfig,
     SpectatorLayout,
-    Timing,
     bare_qubit_fidelity,
     chadd_cycle_unitary,
     chadd_sequence,
@@ -29,62 +30,76 @@ from nadqec.protocol import (
     run_crosstalk_toy,
     run_multiqec,
     run_multiqec_with_chadd,
-    schedule_rounds,
+    split_rounds,
     total_evolution_time,
-    total_evolution_time_exact,
 )
 from nadqec.qcore import Z, embed, fidelity
 
 
 class TestScheduling:
     def test_worked_example(self):
-        assert schedule_rounds(40, 30) == [30.0, 10.0]
+        assert split_rounds(40, 30) == (1, 10)
 
     def test_boundary(self):
-        assert schedule_rounds(30, 30) == [30.0]
+        assert split_rounds(30, 30) == (1, 0)
 
     def test_degenerate(self):
-        assert schedule_rounds(0, 30) == []
+        assert split_rounds(0, 30) == (0, 0)
 
     def test_sum_exact_for_decimal_inputs(self):
-        sched = schedule_rounds(0.3, 0.1)
-        assert len(sched) == 3
-        assert sum(Fraction(str(d)) for d in sched) == Fraction("0.3")
+        assert split_rounds(0.3, 0.1) == (3, 0)
 
     def test_delays_within_bound(self):
         for total in (7.0, 95.5, 123.25):
-            sched = schedule_rounds(total, 30)
-            assert all(0 < d <= 30 for d in sched)
-            assert abs(sum(sched) - total) < 1e-12
+            full, rest = split_rounds(total, 30)
+            assert 0 <= rest < 30
+            assert full * 30 + rest == Fraction(str(total))
+
+    def test_huge_round_count_is_immediate(self):
+        assert split_rounds(1e9, 1e-3) == (10**12, 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(total=st.decimals(0, 100, places=3),
+           step=st.decimals(Decimal("0.05"), 40, places=3))
+    def test_schedules_sum_exactly(self, total, step):
+        # steps below the 2.72 us reset pay a shortfall on every later round
+        total_free, max_delay = float(total), float(step)
+        full, rest = split_rounds(total_free, max_delay)
+        assert full * Fraction(step) + rest == Fraction(total)
+        assert 0 <= rest < Fraction(step)
+        schedule = schedule_rounds(total_free, max_delay)
+        assert len(schedule) == full + (rest > 0)
+        assert total_evolution_time(total_free, max_delay) \
+            == total_evolution_time_exact(schedule)
+
+    def test_invalid_inputs(self):
+        with pytest.raises(ValueError, match="max_delay"):
+            split_rounds(30, 0)
+        with pytest.raises(ValueError, match="total_free"):
+            split_rounds(-1, 30)
 
 
 class TestTiming:
     def test_worked_example_exact(self):
-        sched = schedule_rounds(40, 30)
-        assert total_evolution_time(sched) == 47.24
-        assert total_evolution_time_exact(sched) == Fraction("47.24")
+        assert total_evolution_time(40, 30) == Fraction("47.24")
+        assert float(total_evolution_time(40, 30)) == 47.24
 
     def test_empty_schedule_is_encode_decode(self):
-        assert total_evolution_time([]) == pytest.approx(1.096, abs=1e-12)
+        assert total_evolution_time(0, 30) == Fraction("1.096")
 
     def test_single_round(self):
-        assert total_evolution_time([30.0]) == pytest.approx(34.168, abs=1e-12)
+        assert total_evolution_time(30, 30) == Fraction("34.168")
 
     def test_reset_shortfall_added(self):
         # second delay of 1 us cannot host the 2.72 us reset
-        t = total_evolution_time_exact([30.0, 1.0])
         expected = Fraction("0.548") * 2 + Fraction(31) + Fraction("3.072") * 2 \
             + (Fraction("2.72") - 1)
-        assert t == expected
+        assert total_evolution_time(31, 30) == expected
 
     def test_first_round_needs_no_reset(self):
         # a single short delay never pays the reset penalty
-        t = total_evolution_time_exact([1.0])
-        assert t == Fraction("0.548") * 2 + 1 + Fraction("3.072")
-
-    def test_invalid_timing(self):
-        with pytest.raises(ValueError):
-            Timing(t_encode=0.0)
+        assert total_evolution_time(1, 30) \
+            == Fraction("0.548") * 2 + 1 + Fraction("3.072")
 
 
 class TestMultiQec:
@@ -164,8 +179,9 @@ class TestMultiQec:
                 cfg = ProtocolConfig(code3.LogicalStateSpec(theta), max_delay,
                                      total_free)
                 for pt in run_multiqec(cfg, noise):
-                    gammas = [gamma_of_t(d, t1)
-                              for d in schedule_rounds(pt.total_free_us, max_delay)]
+                    full, rest = split_rounds(pt.total_free_us, max_delay)
+                    gammas = [gamma_of_t(max_delay, t1)] * full \
+                        + ([gamma_of_t(float(rest), t1)] if rest else [])
                     want = code3.oracle_fidelity_multiround(theta, gammas)
                     assert abs(pt.fidelity - want) <= 1e-10
                     want_p = code3.oracle_success_multiround(theta, gammas)
@@ -367,9 +383,9 @@ class TestMultiQecWithChadd:
 
     def test_no_coupling_no_noise_is_perfect(self):
         cfg = ProtocolConfig(code3.LogicalStateSpec(math.pi / 2), max_delay=30,
-                             total_free=(60.0,), chadd_enabled=True)
+                             total_free=(60.0,))
         layout = SpectatorLayout(spectators=1, couplings=((0, 3, 0.0),))
-        pts = run_multiqec_with_chadd(cfg, NoiseParams(t1=1e12), layout)
+        pts = run_multiqec_with_chadd(cfg, NoiseParams(t1=1e12), layout, chadd=True)
         assert abs(pts[0].fidelity - 1.0) < 1e-8
         assert abs(pts[0].success_probability - 1.0) < 1e-8
 
@@ -377,7 +393,7 @@ class TestMultiQecWithChadd:
         cfg = ProtocolConfig(code3.LogicalStateSpec(2.1, 0.4), max_delay=30,
                              total_free=(45.0,))
         layout = SpectatorLayout(spectators=0, couplings=())
-        a = run_multiqec_with_chadd(cfg, self.noise, layout)[0]
+        a = run_multiqec_with_chadd(cfg, self.noise, layout, chadd=False)[0]
         b = run_multiqec(cfg, self.noise)[0]
         assert abs(a.fidelity - b.fidelity) < 1e-9
         assert abs(a.success_probability - b.success_probability) < 1e-9
@@ -388,49 +404,47 @@ class TestMultiQecWithChadd:
                              total_free=(45.0,), recovery_variant="synthesized",
                              recovery_unitary=w5)
         layout = SpectatorLayout(spectators=0, couplings=())
-        a = run_multiqec_with_chadd(cfg, self.noise, layout)[0]
+        a = run_multiqec_with_chadd(cfg, self.noise, layout, chadd=False)[0]
         b = run_multiqec(cfg, self.noise)[0]
         assert abs(a.fidelity - b.fidelity) < 1e-9
         assert abs(a.success_probability - b.success_probability) < 1e-9
 
     def test_chadd_suppresses_spectator_crosstalk(self):
         layout = SpectatorLayout(spectators=1, couplings=((0, 3, 0.05),))
+        cfg = ProtocolConfig(code3.LogicalStateSpec(math.pi / 2),
+                             max_delay=30, total_free=(60.0,))
         fids = {}
         for chadd in (False, True):
-            cfg = ProtocolConfig(code3.LogicalStateSpec(math.pi / 2),
-                                 max_delay=30, total_free=(60.0,),
-                                 chadd_enabled=chadd)
             fids[chadd] = run_multiqec_with_chadd(
-                cfg, self.noise, layout)[0].fidelity
+                cfg, self.noise, layout, chadd=chadd)[0].fidelity
         assert fids[True] >= fids[False]
 
     def test_chadd_hurts_zero_logical_without_crosstalk(self):
         layout = SpectatorLayout(spectators=0, couplings=())
+        cfg = ProtocolConfig(code3.LogicalStateSpec(0.0), max_delay=30,
+                             total_free=(60.0,))
         fids = {}
         for chadd in (False, True):
-            cfg = ProtocolConfig(code3.LogicalStateSpec(0.0), max_delay=30,
-                                 total_free=(60.0,), chadd_enabled=chadd)
             fids[chadd] = run_multiqec_with_chadd(
-                cfg, self.noise, layout)[0].fidelity
+                cfg, self.noise, layout, chadd=chadd)[0].fidelity
         assert fids[True] < fids[False]
 
     def test_register_cap(self):
         cfg = ProtocolConfig(code3.LogicalStateSpec(0.0), max_delay=30,
-                             total_free=(30.0,), chadd_enabled=True)
+                             total_free=(30.0,))
         with pytest.raises(ValueError):
             run_multiqec_with_chadd(cfg, self.noise,
-                                    SpectatorLayout(spectators=5))
+                                    SpectatorLayout(spectators=5), chadd=True)
 
     def test_seven_qubit_register_chadd_suppresses_crosstalk(self):
         layout = SpectatorLayout(spectators=4, couplings=(
             (0, 3, 0.05), (2, 4, 0.04), (1, 5, 0.03), (0, 6, 0.02)))
+        cfg = ProtocolConfig(code3.LogicalStateSpec(math.pi / 2),
+                             max_delay=30, total_free=(30.0,))
         fids = {}
         for chadd in (False, True):
-            cfg = ProtocolConfig(code3.LogicalStateSpec(math.pi / 2),
-                                 max_delay=30, total_free=(30.0,),
-                                 chadd_enabled=chadd)
             fids[chadd] = run_multiqec_with_chadd(
-                cfg, self.noise, layout)[0].fidelity
+                cfg, self.noise, layout, chadd=chadd)[0].fidelity
         assert fids[True] >= fids[False]
 
     def test_ideal_rejects_unequal_data_t1(self):
@@ -438,7 +452,7 @@ class TestMultiQecWithChadd:
                              total_free=(30.0,))
         with pytest.raises(ValueError, match="ideal recovery adapts to one T1"):
             run_multiqec_with_chadd(cfg, NoiseParams(t1=[220.0, 100.0, 220.0, 220.0]),
-                                    SpectatorLayout(spectators=1))
+                                    SpectatorLayout(spectators=1), chadd=False)
 
     def test_pulse_unitaries_built_once_per_run(self, monkeypatch):
         built = []
@@ -446,9 +460,9 @@ class TestMultiQecWithChadd:
         monkeypatch.setattr(protocol, "_color_matrix",
                             lambda *a: built.append(a) or color_matrix(*a))
         cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
-                             total_free=(30.0, 75.0), chadd_enabled=True)
+                             total_free=(30.0, 75.0))
         run_multiqec_with_chadd(cfg, self.noise, SpectatorLayout(
-            spectators=1, couplings=((0, 3, 0.05),)))
+            spectators=1, couplings=((0, 3, 0.05),)), chadd=True)
         assert sorted(a[1:3] for a in built) == [
             (1, "X"), (1, "XT"), (2, "X"), (2, "XT")]
 
@@ -463,8 +477,8 @@ class TestMultiQecWithChadd:
 
         def run(points):
             cfg = ProtocolConfig(code3.LogicalStateSpec(2.0, 1.1), max_delay=30,
-                                 total_free=points, chadd_enabled=chadd)
-            return run_multiqec_with_chadd(cfg, self.noise, layout)
+                                 total_free=points)
+            return run_multiqec_with_chadd(cfg, self.noise, layout, chadd=chadd)
 
         assert run(total_free) == [run((t,))[0] for t in total_free]
 
@@ -477,10 +491,9 @@ class TestMultiQecWithChadd:
                 lambda *a, calls=calls, original=original:
                     calls.append(a) or original(*a))
         cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
-                             total_free=(90.0, 30.0, 45.0, 75.0, 20.0),
-                             chadd_enabled=True)
+                             total_free=(90.0, 30.0, 45.0, 75.0, 20.0))
         run_multiqec_with_chadd(cfg, self.noise, SpectatorLayout(
-            spectators=1, couplings=((0, 3, 0.05),)))
+            spectators=1, couplings=((0, 3, 0.05),)), chadd=True)
         # 30, 15 and 20 us, each with one robust cycle of 8 intervals
         assert [a[1] for a in built["chadd_sequence"]] == [30 / 8, 15 / 8, 20 / 8]
         assert len(built["_recovery_map"]) == 3
