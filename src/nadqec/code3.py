@@ -12,8 +12,8 @@ block encoding with one extra ancilla and post-selecting on its 0 outcome,
 which makes the scheme probabilistic.
 
 ``noise_superop`` compiles per-qubit damping and dephasing of the data into
-a 64x64 map on the row-major vec of rho, sum_K K kron conj(K) (the
-convention of ``protocol.liouvillian``). ``cycle_superop`` appends the kept
+a 64x64 map on the row-major vec of rho, sum_K K kron conj(K) (vec(A rho B)
+= (A kron B^T) vec(rho)). ``cycle_superop`` appends the kept
 recovery branch to give one round, which ``qec_cycle`` and
 ``protocol.run_multiqec`` apply. The measured estimator applies the same
 noise map, then its post-noise circuit as one 32x8 isometry.

@@ -75,7 +75,8 @@ class KrausChannel:
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Per-qubit coherence times plus readout and depolarizing error data.
+    """Per-qubit coherence times plus the depolarizing error of 1- and
+    2-qubit gates (read by ``circuits.apply_with_noise``).
 
     ``t1`` and ``tphi`` may be scalars (shared by all qubits) or per-qubit
     sequences. ``tphi`` is the pure-dephasing lifetime; use
@@ -85,8 +86,6 @@ class NoiseParams:
 
     t1: float | Sequence[float]
     tphi: float | Sequence[float] = math.inf
-    readout_error: float = 0.0
-    readout_error_10: float | None = None  # asymmetric 1->0 rate, defaults equal
     depolarizing_1q: float = 0.0
     depolarizing_2q: float = 0.0
 
@@ -96,11 +95,10 @@ class NoiseParams:
             v = np.asarray(getattr(self, name), dtype=float)
             if v.size == 0 or not np.all(v > 0):
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        for name, top in (("readout_error", 0.5), ("readout_error_10", 0.5),
-                          ("depolarizing_1q", 1.0), ("depolarizing_2q", 1.0)):
+        for name in ("depolarizing_1q", "depolarizing_2q"):
             v = getattr(self, name)
-            if v is not None and not 0.0 <= v <= top:
-                raise ValueError(f"{name} {v} outside [0, {top}]")
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} {v} outside [0, 1]")
 
     @classmethod
     def from_t1_t2(cls, t1: float, t2: float, **kwargs) -> "NoiseParams":
@@ -133,15 +131,6 @@ class NoiseParams:
             if size not in (1, n_qubits):
                 raise ValueError(f"{name} has {size} per-qubit values for a "
                                  f"{n_qubits}-qubit register")
-
-    @classmethod
-    def from_dict(cls, cfg: Mapping) -> "NoiseParams":
-        cfg = dict(cfg)
-        if "t2" in cfg:
-            t2 = cfg.pop("t2")
-            t1 = cfg.pop("t1")
-            return cls.from_t1_t2(t1, t2, **cfg)
-        return cls(**cfg)
 
 
 def gamma_of_t(t: float, t1: float) -> float:

@@ -8,6 +8,13 @@ across sweep points. ``run_multiqec``'s round is a compiled 64x64 map
 evolution of the data + spectator register, optionally as one robust CHaDD
 cycle, then ``code3.apply_recovery``.
 
+Every Lindblad evolution here (that register, the two-qubit ZZ toy, finite
+pulse windows) has a diagonal Z + ZZ Hamiltonian with per-qubit relaxation
+and dephasing, for which exp(tL) is closed: a decay factor per entry of
+rho times one 2x2 map per qubit on conserved coherence blocks
+(``lindbladian``, ``Lindbladian.propagator``, ``propagate``). Its factors
+are built once per distinct duration, and its cost does not grow with t.
+
 A sweep point's schedule is the pair (full max_delay rounds, remainder)
 from ``split_rounds``, and its total evolution time a closed form in that
 pair (``total_evolution_time``); neither loops over rounds. The durations
@@ -26,8 +33,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 from . import code3
 from .noise import NoiseParams, gamma_of_t, p_of_t
@@ -304,50 +309,116 @@ def pulse_matrix(kind: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Lindblad propagation (exact, on the sparse Liouvillian)
+# Lindblad propagation (closed form)
 # ---------------------------------------------------------------------------
 
+# h_q = (z_q(a) - z_q(b)) / 2 = b_q - a_q on the (a_q, b_q) axes of rho
+_H_STEP = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-def liouvillian(h: np.ndarray, collapse: Sequence[np.ndarray]) -> sp.csr_matrix:
-    """Lindblad generator acting on the row-major vec of rho.
 
-    Built from vec(A rho B) = (A kron B^T) vec(rho). With the effective
-    Hamiltonian H_eff = H - (i/2) sum_C C^dag C it reads
-    -i(H_eff x I) + i(I x conj(H_eff)) + sum_C C x conj(C).
+def _on_axes(values: np.ndarray, axis_a: int, axis_b: int, ndim: int) -> np.ndarray:
+    """A 2x2 array placed on two axes of an ``ndim``-axis broadcast shape."""
+    shape = [1] * ndim
+    shape[axis_a] = shape[axis_b] = 2
+    return values.reshape(shape)
+
+
+@dataclass(frozen=True)
+class Propagator:
+    """exp(t L) for one duration t: ``decay`` multiplies every entry of the
+    (2,)*2n view of rho, then each ``factors`` entry (index of the
+    a_j = b_j = 0 slice, of the a_j = b_j = 1 slice, e0, e1, cross) maps
+    (rho0, rho1) to (e0 rho0 + cross rho1, e1 rho1); ``cross`` is None when
+    qubit j does not relax."""
+
+    decay: np.ndarray
+    factors: tuple
+
+
+@dataclass(frozen=True)
+class Lindbladian:
+    """A generator of the one form every evolution here has, in the terms of
+    its closed-form propagator (see ``lindbladian``): ``rates`` is K on the
+    (2,)*2n view of rho, and ``qubits`` lists (index of the a_j = b_j = 0
+    slice, of the a_j = b_j = 1 slice, s_j, 1/T1_j) for each qubit whose
+    slices move; s_j, the ZZ shift, broadcasts over a slice."""
+
+    rates: np.ndarray
+    qubits: tuple
+
+    def propagator(self, t: float) -> Propagator:
+        """exp(t L), its factors built once for the duration t."""
+        factors = []
+        for idx0, idx1, s, relax in self.qubits:
+            e0 = np.exp(-2j * s * t)
+            cross = None
+            if relax:
+                # relax * t * e0 * expm1(x) / x with x = (d1 - d0) t; the
+                # form below cannot overflow, since |d1 - d0| >= relax
+                diff = 4j * s - relax
+                cross = relax * e0 * np.expm1(diff * t) / diff
+            factors.append((idx0, idx1, e0, np.exp((2j * s - relax) * t), cross))
+        return Propagator(np.exp(self.rates * t), tuple(factors))
+
+
+def lindbladian(n_qubits: int, params: NoiseParams, couplings: Sequence = (),
+                omega: Optional[Sequence[float]] = None) -> Lindbladian:
+    """H = sum_q omega_q/2 Z_q + sum g Z_a Z_b over ``couplings`` (a, b, g)
+    (angular frequencies, rad/us; omega defaults to 0), with relaxation
+    (sigma-) at 1/T1_q and dephasing (Z) at 1/(2 Tphi_q) on each qubit.
+
+    Index rho[a, b] by bit strings, qubit 0 the MSB, z_q = 1 - 2 bit_q. The
+    coherence pattern a xor b is conserved and only qubits with a_q = b_q
+    jump (rho[a + e_q, b + e_q] feeds rho[a, b] at 1/T1_q). With
+    h_q = (z_q(a) - z_q(b)) / 2, each entry decays and turns at
+    K = sum_q [-i omega_q h_q - |h_q| (1/(2 T1_q) + 1/Tphi_q)], and on qubit
+    j's a_j = b_j slices the generator is two-level: with s_j = sum_i g_ij h_i,
+    rho0 turns at d0 = -2i s_j and receives rho1 at 1/T1_j, while rho1 goes
+    at d1 = 2i s_j - 1/T1_j. These commute, so exp(tL) is e^{Kt} times one
+    2x2 map per qubit. Per-qubit T1 or Tphi sequences must give one value
+    per register qubit; a coupling must name two distinct register qubits.
     """
-    eye = sp.identity(h.shape[0], dtype=complex, format="csr")
-    ops = [sp.csr_matrix(c, dtype=complex) for c in collapse]
-    h_eff = sp.csr_matrix(h, dtype=complex)
-    for c in ops:
-        h_eff = h_eff - 0.5j * (c.conj().T @ c)
-    terms = [-1j * sp.kron(h_eff, eye), 1j * sp.kron(eye, h_eff.conj())]
-    terms += [sp.kron(c, c.conj()) for c in ops]
-    return sp.csr_matrix(sum(terms))
+    n = n_qubits
+    params.require_qubits(n)
+    omega = np.zeros(n) if omega is None else np.asarray(omega, dtype=float)
+    if omega.shape != (n,):
+        raise ValueError(f"{omega.size} frequencies for {n} qubits")
+    for a, b, g in couplings:
+        if a == b or not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"coupling {(a, b, g)} must name two distinct "
+                             f"qubits of the {n}-qubit register")
+    relax = [1.0 / params.t1_of(q) for q in range(n)]
+    dephase = [1.0 / params.tphi_of(q) for q in range(n)]
+    rates = sum(_on_axes(-1j * omega[q] * _H_STEP - np.abs(_H_STEP)
+                         * (relax[q] / 2 + dephase[q]), q, n + q, 2 * n)
+                for q in range(n))
+    qubits = []
+    for j in range(n):
+        s = 0.0  # over a slice's axes: the other qubits' a, then their b
+        for a, b, g in couplings:
+            if j in (a, b):
+                other = b if a == j else a
+                p = other - (other > j)
+                s = s + g * _on_axes(_H_STEP, p, n - 1 + p, 2 * n - 2)
+        if relax[j] or np.ndim(s):
+            # the trailing Ellipsis keeps a view at n = 1
+            idx = [(slice(None),) * j + (bit,) + (slice(None),) * (n - 1)
+                   + (bit, Ellipsis) for bit in (0, 1)]
+            qubits.append((idx[0], idx[1], s, relax[j]))
+    return Lindbladian(rates, tuple(qubits))
 
 
-def propagate(gen: sp.csr_matrix, rho: np.ndarray, duration: float) -> np.ndarray:
-    """exp(duration * gen) applied to rho (Al-Mohy & Higham's expm_multiply),
-    returned Hermitian."""
-    out = expm_multiply(duration * gen, rho.ravel()).reshape(rho.shape)
+def propagate(prop: Propagator, rho: np.ndarray) -> np.ndarray:
+    """exp(t L) applied to rho, returned Hermitian."""
+    out = rho.reshape(prop.decay.shape) * prop.decay
+    for idx0, idx1, e0, e1, cross in prop.factors:
+        lo, hi = out[idx0], out[idx1]  # views into out
+        lo *= e0
+        if cross is not None:
+            lo += cross * hi
+        hi *= e1
+    out = out.reshape(rho.shape)
     return 0.5 * (out + out.conj().T)
-
-
-def collapse_operators(n_qubits: int, params: NoiseParams) -> list[np.ndarray]:
-    """Per-qubit relaxation (sigma-) at 1/T1 and dephasing (Z) at 1/(2 Tphi).
-
-    Per-qubit T1 or Tphi sequences must give one value per register qubit.
-    """
-    params.require_qubits(n_qubits)
-    sm = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
-    ops = []
-    for q in range(n_qubits):
-        t1 = params.t1_of(q)
-        if math.isfinite(t1):
-            ops.append(math.sqrt(1.0 / t1) * embed(sm, [q], n_qubits))
-        tphi = params.tphi_of(q)
-        if math.isfinite(tphi):
-            ops.append(math.sqrt(1.0 / (2.0 * tphi)) * embed(Z, [q], n_qubits))
-    return ops
 
 
 @dataclass(frozen=True)
@@ -367,8 +438,13 @@ class CrosstalkModel:
         z2 = embed(Z, [1], 2)
         return 0.5 * self.omega1 * z1 + 0.5 * self.omega2 * z2 + self.g * z1 @ z2
 
-    def collapse(self) -> list[np.ndarray]:
-        return collapse_operators(2, NoiseParams(t1=self.t1, tphi=self.tphi))
+    def lindbladian(self, drive: bool = True) -> Lindbladian:
+        """The model's generator; without ``drive`` (a finite pulse window)
+        only relaxation and dephasing act."""
+        noise = NoiseParams(t1=self.t1, tphi=self.tphi)
+        if not drive:
+            return lindbladian(2, noise)
+        return lindbladian(2, noise, ((0, 1, self.g),), (self.omega1, self.omega2))
 
 
 def _color_matrix(colors: Sequence[int], color: int, kind: str,
@@ -388,17 +464,17 @@ def _pulse_unitaries(pulses: Sequence[tuple], colors: Sequence[int],
             for kind, color in set(pulses)}
 
 
-def _chadd_cycle(gen: sp.csr_matrix, rho: np.ndarray, seq: ChaddSequence,
-                 pulse_u: dict, window: Optional[tuple] = None) -> np.ndarray:
-    """One CHaDD cycle: each interval propagates under ``gen`` for tau, then
-    applies its pulse; ``window``, a (generator, duration) pair, follows
-    each pulse when pulses take time."""
+def _chadd_cycle(free: Propagator, rho: np.ndarray, seq: ChaddSequence,
+                 pulse_u: dict, window: Optional[Propagator] = None) -> np.ndarray:
+    """One CHaDD cycle: each interval propagates by ``free`` (one tau),
+    then applies its pulse; ``window`` follows each pulse when pulses take
+    time."""
     for pulse in seq.pulses:
-        rho = propagate(gen, rho, seq.tau)
+        rho = propagate(free, rho)
         u = pulse_u[pulse]
         rho = u @ rho @ u.conj().T
         if window is not None:
-            rho = propagate(window[0], rho, window[1])
+            rho = propagate(window, rho)
     return rho
 
 
@@ -440,17 +516,16 @@ def run_crosstalk_toy(model: CrosstalkModel, probe_init: str,
     probe = kets[probe_init]
     psi = np.kron(probe, kets["0"])
     state = np.outer(psi, psi.conj())
-    h = model.hamiltonian()
-    collapse = model.collapse()
-    gen = liouvillian(h, collapse)
+    gen = model.lindbladian()
 
     times = [0.0]
     rows = [state]
     if chadd is None:
         n_samples = 40
         dt_sample = t_final / n_samples
+        step = gen.propagator(dt_sample)
         for i in range(n_samples):
-            state = propagate(gen, state, dt_sample)
+            state = propagate(step, state)
             times.append((i + 1) * dt_sample)
             rows.append(state)
     else:
@@ -461,11 +536,12 @@ def run_crosstalk_toy(model: CrosstalkModel, probe_init: str,
                 f"t_final {t_final} is not a whole number of CHaDD cycles "
                 f"(cycle time {cycle})")
         # finite pulse window: dissipators act, drive ignored
-        window = (liouvillian(np.zeros_like(h), collapse), model.pulse_duration) \
+        window = model.lindbladian(drive=False).propagator(model.pulse_duration) \
             if model.pulse_duration > 0 else None
+        free = gen.propagator(chadd.tau)
         pulse_u = _pulse_unitaries(chadd.pulses, (1, 2), 2)
         for i in range(n_cycles):
-            state = _chadd_cycle(gen, state, chadd, pulse_u, window)
+            state = _chadd_cycle(free, state, chadd, pulse_u, window)
             times.append((i + 1) * cycle)
             rows.append(state)
     pop0, pop1, fid = [], [], []
@@ -525,10 +601,7 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
         raise ValueError(f"register of {n} qubits exceeds the 7-qubit cap")
     t1 = recovery_t1(config, noise)
     target3 = code3.encode_ideal(config.logical)
-    h = np.zeros((2**n, 2**n), dtype=complex)
-    for a, b, g in layout.couplings:
-        h += g * embed(Z, [a], n) @ embed(Z, [b], n)
-    gen = liouvillian(h, collapse_operators(n, noise))
+    gen = lindbladian(n, noise, layout.couplings)
     pulse_u = _pulse_unitaries(ROBUST_PULSES, layout.resolved_colors(), n)
     rho3 = target3.to_density_matrix()
     rho0 = tensor(rho3, basis_state(n - 3, 0).to_density_matrix()).data \
@@ -536,11 +609,12 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
 
     def round_for(delay: float):
         seq = chadd_sequence(2, delay / len(ROBUST_PULSES)) if chadd else None
+        free = gen.propagator(delay if seq is None else seq.tau)
         rmap = _recovery_map(config, gamma_of_t(delay, t1))
 
         def one_round(rho: np.ndarray):
-            rho = _chadd_cycle(gen, rho, seq, pulse_u) if seq is not None \
-                else propagate(gen, rho, delay)
+            rho = _chadd_cycle(free, rho, seq, pulse_u) if seq is not None \
+                else propagate(free, rho)
             state, p_round = code3.apply_recovery(
                 DensityMatrix(rho, normalized=False), rmap)
             return state.data, p_round

@@ -272,6 +272,41 @@ class TestRun:
         assert "probe,sequence,time_us" in text.splitlines()[0]
         assert "chadd" in text and "free" in text
 
+    @pytest.mark.parametrize("noise", [
+        {"t1": [50.0, 90.0], "tphi": [80.0, 150.0]}, {"t1": [100.0]}])
+    def test_crosstalk_toy_per_qubit_noise(self, tmp_path, noise):
+        payload = {"kind": "crosstalk-toy", "output": str(tmp_path / "toy.csv"),
+                   "params": noise}
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_OK
+
+    def test_crosstalk_toy_instant_relaxation(self, tmp_path):
+        # T1 = 1e-300 us: every sample after t = 0 is fully relaxed to |00>
+        payload = {"kind": "crosstalk-toy", "output": str(tmp_path / "toy.csv"),
+                   "params": {"t1": 1e-300}}
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_OK
+        rows = [r.split(",") for r in
+                (tmp_path / "toy.csv").read_text().splitlines()[1:]]
+        later = [r for r in rows if float(r[2]) > 0]
+        assert later and all(r[3:5] == ["1", "0"] for r in later)
+
+    def test_huge_coupling_has_no_traceback(self, tmp_path, capsys):
+        payload = {"kind": "multiqec-chadd", "output": str(tmp_path / "out.csv"),
+                   "params": {"theta": 1.0, "max_delay": 30.0,
+                              "total_free": [30.0, 60.0], "t1": 220.0,
+                              "couplings": [[0, 3, 1e300]]}}
+        code = cli.main(["run", str(write_spec(tmp_path, payload))])
+        assert code in (EXIT_OK, EXIT_CONFIG)
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_delay_beyond_every_lifetime_ends_at_once(self, tmp_path, capsys):
+        # gamma = 1 over a 1e9 us delay: the propagator's cost does not grow
+        # with the duration, and post-selection then keeps no weight
+        payload = {"kind": "multiqec-chadd", "output": str(tmp_path / "out.csv"),
+                   "params": {"theta": 1.0, "max_delay": 1e9,
+                              "total_free": [1e9], "t1": 220.0}}
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_NUMERICAL
+        assert "post-selection removed all weight" in capsys.readouterr().err
+
     def test_gain_surface(self, tmp_path):
         payload = {
             "kind": "gain-surface",

@@ -167,20 +167,11 @@ class TestNoiseParams:
         p = NoiseParams(t1=[100.0, 200.0, 300.0])
         assert p.t1_of(1) == 200.0
 
-    def test_from_dict_roundtrip(self):
-        p = NoiseParams.from_dict({"t1": 220.0, "t2": 300.0, "readout_error": 0.02})
-        assert p.readout_error == 0.02
-        assert p.tphi > 0
-
-    def test_readout_bounds(self):
-        with pytest.raises(ValueError):
-            NoiseParams(t1=100.0, readout_error=0.7)
-
     @pytest.mark.parametrize("kwargs,field", [
         ({"t1": math.nan}, "t1"), ({"t1": -math.inf}, "t1"),
         ({"t1": [100.0, 0.0]}, "t1"), ({"t1": []}, "t1"),
         ({"t1": 100.0, "tphi": math.nan}, "tphi"),
-        ({"t1": 100.0, "readout_error_10": 3.0}, "readout_error_10"),
+        ({"t1": 100.0, "tphi": [80.0, -1.0]}, "tphi"),
         ({"t1": 100.0, "depolarizing_1q": -1.0}, "depolarizing_1q"),
         ({"t1": 100.0, "depolarizing_2q": 1.5}, "depolarizing_2q")])
     def test_invalid_values_rejected(self, kwargs, field):

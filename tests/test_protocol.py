@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from lindblad_reference import evolve_lindblad, lindblad_rhs
+from lindblad_reference import (
+    collapse_operators,
+    evolve_lindblad,
+    liouvillian,
+    lindblad_rhs,
+)
+from lindblad_reference import propagate as propagate_reference
 from multiqec_reference import run_multiqec as run_multiqec_reference
 from multiqec_reference import schedule_rounds, total_evolution_time_exact
 from scipy.stats import unitary_group
@@ -23,9 +29,8 @@ from nadqec.protocol import (
     bare_qubit_fidelity,
     chadd_cycle_unitary,
     chadd_sequence,
-    collapse_operators,
     fit_lifetime,
-    liouvillian,
+    lindbladian,
     propagate,
     run_crosstalk_toy,
     run_multiqec,
@@ -277,52 +282,77 @@ def _random_density(rng, dim):
     return rho / np.trace(rho)
 
 
+_SPECTATOR_COUPLINGS = ((0, 3, 0.05), (2, 4, 0.04), (1, 5, 0.03))
+_SPECTATOR_NOISE = NoiseParams.from_t1_t2(220.0, 300.0)
+
+
 def _spectator_generator(n):
     """H and collapse set of an n-qubit CHaDD register with the spectator
     couplings of the benchmark (T1 = 220 us, T2 = 300 us)."""
-    couplings = ((0, 3, 0.05), (2, 4, 0.04), (1, 5, 0.03))[:n - 3]
+    couplings = _SPECTATOR_COUPLINGS[:n - 3]
     h = sum(g * embed(Z, [a], n) @ embed(Z, [b], n) for a, b, g in couplings)
-    return h, collapse_operators(n, NoiseParams.from_t1_t2(220.0, 300.0))
+    return h, collapse_operators(n, _SPECTATOR_NOISE)
+
+
+def _reference_propagation(n, omega, couplings, noise, rho, t):
+    """The same evolution through the sparse Liouvillian and expm_multiply."""
+    h = sum((0.5 * w * embed(Z, [q], n) for q, w in enumerate(omega)),
+            np.zeros((2**n, 2**n), dtype=complex))
+    for a, b, g in couplings:
+        h = h + g * embed(Z, [a], n) @ embed(Z, [b], n)
+    return propagate_reference(
+        liouvillian(h, collapse_operators(n, noise)), rho, t)
 
 
 class TestLindblad:
     def test_trace_preserved(self):
         model = CrosstalkModel(omega1=0.4, omega2=0.1, g=0.07, t1=80.0, tphi=120.0)
         rho = np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex)
-        gen = liouvillian(model.hamiltonian(), model.collapse())
-        out = propagate(gen, rho, 25.0)
+        out = propagate(model.lindbladian().propagator(25.0), rho)
         assert abs(np.trace(out).real - 1.0) < 1e-9
 
     def test_richardson_convergence(self):
         model = CrosstalkModel(omega1=0.4, omega2=0.1, g=0.07, t1=80.0, tphi=120.0)
+        collapse = collapse_operators(2, NoiseParams(t1=80.0, tphi=120.0))
         rho = np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex)
-        coarse = evolve_lindblad(model.hamiltonian(), rho, 10.0, model.collapse(), 400)
-        fine = evolve_lindblad(model.hamiltonian(), rho, 10.0, model.collapse(), 800)
+        coarse = evolve_lindblad(model.hamiltonian(), rho, 10.0, collapse, 400)
+        fine = evolve_lindblad(model.hamiltonian(), rho, 10.0, collapse, 800)
         assert np.abs(coarse - fine).max() < 1e-8
 
     def test_relaxation_rate_matches_t1(self):
-        ops = collapse_operators(1, NoiseParams(t1=150.0))
         rho = np.array([[0, 0], [0, 1]], dtype=complex)
-        out = propagate(liouvillian(np.zeros((2, 2)), ops), rho, 30.0)
+        out = propagate(lindbladian(1, NoiseParams(t1=150.0)).propagator(30.0), rho)
         assert abs(out[1, 1].real - math.exp(-30.0 / 150.0)) < 1e-9
 
     def test_dephasing_rate_matches_tphi(self):
-        ops = collapse_operators(1, NoiseParams(t1=1e12, tphi=90.0))
         rho = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-        out = propagate(liouvillian(np.zeros((2, 2)), ops), rho, 45.0)
+        gen = lindbladian(1, NoiseParams(t1=1e12, tphi=90.0))
+        out = propagate(gen.propagator(45.0), rho)
         assert abs(out[0, 1].real - 0.5 * math.exp(-45.0 / 90.0)) < 1e-9
 
     def test_collapse_operators_need_a_value_per_qubit(self):
-        with pytest.raises(ValueError, match="t1 has 2 per-qubit values"):
-            collapse_operators(4, NoiseParams(t1=[100.0, 200.0]))
-        assert len(collapse_operators(
-            2, NoiseParams(t1=[100.0, 200.0], tphi=[80.0, 90.0]))) == 4
+        # the generator and the reference's collapse set alike
+        for build in (lindbladian, collapse_operators):
+            with pytest.raises(ValueError, match="t1 has 2 per-qubit values"):
+                build(4, NoiseParams(t1=[100.0, 200.0]))
+        noise = NoiseParams(t1=[100.0, 200.0], tphi=[80.0, 90.0])
+        assert len(collapse_operators(2, noise)) == 4
+        rho = np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)
+        out = propagate(lindbladian(2, noise).propagator(20.0), rho)
+        assert abs(out[3, 3].real - math.exp(-20.0 / 100.0 - 20.0 / 200.0)) < 1e-12
+
+    @pytest.mark.parametrize("a,b", [(0, 0), (0, -1), (4, 1)])
+    def test_bad_coupling_rejected(self, a, b):
+        # a -1 index would otherwise wrap silently to the last qubit
+        with pytest.raises(ValueError, match="two distinct qubits"):
+            lindbladian(4, NoiseParams(t1=100.0), [(0, 3, 0.05), (a, b, 0.05)])
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 4), count=st.integers(1, 3),
            seed=st.integers(0, 2**32 - 1))
     def test_liouvillian_matches_rhs(self, n, count, seed):
-        # pins the row-major vec convention: L vec(rho) = vec(rhs(rho))
+        # pins the reference's row-major vec convention:
+        # L vec(rho) = vec(rhs(rho))
         rng = np.random.default_rng(seed)
         dim = 2**n
 
@@ -338,12 +368,49 @@ class TestLindblad:
         want = lindblad_rhs(h, rho, collapse)
         assert np.abs(got - want).max() < 1e-12
 
+    # expm_multiply's own error grows with t ||L||: near 1e-12 at t = 200
+    # with |omega| ~ 1.5, so frequencies and couplings stay at the models'
+    # scale (toy omega 0.2 to 0.3, spectator g 0.03 to 0.05 rad/us)
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           t=st.floats(0.0, 200.0))
+    def test_closed_form_matches_sparse_reference(self, n, seed, t):
+        rng = np.random.default_rng(seed)
+        lifetimes = (math.inf, 1e12, 30.0, 100.0, 220.0)
+        noise = NoiseParams(t1=[lifetimes[i] for i in rng.integers(5, size=n)],
+                            tphi=[lifetimes[i] for i in rng.integers(5, size=n)])
+        omega = rng.uniform(-0.5, 0.5, size=n)
+        couplings = []
+        if n > 1:
+            for _ in range(rng.integers(1, 4)):
+                a, b = rng.choice(n, 2, replace=False)
+                couplings.append((int(a), int(b), float(rng.uniform(-0.2, 0.2))))
+            a, b, g = couplings[0]
+            couplings.append((b, a, g))  # a repeated pair adds
+        rho = _random_density(rng, 2**n)
+        got = propagate(lindbladian(n, noise, couplings, omega).propagator(t), rho)
+        want = _reference_propagation(n, omega, couplings, noise, rho, t)
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_closed_form_matches_sparse_reference_at_seven_qubits(self):
+        n = 7
+        rng = np.random.default_rng(7)
+        noise = NoiseParams(t1=[220.0, 200.0, math.inf, 150.0, 250.0, 90.0, 1e12],
+                            tphi=[300.0, math.inf, 400.0, 1e12, 100.0, 200.0, 250.0])
+        omega = rng.uniform(-0.5, 0.5, size=n)
+        couplings = _SPECTATOR_COUPLINGS + ((0, 6, 0.02), (3, 6, -0.01), (3, 0, 0.02))
+        rho = _random_density(rng, 2**n)
+        got = propagate(lindbladian(n, noise, couplings, omega).propagator(37.5), rho)
+        want = _reference_propagation(n, omega, couplings, noise, rho, 37.5)
+        assert np.abs(got - want).max() <= 1e-12
+
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_propagate_matches_rk4_on_spectator_register(self, n):
         # one 3.75 us CHaDD interval from a non-stationary mixed state
         h, collapse = _spectator_generator(n)
         rho = _random_density(np.random.default_rng(n), 2**n)
-        exact = propagate(liouvillian(h, collapse), rho, 3.75)
+        gen = lindbladian(n, _SPECTATOR_NOISE, _SPECTATOR_COUPLINGS[:n - 3])
+        exact = propagate(gen.propagator(3.75), rho)
         reference = evolve_lindblad(h, rho, 3.75, collapse, 240)
         assert np.abs(exact - reference).max() < 1e-10
 
