@@ -2,4 +2,5 @@
 
 __version__ = "0.1.0"
 
-from . import circuits, code3, metrics, noise, protocol, qcore, synth  # noqa: F401
+# synth, which loads scipy.optimize, is imported where it is used
+from . import circuits, code3, metrics, noise, protocol, qcore  # noqa: F401

@@ -156,25 +156,6 @@ class Circuit:
         return cls(n_qubits, tuple(gates))
 
 
-def apply_with_noise(rho, circ: Circuit, params) -> "object":
-    """Execute a circuit gate by gate with depolarizing noise after each
-    gate (rates from ``params``), plus idle damping/dephasing across DELAY
-    gates. Rates default to zero, which reduces to the plain unitary."""
-    from .noise import depolarizing, apply_channel, idle_noise
-    from .qcore import apply_unitary
-
-    for g in circ.gates:
-        if g.name == "DELAY":
-            rho = idle_noise(rho, g.param, params, qubits=g.qubits)
-            continue
-        rho = apply_unitary(rho, g.matrix(), targets=list(g.qubits))
-        rate = params.depolarizing_2q if len(g.qubits) == 2 else params.depolarizing_1q
-        if rate > 0 and g.name != "ID":
-            rho = apply_channel(rho, depolarizing(rate, len(g.qubits)),
-                                list(g.qubits))
-    return rho
-
-
 def remapped(circ: Circuit, mapping: Mapping[int, int], n_qubits: int) -> Circuit:
     """Re-index a circuit's qubits onto a larger register."""
     gates = tuple(

@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import __version__, code3, metrics, protocol, synth
+from . import __version__, code3, metrics, protocol
 from .noise import NoiseParams
 
 EXIT_OK = 0
@@ -71,8 +71,23 @@ class ExperimentSpec:
                 f"{path}: kind '{kind}' has no parameter field(s): "
                 + ", ".join(unknown))
         _require_numbers(raw, ints={"seed": 0})
+        _require_output(raw["output"])
         return cls(kind=kind, params=params, output=raw["output"],
                    seed=raw.get("seed", 0))
+
+
+def _require_output(output) -> None:
+    """``output`` is a path a CSV can be written to: a non-empty string,
+    not a directory, with no existing file among its parent directories."""
+    if not (isinstance(output, str) and output):
+        raise ConfigError(f"'output' must be a file path, got {output!r}")
+    out = Path(output)
+    if out.is_dir():
+        raise ConfigError(f"'output' {output!r} is a directory")
+    ancestor = next((d for d in out.parents if d.exists()), None)
+    if ancestor is not None and not ancestor.is_dir():
+        raise ConfigError(f"'output' {output!r} lies under {str(ancestor)!r}, "
+                          f"which is not a directory")
 
 
 def _fmt(x) -> str:
@@ -108,6 +123,8 @@ def _noise_from(params: Mapping, n_qubits: int) -> NoiseParams:
     """Noise for an ``n_qubits`` register; invalid values are config errors."""
     if "t1" not in params:
         raise ConfigError("missing field 't1' in params")
+    for name in ("t1", "t2", "tphi"):  # +inf passes: no relaxation or dephasing
+        _require_in(params, name, _is_real, "a number or a non-empty list of numbers")
     t1 = params["t1"]
     try:
         if "t2" in params:
@@ -138,8 +155,12 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_real(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
 def _is_number(v) -> bool:
-    return (_is_int(v) or isinstance(v, float)) and math.isfinite(v)
+    return _is_real(v) and math.isfinite(v)
 
 
 def _require_numbers(p: Mapping, fields: Sequence[str] = (),
@@ -258,6 +279,7 @@ def _run_crosstalk_toy(spec: ExperimentSpec, out: Path) -> None:
 def _run_gain_surface(spec: ExperimentSpec, out: Path) -> None:
     p = spec.params
     _require_numbers(p, ("theta",), lists=("t1_range", "emeas_range", "delay_range"))
+    _require_in(p, "theta", lambda v: 0 <= v <= math.pi, "in [0, pi]")
     _require_in(p, "t1_range", lambda v: v > 0, "a non-empty list of positive numbers")
     _require_in(p, "emeas_range", lambda v: 0 <= v <= 0.5,
                 "a non-empty list of numbers in [0, 0.5]")
@@ -286,6 +308,8 @@ def _run_gain_surface(spec: ExperimentSpec, out: Path) -> None:
 
 
 def _run_synth(spec: ExperimentSpec, out: Path) -> None:
+    from . import synth  # loads scipy.optimize, which no other kind needs
+
     _require_numbers(spec.params, ints={"restarts": 1})
     restarts = spec.params.get("restarts", 20)
     seed = spec.seed

@@ -11,12 +11,13 @@ separates the no-damping branch (ancilla 1) from the single-damping branch
 block encoding with one extra ancilla and post-selecting on its 0 outcome,
 which makes the scheme probabilistic.
 
-``noise_superop`` compiles per-qubit damping and dephasing of the data into
-a 64x64 map on the row-major vec of rho, sum_K K kron conj(K) (vec(A rho B)
-= (A kron B^T) vec(rho)). ``cycle_superop`` appends the kept
-recovery branch to give one round, which ``qec_cycle`` and
-``protocol.run_multiqec`` apply. The measured estimator applies the same
-noise map, then its post-noise circuit as one 32x8 isometry.
+``noise_superop`` is the package's noise model: per-qubit damping then
+dephasing of the data, written in closed form as a 64x64 map on the
+row-major vec of rho. ``cycle_superop`` appends the kept recovery branch,
+sum_K K kron conj(K) (vec(A rho B) = (A kron B^T) vec(rho)), to give one
+round, which ``qec_cycle`` and ``protocol.run_multiqec`` apply. The
+measured estimator applies the same noise map, then its post-noise circuit
+as one 32x8 isometry.
 ``apply_recovery`` serves the larger data + spectator registers of CHaDD.
 
 The success probability comes in two closed-form variants that disagree
@@ -34,7 +35,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import noise as noise_mod
 from .qcore import (
     DensityMatrix,
     Operator,
@@ -225,15 +225,26 @@ def _superop(kraus) -> np.ndarray:
 def noise_superop(gammas: float | Sequence[float],
                   ps: float | Sequence[float]) -> np.ndarray:
     """AD(gamma) then dephasing(p) on each data qubit as a 64x64 map; the
-    gammas and ps are shared scalars or one value per data qubit, and a p
-    outside [0, 0.5] raises."""
+    gammas and ps are shared scalars or one value per data qubit. A gamma
+    outside [0, 1] or a p outside [0, 0.5] raises.
+
+    Per qubit, on the (r, c, r', c') axes: |0><0| stays, |1><1| goes to
+    |0><0| with weight gamma and stays with weight 1 - gamma, and each
+    coherence scales by sqrt(1 - gamma) (1 - 2p).
+    """
     per_qubit = []
     for g, p in zip(np.broadcast_to(gammas, 3), np.broadcast_to(ps, 3)):
-        ops = noise_mod.amplitude_damping(float(g)).matrices()
-        if p != 0:
-            ops = [d @ a for d in noise_mod.dephasing(float(p)).matrices()
-                   for a in ops]
-        per_qubit.append(_superop(ops).reshape(2, 2, 2, 2))  # (r, c, r', c')
+        g, p = float(g), float(p)
+        if not 0.0 <= g <= 1.0:
+            raise ValueError(f"gamma {g} outside [0, 1]")
+        if not 0.0 <= p <= 0.5:
+            raise ValueError(f"dephasing probability {p} outside [0, 0.5]")
+        m = np.zeros((2, 2, 2, 2))
+        m[0, 0, 0, 0] = 1.0
+        m[0, 0, 1, 1] = g
+        m[1, 1, 1, 1] = 1.0 - g
+        m[0, 1, 0, 1] = m[1, 0, 1, 0] = math.sqrt(1.0 - g) * (1.0 - 2.0 * p)
+        per_qubit.append(m)
     # a product channel's map is the tensor product of the per-qubit maps,
     # regrouped from (r0 c0 r1 c1 r2 c2) to the register's (r0 r1 r2 c0 c1 c2)
     noise = np.einsum("aAbB,cCdD,eEfF->aceACEbdfBDF", *per_qubit)

@@ -37,15 +37,12 @@ import numpy as np
 from . import code3
 from .noise import NoiseParams, gamma_of_t, p_of_t
 from .qcore import (
-    I2,
     DensityMatrix,
-    X,
     Z,
     basis_state,
     embed,
     fidelity,
     partial_trace,
-    rx,
     tensor,
 )
 
@@ -239,7 +236,6 @@ SIGN_MATRIX_4 = np.kron(_HADAMARD_2, _HADAMARD_2)
 # do not cancel.
 ROBUST_PULSES = (("X", 1), ("X", 2), ("XT", 1), ("XT", 2),
                  ("XT", 1), ("XT", 2), ("X", 1), ("X", 2))
-PLAIN_PULSES = (("X", 1), ("X", 2), ("X", 1), ("X", 2))
 
 
 @dataclass(frozen=True)
@@ -272,13 +268,12 @@ class ChaddSequence:
         return np.array(rows).T
 
 
-def chadd_sequence(chi: int, tau: float, robust: bool = True) -> ChaddSequence:
-    """Single-axis X-type CHaDD for a two-colorable layout."""
+def chadd_sequence(chi: int, tau: float) -> ChaddSequence:
+    """Robust single-axis X-type CHaDD for a two-colorable layout."""
     if chi != 2:
         raise ValueError(f"only chromaticity 2 is supported, got {chi}")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    pulses = ROBUST_PULSES if robust else PLAIN_PULSES
     # the realized toggling signs of (Z_color1, Z_color2) trace rows 3 and 2
     # of the sign matrix (the robust cycle walks each row twice); both are
     # orthogonal to each other and to the all-ones row
@@ -286,26 +281,18 @@ def chadd_sequence(chi: int, tau: float, robust: bool = True) -> ChaddSequence:
         chromaticity=2,
         sign_matrix=SIGN_MATRIX_4.copy(),
         row_assignment={1: 3, 2: 2},
-        pulses=pulses,
+        pulses=ROBUST_PULSES,
         tau=tau,
     )
     signs = seq.toggling_signs()
     if np.any(signs.sum(axis=1) != 0):
         raise AssertionError(f"toggling-frame sums must vanish: {signs}")
-    reps = len(pulses) // 4
+    reps = len(ROBUST_PULSES) // 4
     for color in (1, 2):
         row = np.tile(seq.sign_matrix[seq.row_assignment[color]], reps)
         if not np.array_equal(signs[color - 1], row):
             raise AssertionError(f"color {color} signs do not trace its row")
     return seq
-
-
-def pulse_matrix(kind: str) -> np.ndarray:
-    if kind == "X":
-        return X
-    if kind == "XT":  # RX(-pi) = iX, an X pulse up to phase
-        return rx(-math.pi)
-    raise ValueError(f"unknown pulse kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -447,32 +434,29 @@ class CrosstalkModel:
         return lindbladian(2, noise, ((0, 1, self.g),), (self.omega1, self.omega2))
 
 
-def _color_matrix(colors: Sequence[int], color: int, kind: str,
-                  n_qubits: int) -> np.ndarray:
-    """The pulse ``kind`` on every qubit of ``color``, identity elsewhere."""
-    if len(colors) != n_qubits:
-        raise ValueError(f"{len(colors)} colors for {n_qubits} qubits")
-    pulse = pulse_matrix(kind)
-    return functools.reduce(np.kron, [pulse if c == color else I2 for c in colors])
+def _pulse_permutations(colors: Sequence[int]) -> dict:
+    """Each color's pulse as an index permutation of the register.
 
-
-def _pulse_unitaries(pulses: Sequence[tuple], colors: Sequence[int],
-                     n_qubits: int) -> dict:
-    """Register-sized unitary of each distinct (kind, color) pulse, built
-    once for a run."""
-    return {(kind, color): _color_matrix(colors, color, kind, n_qubits)
-            for kind, color in set(pulses)}
+    X and RX(-pi) = iX act alike under conjugation: on the qubits of mask m
+    (qubit 0 the MSB) both map rho[a, b] to rho[a xor m, b xor m], so a
+    pulse is ``rho[perm][:, perm]`` with perm = arange(2^n) xor m.
+    """
+    n = len(colors)
+    index = np.arange(2**n)
+    return {color: index ^ sum(1 << (n - 1 - q) for q, c in enumerate(colors)
+                               if c == color)
+            for color in (1, 2)}
 
 
 def _chadd_cycle(free: Propagator, rho: np.ndarray, seq: ChaddSequence,
-                 pulse_u: dict, window: Optional[Propagator] = None) -> np.ndarray:
+                 perms: dict, window: Optional[Propagator] = None) -> np.ndarray:
     """One CHaDD cycle: each interval propagates by ``free`` (one tau),
-    then applies its pulse; ``window`` follows each pulse when pulses take
-    time."""
-    for pulse in seq.pulses:
+    then applies its pulse, a permutation from ``perms``; ``window``
+    follows each pulse when pulses take time."""
+    for _, color in seq.pulses:
         rho = propagate(free, rho)
-        u = pulse_u[pulse]
-        rho = u @ rho @ u.conj().T
+        perm = perms[color]
+        rho = rho[perm][:, perm]
         if window is not None:
             rho = propagate(window, rho)
     return rho
@@ -480,15 +464,19 @@ def _chadd_cycle(free: Propagator, rho: np.ndarray, seq: ChaddSequence,
 
 def chadd_cycle_unitary(seq: ChaddSequence, h: np.ndarray,
                         colors: Sequence[int]) -> np.ndarray:
-    """Closed-system propagator of one full cycle with ideal pulses."""
+    """Closed-system propagator of one full cycle with ideal pulses, each
+    applied as its row permutation (RX(-pi) = iX counts as X, so the
+    result holds up to a global phase)."""
     from scipy.linalg import expm
 
     n = int(round(math.log2(h.shape[0])))
+    if len(colors) != n:
+        raise ValueError(f"{len(colors)} colors for {n} qubits")
     free = expm(-1j * h * seq.tau)
-    pulse_u = _pulse_unitaries(seq.pulses, colors, n)
+    perms = _pulse_permutations(colors)
     u = np.eye(h.shape[0], dtype=complex)
-    for pulse in seq.pulses:
-        u = pulse_u[pulse] @ (free @ u)
+    for _, color in seq.pulses:
+        u = (free @ u)[perms[color]]
     return u
 
 
@@ -539,9 +527,9 @@ def run_crosstalk_toy(model: CrosstalkModel, probe_init: str,
         window = model.lindbladian(drive=False).propagator(model.pulse_duration) \
             if model.pulse_duration > 0 else None
         free = gen.propagator(chadd.tau)
-        pulse_u = _pulse_unitaries(chadd.pulses, (1, 2), 2)
+        perms = _pulse_permutations((1, 2))
         for i in range(n_cycles):
-            state = _chadd_cycle(free, state, chadd, pulse_u, window)
+            state = _chadd_cycle(free, state, chadd, perms, window)
             times.append((i + 1) * cycle)
             rows.append(state)
     pop0, pop1, fid = [], [], []
@@ -602,7 +590,7 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
     t1 = recovery_t1(config, noise)
     target3 = code3.encode_ideal(config.logical)
     gen = lindbladian(n, noise, layout.couplings)
-    pulse_u = _pulse_unitaries(ROBUST_PULSES, layout.resolved_colors(), n)
+    perms = _pulse_permutations(layout.resolved_colors()) if chadd else None
     rho3 = target3.to_density_matrix()
     rho0 = tensor(rho3, basis_state(n - 3, 0).to_density_matrix()).data \
         if n > 3 else rho3.data
@@ -613,7 +601,7 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
         rmap = _recovery_map(config, gamma_of_t(delay, t1))
 
         def one_round(rho: np.ndarray):
-            rho = _chadd_cycle(free, rho, seq, pulse_u) if seq is not None \
+            rho = _chadd_cycle(free, rho, seq, perms) if seq is not None \
                 else propagate(free, rho)
             state, p_round = code3.apply_recovery(
                 DensityMatrix(rho, normalized=False), rmap)

@@ -11,8 +11,8 @@ lifting each branch's block encoding with ``embed``.
 from typing import Optional
 
 import numpy as np
+from noise_reference import damp_dephase
 
-from nadqec import noise as noise_mod
 from nadqec.code3 import (
     LogicalStateSpec,
     RecoveryMap,
@@ -85,7 +85,7 @@ def measured_circuit_distribution(
     en = encoder_unitary().data if encoder is None else np.asarray(encoder, complex)
     rho = apply_unitary(psi0, g, targets=[0])
     rho = apply_unitary(rho, en, targets=[0, 1, 2])
-    rho = noise_mod.damp_dephase(rho, range(3), gamma, p)
+    rho = damp_dephase(rho, range(3), gamma, p)
     rho = syndrome_extract(rho)
     if rmap.variant == "synthesized":
         w5 = rmap.unitary

@@ -11,8 +11,10 @@ timing over that list.
 from fractions import Fraction
 from typing import Sequence
 
+from noise_reference import idle_noise
+
 from nadqec import code3
-from nadqec.noise import NoiseParams, gamma_of_t, idle_noise
+from nadqec.noise import NoiseParams, gamma_of_t
 from nadqec.protocol import (
     T_ENCODE,
     T_RECOVERY,

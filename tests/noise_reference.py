@@ -1,0 +1,50 @@
+"""Idle noise applied qubit by qubit with explicit Kraus operators.
+
+An independent reference for ``nadqec.code3.noise_superop``, which writes
+damping then dephasing of the data in closed form as one 64x64 map: here
+each qubit gets the amplitude-damping pair, then the dephasing pair, as
+2x2 Kraus lists applied to the density matrix by ``qcore.apply_local``.
+"""
+
+import math
+from typing import Optional, Sequence
+
+import numpy as np
+
+from nadqec.noise import NoiseParams, gamma_of_t, p_of_t
+from nadqec.qcore import DensityMatrix, apply_local
+
+
+def amplitude_damping(gamma: float) -> list[np.ndarray]:
+    """|1><1| loses weight gamma to |0><0|."""
+    return [np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex),
+            np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex)]
+
+
+def dephasing(p: float) -> list[np.ndarray]:
+    """Off-diagonals scale by (1 - 2p)."""
+    return [math.sqrt(1 - p) * np.eye(2), math.sqrt(p) * np.diag([1.0, -1.0])]
+
+
+def damp_dephase(rho: DensityMatrix, qubits: Sequence[int],
+                 gamma: float | Sequence[float],
+                 p: float | Sequence[float]) -> DensityMatrix:
+    """AD(gamma) then dephasing(p) on each listed qubit (the dephasing is
+    skipped where p = 0); ``gamma`` and ``p`` are shared scalars or one
+    value per listed qubit."""
+    qubits = list(qubits)
+    for q, g, pq in zip(qubits, np.broadcast_to(gamma, len(qubits)),
+                        np.broadcast_to(p, len(qubits))):
+        rho = apply_local(rho, amplitude_damping(float(g)), [q])
+        if pq != 0:
+            rho = apply_local(rho, dephasing(float(pq)), [q])
+    return rho
+
+
+def idle_noise(rho: DensityMatrix, duration: float, params: NoiseParams,
+               qubits: Optional[Sequence[int]] = None) -> DensityMatrix:
+    """Free-evolution noise: AD(gamma(t)) then dephasing(p(t)) per qubit."""
+    qubits = range(rho.qubit_count) if qubits is None else list(qubits)
+    return damp_dephase(rho, qubits,
+                        [gamma_of_t(duration, params.t1_of(q)) for q in qubits],
+                        [p_of_t(duration, params.tphi_of(q)) for q in qubits])

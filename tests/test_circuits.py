@@ -119,42 +119,6 @@ class TestHelpers:
             Circuit(1, (Gate("CZ", (0, 1)),))
 
 
-class TestNoisyExecution:
-    def test_zero_rates_match_unitary(self):
-        from nadqec.circuits import apply_with_noise
-        from nadqec.noise import NoiseParams
-        from nadqec.qcore import apply_unitary, basis_state
-
-        circ = Circuit(2, (Gate("RX", (0,), 0.9), Gate("CZ", (0, 1)),
-                           Gate("RY", (1,), -0.4)))
-        rho = basis_state(2, 0).to_density_matrix()
-        noisy = apply_with_noise(rho, circ, NoiseParams(t1=100.0))
-        plain = apply_unitary(rho, circ.unitary())
-        np.testing.assert_allclose(noisy.data, plain.data, atol=1e-13)
-
-    def test_depolarizing_applied_per_gate(self):
-        from nadqec.circuits import apply_with_noise
-        from nadqec.noise import NoiseParams
-        from nadqec.qcore import basis_state
-
-        circ = Circuit(1, (Gate("X", (0,)),))
-        params = NoiseParams(t1=100.0, depolarizing_1q=0.3)
-        out = apply_with_noise(basis_state(1, 0).to_density_matrix(), circ, params)
-        # X then 30% depolarizing: P(1) = 0.7 + 0.3/2
-        assert abs(out.data[1, 1].real - 0.85) < 1e-12
-
-    def test_delay_gate_damps(self):
-        from nadqec.circuits import apply_with_noise
-        from nadqec.noise import NoiseParams
-        from nadqec.qcore import basis_state
-        import math as m
-
-        circ = Circuit(1, (Gate("X", (0,)), Gate("DELAY", (0,), 50.0)))
-        out = apply_with_noise(basis_state(1, 0).to_density_matrix(), circ,
-                               NoiseParams(t1=100.0))
-        assert abs(out.data[1, 1].real - m.exp(-0.5)) < 1e-12
-
-
 def test_numpy_parameters_serialize_as_plain_floats():
     circ = Circuit(1, (Gate("RX", (np.int64(0),), np.float64(1.25)),))
     text = circ.serialize()

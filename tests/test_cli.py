@@ -105,7 +105,9 @@ class TestRun:
     @pytest.mark.parametrize("field,value,named", [
         ("t1", -5.0, "t1"), ("t1", math.nan, "t1"), ("t1", "abc", "t1"),
         ("t2", 1000.0, "T2"), ("e_meas", 0.7, "e_meas"),
-        ("e_meas", 0.02, "e_meas")])
+        ("e_meas", 0.02, "e_meas"), ("t1", True, "'t1'"), ("t2", True, "'t2'"),
+        ("tphi", True, "'tphi'"), ("t1", [True, True, True], "'t1'"),
+        ("tphi", "abc", "'tphi'"), ("t1", None, "'t1'")])
     def test_invalid_noise_is_config_error(self, tmp_path, field, value, named,
                                            capsys):
         payload = multiqec_payload(tmp_path)
@@ -144,6 +146,22 @@ class TestRun:
         assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_CONFIG
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("output", [5, None, "", ".", "spec.json/x.csv"])
+    def test_bad_output_is_config_error(self, tmp_path, capsys, output):
+        payload = multiqec_payload(tmp_path)
+        payload["output"] = (str(tmp_path / output) if isinstance(output, str)
+                             and output else output)
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_CONFIG
+        assert "'output'" in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == ["spec.json"]
+
+    def test_infinite_t1_accepted(self, tmp_path):
+        # json reads Infinity as +inf: no relaxation, as NoiseParams allows
+        payload = multiqec_payload(tmp_path)
+        payload["params"].update(t1=math.inf, recovery="approximate")
+        del payload["params"]["t2"]
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_OK
 
     def test_failed_run_leaves_no_output_directory(self, tmp_path):
         payload = multiqec_payload(tmp_path)
@@ -233,7 +251,9 @@ class TestRun:
         ("gain-surface", "delay_range", []),
         ("gain-surface", "delay_range", [10.0, -1.0]),
         ("crosstalk-toy", "t_final", 0.0),
-        ("crosstalk-toy", "t_final", -60.0)])
+        ("crosstalk-toy", "t_final", -60.0),
+        ("gain-surface", "theta", 4.0),
+        ("gain-surface", "theta", -0.5)])
     def test_bad_field_of_other_kinds_is_config_error(self, tmp_path, capsys,
                                                        kind, field, value):
         params = {"multiqec-chadd": {"theta": 1.0, "max_delay": 30.0,
@@ -360,14 +380,24 @@ class TestCatalog:
         out = capsys.readouterr().out
         assert "multiqec" in out
 
-    def test_module_run_with_warnings_as_errors(self):
+    @staticmethod
+    def _python(*args: str) -> subprocess.CompletedProcess:
+        """This interpreter with warnings as errors, the package on its path."""
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.environ.get("PYTHONPATH")
         env = {**os.environ,
                "PYTHONPATH": src + (os.pathsep + path if path else "")}
-        done = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "nadqec.cli", "list"],
-            env=env, capture_output=True, text=True, timeout=120)
+        return subprocess.run([sys.executable, "-W", "error", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_module_run_with_warnings_as_errors(self):
+        done = self._python("-m", "nadqec.cli", "list")
+        assert done.returncode == 0, done.stderr
+
+    def test_import_leaves_out_scipy_optimize(self):
+        # only the synth kind needs scipy.optimize, and it imports synth itself
+        done = self._python("-c", "import nadqec, nadqec.cli, sys; "
+                                  "assert 'scipy.optimize' not in sys.modules")
         assert done.returncode == 0, done.stderr
 
 

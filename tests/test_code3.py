@@ -18,11 +18,11 @@ from estimator_reference import (
 from estimator_reference import (
     measured_circuit_distribution as measured_circuit_reference,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from noise_reference import damp_dephase
 
 from nadqec import code3
-from nadqec import noise as noise_mod
 from nadqec.code3 import (
     LogicalStateSpec,
     QecOutcome,
@@ -35,6 +35,7 @@ from nadqec.code3 import (
     encoder_unitary,
     fidelity_from_distribution,
     measured_circuit_distribution,
+    noise_superop,
     oracle_fidelity_ad,
     oracle_fidelity_plus_state,
     oracle_fidelity_series,
@@ -233,7 +234,7 @@ class TestRecoveryEngine:
                     _haar_unitary(rng, 32))}[variant]()
         rho = _random_density(rng, 3)
         want, p_want = apply_recovery(
-            noise_mod.damp_dephase(rho, range(3), gammas, ps), rmap)
+            damp_dephase(rho, range(3), gammas, ps), rmap)
         got, p_got = apply_cycle(cycle_superop(gammas, ps, rmap), rho.data)
         assert abs(p_got - p_want) < 1e-12
         assert np.max(np.abs(got - want.data)) < 1e-12
@@ -261,6 +262,56 @@ class TestRecoveryEngine:
         with pytest.raises(ValueError):
             apply_recovery(basis_state(2, 0).to_density_matrix(),
                            RecoveryMap.approximate())
+
+
+def _choi(superop):
+    """sum_{b,d} |b><d| kron E(|b><d|) of a map on the row-major vec of rho,
+    indexed (input, output)."""
+    d = math.isqrt(superop.shape[0])
+    return superop.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+
+
+def _output_traced(choi):
+    d = math.isqrt(choi.shape[0])
+    return np.einsum("bada->bd", choi.reshape(d, d, d, d))
+
+
+_PER_QUBIT_GAMMAS = st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)
+_PER_QUBIT_PS = st.lists(st.floats(0.0, 0.5), min_size=3, max_size=3)
+
+
+class TestCompletePositivity:
+    """The compiled maps are completely positive (PSD Choi matrix) over the
+    whole strength range: the noise map preserves trace and a round does
+    not increase it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(gammas=_PER_QUBIT_GAMMAS, ps=_PER_QUBIT_PS)
+    @example(gammas=[0.0, 0.0, 0.0], ps=[0.0, 0.0, 0.0])
+    @example(gammas=[1.0, 1.0, 1.0], ps=[0.5, 0.5, 0.5])
+    @example(gammas=[0.0, 1.0, 0.3], ps=[0.5, 0.0, 0.2])
+    def test_noise_map_is_cptp(self, gammas, ps):
+        choi = _choi(noise_superop(gammas, ps))
+        assert np.linalg.eigvalsh(choi).min() >= -1e-12
+        assert np.max(np.abs(_output_traced(choi) - np.eye(8))) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(gammas=_PER_QUBIT_GAMMAS, ps=_PER_QUBIT_PS,
+           variant=st.sampled_from(["ideal", "approximate", "synthesized"]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(gammas=[0.0, 0.0, 0.0], ps=[0.0, 0.0, 0.0], variant="ideal", seed=0)
+    @example(gammas=[1.0, 1.0, 1.0], ps=[0.5, 0.5, 0.5], variant="ideal", seed=0)
+    @example(gammas=[1.0, 0.0, 1.0], ps=[0.5, 0.5, 0.0], variant="synthesized",
+             seed=1)
+    def test_round_is_cp_and_trace_non_increasing(self, gammas, ps, variant,
+                                                  seed):
+        rmap = {"ideal": lambda: RecoveryMap.ideal(gammas[0]),
+                "approximate": RecoveryMap.approximate,
+                "synthesized": lambda: RecoveryMap.synthesized(
+                    _haar_unitary(np.random.default_rng(seed), 32))}[variant]()
+        choi = _choi(cycle_superop(gammas, ps, rmap))
+        assert np.linalg.eigvalsh(choi).min() >= -1e-12
+        assert np.linalg.eigvalsh(_output_traced(choi)).max() <= 1 + 1e-12
 
 
 class TestQecCycle:
@@ -318,12 +369,10 @@ class TestQecCycle:
         lambda p: qec_cycle(encode_ideal(LogicalStateSpec(1.0)), 0.1, p,
                             RecoveryMap.ideal(0.1)),
         lambda p: measured_circuit_distribution(LogicalStateSpec(1.0), 0.1, p),
-        lambda p: noise_mod.damp_dephase(
-            encode_ideal(LogicalStateSpec(1.0)).to_density_matrix(), range(3),
-            0.1, [0.0, p, 0.0]),
+        lambda p: noise_superop(0.1, [0.0, p, 0.0]),
     ], ids=["qec_cycle", "measured_circuit_distribution", "damp_dephase"])
     def test_dephasing_outside_range_raises(self, run, p):
-        # p = 0 skips the dephasing; any other p reaches its range check
+        # each path reaches the range check of the damp-then-dephase map
         with pytest.raises(ValueError, match="outside \\[0, 0.5\\]"):
             run(p)
 

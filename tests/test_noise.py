@@ -1,24 +1,36 @@
-"""Noise channels: strengths from coherence times, Kraus structure,
-composition laws, readout convolution."""
+"""Noise: strengths from coherence times, the closed-form damping and
+dephasing map of the data (``code3.noise_superop``) and its composition
+laws, readout convolution."""
 
 import math
 
 import numpy as np
 import pytest
+from noise_reference import amplitude_damping, dephasing, idle_noise
 
+from nadqec import protocol
+from nadqec.code3 import LogicalStateSpec, noise_superop
 from nadqec.noise import (
-    KrausChannel,
     NoiseParams,
-    amplitude_damping,
-    apply_channel,
-    dephasing,
-    depolarizing,
     gamma_of_t,
-    idle_noise,
     p_of_t,
     readout_flip,
 )
-from nadqec.qcore import DensityMatrix, PureState, basis_state
+from nadqec.qcore import DensityMatrix, PureState, apply_local, basis_state, tensor
+
+
+def _noisy(rho, gammas, ps=0.0):
+    """noise_superop applied to a 3-qubit density matrix."""
+    return DensityMatrix((noise_superop(gammas, ps) @ rho.data.ravel())
+                         .reshape(8, 8))
+
+
+def _on_qubit0(rho, gamma, p=0.0):
+    """The map on qubit 0 alone: the other two data qubits stay in |0>,
+    which neither damping nor dephasing moves, and are read off."""
+    full = tensor(rho, basis_state(2, 0).to_density_matrix())
+    return DensityMatrix(_noisy(full, [gamma, 0.0, 0.0], [p, 0.0, 0.0])
+                         .data[0::4, 0::4])
 
 
 class TestStrengths:
@@ -44,25 +56,23 @@ class TestStrengths:
 
 class TestChannels:
     def test_ad_identity_and_full_decay(self):
-        ident = amplitude_damping(0.0)
         rho = DensityMatrix(np.array([[0.3, 0.2], [0.2, 0.7]]))
-        np.testing.assert_allclose(apply_channel(rho, ident, 0).data, rho.data,
+        np.testing.assert_allclose(_on_qubit0(rho, 0.0).data, rho.data,
                                    atol=1e-14)
-        dead = apply_channel(rho, amplitude_damping(1.0), 0)
+        dead = _on_qubit0(rho, 1.0)
         np.testing.assert_allclose(dead.data, [[1, 0], [0, 0]], atol=1e-14)
 
     def test_ad_quarter_decay(self):
         rho = basis_state(1, 1).to_density_matrix()
-        out = apply_channel(rho, amplitude_damping(0.25), 0)
+        out = _on_qubit0(rho, 0.25)
         np.testing.assert_allclose(out.data, np.diag([0.25, 0.75]), atol=1e-14)
 
     def test_ad_composition_law(self):
         # AD(g1) then AD(g2) equals AD(g1 + g2 - g1 g2)
         rho = DensityMatrix(np.array([[0.4, 0.3 - 0.1j], [0.3 + 0.1j, 0.6]]))
         for g1, g2 in [(0.1, 0.2), (0.35, 0.5), (0.0, 0.7)]:
-            composed = apply_channel(apply_channel(rho, amplitude_damping(g1), 0),
-                                 amplitude_damping(g2), 0)
-            direct = apply_channel(rho, amplitude_damping(g1 + g2 - g1 * g2), 0)
+            composed = _on_qubit0(_on_qubit0(rho, g1), g2)
+            direct = _on_qubit0(rho, g1 + g2 - g1 * g2)
             np.testing.assert_allclose(composed.data, direct.data, atol=1e-12)
 
     def test_time_composition_grid(self):
@@ -76,78 +86,49 @@ class TestChannels:
 
     def test_dephasing_scales_coherence(self):
         rho = DensityMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        out = apply_channel(rho, dephasing(0.5), 0)
+        out = _on_qubit0(rho, 0.0, 0.5)
         np.testing.assert_allclose(out.data, np.eye(2) / 2, atol=1e-14)
-        out2 = apply_channel(rho, dephasing(0.1), 0)
+        out2 = _on_qubit0(rho, 0.0, 0.1)
         assert abs(out2.data[0, 1] - 0.5 * (1 - 0.2)) < 1e-14
 
     def test_dephasing_composition_law(self):
         rho = DensityMatrix(np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]]))
         for p1, p2 in [(0.05, 0.1), (0.3, 0.25)]:
-            composed = apply_channel(apply_channel(rho, dephasing(p1), 0),
-                                     dephasing(p2), 0)
-            direct = apply_channel(rho, dephasing(p1 + p2 - 2 * p1 * p2), 0)
+            composed = _on_qubit0(_on_qubit0(rho, 0.0, p1), 0.0, p2)
+            direct = _on_qubit0(rho, 0.0, p1 + p2 - 2 * p1 * p2)
             np.testing.assert_allclose(composed.data, direct.data, atol=1e-13)
 
     def test_ad_dephasing_commute(self):
+        # the map applies AD(0.2) then dephasing(0.15); the reverse order,
+        # from explicit Kraus operators, gives the same state
         rho = DensityMatrix(np.array([[0.3, 0.25 - 0.2j], [0.25 + 0.2j, 0.7]]))
-        ab = apply_channel(apply_channel(rho, amplitude_damping(0.2), 0),
-                           dephasing(0.15), 0)
-        ba = apply_channel(apply_channel(rho, dephasing(0.15), 0),
-                           amplitude_damping(0.2), 0)
+        ab = _on_qubit0(rho, 0.2, 0.15)
+        ba = apply_local(apply_local(rho, dephasing(0.15), [0]),
+                         amplitude_damping(0.2), [0])
         np.testing.assert_allclose(ab.data, ba.data, atol=1e-13)
 
-    def test_depolarizing_unital_and_full(self):
-        mixed = DensityMatrix(np.eye(2) / 2)
-        out = apply_channel(mixed, depolarizing(0.37, 1), 0)
-        np.testing.assert_allclose(out.data, np.eye(2) / 2, atol=1e-14)
-        pure = basis_state(1, 0).to_density_matrix()
-        out = apply_channel(pure, depolarizing(1.0, 1), 0)
-        np.testing.assert_allclose(out.data, np.eye(2) / 2, atol=1e-14)
-
-    def test_depolarizing_two_qubit(self):
-        ch = depolarizing(0.2, 2)
-        assert len(ch.ops) == 16
-        rho = basis_state(2, 0).to_density_matrix()
-        out = apply_channel(rho, ch, [0, 1])
-        assert abs(out.trace - 1.0) < 1e-12
-
     def test_strength_validation(self):
-        for bad in (-0.1, 1.1):
-            with pytest.raises(ValueError):
-                amplitude_damping(bad)
-        with pytest.raises(ValueError):
-            dephasing(0.6)
+        for bad in (-0.1, 1.1, math.nan):
+            with pytest.raises(ValueError, match="outside"):
+                noise_superop([0.1, bad, 0.1], 0.0)
+        with pytest.raises(ValueError, match="outside"):
+            noise_superop(0.0, 0.6)
 
 
 class TestApplyChannel:
     def test_three_qubit_damping(self):
-        rho = basis_state(3, 7).to_density_matrix()
-        for q in range(3):
-            rho = apply_channel(rho, amplitude_damping(0.1), q)
+        rho = _noisy(basis_state(3, 7).to_density_matrix(), 0.1)
         assert abs(rho.data[7, 7].real - 0.9**3) < 1e-12
 
     def test_disjoint_targets_commute(self):
+        # damping on qubit 0 and dephasing on qubit 2, in either order
         rng = np.random.default_rng(42)
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         rho = DensityMatrix((a @ a.conj().T) / np.trace(a @ a.conj().T).real)
-        ch1, ch2 = amplitude_damping(0.3), dephasing(0.2)
-        ab = apply_channel(apply_channel(rho, ch1, 0), ch2, 2)
-        ba = apply_channel(apply_channel(rho, ch2, 2), ch1, 0)
+        damp, dephase = ([0.3, 0.0, 0.0], 0.0), (0.0, [0.0, 0.0, 0.2])
+        ab = _noisy(_noisy(rho, *damp), *dephase)
+        ba = _noisy(_noisy(rho, *dephase), *damp)
         np.testing.assert_allclose(ab.data, ba.data, atol=1e-12)
-
-    def test_trace_non_increasing_branch(self):
-        half = KrausChannel((np.diag([1.0, 0.5]),), trace_property="non-increasing")
-        rho = DensityMatrix(np.eye(2) / 2)
-        out = apply_channel(rho, half, 0)
-        assert out.trace <= 1.0 + 1e-12
-        assert not out.normalized
-
-    def test_channel_property_enforced(self):
-        with pytest.raises(ValueError):
-            KrausChannel((np.diag([1.0, 0.5]),), trace_property="preserving")
-        with pytest.raises(ValueError):
-            KrausChannel((np.diag([1.0, 1.5]),), trace_property="non-increasing")
 
 
 class TestNoiseParams:
@@ -171,9 +152,7 @@ class TestNoiseParams:
         ({"t1": math.nan}, "t1"), ({"t1": -math.inf}, "t1"),
         ({"t1": [100.0, 0.0]}, "t1"), ({"t1": []}, "t1"),
         ({"t1": 100.0, "tphi": math.nan}, "tphi"),
-        ({"t1": 100.0, "tphi": [80.0, -1.0]}, "tphi"),
-        ({"t1": 100.0, "depolarizing_1q": -1.0}, "depolarizing_1q"),
-        ({"t1": 100.0, "depolarizing_2q": 1.5}, "depolarizing_2q")])
+        ({"t1": 100.0, "tphi": [80.0, -1.0]}, "tphi")])
     def test_invalid_values_rejected(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
             NoiseParams(**kwargs)
@@ -196,9 +175,11 @@ class TestNoiseParams:
             p.tphi_of(2)
 
     def test_idle_noise_needs_a_value_per_qubit(self):
-        rho = PureState(np.eye(16)[15]).to_density_matrix()
+        cfg = protocol.ProtocolConfig(LogicalStateSpec(1.0), max_delay=30,
+                                      total_free=(30.0,),
+                                      recovery_variant="approximate")
         with pytest.raises(ValueError, match="t1"):
-            idle_noise(rho, 10.0, NoiseParams(t1=[100.0, 200.0]))
+            protocol.run_multiqec(cfg, NoiseParams(t1=[100.0, 200.0]))
 
     def test_require_qubits(self):
         NoiseParams(t1=100.0).require_qubits(5)
@@ -208,15 +189,12 @@ class TestNoiseParams:
             NoiseParams(t1=[1.0, 2.0, 3.0]).require_qubits(4)
 
     def test_idle_noise_matches_manual(self):
+        # a 10 us delay as the compiled map and as per-qubit Kraus operators
         params = NoiseParams.from_t1_t2(200.0, 150.0)
-        rho = PureState(np.array([1, 1, 0, 0]) / math.sqrt(2)).to_density_matrix()
-        out = idle_noise(rho, 10.0, params)
-        manual = rho
-        g = gamma_of_t(10.0, 200.0)
-        p = p_of_t(10.0, params.tphi)
-        for q in (0, 1):
-            manual = apply_channel(manual, amplitude_damping(g), q)
-            manual = apply_channel(manual, dephasing(p), q)
+        rho = PureState(np.array([1, 1, 0, 0, 0, 0, 1, 0]) / math.sqrt(3)) \
+            .to_density_matrix()
+        out = _noisy(rho, gamma_of_t(10.0, 200.0), p_of_t(10.0, params.tphi))
+        manual = idle_noise(rho, 10.0, params)
         np.testing.assert_allclose(out.data, manual.data, atol=1e-14)
 
 
@@ -242,10 +220,6 @@ class TestReadout:
         out = readout_flip(dist, 0.1)
         expected = np.array([0.81, 0.09, 0.09, 0.01])
         np.testing.assert_allclose(out, expected, atol=1e-14)
-
-    def test_asymmetric_rates(self):
-        out = readout_flip(np.array([0.0, 1.0]), 0.02, e_meas_10=0.1)
-        np.testing.assert_allclose(out, [0.1, 0.9], atol=1e-15)
 
     def test_distribution_normalized(self):
         rng = np.random.default_rng(3)

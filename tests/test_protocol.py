@@ -1,6 +1,8 @@
 """Scheduling, timing, multi-round QEC, CHaDD, and the Lindblad toy model."""
 
+import functools
 import math
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from lindblad_reference import (
 from lindblad_reference import propagate as propagate_reference
 from multiqec_reference import run_multiqec as run_multiqec_reference
 from multiqec_reference import schedule_rounds, total_evolution_time_exact
+from noise_reference import damp_dephase
 from scipy.stats import unitary_group
 
 from nadqec import code3, protocol
@@ -38,7 +41,7 @@ from nadqec.protocol import (
     split_rounds,
     total_evolution_time,
 )
-from nadqec.qcore import Z, embed, fidelity
+from nadqec.qcore import X, Z, embed, fidelity, rx
 
 
 class TestScheduling:
@@ -129,16 +132,13 @@ class TestMultiQec:
         cfg = ProtocolConfig(code3.LogicalStateSpec(2.0, 1.0), max_delay=25,
                              total_free=(70.0,))
         pts = run_multiqec(cfg, noise)
-        from nadqec.noise import amplitude_damping, apply_channel, dephasing
         target = code3.encode_ideal(cfg.logical)
         rho = target.to_density_matrix()
         p_total = 1.0
         for delay in (25.0, 25.0, 20.0):
             g = 1 - math.exp(-delay / 200.0)
             p = 0.5 * (1 - math.exp(-delay / noise.tphi))
-            for q in range(3):
-                rho = apply_channel(rho, amplitude_damping(g), q)
-                rho = apply_channel(rho, dephasing(p), q)
+            rho = damp_dephase(rho, range(3), g, p)
             out = code3.qec_cycle(rho, 0.0, 0.0, code3.RecoveryMap.ideal(g),
                                   target=target)
             rho = out.conditional_state
@@ -234,8 +234,10 @@ class TestMultiQec:
 
 class TestChaddSequence:
     def test_toggling_sums_vanish_robust_and_plain(self):
-        for robust in (True, False):
-            seq = chadd_sequence(2, 3.0, robust=robust)
+        robust = chadd_sequence(2, 3.0)
+        # the plain X cycle the robust one doubles, with XT pulses as X
+        plain = replace(robust, pulses=(("X", 1), ("X", 2), ("X", 1), ("X", 2)))
+        for seq in (robust, plain):
             sums = seq.toggling_signs().sum(axis=1)
             assert tuple(sums) == (0, 0, 0)
 
@@ -255,11 +257,23 @@ class TestChaddSequence:
 
     def test_zero_tau_pulse_product_is_phase(self):
         seq = chadd_sequence(2, 1.0)
-        u = np.eye(4, dtype=complex)
-        for kind, color in seq.pulses:
-            u = protocol._color_matrix((1, 2), color, kind, 2) @ u
+        u = chadd_cycle_unitary(replace(seq, tau=0.0), np.zeros((4, 4)), (1, 2))
         phase = u[0, 0] / abs(u[0, 0])
         np.testing.assert_allclose(u / phase, np.eye(4), atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["X", "XT"])
+    def test_pulse_permutation_matches_kron_conjugation(self, kind):
+        # X and RX(-pi) = iX on every qubit of a color, as a register-sized
+        # matrix, conjugate rho as the color's index permutation does
+        rng = np.random.default_rng(5)
+        colors = (1, 2, 1, 1, 2)
+        rho = _random_density(rng, 32)
+        pulse = X if kind == "X" else rx(-math.pi)
+        for color, perm in protocol._pulse_permutations(colors).items():
+            u = functools.reduce(np.kron, [pulse if c == color else np.eye(2)
+                                           for c in colors])
+            np.testing.assert_allclose(rho[perm][:, perm], u @ rho @ u.conj().T,
+                                       atol=1e-15)
 
     def test_unsupported_chromaticity(self):
         with pytest.raises(ValueError):
@@ -522,16 +536,19 @@ class TestMultiQecWithChadd:
                                     SpectatorLayout(spectators=1), chadd=False)
 
     def test_pulse_unitaries_built_once_per_run(self, monkeypatch):
+        # the pulses, as index permutations: one set per run with CHaDD,
+        # none without
         built = []
-        color_matrix = protocol._color_matrix
-        monkeypatch.setattr(protocol, "_color_matrix",
-                            lambda *a: built.append(a) or color_matrix(*a))
+        permutations = protocol._pulse_permutations
+        monkeypatch.setattr(protocol, "_pulse_permutations",
+                            lambda *a: built.append(a) or permutations(*a))
         cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
                              total_free=(30.0, 75.0))
-        run_multiqec_with_chadd(cfg, self.noise, SpectatorLayout(
-            spectators=1, couplings=((0, 3, 0.05),)), chadd=True)
-        assert sorted(a[1:3] for a in built) == [
-            (1, "X"), (1, "XT"), (2, "X"), (2, "XT")]
+        layout = SpectatorLayout(spectators=1, couplings=((0, 3, 0.05),))
+        run_multiqec_with_chadd(cfg, self.noise, layout, chadd=False)
+        assert built == []
+        run_multiqec_with_chadd(cfg, self.noise, layout, chadd=True)
+        assert built == [(layout.resolved_colors(),)]
 
     @pytest.mark.parametrize("chadd", [False, True])
     @pytest.mark.parametrize("spectators", [0, 1, 2])
@@ -609,13 +626,12 @@ class TestFiniteDurationPulses:
 
 
 def test_row_assignment_matches_realized_signs():
-    for robust in (True, False):
-        seq = chadd_sequence(2, 2.0, robust=robust)
-        signs = seq.toggling_signs()
-        reps = len(seq.pulses) // 4
-        for color in (1, 2):
-            row = np.tile(seq.sign_matrix[seq.row_assignment[color]], reps)
-            np.testing.assert_array_equal(signs[color - 1], row)
+    seq = chadd_sequence(2, 2.0)
+    signs = seq.toggling_signs()
+    reps = len(seq.pulses) // 4
+    for color in (1, 2):
+        row = np.tile(seq.sign_matrix[seq.row_assignment[color]], reps)
+        np.testing.assert_array_equal(signs[color - 1], row)
 
 
 def test_multiqec_with_synthesized_recovery_matches_approximate():
