@@ -125,6 +125,8 @@ def _noise_from(params: Mapping, n_qubits: int) -> NoiseParams:
         raise ConfigError("missing field 't1' in params")
     for name in ("t1", "t2", "tphi"):  # +inf passes: no relaxation or dephasing
         _require_in(params, name, _is_real, "a number or a non-empty list of numbers")
+    if "t2" in params and "tphi" in params:
+        raise ConfigError("'t2' and 'tphi' both set the dephasing; give one of them")
     t1 = params["t1"]
     try:
         if "t2" in params:

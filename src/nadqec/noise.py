@@ -46,16 +46,21 @@ class NoiseParams:
     tphi: float | Sequence[float] = math.inf
 
     def __post_init__(self):
-        # +inf lifetimes mean no relaxation or no dephasing; NaN is rejected
+        # +inf lifetimes mean no relaxation or no dephasing; NaN is rejected,
+        # and so are booleans, which numpy would read as 0 and 1 us
         for name in ("t1", "tphi"):
-            v = np.asarray(getattr(self, name), dtype=float)
+            raw = getattr(self, name)
+            if any(isinstance(x, (bool, np.bool_))
+                   for x in np.ravel(np.array(raw, dtype=object))):
+                raise ValueError(f"{name} must be a number, not a boolean, got {raw!r}")
+            v = np.asarray(raw, dtype=float)
             if v.size == 0 or not np.all(v > 0):
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+                raise ValueError(f"{name} must be positive, got {raw!r}")
 
     @classmethod
     def from_t1_t2(cls, t1: float, t2: float) -> "NoiseParams":
         for name, v in (("t1", t1), ("t2", t2)):
-            if not (isinstance(v, (int, float)) and v > 0):
+            if isinstance(v, bool) or not (isinstance(v, (int, float)) and v > 0):
                 raise ValueError(f"{name} must be a positive number, got {v!r}")
         if t2 > 2 * t1 + 1e-12:
             raise ValueError(f"T2 = {t2} exceeds the physical bound 2*T1 = {2 * t1}")

@@ -2,7 +2,9 @@
 
 Targets are matched by minimizing the masked squared Frobenius distance
 C(theta) = sum_{(i,j) in mask} |O_ij - U_ij(theta)|^2 by seeded
-multi-start BFGS on exact adjoint gradients.
+multi-start BFGS on exact adjoint gradients. The ansatz is applied one
+rotation layer at a time, each layer a single 2^n x 2^n matrix, and the
+gradients of a layer's angles are read off single-qubit marginals.
 
 Also holds the SVD machinery for the non-unitary recovery factors and the
 block encoding of the diagonal part. The recovery factorization uses a
@@ -77,92 +79,90 @@ class Ansatz:
 
 
 class _AnsatzEvaluator:
-    """Cost and exact gradient of one synthesis problem.
+    """Cost and exact gradient of one synthesis problem, a layer at a time.
 
-    The ansatz is a fixed sequence of Pauli rotations exp(-i theta_k G_k / 2)
-    and diagonal CZ layers. The gradient is adjoint: a forward sweep builds U
-    and the masked residual E = U - T, a backward sweep peels each gate off
-    both, and dC/dtheta_k = Re <E_k, -i G_k U_k> where U_k, E_k are U, E
-    with every gate after gate k peeled off.
+    U = R_L D ... D R_1 D R_0: each rotation layer is one matrix
+    R_l = (x)_q RZ(b_q) RX(a_q) (qubit 0 most significant) and D is the CZ
+    layer's +-1 diagonal. The gradient is adjoint: the forward pass keeps
+    the prefixes U_l = R_l D ... R_0, the backward pass carries the masked
+    residual E = U - T back as E_l (every layer after l peeled off). A
+    generator G on qubit q applied after R_l gives dC/dtheta =
+    Im Tr(G U_l E_l^dag) = Im Tr(G n_q), n_q = Tr_{!=q}(U_l E_l^dag). RZ is
+    last on its qubit and RX's generator moved past it is
+    RZ X RZ^dag = cos b X + sin b Y, so dC/db_q = Im(n_q[0,0] - n_q[1,1])
+    and dC/da_q = Im(e^{ib} n_q[0,1] + e^{-ib} n_q[1,0]).
     """
 
     def __init__(self, problem: SynthesisProblem):
         ansatz = problem.ansatz
-        n = ansatz.n_qubits
+        n = self.n_qubits = ansatz.n_qubits
         # diagonal of the CZ layer: real +-1 entries, so it is its own inverse
         self.entangler = np.ones(2**n)
         for a, b in ansatz.edges:
             self.entangler *= np.diag(embed(np.diag([1, 1, 1, -1]), [a, b], n)).real
         self.n_params = ansatz.parameter_count
-        # application order: (parameter index, qubit, generator), None = CZ layer
-        self.ops: list = []
-        k = 0
-        for layer in range(ansatz.layers + 1):
-            for q in range(n):
-                self.ops += [(k, q, _PAULI_X), (k + 1, q, _PAULI_Z)]
-                k += 2
-            if layer < ansatz.layers:
-                self.ops.append(None)
+        # einsum subscripts over a stack z of layers: the kron of the n
+        # per-qubit factors, and the partial trace onto each qubit q
+        r, c = _LETTERS[:n], _LETTERS[n:2 * n]
+        self.kron = ",".join(f"{i}{j}z" for i, j in zip(r, c)) + f"->z{r}{c}"
+        self.marginals = [f"z{r[:q]}x{r[q + 1:]}{r[:q]}y{r[q + 1:]}->zxy"
+                          for q in range(n)]
         self.rows, self.cols = problem.mask_indices()
         self.target_vals = problem.target[self.rows, self.cols]
         self.phase_aligned = problem.phase_aligned
 
-    def unitary(self, params: np.ndarray) -> np.ndarray:
+    def _forward(self, params: np.ndarray):
+        """The RZ angles, the rotation layers R_l and the prefixes U_l."""
         if params.shape != (self.n_params,):
             raise ValueError(
                 f"expected {self.n_params} parameters, got {params.shape}")
-        u = np.eye(self.entangler.size, dtype=complex)
-        for op in self.ops:
-            if op is None:
-                u = self.entangler[:, None] * u
-            else:
-                k, q, gen = op
-                u = _apply_1q(_rot(gen, params[k]), u, q)
-        return u
+        a, b = params.reshape(-1, self.n_qubits, 2).T  # each (qubit, layer)
+        cos, sin, ph = np.cos(a / 2), np.sin(a / 2), np.exp(-0.5j * b)
+        # RZ(b) RX(a) = [[ph cos, -i ph sin], [-i ph* sin, ph* cos]]
+        factors = np.array([[ph * cos, -1j * ph * sin],
+                            [-1j * ph.conj() * sin, ph.conj() * cos]])
+        dim = self.entangler.size
+        rot = np.einsum(self.kron, *factors.transpose(2, 0, 1, 3)).reshape(-1, dim, dim)
+        pre = rot.copy()
+        for layer in range(1, len(rot)):
+            pre[layer] = rot[layer] @ (self.entangler[:, None] * pre[layer - 1])
+        return b, rot, pre
+
+    def unitary(self, params: np.ndarray) -> np.ndarray:
+        return self._forward(params)[2][-1]
 
     def residual(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """U and the masked U - T; phase-aligned, T is first rotated onto
         U's global phase, which minimizes the distance over that phase."""
         u = self.unitary(params)
+        return u, self._mismatch(u)
+
+    def _mismatch(self, u: np.ndarray) -> np.ndarray:
         vals = u[self.rows, self.cols]
         tgt = self.target_vals
         if self.phase_aligned:
             tgt = tgt * np.exp(-1j * np.angle(np.vdot(vals, tgt)))
-        return u, vals - tgt
+        return vals - tgt
 
     def gradient(self, params: np.ndarray) -> tuple[float, np.ndarray]:
         """Cost and its exact gradient from one forward and one backward
-        sweep. With phase alignment the gradient is taken at the optimal
+        pass. With phase alignment the gradient is taken at the optimal
         global phase, which is exact by the envelope theorem."""
-        u, res = self.residual(params)
-        e = np.zeros_like(u)
-        np.add.at(e, (self.rows, self.cols), res)
-        dim = u.shape[0]
-        w = np.hstack([u, e])  # peel U and E together
-        grad = np.empty(self.n_params)
-        for op in reversed(self.ops):
-            if op is None:
-                w = self.entangler[:, None] * w
-                continue
-            k, q, gen = op
-            # Re <E, -i G U> = Im <E, G U>
-            grad[k] = np.vdot(w[:, dim:], _apply_1q(gen, w[:, :dim], q)).imag
-            w = _apply_1q(_rot(gen, -params[k]), w, q)
-        return float(np.sum(np.abs(res) ** 2)), grad
+        b, rot, pre = self._forward(params)
+        res = self._mismatch(pre[-1])
+        e = np.zeros_like(rot)
+        np.add.at(e[-1], (self.rows, self.cols), res)
+        for layer in range(len(rot) - 1, 0, -1):
+            e[layer - 1] = self.entangler[:, None] * (rot[layer].conj().T @ e[layer])
+        k = (pre @ e.conj().transpose(0, 2, 1)).reshape((-1,) + (2,) * (2 * len(b)))
+        m = np.array([np.einsum(spec, k) for spec in self.marginals])
+        grad = np.array([(np.exp(1j * b) * m[..., 0, 1]
+                          + np.exp(-1j * b) * m[..., 1, 0]).imag,
+                         (m[..., 0, 0] - m[..., 1, 1]).imag])
+        return float(np.sum(np.abs(res) ** 2)), grad.T.ravel()
 
 
-_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_PAULI_Z = np.diag([1, -1]).astype(complex)
-
-
-def _rot(generator: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i t G / 2) for a Pauli generator G."""
-    return math.cos(t / 2) * np.eye(2) - 1j * math.sin(t / 2) * generator
-
-
-def _apply_1q(g: np.ndarray, u: np.ndarray, q: int) -> np.ndarray:
-    """g on qubit q of the row index of u (u may carry any column count)."""
-    return (g @ u.reshape(2**q, 2, -1)).reshape(u.shape)
+_LETTERS = "abcdefghijklmnopqrstuvw"  # einsum indices, leaving x, y, z free
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,104 @@
+"""The synthesis cost and adjoint gradient applied one gate at a time.
+
+An independent reference for ``nadqec.synth._AnsatzEvaluator``, which
+builds each rotation layer of the ansatz as one matrix and reads the
+gradients of a layer off its single-qubit marginals: here every RX and RZ
+is its own 2x2 rotation, applied to the qubit's row index and peeled off
+again in the backward sweep.
+"""
+
+import math
+
+import numpy as np
+
+from nadqec.qcore import embed
+from nadqec.synth import SynthesisProblem
+
+
+class AnsatzEvaluator:
+    """Cost and exact gradient of one synthesis problem.
+
+    The ansatz is a fixed sequence of Pauli rotations exp(-i theta_k G_k / 2)
+    and diagonal CZ layers. The gradient is adjoint: a forward sweep builds U
+    and the masked residual E = U - T, a backward sweep peels each gate off
+    both, and dC/dtheta_k = Re <E_k, -i G_k U_k> where U_k, E_k are U, E
+    with every gate after gate k peeled off.
+    """
+
+    def __init__(self, problem: SynthesisProblem):
+        ansatz = problem.ansatz
+        n = ansatz.n_qubits
+        # diagonal of the CZ layer: real +-1 entries, so it is its own inverse
+        self.entangler = np.ones(2**n)
+        for a, b in ansatz.edges:
+            self.entangler *= np.diag(embed(np.diag([1, 1, 1, -1]), [a, b], n)).real
+        self.n_params = ansatz.parameter_count
+        # application order: (parameter index, qubit, generator), None = CZ layer
+        self.ops: list = []
+        k = 0
+        for layer in range(ansatz.layers + 1):
+            for q in range(n):
+                self.ops += [(k, q, _PAULI_X), (k + 1, q, _PAULI_Z)]
+                k += 2
+            if layer < ansatz.layers:
+                self.ops.append(None)
+        self.rows, self.cols = problem.mask_indices()
+        self.target_vals = problem.target[self.rows, self.cols]
+        self.phase_aligned = problem.phase_aligned
+
+    def unitary(self, params: np.ndarray) -> np.ndarray:
+        if params.shape != (self.n_params,):
+            raise ValueError(
+                f"expected {self.n_params} parameters, got {params.shape}")
+        u = np.eye(self.entangler.size, dtype=complex)
+        for op in self.ops:
+            if op is None:
+                u = self.entangler[:, None] * u
+            else:
+                k, q, gen = op
+                u = _apply_1q(_rot(gen, params[k]), u, q)
+        return u
+
+    def residual(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """U and the masked U - T; phase-aligned, T is first rotated onto
+        U's global phase, which minimizes the distance over that phase."""
+        u = self.unitary(params)
+        vals = u[self.rows, self.cols]
+        tgt = self.target_vals
+        if self.phase_aligned:
+            tgt = tgt * np.exp(-1j * np.angle(np.vdot(vals, tgt)))
+        return u, vals - tgt
+
+    def gradient(self, params: np.ndarray) -> tuple[float, np.ndarray]:
+        """Cost and its exact gradient from one forward and one backward
+        sweep. With phase alignment the gradient is taken at the optimal
+        global phase, which is exact by the envelope theorem."""
+        u, res = self.residual(params)
+        e = np.zeros_like(u)
+        np.add.at(e, (self.rows, self.cols), res)
+        dim = u.shape[0]
+        w = np.hstack([u, e])  # peel U and E together
+        grad = np.empty(self.n_params)
+        for op in reversed(self.ops):
+            if op is None:
+                w = self.entangler[:, None] * w
+                continue
+            k, q, gen = op
+            # Re <E, -i G U> = Im <E, G U>
+            grad[k] = np.vdot(w[:, dim:], _apply_1q(gen, w[:, :dim], q)).imag
+            w = _apply_1q(_rot(gen, -params[k]), w, q)
+        return float(np.sum(np.abs(res) ** 2)), grad
+
+
+_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_PAULI_Z = np.diag([1, -1]).astype(complex)
+
+
+def _rot(generator: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i t G / 2) for a Pauli generator G."""
+    return math.cos(t / 2) * np.eye(2) - 1j * math.sin(t / 2) * generator
+
+
+def _apply_1q(g: np.ndarray, u: np.ndarray, q: int) -> np.ndarray:
+    """g on qubit q of the row index of u (u may carry any column count)."""
+    return (g @ u.reshape(2**q, 2, -1)).reshape(u.shape)

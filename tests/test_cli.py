@@ -107,7 +107,8 @@ class TestRun:
         ("t2", 1000.0, "T2"), ("e_meas", 0.7, "e_meas"),
         ("e_meas", 0.02, "e_meas"), ("t1", True, "'t1'"), ("t2", True, "'t2'"),
         ("tphi", True, "'tphi'"), ("t1", [True, True, True], "'t1'"),
-        ("tphi", "abc", "'tphi'"), ("t1", None, "'t1'")])
+        ("tphi", "abc", "'tphi'"), ("t1", None, "'t1'"),
+        ("tphi", 1.0, "'t2' and 'tphi'")])
     def test_invalid_noise_is_config_error(self, tmp_path, field, value, named,
                                            capsys):
         payload = multiqec_payload(tmp_path)

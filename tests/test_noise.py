@@ -152,10 +152,20 @@ class TestNoiseParams:
         ({"t1": math.nan}, "t1"), ({"t1": -math.inf}, "t1"),
         ({"t1": [100.0, 0.0]}, "t1"), ({"t1": []}, "t1"),
         ({"t1": 100.0, "tphi": math.nan}, "tphi"),
-        ({"t1": 100.0, "tphi": [80.0, -1.0]}, "tphi")])
+        ({"t1": 100.0, "tphi": [80.0, -1.0]}, "tphi"),
+        # booleans, which numpy would read as T = 1 us
+        ({"t1": True}, "t1"), ({"t1": [100.0, True]}, "t1"),
+        ({"t1": 100.0, "tphi": True}, "tphi")])
     def test_invalid_values_rejected(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
             NoiseParams(**kwargs)
+
+    @pytest.mark.parametrize("t1,t2,field", [
+        (True, 100.0, "t1"), (100.0, True, "t2"), (True, True, "t1")])
+    def test_from_t1_t2_rejects_booleans(self, t1, t2, field):
+        # a boolean is an int to isinstance: True would be T = 1 us
+        with pytest.raises(ValueError, match=f"{field} must be a positive number"):
+            NoiseParams.from_t1_t2(t1, t2)
 
     def test_infinite_lifetimes_mean_no_noise(self):
         p = NoiseParams(t1=math.inf)

@@ -7,9 +7,13 @@ synthesized once at module scope and reused.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from synth_reference import AnsatzEvaluator as GateByGateEvaluator
 
 from nadqec import code3, synth
 from nadqec.circuits import Circuit, Gate
@@ -149,6 +153,51 @@ class TestGradient:
         fd = np.array([(cost(problem, x + h * e) - cost(problem, x - h * e))
                        / (2 * h) for e in np.eye(x.size)])
         np.testing.assert_allclose(g, fd, atol=1e-7)
+
+
+class TestLayerEvaluator:
+    """The layer-at-a-time evaluator against the gate-by-gate reference."""
+
+    @staticmethod
+    def _case(n, layers, edges, mask_kind, picks, phase_aligned, seed):
+        dim = 2**n
+        if edges is not None:  # edges drawn on 4 qubits; keep those on n
+            edges = tuple(e for e in edges if max(e) < n)
+        mask = {"none": None,
+                "column": list(dict.fromkeys(p % dim for p in picks)),
+                "pair": [(p % dim, (p // 16) % dim) for p in picks]}[mask_kind]
+        rng = np.random.default_rng(seed)
+        ansatz = Ansatz(n, layers, NativeGateSet(edges=edges))
+        problem = SynthesisProblem(_random_unitary(rng, dim), ansatz, mask=mask,
+                                   phase_aligned=phase_aligned)
+        return problem, rng.uniform(-math.pi, math.pi, ansatz.parameter_count)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 4), layers=st.integers(0, 6),
+           edges=st.none() | st.lists(st.sampled_from(
+               list(combinations(range(4), 2))), unique=True).map(tuple),
+           mask_kind=st.sampled_from(["none", "column", "pair"]),
+           picks=st.lists(st.integers(0, 255), min_size=1, max_size=12),
+           phase_aligned=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(n=3, layers=2, edges=((0, 2),), mask_kind="column", picks=[0, 4],
+             phase_aligned=False, seed=0)
+    @example(n=2, layers=3, edges=(), mask_kind="pair", picks=[1, 18, 18],
+             phase_aligned=True, seed=1)
+    @example(n=4, layers=6, edges=None, mask_kind="none", picks=[0],
+             phase_aligned=True, seed=2)
+    def test_matches_gate_by_gate_reference(self, n, layers, edges, mask_kind,
+                                            picks, phase_aligned, seed):
+        problem, x = self._case(n, layers, edges, mask_kind, picks,
+                                phase_aligned, seed)
+        layered = synth._AnsatzEvaluator(problem)
+        reference = GateByGateEvaluator(problem)
+        c, g = layered.gradient(x)
+        c_ref, g_ref = reference.gradient(x)
+        assert abs(c - c_ref) <= 1e-12
+        np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(layered.unitary(x), reference.unitary(x),
+                                   rtol=0, atol=1e-12)
+        assert abs(cost(problem, x) - c_ref) <= 1e-12
 
 
 class TestSvdSplit:
@@ -342,6 +391,18 @@ class TestEncoderSynthesis:
     def test_depth_at_ac6_seed(self):
         circ, _ = synthesize_encoder(seed=7, tolerance=1e-12)
         assert circ.count("CZ") == 6
+
+
+class TestSynthKindStructure:
+    def test_benchmark_spec_depths_and_restarts(self):
+        # the `synth` kind at seed 10, restarts 2 (bench/workloads.py's
+        # SYNTH_SPEC) synthesizes the encoder at seed 10 and U at seed 11;
+        # both fail every 3-layer start before 4 layers converge
+        enc_circ, enc = synthesize_encoder(seed=10, restarts=2)
+        u_circ, u = synth.synthesize_recovery_u(seed=11, restarts=2)
+        assert enc.converged and u.converged
+        assert (enc_circ.count("CZ"), enc.restarts_used) == (8, 3)
+        assert (u_circ.count("CZ"), u.restarts_used) == (8, 3)
 
 
 class TestDiagonalBlockCircuit:
