@@ -268,9 +268,8 @@ def _run_crosstalk_toy(spec: ExperimentSpec, out: Path) -> None:
     cycles = p.get("cycles", 4)
     rows = []
     for probe in ("0", "1"):
-        seq = protocol.chadd_sequence(2, t_final / (8 * cycles))
-        for label, chadd in (("free", None), ("chadd", seq)):
-            series = protocol.run_crosstalk_toy(model, probe, chadd, t_final)
+        for label, n_cycles in (("free", None), ("chadd", cycles)):
+            series = protocol.run_crosstalk_toy(model, probe, t_final, n_cycles)
             for t, p0, p1, f in zip(series.times, series.pop0, series.pop1,
                                     series.fidelity):
                 rows.append((probe, label, t, p0, p1, f))

@@ -338,15 +338,12 @@ def block_unitary(r: np.ndarray) -> np.ndarray:
     return w
 
 
-def combined_recovery_unitary(gamma: float,
-                              rmap: Optional[RecoveryMap] = None) -> np.ndarray:
+def combined_recovery_unitary(rmap: RecoveryMap) -> np.ndarray:
     """5-qubit unitary applying the branch recovery conditioned on a1.
 
     a1 = 1 selects the no-damping operator, a1 = 0 the single-damping one;
     a2 is the block-encoding ancilla whose 0 outcome flags success.
     """
-    if rmap is None:
-        rmap = RecoveryMap.ideal(gamma)
     r0, r1 = rmap.operators()
     u = np.zeros((8, 2, 2, 8, 2, 2), dtype=complex)  # (d, a1, a2, d', a1', a2')
     for a1, r in ((1, r0), (0, r1)):
@@ -382,7 +379,7 @@ def measured_circuit_distribution(
     psi = en @ g[:, 0]
     rho = (noise_superop(gamma, p) @ np.outer(psi, psi.conj()).ravel()).reshape(8, 8)
     w5 = (rmap.unitary if rmap.variant == "synthesized"
-          else combined_recovery_unitary(gamma, rmap))
+          else combined_recovery_unitary(rmap))
     cols = [4 * d + 2 * (bin(d).count("1") % 2) for d in range(8)]  # |d, parity(d), 0>
     v0 = np.kron(g.conj().T @ en.conj().T, np.eye(4)) @ w5[:, cols]
     return measure_computational(DensityMatrix(v0 @ rho @ v0.conj().T), [0, 1, 2, 4])

@@ -1,5 +1,4 @@
-"""Noise strengths from coherence times, device gate durations and readout
-error.
+"""Noise strengths from coherence times and readout error.
 
 Damping strength follows gamma(t) = 1 - exp(-t/T1); the pure-dephasing
 probability follows p(t) = (1 - exp(-t/Tphi)) / 2. Idle noise over a delay
@@ -13,23 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
-
-# Default gate durations (microseconds) of the device-calibrated timing, used
-# for circuit duration estimates.
-DEFAULT_GATE_DURATIONS: Mapping[str, float] = {
-    "RX": 0.032,
-    "RY": 0.032,
-    "RZ": 0.0,
-    "SX": 0.032,
-    "X": 0.032,
-    "CZ": 0.068,
-    "RZZ": 0.068,
-    "ID": 0.0,
-    "DELAY": 0.0,
-}
 
 
 @dataclass(frozen=True)

@@ -240,7 +240,6 @@ ROBUST_PULSES = (("X", 1), ("X", 2), ("XT", 1), ("XT", 2),
 
 @dataclass(frozen=True)
 class ChaddSequence:
-    chromaticity: int
     sign_matrix: np.ndarray
     row_assignment: dict
     pulses: tuple
@@ -268,17 +267,14 @@ class ChaddSequence:
         return np.array(rows).T
 
 
-def chadd_sequence(chi: int, tau: float) -> ChaddSequence:
+def chadd_sequence(tau: float) -> ChaddSequence:
     """Robust single-axis X-type CHaDD for a two-colorable layout."""
-    if chi != 2:
-        raise ValueError(f"only chromaticity 2 is supported, got {chi}")
     if tau <= 0:
         raise ValueError("tau must be positive")
     # the realized toggling signs of (Z_color1, Z_color2) trace rows 3 and 2
     # of the sign matrix (the robust cycle walks each row twice); both are
     # orthogonal to each other and to the all-ones row
     seq = ChaddSequence(
-        chromaticity=2,
         sign_matrix=SIGN_MATRIX_4.copy(),
         row_assignment={1: 3, 2: 2},
         pulses=ROBUST_PULSES,
@@ -488,14 +484,15 @@ class ToySeries:
     fidelity: np.ndarray
 
 
-def run_crosstalk_toy(model: CrosstalkModel, probe_init: str,
-                      chadd: Optional[ChaddSequence], t_final: float) -> ToySeries:
+def run_crosstalk_toy(model: CrosstalkModel, probe_init: str, t_final: float,
+                      cycles: Optional[int] = None) -> ToySeries:
     """Evolve (probe, spectator=|0>) under the ZZ toy model, recording the
     probe populations and its fidelity to the initial probe state.
 
-    With CHaDD the free evolution is chopped into the sequence's intervals
-    with instantaneous pulses in between; samples are taken once per full
-    cycle (the pulse product is identity up to phase there).
+    ``cycles=None`` is free evolution, sampled 40 times. Otherwise t_final
+    is chopped into ``cycles`` robust CHaDD cycles with instantaneous pulses
+    between their intervals; samples are taken once per full cycle (the
+    pulse product is identity up to phase there).
     """
     kets = {"0": np.array([1, 0], complex), "1": np.array([0, 1], complex),
             "+": np.array([1, 1], complex) / math.sqrt(2)}
@@ -508,7 +505,7 @@ def run_crosstalk_toy(model: CrosstalkModel, probe_init: str,
 
     times = [0.0]
     rows = [state]
-    if chadd is None:
+    if cycles is None:
         n_samples = 40
         dt_sample = t_final / n_samples
         step = gen.propagator(dt_sample)
@@ -517,18 +514,16 @@ def run_crosstalk_toy(model: CrosstalkModel, probe_init: str,
             times.append((i + 1) * dt_sample)
             rows.append(state)
     else:
+        if cycles < 1:
+            raise ValueError(f"cycles must be at least 1, got {cycles}")
+        chadd = chadd_sequence(t_final / (len(ROBUST_PULSES) * cycles))
         cycle = chadd.cycle_time
-        n_cycles = int(round(t_final / cycle))
-        if abs(n_cycles * cycle - t_final) > 1e-9:
-            raise ValueError(
-                f"t_final {t_final} is not a whole number of CHaDD cycles "
-                f"(cycle time {cycle})")
         # finite pulse window: dissipators act, drive ignored
         window = model.lindbladian(drive=False).propagator(model.pulse_duration) \
             if model.pulse_duration > 0 else None
         free = gen.propagator(chadd.tau)
         perms = _pulse_permutations((1, 2))
-        for i in range(n_cycles):
+        for i in range(cycles):
             state = _chadd_cycle(free, state, chadd, perms, window)
             times.append((i + 1) * cycle)
             rows.append(state)
@@ -596,7 +591,7 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
         if n > 3 else rho3.data
 
     def round_for(delay: float):
-        seq = chadd_sequence(2, delay / len(ROBUST_PULSES)) if chadd else None
+        seq = chadd_sequence(delay / len(ROBUST_PULSES)) if chadd else None
         free = gen.propagator(delay if seq is None else seq.tau)
         rmap = _recovery_map(config, gamma_of_t(delay, t1))
 

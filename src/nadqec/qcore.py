@@ -141,12 +141,10 @@ class Operator:
 # is needed).
 # ---------------------------------------------------------------------------
 
-I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-SX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex)
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 CZ = np.diag([1, 1, 1, -1]).astype(complex)
@@ -172,12 +170,6 @@ def rz(theta: float) -> np.ndarray:
     return np.array(
         [[np.exp(-1j * theta / 2), 0], [0, np.exp(1j * theta / 2)]], dtype=complex
     )
-
-
-def rzz(theta: float) -> np.ndarray:
-    """exp(-i theta Z(x)Z / 2) on two qubits."""
-    ph = np.exp(-1j * theta / 2)
-    return np.diag([ph, ph.conjugate(), ph.conjugate(), ph]).astype(complex)
 
 
 def basis_state(n_qubits: int, index: int) -> PureState:

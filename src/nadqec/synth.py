@@ -6,48 +6,37 @@ multi-start BFGS on exact adjoint gradients. The ansatz is applied one
 rotation layer at a time, each layer a single 2^n x 2^n matrix, and the
 gradients of a layer's angles are read off single-qubit marginals.
 
-Also holds the SVD machinery for the non-unitary recovery factors and the
-block encoding of the diagonal part. The recovery factorization uses a
+Also holds the shared-factor split of the non-unitary recovery and the
+block encoding of its diagonal part. The recovery factorization uses a
 coordinate layout that places the two nonzero singular values at the
 X-paired basis positions 000 and 100; in that gauge the two branch
 factorizations share U and D exactly and the damping-branch V is the
 X-conjugated no-damping one. A descending-order SVD cannot satisfy those
 relations (the required completion column collides with an occupied one),
-which is why ``canonical_recovery_split`` exists alongside the generic
-``svd_split``.
+which is why ``canonical_recovery_split`` fixes the layout by hand.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy import optimize as sciopt
 
 from . import code3
-from .noise import DEFAULT_GATE_DURATIONS
 from .circuits import Circuit, Gate, remapped
-from .qcore import TOL_STRUCT, embed, ry
-
-
-@dataclass(frozen=True)
-class NativeGateSet:
-    """The undirected coupling graph that CZ layers act on; ``edges=None``
-    couples the register's qubits in a line."""
-
-    edges: Optional[tuple[tuple[int, int], ...]] = None
+from .qcore import embed
 
 
 @dataclass(frozen=True)
 class Ansatz:
     """Alternating single-qubit rotation layers (RX then RZ on every qubit)
-    and CZ entangling layers over the gate set's edges."""
+    and CZ entangling layers over a line of qubits."""
 
     n_qubits: int
     layers: int
-    gateset: NativeGateSet = field(default_factory=NativeGateSet)
 
     @property
     def parameter_count(self) -> int:
@@ -55,9 +44,7 @@ class Ansatz:
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        if self.gateset.edges is None:
-            return _line_edges(self.n_qubits)
-        return self.gateset.edges
+        return tuple((q, q + 1) for q in range(self.n_qubits - 1))
 
     def circuit(self, params: Sequence[float]) -> Circuit:
         params = np.asarray(params, dtype=float)
@@ -109,7 +96,6 @@ class _AnsatzEvaluator:
                           for q in range(n)]
         self.rows, self.cols = problem.mask_indices()
         self.target_vals = problem.target[self.rows, self.cols]
-        self.phase_aligned = problem.phase_aligned
 
     def _forward(self, params: np.ndarray):
         """The RZ angles, the rotation layers R_l and the prefixes U_l."""
@@ -132,24 +118,15 @@ class _AnsatzEvaluator:
         return self._forward(params)[2][-1]
 
     def residual(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """U and the masked U - T; phase-aligned, T is first rotated onto
-        U's global phase, which minimizes the distance over that phase."""
+        """U and the masked U - T."""
         u = self.unitary(params)
-        return u, self._mismatch(u)
-
-    def _mismatch(self, u: np.ndarray) -> np.ndarray:
-        vals = u[self.rows, self.cols]
-        tgt = self.target_vals
-        if self.phase_aligned:
-            tgt = tgt * np.exp(-1j * np.angle(np.vdot(vals, tgt)))
-        return vals - tgt
+        return u, u[self.rows, self.cols] - self.target_vals
 
     def gradient(self, params: np.ndarray) -> tuple[float, np.ndarray]:
         """Cost and its exact gradient from one forward and one backward
-        pass. With phase alignment the gradient is taken at the optimal
-        global phase, which is exact by the envelope theorem."""
+        pass."""
         b, rot, pre = self._forward(params)
-        res = self._mismatch(pre[-1])
+        res = pre[-1][self.rows, self.cols] - self.target_vals
         e = np.zeros_like(rot)
         np.add.at(e[-1], (self.rows, self.cols), res)
         for layer in range(len(rot) - 1, 0, -1):
@@ -171,9 +148,6 @@ class SynthesisProblem:
     ansatz: Ansatz
     mask: Optional[object] = None  # None | column index list | (i, j) pair list
     tolerance: float = 1e-10
-    # minimize over a global phase before evaluating the distance; off by
-    # default so the cost is the literal masked sum
-    phase_aligned: bool = False
 
     def mask_indices(self) -> tuple[np.ndarray, np.ndarray]:
         dim = self.target.shape[0]
@@ -194,8 +168,7 @@ class SynthesisProblem:
 
 
 def cost(problem: SynthesisProblem, params: Sequence[float]) -> float:
-    """Masked squared Frobenius distance, literal by default; with
-    ``phase_aligned`` the distance is minimized over a global phase first."""
+    """Masked squared Frobenius distance."""
     res = _AnsatzEvaluator(problem).residual(np.asarray(params, dtype=float))[1]
     return float(np.sum(np.abs(res) ** 2))
 
@@ -256,45 +229,9 @@ def synthesize(
     return ansatz.circuit(result.params), replace(result, restarts_used=starts)
 
 
-def _line_edges(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((q, q + 1) for q in range(n - 1))
-
-
 # ---------------------------------------------------------------------------
-# SVD splitting
+# Shared-factor split of the recovery
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SvdSplit:
-    u: np.ndarray
-    d: np.ndarray  # diagonal matrix of singular values
-    v: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return self.u @ self.d @ self.v.conj().T
-
-
-def svd_split(r: np.ndarray) -> SvdSplit:
-    """Numeric SVD, singular values descending, phases fixed so the first
-    above-tolerance entry of each U column is real positive."""
-    r = np.asarray(r, dtype=complex)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValueError("svd_split expects a square matrix")
-    u, s, vh = np.linalg.svd(r)
-    v = vh.conj().T
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-9)[0]
-        if nz.size:
-            phase = col[nz[0]] / abs(col[nz[0]])
-            u[:, j] = col / phase
-            v[:, j] = v[:, j] / phase
-    split = SvdSplit(u, np.diag(s).astype(complex), v)
-    dev = np.max(np.abs(split.reconstruct() - r))
-    if dev > TOL_STRUCT:
-        raise ValueError(f"SVD reconstruction failed: deviation {dev}")
-    return split
 
 
 # Coordinate layout of the canonical recovery factorization: singular value
@@ -363,23 +300,6 @@ def canonical_recovery_split(gamma: float) -> RecoverySplit:
 # ---------------------------------------------------------------------------
 # Block encoding of the diagonal factor
 # ---------------------------------------------------------------------------
-
-
-def block_diagonal_unitary(diag: np.ndarray) -> np.ndarray:
-    """Exact (n+1)-qubit unitary whose ancilla-(0,0) block is diag(d).
-
-    The block ancilla is the last (least significant) register qubit and
-    rotates by 2*arccos(d_i) conditioned on each data basis state.
-    """
-    diag = np.real_if_close(np.asarray(diag))
-    if np.any((diag < -1e-12) | (diag > 1 + 1e-12)):
-        raise ValueError(f"diagonal entries must lie in [0, 1], got {diag}")
-    dim = diag.size
-    w = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    for i, dval in enumerate(np.clip(diag, 0.0, 1.0)):
-        block = ry(2 * math.acos(float(dval)))
-        w[2 * i: 2 * i + 2, 2 * i: 2 * i + 2] = block
-    return w
 
 
 def _cx_gates(control: int, target: int) -> list[Gate]:
@@ -547,10 +467,7 @@ def build_recovery_circuit(u_circuit: Circuit, gamma: float = 0.0,
 @dataclass(frozen=True)
 class RecoveryVerification:
     max_deviation: float
-    deviation_no_damping: float
-    deviation_damping: float
     cz_count: int
-    duration_us: float
     passed: bool
 
 
@@ -558,36 +475,20 @@ def verify_recovery_circuit(circ: Circuit,
                             rmap: "code3.RecoveryMap") -> RecoveryVerification:
     """Compare the circuit's post-selected action against the analytic
     recovery branches (restricted to each branch's parity sector); it
-    passes below a 1e-6 deviation. The duration uses the default gate
-    times."""
+    passes below a 1e-6 deviation."""
     if circ.n_qubits != 5:
         raise ValueError("expected the 5-qubit combined recovery circuit")
     w = circ.unitary()
     r0, r1 = rmap.operators()
     p_odd, p_even = code3.parity_projectors()
-    devs = []
+    max_dev = 0.0
     for a1, (r, proj) in ((1, (r0, p_odd)), (0, (r1, p_even))):
-        block = _post_selected_block(w, a1)
-        impl = block @ proj
-        ref = r @ proj
-        dev = _channel_deviation(impl, ref)
-        devs.append(dev)
-    max_dev = max(devs)
-    return RecoveryVerification(
-        max_deviation=max_dev,
-        deviation_no_damping=devs[0],
-        deviation_damping=devs[1],
-        cz_count=circ.count("CZ"),
-        duration_us=circ.duration(DEFAULT_GATE_DURATIONS),
-        passed=max_dev < 1e-6,
-    )
-
-
-def _post_selected_block(w: np.ndarray, a1_value: int) -> np.ndarray:
-    """Data-space action of the 5-qubit recovery for a fixed syndrome bit,
-    post-selected on the block ancilla a2 = 0 (register (q0,q1,q2,a1,a2))."""
-    # data index k sits at register index 4k + 2*a1 (a2 = 0)
-    return w[2 * a1_value::4, 2 * a1_value::4]
+        # on (q0, q1, q2, a1, a2), data index k sits at register index
+        # 4k + 2*a1 with the block ancilla a2 post-selected on 0
+        block = w[2 * a1::4, 2 * a1::4]
+        max_dev = max(max_dev, _channel_deviation(block @ proj, r @ proj))
+    return RecoveryVerification(max_deviation=max_dev, cz_count=circ.count("CZ"),
+                                passed=max_dev < 1e-6)
 
 
 def _channel_deviation(a: np.ndarray, b: np.ndarray) -> float:

@@ -90,7 +90,7 @@ def measured_circuit_distribution(
     if rmap.variant == "synthesized":
         w5 = rmap.unitary
     else:
-        w5 = combined_recovery_unitary(gamma, rmap)
+        w5 = combined_recovery_unitary(rmap)
     rho = apply_unitary(rho, w5)
     rho = apply_unitary(rho, en.conj().T, targets=[0, 1, 2])
     rho = apply_unitary(rho, g.conj().T, targets=[0])

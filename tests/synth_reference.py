@@ -44,7 +44,6 @@ class AnsatzEvaluator:
                 self.ops.append(None)
         self.rows, self.cols = problem.mask_indices()
         self.target_vals = problem.target[self.rows, self.cols]
-        self.phase_aligned = problem.phase_aligned
 
     def unitary(self, params: np.ndarray) -> np.ndarray:
         if params.shape != (self.n_params,):
@@ -60,19 +59,13 @@ class AnsatzEvaluator:
         return u
 
     def residual(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """U and the masked U - T; phase-aligned, T is first rotated onto
-        U's global phase, which minimizes the distance over that phase."""
+        """U and the masked U - T."""
         u = self.unitary(params)
-        vals = u[self.rows, self.cols]
-        tgt = self.target_vals
-        if self.phase_aligned:
-            tgt = tgt * np.exp(-1j * np.angle(np.vdot(vals, tgt)))
-        return u, vals - tgt
+        return u, u[self.rows, self.cols] - self.target_vals
 
     def gradient(self, params: np.ndarray) -> tuple[float, np.ndarray]:
         """Cost and its exact gradient from one forward and one backward
-        sweep. With phase alignment the gradient is taken at the optimal
-        global phase, which is exact by the envelope theorem."""
+        sweep."""
         u, res = self.residual(params)
         e = np.zeros_like(u)
         np.add.at(e, (self.rows, self.cols), res)

@@ -168,7 +168,7 @@ def test_ac8_chadd_exactness():
     for _ in range(10):
         w1, w2, g, tau = rng.uniform(0.05, 2.0, 4)
         model = protocol.CrosstalkModel(omega1=w1, omega2=w2, g=g)
-        seq = protocol.chadd_sequence(2, tau)
+        seq = protocol.chadd_sequence(tau)
         u = protocol.chadd_cycle_unitary(seq, model.hamiltonian(), (1, 2))
         phase = u[0, 0] / abs(u[0, 0])
         worst = max(worst, float(np.abs(u / phase - np.eye(4)).max()))
@@ -180,11 +180,10 @@ def test_ac8_chadd_exactness():
 def test_ac9_crosstalk_toy_directionality():
     model = protocol.CrosstalkModel(omega1=0.3, omega2=0.2, g=0.05, t1=100.0)
     t_final = 60.0
-    seq = protocol.chadd_sequence(2, t_final / 32)  # four full cycles
     outcomes = {}
     for probe in ("0", "1"):
-        with_dd = protocol.run_crosstalk_toy(model, probe, seq, t_final)
-        without = protocol.run_crosstalk_toy(model, probe, None, t_final)
+        with_dd = protocol.run_crosstalk_toy(model, probe, t_final, 4)
+        without = protocol.run_crosstalk_toy(model, probe, t_final)
         outcomes[probe] = (with_dd.fidelity[-1], without.fidelity[-1])
     ok = (outcomes["1"][0] > outcomes["1"][1]
           and outcomes["0"][0] < outcomes["0"][1])

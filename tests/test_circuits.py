@@ -1,11 +1,11 @@
-"""Gate-list circuits: compilation, inversion, layering, serialization."""
+"""Gate-list circuits: compilation, inversion, serialization."""
 
 import math
 
 import numpy as np
 import pytest
 
-from nadqec.circuits import Circuit, Gate, concat, remapped
+from nadqec.circuits import Circuit, Gate, remapped
 from nadqec.qcore import CZ, embed, rx, ry, rz
 
 
@@ -46,36 +46,8 @@ class TestCompilation:
                            Gate("RZ", (1,), -0.4), Gate("RY", (0,), 2.2)))
         ident = circ.unitary() @ circ.inverse().unitary()
         # inverse is applied after, so compose the other way around
-        ident2 = concat(2, circ, circ.inverse()).unitary()
+        ident2 = Circuit(2, circ.gates + circ.inverse().gates).unitary()
         np.testing.assert_allclose(ident2, np.eye(4), atol=1e-13)
-
-    def test_delay_compiles_to_identity(self):
-        circ = Circuit(1, (Gate("DELAY", (0,), 30.0),))
-        np.testing.assert_allclose(circ.unitary(), np.eye(2), atol=1e-15)
-
-
-class TestLayersAndDuration:
-    def test_layering(self):
-        circ = Circuit(3, (Gate("RX", (0,), 0.1), Gate("RX", (1,), 0.1),
-                           Gate("CZ", (0, 1)), Gate("RX", (2,), 0.1)))
-        layers = circ.layers()
-        assert [len(l) for l in layers] == [3, 1]
-
-    def test_duration_sums_layer_maxima(self):
-        times = {"RX": 0.03, "CZ": 0.07}
-        circ = Circuit(2, (Gate("RX", (0,), 0.1), Gate("RX", (1,), 0.2),
-                           Gate("CZ", (0, 1)), Gate("RX", (0,), 0.3)))
-        assert abs(circ.duration(times) - (0.03 + 0.07 + 0.03)) < 1e-12
-
-    def test_delay_contributes_its_parameter(self):
-        circ = Circuit(1, (Gate("DELAY", (0,), 12.5), Gate("RX", (0,), 0.1)))
-        assert abs(circ.duration({"RX": 0.03}) - 12.53) < 1e-12
-
-    def test_duration_monotone_in_gates(self):
-        times = {"RX": 0.03, "CZ": 0.07}
-        base = Circuit(2, (Gate("CZ", (0, 1)),))
-        more = base.appended(Gate("RX", (0,), 0.5))
-        assert more.duration(times) >= base.duration(times)
 
 
 class TestSerialization:
@@ -83,9 +55,8 @@ class TestSerialization:
         circ = Circuit(3, (
             Gate("RX", (0,), 0.1234567890123456789),
             Gate("CZ", (1, 2)),
-            Gate("RZZ", (0, 1), -math.pi / 7),
+            Gate("RY", (0,), -math.pi / 7),
             Gate("X", (2,)),
-            Gate("DELAY", (1,), 30.0),
         ))
         text = circ.serialize()
         back = Circuit.deserialize(text, 3)
@@ -127,9 +98,7 @@ def test_numpy_parameters_serialize_as_plain_floats():
 
 
 def test_describe_reports_angles_in_pi():
-    circ = Circuit(2, (Gate("RX", (0,), math.pi / 2), Gate("CZ", (0, 1)),
-                       Gate("DELAY", (1,), 30.0)))
+    circ = Circuit(2, (Gate("RX", (0,), math.pi / 2), Gate("CZ", (0, 1))))
     text = circ.describe()
     assert "+0.500000pi" in text
-    assert "30us" in text
     assert "CZ 0,1" in text

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from nadqec import cli
+from nadqec.circuits import Circuit
 from nadqec.cli import (
     CATALOG,
     EXIT_CONFIG,
@@ -19,6 +20,8 @@ from nadqec.cli import (
     ExperimentSpec,
     list_experiments,
 )
+from nadqec.code3 import RecoveryMap
+from nadqec.synth import verify_recovery_circuit
 
 
 def write_spec(tmp_path: Path, payload: dict) -> Path:
@@ -213,6 +216,12 @@ class TestRun:
         rows = {r.split(",")[0]: r.split(",")
                 for r in (tmp_path / "synth.csv").read_text().splitlines()[1:]}
         assert rows["encoder"][2:] == ["8", "3"]
+        # the written circuits parse back, and the recovery still verifies
+        encoder = Circuit.deserialize((tmp_path / "synth.encoder.txt").read_text(), 3)
+        assert encoder.count("CZ") == 8
+        recovery = Circuit.deserialize(
+            (tmp_path / "synth.recovery.txt").read_text(), 5)
+        assert verify_recovery_circuit(recovery, RecoveryMap.approximate()).passed
 
     @pytest.mark.parametrize("restarts", [0, -1, "2", 1.5, True])
     def test_synth_restarts_validated(self, tmp_path, restarts):
@@ -292,6 +301,17 @@ class TestRun:
         text = (tmp_path / "toy.csv").read_text()
         assert "probe,sequence,time_us" in text.splitlines()[0]
         assert "chadd" in text and "free" in text
+
+    def test_crosstalk_toy_cycles_of_a_long_final_time(self, tmp_path):
+        # t_final / (8 * cycles) times 8 * cycles is not t_final to 1e-9 here;
+        # the runner takes the cycle count as given instead of recovering it
+        payload = {"kind": "crosstalk-toy", "output": str(tmp_path / "toy.csv"),
+                   "params": {"t1": 100.0, "t_final": 2654073374.86988,
+                              "cycles": 299}}
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_OK
+        rows = [r.split(",") for r in
+                (tmp_path / "toy.csv").read_text().splitlines()[1:]]
+        assert sum(r[:2] == ["1", "chadd"] for r in rows) == 1 + 299
 
     @pytest.mark.parametrize("noise", [
         {"t1": [50.0, 90.0], "tphi": [80.0, 150.0]}, {"t1": [100.0]}])

@@ -558,7 +558,7 @@ class TestCompiledEstimator:
     @pytest.mark.parametrize("gamma", [0.0, 0.07, 0.3, 1.0])
     def test_combined_unitary_equals_embed_construction(self, gamma):
         for rmap in (RecoveryMap.ideal(gamma), RecoveryMap.approximate()):
-            got = code3.combined_recovery_unitary(gamma, rmap)
+            got = code3.combined_recovery_unitary(rmap)
             assert np.array_equal(got, combined_recovery_unitary_embed(gamma, rmap))
 
     @pytest.mark.parametrize("gamma", [0.0, 2.0**-52, 1e-300, 1e-15, 0.3, 1.0])
@@ -598,7 +598,7 @@ class TestEncoderInvariance:
         # block-encoded recovery, not just the analytic one
         from nadqec.code3 import combined_recovery_unitary
 
-        rmap = RecoveryMap.synthesized(combined_recovery_unitary(0.07))
+        rmap = RecoveryMap.synthesized(combined_recovery_unitary(RecoveryMap.ideal(0.07)))
         spec = LogicalStateSpec(0.9, 2.5)
         probs = measured_circuit_distribution(spec, 0.07, 0.02, rmap=rmap)
         f_hat, p_hat = fidelity_from_distribution(probs)

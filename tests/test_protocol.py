@@ -234,7 +234,7 @@ class TestMultiQec:
 
 class TestChaddSequence:
     def test_toggling_sums_vanish_robust_and_plain(self):
-        robust = chadd_sequence(2, 3.0)
+        robust = chadd_sequence(3.0)
         # the plain X cycle the robust one doubles, with XT pulses as X
         plain = replace(robust, pulses=(("X", 1), ("X", 2), ("X", 1), ("X", 2)))
         for seq in (robust, plain):
@@ -242,21 +242,21 @@ class TestChaddSequence:
             assert tuple(sums) == (0, 0, 0)
 
     def test_robust_pulse_list(self):
-        seq = chadd_sequence(2, 1.0)
+        seq = chadd_sequence(1.0)
         assert seq.pulses == (("X", 1), ("X", 2), ("XT", 1), ("XT", 2),
                               ("XT", 1), ("XT", 2), ("X", 1), ("X", 2))
         assert seq.interval_count == 8
         assert seq.cycle_time == 8.0
 
     def test_sign_matrix_rows_orthogonal(self):
-        seq = chadd_sequence(2, 1.0)
+        seq = chadd_sequence(1.0)
         m = seq.sign_matrix
         r1, r2 = m[seq.row_assignment[1]], m[seq.row_assignment[2]]
         assert r1 @ r2 == 0
         assert r1.sum() == 0 and r2.sum() == 0
 
     def test_zero_tau_pulse_product_is_phase(self):
-        seq = chadd_sequence(2, 1.0)
+        seq = chadd_sequence(1.0)
         u = chadd_cycle_unitary(replace(seq, tau=0.0), np.zeros((4, 4)), (1, 2))
         phase = u[0, 0] / abs(u[0, 0])
         np.testing.assert_allclose(u / phase, np.eye(4), atol=1e-12)
@@ -275,16 +275,12 @@ class TestChaddSequence:
             np.testing.assert_allclose(rho[perm][:, perm], u @ rho @ u.conj().T,
                                        atol=1e-15)
 
-    def test_unsupported_chromaticity(self):
-        with pytest.raises(ValueError):
-            chadd_sequence(3, 1.0)
-
     def test_closed_system_cycle_is_identity(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
             w1, w2, g, tau = rng.uniform(0.05, 2.0, 4)
             model = CrosstalkModel(omega1=w1, omega2=w2, g=g)
-            seq = chadd_sequence(2, tau)
+            seq = chadd_sequence(tau)
             u = chadd_cycle_unitary(seq, model.hamiltonian(), (1, 2))
             phase = u[0, 0] / abs(u[0, 0])
             assert np.abs(u / phase - np.eye(4)).max() < 1e-8
@@ -432,31 +428,29 @@ class TestLindblad:
 class TestCrosstalkToy:
     def test_stationary_without_coupling_or_noise(self):
         model = CrosstalkModel(omega1=0.0, omega2=0.0, g=0.0)
-        series = run_crosstalk_toy(model, "1", None, 40.0)
+        series = run_crosstalk_toy(model, "1", 40.0)
         np.testing.assert_allclose(series.pop1, 1.0, atol=1e-10)
 
     def test_probe_one_improves_with_chadd(self):
         model = CrosstalkModel(omega1=0.3, omega2=0.2, g=0.05, t1=100.0)
-        seq = chadd_sequence(2, 60.0 / 32)
-        with_dd = run_crosstalk_toy(model, "1", seq, 60.0)
-        without = run_crosstalk_toy(model, "1", None, 60.0)
+        with_dd = run_crosstalk_toy(model, "1", 60.0, 4)
+        without = run_crosstalk_toy(model, "1", 60.0)
         assert with_dd.fidelity[-1] > without.fidelity[-1]
 
     def test_probe_zero_degrades_with_chadd(self):
         model = CrosstalkModel(omega1=0.3, omega2=0.2, g=0.05, t1=100.0)
-        seq = chadd_sequence(2, 60.0 / 32)
-        with_dd = run_crosstalk_toy(model, "0", seq, 60.0)
-        without = run_crosstalk_toy(model, "0", None, 60.0)
+        with_dd = run_crosstalk_toy(model, "0", 60.0, 4)
+        without = run_crosstalk_toy(model, "0", 60.0)
         assert with_dd.fidelity[-1] < without.fidelity[-1]
-
-    def test_incommensurate_final_time_rejected(self):
-        seq = chadd_sequence(2, 1.0)
-        with pytest.raises(ValueError):
-            run_crosstalk_toy(CrosstalkModel(), "0", seq, 12.5)
 
     def test_unknown_probe(self):
         with pytest.raises(ValueError):
-            run_crosstalk_toy(CrosstalkModel(), "2", None, 10.0)
+            run_crosstalk_toy(CrosstalkModel(), "2", 10.0)
+
+    @pytest.mark.parametrize("cycles", [0, -2])
+    def test_cycles_must_be_positive(self, cycles):
+        with pytest.raises(ValueError, match="cycles"):
+            run_crosstalk_toy(CrosstalkModel(), "0", 10.0, cycles)
 
 
 class TestMultiQecWithChadd:
@@ -480,7 +474,7 @@ class TestMultiQecWithChadd:
         assert abs(a.success_probability - b.success_probability) < 1e-9
 
     def test_synthesized_variant_uses_its_unitary(self):
-        w5 = code3.combined_recovery_unitary(0.3)
+        w5 = code3.combined_recovery_unitary(code3.RecoveryMap.ideal(0.3))
         cfg = ProtocolConfig(code3.LogicalStateSpec(2.1, 0.4), max_delay=30,
                              total_free=(45.0,), recovery_variant="synthesized",
                              recovery_unitary=w5)
@@ -579,7 +573,7 @@ class TestMultiQecWithChadd:
         run_multiqec_with_chadd(cfg, self.noise, SpectatorLayout(
             spectators=1, couplings=((0, 3, 0.05),)), chadd=True)
         # 30, 15 and 20 us, each with one robust cycle of 8 intervals
-        assert [a[1] for a in built["chadd_sequence"]] == [30 / 8, 15 / 8, 20 / 8]
+        assert [a[0] for a in built["chadd_sequence"]] == [30 / 8, 15 / 8, 20 / 8]
         assert len(built["_recovery_map"]) == 3
 
     def test_default_coloring_is_proper(self):
@@ -610,23 +604,21 @@ class TestFiniteDurationPulses:
     def test_finite_pulses_cost_fidelity(self):
         base = CrosstalkModel(g=0.04, t1=80.0)
         slow = CrosstalkModel(g=0.04, t1=80.0, pulse_duration=0.2)
-        seq = chadd_sequence(2, 1.0)
-        ideal = run_crosstalk_toy(base, "1", seq, 16.0)
-        finite = run_crosstalk_toy(slow, "1", seq, 16.0)
+        ideal = run_crosstalk_toy(base, "1", 16.0, 2)
+        finite = run_crosstalk_toy(slow, "1", 16.0, 2)
         assert finite.fidelity[-1] < ideal.fidelity[-1]
 
     def test_zero_duration_is_default_path(self):
         model = CrosstalkModel(g=0.04, t1=80.0)
-        seq = chadd_sequence(2, 1.0)
-        a = run_crosstalk_toy(model, "1", seq, 8.0)
+        a = run_crosstalk_toy(model, "1", 8.0, 1)
         b = run_crosstalk_toy(CrosstalkModel(g=0.04, t1=80.0,
                                              pulse_duration=0.0),
-                              "1", seq, 8.0)
+                              "1", 8.0, 1)
         np.testing.assert_allclose(a.fidelity, b.fidelity, atol=0)
 
 
 def test_row_assignment_matches_realized_signs():
-    seq = chadd_sequence(2, 2.0)
+    seq = chadd_sequence(2.0)
     signs = seq.toggling_signs()
     reps = len(seq.pulses) // 4
     for color in (1, 2):
@@ -637,7 +629,7 @@ def test_row_assignment_matches_realized_signs():
 def test_multiqec_with_synthesized_recovery_matches_approximate():
     from nadqec.code3 import combined_recovery_unitary, RecoveryMap
 
-    w5 = combined_recovery_unitary(0.0, RecoveryMap.approximate())
+    w5 = combined_recovery_unitary(RecoveryMap.approximate())
     noise = NoiseParams.from_t1_t2(220.0, 440.0)
     base = ProtocolConfig(code3.LogicalStateSpec(2.2, 0.5), max_delay=30,
                           total_free=(70.0,), recovery_variant="approximate")

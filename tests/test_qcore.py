@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nadqec import qcore
 from nadqec.qcore import (
     CX,
     CZ,
@@ -289,7 +288,6 @@ class TestInvariantsAndGates:
 
     def test_pauli_algebra(self):
         np.testing.assert_allclose(X @ Y - Y @ X, 2j * Z, atol=1e-15)
-        np.testing.assert_allclose(qcore.SX @ qcore.SX, X, atol=1e-15)
 
     def test_operator_unitarity_enforced(self):
         with pytest.raises(ValueError):
