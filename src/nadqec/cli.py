@@ -196,11 +196,15 @@ def _require_in(p: Mapping, name: str, ok: Callable[[float], bool],
 
 def _protocol_config(p: Mapping, noise: NoiseParams) -> protocol.ProtocolConfig:
     _require_numbers(p, ("theta", "phi", "max_delay"), lists=("total_free",))
+    recovery = p.get("recovery", "ideal")
+    if recovery not in ("ideal", "approximate"):
+        raise ConfigError(
+            f"'recovery' must be 'ideal' or 'approximate', got {recovery!r}")
     try:
         cfg = protocol.ProtocolConfig(
             logical=code3.LogicalStateSpec(p["theta"], p.get("phi", 0.0)),
             max_delay=p["max_delay"], total_free=tuple(p["total_free"]),
-            recovery_variant=p.get("recovery", "ideal"))
+            recovery_variant=recovery)
         protocol.recovery_t1(cfg, noise)
     except ValueError as exc:
         raise ConfigError(f"invalid protocol params: {exc}") from exc

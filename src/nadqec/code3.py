@@ -13,12 +13,15 @@ which makes the scheme probabilistic.
 
 ``noise_superop`` is the package's noise model: per-qubit damping then
 dephasing of the data, written in closed form as a 64x64 map on the
-row-major vec of rho. ``cycle_superop`` appends the kept recovery branch,
-sum_K K kron conj(K) (vec(A rho B) = (A kron B^T) vec(rho)), to give one
-round, which ``qec_cycle`` and ``protocol.run_multiqec`` apply. The
-measured estimator applies the same noise map, then its post-noise circuit
-as one 32x8 isometry.
-``apply_recovery`` serves the larger data + spectator registers of CHaDD.
+row-major vec of rho. ``RecoveryMap.superop`` is the kept recovery branch
+in the same form, sum_K K kron conj(K) (vec(A rho B) = (A kron B^T)
+vec(rho)), and ``cycle_superop`` composes the two into one round.
+``apply_cycle`` is the one kernel that applies a recovery: it applies such
+a 64x64 map to data qubits 0..2 of any register of 3 to 7 qubits, so
+``qec_cycle``, ``protocol.run_multiqec`` and the data + spectator registers
+of ``protocol.run_multiqec_with_chadd`` share it. The measured estimator
+applies the same noise map, then its post-noise circuit as one 32x8
+isometry.
 
 The success probability comes in two closed-form variants that disagree
 in one sign; see ``success_probability_minus_form`` /
@@ -36,10 +39,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .qcore import (
+    TOL_STRUCT,
     DensityMatrix,
-    Operator,
     PureState,
-    apply_local,
     fidelity,
     measure_computational,
     ry,
@@ -87,8 +89,8 @@ def prep_unitary(spec: LogicalStateSpec) -> np.ndarray:
 
 
 @functools.cache
-def encoder_unitary() -> Operator:
-    """8x8 unitary mapping |000> -> |0_L> and |100> -> |1_L>.
+def encoder_unitary() -> np.ndarray:
+    """8x8 unitary mapping |000> -> |0_L> and |100> -> |1_L>, read-only.
 
     Only those two columns are contractually fixed; the remaining six are a
     deterministic Gram-Schmidt completion over the standard basis, built once.
@@ -108,7 +110,11 @@ def encoder_unitary() -> Operator:
             if nrm > 1e-8:
                 cols[:, slot] = v / nrm
                 break
-    return Operator(cols, kind="unitary")
+    dev = np.max(np.abs(cols.conj().T @ cols - np.eye(8)))
+    if dev > TOL_STRUCT:
+        raise ValueError(f"encoder not unitary: max |U^dag U - I| = {dev}")
+    cols.setflags(write=False)
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -189,37 +195,18 @@ class RecoveryMap:
         r0, r1 = self.operators()
         return r0 @ p_odd, r1 @ p_even
 
+    def superop(self) -> np.ndarray:
+        """The kept branch as a 64x64 map on the row-major vec of the data's
+        rho: sum_K K kron conj(K), since vec(A rho B) = (A kron B^T) vec(rho)."""
+        k = np.asarray(self.kraus())
+        return np.einsum("kab,kcd->acbd", k, k.conj()).reshape(64, 64)
+
 
 def parity_projectors() -> tuple[np.ndarray, np.ndarray]:
     """(P_odd, P_even) over the 3-qubit computational basis."""
     diag = np.array([bin(i).count("1") % 2 for i in range(8)])
     p_odd = np.diag(diag).astype(complex)
     return p_odd, np.eye(8) - p_odd
-
-
-def apply_recovery(rho: DensityMatrix,
-                   rmap: RecoveryMap) -> tuple[DensityMatrix, float]:
-    """Post-selected recovery on data qubits 0..2 of a register of 3 or
-    more qubits; the other qubits are untouched.
-
-    Returns the renormalized success-branch state and the success
-    probability, the kept weight relative to rho's trace.
-    """
-    if rho.qubit_count < 3:
-        raise ValueError(f"recovery needs 3 data qubits, got {rho.qubit_count}")
-    kept = apply_local(rho, rmap.kraus(), [0, 1, 2], normalized=False)
-    weight = kept.trace
-    if weight <= 0:
-        raise ValueError("post-selection removed all weight")
-    return DensityMatrix(kept.data / weight), weight / rho.trace
-
-
-def _superop(kraus) -> np.ndarray:
-    """sum_K K kron conj(K): the map rho -> sum_K K rho K^dag on the
-    row-major vec of rho, since vec(A rho B) = (A kron B^T) vec(rho)."""
-    k = np.asarray(kraus)
-    dim = k.shape[1]
-    return np.einsum("kab,kcd->acbd", k, k.conj()).reshape(dim * dim, dim * dim)
 
 
 def noise_superop(gammas: float | Sequence[float],
@@ -257,16 +244,25 @@ def cycle_superop(gammas: float | Sequence[float], ps: float | Sequence[float],
     :func:`noise_superop` map, then the kept branch of ``rmap``. The map is
     trace-non-increasing; the trace it removes is the post-selection loss.
     """
-    return _superop(rmap.kraus()) @ noise_superop(gammas, ps)
+    return rmap.superop() @ noise_superop(gammas, ps)
 
 
 def apply_cycle(superop: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, float]:
-    """A compiled round applied to the 8x8 matrix rho.
+    """A 64x64 map on data qubits 0..2, such as a compiled round or
+    :meth:`RecoveryMap.superop`, applied to rho of a register of 3 or more
+    qubits; the other qubits are untouched.
 
-    Returns the kept state renormalized to unit trace and its weight
-    relative to rho's trace.
+    rho is viewed as (8, m, 8, m), the data axes are brought together and
+    multiplied, and the result is mapped back. Returns the kept state
+    renormalized to unit trace and its weight relative to rho's trace.
     """
-    out = (superop @ rho.ravel()).reshape(rho.shape)
+    m = rho.shape[0] // 8
+    if m < 1:
+        raise ValueError(f"the recovery needs 3 data qubits, got a register "
+                         f"of {rho.shape[0].bit_length() - 1} qubits")
+    blocks = rho.reshape(8, m, 8, m).transpose(0, 2, 1, 3).reshape(64, m * m)
+    out = (superop @ blocks).reshape(8, 8, m, m).transpose(0, 2, 1, 3) \
+        .reshape(rho.shape)
     weight = float(np.real(np.trace(out)))
     if weight <= 0:
         raise ValueError("post-selection removed all weight")
@@ -375,7 +371,7 @@ def measured_circuit_distribution(
     if rmap is None:
         rmap = RecoveryMap.ideal(gamma)
     g = np.kron(prep_unitary(spec), np.eye(4))  # G on q0 of the data
-    en = encoder_unitary().data if encoder is None else np.asarray(encoder, complex)
+    en = encoder_unitary() if encoder is None else np.asarray(encoder, complex)
     psi = en @ g[:, 0]
     rho = (noise_superop(gamma, p) @ np.outer(psi, psi.conj()).ravel()).reshape(8, 8)
     w5 = (rmap.unitary if rmap.variant == "synthesized"

@@ -3,10 +3,11 @@ two-qubit ZZ-crosstalk Lindblad toy model.
 
 Both multi-round runners share one sweep loop. It builds each distinct
 delay's round once per call and shares the states after k full rounds
-across sweep points. ``run_multiqec``'s round is a compiled 64x64 map
+across sweep points. Both end every round with ``code3.apply_cycle``.
+``run_multiqec``'s round is one compiled 64x64 map
 (``code3.cycle_superop``); ``run_multiqec_with_chadd``'s is Lindblad
 evolution of the data + spectator register, optionally as one robust CHaDD
-cycle, then ``code3.apply_recovery``.
+cycle, then the kept recovery branch (``RecoveryMap.superop``) on the data.
 
 Every Lindblad evolution here (that register, the two-qubit ZZ toy, finite
 pulse windows) has a diagonal Z + ZZ Hamiltonian with per-qubit relaxation
@@ -576,8 +577,8 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
     chopped into one robust CHaDD cycle with instantaneous pulses.
 
     The two QEC ancillas stay implicit: syndrome conditioning and recovery
-    act on the data qubits through ``code3.apply_recovery``, and the
-    ancilla reset is an exact replacement, so only their timing matters.
+    act on the data qubits through ``code3.apply_cycle``, and the ancilla
+    reset is an exact replacement, so only their timing matters.
     """
     n = layout.n_qubits
     if n > 7:
@@ -593,14 +594,12 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
     def round_for(delay: float):
         seq = chadd_sequence(delay / len(ROBUST_PULSES)) if chadd else None
         free = gen.propagator(delay if seq is None else seq.tau)
-        rmap = _recovery_map(config, gamma_of_t(delay, t1))
+        kept = _recovery_map(config, gamma_of_t(delay, t1)).superop()
 
         def one_round(rho: np.ndarray):
             rho = _chadd_cycle(free, rho, seq, perms) if seq is not None \
                 else propagate(free, rho)
-            state, p_round = code3.apply_recovery(
-                DensityMatrix(rho, normalized=False), rmap)
-            return state.data, p_round
+            return code3.apply_cycle(kept, rho)
         return one_round
 
     def fidelity_of(rho: np.ndarray) -> float:

@@ -106,51 +106,13 @@ class DensityMatrix:
         return DensityMatrix(self.data / t)
 
 
-@dataclass(frozen=True)
-class Operator:
-    """A dim x dim matrix tagged with its structural kind."""
-
-    data: np.ndarray
-    kind: str = "unitary"  # unitary | non-unitary | hermitian
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _as_complex(self.data))
-        _qubit_count(self.dim)
-        if self.kind not in ("unitary", "non-unitary", "hermitian"):
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-        if self.kind == "unitary":
-            dev = np.max(np.abs(self.data.conj().T @ self.data - np.eye(self.dim)))
-            if dev > TOL_STRUCT:
-                raise ValueError(f"not unitary: max |O^dag O - I| = {dev}")
-        if self.kind == "hermitian":
-            dev = np.max(np.abs(self.data - self.data.conj().T))
-            if dev > TOL_STRUCT:
-                raise ValueError(f"not Hermitian: deviation {dev}")
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def qubit_count(self) -> int:
-        return _qubit_count(self.dim)
-
-
 # ---------------------------------------------------------------------------
-# Fixed gate matrices (raw ndarrays; wrap in Operator where a typed value
-# is needed).
+# Fixed gate matrices (raw ndarrays)
 # ---------------------------------------------------------------------------
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
-H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-P0 = np.array([[1, 0], [0, 0]], dtype=complex)
-P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 CZ = np.diag([1, 1, 1, -1]).astype(complex)
-CX = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
 
 
 def rx(theta: float) -> np.ndarray:
@@ -194,9 +156,6 @@ def tensor(a, b):
         return DensityMatrix(
             np.kron(a.data, b.data), normalized=a.normalized and b.normalized
         )
-    if isinstance(a, Operator) and isinstance(b, Operator):
-        kind = a.kind if a.kind == b.kind else "non-unitary"
-        return Operator(np.kron(a.data, b.data), kind=kind)
     if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
         return np.kron(a, b)
     raise TypeError(f"tensor operands must share a kind: {type(a)}, {type(b)}")
@@ -221,50 +180,6 @@ def embed(op: np.ndarray, targets: Sequence[int], n_qubits: int) -> np.ndarray:
     axes = list(np.argsort(list(targets) + rest))
     t = full.reshape((2,) * (2 * n_qubits))
     return t.transpose(axes + [n_qubits + a for a in axes]).reshape(full.shape)
-
-
-def apply_local(rho: DensityMatrix, ops: Sequence[np.ndarray],
-                targets: Sequence[int], normalized: bool | None = None) -> DensityMatrix:
-    """rho -> sum_K K rho K^dag with every k-qubit K acting on ``targets``.
-
-    ``targets[i]`` carries axis ``i`` of each K, as in :func:`embed`, but
-    no register-sized operator is built: rho is viewed as a (2,)*2n tensor
-    and each K is contracted into the target row axes and its conjugate
-    into the target column axes. ``normalized`` defaults to rho's flag.
-    """
-    n = rho.qubit_count
-    targets = list(targets)
-    k = len(targets)
-    if k == 0 or len(set(targets)) != k or any(t < 0 or t >= n for t in targets):
-        raise ValueError(f"invalid target set {targets} for {n} qubits")
-    rows, cols = targets, [n + t for t in targets]
-    t = rho.data.reshape((2,) * (2 * n))
-    out = np.zeros_like(t)
-    for op in ops:
-        op = np.asarray(op, dtype=complex)
-        if op.shape != (2**k, 2**k):
-            raise ValueError(f"operator of shape {op.shape} on {k} target qubits")
-        op = op.reshape((2,) * (2 * k))
-        out += _contract(_contract(t, op, rows), op.conj(), cols)
-    if normalized is None:
-        normalized = rho.normalized
-    return DensityMatrix(out.reshape(rho.data.shape), normalized=normalized)
-
-
-def _contract(t: np.ndarray, op: np.ndarray, axes: list[int]) -> np.ndarray:
-    """Contract op's input axes with ``axes`` of t; its output axes take
-    their place."""
-    k = len(axes)
-    out = np.tensordot(op, t, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(out, range(k), axes)
-
-
-def apply_unitary(rho: DensityMatrix, u, targets: Sequence[int] | None = None) -> DensityMatrix:
-    """rho -> U rho U^dag; with ``targets``, U acts on those qubits only."""
-    mat = u.data if isinstance(u, Operator) else np.asarray(u, dtype=complex)
-    if targets is not None:
-        return apply_local(rho, [mat], targets)
-    return DensityMatrix(mat @ rho.data @ mat.conj().T, normalized=rho.normalized)
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:

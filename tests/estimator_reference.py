@@ -3,7 +3,8 @@
 An independent reference for ``nadqec.code3.measured_circuit_distribution``,
 which applies the circuit in compiled form: here every gate, the noise
 channel and the 5-qubit recovery unitary act on the full (q0, q1, q2, a1,
-a2) density matrix in turn, with parity extracted by three CNOTs.
+a2) density matrix in turn (``noise_reference.apply_kraus``), with parity
+extracted by three CNOTs.
 ``combined_recovery_unitary_embed`` builds the 5-qubit recovery unitary by
 lifting each branch's block encoding with ``embed``.
 """
@@ -11,7 +12,7 @@ lifting each branch's block encoding with ``embed``.
 from typing import Optional
 
 import numpy as np
-from noise_reference import damp_dephase
+from noise_reference import apply_kraus, damp_dephase
 
 from nadqec.code3 import (
     LogicalStateSpec,
@@ -22,13 +23,14 @@ from nadqec.code3 import (
     prep_unitary,
 )
 from nadqec.qcore import (
-    CX,
     DensityMatrix,
-    apply_unitary,
     basis_state,
     embed,
     measure_computational,
 )
+
+CX = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+              dtype=complex)
 
 
 def syndrome_extract(rho: DensityMatrix) -> DensityMatrix:
@@ -41,7 +43,7 @@ def syndrome_extract(rho: DensityMatrix) -> DensityMatrix:
     if rho.qubit_count < 4:
         raise ValueError(f"expected 3 data + 1 ancilla, got {rho.qubit_count} qubits")
     for q in range(3):
-        rho = apply_unitary(rho, CX, targets=[q, 3])
+        rho = apply_kraus(rho, [CX], [q, 3])
     return rho
 
 
@@ -82,16 +84,16 @@ def measured_circuit_distribution(
         rmap = RecoveryMap.ideal(gamma)
     psi0 = basis_state(5, 0).to_density_matrix()
     g = prep_unitary(spec)
-    en = encoder_unitary().data if encoder is None else np.asarray(encoder, complex)
-    rho = apply_unitary(psi0, g, targets=[0])
-    rho = apply_unitary(rho, en, targets=[0, 1, 2])
+    en = encoder_unitary() if encoder is None else np.asarray(encoder, complex)
+    rho = apply_kraus(psi0, [g], [0])
+    rho = apply_kraus(rho, [en], [0, 1, 2])
     rho = damp_dephase(rho, range(3), gamma, p)
     rho = syndrome_extract(rho)
     if rmap.variant == "synthesized":
         w5 = rmap.unitary
     else:
         w5 = combined_recovery_unitary(rmap)
-    rho = apply_unitary(rho, w5)
-    rho = apply_unitary(rho, en.conj().T, targets=[0, 1, 2])
-    rho = apply_unitary(rho, g.conj().T, targets=[0])
+    rho = apply_kraus(rho, [w5], range(5))
+    rho = apply_kraus(rho, [en.conj().T], [0, 1, 2])
+    rho = apply_kraus(rho, [g.conj().T], [0])
     return measure_computational(rho, [0, 1, 2, 4])

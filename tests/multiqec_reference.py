@@ -11,7 +11,7 @@ timing over that list.
 from fractions import Fraction
 from typing import Sequence
 
-from noise_reference import idle_noise
+from noise_reference import apply_kraus, idle_noise
 
 from nadqec import code3
 from nadqec.noise import NoiseParams, gamma_of_t
@@ -71,8 +71,9 @@ def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoi
         for delay in schedule:
             rho = idle_noise(rho, delay, noise)
             rmap = _recovery_map(config, gamma_of_t(delay, noise.t1_of(0)))
-            rho, p_round = code3.apply_recovery(rho, rmap)
-            p_total *= p_round
+            kept = apply_kraus(rho, rmap.kraus(), [0, 1, 2])
+            p_total *= kept.trace / rho.trace
+            rho = kept.normalize()
         points.append(MultiQecPoint(
             total_free_us=total_free,
             total_evolution_us=float(total_evolution_time_exact(schedule)),

@@ -3,7 +3,8 @@
 An independent reference for ``nadqec.code3.noise_superop``, which writes
 damping then dephasing of the data in closed form as one 64x64 map: here
 each qubit gets the amplitude-damping pair, then the dephasing pair, as
-2x2 Kraus lists applied to the density matrix by ``qcore.apply_local``.
+2x2 Kraus lists lifted onto the register by ``qcore.embed`` and applied as
+register-sized matrices (``apply_kraus``).
 """
 
 import math
@@ -12,7 +13,19 @@ from typing import Optional, Sequence
 import numpy as np
 
 from nadqec.noise import NoiseParams, gamma_of_t, p_of_t
-from nadqec.qcore import DensityMatrix, apply_local
+from nadqec.qcore import DensityMatrix, embed
+
+
+def apply_kraus(rho: DensityMatrix, ops: Sequence[np.ndarray],
+                targets: Sequence[int]) -> DensityMatrix:
+    """sum_K E(K) rho E(K)^dag with E(K) = ``embed(K, targets, n)``; the
+    result is marked sub-normalized, since the Kraus list may lose weight."""
+    n = rho.qubit_count
+    out = 0
+    for op in ops:
+        full = embed(op, list(targets), n)
+        out = out + full @ rho.data @ full.conj().T
+    return DensityMatrix(out, normalized=False)
 
 
 def amplitude_damping(gamma: float) -> list[np.ndarray]:
@@ -35,9 +48,9 @@ def damp_dephase(rho: DensityMatrix, qubits: Sequence[int],
     qubits = list(qubits)
     for q, g, pq in zip(qubits, np.broadcast_to(gamma, len(qubits)),
                         np.broadcast_to(p, len(qubits))):
-        rho = apply_local(rho, amplitude_damping(float(g)), [q])
+        rho = apply_kraus(rho, amplitude_damping(float(g)), [q])
         if pq != 0:
-            rho = apply_local(rho, dephasing(float(pq)), [q])
+            rho = apply_kraus(rho, dephasing(float(pq)), [q])
     return rho
 
 

@@ -18,7 +18,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from nadqec import code3, metrics, protocol, synth
 from nadqec.code3 import (

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nadqec.circuits import Circuit, Gate, remapped
-from nadqec.qcore import CZ, embed, rx, ry, rz
+from nadqec.qcore import CZ, embed, rx, rz
 
 
 class TestGates:
@@ -45,6 +45,7 @@ class TestCompilation:
         circ = Circuit(2, (Gate("RX", (0,), 1.1), Gate("CZ", (0, 1)),
                            Gate("RZ", (1,), -0.4), Gate("RY", (0,), 2.2)))
         ident = circ.unitary() @ circ.inverse().unitary()
+        np.testing.assert_allclose(ident, np.eye(4), atol=1e-13)
         # inverse is applied after, so compose the other way around
         ident2 = Circuit(2, circ.gates + circ.inverse().gates).unitary()
         np.testing.assert_allclose(ident2, np.eye(4), atol=1e-13)

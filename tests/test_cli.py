@@ -138,7 +138,9 @@ class TestRun:
     @pytest.mark.parametrize("kind,field,value", [
         ("multiqec", "theta", "abc"), ("multiqec", "total_free", 30),
         ("multiqec", "max_delay", "x"), ("multiqec", "total_free", ["a"]),
-        ("delay-sweep", "delays", 30), ("multiqec", "total_free", [-5.0])])
+        ("delay-sweep", "delays", 30), ("multiqec", "total_free", [-5.0]),
+        ("multiqec", "recovery", "synthesized"),
+        ("multiqec-chadd", "recovery", ["ideal"])])
     def test_bad_protocol_param_is_config_error(self, tmp_path, capsys, kind,
                                                 field, value):
         params = {"total_free": [30.0], "t1": 220.0}
@@ -148,7 +150,10 @@ class TestRun:
         payload = {"kind": kind, "output": str(tmp_path / "out.csv"),
                    "params": params}
         assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_CONFIG
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert field in err
+        if field == "recovery":  # quoted, so "recovery_unitary" does not match
+            assert "'recovery'" in err and "'ideal' or 'approximate'" in err
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("output", [5, None, "", ".", "spec.json/x.csv"])

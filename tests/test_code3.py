@@ -20,15 +20,13 @@ from estimator_reference import (
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from noise_reference import damp_dephase
+from noise_reference import apply_kraus, damp_dephase
 
 from nadqec import code3
 from nadqec.code3 import (
     LogicalStateSpec,
-    QecOutcome,
     RecoveryMap,
     apply_cycle,
-    apply_recovery,
     codeword,
     cycle_superop,
     encode_ideal,
@@ -43,16 +41,13 @@ from nadqec.code3 import (
     oracle_fidelity_series_time,
     oracle_success_probability,
     oracle_worst_case_fidelity,
-    parity_projectors,
     qec_cycle,
     recovery_operators,
     success_probability_minus_form,
     success_probability_zero_logical,
 )
 from nadqec.qcore import (
-    P0,
     DensityMatrix,
-    apply_unitary,
     basis_state,
     partial_trace,
     tensor,
@@ -120,9 +115,10 @@ class TestCodewords:
                    - 1 / math.sqrt(2)) < 1e-12
 
     def test_encoder_unitary_columns(self):
-        u = encoder_unitary().data
+        u = encoder_unitary()
         np.testing.assert_allclose(u[:, 0], codeword(0).amplitudes, atol=1e-12)
         np.testing.assert_allclose(u[:, 4], codeword(1).amplitudes, atol=1e-12)
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(8), atol=1e-12)
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
@@ -182,11 +178,12 @@ class TestRecoveryOperators:
 
     def test_recover_branch_weights(self):
         g = 0.1
-        rho = codeword(1).to_density_matrix()
-        _, weight = apply_recovery(rho, RecoveryMap.ideal(g))
+        kept = RecoveryMap.ideal(g).superop()
+        rho = codeword(1).to_density_matrix().data
+        _, weight = apply_cycle(kept, rho)
         assert abs(weight - 1.0) < 1e-12  # R0 keeps |1_L>
-        w_state = codeword(0).to_density_matrix()
-        _, weight0 = apply_recovery(w_state, RecoveryMap.ideal(g))
+        w_state = codeword(0).to_density_matrix().data
+        _, weight0 = apply_cycle(kept, w_state)
         assert abs(weight0 - (1 - g) ** 2) < 1e-12
 
 
@@ -202,6 +199,23 @@ def _random_density(rng, n):
     return DensityMatrix(rho / np.trace(rho))
 
 
+def _recovery_reference(rho: DensityMatrix, rmap: RecoveryMap):
+    """The kept branch on qubits 0..2 by embedded Kraus operators:
+    (renormalized state, weight relative to rho's trace)."""
+    kept = apply_kraus(rho, rmap.kraus(), [0, 1, 2])
+    return kept.data / kept.trace, kept.trace / rho.trace
+
+
+_VARIANTS = st.sampled_from(["ideal", "approximate", "synthesized"])
+
+
+def _random_rmap(variant, rng, gamma):
+    return {"ideal": lambda: RecoveryMap.ideal(gamma),
+            "approximate": RecoveryMap.approximate,
+            "synthesized": lambda: RecoveryMap.synthesized(
+                _haar_unitary(rng, 32))}[variant]()
+
+
 class TestRecoveryEngine:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -212,56 +226,68 @@ class TestRecoveryEngine:
         # reference: (q0, q1, q2, a1, a2) register, parity onto a1, W,
         # keep a2 = 0, trace out both ancillas
         full = tensor(rho3, basis_state(2, 0).to_density_matrix())
-        full = apply_unitary(syndrome_extract(full), w)
-        proj = np.kron(np.eye(16), P0)
+        full = apply_kraus(syndrome_extract(full), [w], range(5))
+        proj = np.kron(np.eye(16), np.diag([1.0, 0.0]))  # a2 = 0
         kept = DensityMatrix(proj @ full.data @ proj, normalized=False)
         reduced = partial_trace(kept, [0, 1, 2])
-        state, p_succ = apply_recovery(rho3, RecoveryMap.synthesized(w))
+        state, p_succ = apply_cycle(RecoveryMap.synthesized(w).superop(),
+                                    rho3.data)
         assert abs(p_succ - kept.trace / full.trace) < 1e-12
-        assert np.max(np.abs(state.data - reduced.data / reduced.trace)) < 1e-12
+        assert np.max(np.abs(state - reduced.data / reduced.trace)) < 1e-12
 
     @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1),
-           variant=st.sampled_from(["ideal", "approximate", "synthesized"]))
+    @given(seed=st.integers(0, 2**32 - 1), variant=_VARIANTS)
     def test_cycle_superop_matches_kraus_engine(self, seed, variant):
         # per-qubit gamma and p, some p = 0, on a random mixed input
         rng = np.random.default_rng(seed)
         gammas = rng.uniform(0.0, 0.6, 3)
         ps = rng.uniform(0.0, 0.5, 3) * (rng.random(3) < 0.7)
-        rmap = {"ideal": lambda: RecoveryMap.ideal(gammas[0]),
-                "approximate": RecoveryMap.approximate,
-                "synthesized": lambda: RecoveryMap.synthesized(
-                    _haar_unitary(rng, 32))}[variant]()
+        rmap = _random_rmap(variant, rng, gammas[0])
         rho = _random_density(rng, 3)
-        want, p_want = apply_recovery(
+        want, p_want = _recovery_reference(
             damp_dephase(rho, range(3), gammas, ps), rmap)
         got, p_got = apply_cycle(cycle_superop(gammas, ps, rmap), rho.data)
         assert abs(p_got - p_want) < 1e-12
-        assert np.max(np.abs(got - want.data)) < 1e-12
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(3, 7), variant=_VARIANTS,
+           seed=st.integers(0, 2**32 - 1))
+    def test_apply_cycle_matches_embed_reference(self, n, variant, seed):
+        # the kept branch on data qubits 0..2 of a 3- to 7-qubit register
+        rng = np.random.default_rng(seed)
+        rmap = _random_rmap(variant, rng, rng.uniform(0.0, 0.6))
+        rho = _random_density(rng, n)
+        want, p_want = _recovery_reference(rho, rmap)
+        got, p_got = apply_cycle(rmap.superop(), rho.data)
+        assert abs(p_got - p_want) < 1e-12
+        assert np.max(np.abs(got - want)) < 1e-12
 
     def test_spectators_untouched(self):
         rng = np.random.default_rng(4)
         rho3 = _random_density(rng, 3)
         spect = _random_density(rng, 2)
-        state3, p3 = apply_recovery(rho3, RecoveryMap.ideal(0.2))
-        state5, p5 = apply_recovery(tensor(rho3, spect), RecoveryMap.ideal(0.2))
+        kept = RecoveryMap.ideal(0.2).superop()
+        state3, p3 = apply_cycle(kept, rho3.data)
+        state5, p5 = apply_cycle(kept, tensor(rho3, spect).data)
         assert abs(p3 - p5) < 1e-12
-        np.testing.assert_allclose(state5.data, tensor(state3, spect).data,
+        np.testing.assert_allclose(state5, np.kron(state3, spect.data),
                                    atol=1e-14)
 
     def test_zero_weight_raises(self):
         # at gamma = 1 the no-damping branch removes the W state entirely
         with pytest.raises(ValueError, match="removed all weight"):
-            apply_recovery(codeword(0).to_density_matrix(), RecoveryMap.ideal(1.0))
+            apply_cycle(RecoveryMap.ideal(1.0).superop(),
+                        codeword(0).to_density_matrix().data)
         # the compiled round of qec_cycle keeps the same check
         with pytest.raises(ValueError, match="removed all weight"):
             qec_cycle(encode_ideal(LogicalStateSpec(1.0)), 1.0, 0.0,
                       RecoveryMap.ideal(1.0))
 
     def test_register_too_small(self):
-        with pytest.raises(ValueError):
-            apply_recovery(basis_state(2, 0).to_density_matrix(),
-                           RecoveryMap.approximate())
+        with pytest.raises(ValueError, match="register of 2 qubits"):
+            apply_cycle(RecoveryMap.approximate().superop(),
+                        basis_state(2, 0).to_density_matrix().data)
 
 
 def _choi(superop):
@@ -297,7 +323,7 @@ class TestCompletePositivity:
 
     @settings(max_examples=60, deadline=None)
     @given(gammas=_PER_QUBIT_GAMMAS, ps=_PER_QUBIT_PS,
-           variant=st.sampled_from(["ideal", "approximate", "synthesized"]),
+           variant=_VARIANTS,
            seed=st.integers(0, 2**32 - 1))
     @example(gammas=[0.0, 0.0, 0.0], ps=[0.0, 0.0, 0.0], variant="ideal", seed=0)
     @example(gammas=[1.0, 1.0, 1.0], ps=[0.5, 0.5, 0.5], variant="ideal", seed=0)
@@ -305,10 +331,7 @@ class TestCompletePositivity:
              seed=1)
     def test_round_is_cp_and_trace_non_increasing(self, gammas, ps, variant,
                                                   seed):
-        rmap = {"ideal": lambda: RecoveryMap.ideal(gammas[0]),
-                "approximate": RecoveryMap.approximate,
-                "synthesized": lambda: RecoveryMap.synthesized(
-                    _haar_unitary(np.random.default_rng(seed), 32))}[variant]()
+        rmap = _random_rmap(variant, np.random.default_rng(seed), gammas[0])
         choi = _choi(cycle_superop(gammas, ps, rmap))
         assert np.linalg.eigvalsh(choi).min() >= -1e-12
         assert np.linalg.eigvalsh(_output_traced(choi)).max() <= 1 + 1e-12
@@ -534,19 +557,16 @@ class TestCompiledEstimator:
     @given(theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2 * math.pi,
                                                          exclude_max=True),
            gamma=st.floats(0.0, 0.6), p=st.floats(0.0, 0.5),
-           variant=st.sampled_from(["ideal", "approximate", "synthesized"]),
+           variant=_VARIANTS,
            custom_encoder=st.booleans(), seed=st.integers(0, 2**32 - 1))
     def test_matches_gate_by_gate_reference(self, theta, phi, gamma, p, variant,
                                             custom_encoder, seed):
         rng = np.random.default_rng(seed)
-        rmap = {"ideal": lambda: RecoveryMap.ideal(gamma),
-                "approximate": RecoveryMap.approximate,
-                "synthesized": lambda: RecoveryMap.synthesized(
-                    _haar_unitary(rng, 32))}[variant]()
+        rmap = _random_rmap(variant, rng, gamma)
         encoder = None
         if custom_encoder:
             # same two codeword columns, completion shuffled and re-phased
-            encoder = encoder_unitary().data.copy()
+            encoder = encoder_unitary().copy()
             free = [1, 2, 3, 5, 6, 7]
             encoder[:, free] = encoder[:, rng.permutation(free)] \
                 * np.exp(2j * math.pi * rng.random(6))
@@ -582,7 +602,7 @@ class TestEncoderInvariance:
         # the fidelity estimate and success probability only read the two
         # meaningful encoder columns; shuffling the completion must not
         # move them (other outcome entries may shift)
-        u = encoder_unitary().data.copy()
+        u = encoder_unitary().copy()
         u[:, [1, 2]] = u[:, [2, 1]]
         u[:, 3] = -u[:, 3]
         spec = LogicalStateSpec(1.3, 0.9)

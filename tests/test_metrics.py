@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from nadqec import code3, metrics
+from nadqec import code3
 from nadqec.metrics import (
-    GainCell,
     ShotRecord,
     f_star,
     gain_expt,

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from noise_reference import amplitude_damping, dephasing, idle_noise
+from noise_reference import amplitude_damping, apply_kraus, dephasing, idle_noise
 
 from nadqec import protocol
 from nadqec.code3 import LogicalStateSpec, noise_superop
@@ -16,7 +16,7 @@ from nadqec.noise import (
     p_of_t,
     readout_flip,
 )
-from nadqec.qcore import DensityMatrix, PureState, apply_local, basis_state, tensor
+from nadqec.qcore import DensityMatrix, PureState, basis_state, tensor
 
 
 def _noisy(rho, gammas, ps=0.0):
@@ -103,7 +103,7 @@ class TestChannels:
         # from explicit Kraus operators, gives the same state
         rho = DensityMatrix(np.array([[0.3, 0.25 - 0.2j], [0.25 + 0.2j, 0.7]]))
         ab = _on_qubit0(rho, 0.2, 0.15)
-        ba = apply_local(apply_local(rho, dephasing(0.15), [0]),
+        ba = apply_kraus(apply_kraus(rho, dephasing(0.15), [0]),
                          amplitude_damping(0.2), [0])
         np.testing.assert_allclose(ab.data, ba.data, atol=1e-13)
 

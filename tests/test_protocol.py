@@ -25,7 +25,6 @@ from scipy.stats import unitary_group
 from nadqec import code3, protocol
 from nadqec.noise import NoiseParams, gamma_of_t
 from nadqec.protocol import (
-    ChaddSequence,
     CrosstalkModel,
     ProtocolConfig,
     SpectatorLayout,

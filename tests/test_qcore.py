@@ -10,16 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nadqec.qcore import (
-    CX,
     CZ,
     DensityMatrix,
-    Operator,
     PureState,
     X,
-    Y,
     Z,
-    apply_local,
-    apply_unitary,
     basis_state,
     embed,
     fidelity,
@@ -30,6 +25,9 @@ from nadqec.qcore import (
     rz,
     tensor,
 )
+
+CX = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+              dtype=complex)
 
 
 def random_density(n_qubits, seed):
@@ -48,8 +46,8 @@ def random_state(n_qubits, seed):
 
 class TestTensor:
     def test_identity_case(self):
-        out = tensor(Operator(np.eye(2)), Operator(np.eye(2)))
-        np.testing.assert_allclose(out.data, np.eye(4), atol=1e-15)
+        out = tensor(np.eye(2), np.eye(2))
+        np.testing.assert_allclose(out, np.eye(4), atol=1e-15)
 
     def test_basis_case(self):
         out = tensor(basis_state(1, 0), basis_state(1, 1))
@@ -58,9 +56,9 @@ class TestTensor:
         np.testing.assert_allclose(out.amplitudes, expected, atol=1e-15)
 
     def test_zz_eigenstate(self):
-        zz = tensor(Operator(Z, kind="hermitian"), Operator(Z, kind="hermitian"))
+        zz = tensor(Z, Z)
         ket11 = basis_state(2, 3).amplitudes
-        np.testing.assert_allclose(zz.data @ ket11, ket11, atol=1e-15)
+        np.testing.assert_allclose(zz @ ket11, ket11, atol=1e-15)
 
     def test_associative(self):
         a, b, c = (random_density(1, s).data for s in (1, 2, 3))
@@ -78,7 +76,7 @@ class TestTensor:
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(TypeError):
-            tensor(basis_state(1, 0), Operator(np.eye(2)))
+            tensor(basis_state(1, 0), np.eye(2))
 
 
 class TestEmbed:
@@ -125,45 +123,6 @@ class TestEmbed:
         idx = [sum(((p >> (n - 1 - q)) & 1) << (n - 1 - i)
                    for i, q in enumerate(order)) for p in range(2**n)]
         assert np.array_equal(embed(op, targets, n), full[np.ix_(idx, idx)])
-
-
-def _random_density(rng, n):
-    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
-    rho = a @ a.conj().T
-    return DensityMatrix(rho / np.trace(rho))
-
-
-class TestApplyLocal:
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(3, 7), k=st.integers(1, 2), count=st.integers(1, 3),
-           data=st.data(), seed=st.integers(0, 2**32 - 1))
-    def test_matches_embed_path(self, n, k, count, data, seed):
-        targets = data.draw(st.permutations(range(n)))[:k]
-        rng = np.random.default_rng(seed)
-        rho = _random_density(rng, n)
-        ops = [rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
-               for _ in range(count)]
-        ops = [op / (np.linalg.norm(op, 2) * math.sqrt(count)) for op in ops]
-        want = sum(embed(op, targets, n) @ rho.data @ embed(op, targets, n).conj().T
-                   for op in ops)
-        got = apply_local(rho, ops, targets, normalized=False)
-        assert np.max(np.abs(got.data - want)) < 1e-13
-
-    def test_unitary_on_targets_matches_embed(self):
-        rho = _random_density(np.random.default_rng(3), 3)
-        u = embed(CX, [2, 0], 3)
-        want = u @ rho.data @ u.conj().T
-        np.testing.assert_allclose(apply_unitary(rho, CX, targets=[2, 0]).data,
-                                   want, atol=1e-14)
-
-    def test_invalid_targets(self):
-        rho = basis_state(3, 0).to_density_matrix()
-        with pytest.raises(ValueError):
-            apply_local(rho, [X], [3])
-        with pytest.raises(ValueError):
-            apply_local(rho, [CX], [1, 1])
-        with pytest.raises(ValueError):
-            apply_local(rho, [CX], [1])
 
 
 class TestPartialTrace:
@@ -274,7 +233,7 @@ class TestInvariantsAndGates:
     def test_unitary_preserves_spectrum(self):
         rho = random_density(3, 20)
         u = embed(rx(0.7), [1], 3) @ embed(CZ, [0, 2], 3)
-        out = apply_unitary(rho, u)
+        out = DensityMatrix(u @ rho.data @ u.conj().T)
         np.testing.assert_allclose(
             np.sort(np.linalg.eigvalsh(out.data)),
             np.sort(np.linalg.eigvalsh(rho.data)), atol=1e-10)
@@ -285,13 +244,6 @@ class TestInvariantsAndGates:
         np.testing.assert_allclose(ry(math.pi), [[0, -1], [1, 0]], atol=1e-15)
         np.testing.assert_allclose(rz(math.pi), -1j * Z, atol=1e-15)
         np.testing.assert_allclose(rx(-math.pi), 1j * X, atol=1e-15)
-
-    def test_pauli_algebra(self):
-        np.testing.assert_allclose(X @ Y - Y @ X, 2j * Z, atol=1e-15)
-
-    def test_operator_unitarity_enforced(self):
-        with pytest.raises(ValueError):
-            Operator(np.array([[1, 0], [0, 0.5]]), kind="unitary")
 
     def test_subnormalized_branch_allowed(self):
         branch = DensityMatrix(np.diag([0.3, 0.2]), normalized=False)
