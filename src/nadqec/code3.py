@@ -21,7 +21,9 @@ a 64x64 map to data qubits 0..2 of any register of 3 to 7 qubits, so
 ``qec_cycle``, ``protocol.run_multiqec`` and the data + spectator registers
 of ``protocol.run_multiqec_with_chadd`` share it. The measured estimator
 applies the same noise map, then its post-noise circuit as one 32x8
-isometry.
+isometry built from the 8 columns of the 5-qubit recovery W that syndrome
+extraction feeds (``RecoveryMap.kept_columns``, in closed form for the
+analytic variants).
 
 The success probability comes in two closed-form variants that disagree
 in one sign; see ``success_probability_minus_form`` /
@@ -39,11 +41,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .qcore import (
+    TOL_ARITH,
     TOL_STRUCT,
     DensityMatrix,
     PureState,
+    basis_state,
     fidelity,
-    measure_computational,
     ry,
     rz,
 )
@@ -122,6 +125,22 @@ def encoder_unitary() -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _projector(ket: np.ndarray, bra: np.ndarray) -> np.ndarray:
+    out = np.outer(ket, bra.conj())
+    out.setflags(write=False)
+    return out
+
+
+_E000 = basis_state(3, 0).amplitudes
+_SYM2 = np.array([0, 0, 0, 1, 0, 1, 1, 0]) / math.sqrt(3)
+# |0_L><0_L|, |1_L><1_L|, |0_L><000| and |1_L><sym2|, where
+# |sym2> = (|011> + |101> + |110>)/sqrt(3): the terms of both recovery operators
+_P0L = _projector(codeword(0).amplitudes, codeword(0).amplitudes)
+_P1L = _projector(codeword(1).amplitudes, codeword(1).amplitudes)
+_L0_000 = _projector(codeword(0).amplitudes, _E000)
+_L1_SYM2 = _projector(codeword(1).amplitudes, _SYM2)
+
+
 def recovery_operators(gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """The two noise-adapted recovery operators.
 
@@ -131,15 +150,41 @@ def recovery_operators(gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma {gamma} outside [0, 1]")
-    k0 = codeword(0).amplitudes
-    k1 = codeword(1).amplitudes
-    r0 = (1 - gamma) * np.outer(k0, k0.conj()) + np.outer(k1, k1.conj())
-    e000 = np.zeros(8, dtype=complex)
-    e000[0] = 1.0
-    sym2 = np.zeros(8, dtype=complex)
-    sym2[[3, 5, 6]] = 1.0 / math.sqrt(3)  # (|011> + |101> + |110>)/sqrt(3)
-    r1 = (1 - gamma) * np.outer(k0, e000.conj()) + np.outer(k1, sym2.conj())
-    return r0, r1
+    return (1 - gamma) * _P0L + _P1L, (1 - gamma) * _L0_000 + _L1_SYM2
+
+
+# Columns 4d + 2 parity(d) of a 5-qubit recovery W on (q0, q1, q2, a1, a2):
+# parity extraction sends |d>|00> to |d, parity(d), 0>, so the measured
+# estimator reads W on these columns only.
+_PARITY = np.array([bin(d).count("1") % 2 for d in range(8)])
+_KEPT_COLS = 4 * np.arange(8) + 2 * _PARITY
+
+
+def _kept_block(r=(0.0, 0.0), s=(0.0, 0.0)) -> np.ndarray:
+    """32x8 block with rows 4d + 2 a1 + a2 holding, in column d', column d'
+    of r[0] on a2 = 0 and of s[0] on a2 = 1 under a1 = 1 when parity(d') is
+    odd, and of r[1] and s[1] under a1 = 0 when it is even; read-only."""
+    k = np.zeros((8, 2, 2, 8), dtype=complex)
+    for a2, (odd, even) in enumerate((r, s)):
+        k[:, 1, a2] = odd * _PARITY
+        k[:, 0, a2] = even * (1 - _PARITY)
+    k = k.reshape(32, 8)
+    k.setflags(write=False)
+    return k
+
+
+# W's kept columns for the analytic recoveries are (1-g) K_R
+# + sqrt(g(2-g)) K_S + K_1. Branch b's block encoding is [[R_b, .], [S_b, .]]
+# on (a2, data) with S_b = sqrt(I - R_b^dag R_b), and since
+# R0^dag R0 = (1-g)^2 |0_L><0_L| + |1_L><1_L| and
+# R1^dag R1 = (1-g)^2 |000><000| + |sym2><sym2|, each S_b is
+# sqrt(g(2-g)) times one projector plus the projector onto the rest.
+_P000 = _projector(_E000, _E000)
+_K_R = _kept_block(r=(_P0L, _L0_000))
+_K_S = _kept_block(s=(_P0L, _P000))
+_K_1 = _kept_block(r=(_P1L, _L1_SYM2),
+                   s=(np.eye(8) - _P0L - _P1L,
+                      np.eye(8) - _P000 - _projector(_SYM2, _SYM2)))
 
 
 @dataclass(frozen=True)
@@ -166,6 +211,10 @@ class RecoveryMap:
         u = np.asarray(unitary, dtype=complex)
         if u.shape != (32, 32):
             raise ValueError("synthesized recovery must be a 5-qubit unitary")
+        dev = np.max(np.abs(u.conj().T @ u - np.eye(32)))
+        if dev > 1e-9:
+            raise ValueError(f"synthesized recovery not unitary: "
+                             f"max |W^dag W - I| = {dev}")
         return cls("synthesized", unitary=u)
 
     def operators(self) -> tuple[np.ndarray, np.ndarray]:
@@ -195,6 +244,17 @@ class RecoveryMap:
         r0, r1 = self.operators()
         return r0 @ p_odd, r1 @ p_even
 
+    def kept_columns(self) -> np.ndarray:
+        """The 32x8 block W[:, 4d + 2 parity(d)] of the 5-qubit recovery W
+        on (q0, q1, q2, a1, a2): W on each syndrome-extracted input
+        |d, parity(d), 0>. For the analytic variants, W applies the a1 = 1
+        (no-damping) and a1 = 0 (damping) branch operators block-encoded
+        on a2, and the block is written in closed form."""
+        if self.variant == "synthesized":
+            return self.unitary[:, _KEPT_COLS]
+        g = self.gamma if self.variant == "ideal" else 0.0
+        return (1 - g) * _K_R + math.sqrt(g * (2 - g)) * _K_S + _K_1
+
     def superop(self) -> np.ndarray:
         """The kept branch as a 64x64 map on the row-major vec of the data's
         rho: sum_K K kron conj(K), since vec(A rho B) = (A kron B^T) vec(rho)."""
@@ -204,9 +264,19 @@ class RecoveryMap:
 
 def parity_projectors() -> tuple[np.ndarray, np.ndarray]:
     """(P_odd, P_even) over the 3-qubit computational basis."""
-    diag = np.array([bin(i).count("1") % 2 for i in range(8)])
-    p_odd = np.diag(diag).astype(complex)
+    p_odd = np.diag(_PARITY).astype(complex)
     return p_odd, np.eye(8) - p_odd
+
+
+# Flat positions in the 64x64 noise map of the 125 products of per-qubit
+# nonzeros. Per qubit they sit at (r, c, r', c') = (0,0,0,0), (0,0,1,1),
+# (1,1,1,1), (0,1,0,1), (1,0,1,0); the map's row index is (r0 r1 r2 c0 c1 c2)
+# and its column index (r0' r1' r2' c0' c1' c2'), so qubit q's bits carry
+# weight 2^(2-q) within each group of three.
+_NOISE_POS = np.array([(0, 0, 0, 0), (0, 0, 1, 1), (1, 1, 1, 1), (0, 1, 0, 1),
+                       (1, 0, 1, 0)]) @ np.array([64 * 8, 64, 8, 1])
+_NOISE_INDEX = (4 * _NOISE_POS[:, None, None] + 2 * _NOISE_POS[None, :, None]
+                + _NOISE_POS[None, None, :]).ravel()
 
 
 def noise_superop(gammas: float | Sequence[float],
@@ -217,7 +287,8 @@ def noise_superop(gammas: float | Sequence[float],
 
     Per qubit, on the (r, c, r', c') axes: |0><0| stays, |1><1| goes to
     |0><0| with weight gamma and stays with weight 1 - gamma, and each
-    coherence scales by sqrt(1 - gamma) (1 - 2p).
+    coherence scales by sqrt(1 - gamma) (1 - 2p). The map's 125 nonzeros
+    are the products of one such entry per qubit, scattered into place.
     """
     per_qubit = []
     for g, p in zip(np.broadcast_to(gammas, 3), np.broadcast_to(ps, 3)):
@@ -226,15 +297,12 @@ def noise_superop(gammas: float | Sequence[float],
             raise ValueError(f"gamma {g} outside [0, 1]")
         if not 0.0 <= p <= 0.5:
             raise ValueError(f"dephasing probability {p} outside [0, 0.5]")
-        m = np.zeros((2, 2, 2, 2))
-        m[0, 0, 0, 0] = 1.0
-        m[0, 0, 1, 1] = g
-        m[1, 1, 1, 1] = 1.0 - g
-        m[0, 1, 0, 1] = m[1, 0, 1, 0] = math.sqrt(1.0 - g) * (1.0 - 2.0 * p)
-        per_qubit.append(m)
-    # a product channel's map is the tensor product of the per-qubit maps,
-    # regrouped from (r0 c0 r1 c1 r2 c2) to the register's (r0 r1 r2 c0 c1 c2)
-    noise = np.einsum("aAbB,cCdD,eEfF->aceACEbdfBDF", *per_qubit)
+        coh = math.sqrt(1.0 - g) * (1.0 - 2.0 * p)
+        per_qubit.append(np.array([1.0, g, 1.0 - g, coh, coh]))
+    v0, v1, v2 = per_qubit
+    noise = np.zeros(64 * 64)
+    noise[_NOISE_INDEX] = ((v0[:, None, None] * v1[None, :, None])
+                           * v2[None, None, :]).ravel()
     return noise.reshape(64, 64)
 
 
@@ -306,48 +374,6 @@ def qec_cycle(
     return QecOutcome(sigma, p_succ, fidelity(sigma, target))
 
 
-# ---------------------------------------------------------------------------
-# Exact block-encoded recovery (used by the measured-circuit estimator)
-# ---------------------------------------------------------------------------
-
-
-def block_unitary(r: np.ndarray) -> np.ndarray:
-    """Embed a trace-non-increasing operator as the ancilla-0 block of a
-    unitary on (ancilla, data): W = [[R, S'], [S, -R^dag]] with
-    S = sqrt(I - R^dag R) and S' = sqrt(I - R R^dag).
-
-    Both roots come from one SVD R = U diag(s) V^dag, as V c V^dag and
-    U c U^dag with c = sqrt(1 - s^2). Separate eigendecompositions would put
-    the sqrt of rounding noise (about 1e-8) on directions where s = 1, where
-    it need not cancel between S and S'.
-    """
-    r = np.asarray(r, dtype=complex)
-    dim = r.shape[0]
-    u, sv, vh = np.linalg.svd(r)
-    c = np.sqrt(np.clip(1.0 - sv**2, 0.0, None))
-    s_in = (vh.conj().T * c) @ vh
-    s_out = (u * c) @ u.conj().T
-    w = np.block([[r, s_out], [s_in, -r.conj().T]])
-    dev = np.max(np.abs(w.conj().T @ w - np.eye(2 * dim)))
-    if dev > 1e-9:
-        raise ValueError(f"block completion failed to be unitary: deviation {dev}")
-    return w
-
-
-def combined_recovery_unitary(rmap: RecoveryMap) -> np.ndarray:
-    """5-qubit unitary applying the branch recovery conditioned on a1.
-
-    a1 = 1 selects the no-damping operator, a1 = 0 the single-damping one;
-    a2 is the block-encoding ancilla whose 0 outcome flags success.
-    """
-    r0, r1 = rmap.operators()
-    u = np.zeros((8, 2, 2, 8, 2, 2), dtype=complex)  # (d, a1, a2, d', a1', a2')
-    for a1, r in ((1, r0), (0, r1)):
-        w = block_unitary(r).reshape(2, 8, 2, 8)  # on (a2, data)
-        u[:, a1, :, :, a1, :] = w.transpose(1, 0, 3, 2)
-    return u.reshape(32, 32)
-
-
 def measured_circuit_distribution(
     spec: LogicalStateSpec,
     gamma: float,
@@ -364,21 +390,34 @@ def measured_circuit_distribution(
 
     Compiled form: :func:`noise_superop` acts on the encoded data state
     rho = En (G|0> x |00>). The ancillas are still |00> and parity
-    extraction sends |d>|00> to |d, parity(d), 0>, so the rest is the
-    isometry V0 = ((G^dag En^dag) x I4) W[:, 4d + 2 parity(d)] and the
-    measured 5-qubit state is V0 rho V0^dag.
+    extraction sends |d>|00> to |d, parity(d), 0>, so the rest is the 32x8
+    isometry V0 = ((G^dag En^dag) x I4) K with K = W[:, 4d + 2 parity(d)]
+    (:meth:`RecoveryMap.kept_columns`). Entry (d, a2) of the distribution
+    is sum_a1 <d, a1, a2| V0 rho V0^dag |d, a1, a2>; V0 rho V0^dag itself is
+    never formed. rho is checked as a density matrix, V0^dag V0 = I within
+    1e-9, and the distribution's sum, the trace of V0 rho V0^dag, within
+    TOL_ARITH of 1.
     """
     if rmap is None:
         rmap = RecoveryMap.ideal(gamma)
-    g = np.kron(prep_unitary(spec), np.eye(4))  # G on q0 of the data
+    g = prep_unitary(spec)  # G on q0 of the data
     en = encoder_unitary() if encoder is None else np.asarray(encoder, complex)
-    psi = en @ g[:, 0]
-    rho = (noise_superop(gamma, p) @ np.outer(psi, psi.conj()).ravel()).reshape(8, 8)
-    w5 = (rmap.unitary if rmap.variant == "synthesized"
-          else combined_recovery_unitary(rmap))
-    cols = [4 * d + 2 * (bin(d).count("1") % 2) for d in range(8)]  # |d, parity(d), 0>
-    v0 = np.kron(g.conj().T @ en.conj().T, np.eye(4)) @ w5[:, cols]
-    return measure_computational(DensityMatrix(v0 @ rho @ v0.conj().T), [0, 1, 2, 4])
+    psi = en[:, [0, 4]] @ g[:, 0]  # G|000> has amplitudes G[:, 0] on |000>, |100>
+    rho = DensityMatrix(
+        (noise_superop(gamma, p) @ np.outer(psi, psi.conj()).ravel()).reshape(8, 8))
+    # (G^dag x I4) En^dag, then that x I4 times K, each on its row's leading index
+    m = (g.conj().T @ en.conj().T.reshape(2, 32)).reshape(8, 8)
+    v0 = (m @ rmap.kept_columns().reshape(8, 32)).reshape(32, 8)
+    dev = np.max(np.abs(v0.conj().T @ v0 - np.eye(8)))
+    if dev > 1e-9:
+        raise ValueError(f"post-noise circuit not an isometry: "
+                         f"max |V0^dag V0 - I| = {dev}")
+    diag = np.real(np.sum((v0 @ rho.data) * v0.conj(), axis=1))
+    probs = diag.reshape(8, 2, 2).sum(axis=1).ravel()  # sum over a1
+    total = probs.sum()
+    if abs(total - 1.0) > TOL_ARITH:
+        raise ValueError(f"outcome probabilities sum to {total}, not 1")
+    return probs
 
 
 def fidelity_from_distribution(probs: np.ndarray) -> tuple[float, float]:

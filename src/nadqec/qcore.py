@@ -145,20 +145,10 @@ def basis_state(n_qubits: int, index: int) -> PureState:
 # ---------------------------------------------------------------------------
 
 
-def tensor(a, b):
-    """Kronecker product of two values of the same kind.
-
-    The left operand occupies the high-order qubits of the result.
-    """
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(
-            np.kron(a.data, b.data), normalized=a.normalized and b.normalized
-        )
-    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        return np.kron(a, b)
-    raise TypeError(f"tensor operands must share a kind: {type(a)}, {type(b)}")
+def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
+    """Joint state of two registers; ``a`` occupies the high-order qubits."""
+    return DensityMatrix(np.kron(a.data, b.data),
+                         normalized=a.normalized and b.normalized)
 
 
 def embed(op: np.ndarray, targets: Sequence[int], n_qubits: int) -> np.ndarray:
@@ -206,23 +196,3 @@ def fidelity(rho: DensityMatrix, psi: PureState) -> float:
     if abs(val.imag) > 100 * TOL_ARITH:
         raise ValueError(f"fidelity has imaginary residue {val.imag}")
     return float(val.real)
-
-
-def measure_computational(rho: DensityMatrix, qubits: Sequence[int]) -> np.ndarray:
-    """Outcome distribution over the listed qubits.
-
-    Entry ``b`` is the probability that reading ``qubits`` (first listed =
-    most significant bit of ``b``) yields the bits of ``b``. The complement
-    register is traced out.
-    """
-    qubits = list(qubits)
-    if not qubits:
-        raise ValueError("empty measurement qubit set")
-    n = rho.qubit_count
-    if len(set(qubits)) != len(qubits) or any(q < 0 or q >= n for q in qubits):
-        raise ValueError(f"invalid measurement qubits {qubits}")
-    diag = np.real(np.diag(partial_trace(rho, qubits).data))
-    # partial_trace keeps ascending register order; permute to listed order
-    asc = sorted(qubits)
-    return diag.reshape((2,) * len(qubits)).transpose(
-        [asc.index(q) for q in qubits]).flatten()

@@ -4,12 +4,15 @@ An independent reference for ``nadqec.code3.measured_circuit_distribution``,
 which applies the circuit in compiled form: here every gate, the noise
 channel and the 5-qubit recovery unitary act on the full (q0, q1, q2, a1,
 a2) density matrix in turn (``noise_reference.apply_kraus``), with parity
-extracted by three CNOTs.
-``combined_recovery_unitary_embed`` builds the 5-qubit recovery unitary by
-lifting each branch's block encoding with ``embed``.
+extracted by three CNOTs and the outcome read from the reduced state
+(``measure_computational``).
+The 5-qubit recovery unitary is built in full: ``block_unitary`` embeds
+each branch operator by SVD, ``combined_recovery_unitary`` places the two
+blocks by a1, and ``combined_recovery_unitary_embed`` builds the same
+unitary by lifting each block with ``embed``.
 """
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from noise_reference import apply_kraus, damp_dephase
@@ -17,8 +20,6 @@ from noise_reference import apply_kraus, damp_dephase
 from nadqec.code3 import (
     LogicalStateSpec,
     RecoveryMap,
-    block_unitary,
-    combined_recovery_unitary,
     encoder_unitary,
     prep_unitary,
 )
@@ -26,7 +27,7 @@ from nadqec.qcore import (
     DensityMatrix,
     basis_state,
     embed,
-    measure_computational,
+    partial_trace,
 )
 
 CX = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
@@ -47,13 +48,67 @@ def syndrome_extract(rho: DensityMatrix) -> DensityMatrix:
     return rho
 
 
-def combined_recovery_unitary_embed(gamma: float,
-                                    rmap: Optional[RecoveryMap] = None) -> np.ndarray:
+def measure_computational(rho: DensityMatrix, qubits: Sequence[int]) -> np.ndarray:
+    """Outcome distribution over the listed qubits.
+
+    Entry ``b`` is the probability that reading ``qubits`` (first listed =
+    most significant bit of ``b``) yields the bits of ``b``. The complement
+    register is traced out.
+    """
+    qubits = list(qubits)
+    if not qubits:
+        raise ValueError("empty measurement qubit set")
+    n = rho.qubit_count
+    if len(set(qubits)) != len(qubits) or any(q < 0 or q >= n for q in qubits):
+        raise ValueError(f"invalid measurement qubits {qubits}")
+    diag = np.real(np.diag(partial_trace(rho, qubits).data))
+    # partial_trace keeps ascending register order; permute to listed order
+    asc = sorted(qubits)
+    return diag.reshape((2,) * len(qubits)).transpose(
+        [asc.index(q) for q in qubits]).flatten()
+
+
+def block_unitary(r: np.ndarray) -> np.ndarray:
+    """Embed a trace-non-increasing operator as the ancilla-0 block of a
+    unitary on (ancilla, data): W = [[R, S'], [S, -R^dag]] with
+    S = sqrt(I - R^dag R) and S' = sqrt(I - R R^dag).
+
+    Both roots come from one SVD R = U diag(s) V^dag, as V c V^dag and
+    U c U^dag with c = sqrt(1 - s^2). Separate eigendecompositions would put
+    the sqrt of rounding noise (about 1e-8) on directions where s = 1, where
+    it need not cancel between S and S'.
+    """
+    r = np.asarray(r, dtype=complex)
+    dim = r.shape[0]
+    u, sv, vh = np.linalg.svd(r)
+    c = np.sqrt(np.clip(1.0 - sv**2, 0.0, None))
+    s_in = (vh.conj().T * c) @ vh
+    s_out = (u * c) @ u.conj().T
+    w = np.block([[r, s_out], [s_in, -r.conj().T]])
+    dev = np.max(np.abs(w.conj().T @ w - np.eye(2 * dim)))
+    if dev > 1e-9:
+        raise ValueError(f"block completion failed to be unitary: deviation {dev}")
+    return w
+
+
+def combined_recovery_unitary(rmap: RecoveryMap) -> np.ndarray:
     """5-qubit unitary applying the branch recovery conditioned on a1.
 
     a1 = 1 selects the no-damping operator, a1 = 0 the single-damping one;
     a2 is the block-encoding ancilla whose 0 outcome flags success.
     """
+    r0, r1 = rmap.operators()
+    u = np.zeros((8, 2, 2, 8, 2, 2), dtype=complex)  # (d, a1, a2, d', a1', a2')
+    for a1, r in ((1, r0), (0, r1)):
+        w = block_unitary(r).reshape(2, 8, 2, 8)  # on (a2, data)
+        u[:, a1, :, :, a1, :] = w.transpose(1, 0, 3, 2)
+    return u.reshape(32, 32)
+
+
+def combined_recovery_unitary_embed(gamma: float,
+                                    rmap: Optional[RecoveryMap] = None) -> np.ndarray:
+    """:func:`combined_recovery_unitary` built by lifting each branch's
+    block encoding onto the 5-qubit register with ``embed``."""
     if rmap is None:
         rmap = RecoveryMap.ideal(gamma)
     r0, r1 = rmap.operators()

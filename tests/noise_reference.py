@@ -4,7 +4,10 @@ An independent reference for ``nadqec.code3.noise_superop``, which writes
 damping then dephasing of the data in closed form as one 64x64 map: here
 each qubit gets the amplitude-damping pair, then the dephasing pair, as
 2x2 Kraus lists lifted onto the register by ``qcore.embed`` and applied as
-register-sized matrices (``apply_kraus``).
+register-sized matrices (``apply_kraus``). ``noise_superop_einsum`` keeps
+the map's earlier construction, the tensor product of the per-qubit 4-index
+maps regrouped by one ``einsum``, against which the scattered build is
+pinned entry for entry.
 """
 
 import math
@@ -26,6 +29,22 @@ def apply_kraus(rho: DensityMatrix, ops: Sequence[np.ndarray],
         full = embed(op, list(targets), n)
         out = out + full @ rho.data @ full.conj().T
     return DensityMatrix(out, normalized=False)
+
+
+def noise_superop_einsum(gammas: Sequence[float],
+                         ps: Sequence[float]) -> np.ndarray:
+    """The 64x64 map of ``code3.noise_superop`` for per-qubit gammas and ps."""
+    per_qubit = []
+    for g, p in zip(gammas, ps):
+        m = np.zeros((2, 2, 2, 2))
+        m[0, 0, 0, 0] = 1.0
+        m[0, 0, 1, 1] = g
+        m[1, 1, 1, 1] = 1.0 - g
+        m[0, 1, 0, 1] = m[1, 0, 1, 0] = math.sqrt(1.0 - g) * (1.0 - 2.0 * p)
+        per_qubit.append(m)
+    # regroup (r0 c0 r1 c1 r2 c2) to the register's (r0 r1 r2 c0 c1 c2)
+    noise = np.einsum("aAbB,cCdD,eEfF->aceACEbdfBDF", *per_qubit)
+    return noise.reshape(64, 64)
 
 
 def amplitude_damping(gamma: float) -> list[np.ndarray]:

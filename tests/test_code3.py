@@ -12,6 +12,8 @@ from itertools import product
 import numpy as np
 import pytest
 from estimator_reference import (
+    block_unitary,
+    combined_recovery_unitary,
     combined_recovery_unitary_embed,
     syndrome_extract,
 )
@@ -170,6 +172,20 @@ class TestRecoveryOperators:
                 top = np.linalg.eigvalsh(r.conj().T @ r)[-1]
                 assert top <= 1.0 + 1e-10
 
+    @pytest.mark.parametrize("g", [0.0, 2.0**-52, 0.23, 1.0 / 3.0, 1.0])
+    def test_bit_identical_to_outer_product_build(self, g):
+        k0 = codeword(0).amplitudes
+        k1 = codeword(1).amplitudes
+        e000 = np.zeros(8, dtype=complex)
+        e000[0] = 1.0
+        sym2 = np.zeros(8, dtype=complex)
+        sym2[[3, 5, 6]] = 1.0 / math.sqrt(3)
+        r0 = (1 - g) * np.outer(k0, k0.conj()) + np.outer(k1, k1.conj())
+        r1 = (1 - g) * np.outer(k0, e000.conj()) + np.outer(k1, sym2.conj())
+        got = recovery_operators(g)
+        assert np.array_equal(got[0], r0)
+        assert np.array_equal(got[1], r1)
+
     def test_approximate_equals_ideal_at_zero(self):
         approx = RecoveryMap.approximate().operators()
         ideal0 = RecoveryMap.ideal(0.0).operators()
@@ -217,6 +233,13 @@ def _random_rmap(variant, rng, gamma):
 
 
 class TestRecoveryEngine:
+    def test_synthesized_rejects_non_unitary(self):
+        w = _haar_unitary(np.random.default_rng(3), 32)
+        for bad in (2 * w, w + 1e-8 * np.eye(32)):
+            with pytest.raises(ValueError, match="not unitary"):
+                RecoveryMap.synthesized(bad)
+        RecoveryMap.synthesized(w + 1e-11 * np.eye(32))
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_synthesized_kraus_match_five_qubit_circuit(self, seed):
@@ -578,7 +601,7 @@ class TestCompiledEstimator:
     @pytest.mark.parametrize("gamma", [0.0, 0.07, 0.3, 1.0])
     def test_combined_unitary_equals_embed_construction(self, gamma):
         for rmap in (RecoveryMap.ideal(gamma), RecoveryMap.approximate()):
-            got = code3.combined_recovery_unitary(rmap)
+            got = combined_recovery_unitary(rmap)
             assert np.array_equal(got, combined_recovery_unitary_embed(gamma, rmap))
 
     @pytest.mark.parametrize("gamma", [0.0, 2.0**-52, 1e-300, 1e-15, 0.3, 1.0])
@@ -586,9 +609,64 @@ class TestCompiledEstimator:
         # at gamma = 2**-52 the block completion once missed unitarity by
         # 1.4e-9, so the estimator raised for a valid gamma
         for r in recovery_operators(gamma):
-            w = code3.block_unitary(r)
+            w = block_unitary(r)
             assert np.max(np.abs(w.conj().T @ w - np.eye(16))) < 1e-12
             assert np.array_equal(w[:8, :8], r)
+
+    @pytest.mark.parametrize("gamma", [0.0, 2.0**-52, 1e-300, 1e-15, 0.3, 1.0])
+    def test_kept_columns_match_block_unitary(self, gamma):
+        # W's kept column d is [R_b; S_b] column d on a1 = b = parity(d)
+        # (a2 the upper index) and zero on a1 = 1 - b. block_unitary takes
+        # S_b's weight sqrt(1 - s^2) from an SVD singular value s = 1 - gamma,
+        # and an ulp of error in s moves it by about 1e-16 / c with
+        # c = sqrt(gamma (2 - gamma)) (7e-9 at gamma = 2**-52); where c is
+        # that small but nonzero the S rows are compared through S^dag S
+        parity = np.array([bin(d).count("1") % 2 for d in range(8)])
+        c = math.sqrt(gamma * (2 - gamma))
+        r0, r1 = recovery_operators(gamma)
+        for rmap in (RecoveryMap.ideal(gamma),) + (
+                (RecoveryMap.approximate(),) if gamma == 0.0 else ()):
+            k = rmap.kept_columns().reshape(8, 2, 2, 8)  # (d, a1, a2, d')
+            for b, r in ((1, r0), (0, r1)):
+                cols = parity == b
+                want = block_unitary(r)[:, :8].reshape(2, 8, 8)[:, :, cols]
+                got = k[:, b].transpose(1, 0, 2)[:, :, cols]  # (a2, d, d')
+                assert np.max(np.abs(got[0] - want[0])) < 1e-12
+                s_got, s_want = got[1], want[1]
+                assert np.max(np.abs(s_got.conj().T @ s_got
+                                     - s_want.conj().T @ s_want)) < 1e-12
+                if c < 1e-12 or c > 1e-4:
+                    assert np.max(np.abs(s_got - s_want)) < 1e-12
+                assert not np.any(k[:, 1 - b][:, :, cols])
+
+    def test_kept_columns_of_synthesized_unitary(self):
+        w = _haar_unitary(np.random.default_rng(5), 32)
+        parity = [bin(d).count("1") % 2 for d in range(8)]
+        want = w[:, [4 * d + 2 * parity[d] for d in range(8)]]
+        assert np.array_equal(RecoveryMap.synthesized(w).kept_columns(), want)
+
+    def test_rejects_scaled_encoder(self):
+        with pytest.raises(ValueError):
+            measured_circuit_distribution(LogicalStateSpec(1.0, 0.5), 0.1, 0.05,
+                                          encoder=1.01 * encoder_unitary())
+
+    def test_rejects_non_isometric_circuit(self):
+        # the prepared state only reads encoder columns 0 and 4, so the
+        # noisy state stays valid and only the isometry check can fire
+        encoder = encoder_unitary().copy()
+        encoder[:, 3] *= 1.01
+        with pytest.raises(ValueError, match="not an isometry"):
+            measured_circuit_distribution(LogicalStateSpec(1.0, 0.5), 0.1, 0.05,
+                                          encoder=encoder)
+
+    def test_rejects_unnormalized_distribution(self):
+        # (1 + 2e-10) W passes the 1e-9 unitarity and isometry bounds, but
+        # its outcome probabilities sum to 1 + 4e-10
+        w = _haar_unitary(np.random.default_rng(6), 32)
+        rmap = RecoveryMap.synthesized((1 + 2e-10) * w)
+        with pytest.raises(ValueError, match="sum to"):
+            measured_circuit_distribution(LogicalStateSpec(1.0, 0.5), 0.1, 0.05,
+                                          rmap)
 
     @pytest.mark.parametrize("p", [0.0, 0.1])
     def test_full_damping_removes_all_weight(self, p):
@@ -616,8 +694,6 @@ class TestEncoderInvariance:
     def test_lemma_holds_for_synthesized_recovery(self):
         # the all-zero/fidelity identity is structural: it holds for any
         # block-encoded recovery, not just the analytic one
-        from nadqec.code3 import combined_recovery_unitary
-
         rmap = RecoveryMap.synthesized(combined_recovery_unitary(RecoveryMap.ideal(0.07)))
         spec = LogicalStateSpec(0.9, 2.5)
         probs = measured_circuit_distribution(spec, 0.07, 0.02, rmap=rmap)

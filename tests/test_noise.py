@@ -6,7 +6,15 @@ import math
 
 import numpy as np
 import pytest
-from noise_reference import amplitude_damping, apply_kraus, dephasing, idle_noise
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from noise_reference import (
+    amplitude_damping,
+    apply_kraus,
+    dephasing,
+    idle_noise,
+    noise_superop_einsum,
+)
 
 from nadqec import protocol
 from nadqec.code3 import LogicalStateSpec, noise_superop
@@ -113,6 +121,16 @@ class TestChannels:
                 noise_superop([0.1, bad, 0.1], 0.0)
         with pytest.raises(ValueError, match="outside"):
             noise_superop(0.0, 0.6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(gammas=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+           ps=st.lists(st.floats(0.0, 0.5), min_size=3, max_size=3))
+    @example(gammas=[0.0, 0.0, 0.0], ps=[0.0, 0.0, 0.0])
+    @example(gammas=[1.0, 1.0, 1.0], ps=[0.5, 0.5, 0.5])
+    @example(gammas=[0.1, 2.0**-52, 0.9], ps=[0.3, 0.0, 0.5])
+    def test_scattered_map_equals_einsum_construction(self, gammas, ps):
+        assert np.array_equal(noise_superop(gammas, ps),
+                              noise_superop_einsum(gammas, ps))
 
 
 class TestApplyChannel:

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from estimator_reference import combined_recovery_unitary
 from hypothesis import strategies as st
 from lindblad_reference import (
     collapse_operators,
@@ -473,7 +474,7 @@ class TestMultiQecWithChadd:
         assert abs(a.success_probability - b.success_probability) < 1e-9
 
     def test_synthesized_variant_uses_its_unitary(self):
-        w5 = code3.combined_recovery_unitary(code3.RecoveryMap.ideal(0.3))
+        w5 = combined_recovery_unitary(code3.RecoveryMap.ideal(0.3))
         cfg = ProtocolConfig(code3.LogicalStateSpec(2.1, 0.4), max_delay=30,
                              total_free=(45.0,), recovery_variant="synthesized",
                              recovery_unitary=w5)
@@ -626,7 +627,7 @@ def test_row_assignment_matches_realized_signs():
 
 
 def test_multiqec_with_synthesized_recovery_matches_approximate():
-    from nadqec.code3 import combined_recovery_unitary, RecoveryMap
+    from nadqec.code3 import RecoveryMap
 
     w5 = combined_recovery_unitary(RecoveryMap.approximate())
     noise = NoiseParams.from_t1_t2(220.0, 440.0)
