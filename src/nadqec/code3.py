@@ -16,10 +16,12 @@ dephasing of the data, written in closed form as a 64x64 map on the
 row-major vec of rho. ``RecoveryMap.superop`` is the kept recovery branch
 in the same form, sum_K K kron conj(K) (vec(A rho B) = (A kron B^T)
 vec(rho)), and ``cycle_superop`` composes the two into one round.
-``apply_cycle`` is the one kernel that applies a recovery: it applies such
-a 64x64 map to data qubits 0..2 of any register of 3 to 7 qubits, so
-``qec_cycle``, ``protocol.run_multiqec`` and the data + spectator registers
-of ``protocol.run_multiqec_with_chadd`` share it. The measured estimator
+``apply_cycle`` applies such a 64x64 map to data qubits 0..2 of any
+register of 3 to 7 qubits, so ``qec_cycle`` and the data + spectator
+registers of ``protocol.run_multiqec_with_chadd`` share it. For the analytic
+recoveries a round that starts in the code space ends there, so
+``logical_round`` restricts it exactly to a 4x4 map on the 2x2 logical
+state, which ``protocol.run_multiqec`` powers. The measured estimator
 applies the same noise map, then its post-noise circuit as one 32x8
 isometry built from the 8 columns of the 5-qubit recovery W that syndrome
 extraction feeds (``RecoveryMap.kept_columns``, in closed form for the
@@ -279,6 +281,17 @@ _NOISE_INDEX = (4 * _NOISE_POS[:, None, None] + 2 * _NOISE_POS[None, :, None]
                 + _NOISE_POS[None, None, :]).ravel()
 
 
+def _noise_entries(g: float, p: float) -> np.ndarray:
+    """One qubit's nonzeros of the noise map, in ``_NOISE_POS`` order."""
+    g, p = float(g), float(p)
+    if not 0.0 <= g <= 1.0:
+        raise ValueError(f"gamma {g} outside [0, 1]")
+    if not 0.0 <= p <= 0.5:
+        raise ValueError(f"dephasing probability {p} outside [0, 0.5]")
+    coh = math.sqrt(1.0 - g) * (1.0 - 2.0 * p)
+    return np.array([1.0, g, 1.0 - g, coh, coh])
+
+
 def noise_superop(gammas: float | Sequence[float],
                   ps: float | Sequence[float]) -> np.ndarray:
     """AD(gamma) then dephasing(p) on each data qubit as a 64x64 map; the
@@ -290,16 +303,11 @@ def noise_superop(gammas: float | Sequence[float],
     coherence scales by sqrt(1 - gamma) (1 - 2p). The map's 125 nonzeros
     are the products of one such entry per qubit, scattered into place.
     """
-    per_qubit = []
-    for g, p in zip(np.broadcast_to(gammas, 3), np.broadcast_to(ps, 3)):
-        g, p = float(g), float(p)
-        if not 0.0 <= g <= 1.0:
-            raise ValueError(f"gamma {g} outside [0, 1]")
-        if not 0.0 <= p <= 0.5:
-            raise ValueError(f"dephasing probability {p} outside [0, 0.5]")
-        coh = math.sqrt(1.0 - g) * (1.0 - 2.0 * p)
-        per_qubit.append(np.array([1.0, g, 1.0 - g, coh, coh]))
-    v0, v1, v2 = per_qubit
+    if isinstance(gammas, (int, float)) and isinstance(ps, (int, float)):
+        v0 = v1 = v2 = _noise_entries(gammas, ps)
+    else:
+        v0, v1, v2 = (_noise_entries(g, p) for g, p in
+                      zip(np.broadcast_to(gammas, 3), np.broadcast_to(ps, 3)))
     noise = np.zeros(64 * 64)
     noise[_NOISE_INDEX] = ((v0[:, None, None] * v1[None, :, None])
                            * v2[None, None, :]).ravel()
@@ -313,6 +321,35 @@ def cycle_superop(gammas: float | Sequence[float], ps: float | Sequence[float],
     trace-non-increasing; the trace it removes is the post-selection loss.
     """
     return rmap.superop() @ noise_superop(gammas, ps)
+
+
+# The code space on the row-major vec: Lambda = V kron conj(V) with
+# V = [|0_L> |1_L>] (8x2) sends vec(sigma) of a 2x2 logical state to
+# vec(V sigma V^dag); its columns are orthonormal, read-only.
+_CODE = np.stack([codeword(0).amplitudes, codeword(1).amplitudes], axis=1)
+_LOGICAL = np.kron(_CODE, _CODE.conj())
+_LOGICAL.setflags(write=False)
+
+
+def logical_round(gammas: float | Sequence[float], ps: float | Sequence[float],
+                  rmap: RecoveryMap) -> np.ndarray:
+    """One round on the 2x2 logical state as a 4x4 map on its row-major
+    vec: L = Lambda^dag M Lambda, with M the :func:`cycle_superop` round and
+    Lambda = V kron conj(V), V = [|0_L> |1_L>].
+
+    Both analytic recoveries map into span{|0_L>, |1_L>}, so a round that
+    starts in the code space ends there, M Lambda = Lambda L, and k rounds
+    are L^k exactly. A round that leaks, M Lambda differing from
+    Lambda L by more than 1e-12 in any entry (a generic circuit W does),
+    raises ValueError. L is trace-non-increasing; the trace it removes is
+    the post-selection loss.
+    """
+    out = cycle_superop(gammas, ps, rmap) @ _LOGICAL
+    round_map = _LOGICAL.conj().T @ out
+    leak = np.max(np.abs(out - _LOGICAL @ round_map))
+    if leak > 1e-12:
+        raise ValueError(f"the round leaks out of the code space by {leak}")
+    return round_map
 
 
 def apply_cycle(superop: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, float]:

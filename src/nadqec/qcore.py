@@ -62,6 +62,28 @@ class PureState:
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
+def check_density(data: np.ndarray, normalized: bool = True) -> None:
+    """Raise ValueError unless ``data``, one (d, d) matrix or an (n, d, d)
+    stack of them, is Hermitian within TOL_ARITH, of unit trace within
+    TOL_ARITH when ``normalized``, and positive semidefinite within
+    TOL_STRUCT; a stack is checked in one call and reports its worst
+    matrix."""
+    if data.size == 0:
+        return
+    herm = abs(data - data.swapaxes(-1, -2).conj()).max()
+    if herm > TOL_ARITH:
+        raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm}")
+    if normalized:
+        traces = data.trace(0, -2, -1).real.ravel()
+        off = abs(traces - 1.0)
+        if off.max() > TOL_ARITH:
+            raise ValueError(f"trace {traces[off.argmax()]} != 1 for "
+                             f"normalized matrix")
+    min_eig = min(np.linalg.eigvalsh(data)[..., 0].flat)
+    if min_eig < -TOL_STRUCT:
+        raise ValueError(f"not positive semidefinite: min eigenvalue {min_eig}")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, positive-semidefinite matrix on an n-qubit register.
@@ -78,14 +100,7 @@ class DensityMatrix:
         if self.data.ndim != 2 or self.data.shape[0] != self.data.shape[1]:
             raise ValueError("density matrix must be square")
         _qubit_count(self.dim)
-        herm = np.max(np.abs(self.data - self.data.conj().T))
-        if herm > TOL_ARITH:
-            raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm}")
-        if self.normalized and abs(self.trace - 1.0) > TOL_ARITH:
-            raise ValueError(f"trace {self.trace} != 1 for normalized matrix")
-        min_eig = np.linalg.eigvalsh(self.data)[0]
-        if min_eig < -TOL_STRUCT:
-            raise ValueError(f"not positive semidefinite: min eigenvalue {min_eig}")
+        check_density(self.data, self.normalized)
 
     @property
     def dim(self) -> int:

@@ -1,11 +1,11 @@
 """Multi-round QEC by the per-round Kraus loop.
 
 An independent reference for ``nadqec.protocol.run_multiqec``, which
-applies compiled round maps, shares prefixes between points and schedules
-and times each point in closed form: here every point lists its round
-delays, restarts from the encoded state, applies idle noise and the
-post-selected recovery to the density matrix round by round, and sums the
-timing over that list.
+applies binary powers of a 4x4 logical round, shared between points, and
+schedules and times each point in closed form: here every point lists its
+round delays, restarts from the encoded state, applies idle noise and the
+post-selected recovery to the 8x8 density matrix round by round, and sums
+the timing over that list.
 """
 
 from fractions import Fraction

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,8 @@ from nadqec.cli import (
     ExperimentSpec,
     list_experiments,
 )
-from nadqec.code3 import RecoveryMap
+from nadqec.code3 import RecoveryMap, oracle_fidelity_multiround
+from nadqec.noise import gamma_of_t
 from nadqec.synth import verify_recovery_circuit
 
 
@@ -89,6 +91,23 @@ class TestRun:
         first = (tmp_path / "out.csv").read_bytes()
         cli.main(["run", str(path)])
         assert (tmp_path / "out.csv").read_bytes() == first
+
+    def test_trillion_rounds_finish_at_once(self, tmp_path):
+        # 1e9 us in 1 ns rounds is 1e12 rounds, reached by about 40 squarings
+        payload = multiqec_payload(tmp_path)
+        payload["params"].update(max_delay=1e-3, total_free=[1e9])
+        path = write_spec(tmp_path, payload)
+        start = time.perf_counter()
+        assert cli.main(["run", str(path)]) == EXIT_OK
+        assert time.perf_counter() - start < 1.0
+        row = dict(zip(*(line.split(",") for line in
+                         (tmp_path / "out.csv").read_text().splitlines())))
+        assert int(row["rounds"]) == 10**12
+        # the closed form with G = k gamma^2: one gamma of sqrt(k) gamma, since
+        # a list of 1e12 gammas cannot be built
+        want = oracle_fidelity_multiround(math.pi, [1e6 * gamma_of_t(1e-3, 220.0)])
+        assert abs(float(row["fidelity"]) / want - 1) <= 1e-3
+        assert float(row["success_probability"]) == 0.0  # underflows; F does not
 
     def test_config_error_exit_code(self, tmp_path):
         payload = multiqec_payload(tmp_path)

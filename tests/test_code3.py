@@ -34,6 +34,7 @@ from nadqec.code3 import (
     encode_ideal,
     encoder_unitary,
     fidelity_from_distribution,
+    logical_round,
     measured_circuit_distribution,
     noise_superop,
     oracle_fidelity_ad,
@@ -358,6 +359,53 @@ class TestCompletePositivity:
         choi = _choi(cycle_superop(gammas, ps, rmap))
         assert np.linalg.eigvalsh(choi).min() >= -1e-12
         assert np.linalg.eigvalsh(_output_traced(choi)).max() <= 1 + 1e-12
+
+
+class TestLogicalRound:
+    """The 4x4 logical round: completely positive, trace-non-increasing,
+    and exactly the 64x64 round on the code space."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(gammas=st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                           min_size=3, max_size=3),
+           ps=_PER_QUBIT_PS, variant=st.sampled_from(["ideal", "approximate"]),
+           recovery_gamma=st.floats(0.0, 1.0, exclude_max=True))
+    @example(gammas=[0.0, 0.0, 0.0], ps=[0.0, 0.0, 0.0], variant="ideal",
+             recovery_gamma=0.0)
+    @example(gammas=[0.9, 0.0, 0.5], ps=[0.5, 0.5, 0.0], variant="approximate",
+             recovery_gamma=0.0)
+    def test_cp_trace_non_increasing_and_no_leakage(self, gammas, ps, variant,
+                                                    recovery_gamma):
+        rmap = _random_rmap(variant, None, recovery_gamma)
+        round_map = logical_round(gammas, ps, rmap)
+        choi = _choi(round_map)
+        assert np.linalg.eigvalsh(choi).min() >= -1e-12
+        assert np.linalg.eigvalsh(_output_traced(choi)).max() <= 1 + 1e-12
+        # the 64x64 round sends V E V^dag to V L(E) V^dag, nothing outside
+        v = np.stack([codeword(0).amplitudes, codeword(1).amplitudes], axis=1)
+        full = cycle_superop(gammas, ps, rmap)
+        for e in np.eye(4):
+            out = (full @ (v @ e.reshape(2, 2) @ v.conj().T).ravel()).reshape(8, 8)
+            want = v @ (round_map @ e).reshape(2, 2) @ v.conj().T
+            assert np.max(np.abs(out - want)) <= 1e-12
+
+    def test_equals_qec_cycle_on_a_logical_state(self):
+        spec = LogicalStateSpec(2.2, 0.7)
+        psi = np.array([math.cos(1.1), math.sin(1.1) * np.exp(0.7j)])
+        out = qec_cycle(encode_ideal(spec), 0.2, 0.05, RecoveryMap.ideal(0.2))
+        sigma = logical_round(0.2, 0.05, RecoveryMap.ideal(0.2)) \
+            @ np.outer(psi, psi.conj()).ravel()
+        assert abs(np.real(sigma[0] + sigma[3]) - out.success_probability) < 1e-14
+        fid = np.real(psi.conj() @ sigma.reshape(2, 2) @ psi) \
+            / np.real(sigma[0] + sigma[3])
+        assert abs(fid - out.fidelity) < 1e-14
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_haar_random_recovery_leaks_and_raises(self, seed):
+        rmap = RecoveryMap.synthesized(_haar_unitary(np.random.default_rng(seed), 32))
+        with pytest.raises(ValueError, match="leaks out of the code space"):
+            logical_round(0.1, 0.05, rmap)
 
 
 class TestQecCycle:

@@ -132,6 +132,24 @@ class TestChannels:
         assert np.array_equal(noise_superop(gammas, ps),
                               noise_superop_einsum(gammas, ps))
 
+    @settings(max_examples=40, deadline=None)
+    @given(gamma=st.floats(0.0, 1.0), p=st.floats(0.0, 0.5))
+    @example(gamma=1.0, p=0.5)
+    def test_shared_scalars_equal_per_qubit_lists(self, gamma, p):
+        want = noise_superop([gamma] * 3, [p] * 3)
+        assert np.array_equal(noise_superop(gamma, p), want)
+        assert np.array_equal(noise_superop(gamma, [p] * 3), want)
+
+    @pytest.mark.parametrize("gamma,p,message", [
+        (1.5, 0.0, "gamma 1.5 outside \\[0, 1\\]"),
+        (math.nan, 0.0, "gamma nan outside"),
+        (0.1, -0.2, "dephasing probability -0.2 outside \\[0, 0.5\\]"),
+    ])
+    def test_scalar_and_list_forms_raise_alike(self, gamma, p, message):
+        for args in ((gamma, p), ([gamma] * 3, [p] * 3)):
+            with pytest.raises(ValueError, match=message):
+                noise_superop(*args)
+
 
 class TestApplyChannel:
     def test_three_qubit_damping(self):

@@ -9,7 +9,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from estimator_reference import combined_recovery_unitary
 from hypothesis import strategies as st
 from lindblad_reference import (
     collapse_operators,
@@ -21,7 +20,6 @@ from lindblad_reference import propagate as propagate_reference
 from multiqec_reference import run_multiqec as run_multiqec_reference
 from multiqec_reference import schedule_rounds, total_evolution_time_exact
 from noise_reference import damp_dephase
-from scipy.stats import unitary_group
 
 from nadqec import code3, protocol
 from nadqec.noise import NoiseParams, gamma_of_t
@@ -147,25 +145,21 @@ class TestMultiQec:
         assert abs(pts[0].success_probability - p_total) < 1e-12
 
     @settings(max_examples=40, deadline=None)
-    @given(variant=st.sampled_from(["ideal", "approximate", "synthesized"]),
+    @given(variant=st.sampled_from(["ideal", "approximate"]),
            theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 6.28),
            t1s=st.lists(st.floats(40.0, 500.0), min_size=3, max_size=3),
            per_qubit=st.booleans(), tphi=st.floats(30.0, 3000.0),
            max_delay=st.sampled_from([7.5, 12.0, 25.0, 30.0, 45.5]),
-           total_free=st.lists(st.floats(0.0, 150.0), min_size=1, max_size=5),
-           seed=st.integers(0, 2**31 - 1))
+           total_free=st.lists(st.floats(0.0, 150.0), min_size=1, max_size=5))
     def test_matches_per_round_reference(self, variant, theta, phi, t1s,
                                          per_qubit, tphi, max_delay,
-                                         total_free, seed):
+                                         total_free):
         # ideal needs one T1, the others take per-qubit T1; a finite Tphi
         # puts T2 below 2 T1; max_delay mostly leaves a remainder round
         t1 = t1s if per_qubit and variant != "ideal" else t1s[0]
         noise = NoiseParams(t1=t1, tphi=tphi)
-        w = unitary_group.rvs(32, random_state=seed) \
-            if variant == "synthesized" else None
         cfg = ProtocolConfig(code3.LogicalStateSpec(theta, phi), max_delay,
-                             tuple(total_free), recovery_variant=variant,
-                             recovery_unitary=w)
+                             tuple(total_free), recovery_variant=variant)
         for got, want in zip(run_multiqec(cfg, noise),
                              run_multiqec_reference(cfg, noise), strict=True):
             assert got.rounds == want.rounds
@@ -201,6 +195,50 @@ class TestMultiQec:
                              total_free=(600.0, 30.0, 45.0, 75.0, 90.0, 20.0))
         run_multiqec(cfg, NoiseParams(t1=220.0, tphi=300.0))
         assert len(built) == 3  # 30, 15 and 20 us
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 8, 1000, 10**6, 2**40 - 1])
+    def test_point_costs_logarithmic_products(self, monkeypatch, k):
+        # every 4x4 product, a squaring or a power applied to the state, has
+        # a logical-round map as its left operand, which counts it
+        products = []
+
+        class Counted(np.ndarray):
+            def __matmul__(self, other):
+                products.append(other.shape)
+                return super().__matmul__(other)
+
+        build = code3.logical_round
+        monkeypatch.setattr(code3, "logical_round",
+                            lambda *a: build(*a).view(Counted))
+        for rest in (0.0, 0.25):  # without and with a remainder round
+            products.clear()
+            cfg = ProtocolConfig(code3.LogicalStateSpec(2.0, 0.5), max_delay=0.5,
+                                 total_free=(0.5 * k + rest,))
+            assert run_multiqec(cfg, NoiseParams(t1=220.0, tphi=300.0))[0].rounds \
+                == k + (rest > 0)
+            assert len(products) <= 2 * math.ceil(math.log2(k + 1)) + 1
+
+    @pytest.mark.parametrize("total_free", [(30.0,), (60.0,), (75.0,), (20.0,),
+                                            (0.0, 90.0)])
+    def test_full_damping_removes_all_weight(self, total_free):
+        # T1 = 0.5 us damps every delay here to gamma = 1, whether a point
+        # reaches it by one round, by a squared power or by its remainder
+        cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
+                             total_free=total_free)
+        with pytest.raises(ValueError, match="post-selection removed all weight"):
+            run_multiqec(cfg, NoiseParams(t1=0.5))
+
+    def test_sweep_point_equals_its_lone_run(self):
+        # shared squares change no bit
+        total_free = (600.0, 0.0, 90.0, 20.0, 45.0, 1e5)
+        noise = NoiseParams(t1=220.0, tphi=300.0)
+
+        def run(points):
+            cfg = ProtocolConfig(code3.LogicalStateSpec(2.0, 1.1), max_delay=30,
+                                 total_free=points)
+            return run_multiqec(cfg, noise)
+
+        assert run(total_free) == [run((t,))[0] for t in total_free]
 
     def test_ideal_rejects_unequal_t1(self):
         cfg = ProtocolConfig(code3.LogicalStateSpec(math.pi), max_delay=60,
@@ -473,17 +511,6 @@ class TestMultiQecWithChadd:
         assert abs(a.fidelity - b.fidelity) < 1e-9
         assert abs(a.success_probability - b.success_probability) < 1e-9
 
-    def test_synthesized_variant_uses_its_unitary(self):
-        w5 = combined_recovery_unitary(code3.RecoveryMap.ideal(0.3))
-        cfg = ProtocolConfig(code3.LogicalStateSpec(2.1, 0.4), max_delay=30,
-                             total_free=(45.0,), recovery_variant="synthesized",
-                             recovery_unitary=w5)
-        layout = SpectatorLayout(spectators=0, couplings=())
-        a = run_multiqec_with_chadd(cfg, self.noise, layout, chadd=False)[0]
-        b = run_multiqec(cfg, self.noise)[0]
-        assert abs(a.fidelity - b.fidelity) < 1e-9
-        assert abs(a.success_probability - b.success_probability) < 1e-9
-
     def test_chadd_suppresses_spectator_crosstalk(self):
         layout = SpectatorLayout(spectators=1, couplings=((0, 3, 0.05),))
         cfg = ProtocolConfig(code3.LogicalStateSpec(math.pi / 2),
@@ -594,11 +621,6 @@ class TestEdgeCases:
         assert pts[0].success_probability == 1.0
         assert abs(pts[0].total_evolution_us - 1.096) < 1e-12
 
-    def test_synthesized_variant_requires_unitary(self):
-        with pytest.raises(ValueError):
-            ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
-                           total_free=(30.0,), recovery_variant="synthesized")
-
 
 class TestFiniteDurationPulses:
     def test_finite_pulses_cost_fidelity(self):
@@ -624,19 +646,3 @@ def test_row_assignment_matches_realized_signs():
     for color in (1, 2):
         row = np.tile(seq.sign_matrix[seq.row_assignment[color]], reps)
         np.testing.assert_array_equal(signs[color - 1], row)
-
-
-def test_multiqec_with_synthesized_recovery_matches_approximate():
-    from nadqec.code3 import RecoveryMap
-
-    w5 = combined_recovery_unitary(RecoveryMap.approximate())
-    noise = NoiseParams.from_t1_t2(220.0, 440.0)
-    base = ProtocolConfig(code3.LogicalStateSpec(2.2, 0.5), max_delay=30,
-                          total_free=(70.0,), recovery_variant="approximate")
-    syn = ProtocolConfig(code3.LogicalStateSpec(2.2, 0.5), max_delay=30,
-                         total_free=(70.0,), recovery_variant="synthesized",
-                         recovery_unitary=w5)
-    a = run_multiqec(base, noise)[0]
-    b = run_multiqec(syn, noise)[0]
-    assert abs(a.fidelity - b.fidelity) < 1e-10
-    assert abs(a.success_probability - b.success_probability) < 1e-10

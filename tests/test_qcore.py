@@ -18,6 +18,7 @@ from nadqec.qcore import (
     X,
     Z,
     basis_state,
+    check_density,
     embed,
     fidelity,
     partial_trace,
@@ -261,3 +262,39 @@ class TestValidation:
     def test_unnormalized_state_rejected(self):
         with pytest.raises(ValueError):
             PureState([1.0, 1.0])
+
+    def test_stack_checked_in_one_call(self):
+        stack = np.array([random_density(1, seed).data for seed in range(5)])
+        check_density(stack)
+        check_density(stack[:0])  # an empty stack has nothing to reject
+        branch = np.array([np.diag([0.3, 0.2]), np.diag([0.1, 0.0])])
+        check_density(branch, normalized=False)
+        with pytest.raises(ValueError, match="trace 0.1 != 1"):  # the worst
+            check_density(branch)
+
+    @pytest.mark.parametrize("bad,message", [
+        (np.array([[1, 1], [0, 0]]), "not Hermitian"),
+        (np.diag([1.5, -0.5]), "not positive semidefinite"),
+        (np.diag([0.7, 0.4]), "trace 1.1 != 1"),
+    ])
+    def test_stack_rejects_any_bad_matrix_like_density_matrix(self, bad, message):
+        # the same tolerances and messages as DensityMatrix, whichever slot
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(bad)
+        good = random_density(1, 3).data
+        for stack in ([bad, good, good], [good, good, bad]):
+            with pytest.raises(ValueError, match=message):
+                check_density(np.array(stack, dtype=complex))
+
+    def test_stack_tolerances_match_density_matrix(self):
+        # just inside each tolerance passes, just outside fails, stacked or not
+        inside = np.diag([1.0 + 9e-13, 0.0])
+        outside = np.diag([1.0 + 2e-12, 0.0])
+        psd_edge = np.diag([1.0 + 9e-11, -9e-11])
+        for ok in (inside, psd_edge):
+            DensityMatrix(ok)
+            check_density(np.array([ok, ok]))
+        with pytest.raises(ValueError):
+            DensityMatrix(outside)
+        with pytest.raises(ValueError):
+            check_density(np.array([inside, outside]))
