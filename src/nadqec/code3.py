@@ -11,6 +11,12 @@ separates the no-damping branch (ancilla 1) from the single-damping branch
 block encoding with one extra ancilla and post-selecting on its 0 outcome,
 which makes the scheme probabilistic.
 
+The recovery has one form, ``RecoveryMap``: the 8 columns of its 5-qubit
+block encoding W on (q0, q1, q2, a1, a2) that syndrome extraction feeds,
+in closed form for the analytic recoveries and sliced from the circuit
+unitary for a synthesized one. Their a2 = 0 rows are the kept branch
+(``RecoveryMap.kraus``), their a2 = 1 rows the failure branch.
+
 ``noise_superop`` is the package's noise model: per-qubit damping then
 dephasing of the data, written in closed form as a 64x64 map on the
 row-major vec of rho. ``RecoveryMap.superop`` is the kept recovery branch
@@ -23,9 +29,7 @@ recoveries a round that starts in the code space ends there, so
 ``logical_round`` restricts it exactly to a 4x4 map on the 2x2 logical
 state, which ``protocol.run_multiqec`` powers. The measured estimator
 applies the same noise map, then its post-noise circuit as one 32x8
-isometry built from the 8 columns of the 5-qubit recovery W that syndrome
-extraction feeds (``RecoveryMap.kept_columns``, in closed form for the
-analytic variants).
+isometry built from the same 8 columns (``RecoveryMap.kept_columns``).
 
 The success probability comes in two closed-form variants that disagree
 in one sign; see ``success_probability_minus_form`` /
@@ -156,8 +160,8 @@ def recovery_operators(gamma: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Columns 4d + 2 parity(d) of a 5-qubit recovery W on (q0, q1, q2, a1, a2):
-# parity extraction sends |d>|00> to |d, parity(d), 0>, so the measured
-# estimator reads W on these columns only.
+# parity extraction sends |d>|00> to |d, parity(d), 0>, so W is only ever
+# read on these columns.
 _PARITY = np.array([bin(d).count("1") % 2 for d in range(8)])
 _KEPT_COLS = 4 * np.arange(8) + 2 * _PARITY
 
@@ -189,27 +193,37 @@ _K_1 = _kept_block(r=(_P1L, _L1_SYM2),
                       np.eye(8) - _P000 - _projector(_SYM2, _SYM2)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecoveryMap:
-    """Recovery variant: gamma-adapted analytic, gamma=0 approximate, or a
-    block-encoded circuit unitary produced by the synthesis module."""
+    """The post-selected recovery as the 8 columns of its 5-qubit block
+    encoding W on (q0, q1, q2, a1, a2) that syndrome extraction feeds:
+    ``columns`` is the read-only 32x8 block W[:, 4d + 2 parity(d)], W on
+    each input |d, parity(d), 0>, with rows 4d + 2 a1 + a2. The a2 = 0 rows
+    are the kept branch (:meth:`kraus`), the a2 = 1 rows the failure branch.
+    """
 
-    variant: str  # ideal | approximate | synthesized
-    gamma: float = 0.0
-    unitary: Optional[np.ndarray] = None  # 5-qubit combined recovery (synthesized)
+    columns: np.ndarray
 
     @classmethod
     def ideal(cls, gamma: float) -> "RecoveryMap":
+        """The gamma-adapted recovery, whose a1 = 1 (no-damping) and a1 = 0
+        (damping) branches apply ``recovery_operators(gamma)`` block-encoded
+        on a2; its columns are (1-g) K_R + sqrt(g(2-g)) K_S + K_1."""
         if not 0.0 <= gamma <= 1.0:
             raise ValueError(f"gamma {gamma} outside [0, 1]")
-        return cls("ideal", gamma=gamma)
+        cols = (1 - gamma) * _K_R + math.sqrt(gamma * (2 - gamma)) * _K_S + _K_1
+        cols.setflags(write=False)
+        return cls(cols)
 
     @classmethod
     def approximate(cls) -> "RecoveryMap":
-        return cls("approximate")
+        """The recovery adapted to gamma = 0."""
+        return cls.ideal(0.0)
 
     @classmethod
     def synthesized(cls, unitary: np.ndarray) -> "RecoveryMap":
+        """The recovery a 5-qubit circuit unitary W applies; W must be
+        unitary within 1e-9."""
         u = np.asarray(unitary, dtype=complex)
         if u.shape != (32, 32):
             raise ValueError("synthesized recovery must be a 5-qubit unitary")
@@ -217,57 +231,30 @@ class RecoveryMap:
         if dev > 1e-9:
             raise ValueError(f"synthesized recovery not unitary: "
                              f"max |W^dag W - I| = {dev}")
-        return cls("synthesized", unitary=u)
+        cols = u[:, _KEPT_COLS]
+        cols.setflags(write=False)
+        return cls(cols)
 
-    def operators(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (no-damping, damping) branch operators; the ideal variant is
-        adapted to the map's own gamma."""
-        if self.variant == "ideal":
-            return recovery_operators(self.gamma)
-        if self.variant == "approximate":
-            return recovery_operators(0.0)
-        raise ValueError("synthesized maps carry a circuit unitary, not operators")
+    def kept_columns(self) -> np.ndarray:
+        """The 32x8 block W[:, 4d + 2 parity(d)]."""
+        return self.columns
 
     def kraus(self) -> tuple[np.ndarray, np.ndarray]:
-        """The post-selected recovery as two Kraus operators on the data.
+        """The post-selected recovery as two Kraus operators on the data:
+        the a2 = 0 rows of the kept columns on a1 = 1, then on a1 = 0.
 
         Parity extraction sets a1 to the excitation parity, the recovery
         acts, and post-selection keeps a2 = 0 with a1 traced out. For the
-        analytic variants that is (R0 P_odd, R1 P_even). For a circuit
-        unitary W on (q0, q1, q2, a1, a2), whose index is 4 * data
-        + 2 * a1 + a2, the a1 = b outcome gives
-        K_b = W[2b::4, 0::4] P_even + W[2b::4, 2::4] P_odd.
+        analytic recoveries the pair is (R0 P_odd, R1 P_even).
         """
-        p_odd, p_even = parity_projectors()
-        if self.variant == "synthesized":
-            w = self.unitary
-            return tuple(w[2 * b::4, 0::4] @ p_even + w[2 * b::4, 2::4] @ p_odd
-                         for b in (0, 1))
-        r0, r1 = self.operators()
-        return r0 @ p_odd, r1 @ p_even
-
-    def kept_columns(self) -> np.ndarray:
-        """The 32x8 block W[:, 4d + 2 parity(d)] of the 5-qubit recovery W
-        on (q0, q1, q2, a1, a2): W on each syndrome-extracted input
-        |d, parity(d), 0>. For the analytic variants, W applies the a1 = 1
-        (no-damping) and a1 = 0 (damping) branch operators block-encoded
-        on a2, and the block is written in closed form."""
-        if self.variant == "synthesized":
-            return self.unitary[:, _KEPT_COLS]
-        g = self.gamma if self.variant == "ideal" else 0.0
-        return (1 - g) * _K_R + math.sqrt(g * (2 - g)) * _K_S + _K_1
+        k = self.columns.reshape(8, 2, 2, 8)  # (d, a1, a2, d')
+        return k[:, 1, 0], k[:, 0, 0]
 
     def superop(self) -> np.ndarray:
         """The kept branch as a 64x64 map on the row-major vec of the data's
         rho: sum_K K kron conj(K), since vec(A rho B) = (A kron B^T) vec(rho)."""
         k = np.asarray(self.kraus())
         return np.einsum("kab,kcd->acbd", k, k.conj()).reshape(64, 64)
-
-
-def parity_projectors() -> tuple[np.ndarray, np.ndarray]:
-    """(P_odd, P_even) over the 3-qubit computational basis."""
-    p_odd = np.diag(_PARITY).astype(complex)
-    return p_odd, np.eye(8) - p_odd
 
 
 # Flat positions in the 64x64 noise map of the 125 products of per-qubit
@@ -334,8 +321,9 @@ _LOGICAL.setflags(write=False)
 def logical_round(gammas: float | Sequence[float], ps: float | Sequence[float],
                   rmap: RecoveryMap) -> np.ndarray:
     """One round on the 2x2 logical state as a 4x4 map on its row-major
-    vec: L = Lambda^dag M Lambda, with M the :func:`cycle_superop` round and
-    Lambda = V kron conj(V), V = [|0_L> |1_L>].
+    vec: L = Lambda^dag M Lambda, with M = R N the :func:`cycle_superop`
+    round and Lambda = V kron conj(V), V = [|0_L> |1_L>]. M Lambda is
+    formed as R (N Lambda), two 64x64 by 64x4 products.
 
     Both analytic recoveries map into span{|0_L>, |1_L>}, so a round that
     starts in the code space ends there, M Lambda = Lambda L, and k rounds
@@ -344,7 +332,7 @@ def logical_round(gammas: float | Sequence[float], ps: float | Sequence[float],
     raises ValueError. L is trace-non-increasing; the trace it removes is
     the post-selection loss.
     """
-    out = cycle_superop(gammas, ps, rmap) @ _LOGICAL
+    out = rmap.superop() @ (noise_superop(gammas, ps) @ _LOGICAL)
     round_map = _LOGICAL.conj().T @ out
     leak = np.max(np.abs(out - _LOGICAL @ round_map))
     if leak > 1e-12:

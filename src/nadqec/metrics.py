@@ -175,10 +175,6 @@ def _gain_breakdown(out: code3.QecOutcome, gamma: float,
     return GainBreakdown(gain, f_qec, f_bare, fq, fb, p_success, sq, sb, limit)
 
 
-def gain_theoretical(theta: float, gamma: float, p: float, e_meas: float) -> float:
-    return gain_theoretical_detail(theta, gamma, p, e_meas).gain
-
-
 @dataclass(frozen=True)
 class GainCell:
     t1_us: float

@@ -42,16 +42,7 @@ import numpy as np
 
 from . import code3
 from .noise import NoiseParams, gamma_of_t, p_of_t
-from .qcore import (
-    DensityMatrix,
-    Z,
-    basis_state,
-    check_density,
-    embed,
-    fidelity,
-    partial_trace,
-    tensor,
-)
+from .qcore import check_density
 
 
 def _frac(x: float | str | Fraction) -> Fraction:
@@ -214,12 +205,12 @@ def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoi
 
     Accuracy, measured at theta = pi and T2 = 2 T1 against the closed form
     1 / (1 + k gamma^2): the squaring reproduces the exact powers of the
-    built L within 3.5e-13 at k = 1e6 and 3.2e-10 at k = 1e12; what remains
+    built L within 3.8e-13 at k = 1e6 and 2.9e-10 at k = 1e12; what remains
     is L's own rounding (a few ulp on its diagonal) amplified k-fold. Up to
-    k = 1e6, F is within 1.3e-10 absolute for delays of 1 ns to 30 us
-    (2.2e-11 from 1 us up, 1.6e-14 at 1 ns); at k = 1e12 (1 ns rounds over
-    1e9 us) it is within 7.4e-4 relative. P can underflow to 0.0 at such
-    k; F stays defined.
+    k = 1e6, F is within 1.4e-10 absolute for delays of 1 ns to 30 us
+    (1.39e-10 at 0.3 us, 2.2e-11 from 1 us up, 1.5e-14 at 1 ns); at
+    k = 1e12 (1 ns rounds over 1e9 us) it is within 6.9e-4 relative. P can
+    underflow to 0.0 at such k; F stays defined.
     """
     t1 = recovery_t1(config, noise)
     c = math.cos(config.logical.theta / 2)
@@ -268,11 +259,6 @@ def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoi
     return _run_rounds(config, reach,
                        lambda delay: functools.partial(_advance, round_map(delay)),
                        score, chadd=False)
-
-
-def bare_qubit_fidelity(t: float, t1: float) -> float:
-    """|1>-prepared physical qubit reference: P(1) = exp(-t/T1)."""
-    return math.exp(-t / t1)
 
 
 def fit_lifetime(times: Sequence[float], fidelities: Sequence[float]) -> float:
@@ -481,11 +467,6 @@ class CrosstalkModel:
     tphi: float = math.inf
     pulse_duration: float = 0.0  # 0 means ideal instantaneous pulses
 
-    def hamiltonian(self) -> np.ndarray:
-        z1 = embed(Z, [0], 2)
-        z2 = embed(Z, [1], 2)
-        return 0.5 * self.omega1 * z1 + 0.5 * self.omega2 * z2 + self.g * z1 @ z2
-
     def lindbladian(self, drive: bool = True) -> Lindbladian:
         """The model's generator; without ``drive`` (a finite pulse window)
         only relaxation and dephasing act."""
@@ -521,24 +502,6 @@ def _chadd_cycle(free: Propagator, rho: np.ndarray, seq: ChaddSequence,
         if window is not None:
             rho = propagate(window, rho)
     return rho
-
-
-def chadd_cycle_unitary(seq: ChaddSequence, h: np.ndarray,
-                        colors: Sequence[int]) -> np.ndarray:
-    """Closed-system propagator of one full cycle with ideal pulses, each
-    applied as its row permutation (RX(-pi) = iX counts as X, so the
-    result holds up to a global phase)."""
-    from scipy.linalg import expm
-
-    n = int(round(math.log2(h.shape[0])))
-    if len(colors) != n:
-        raise ValueError(f"{len(colors)} colors for {n} qubits")
-    free = expm(-1j * h * seq.tau)
-    perms = _pulse_permutations(colors)
-    u = np.eye(h.shape[0], dtype=complex)
-    for _, color in seq.pulses:
-        u = (free @ u)[perms[color]]
-    return u
 
 
 @dataclass(frozen=True)
@@ -592,15 +555,13 @@ def run_crosstalk_toy(model: CrosstalkModel, probe_init: str, t_final: float,
             state = _chadd_cycle(free, state, chadd, perms, window)
             times.append((i + 1) * cycle)
             rows.append(state)
-    pop0, pop1, fid = [], [], []
+    stack = np.stack(rows)
+    check_density(stack, normalized=False)
+    reduced = np.trace(stack.reshape(-1, 2, 2, 2, 2), axis1=2, axis2=4)
     proj_probe = np.outer(probe, probe.conj())
-    for r in rows:
-        reduced = partial_trace(DensityMatrix(r, normalized=False), [0]).data
-        pop0.append(float(np.real(reduced[0, 0])))
-        pop1.append(float(np.real(reduced[1, 1])))
-        fid.append(float(np.real(np.trace(proj_probe @ reduced))))
-    return ToySeries(np.asarray(times), np.asarray(pop0), np.asarray(pop1),
-                     np.asarray(fid))
+    fid = np.trace(proj_probe @ reduced, axis1=1, axis2=2)
+    return ToySeries(np.asarray(times), np.real(reduced[:, 0, 0]),
+                     np.real(reduced[:, 1, 1]), np.real(fid))
 
 
 # ---------------------------------------------------------------------------
@@ -651,9 +612,11 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
     target3 = code3.encode_ideal(config.logical)
     gen = lindbladian(n, noise, layout.couplings)
     perms = _pulse_permutations(layout.resolved_colors()) if chadd else None
-    rho3 = target3.to_density_matrix()
-    rho0 = tensor(rho3, basis_state(n - 3, 0).to_density_matrix()).data \
-        if n > 3 else rho3.data
+    psi = target3.amplitudes
+    m = 2**(n - 3)  # the spectators' dimension; they start in |0...0>
+    spectators = np.zeros((m, m))
+    spectators[0, 0] = 1.0
+    rho0 = np.kron(np.outer(psi, psi.conj()), spectators)
 
     @functools.cache
     def round_for(delay: float):
@@ -678,9 +641,12 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
             prefixes.append((rho, p_total * p_round))
         return prefixes[k]
 
-    def fidelity_of(rho: np.ndarray) -> float:
-        reduced = partial_trace(DensityMatrix(rho, normalized=False), [0, 1, 2])
-        return fidelity(reduced.normalize(), target3)
+    def score(states: list) -> list[float]:
+        # the data's reduced state: the trace over the spectator index
+        stack = np.reshape(states, (-1, 8 * m, 8 * m))
+        check_density(stack, normalized=False)
+        reduced = np.trace(stack.reshape(-1, 8, m, 8, m), axis1=2, axis2=4)
+        return [float(np.real(psi.conj() @ (r / np.real(np.trace(r))) @ psi))
+                for r in reduced]
 
-    return _run_rounds(config, reach, round_for,
-                       lambda states: [fidelity_of(rho) for rho in states], chadd)
+    return _run_rounds(config, reach, round_for, score, chadd)

@@ -12,7 +12,7 @@ complex ndarray; no sparsity machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -160,12 +160,6 @@ def basis_state(n_qubits: int, index: int) -> PureState:
 # ---------------------------------------------------------------------------
 
 
-def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Joint state of two registers; ``a`` occupies the high-order qubits."""
-    return DensityMatrix(np.kron(a.data, b.data),
-                         normalized=a.normalized and b.normalized)
-
-
 def embed(op: np.ndarray, targets: Sequence[int], n_qubits: int) -> np.ndarray:
     """Lift a k-qubit operator onto an n-qubit register.
 
@@ -185,22 +179,6 @@ def embed(op: np.ndarray, targets: Sequence[int], n_qubits: int) -> np.ndarray:
     axes = list(np.argsort(list(targets) + rest))
     t = full.reshape((2,) * (2 * n_qubits))
     return t.transpose(axes + [n_qubits + a for a in axes]).reshape(full.shape)
-
-
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced density matrix on ``keep`` (ascending register order)."""
-    n = rho.qubit_count
-    keep = sorted(set(keep))
-    if any(q < 0 or q >= n for q in keep):
-        raise ValueError(f"keep set {keep} out of range for {n} qubits")
-    traced = [q for q in range(n) if q not in keep]
-    t = rho.data.reshape((2,) * (2 * n))
-    for q in sorted(traced, reverse=True):
-        # axes q (row side) and q + current-n (column side) are contracted
-        cur = t.ndim // 2
-        t = np.trace(t, axis1=q, axis2=q + cur)
-    k = len(keep)
-    return DensityMatrix(t.reshape(2**k, 2**k), normalized=rho.normalized)
 
 
 def fidelity(rho: DensityMatrix, psi: PureState) -> float:

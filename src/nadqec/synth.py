@@ -473,20 +473,13 @@ class RecoveryVerification:
 
 def verify_recovery_circuit(circ: Circuit,
                             rmap: "code3.RecoveryMap") -> RecoveryVerification:
-    """Compare the circuit's post-selected action against the analytic
-    recovery branches (restricted to each branch's parity sector); it
-    passes below a 1e-6 deviation."""
+    """Compare the circuit's post-selected action, the Kraus pair of
+    ``RecoveryMap.synthesized`` on its unitary, with ``rmap``'s branch by
+    branch; it passes below a 1e-6 deviation."""
     if circ.n_qubits != 5:
         raise ValueError("expected the 5-qubit combined recovery circuit")
-    w = circ.unitary()
-    r0, r1 = rmap.operators()
-    p_odd, p_even = code3.parity_projectors()
-    max_dev = 0.0
-    for a1, (r, proj) in ((1, (r0, p_odd)), (0, (r1, p_even))):
-        # on (q0, q1, q2, a1, a2), data index k sits at register index
-        # 4k + 2*a1 with the block ancilla a2 post-selected on 0
-        block = w[2 * a1::4, 2 * a1::4]
-        max_dev = max(max_dev, _channel_deviation(block @ proj, r @ proj))
+    got = code3.RecoveryMap.synthesized(circ.unitary()).kraus()
+    max_dev = max(_channel_deviation(a, b) for a, b in zip(got, rmap.kraus()))
     return RecoveryVerification(max_deviation=max_dev, cz_count=circ.count("CZ"),
                                 passed=max_dev < 1e-6)
 

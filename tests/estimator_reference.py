@@ -9,25 +9,25 @@ extracted by three CNOTs and the outcome read from the reduced state
 The 5-qubit recovery unitary is built in full: ``block_unitary`` embeds
 each branch operator by SVD, ``combined_recovery_unitary`` places the two
 blocks by a1, and ``combined_recovery_unitary_embed`` builds the same
-unitary by lifting each block with ``embed``.
+unitary by lifting each block with ``embed``. ``parity_projectors`` gives
+the parity split that the recovery's Kraus operators are checked with.
 """
 
 from typing import Optional, Sequence
 
 import numpy as np
-from noise_reference import apply_kraus, damp_dephase
+from noise_reference import apply_kraus, damp_dephase, partial_trace
 
 from nadqec.code3 import (
     LogicalStateSpec,
-    RecoveryMap,
     encoder_unitary,
     prep_unitary,
+    recovery_operators,
 )
 from nadqec.qcore import (
     DensityMatrix,
     basis_state,
     embed,
-    partial_trace,
 )
 
 CX = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
@@ -68,6 +68,12 @@ def measure_computational(rho: DensityMatrix, qubits: Sequence[int]) -> np.ndarr
         [asc.index(q) for q in qubits]).flatten()
 
 
+def parity_projectors() -> tuple[np.ndarray, np.ndarray]:
+    """(P_odd, P_even) over the 3-qubit computational basis."""
+    p_odd = np.diag([bin(d).count("1") % 2 for d in range(8)]).astype(complex)
+    return p_odd, np.eye(8) - p_odd
+
+
 def block_unitary(r: np.ndarray) -> np.ndarray:
     """Embed a trace-non-increasing operator as the ancilla-0 block of a
     unitary on (ancilla, data): W = [[R, S'], [S, -R^dag]] with
@@ -91,13 +97,12 @@ def block_unitary(r: np.ndarray) -> np.ndarray:
     return w
 
 
-def combined_recovery_unitary(rmap: RecoveryMap) -> np.ndarray:
+def combined_recovery_unitary(r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
     """5-qubit unitary applying the branch recovery conditioned on a1.
 
-    a1 = 1 selects the no-damping operator, a1 = 0 the single-damping one;
-    a2 is the block-encoding ancilla whose 0 outcome flags success.
+    a1 = 1 selects the no-damping operator r0, a1 = 0 the single-damping
+    one r1; a2 is the block-encoding ancilla whose 0 outcome flags success.
     """
-    r0, r1 = rmap.operators()
     u = np.zeros((8, 2, 2, 8, 2, 2), dtype=complex)  # (d, a1, a2, d', a1', a2')
     for a1, r in ((1, r0), (0, r1)):
         w = block_unitary(r).reshape(2, 8, 2, 8)  # on (a2, data)
@@ -105,13 +110,9 @@ def combined_recovery_unitary(rmap: RecoveryMap) -> np.ndarray:
     return u.reshape(32, 32)
 
 
-def combined_recovery_unitary_embed(gamma: float,
-                                    rmap: Optional[RecoveryMap] = None) -> np.ndarray:
+def combined_recovery_unitary_embed(r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
     """:func:`combined_recovery_unitary` built by lifting each branch's
     block encoding onto the 5-qubit register with ``embed``."""
-    if rmap is None:
-        rmap = RecoveryMap.ideal(gamma)
-    r0, r1 = rmap.operators()
     w0 = block_unitary(r0)  # on (a2, data)
     w1 = block_unitary(r1)
     w0_full = embed(w0, [4, 0, 1, 2], 5)
@@ -125,18 +126,20 @@ def measured_circuit_distribution(
     spec: LogicalStateSpec,
     gamma: float,
     p: float,
-    rmap: Optional[RecoveryMap] = None,
+    w: Optional[np.ndarray] = None,
     encoder: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Outcome distribution of the full measured estimator circuit.
 
     Runs G, the encoder, the noise channel, syndrome extraction, the
-    block-encoded recovery, then the inverted encoder and G^dag, and
-    measures (q0, q1, q2, a2). The all-zero probability conditioned on
-    a2 = 0 equals the post-selected state fidelity.
+    block-encoded recovery W (by default the gamma-adapted one,
+    :func:`combined_recovery_unitary` of ``recovery_operators(gamma)``),
+    then the inverted encoder and G^dag, and measures (q0, q1, q2, a2).
+    The all-zero probability conditioned on a2 = 0 equals the
+    post-selected state fidelity.
     """
-    if rmap is None:
-        rmap = RecoveryMap.ideal(gamma)
+    if w is None:
+        w = combined_recovery_unitary(*recovery_operators(gamma))
     psi0 = basis_state(5, 0).to_density_matrix()
     g = prep_unitary(spec)
     en = encoder_unitary() if encoder is None else np.asarray(encoder, complex)
@@ -144,11 +147,7 @@ def measured_circuit_distribution(
     rho = apply_kraus(rho, [en], [0, 1, 2])
     rho = damp_dephase(rho, range(3), gamma, p)
     rho = syndrome_extract(rho)
-    if rmap.variant == "synthesized":
-        w5 = rmap.unitary
-    else:
-        w5 = combined_recovery_unitary(rmap)
-    rho = apply_kraus(rho, [w5], range(5))
+    rho = apply_kraus(rho, [w], range(5))
     rho = apply_kraus(rho, [en.conj().T], [0, 1, 2])
     rho = apply_kraus(rho, [g.conj().T], [0])
     return measure_computational(rho, [0, 1, 2, 4])

@@ -7,6 +7,10 @@
 - The sparse Liouvillian of any (H, collapse set) on the row-major vec of
   rho, applied with scipy's ``expm_multiply`` (Al-Mohy & Higham, SIAM J.
   Sci. Comput. 33, 2011), whose error grows with t ||L||.
+
+It also holds the ZZ toy model's Hamiltonian as a matrix and the
+closed-system propagator of one CHaDD cycle, which the exactness checks
+of the decoupling sequence use.
 """
 
 import math
@@ -14,10 +18,35 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from nadqec.noise import NoiseParams
+from nadqec.protocol import ChaddSequence, CrosstalkModel, _pulse_permutations
 from nadqec.qcore import Z, embed
+
+
+def crosstalk_hamiltonian(model: CrosstalkModel) -> np.ndarray:
+    """H = w1/2 Z1 + w2/2 Z2 + g Z1 Z2 of the two-qubit ZZ toy model."""
+    z1 = embed(Z, [0], 2)
+    z2 = embed(Z, [1], 2)
+    return 0.5 * model.omega1 * z1 + 0.5 * model.omega2 * z2 + model.g * z1 @ z2
+
+
+def chadd_cycle_unitary(seq: ChaddSequence, h: np.ndarray,
+                        colors: Sequence[int]) -> np.ndarray:
+    """Closed-system propagator of one full cycle with ideal pulses, each
+    applied as its row permutation (RX(-pi) = iX counts as X, so the
+    result holds up to a global phase)."""
+    n = int(round(math.log2(h.shape[0])))
+    if len(colors) != n:
+        raise ValueError(f"{len(colors)} colors for {n} qubits")
+    free = expm(-1j * h * seq.tau)
+    perms = _pulse_permutations(colors)
+    u = np.eye(h.shape[0], dtype=complex)
+    for _, color in seq.pulses:
+        u = (free @ u)[perms[color]]
+    return u
 
 
 def lindblad_rhs(h: np.ndarray, rho: np.ndarray,

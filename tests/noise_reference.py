@@ -7,16 +7,39 @@ each qubit gets the amplitude-damping pair, then the dephasing pair, as
 register-sized matrices (``apply_kraus``). ``noise_superop_einsum`` keeps
 the map's earlier construction, the tensor product of the per-qubit 4-index
 maps regrouped by one ``einsum``, against which the scattered build is
-pinned entry for entry.
+pinned entry for entry. ``tensor`` and ``partial_trace`` join and split
+registers for the references and the tests.
 """
 
 import math
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from nadqec.noise import NoiseParams, gamma_of_t, p_of_t
 from nadqec.qcore import DensityMatrix, embed
+
+
+def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
+    """Joint state of two registers; ``a`` occupies the high-order qubits."""
+    return DensityMatrix(np.kron(a.data, b.data),
+                         normalized=a.normalized and b.normalized)
+
+
+def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
+    """Reduced density matrix on ``keep`` (ascending register order)."""
+    n = rho.qubit_count
+    keep = sorted(set(keep))
+    if any(q < 0 or q >= n for q in keep):
+        raise ValueError(f"keep set {keep} out of range for {n} qubits")
+    traced = [q for q in range(n) if q not in keep]
+    t = rho.data.reshape((2,) * (2 * n))
+    for q in sorted(traced, reverse=True):
+        # axes q (row side) and q + current-n (column side) are contracted
+        cur = t.ndim // 2
+        t = np.trace(t, axis1=q, axis2=q + cur)
+    k = len(keep)
+    return DensityMatrix(t.reshape(2**k, 2**k), normalized=rho.normalized)
 
 
 def apply_kraus(rho: DensityMatrix, ops: Sequence[np.ndarray],

@@ -18,6 +18,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+from lindblad_reference import chadd_cycle_unitary, crosstalk_hamiltonian
 
 from nadqec import code3, metrics, protocol, synth
 from nadqec.code3 import (
@@ -168,7 +169,7 @@ def test_ac8_chadd_exactness():
         w1, w2, g, tau = rng.uniform(0.05, 2.0, 4)
         model = protocol.CrosstalkModel(omega1=w1, omega2=w2, g=g)
         seq = protocol.chadd_sequence(tau)
-        u = protocol.chadd_cycle_unitary(seq, model.hamiltonian(), (1, 2))
+        u = chadd_cycle_unitary(seq, crosstalk_hamiltonian(model), (1, 2))
         phase = u[0, 0] / abs(u[0, 0])
         worst = max(worst, float(np.abs(u / phase - np.eye(4)).max()))
     assert report(8, worst < 1e-8,

@@ -15,6 +15,7 @@ from estimator_reference import (
     block_unitary,
     combined_recovery_unitary,
     combined_recovery_unitary_embed,
+    parity_projectors,
     syndrome_extract,
 )
 from estimator_reference import (
@@ -22,7 +23,7 @@ from estimator_reference import (
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from noise_reference import apply_kraus, damp_dephase
+from noise_reference import apply_kraus, damp_dephase, partial_trace, tensor
 
 from nadqec import code3
 from nadqec.code3 import (
@@ -49,12 +50,7 @@ from nadqec.code3 import (
     success_probability_minus_form,
     success_probability_zero_logical,
 )
-from nadqec.qcore import (
-    DensityMatrix,
-    basis_state,
-    partial_trace,
-    tensor,
-)
+from nadqec.qcore import DensityMatrix, basis_state
 
 
 def brute_force_cycle(theta, phi, gamma, p, recovery_gamma):
@@ -188,10 +184,24 @@ class TestRecoveryOperators:
         assert np.array_equal(got[1], r1)
 
     def test_approximate_equals_ideal_at_zero(self):
-        approx = RecoveryMap.approximate().operators()
-        ideal0 = RecoveryMap.ideal(0.0).operators()
+        approx = RecoveryMap.approximate().kraus()
+        ideal0 = RecoveryMap.ideal(0.0).kraus()
         for a, b in zip(approx, ideal0):
             np.testing.assert_allclose(a, b, atol=1e-15)
+
+    @pytest.mark.parametrize("g", [0.0, 2.0**-52, 1e-300, 1e-15, 0.07, 0.23,
+                                   1.0 / 3.0, 0.5, 0.9, 1 - 1e-16, 1.0])
+    def test_kraus_are_operators_times_parity_projectors(self, g):
+        # the kept columns' a2 = 0 rows are R0 P_odd on a1 = 1 and R1 P_even
+        # on a1 = 0, bit for bit
+        p_odd, p_even = parity_projectors()
+        r0, r1 = recovery_operators(g)
+        want = (r0 @ p_odd, r1 @ p_even)
+        for rmap in (RecoveryMap.ideal(g),) + (
+                (RecoveryMap.approximate(),) if g == 0.0 else ()):
+            got = rmap.kraus()
+            assert len(got) == 2
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_recover_branch_weights(self):
         g = 0.1
@@ -216,10 +226,17 @@ def _random_density(rng, n):
     return DensityMatrix(rho / np.trace(rho))
 
 
-def _recovery_reference(rho: DensityMatrix, rmap: RecoveryMap):
-    """The kept branch on qubits 0..2 by embedded Kraus operators:
-    (renormalized state, weight relative to rho's trace)."""
-    kept = apply_kraus(rho, rmap.kraus(), [0, 1, 2])
+def _recovery_reference(rho: DensityMatrix, w: np.ndarray):
+    """The kept branch of a 5-qubit recovery W on (q0, q1, q2, a1, a2),
+    index 4 data + 2 a1 + a2, applied to qubits 0..2 by embedded Kraus
+    operators: parity extraction feeds W the inputs |d, parity(d), 0>, and
+    the a1 = b outcome with a2 = 0 gives
+    K_b = W[2b::4, 0::4] P_even + W[2b::4, 2::4] P_odd. Returns the
+    renormalized state and its weight relative to rho's trace."""
+    p_odd, p_even = parity_projectors()
+    kraus = [w[2 * b::4, 0::4] @ p_even + w[2 * b::4, 2::4] @ p_odd
+             for b in (0, 1)]
+    kept = apply_kraus(rho, kraus, [0, 1, 2])
     return kept.data / kept.trace, kept.trace / rho.trace
 
 
@@ -227,10 +244,15 @@ _VARIANTS = st.sampled_from(["ideal", "approximate", "synthesized"])
 
 
 def _random_rmap(variant, rng, gamma):
-    return {"ideal": lambda: RecoveryMap.ideal(gamma),
-            "approximate": RecoveryMap.approximate,
-            "synthesized": lambda: RecoveryMap.synthesized(
-                _haar_unitary(rng, 32))}[variant]()
+    """A recovery of the variant and the 5-qubit W it stands for: a Haar
+    unitary, or for the analytic variants the block encoding of
+    ``recovery_operators`` at gamma (ideal) or 0 (approximate)."""
+    if variant == "synthesized":
+        w = _haar_unitary(rng, 32)
+        return RecoveryMap.synthesized(w), w
+    g = gamma if variant == "ideal" else 0.0
+    rmap = RecoveryMap.ideal(g) if variant == "ideal" else RecoveryMap.approximate()
+    return rmap, combined_recovery_unitary(*recovery_operators(g))
 
 
 class TestRecoveryEngine:
@@ -266,10 +288,10 @@ class TestRecoveryEngine:
         rng = np.random.default_rng(seed)
         gammas = rng.uniform(0.0, 0.6, 3)
         ps = rng.uniform(0.0, 0.5, 3) * (rng.random(3) < 0.7)
-        rmap = _random_rmap(variant, rng, gammas[0])
+        rmap, w = _random_rmap(variant, rng, gammas[0])
         rho = _random_density(rng, 3)
         want, p_want = _recovery_reference(
-            damp_dephase(rho, range(3), gammas, ps), rmap)
+            damp_dephase(rho, range(3), gammas, ps), w)
         got, p_got = apply_cycle(cycle_superop(gammas, ps, rmap), rho.data)
         assert abs(p_got - p_want) < 1e-12
         assert np.max(np.abs(got - want)) < 1e-12
@@ -280,9 +302,9 @@ class TestRecoveryEngine:
     def test_apply_cycle_matches_embed_reference(self, n, variant, seed):
         # the kept branch on data qubits 0..2 of a 3- to 7-qubit register
         rng = np.random.default_rng(seed)
-        rmap = _random_rmap(variant, rng, rng.uniform(0.0, 0.6))
+        rmap, w = _random_rmap(variant, rng, rng.uniform(0.0, 0.6))
         rho = _random_density(rng, n)
-        want, p_want = _recovery_reference(rho, rmap)
+        want, p_want = _recovery_reference(rho, w)
         got, p_got = apply_cycle(rmap.superop(), rho.data)
         assert abs(p_got - p_want) < 1e-12
         assert np.max(np.abs(got - want)) < 1e-12
@@ -355,7 +377,7 @@ class TestCompletePositivity:
              seed=1)
     def test_round_is_cp_and_trace_non_increasing(self, gammas, ps, variant,
                                                   seed):
-        rmap = _random_rmap(variant, np.random.default_rng(seed), gammas[0])
+        rmap, _ = _random_rmap(variant, np.random.default_rng(seed), gammas[0])
         choi = _choi(cycle_superop(gammas, ps, rmap))
         assert np.linalg.eigvalsh(choi).min() >= -1e-12
         assert np.linalg.eigvalsh(_output_traced(choi)).max() <= 1 + 1e-12
@@ -376,7 +398,7 @@ class TestLogicalRound:
              recovery_gamma=0.0)
     def test_cp_trace_non_increasing_and_no_leakage(self, gammas, ps, variant,
                                                     recovery_gamma):
-        rmap = _random_rmap(variant, None, recovery_gamma)
+        rmap, _ = _random_rmap(variant, None, recovery_gamma)
         round_map = logical_round(gammas, ps, rmap)
         choi = _choi(round_map)
         assert np.linalg.eigvalsh(choi).min() >= -1e-12
@@ -633,7 +655,7 @@ class TestCompiledEstimator:
     def test_matches_gate_by_gate_reference(self, theta, phi, gamma, p, variant,
                                             custom_encoder, seed):
         rng = np.random.default_rng(seed)
-        rmap = _random_rmap(variant, rng, gamma)
+        rmap, w = _random_rmap(variant, rng, gamma)
         encoder = None
         if custom_encoder:
             # same two codeword columns, completion shuffled and re-phased
@@ -643,14 +665,15 @@ class TestCompiledEstimator:
                 * np.exp(2j * math.pi * rng.random(6))
         spec = LogicalStateSpec(theta, phi)
         got = measured_circuit_distribution(spec, gamma, p, rmap, encoder)
-        want = measured_circuit_reference(spec, gamma, p, rmap, encoder)
+        want = measured_circuit_reference(spec, gamma, p, w, encoder)
         assert np.max(np.abs(got - want)) <= 1e-12
 
     @pytest.mark.parametrize("gamma", [0.0, 0.07, 0.3, 1.0])
     def test_combined_unitary_equals_embed_construction(self, gamma):
-        for rmap in (RecoveryMap.ideal(gamma), RecoveryMap.approximate()):
-            got = combined_recovery_unitary(rmap)
-            assert np.array_equal(got, combined_recovery_unitary_embed(gamma, rmap))
+        for g in (gamma, 0.0):  # the ideal and approximate recoveries
+            r0, r1 = recovery_operators(g)
+            got = combined_recovery_unitary(r0, r1)
+            assert np.array_equal(got, combined_recovery_unitary_embed(r0, r1))
 
     @pytest.mark.parametrize("gamma", [0.0, 2.0**-52, 1e-300, 1e-15, 0.3, 1.0])
     def test_block_unitary_near_unit_singular_values(self, gamma):
@@ -742,7 +765,8 @@ class TestEncoderInvariance:
     def test_lemma_holds_for_synthesized_recovery(self):
         # the all-zero/fidelity identity is structural: it holds for any
         # block-encoded recovery, not just the analytic one
-        rmap = RecoveryMap.synthesized(combined_recovery_unitary(RecoveryMap.ideal(0.07)))
+        rmap = RecoveryMap.synthesized(
+            combined_recovery_unitary(*recovery_operators(0.07)))
         spec = LogicalStateSpec(0.9, 2.5)
         probs = measured_circuit_distribution(spec, 0.07, 0.02, rmap=rmap)
         f_hat, p_hat = fidelity_from_distribution(probs)

@@ -11,7 +11,6 @@ from nadqec.metrics import (
     f_star,
     gain_expt,
     gain_surface,
-    gain_theoretical,
     gain_theoretical_detail,
     sample_bare_shots,
     sample_qec_shots,
@@ -126,11 +125,11 @@ class TestGainTheoretical:
 
     def test_beats_break_even_at_low_readout_error(self):
         g = gamma_of_t(30.0, 200.0)
-        assert gain_theoretical(math.pi, g, 0.0, 0.0) > 1.0
+        assert gain_theoretical_detail(math.pi, g, 0.0, 0.0).gain > 1.0
 
     def test_readout_error_reduces_gain(self):
         g = gamma_of_t(30.0, 200.0)
-        gains = [gain_theoretical(math.pi, g, 0.0, e)
+        gains = [gain_theoretical_detail(math.pi, g, 0.0, e).gain
                  for e in (0.0, 0.005, 0.02, 0.05)]
         assert all(a > b for a, b in zip(gains, gains[1:]))
 
@@ -140,7 +139,8 @@ class TestGainSurface:
         cells = gain_surface([200.0], [0.01], [30.0])
         assert len(cells) == 1
         g = gamma_of_t(30.0, 200.0)
-        assert cells[0].gain == pytest.approx(gain_theoretical(math.pi, g, 0.0, 0.01))
+        assert cells[0].gain == pytest.approx(
+            gain_theoretical_detail(math.pi, g, 0.0, 0.01).gain)
 
     def test_zero_error_column_dominates(self):
         t1s, es, delays = [150.0, 250.0], [0.0, 0.01, 0.05], [20.0, 40.0]

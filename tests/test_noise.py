@@ -14,6 +14,7 @@ from noise_reference import (
     dephasing,
     idle_noise,
     noise_superop_einsum,
+    tensor,
 )
 
 from nadqec import protocol
@@ -24,7 +25,7 @@ from nadqec.noise import (
     p_of_t,
     readout_flip,
 )
-from nadqec.qcore import DensityMatrix, PureState, basis_state, tensor
+from nadqec.qcore import DensityMatrix, PureState, basis_state
 
 
 def _noisy(rho, gammas, ps=0.0):

