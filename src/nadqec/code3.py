@@ -21,15 +21,15 @@ unitary for a synthesized one. Their a2 = 0 rows are the kept branch
 dephasing of the data, written in closed form as a 64x64 map on the
 row-major vec of rho. ``RecoveryMap.superop`` is the kept recovery branch
 in the same form, sum_K K kron conj(K) (vec(A rho B) = (A kron B^T)
-vec(rho)), and ``cycle_superop`` composes the two into one round.
-``apply_cycle`` applies such a 64x64 map to data qubits 0..2 of any
-register of 3 to 7 qubits, so ``qec_cycle`` and the data + spectator
-registers of ``protocol.run_multiqec_with_chadd`` share it. For the analytic
+vec(rho)). A round is the noise map, then that branch applied by
+``apply_cycle`` to data qubits 0..2 of any register of 3 to 7 qubits, so
+``qec_cycle`` and the data + spectator registers of
+``protocol.run_multiqec_with_chadd`` share it. For the analytic
 recoveries a round that starts in the code space ends there, so
 ``logical_round`` restricts it exactly to a 4x4 map on the 2x2 logical
-state, which ``protocol.run_multiqec`` powers. The measured estimator
-applies the same noise map, then its post-noise circuit as one 32x8
-isometry built from the same 8 columns (``RecoveryMap.kept_columns``).
+state, which ``protocol.run_multiqec`` powers. The measured
+estimator applies the same noise map, then its post-noise circuit as one
+32x8 isometry built from the same 8 columns (``RecoveryMap.kept_columns``).
 
 The success probability comes in two closed-form variants that disagree
 in one sign; see ``success_probability_minus_form`` /
@@ -301,15 +301,6 @@ def noise_superop(gammas: float | Sequence[float],
     return noise.reshape(64, 64)
 
 
-def cycle_superop(gammas: float | Sequence[float], ps: float | Sequence[float],
-                  rmap: RecoveryMap) -> np.ndarray:
-    """One round on the 3 data qubits as a 64x64 superoperator: the
-    :func:`noise_superop` map, then the kept branch of ``rmap``. The map is
-    trace-non-increasing; the trace it removes is the post-selection loss.
-    """
-    return rmap.superop() @ noise_superop(gammas, ps)
-
-
 # The code space on the row-major vec: Lambda = V kron conj(V) with
 # V = [|0_L> |1_L>] (8x2) sends vec(sigma) of a 2x2 logical state to
 # vec(V sigma V^dag); its columns are orthonormal, read-only.
@@ -321,9 +312,10 @@ _LOGICAL.setflags(write=False)
 def logical_round(gammas: float | Sequence[float], ps: float | Sequence[float],
                   rmap: RecoveryMap) -> np.ndarray:
     """One round on the 2x2 logical state as a 4x4 map on its row-major
-    vec: L = Lambda^dag M Lambda, with M = R N the :func:`cycle_superop`
-    round and Lambda = V kron conj(V), V = [|0_L> |1_L>]. M Lambda is
-    formed as R (N Lambda), two 64x64 by 64x4 products.
+    vec: L = Lambda^dag M Lambda, with M = R N the round of N =
+    :func:`noise_superop` then R = :meth:`RecoveryMap.superop`, and
+    Lambda = V kron conj(V), V = [|0_L> |1_L>]. M Lambda is formed as
+    R (N Lambda), two 64x64 by 64x4 products.
 
     Both analytic recoveries map into span{|0_L>, |1_L>}, so a round that
     starts in the code space ends there, M Lambda = Lambda L, and k rounds
@@ -341,9 +333,9 @@ def logical_round(gammas: float | Sequence[float], ps: float | Sequence[float],
 
 
 def apply_cycle(superop: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, float]:
-    """A 64x64 map on data qubits 0..2, such as a compiled round or
-    :meth:`RecoveryMap.superop`, applied to rho of a register of 3 or more
-    qubits; the other qubits are untouched.
+    """A 64x64 map on data qubits 0..2, such as :meth:`RecoveryMap.superop`,
+    applied to rho of a register of 3 or more qubits; the other qubits are
+    untouched.
 
     rho is viewed as (8, m, 8, m), the data axes are brought together and
     multiplied, and the result is mapped back. Returns the kept state
@@ -376,8 +368,10 @@ def qec_cycle(
     rmap: RecoveryMap,
     target: Optional[PureState] = None,
 ) -> QecOutcome:
-    """One full cycle: noise, syndrome extraction, post-selected recovery,
-    applied as the compiled map of :func:`cycle_superop`.
+    """One full cycle: noise, syndrome extraction, post-selected recovery.
+    :func:`noise_superop` acts on vec(rho), then :func:`apply_cycle` applies
+    the kept branch :meth:`RecoveryMap.superop`, in the order of
+    :func:`logical_round` and the CHaDD rounds of ``protocol``.
 
     Ancillas are handled exactly through :meth:`RecoveryMap.kraus`: the
     syndrome ancilla selects the branch operator and the recovery ancilla
@@ -394,7 +388,8 @@ def qec_cycle(
         raise ValueError("a fidelity target is required for mixed-state input")
     if rho.qubit_count != 3:
         raise ValueError("qec_cycle operates on the 3-qubit data register")
-    kept, p_succ = apply_cycle(cycle_superop(gamma, p, rmap), rho.data)
+    noisy = (noise_superop(gamma, p) @ rho.data.ravel()).reshape(8, 8)
+    kept, p_succ = apply_cycle(rmap.superop(), noisy)
     sigma = DensityMatrix(kept)
     return QecOutcome(sigma, p_succ, fidelity(sigma, target))
 

@@ -11,7 +11,9 @@ costs O(log k) 4x4 products, so 1e12 rounds take as long as 40 (see
 round is Lindblad evolution of the data + spectator register, optionally as
 one robust CHaDD cycle, then the kept recovery branch
 (``RecoveryMap.superop``) applied by ``code3.apply_cycle``; it keeps the
-states after k full rounds and shares them across sweep points.
+states after k full rounds and shares them across sweep points. The robust
+cycle is the constant pulse list ``ROBUST_PULSES``, which ``_chadd_cycle``
+walks for this runner and for the ZZ toy alike.
 
 Every Lindblad evolution here (that register, the two-qubit ZZ toy, finite
 pulse windows) has a diagonal Z + ZZ Hamiltonian with per-qubit relaxation
@@ -276,70 +278,16 @@ def fit_lifetime(times: Sequence[float], fidelities: Sequence[float]) -> float:
 # CHaDD sequences
 # ---------------------------------------------------------------------------
 
-_HADAMARD_2 = np.array([[1, 1], [1, -1]])
-SIGN_MATRIX_4 = np.kron(_HADAMARD_2, _HADAMARD_2)
-
-# Robust single-axis X-type pulse list for chromaticity 2: X on color 1,
-# X on color 2, then the RX(-pi) counterparts twice, closed by plain X
-# pulses again. One free interval precedes every pulse (eight equal
-# intervals in total), which makes the toggling-frame sign sums over Z1,
-# Z2 and Z1Z2 vanish exactly; with only the seven printed intervals they
-# do not cancel.
+# The robust single-axis X-type cycle for chromaticity 2, as (pulse kind,
+# color): X on color 1, X on color 2, then the RX(-pi) counterparts ("XT")
+# twice, closed by plain X pulses again. One free interval of tau precedes
+# each of the 8 pulses. The toggling-frame signs of (Z_color1, Z_color2)
+# then trace rows 3 and 2 of the 4x4 Walsh-Hadamard sign matrix
+# kron([[1, 1], [1, -1]], [[1, 1], [1, -1]]) twice, so the sign sums over
+# Z1, Z2 and Z1Z2 vanish exactly (with only the seven printed intervals
+# they do not). X and RX(-pi) = iX act alike on rho.
 ROBUST_PULSES = (("X", 1), ("X", 2), ("XT", 1), ("XT", 2),
                  ("XT", 1), ("XT", 2), ("X", 1), ("X", 2))
-
-
-@dataclass(frozen=True)
-class ChaddSequence:
-    sign_matrix: np.ndarray
-    row_assignment: dict
-    pulses: tuple
-    tau: float
-
-    @property
-    def interval_count(self) -> int:
-        return len(self.pulses)
-
-    @property
-    def cycle_time(self) -> float:
-        return self.tau * self.interval_count
-
-    def toggling_signs(self) -> np.ndarray:
-        """Sign of (Z_color1, Z_color2, Z_color1*Z_color2) during each free
-        interval; rows sum to zero over the cycle."""
-        s1 = s2 = 1
-        rows = []
-        for kind, color in self.pulses:
-            rows.append((s1, s2, s1 * s2))
-            if color == 1:
-                s1 = -s1
-            else:
-                s2 = -s2
-        return np.array(rows).T
-
-
-def chadd_sequence(tau: float) -> ChaddSequence:
-    """Robust single-axis X-type CHaDD for a two-colorable layout."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    # the realized toggling signs of (Z_color1, Z_color2) trace rows 3 and 2
-    # of the sign matrix (the robust cycle walks each row twice); both are
-    # orthogonal to each other and to the all-ones row
-    seq = ChaddSequence(
-        sign_matrix=SIGN_MATRIX_4.copy(),
-        row_assignment={1: 3, 2: 2},
-        pulses=ROBUST_PULSES,
-        tau=tau,
-    )
-    signs = seq.toggling_signs()
-    if np.any(signs.sum(axis=1) != 0):
-        raise AssertionError(f"toggling-frame sums must vanish: {signs}")
-    reps = len(ROBUST_PULSES) // 4
-    for color in (1, 2):
-        row = np.tile(seq.sign_matrix[seq.row_assignment[color]], reps)
-        if not np.array_equal(signs[color - 1], row):
-            raise AssertionError(f"color {color} signs do not trace its row")
-    return seq
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +438,12 @@ def _pulse_permutations(colors: Sequence[int]) -> dict:
             for color in (1, 2)}
 
 
-def _chadd_cycle(free: Propagator, rho: np.ndarray, seq: ChaddSequence,
-                 perms: dict, window: Optional[Propagator] = None) -> np.ndarray:
-    """One CHaDD cycle: each interval propagates by ``free`` (one tau),
-    then applies its pulse, a permutation from ``perms``; ``window``
-    follows each pulse when pulses take time."""
-    for _, color in seq.pulses:
+def _chadd_cycle(free: Propagator, rho: np.ndarray, perms: dict,
+                 window: Optional[Propagator] = None) -> np.ndarray:
+    """One robust CHaDD cycle (``ROBUST_PULSES``): each interval propagates
+    by ``free`` (one tau), then applies its pulse, a permutation from
+    ``perms``; ``window`` follows each pulse when pulses take time."""
+    for _, color in ROBUST_PULSES:
         rho = propagate(free, rho)
         perm = perms[color]
         rho = rho[perm][:, perm]
@@ -517,15 +465,19 @@ def run_crosstalk_toy(model: CrosstalkModel, probe_init: str, t_final: float,
     """Evolve (probe, spectator=|0>) under the ZZ toy model, recording the
     probe populations and its fidelity to the initial probe state.
 
-    ``cycles=None`` is free evolution, sampled 40 times. Otherwise t_final
-    is chopped into ``cycles`` robust CHaDD cycles with instantaneous pulses
-    between their intervals; samples are taken once per full cycle (the
-    pulse product is identity up to phase there).
+    ``cycles=None`` is free evolution, sampled 40 times; t_final = 0 keeps
+    the initial state. Otherwise t_final must be positive and is chopped
+    into ``cycles`` robust CHaDD cycles with instantaneous pulses between
+    their intervals; samples are taken once per full cycle (the pulse
+    product is identity up to phase there).
     """
     kets = {"0": np.array([1, 0], complex), "1": np.array([0, 1], complex),
             "+": np.array([1, 1], complex) / math.sqrt(2)}
     if probe_init not in kets:
         raise ValueError(f"probe_init must be one of {sorted(kets)}")
+    if not (t_final >= 0 if cycles is None else t_final > 0):
+        need = "non-negative" if cycles is None else "positive"
+        raise ValueError(f"t_final must be {need}, got {t_final}")
     probe = kets[probe_init]
     psi = np.kron(probe, kets["0"])
     state = np.outer(psi, psi.conj())
@@ -544,15 +496,15 @@ def run_crosstalk_toy(model: CrosstalkModel, probe_init: str, t_final: float,
     else:
         if cycles < 1:
             raise ValueError(f"cycles must be at least 1, got {cycles}")
-        chadd = chadd_sequence(t_final / (len(ROBUST_PULSES) * cycles))
-        cycle = chadd.cycle_time
+        tau = t_final / (len(ROBUST_PULSES) * cycles)
+        cycle = tau * len(ROBUST_PULSES)  # t_final / cycles rounds differently
         # finite pulse window: dissipators act, drive ignored
         window = model.lindbladian(drive=False).propagator(model.pulse_duration) \
             if model.pulse_duration > 0 else None
-        free = gen.propagator(chadd.tau)
+        free = gen.propagator(tau)
         perms = _pulse_permutations((1, 2))
         for i in range(cycles):
-            state = _chadd_cycle(free, state, chadd, perms, window)
+            state = _chadd_cycle(free, state, perms, window)
             times.append((i + 1) * cycle)
             rows.append(state)
     stack = np.stack(rows)
@@ -620,13 +572,11 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
 
     @functools.cache
     def round_for(delay: float):
-        seq = chadd_sequence(delay / len(ROBUST_PULSES)) if chadd else None
-        free = gen.propagator(delay if seq is None else seq.tau)
+        free = gen.propagator(delay / len(ROBUST_PULSES) if chadd else delay)
         kept = _recovery_map(config, gamma_of_t(delay, t1)).superop()
 
         def one_round(rho: np.ndarray):
-            rho = _chadd_cycle(free, rho, seq, perms) if seq is not None \
-                else propagate(free, rho)
+            rho = _chadd_cycle(free, rho, perms) if chadd else propagate(free, rho)
             return code3.apply_cycle(kept, rho)
         return one_round
 

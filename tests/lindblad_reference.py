@@ -6,7 +6,8 @@
   truncation error falls as the step count grows.
 - The sparse Liouvillian of any (H, collapse set) on the row-major vec of
   rho, applied with scipy's ``expm_multiply`` (Al-Mohy & Higham, SIAM J.
-  Sci. Comput. 33, 2011), whose error grows with t ||L||.
+  Sci. Comput. 33, 2011) in equal sub-steps of at most 5 us, since its
+  error grows with t ||L||.
 
 It also holds the ZZ toy model's Hamiltonian as a matrix and the
 closed-system propagator of one CHaDD cycle, which the exactness checks
@@ -22,7 +23,7 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from nadqec.noise import NoiseParams
-from nadqec.protocol import ChaddSequence, CrosstalkModel, _pulse_permutations
+from nadqec.protocol import ROBUST_PULSES, CrosstalkModel, _pulse_permutations
 from nadqec.qcore import Z, embed
 
 
@@ -33,18 +34,19 @@ def crosstalk_hamiltonian(model: CrosstalkModel) -> np.ndarray:
     return 0.5 * model.omega1 * z1 + 0.5 * model.omega2 * z2 + model.g * z1 @ z2
 
 
-def chadd_cycle_unitary(seq: ChaddSequence, h: np.ndarray,
+def chadd_cycle_unitary(tau: float, h: np.ndarray,
                         colors: Sequence[int]) -> np.ndarray:
-    """Closed-system propagator of one full cycle with ideal pulses, each
-    applied as its row permutation (RX(-pi) = iX counts as X, so the
-    result holds up to a global phase)."""
+    """Closed-system propagator of one robust cycle (``ROBUST_PULSES``, an
+    interval of ``tau`` before each pulse) with ideal pulses, each applied
+    as its row permutation (RX(-pi) = iX counts as X, so the result holds
+    up to a global phase)."""
     n = int(round(math.log2(h.shape[0])))
     if len(colors) != n:
         raise ValueError(f"{len(colors)} colors for {n} qubits")
-    free = expm(-1j * h * seq.tau)
+    free = expm(-1j * h * tau)
     perms = _pulse_permutations(colors)
     u = np.eye(h.shape[0], dtype=complex)
-    for _, color in seq.pulses:
+    for _, color in ROBUST_PULSES:
         u = (free @ u)[perms[color]]
     return u
 
@@ -96,9 +98,18 @@ def liouvillian(h: np.ndarray, collapse: Sequence[np.ndarray]) -> sp.csr_matrix:
 
 
 def propagate(gen: sp.csr_matrix, rho: np.ndarray, duration: float) -> np.ndarray:
-    """exp(duration * gen) applied to rho (Al-Mohy & Higham's expm_multiply),
-    returned Hermitian."""
-    out = expm_multiply(duration * gen, rho.ravel()).reshape(rho.shape)
+    """exp(duration * gen) applied to rho (Al-Mohy & Higham's expm_multiply)
+    in equal sub-steps of at most 5 us, returned Hermitian; rho itself at
+    duration 0 or one so small that duration / 5 underflows to 0, where
+    expm_multiply would divide 0 by 0."""
+    steps = math.ceil(duration / 5.0)
+    if steps == 0:
+        return rho
+    step = duration / steps * gen
+    out = rho.ravel()
+    for _ in range(steps):
+        out = expm_multiply(step, out)
+    out = out.reshape(rho.shape)
     return 0.5 * (out + out.conj().T)
 
 

@@ -168,8 +168,7 @@ def test_ac8_chadd_exactness():
     for _ in range(10):
         w1, w2, g, tau = rng.uniform(0.05, 2.0, 4)
         model = protocol.CrosstalkModel(omega1=w1, omega2=w2, g=g)
-        seq = protocol.chadd_sequence(tau)
-        u = chadd_cycle_unitary(seq, crosstalk_hamiltonian(model), (1, 2))
+        u = chadd_cycle_unitary(tau, crosstalk_hamiltonian(model), (1, 2))
         phase = u[0, 0] / abs(u[0, 0])
         worst = max(worst, float(np.abs(u / phase - np.eye(4)).max()))
     assert report(8, worst < 1e-8,

@@ -31,7 +31,6 @@ from nadqec.code3 import (
     RecoveryMap,
     apply_cycle,
     codeword,
-    cycle_superop,
     encode_ideal,
     encoder_unitary,
     fidelity_from_distribution,
@@ -292,7 +291,8 @@ class TestRecoveryEngine:
         rho = _random_density(rng, 3)
         want, p_want = _recovery_reference(
             damp_dephase(rho, range(3), gammas, ps), w)
-        got, p_got = apply_cycle(cycle_superop(gammas, ps, rmap), rho.data)
+        round_map = rmap.superop() @ noise_superop(gammas, ps)
+        got, p_got = apply_cycle(round_map, rho.data)
         assert abs(p_got - p_want) < 1e-12
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -378,7 +378,7 @@ class TestCompletePositivity:
     def test_round_is_cp_and_trace_non_increasing(self, gammas, ps, variant,
                                                   seed):
         rmap, _ = _random_rmap(variant, np.random.default_rng(seed), gammas[0])
-        choi = _choi(cycle_superop(gammas, ps, rmap))
+        choi = _choi(rmap.superop() @ noise_superop(gammas, ps))
         assert np.linalg.eigvalsh(choi).min() >= -1e-12
         assert np.linalg.eigvalsh(_output_traced(choi)).max() <= 1 + 1e-12
 
@@ -405,7 +405,7 @@ class TestLogicalRound:
         assert np.linalg.eigvalsh(_output_traced(choi)).max() <= 1 + 1e-12
         # the 64x64 round sends V E V^dag to V L(E) V^dag, nothing outside
         v = np.stack([codeword(0).amplitudes, codeword(1).amplitudes], axis=1)
-        full = cycle_superop(gammas, ps, rmap)
+        full = rmap.superop() @ noise_superop(gammas, ps)
         for e in np.eye(4):
             out = (full @ (v @ e.reshape(2, 2) @ v.conj().T).ravel()).reshape(8, 8)
             want = v @ (round_map @ e).reshape(2, 2) @ v.conj().T
