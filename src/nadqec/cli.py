@@ -348,22 +348,20 @@ def _run_oracle_check(spec: ExperimentSpec, out: Path) -> None:
     _require_numbers(p, ints={"theta_points": 1, "gamma_points": 1})
     thetas = np.linspace(0.0, math.pi, p.get("theta_points", 10))
     gammas = np.linspace(0.0, 0.3, p.get("gamma_points", 10))
+    # one batched logical round per gamma; the rows run theta outer, gamma inner
+    outcomes = [code3.logical_outcomes(thetas, g, 0.0, code3.RecoveryMap.ideal(g))
+                for g in gammas]
     dev_f = dev_p_app = dev_p_main = 0.0
     rows = []
-    for theta in thetas:
-        for g in gammas:
-            outcome = code3.qec_cycle(
-                code3.encode_ideal(code3.LogicalStateSpec(theta)), g, 0.0,
-                code3.RecoveryMap.ideal(g))
-            df = abs(outcome.fidelity - code3.oracle_fidelity_ad(theta, g))
-            dpa = abs(outcome.success_probability
-                      - code3.oracle_success_probability(theta, g, 0.0))
-            dpm = abs(outcome.success_probability
-                      - code3.success_probability_minus_form(theta, g))
+    for i, theta in enumerate(thetas):
+        for g, (fids, probs) in zip(gammas, outcomes):
+            f, prob = fids[i], probs[i]
+            df = abs(f - code3.oracle_fidelity_ad(theta, g))
+            dpa = abs(prob - code3.oracle_success_probability(theta, g, 0.0))
+            dpm = abs(prob - code3.success_probability_minus_form(theta, g))
             dev_f, dev_p_app = max(dev_f, df), max(dev_p_app, dpa)
             dev_p_main = max(dev_p_main, dpm)
-            rows.append((theta, g, outcome.fidelity, outcome.success_probability,
-                         df, dpa))
+            rows.append((theta, g, f, prob, df, dpa))
     _write_csv(out, ["theta", "gamma", "fidelity", "p_success",
                      "fidelity_deviation", "p_success_deviation"], rows)
     matched = code3.match_success_form()

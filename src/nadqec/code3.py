@@ -27,14 +27,16 @@ vec(rho)). A round is the noise map, then that branch applied by
 ``protocol.run_multiqec_with_chadd`` share it. For the analytic
 recoveries a round that starts in the code space ends there, so
 ``logical_round`` restricts it exactly to a 4x4 map on the 2x2 logical
-state, which ``protocol.run_multiqec`` powers. The measured
-estimator applies the same noise map, then its post-noise circuit as one
+state, which ``protocol.run_multiqec`` powers and ``logical_outcomes``
+applies to a batch of encoded states for the single-round callers (the
+``oracle-check`` kind, ``match_success_form`` and the gain model). The
+measured estimator applies the same noise map, then its post-noise circuit as one
 32x8 isometry built from the same 8 columns (``RecoveryMap.kept_columns``).
 
 The success probability comes in two closed-form variants that disagree
 in one sign; see ``success_probability_minus_form`` /
-``oracle_success_probability`` and ``match_success_form``. Branch-trace
-simulation arbitrates (the "+" variant wins).
+``oracle_success_probability`` and ``match_success_form``. The simulated
+logical round arbitrates (the "+" variant wins).
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .qcore import (
     DensityMatrix,
     PureState,
     basis_state,
+    check_density,
     fidelity,
     ry,
     rz,
@@ -332,6 +335,33 @@ def logical_round(gammas: float | Sequence[float], ps: float | Sequence[float],
     return round_map
 
 
+def logical_outcomes(thetas: Sequence[float], gamma: float, p: float,
+                     rmap: RecoveryMap) -> tuple[np.ndarray, np.ndarray]:
+    """One round on each encoded state cos(theta/2)|0_L> + sin(theta/2)|1_L>
+    at once: (fidelities, success probabilities), one entry per theta.
+
+    :func:`logical_round` is built once and applied to every
+    vec(sigma0), sigma0 = psi psi^dag, psi = (cos theta/2, sin theta/2), in
+    one product. Each kept state is renormalized by its weight, the success
+    probability, and all are validated in one ``check_density``; F is
+    Re sum kept * sigma0. A theta outside [0, pi] raises ValueError, and so
+    does a weight of 0 or less.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    bad = thetas[~((thetas >= 0.0) & (thetas <= math.pi))]
+    if bad.size:
+        raise ValueError(f"theta {bad[0]} outside [0, pi]")
+    psi = np.stack([np.cos(thetas / 2), np.sin(thetas / 2)], axis=-1)
+    sigma0 = (psi[:, :, None] * psi[:, None, :]).reshape(-1, 4)
+    out = sigma0 @ logical_round(gamma, p, rmap).T
+    weights = np.real(out[:, 0] + out[:, 3])
+    if np.any(weights <= 0):
+        raise ValueError("post-selection removed all weight")
+    kept = out / weights[:, None]
+    check_density(kept.reshape(-1, 2, 2))
+    return np.real((kept * sigma0).sum(axis=1)), weights
+
+
 def apply_cycle(superop: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, float]:
     """A 64x64 map on data qubits 0..2, such as :meth:`RecoveryMap.superop`,
     applied to rho of a register of 3 or more qubits; the other qubits are
@@ -512,19 +542,18 @@ def success_probability_zero_logical(gamma: float, p: float) -> float:
 
 
 def match_success_form() -> str:
-    """Report which printed success-probability form branch-trace
-    simulation reproduces within 1e-10: 'plus', 'minus', or 'neither'."""
+    """Report which printed success-probability form the simulated logical
+    round (:func:`logical_outcomes`) reproduces within 1e-10: 'plus',
+    'minus', or 'neither'."""
     thetas = np.linspace(0.0, math.pi, 5)
-    gammas = np.linspace(0.0, 0.3, 5)
     dev_app = dev_main = 0.0
-    for theta in thetas:
-        for g in gammas:
-            out = qec_cycle(encode_ideal(LogicalStateSpec(theta)), g, 0.0,
-                            RecoveryMap.ideal(g))
-            dev_app = max(dev_app, abs(out.success_probability
-                                       - oracle_success_probability(theta, g, 0.0)))
-            dev_main = max(dev_main, abs(out.success_probability
-                                         - success_probability_minus_form(theta, g)))
+    for g in np.linspace(0.0, 0.3, 5):
+        _, probs = logical_outcomes(thetas, g, 0.0, RecoveryMap.ideal(g))
+        for theta, prob in zip(thetas, probs):
+            dev_app = max(dev_app,
+                          abs(prob - oracle_success_probability(theta, g, 0.0)))
+            dev_main = max(dev_main,
+                           abs(prob - success_probability_minus_form(theta, g)))
     if dev_app < 1e-10:
         return "plus"
     if dev_main < 1e-10:

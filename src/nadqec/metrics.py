@@ -143,23 +143,25 @@ def gain_theoretical_detail(theta: float, gamma: float, p: float,
                             e_meas: float) -> GainBreakdown:
     """Per-shot gain model.
 
-    F_QEC and p_success come from the exact single-cycle simulation (which
-    the closed-form oracles validate), F_bare = 1 - gamma from |1> decay,
-    and the per-shot sigmas are binomial in the adjusted fidelities:
+    F_QEC and p_success come from the exact single-round simulation,
+    ``code3.logical_outcomes`` (which the closed-form oracles validate),
+    F_bare = 1 - gamma from |1> decay, and the per-shot sigmas are binomial
+    in the adjusted fidelities:
     gain = (F*_QEC sigma_bare) / (F*_bare sigma_QEC) * sqrt(p_success).
     """
     return _gain_breakdown(_adapted_cycle(theta, gamma, p), gamma, e_meas)
 
 
-def _adapted_cycle(theta: float, gamma: float, p: float) -> code3.QecOutcome:
-    spec = code3.LogicalStateSpec(theta)
-    return code3.qec_cycle(code3.encode_ideal(spec), gamma, p,
-                           code3.RecoveryMap.ideal(gamma))
+def _adapted_cycle(theta: float, gamma: float, p: float) -> tuple[float, float]:
+    """(F, P) of one round with the gamma-adapted recovery."""
+    fids, probs = code3.logical_outcomes([theta], gamma, p,
+                                         code3.RecoveryMap.ideal(gamma))
+    return float(fids[0]), float(probs[0])
 
 
-def _gain_breakdown(out: code3.QecOutcome, gamma: float,
+def _gain_breakdown(outcome: tuple[float, float], gamma: float,
                     e_meas: float) -> GainBreakdown:
-    f_qec, p_success = out.fidelity, out.success_probability
+    f_qec, p_success = outcome
     f_bare = 1.0 - gamma
     fq = f_star(f_qec, e_meas)
     fb = f_star(f_bare, e_meas)
@@ -197,7 +199,7 @@ def gain_surface(
     cycle is simulated once per distinct gamma."""
     if not (len(t1_range) and len(emeas_range) and len(delay_range)):
         raise ValueError("all grid ranges must be non-empty")
-    cycles: dict[float, code3.QecOutcome] = {}
+    cycles: dict[float, tuple[float, float]] = {}
     cells = []
     for t1 in t1_range:
         for e in emeas_range:

@@ -8,6 +8,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nadqec import cli
@@ -21,7 +22,13 @@ from nadqec.cli import (
     ExperimentSpec,
     list_experiments,
 )
-from nadqec.code3 import RecoveryMap, oracle_fidelity_multiround
+from nadqec.code3 import (
+    LogicalStateSpec,
+    RecoveryMap,
+    encode_ideal,
+    oracle_fidelity_multiround,
+    qec_cycle,
+)
 from nadqec.noise import gamma_of_t
 from nadqec.synth import verify_recovery_circuit
 
@@ -395,6 +402,29 @@ class TestRun:
         assert len(rows) == 1 + 16
         worst = max(float(r.split(",")[4]) for r in rows[1:])
         assert worst < 1e-10
+
+    def test_oracle_check_matches_the_64x64_round(self, tmp_path, monkeypatch):
+        # the kind runs the 4x4 logical round; qec_cycle's full-register
+        # round must give the same fidelity and success probability. The
+        # rows are taken before the CSV rounds them to 10 digits.
+        written = []
+        write_csv = cli._write_csv
+        monkeypatch.setattr(cli, "_write_csv",
+                            lambda *a: written.append(a[2]) or write_csv(*a))
+        payload = {
+            "kind": "oracle-check",
+            "output": str(tmp_path / "oracle.csv"),
+            "params": {"theta_points": 4, "gamma_points": 4},
+        }
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_OK
+        grid = [(t, g) for t in np.linspace(0.0, math.pi, 4)
+                for g in np.linspace(0.0, 0.3, 4)]
+        assert [row[:2] for row in written[0]] == grid
+        for theta, g, fid, prob, *_ in written[0]:
+            out = qec_cycle(encode_ideal(LogicalStateSpec(theta)), g, 0.0,
+                            RecoveryMap.ideal(g))
+            assert abs(fid - out.fidelity) <= 1e-14
+            assert abs(prob - out.success_probability) <= 1e-14
 
     def test_ten_digit_precision(self, tmp_path):
         path = write_spec(tmp_path, multiqec_payload(tmp_path))

@@ -34,6 +34,7 @@ from nadqec.code3 import (
     encode_ideal,
     encoder_unitary,
     fidelity_from_distribution,
+    logical_outcomes,
     logical_round,
     measured_circuit_distribution,
     noise_superop,
@@ -325,10 +326,14 @@ class TestRecoveryEngine:
         with pytest.raises(ValueError, match="removed all weight"):
             apply_cycle(RecoveryMap.ideal(1.0).superop(),
                         codeword(0).to_density_matrix().data)
-        # the compiled round of qec_cycle keeps the same check
-        with pytest.raises(ValueError, match="removed all weight"):
-            qec_cycle(encode_ideal(LogicalStateSpec(1.0)), 1.0, 0.0,
-                      RecoveryMap.ideal(1.0))
+        # the compiled round of qec_cycle and the batched logical round keep
+        # the same check: gamma = 1 empties both branches of every encoded state
+        for theta in (0.0, 1.0, math.pi):
+            with pytest.raises(ValueError, match="removed all weight"):
+                qec_cycle(encode_ideal(LogicalStateSpec(theta)), 1.0, 0.0,
+                          RecoveryMap.ideal(1.0))
+            with pytest.raises(ValueError, match="removed all weight"):
+                logical_outcomes([theta], 1.0, 0.0, RecoveryMap.ideal(1.0))
 
     def test_register_too_small(self):
         with pytest.raises(ValueError, match="register of 2 qubits"):
@@ -428,6 +433,34 @@ class TestLogicalRound:
         rmap = RecoveryMap.synthesized(_haar_unitary(np.random.default_rng(seed), 32))
         with pytest.raises(ValueError, match="leaks out of the code space"):
             logical_round(0.1, 0.05, rmap)
+        with pytest.raises(ValueError, match="leaks out of the code space"):
+            logical_outcomes([1.0], 0.1, 0.05, rmap)
+
+
+class TestLogicalOutcomes:
+    """The batched single round equals qec_cycle on each encoded state."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(thetas=st.lists(st.floats(0.0, math.pi), min_size=1, max_size=4),
+           gamma=st.floats(0.0, 0.99), p=st.floats(0.0, 0.5),
+           variant=st.sampled_from(["ideal", "approximate"]))
+    @example(thetas=[0.0, math.pi / 2, math.pi], gamma=0.99, p=0.5,
+             variant="approximate")
+    @example(thetas=[0.0, math.pi], gamma=0.0, p=0.0, variant="ideal")
+    def test_matches_qec_cycle(self, thetas, gamma, p, variant):
+        rmap = RecoveryMap.ideal(gamma) if variant == "ideal" \
+            else RecoveryMap.approximate()
+        fids, probs = logical_outcomes(thetas, gamma, p, rmap)
+        assert fids.shape == probs.shape == (len(thetas),)
+        for theta, f, prob in zip(thetas, fids, probs):
+            out = qec_cycle(encode_ideal(LogicalStateSpec(theta)), gamma, p, rmap)
+            assert abs(f - out.fidelity) <= 1e-14
+            assert abs(prob - out.success_probability) <= 1e-14
+
+    @pytest.mark.parametrize("theta", [-1e-9, math.pi + 1e-9, math.nan])
+    def test_theta_outside_range_raises(self, theta):
+        with pytest.raises(ValueError, match="outside \\[0, pi\\]"):
+            logical_outcomes([1.0, theta], 0.1, 0.0, RecoveryMap.ideal(0.1))
 
 
 class TestQecCycle:

@@ -164,9 +164,9 @@ class TestGainSurface:
         # delay / T1 repeats across T1 rows and every E_meas reuses gamma
         t1s, es, delays = [50.0, 100.0], [0.01, 0.05], [10.0, 20.0, 40.0]
         cycles = []
-        qec_cycle = code3.qec_cycle
-        monkeypatch.setattr(code3, "qec_cycle",
-                            lambda *a: cycles.append(a[1]) or qec_cycle(*a))
+        logical_outcomes = code3.logical_outcomes
+        monkeypatch.setattr(code3, "logical_outcomes",
+                            lambda *a: cycles.append(a[1]) or logical_outcomes(*a))
         cells = gain_surface(t1s, es, delays, theta=2.0)
         assert sorted(cycles) == sorted({gamma_of_t(d, t1)
                                          for t1 in t1s for d in delays})
