@@ -221,14 +221,16 @@ def _run_multiqec_chadd(spec: ExperimentSpec, out: Path) -> None:
     p = spec.params
     _require_numbers(p, ints={"spectators": 0})
     _require_in(p, "spectators", lambda v: v <= 4, "at most 4 (7 qubits in all)")
-    couplings = p.get("couplings", [[0, 3, 0.05]])
+    spectators = p.get("spectators", 1)
+    # the default coupling names the first spectator, so it needs one
+    couplings = p.get("couplings", [[0, 3, 0.05]] if spectators else [])
     if not (isinstance(couplings, list) and all(
             isinstance(c, list) and len(c) == 3 and _is_int(c[0]) and _is_int(c[1])
             and _is_number(c[2]) for c in couplings)):
         raise ConfigError(
             f"'couplings' must be [qubit, qubit, g] triples, got {couplings!r}")
     layout = protocol.SpectatorLayout(
-        spectators=p.get("spectators", 1),
+        spectators=spectators,
         couplings=tuple(tuple(c) for c in couplings))
     n = layout.n_qubits
     for a, b, g in couplings:
@@ -364,11 +366,11 @@ def _run_oracle_check(spec: ExperimentSpec, out: Path) -> None:
             rows.append((theta, g, f, prob, df, dpa))
     _write_csv(out, ["theta", "gamma", "fidelity", "p_success",
                      "fidelity_deviation", "p_success_deviation"], rows)
-    matched = code3.match_success_form()
     print(f"max |F_sim - F_closed_form| = {dev_f:.3e}")
     print(f"max |p_sim - p_plus_form| = {dev_p_app:.3e}")
     print(f"max |p_sim - p_minus_form| = {dev_p_main:.3e}")
-    print(f"success-probability form matched: {matched}")
+    print(f"success-probability form matched: "
+          f"{code3.success_form(dev_p_app, dev_p_main)}")
     if dev_f > 1e-10 or dev_p_app > 1e-10:
         raise RuntimeError("oracle deviation above 1e-10")
 

@@ -41,7 +41,6 @@ logical round arbitrates (the "+" variant wins).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -50,7 +49,6 @@ import numpy as np
 
 from .qcore import (
     TOL_ARITH,
-    TOL_STRUCT,
     DensityMatrix,
     PureState,
     basis_state,
@@ -75,16 +73,33 @@ class LogicalStateSpec:
             raise ValueError(f"phi {self.phi} outside [0, 2*pi)")
 
 
+# The encoder En, one read-only constant: |000> -> |0_L> and |100> -> |1_L>
+# (columns 0 and 4), completed by vectors of definite excitation parity:
+# |000>, |011>, |101> and |110> on columns 1, 2, 5 and 6, and on columns 3
+# and 7 the two single-excitation vectors orthogonal to |0_L>. Rows index
+# |q0 q1 q2>, q0 most significant. synth's recovery factors are this basis
+# too: U is En with q0 flipped on its input, V1 is En with its rows reversed.
+_S2, _S3, _S6 = (1 / math.sqrt(k) for k in (2, 3, 6))
+_ENCODER = np.array([
+    # 0_L  000  011  odd        1_L  101  110  odd
+    [0,    1,   0,   0,         0,   0,   0,   0],     # |000>
+    [_S3,  0,   0,   -2 * _S6,  0,   0,   0,   0],     # |001>
+    [_S3,  0,   0,   _S6,       0,   0,   0,   -_S2],  # |010>
+    [0,    0,   1,   0,         0,   0,   0,   0],     # |011>
+    [_S3,  0,   0,   _S6,       0,   0,   0,   _S2],   # |100>
+    [0,    0,   0,   0,         0,   1,   0,   0],     # |101>
+    [0,    0,   0,   0,         0,   0,   1,   0],     # |110>
+    [0,    0,   0,   0,         1,   0,   0,   0],     # |111>
+], dtype=complex)
+_ENCODER.setflags(write=False)
+
+
 def codeword(which: int) -> PureState:
-    """Logical basis state: 0 -> the W state, 1 -> |111>."""
-    amps = np.zeros(8, dtype=complex)
-    if which == 0:
-        amps[[4, 2, 1]] = 1.0 / math.sqrt(3)
-    elif which == 1:
-        amps[7] = 1.0
-    else:
+    """Logical basis state, encoder column 4 * which: 0 -> the W state,
+    1 -> |111>."""
+    if which not in (0, 1):
         raise ValueError(f"codeword index must be 0 or 1, got {which}")
-    return PureState(amps)
+    return PureState(_ENCODER[:, 4 * which])
 
 
 def encode_ideal(spec: LogicalStateSpec) -> PureState:
@@ -100,33 +115,14 @@ def prep_unitary(spec: LogicalStateSpec) -> np.ndarray:
     return rz(spec.phi) @ ry(spec.theta)
 
 
-@functools.cache
 def encoder_unitary() -> np.ndarray:
-    """8x8 unitary mapping |000> -> |0_L> and |100> -> |1_L>, read-only.
+    """The 8x8 encoder, |000> -> |0_L> and |100> -> |1_L>, as one read-only
+    constant.
 
-    Only those two columns are contractually fixed; the remaining six are a
-    deterministic Gram-Schmidt completion over the standard basis, built once.
+    Only those two columns are contractual; the other six complete them
+    with vectors of definite excitation parity (see ``_ENCODER``).
     """
-    cols = np.zeros((8, 8), dtype=complex)
-    cols[:, 0] = codeword(0).amplitudes
-    cols[:, 4] = codeword(1).amplitudes
-    filled = [0, 4]
-    free = [c for c in range(8) if c not in filled]
-    basis_iter = iter(np.eye(8, dtype=complex).T)
-    for slot in free:
-        while True:
-            v = next(basis_iter).copy()
-            for c in filled + [s for s in free if s < slot]:
-                v -= cols[:, c] * (cols[:, c].conj() @ v)
-            nrm = np.linalg.norm(v)
-            if nrm > 1e-8:
-                cols[:, slot] = v / nrm
-                break
-    dev = np.max(np.abs(cols.conj().T @ cols - np.eye(8)))
-    if dev > TOL_STRUCT:
-        raise ValueError(f"encoder not unitary: max |U^dag U - I| = {dev}")
-    cols.setflags(write=False)
-    return cols
+    return _ENCODER
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +303,7 @@ def noise_superop(gammas: float | Sequence[float],
 # The code space on the row-major vec: Lambda = V kron conj(V) with
 # V = [|0_L> |1_L>] (8x2) sends vec(sigma) of a 2x2 logical state to
 # vec(V sigma V^dag); its columns are orthonormal, read-only.
-_CODE = np.stack([codeword(0).amplitudes, codeword(1).amplitudes], axis=1)
+_CODE = _ENCODER[:, [0, 4]]
 _LOGICAL = np.kron(_CODE, _CODE.conj())
 _LOGICAL.setflags(write=False)
 
@@ -543,8 +539,9 @@ def success_probability_zero_logical(gamma: float, p: float) -> float:
 
 def match_success_form() -> str:
     """Report which printed success-probability form the simulated logical
-    round (:func:`logical_outcomes`) reproduces within 1e-10: 'plus',
-    'minus', or 'neither'."""
+    round (:func:`logical_outcomes`) reproduces on a 5x5 grid of theta
+    and gamma: 'plus', 'minus', or 'neither', as :func:`success_form`
+    decides."""
     thetas = np.linspace(0.0, math.pi, 5)
     dev_app = dev_main = 0.0
     for g in np.linspace(0.0, 0.3, 5):
@@ -554,9 +551,16 @@ def match_success_form() -> str:
                           abs(prob - oracle_success_probability(theta, g, 0.0)))
             dev_main = max(dev_main,
                            abs(prob - success_probability_minus_form(theta, g)))
-    if dev_app < 1e-10:
+    return success_form(dev_app, dev_main)
+
+
+def success_form(dev_plus: float, dev_minus: float) -> str:
+    """The printed success-probability form that a simulation deviating by
+    at most ``dev_plus`` from the "+" form and ``dev_minus`` from the "-"
+    form matches within 1e-10: 'plus', 'minus', or 'neither'."""
+    if dev_plus < 1e-10:
         return "plus"
-    if dev_main < 1e-10:
+    if dev_minus < 1e-10:
         return "minus"
     return "neither"
 

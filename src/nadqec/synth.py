@@ -12,8 +12,10 @@ coordinate layout that places the two nonzero singular values at the
 X-paired basis positions 000 and 100; in that gauge the two branch
 factorizations share U and D exactly and the damping-branch V is the
 X-conjugated no-damping one. A descending-order SVD cannot satisfy those
-relations (the required completion column collides with an occupied one),
-which is why ``canonical_recovery_split`` fixes the layout by hand.
+relations (the required completion column collides with an occupied one).
+``canonical_recovery_split`` builds no basis of its own: U is the encoder
+``code3.encoder_unitary`` with q0 flipped on its input, and V1 is the
+encoder with its rows reversed.
 """
 
 from __future__ import annotations
@@ -256,45 +258,20 @@ def canonical_recovery_split(gamma: float) -> RecoverySplit:
     """Shared-factor split of the two recovery operators.
 
     R_no-damping agrees with U D V0^dag and R_damping with U D V1^dag on
-    their parity branches, with V0 = U and V1 = (XxXxX) U (XxIxI). D is
+    their parity branches, with V0 = U and V1 = (XxXxX) U (XxIxI). U is the
+    encoder with q0 flipped on its input (columns j and j ^ 4 swapped), so
+    V1 is the encoder with its rows reversed; all three are read-only. D is
     diagonal with entries 1 at 000, (1-gamma) at 100, 0 at the occupied
     dead coordinates 011 and 111, and 1 at the unreachable positions.
     """
-    k0 = code3.codeword(0).amplitudes
-    k1 = code3.codeword(1).amplitudes
-    # odd-parity complement of the code space (occupied dead directions)
-    c1 = np.zeros(8, complex)
-    c1[[4, 2]] = [1 / math.sqrt(2), -1 / math.sqrt(2)]
-    c2 = np.zeros(8, complex)
-    c2[[4, 2, 1]] = [1 / math.sqrt(6), 1 / math.sqrt(6), -2 / math.sqrt(6)]
-    # even-parity basis for the remaining columns
-    e000 = np.zeros(8, complex)
-    e000[0] = 1.0
-    sym2 = np.zeros(8, complex)
-    sym2[[3, 5, 6]] = 1 / math.sqrt(3)
-    f1 = np.zeros(8, complex)
-    f1[[3, 5]] = [1 / math.sqrt(2), -1 / math.sqrt(2)]
-    f2 = np.zeros(8, complex)
-    f2[[3, 5, 6]] = [1 / math.sqrt(6), 1 / math.sqrt(6), -2 / math.sqrt(6)]
-
-    u = np.zeros((8, 8), complex)
-    u[:, _POS_SV1] = k1
-    u[:, _POS_SVG] = k0
-    u[:, _POS_DEAD[0]] = c1
-    u[:, _POS_DEAD[1]] = c2
-    for col, vec in zip((1, 2, 5, 6), (e000, sym2, f1, f2)):
-        u[:, col] = vec
-
+    en = code3.encoder_unitary()
+    u = en[:, np.arange(8) ^ 4]
+    u.setflags(write=False)
     d = np.eye(8, dtype=complex)
     d[_POS_SVG, _POS_SVG] = 1 - gamma
     for pos in _POS_DEAD:
         d[pos, pos] = 0.0
-
-    xmat = np.array([[0, 1], [1, 0]], complex)
-    xxx = embed(xmat, [0], 3) @ embed(xmat, [1], 3) @ embed(xmat, [2], 3)
-    x1 = embed(xmat, [0], 3)
-    v1 = xxx @ u @ x1
-    return RecoverySplit(u=u, d=d, v0=u.copy(), v1=v1, gamma=gamma)
+    return RecoverySplit(u=u, d=d, v0=u, v1=en[::-1], gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +383,10 @@ def block_encode_diagonal(gamma: float, mode: str = "exact") -> Circuit:
 
 def encoder_target() -> tuple[np.ndarray, list[int]]:
     """Column-masked encoder synthesis target: |000> -> |0_L|,
-    |100> -> |1_L> (only those two columns matter)."""
+    |100> -> |1_L> (only those two columns of ``code3.encoder_unitary``
+    matter)."""
     target = np.zeros((8, 8), complex)
-    target[:, 0] = code3.codeword(0).amplitudes
-    target[:, 4] = code3.codeword(1).amplitudes
+    target[:, [0, 4]] = code3.encoder_unitary()[:, [0, 4]]
     return target, [0, 4]
 
 

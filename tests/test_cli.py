@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nadqec import cli
+from nadqec import cli, code3
 from nadqec.circuits import Circuit
 from nadqec.cli import (
     CATALOG,
@@ -370,6 +370,20 @@ class TestRun:
         assert code in (EXIT_OK, EXIT_CONFIG)
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_chadd_without_spectators(self, tmp_path, capsys):
+        # the default coupling names a spectator, so none is used without one
+        params = {"theta": 1.0, "max_delay": 30.0, "total_free": [30.0],
+                  "t1": 220.0, "spectators": 0}
+        payload = {"kind": "multiqec-chadd", "output": str(tmp_path / "out.csv"),
+                   "params": params}
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_OK
+        rows = [r.split(",") for r in
+                (tmp_path / "out.csv").read_text().splitlines()[1:]]
+        assert [r[5] for r in rows] == ["0", "1"]
+        params["couplings"] = [[0, 3, 0.05]]
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_CONFIG
+        assert "3-qubit register" in capsys.readouterr().err
+
     def test_delay_beyond_every_lifetime_ends_at_once(self, tmp_path, capsys):
         # gamma = 1 over a 1e9 us delay: the propagator's cost does not grow
         # with the duration, and post-selection then keeps no weight
@@ -425,6 +439,21 @@ class TestRun:
                             RecoveryMap.ideal(g))
             assert abs(fid - out.fidelity) <= 1e-14
             assert abs(prob - out.success_probability) <= 1e-14
+
+    def test_oracle_check_builds_one_round_per_gamma(self, tmp_path,
+                                                     monkeypatch):
+        # the matched form comes from the run's own grid, not a second one
+        calls = []
+        outcomes = code3.logical_outcomes
+        monkeypatch.setattr(code3, "logical_outcomes",
+                            lambda *a: calls.append(a) or outcomes(*a))
+        payload = {
+            "kind": "oracle-check",
+            "output": str(tmp_path / "oracle.csv"),
+            "params": {"theta_points": 4, "gamma_points": 3},
+        }
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_OK
+        assert len(calls) == 3
 
     def test_ten_digit_precision(self, tmp_path):
         path = write_spec(tmp_path, multiqec_payload(tmp_path))

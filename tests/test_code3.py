@@ -117,7 +117,16 @@ class TestCodewords:
         u = encoder_unitary()
         np.testing.assert_allclose(u[:, 0], codeword(0).amplitudes, atol=1e-12)
         np.testing.assert_allclose(u[:, 4], codeword(1).amplitudes, atol=1e-12)
-        np.testing.assert_allclose(u.conj().T @ u, np.eye(8), atol=1e-12)
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(8), rtol=0, atol=1e-15)
+        # every column lies in one excitation-parity sector
+        parity = np.array([bin(d).count("1") % 2 for d in range(8)])
+        for col in u.T:
+            assert len(set(parity[np.abs(col) > 0])) == 1
+        # one read-only constant, not a fresh array per call
+        assert encoder_unitary() is u
+        assert not u.flags.writeable
+        with pytest.raises(ValueError):
+            u[0, 0] = 1.0
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):

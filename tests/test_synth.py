@@ -208,6 +208,13 @@ class TestCanonicalSplit:
         xxx = embed(XMAT, [0], 3) @ embed(XMAT, [1], 3) @ embed(XMAT, [2], 3)
         x1 = embed(XMAT, [0], 3)
         np.testing.assert_allclose(split.v1, xxx @ split.u @ x1, atol=1e-14)
+        # U is the encoder with q0 flipped on its input and V1 the encoder
+        # with its rows reversed, exactly
+        en = code3.encoder_unitary()
+        np.testing.assert_array_equal(split.u, en @ x1)
+        np.testing.assert_array_equal(split.u, en[:, [4, 5, 6, 7, 0, 1, 2, 3]])
+        np.testing.assert_array_equal(split.v1, xxx @ en)
+        np.testing.assert_array_equal(split.v1, en[::-1])
 
     def test_factors_unitary_and_diagonal(self):
         split = canonical_recovery_split(0.2)
