@@ -426,7 +426,7 @@ def run(spec: ExperimentSpec) -> int:
         CATALOG[spec.kind].runner(spec, out)
     except ConfigError:
         raise
-    except (RuntimeError, ValueError, FloatingPointError) as exc:
+    except (RuntimeError, ValueError, ArithmeticError) as exc:
         print(f"numerical failure in '{spec.kind}': {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     _write_manifest(spec, out, t0)

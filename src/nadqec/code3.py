@@ -51,7 +51,6 @@ from .qcore import (
     TOL_ARITH,
     DensityMatrix,
     PureState,
-    basis_state,
     check_density,
     fidelity,
     ry,
@@ -136,10 +135,11 @@ def _projector(ket: np.ndarray, bra: np.ndarray) -> np.ndarray:
     return out
 
 
-_E000 = basis_state(3, 0).amplitudes
-_SYM2 = np.array([0, 0, 0, 1, 0, 1, 1, 0]) / math.sqrt(3)
-# |0_L><0_L|, |1_L><1_L|, |0_L><000| and |1_L><sym2|, where
-# |sym2> = (|011> + |101> + |110>)/sqrt(3): the terms of both recovery operators
+# |000> is encoder column 1 and |sym2> = (|011> + |101> + |110>)/sqrt(3) its
+# column 0 with the rows reversed. |0_L><0_L|, |1_L><1_L|, |0_L><000| and
+# |1_L><sym2| are the terms of both recovery operators.
+_E000 = _ENCODER[:, 1]
+_SYM2 = _ENCODER[::-1, 0]
 _P0L = _projector(codeword(0).amplitudes, codeword(0).amplitudes)
 _P1L = _projector(codeword(1).amplitudes, codeword(1).amplitudes)
 _L0_000 = _projector(codeword(0).amplitudes, _E000)
@@ -251,9 +251,12 @@ class RecoveryMap:
 
     def superop(self) -> np.ndarray:
         """The kept branch as a 64x64 map on the row-major vec of the data's
-        rho: sum_K K kron conj(K), since vec(A rho B) = (A kron B^T) vec(rho)."""
-        k = np.asarray(self.kraus())
-        return np.einsum("kab,kcd->acbd", k, k.conj()).reshape(64, 64)
+        rho: sum_K K kron conj(K), since vec(A rho B) = (A kron B^T) vec(rho).
+        Formed as one product over the two Kraus operators, entry
+        ((a, b), (c, d)) of k^T conj(k) on their flattened (2, 64) stack,
+        with axes (a, b, c, d) then reordered to (a, c, b, d)."""
+        k = np.reshape(self.kraus(), (2, 64))
+        return (k.T @ k.conj()).reshape(8, 8, 8, 8).transpose(0, 2, 1, 3).reshape(64, 64)
 
 
 # Flat positions in the 64x64 noise map of the 125 products of per-qubit

@@ -22,14 +22,17 @@ rho times one 2x2 map per qubit on conserved coherence blocks
 (``lindbladian``, ``Lindbladian.propagator``, ``propagate``). Its factors
 are built once per distinct duration, and its cost does not grow with t.
 
-A sweep point's schedule is the pair (full max_delay rounds, remainder)
-from ``split_rounds``, and its total evolution time a closed form in that
-pair (``total_evolution_time``); neither loops over rounds, and the sweep
-loop computes both from one exact fraction per point. The durations
-(microseconds) are constants: encoding 0.548, recovery 3.072, ancilla
-reset 2.72. The reset overlaps the following round's delay and only adds
-time when that delay is shorter than the reset itself. Durations are exact
-decimal fractions, so worked examples come out exact.
+A sweep point's schedule is the pair (full max_delay rounds, remainder),
+and its total evolution time a closed form in that pair; neither loops over
+rounds. ``_schedules`` computes both for every point of a sweep in Python
+integers over one common denominator (each input read as its exact decimal
+text), and one int / int division rounds each reported float correctly;
+``split_rounds`` and ``total_evolution_time`` return the same values as
+exact fractions. The durations (microseconds) are constants: encoding
+0.548, recovery 3.072, ancilla reset 2.72. The reset overlaps the
+following round's delay and only adds time when that delay is shorter
+than the reset itself. Durations are exact decimal fractions, so worked
+examples come out exact.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -47,18 +51,14 @@ from .noise import NoiseParams, gamma_of_t, p_of_t
 from .qcore import check_density
 
 
-def _frac(x: float | str | Fraction) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(str(x))
-
-
 # Durations (microseconds) of encoding (decoding mirrors it), one recovery
 # and the ancilla reset between rounds.
 T_ENCODE = Fraction("0.548")
 T_RECOVERY = Fraction("3.072")
 T_RESET = Fraction("2.72")
 _T_ENDS = 2 * T_ENCODE  # encoding and the mirrored decoding
+# The schedule's integer unit (1/250 us) divides every duration exactly.
+_UNIT = math.lcm(*(t.denominator for t in (T_ENCODE, T_RECOVERY, T_RESET)))
 
 
 @dataclass(frozen=True)
@@ -78,32 +78,46 @@ class ProtocolConfig:
             raise ValueError(f"unknown recovery variant {self.recovery_variant!r}")
 
 
-def _exact(total_free: float, max_delay: float) -> tuple[Fraction, Fraction]:
-    if max_delay <= 0:
+def _schedules(total_free: Sequence[float],
+               max_delay: float) -> tuple[int, list[tuple[int, int, int]]]:
+    """Each point's (full max_delay rounds, remainder, total evolution
+    time), the last two as integers over the common denominator returned
+    with them: every input is read as its exact decimal text, so the sums
+    are exact and one int / int division rounds each result correctly.
+
+    A full round's delay shorter than the reset before it adds the
+    shortfall, T_RESET - max_delay, on every full round but the first, and
+    a remainder round after a full one adds T_RESET - remainder likewise.
+    """
+    step_num, step_den = Decimal(str(max_delay)).as_integer_ratio()
+    if step_num <= 0:
         raise ValueError("max_delay must be positive")
-    total = _frac(total_free)
-    if total < 0:
+    totals = [Decimal(str(t)).as_integer_ratio() for t in total_free]
+    if any(num < 0 for num, _ in totals):
         raise ValueError("total_free must be non-negative")
-    return total, _frac(max_delay)
-
-
-def _schedule(total: Fraction, step: Fraction,
-              gap: Fraction) -> tuple[int, Fraction, Fraction]:
-    """(full rounds, remainder, total evolution time) of one point, exactly;
-    ``gap`` is a full round's reset shortfall, max(T_RESET - step, 0)."""
-    full, rest = divmod(total, step)
-    evolution = total + _T_ENDS + (full + (rest > 0)) * T_RECOVERY
-    shortfall = gap * max(full - 1, 0)
-    if full and 0 < rest < T_RESET:
-        shortfall += T_RESET - rest
-    return full, rest, evolution + shortfall if shortfall else evolution
+    den = math.lcm(_UNIT, step_den, *(d for _, d in totals))
+    ends, recovery, reset = (int(t * den) for t in (_T_ENDS, T_RECOVERY, T_RESET))
+    step = step_num * (den // step_den)
+    gap = max(reset - step, 0)
+    points = []
+    for num, d in totals:
+        total = num * (den // d)
+        full, rest = divmod(total, step)
+        evolution = total + ends + (full + (rest > 0)) * recovery
+        if full > 1:
+            evolution += gap * (full - 1)
+        if full and 0 < rest < reset:
+            evolution += reset - rest
+        points.append((full, rest, evolution))
+    return den, points
 
 
 def split_rounds(total_free: float, max_delay: float) -> tuple[int, Fraction]:
     """Greedy fill as (full max_delay rounds, remainder); a remainder of 0
     means no remainder round. Exact fractions, so
     full * max_delay + remainder == total_free."""
-    return divmod(*_exact(total_free, max_delay))
+    den, [(full, rest, _)] = _schedules((total_free,), max_delay)
+    return full, Fraction(rest, den)
 
 
 def total_evolution_time(total_free: float, max_delay: float) -> Fraction:
@@ -113,8 +127,8 @@ def total_evolution_time(total_free: float, max_delay: float) -> Fraction:
     round's delay; if the delay is shorter than the reset, the shortfall
     is added.
     """
-    total, step = _exact(total_free, max_delay)
-    return _schedule(total, step, max(T_RESET - step, 0))[2]
+    den, [(_, _, evolution)] = _schedules((total_free,), max_delay)
+    return Fraction(evolution, den)
 
 
 @dataclass(frozen=True)
@@ -156,20 +170,25 @@ def _run_rounds(config: ProtocolConfig, reach: Callable[[int], tuple],
     """The sweep loop of both runners. ``reach(k)`` returns the state after
     k full max_delay rounds and its cumulative post-selection weight;
     ``round_for(delay)`` returns one round as state -> (renormalized state,
-    p_round), for a point's remainder. Each point's schedule and timing
-    come from one exact pass (``_schedule``), and ``score`` turns the final
-    states of all points into their fidelities in one call."""
-    step = _frac(config.max_delay)
-    gap = max(T_RESET - step, 0)
+    p_round), for a point's remainder. Every point's schedule and timing
+    come from one integer pass over the sweep (``_schedules``), and
+    ``score`` turns the final states of all points into their fidelities in
+    one call. A point whose carried success probability exceeds 1 + 1e-12
+    (rounding amplified over very many rounds) raises ValueError."""
+    den, schedules = _schedules(config.total_free, config.max_delay)
     finals, rows = [], []
-    for total_free in config.total_free:
-        k, rest, evolution = _schedule(_frac(total_free), step, gap)
+    for total_free, (k, rest, evolution) in zip(config.total_free, schedules):
         state, p_total = reach(k)
         if rest:
-            state, p_round = round_for(float(rest))(state)
+            state, p_round = round_for(rest / den)(state)
             p_total *= p_round
+        if p_total > 1 + 1e-12:
+            raise ValueError(
+                f"success probability {p_total} exceeds 1 at total_free "
+                f"{total_free} with max_delay {config.max_delay}: the round "
+                f"map's rounding, amplified over too many rounds")
         finals.append(state)
-        rows.append((total_free, float(evolution), k + (rest > 0), p_total))
+        rows.append((total_free, evolution / den, k + (rest > 0), p_total))
     return [MultiQecPoint(total_free_us=t, total_evolution_us=evolution,
                           rounds=n, fidelity=f, success_probability=p,
                           variant=config.recovery_variant, chadd=chadd)
@@ -201,9 +220,13 @@ def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoi
     squares L^(2^j) are built once per call, each renormalized by its
     largest entry with the log of that scale carried alongside (L is
     defective, so eigenvalues would not do), and a point applies the
-    squares of k's set bits to its state, so it costs O(log k) 4x4
-    products. F is psi_L^dag sigma psi_L and P the carried weight. Every
-    reported sigma is validated in one batched ``qcore.check_density``.
+    squares of k's set bits to its state, lowest first, so it costs
+    O(log k) 4x4 products. The state and log-weight after each low-bit
+    prefix k & (2^(j+1) - 1) are kept for the call, so points share them:
+    a point resumes from its longest prefix already reached and replays
+    exactly the float operations of its lone run. F is psi_L^dag sigma
+    psi_L and P the carried weight. Every reported sigma is validated in
+    one batched ``qcore.check_density``.
 
     Accuracy, measured at theta = pi and T2 = 2 T1 against the closed form
     1 / (1 + k gamma^2): the squaring reproduces the exact powers of the
@@ -227,14 +250,24 @@ def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoi
             [p_of_t(delay, noise.tphi_of(q)) for q in range(3)],
             _recovery_map(config, gamma_of_t(delay, t1)))
 
-    step = float(_frac(config.max_delay))
+    step = float(config.max_delay)
     squares = []  # (L^(2^j) / e^w, w) over the full round's L
+    # (state, log P) after k full rounds for every k reached so far; a
+    # point's k passes through its low-bit prefixes k & (2^(j+1) - 1),
+    # which other points share
+    reached = {0: (sigma0, 0.0)}
 
     def reach(k: int) -> tuple[np.ndarray, float]:
-        state, log_p = sigma0, 0.0
-        for j in range(k.bit_length()):
-            if j == len(squares):
-                if j == 0:
+        # k's prefixes not yet reached, clearing its top set bit each time
+        todo = []
+        while k not in reached:
+            todo.append(k)
+            k ^= 1 << (k.bit_length() - 1)
+        state, log_p = reached[k]
+        for prefix in reversed(todo):
+            j = prefix.bit_length() - 1
+            while len(squares) <= j:
+                if not squares:
                     squares.append((round_map(step), 0.0))
                 else:
                     prev, w = squares[-1]
@@ -243,10 +276,10 @@ def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoi
                     if scale == 0:
                         raise ValueError("post-selection removed all weight")
                     squares.append((square / scale, 2 * w + math.log(scale)))
-            if k >> j & 1:
-                power, w = squares[j]
-                state, weight = _advance(power, state)
-                log_p += w + math.log(weight)
+            power, w = squares[j]
+            state, weight = _advance(power, state)
+            log_p += w + math.log(weight)
+            reached[prefix] = state, log_p
         return state, math.exp(log_p)
 
     def score(states: list) -> list[float]:
@@ -581,7 +614,7 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
         return one_round
 
     # the state after k full rounds, shared by every point
-    step = float(_frac(config.max_delay))
+    step = float(config.max_delay)
     prefixes = [(rho0, 1.0)]
 
     def reach(k: int) -> tuple[np.ndarray, float]:

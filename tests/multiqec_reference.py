@@ -21,10 +21,13 @@ from nadqec.protocol import (
     T_RESET,
     MultiQecPoint,
     ProtocolConfig,
-    _frac,
     _recovery_map,
 )
 from nadqec.qcore import fidelity
+
+
+def _frac(x: float) -> Fraction:
+    return Fraction(str(x))
 
 
 def schedule_rounds(total_free: float, max_delay: float) -> list[float]:

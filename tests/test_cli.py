@@ -131,6 +131,29 @@ class TestRun:
         path = write_spec(tmp_path, payload)
         assert cli.main(["run", str(path)]) == EXIT_NUMERICAL
 
+    @pytest.mark.parametrize("kind,params,message", [
+        # 6e324 rounds: the evolution time and P overflow a float
+        ("multiqec", {"t2": 440.0, "max_delay": 5e-324}, "exceeds 1"),
+        ("delay-sweep", {"t2": 440.0, "delays": [5e-324]}, "exceeds 1"),
+        # 3e301 rounds: exp of the carried log-weight overflows
+        ("multiqec", {"t2": 440.0, "max_delay": 1e-300}, "math range error"),
+        ("multiqec", {"t2": 300.0, "max_delay": 1e-20,
+                      "total_free": [1e-3, 1, 30]}, "exceeds 1"),
+        # 1e16 rounds of 1e-16 us: the round's rounding, amplified, puts P
+        # at 1.000000976
+        ("multiqec", {"t2": 300.0, "max_delay": 1e-16,
+                      "total_free": [1e-3, 1, 30]}, "success probability 1.0000009"),
+    ])
+    def test_extreme_round_counts_exit_numerical(self, tmp_path, capsys, kind,
+                                                 params, message):
+        payload = {"kind": kind, "output": str(tmp_path / "out.csv"),
+                   "params": {"theta": 3.14159, "t1": 220.0,
+                              "total_free": [0, 30], **params}}
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure in '{kind}'")
+        assert message in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("field,value,named", [
         ("t1", -5.0, "t1"), ("t1", math.nan, "t1"), ("t1", "abc", "t1"),
         ("t2", 1000.0, "T2"), ("e_meas", 0.7, "e_meas"),

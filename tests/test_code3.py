@@ -265,6 +265,14 @@ def _random_rmap(variant, rng, gamma):
 
 
 class TestRecoveryEngine:
+    @pytest.mark.parametrize("variant,gamma", [
+        ("ideal", 0.0), ("ideal", 0.3), ("ideal", 1.0), ("approximate", 0.0),
+        ("synthesized", 0.0)])
+    def test_superop_is_kraus_kron_sum(self, variant, gamma):
+        rmap, _ = _random_rmap(variant, np.random.default_rng(11), gamma)
+        want = sum(np.kron(k, k.conj()) for k in rmap.kraus())
+        assert np.max(np.abs(rmap.superop() - want)) <= 1e-15
+
     def test_synthesized_rejects_non_unitary(self):
         w = _haar_unitary(np.random.default_rng(3), 32)
         for bad in (2 * w, w + 1e-8 * np.eye(32)):

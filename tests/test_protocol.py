@@ -41,6 +41,11 @@ from nadqec.protocol import (
 from nadqec.qcore import X, Z, embed, fidelity, rx
 
 
+# decimals m * 10^e from 1e-4 to about 1e13, many of them below the reset
+_DECIMALS = st.builds(Decimal.scaleb, st.integers(0, 9999).map(Decimal),
+                      st.integers(-4, 9))
+
+
 class TestScheduling:
     def test_worked_example(self):
         assert split_rounds(40, 30) == (1, 10)
@@ -76,6 +81,26 @@ class TestScheduling:
         assert len(schedule) == full + (rest > 0)
         assert total_evolution_time(total_free, max_delay) \
             == total_evolution_time_exact(schedule)
+
+    @settings(max_examples=60, deadline=None)
+    @given(step=_DECIMALS.filter(lambda d: d > 0),
+           totals=st.lists(_DECIMALS, min_size=1, max_size=6))
+    @example(step=Decimal("0.1"), totals=[Decimal("0.3"), Decimal("1e-3"), Decimal(0)])
+    @example(step=Decimal("1e-3"), totals=[Decimal("0.1"), Decimal("0.2999")])
+    @example(step=Decimal("1e9"), totals=[Decimal("1e9"), Decimal("2.5e9")])
+    @example(step=Decimal("1"), totals=[Decimal("2.5"), Decimal("31"), Decimal("1e-3")])
+    def test_sweep_schedule_matches_fraction_reference(self, step, totals):
+        # at most 300 full rounds a point, so the reference can list them;
+        # the sweep's points share one integer denominator
+        max_delay = float(step)
+        total_free = tuple(float(t % (300 * step)) for t in totals)
+        cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay, total_free)
+        pts = run_multiqec(cfg, NoiseParams(t1=1e15))
+        for t, pt in zip(total_free, pts, strict=True):
+            schedule = schedule_rounds(t, max_delay)
+            assert pt.rounds == len(schedule)
+            assert pt.total_evolution_us \
+                == float(total_evolution_time_exact(schedule))
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError, match="max_delay"):
@@ -216,6 +241,26 @@ class TestMultiQec:
             assert run_multiqec(cfg, NoiseParams(t1=220.0, tphi=300.0))[0].rounds \
                 == k + (rest > 0)
             assert len(products) <= 2 * math.ceil(math.log2(k + 1)) + 1
+
+    def test_sweep_shares_low_bit_prefixes(self, monkeypatch):
+        # k = 1..20 has 42 set bits but 20 distinct low-bit prefixes
+        # k & (2^(j+1) - 1); each prefix's power is applied to a state once
+        applied = []
+
+        class Counted(np.ndarray):
+            def __matmul__(self, other):
+                if other.ndim == 1:
+                    applied.append(other.shape)
+                return super().__matmul__(other)
+
+        build = code3.logical_round
+        monkeypatch.setattr(code3, "logical_round",
+                            lambda *a: build(*a).view(Counted))
+        cfg = ProtocolConfig(code3.LogicalStateSpec(2.0, 0.5), max_delay=0.5,
+                             total_free=tuple(0.5 * k for k in range(1, 21)))
+        pts = run_multiqec(cfg, NoiseParams(t1=220.0, tphi=300.0))
+        assert [p.rounds for p in pts] == list(range(1, 21))
+        assert len(applied) <= 20
 
     @pytest.mark.parametrize("total_free", [(30.0,), (60.0,), (75.0,), (20.0,),
                                             (0.0, 90.0)])
