@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .qcore import CZ, X, embed, rx, ry, rz
+from .qcore import CZ, X, rx, ry, rz
 
 # Gates understood by the compiler: rotations carry an angle, fixed gates
 # carry nothing.
@@ -61,10 +61,19 @@ class Circuit:
                 raise ValueError(f"gate {g} outside register of {self.n_qubits}")
 
     def unitary(self) -> np.ndarray:
-        """Compile to a dense matrix (gates applied left to right)."""
-        u = np.eye(2**self.n_qubits, dtype=complex)
+        """Compile to a dense matrix (gates applied left to right).
+
+        Each gate acts on its own qubits' row axes of the (2,)*n + (2^n,)
+        view of the matrix so far, never lifted to 2^n x 2^n.
+        """
+        n, dim = self.n_qubits, 2**self.n_qubits
+        u = np.eye(dim, dtype=complex)
         for g in self.gates:
-            u = embed(g.matrix(), list(g.qubits), self.n_qubits) @ u
+            k = len(g.qubits)
+            m = g.matrix().reshape((2,) * (2 * k))
+            t = np.tensordot(m, u.reshape((2,) * n + (dim,)),
+                             axes=(list(range(k, 2 * k)), list(g.qubits)))
+            u = np.moveaxis(t, list(range(k)), list(g.qubits)).reshape(dim, dim)
         return u
 
     def inverse(self) -> "Circuit":

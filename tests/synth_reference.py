@@ -1,18 +1,32 @@
-"""The synthesis cost and adjoint gradient applied one gate at a time.
+"""The synthesis cost and adjoint gradient applied one gate at a time, and
+circuit compilation by full-register products.
 
 An independent reference for ``nadqec.synth._AnsatzEvaluator``, which
 builds each rotation layer of the ansatz as one matrix and reads the
 gradients of a layer off its single-qubit marginals: here every RX and RZ
 is its own 2x2 rotation, applied to the qubit's row index and peeled off
-again in the backward sweep.
+again in the backward sweep. ``circuit_unitary`` is the reference for
+``Circuit.unitary``, which applies each gate on its own qubits' axes: here
+every gate is lifted to the whole register with ``qcore.embed`` and
+multiplied in as a 2^n x 2^n matrix.
 """
 
 import math
 
 import numpy as np
 
+from nadqec.circuits import Circuit
 from nadqec.qcore import embed
 from nadqec.synth import SynthesisProblem
+
+
+def circuit_unitary(circ: Circuit) -> np.ndarray:
+    """The circuit's matrix, each gate embedded in the full register
+    (gates applied left to right)."""
+    u = np.eye(2**circ.n_qubits, dtype=complex)
+    for g in circ.gates:
+        u = embed(g.matrix(), list(g.qubits), circ.n_qubits) @ u
+    return u
 
 
 class AnsatzEvaluator:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from synth_reference import circuit_unitary
 
 from nadqec.circuits import Circuit, Gate, remapped
 from nadqec.qcore import CZ, embed, rx, rz
@@ -49,6 +50,40 @@ class TestCompilation:
         # inverse is applied after, so compose the other way around
         ident2 = Circuit(2, circ.gates + circ.inverse().gates).unitary()
         np.testing.assert_allclose(ident2, np.eye(4), atol=1e-13)
+
+    @staticmethod
+    def _random_circuit(rng, n):
+        names = ["RX", "RY", "RZ", "X"] + (["CZ"] if n > 1 else [])
+        gates = []
+        for _ in range(int(rng.integers(0, 30))):
+            name = str(rng.choice(names))
+            if name == "CZ":
+                gates.append(Gate(name, tuple(int(q) for q in
+                                              rng.choice(n, 2, replace=False))))
+            elif name == "X":
+                gates.append(Gate(name, (int(rng.integers(n)),)))
+            else:
+                gates.append(Gate(name, (int(rng.integers(n)),),
+                                  rng.uniform(-2 * math.pi, 2 * math.pi)))
+        return Circuit(n, tuple(gates))
+
+    def test_equals_full_register_products(self):
+        # applying each gate on its own axes gives exactly the matrix of
+        # the embed-and-multiply reference, entry for entry
+        fixed = [
+            Circuit(1, ()),
+            Circuit(3, ()),
+            Circuit(1, (Gate("RX", (0,), 0.3), Gate("X", (0,)),
+                        Gate("RZ", (0,), -1.2), Gate("RY", (0,), 2.5))),
+            Circuit(3, (Gate("RY", (2,), 0.9), Gate("CZ", (2, 0)),
+                        Gate("RX", (0,), 0.4), Gate("CZ", (1, 0)),
+                        Gate("X", (1,)), Gate("CZ", (0, 2)))),
+        ]
+        rng = np.random.default_rng(2024)
+        randoms = [self._random_circuit(rng, n) for n in range(1, 6)
+                   for _ in range(40)]
+        for circ in fixed + randoms:
+            assert np.array_equal(circ.unitary(), circuit_unitary(circ)), circ
 
 
 class TestSerialization:

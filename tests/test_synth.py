@@ -7,11 +7,14 @@ synthesized once at module scope and reused.
 """
 
 import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from estimator_reference import parity_projectors
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import optimize as sciopt
 from synth_reference import AnsatzEvaluator as GateByGateEvaluator
 
 from nadqec import code3, synth
@@ -121,6 +124,87 @@ class TestOptimize:
         res = optimize(problem, seed=0, restarts=2)
         assert not res.converged
         assert res.cost > 1e-3
+
+
+def _starts(monkeypatch, problem, seed, restarts, stall=True):
+    """``optimize``'s result and the scipy result of each of its starts,
+    with the stall rule or (``stall=False``) with no callback at all."""
+    runs = []
+
+    def minimize(*args, **kwargs):
+        runs.append(sciopt.minimize(*args, **kwargs))
+        return runs[-1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(synth, "sciopt", SimpleNamespace(minimize=minimize))
+        if not stall:
+            mp.setattr(synth, "_stall_stop", lambda tolerance: None)
+        result = optimize(problem, seed=seed, restarts=restarts)
+    return result, runs
+
+
+class TestStallStop:
+    def test_converged_starts_untouched(self, monkeypatch):
+        # every start that converges without the rule runs exactly as before;
+        # every other start ends where the plain run would, to rounding (the
+        # recovery factor never converges at 3 layers)
+        outcomes = set()
+        for target in (synth.encoder_target, synth.recovery_u_target):
+            t, mask = target()
+            for layers in (3, 4):
+                problem = SynthesisProblem(t, Ansatz(3, layers), mask=mask)
+                for seed in range(10):
+                    plain, (p,) = _starts(monkeypatch, problem, seed, 1,
+                                          stall=False)
+                    cut, (c,) = _starts(monkeypatch, problem, seed, 1)
+                    outcomes.add(plain.converged)
+                    if plain.converged:
+                        np.testing.assert_array_equal(c.x, p.x)
+                        np.testing.assert_array_equal(cut.params, plain.params)
+                        assert (c.nfev, cut.cost, cut.converged) == \
+                            (p.nfev, plain.cost, True)
+                    else:
+                        assert not cut.converged and c.nfev <= p.nfev
+                        assert abs(c.fun - p.fun) <= 1e-12 * p.fun
+        assert outcomes == {True, False}
+
+    def test_met_tolerance_never_cut(self, monkeypatch):
+        # without an entangler the cost bottoms out at 4 and BFGS stalls
+        # there: the rule ends that start below a tolerance the floor misses,
+        # and leaves it whole above one the floor meets
+        swapish = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+        for tolerance, cut_short in ((1e-10, True), (10.0, False)):
+            problem = SynthesisProblem(swapish, Ansatz(2, 0), tolerance=tolerance)
+            _, (p,) = _starts(monkeypatch, problem, 0, 1, stall=False)
+            _, (c,) = _starts(monkeypatch, problem, 0, 1)
+            assert (c.nfev < p.nfev) == cut_short
+            if not cut_short:
+                np.testing.assert_array_equal(c.x, p.x)
+
+    def test_stalled_starts_end_early(self, monkeypatch):
+        # the bench spec's encoder: both 3-layer starts stall at a nonzero
+        # minimum, then the first 4-layer start converges
+        calls = []
+        gradient = synth._AnsatzEvaluator.gradient
+
+        def counted(self, params):
+            calls.append(1)
+            return gradient(self, params)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(synth._AnsatzEvaluator, "gradient", counted)
+            circ, res = synthesize_encoder(seed=10, restarts=2)
+        assert res.converged and circ.count("CZ") == 8
+        assert len(calls) <= 150  # 267 without the rule
+        t, mask = synth.encoder_target()
+        problem = SynthesisProblem(t, Ansatz(3, 3), mask=mask)
+        plain, p_runs = _starts(monkeypatch, problem, 10, 2, stall=False)
+        cut, c_runs = _starts(monkeypatch, problem, 10, 2)
+        assert not plain.converged and not cut.converged
+        for c, p in zip(c_runs, p_runs, strict=True):
+            assert c.nfev < p.nfev
+            assert abs(c.fun - p.fun) <= 1e-12 * p.fun
+        assert abs(cut.cost - plain.cost) <= 1e-12 * plain.cost
 
 
 def _random_unitary(rng, dim):
