@@ -266,6 +266,8 @@ def _run_crosstalk_toy(spec: ExperimentSpec, out: Path) -> None:
     p = spec.params
     _require_numbers(p, ("omega1", "omega2", "g", "t_final"), ints={"cycles": 1})
     _require_in(p, "t_final", lambda v: v > 0, "positive")
+    # one CSV row per cycle for each probe, so the count is capped
+    _require_in(p, "cycles", lambda v: v <= 10**4, "at most 10000")
     noise = _noise_from(p, 2)
     model = protocol.CrosstalkModel(
         omega1=p.get("omega1", 0.3), omega2=p.get("omega2", 0.2),

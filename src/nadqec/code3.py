@@ -11,6 +11,10 @@ separates the no-damping branch (ancilla 1) from the single-damping branch
 block encoding with one extra ancilla and post-selecting on its 0 outcome,
 which makes the scheme probabilistic.
 
+States are plain arrays: ``codeword`` and ``encode_ideal`` return
+read-only 8-vectors, and density matrices are 8x8 (or register-sized)
+arrays validated by ``qcore.check_density``.
+
 The recovery has one form, ``RecoveryMap``: the 8 columns of its 5-qubit
 block encoding W on (q0, q1, q2, a1, a2) that syndrome extraction feeds,
 in closed form for the analytic recoveries and sliced from the circuit
@@ -23,11 +27,11 @@ row-major vec of rho. ``RecoveryMap.superop`` is the kept recovery branch
 in the same form, sum_K K kron conj(K) (vec(A rho B) = (A kron B^T)
 vec(rho)). A round is the noise map, then that branch applied by
 ``apply_cycle`` to data qubits 0..2 of any register of 3 to 7 qubits, so
-``qec_cycle`` and the data + spectator registers of
-``protocol.run_multiqec_with_chadd`` share it. For the analytic
-recoveries a round that starts in the code space ends there, so
-``logical_round`` restricts it exactly to a 4x4 map on the 2x2 logical
-state, which ``protocol.run_multiqec`` powers and ``logical_outcomes``
+``qec_cycle`` (one round on an encoded 8-vector, which no CLI kind runs)
+and the data + spectator registers of ``protocol.run_multiqec_with_chadd``
+share it. For the analytic recoveries a round that starts in the code
+space ends there, so ``logical_round`` restricts it exactly to a 4x4 map
+on the 2x2 logical state, which ``protocol.run_multiqec`` powers and ``logical_outcomes``
 applies to a batch of encoded states for the single-round callers (the
 ``oracle-check`` kind, ``match_success_form`` and the gain model). The
 measured estimator applies the same noise map, then its post-noise circuit as one
@@ -47,15 +51,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .qcore import (
-    TOL_ARITH,
-    DensityMatrix,
-    PureState,
-    check_density,
-    fidelity,
-    ry,
-    rz,
-)
+from .qcore import TOL_ARITH, check_density, ry, rz
 
 
 @dataclass(frozen=True)
@@ -91,22 +87,26 @@ _ENCODER = np.array([
     [0,    0,   0,   0,         1,   0,   0,   0],     # |111>
 ], dtype=complex)
 _ENCODER.setflags(write=False)
+_CODEWORDS = _ENCODER[:, [0, 4]].T.copy()  # rows |0_L>, |1_L>
+_CODEWORDS.setflags(write=False)
 
 
-def codeword(which: int) -> PureState:
-    """Logical basis state, encoder column 4 * which: 0 -> the W state,
-    1 -> |111>."""
+def codeword(which: int) -> np.ndarray:
+    """Logical basis state as a read-only 8-vector, encoder column
+    4 * which: 0 -> the W state, 1 -> |111>."""
     if which not in (0, 1):
         raise ValueError(f"codeword index must be 0 or 1, got {which}")
-    return PureState(_ENCODER[:, 4 * which])
+    return _CODEWORDS[which]
 
 
-def encode_ideal(spec: LogicalStateSpec) -> PureState:
-    """cos(theta/2)|0_L> + e^{i phi} sin(theta/2)|1_L>."""
+def encode_ideal(spec: LogicalStateSpec) -> np.ndarray:
+    """cos(theta/2)|0_L> + e^{i phi} sin(theta/2)|1_L> as a read-only
+    8-vector."""
     c = math.cos(spec.theta / 2)
     s = math.sin(spec.theta / 2)
-    amps = c * codeword(0).amplitudes + s * np.exp(1j * spec.phi) * codeword(1).amplitudes
-    return PureState(amps)
+    amps = c * codeword(0) + s * np.exp(1j * spec.phi) * codeword(1)
+    amps.setflags(write=False)
+    return amps
 
 
 def prep_unitary(spec: LogicalStateSpec) -> np.ndarray:
@@ -140,10 +140,10 @@ def _projector(ket: np.ndarray, bra: np.ndarray) -> np.ndarray:
 # |1_L><sym2| are the terms of both recovery operators.
 _E000 = _ENCODER[:, 1]
 _SYM2 = _ENCODER[::-1, 0]
-_P0L = _projector(codeword(0).amplitudes, codeword(0).amplitudes)
-_P1L = _projector(codeword(1).amplitudes, codeword(1).amplitudes)
-_L0_000 = _projector(codeword(0).amplitudes, _E000)
-_L1_SYM2 = _projector(codeword(1).amplitudes, _SYM2)
+_P0L = _projector(codeword(0), codeword(0))
+_P1L = _projector(codeword(1), codeword(1))
+_L0_000 = _projector(codeword(0), _E000)
+_L1_SYM2 = _projector(codeword(1), _SYM2)
 
 
 def recovery_operators(gamma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -385,42 +385,39 @@ def apply_cycle(superop: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, float
 
 @dataclass(frozen=True)
 class QecOutcome:
-    conditional_state: DensityMatrix
+    conditional_state: np.ndarray
     success_probability: float
     fidelity: float
 
 
-def qec_cycle(
-    state: DensityMatrix | PureState,
-    gamma: float,
-    p: float,
-    rmap: RecoveryMap,
-    target: Optional[PureState] = None,
-) -> QecOutcome:
-    """One full cycle: noise, syndrome extraction, post-selected recovery.
-    :func:`noise_superop` acts on vec(rho), then :func:`apply_cycle` applies
-    the kept branch :meth:`RecoveryMap.superop`, in the order of
-    :func:`logical_round` and the CHaDD rounds of ``protocol``.
+def qec_cycle(psi: np.ndarray, gamma: float, p: float,
+              rmap: RecoveryMap) -> QecOutcome:
+    """One full cycle on the encoded 8-vector ``psi``: noise, syndrome
+    extraction, post-selected recovery. :func:`noise_superop` acts on
+    vec(|psi><psi|), then :func:`apply_cycle` applies the kept branch
+    :meth:`RecoveryMap.superop`, in the order of :func:`logical_round` and
+    the CHaDD rounds of ``protocol``.
 
     Ancillas are handled exactly through :meth:`RecoveryMap.kraus`: the
     syndrome ancilla selects the branch operator and the recovery ancilla
-    outcome 0 keeps its success branch. The returned success probability
-    is the combined weight of both syndrome branches after post-selection.
+    outcome 0 keeps its success branch. Returns the kept state
+    renormalized (validated by ``check_density``), the combined weight of
+    both syndrome branches after post-selection, and the fidelity
+    <psi| rho |psi> of the kept state to ``psi`` itself. Raises ValueError
+    unless ``psi`` has shape (8,) and unit norm within TOL_ARITH.
     """
-    if isinstance(state, PureState):
-        if target is None:
-            target = state
-        rho = state.to_density_matrix()
-    else:
-        rho = state
-    if target is None:
-        raise ValueError("a fidelity target is required for mixed-state input")
-    if rho.qubit_count != 3:
-        raise ValueError("qec_cycle operates on the 3-qubit data register")
-    noisy = (noise_superop(gamma, p) @ rho.data.ravel()).reshape(8, 8)
+    psi = np.asarray(psi)
+    if psi.shape != (8,):
+        raise ValueError(f"qec_cycle takes the encoded 3-qubit 8-vector, "
+                         f"got shape {psi.shape}")
+    norm = np.linalg.norm(psi)
+    if abs(norm - 1.0) > TOL_ARITH:
+        raise ValueError(f"state not normalized: |psi| = {norm}")
+    rho = np.outer(psi, psi.conj())
+    noisy = (noise_superop(gamma, p) @ rho.ravel()).reshape(8, 8)
     kept, p_succ = apply_cycle(rmap.superop(), noisy)
-    sigma = DensityMatrix(kept)
-    return QecOutcome(sigma, p_succ, fidelity(sigma, target))
+    check_density(kept)
+    return QecOutcome(kept, p_succ, float(np.real(psi.conj() @ kept @ psi)))
 
 
 def measured_circuit_distribution(
@@ -452,8 +449,8 @@ def measured_circuit_distribution(
     g = prep_unitary(spec)  # G on q0 of the data
     en = encoder_unitary() if encoder is None else np.asarray(encoder, complex)
     psi = en[:, [0, 4]] @ g[:, 0]  # G|000> has amplitudes G[:, 0] on |000>, |100>
-    rho = DensityMatrix(
-        (noise_superop(gamma, p) @ np.outer(psi, psi.conj()).ravel()).reshape(8, 8))
+    rho = (noise_superop(gamma, p) @ np.outer(psi, psi.conj()).ravel()).reshape(8, 8)
+    check_density(rho)
     # (G^dag x I4) En^dag, then that x I4 times K, each on its row's leading index
     m = (g.conj().T @ en.conj().T.reshape(2, 32)).reshape(8, 8)
     v0 = (m @ rmap.kept_columns().reshape(8, 32)).reshape(32, 8)
@@ -461,7 +458,7 @@ def measured_circuit_distribution(
     if dev > 1e-9:
         raise ValueError(f"post-noise circuit not an isometry: "
                          f"max |V0^dag V0 - I| = {dev}")
-    diag = np.real(np.sum((v0 @ rho.data) * v0.conj(), axis=1))
+    diag = np.real(np.sum((v0 @ rho) * v0.conj(), axis=1))
     probs = diag.reshape(8, 2, 2).sum(axis=1).ravel()  # sum over a1
     total = probs.sum()
     if abs(total - 1.0) > TOL_ARITH:

@@ -15,10 +15,10 @@ states after k full rounds and shares them across sweep points. The robust
 cycle is the constant pulse list ``ROBUST_PULSES``, which ``_chadd_cycle``
 walks for this runner and for the ZZ toy alike.
 
-Every Lindblad evolution here (that register, the two-qubit ZZ toy, finite
-pulse windows) has a diagonal Z + ZZ Hamiltonian with per-qubit relaxation
-and dephasing, for which exp(tL) is closed: a decay factor per entry of
-rho times one 2x2 map per qubit on conserved coherence blocks
+Every Lindblad evolution here (that register and the two-qubit ZZ toy)
+has a diagonal Z + ZZ Hamiltonian with per-qubit relaxation and
+dephasing, for which exp(tL) is closed: a decay factor per entry of rho
+times one 2x2 map per qubit on conserved coherence blocks
 (``lindbladian``, ``Lindbladian.propagator``, ``propagate``). Its factors
 are built once per distinct duration, and its cost does not grow with t.
 
@@ -446,15 +446,11 @@ class CrosstalkModel:
     g: float = 0.05
     t1: float = math.inf
     tphi: float = math.inf
-    pulse_duration: float = 0.0  # 0 means ideal instantaneous pulses
 
-    def lindbladian(self, drive: bool = True) -> Lindbladian:
-        """The model's generator; without ``drive`` (a finite pulse window)
-        only relaxation and dephasing act."""
-        noise = NoiseParams(t1=self.t1, tphi=self.tphi)
-        if not drive:
-            return lindbladian(2, noise)
-        return lindbladian(2, noise, ((0, 1, self.g),), (self.omega1, self.omega2))
+    def lindbladian(self) -> Lindbladian:
+        """The model's generator."""
+        return lindbladian(2, NoiseParams(t1=self.t1, tphi=self.tphi),
+                           ((0, 1, self.g),), (self.omega1, self.omega2))
 
 
 def _pulse_permutations(colors: Sequence[int]) -> dict:
@@ -471,17 +467,14 @@ def _pulse_permutations(colors: Sequence[int]) -> dict:
             for color in (1, 2)}
 
 
-def _chadd_cycle(free: Propagator, rho: np.ndarray, perms: dict,
-                 window: Optional[Propagator] = None) -> np.ndarray:
+def _chadd_cycle(free: Propagator, rho: np.ndarray, perms: dict) -> np.ndarray:
     """One robust CHaDD cycle (``ROBUST_PULSES``): each interval propagates
-    by ``free`` (one tau), then applies its pulse, a permutation from
-    ``perms``; ``window`` follows each pulse when pulses take time."""
+    by ``free`` (one tau), then applies its instantaneous pulse, a
+    permutation from ``perms``."""
     for _, color in ROBUST_PULSES:
         rho = propagate(free, rho)
         perm = perms[color]
         rho = rho[perm][:, perm]
-        if window is not None:
-            rho = propagate(window, rho)
     return rho
 
 
@@ -531,13 +524,10 @@ def run_crosstalk_toy(model: CrosstalkModel, probe_init: str, t_final: float,
             raise ValueError(f"cycles must be at least 1, got {cycles}")
         tau = t_final / (len(ROBUST_PULSES) * cycles)
         cycle = tau * len(ROBUST_PULSES)  # t_final / cycles rounds differently
-        # finite pulse window: dissipators act, drive ignored
-        window = model.lindbladian(drive=False).propagator(model.pulse_duration) \
-            if model.pulse_duration > 0 else None
         free = gen.propagator(tau)
         perms = _pulse_permutations((1, 2))
         for i in range(cycles):
-            state = _chadd_cycle(free, state, perms, window)
+            state = _chadd_cycle(free, state, perms)
             times.append((i + 1) * cycle)
             rows.append(state)
     stack = np.stack(rows)
@@ -594,10 +584,9 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
     if n > 7:
         raise ValueError(f"register of {n} qubits exceeds the 7-qubit cap")
     t1 = recovery_t1(config, noise)
-    target3 = code3.encode_ideal(config.logical)
+    psi = code3.encode_ideal(config.logical)
     gen = lindbladian(n, noise, layout.couplings)
     perms = _pulse_permutations(layout.resolved_colors()) if chadd else None
-    psi = target3.amplitudes
     m = 2**(n - 3)  # the spectators' dimension; they start in |0...0>
     spectators = np.zeros((m, m))
     spectators[0, 0] = 1.0

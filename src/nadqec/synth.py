@@ -32,7 +32,6 @@ from scipy import optimize as sciopt
 
 from . import code3
 from .circuits import Circuit, Gate, remapped
-from .qcore import embed
 
 
 @dataclass(frozen=True)
@@ -90,10 +89,13 @@ class _AnsatzEvaluator:
     def __init__(self, problem: SynthesisProblem):
         ansatz = problem.ansatz
         n = self.n_qubits = ansatz.n_qubits
-        # diagonal of the CZ layer: real +-1 entries, so it is its own inverse
+        # diagonal of the CZ layer, the product over edges (a, b) of
+        # (-1)^(bit_a bit_b) (qubit 0 the MSB): real +-1 entries, so it is
+        # its own inverse
+        bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
         self.entangler = np.ones(2**n)
         for a, b in ansatz.edges:
-            self.entangler *= np.diag(embed(np.diag([1, 1, 1, -1]), [a, b], n)).real
+            self.entangler[bits[:, a] & bits[:, b] == 1] *= -1
         self.n_params = ansatz.parameter_count
         # einsum subscripts over a stack z of layers: the kron of the n
         # per-qubit factors, and the partial trace onto each qubit q

@@ -16,7 +16,15 @@ the parity split that the recovery's Kraus operators are checked with.
 from typing import Optional, Sequence
 
 import numpy as np
-from noise_reference import apply_kraus, damp_dephase, partial_trace
+from noise_reference import (
+    _qubit_count,
+    apply_kraus,
+    damp_dephase,
+    embed,
+    ket,
+    partial_trace,
+    pure,
+)
 
 from nadqec.code3 import (
     LogicalStateSpec,
@@ -24,44 +32,42 @@ from nadqec.code3 import (
     prep_unitary,
     recovery_operators,
 )
-from nadqec.qcore import (
-    DensityMatrix,
-    basis_state,
-    embed,
-)
 
 CX = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
               dtype=complex)
 
 
-def syndrome_extract(rho: DensityMatrix) -> DensityMatrix:
+def syndrome_extract(rho: np.ndarray) -> np.ndarray:
     """Parity extraction onto ancilla qubit 3 of a register whose qubits
     0..2 are the data (4 or more qubits).
 
     Three CNOTs (data -> ancilla) leave the ancilla in |1> on the odd-parity
     (no-damping) branch and |0> on the even-parity (single-damping) branch.
     """
-    if rho.qubit_count < 4:
-        raise ValueError(f"expected 3 data + 1 ancilla, got {rho.qubit_count} qubits")
+    n = _qubit_count(rho.shape[0])
+    if n < 4:
+        raise ValueError(f"expected 3 data + 1 ancilla, got {n} qubits")
     for q in range(3):
         rho = apply_kraus(rho, [CX], [q, 3])
     return rho
 
 
-def measure_computational(rho: DensityMatrix, qubits: Sequence[int]) -> np.ndarray:
+def measure_computational(rho: np.ndarray, qubits: Sequence[int],
+                          normalized: bool = True) -> np.ndarray:
     """Outcome distribution over the listed qubits.
 
     Entry ``b`` is the probability that reading ``qubits`` (first listed =
     most significant bit of ``b``) yields the bits of ``b``. The complement
-    register is traced out.
+    register is traced out, and the reduced state checked as a density
+    matrix, sub-normalized unless ``normalized``.
     """
     qubits = list(qubits)
     if not qubits:
         raise ValueError("empty measurement qubit set")
-    n = rho.qubit_count
+    n = _qubit_count(rho.shape[0])
     if len(set(qubits)) != len(qubits) or any(q < 0 or q >= n for q in qubits):
         raise ValueError(f"invalid measurement qubits {qubits}")
-    diag = np.real(np.diag(partial_trace(rho, qubits).data))
+    diag = np.real(np.diag(partial_trace(rho, qubits, normalized)))
     # partial_trace keeps ascending register order; permute to listed order
     asc = sorted(qubits)
     return diag.reshape((2,) * len(qubits)).transpose(
@@ -140,7 +146,7 @@ def measured_circuit_distribution(
     """
     if w is None:
         w = combined_recovery_unitary(*recovery_operators(gamma))
-    psi0 = basis_state(5, 0).to_density_matrix()
+    psi0 = pure(ket(5, 0))
     g = prep_unitary(spec)
     en = encoder_unitary() if encoder is None else np.asarray(encoder, complex)
     rho = apply_kraus(psi0, [g], [0])
@@ -150,4 +156,4 @@ def measured_circuit_distribution(
     rho = apply_kraus(rho, [w], range(5))
     rho = apply_kraus(rho, [en.conj().T], [0, 1, 2])
     rho = apply_kraus(rho, [g.conj().T], [0])
-    return measure_computational(rho, [0, 1, 2, 4])
+    return measure_computational(rho, [0, 1, 2, 4], normalized=False)

@@ -19,12 +19,12 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from noise_reference import Z, embed
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from nadqec.noise import NoiseParams
 from nadqec.protocol import ROBUST_PULSES, CrosstalkModel, _pulse_permutations
-from nadqec.qcore import Z, embed
 
 
 def crosstalk_hamiltonian(model: CrosstalkModel) -> np.ndarray:

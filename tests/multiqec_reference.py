@@ -11,7 +11,8 @@ the timing over that list.
 from fractions import Fraction
 from typing import Sequence
 
-from noise_reference import apply_kraus, idle_noise
+import numpy as np
+from noise_reference import apply_kraus, fidelity, idle_noise, pure
 
 from nadqec import code3
 from nadqec.noise import NoiseParams, gamma_of_t
@@ -23,7 +24,7 @@ from nadqec.protocol import (
     ProtocolConfig,
     _recovery_map,
 )
-from nadqec.qcore import fidelity
+from nadqec.qcore import check_density
 
 
 def _frac(x: float) -> Fraction:
@@ -69,14 +70,18 @@ def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoi
     points = []
     for total_free in config.total_free:
         schedule = schedule_rounds(total_free, config.max_delay)
-        rho = target.to_density_matrix()
+        rho = pure(target)
         p_total = 1.0
         for delay in schedule:
             rho = idle_noise(rho, delay, noise)
             rmap = _recovery_map(config, gamma_of_t(delay, noise.t1_of(0)))
             kept = apply_kraus(rho, rmap.kraus(), [0, 1, 2])
-            p_total *= kept.trace / rho.trace
-            rho = kept.normalize()
+            weight = float(np.real(np.trace(kept)))
+            if weight <= 0:
+                raise ValueError("cannot normalize a zero-trace matrix")
+            p_total *= weight / float(np.real(np.trace(rho)))
+            rho = kept / weight
+            check_density(rho)
         points.append(MultiQecPoint(
             total_free_us=total_free,
             total_evolution_us=float(total_evolution_time_exact(schedule)),

@@ -7,16 +7,16 @@ gradients of a layer off its single-qubit marginals: here every RX and RZ
 is its own 2x2 rotation, applied to the qubit's row index and peeled off
 again in the backward sweep. ``circuit_unitary`` is the reference for
 ``Circuit.unitary``, which applies each gate on its own qubits' axes: here
-every gate is lifted to the whole register with ``qcore.embed`` and
+every gate is lifted to the whole register with ``noise_reference.embed`` and
 multiplied in as a 2^n x 2^n matrix.
 """
 
 import math
 
 import numpy as np
+from noise_reference import embed
 
 from nadqec.circuits import Circuit
-from nadqec.qcore import embed
 from nadqec.synth import SynthesisProblem
 
 

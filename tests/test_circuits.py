@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from noise_reference import embed
 from synth_reference import circuit_unitary
 
 from nadqec.circuits import Circuit, Gate, remapped
-from nadqec.qcore import CZ, embed, rx, rz
+from nadqec.qcore import CZ, rx, rz
 
 
 class TestGates:

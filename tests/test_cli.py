@@ -316,6 +316,8 @@ class TestRun:
         ("gain-surface", "delay_range", [10.0, -1.0]),
         ("crosstalk-toy", "t_final", 0.0),
         ("crosstalk-toy", "t_final", -60.0),
+        ("crosstalk-toy", "cycles", 10**4 + 1),
+        ("crosstalk-toy", "cycles", 10**30),
         ("gain-surface", "theta", 4.0),
         ("gain-surface", "theta", -0.5)])
     def test_bad_field_of_other_kinds_is_config_error(self, tmp_path, capsys,

@@ -23,7 +23,14 @@ from estimator_reference import (
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from noise_reference import apply_kraus, damp_dephase, partial_trace, tensor
+from noise_reference import (
+    apply_kraus,
+    damp_dephase,
+    ket,
+    partial_trace,
+    pure,
+    tensor,
+)
 
 from nadqec import code3
 from nadqec.code3 import (
@@ -50,7 +57,7 @@ from nadqec.code3 import (
     success_probability_minus_form,
     success_probability_zero_logical,
 )
-from nadqec.qcore import DensityMatrix, basis_state
+from nadqec.qcore import check_density
 
 
 def brute_force_cycle(theta, phi, gamma, p, recovery_gamma):
@@ -91,32 +98,32 @@ def brute_force_cycle(theta, phi, gamma, p, recovery_gamma):
 
 class TestCodewords:
     def test_one_logical_is_111(self):
-        amps = codeword(1).amplitudes
+        amps = codeword(1)
         assert abs(amps[7] - 1.0) < 1e-15
         assert np.abs(np.delete(amps, 7)).max() < 1e-15
 
     def test_zero_logical_is_w_state(self):
-        amps = codeword(0).amplitudes
+        amps = codeword(0)
         np.testing.assert_allclose(amps[[4, 2, 1]], [1 / math.sqrt(3)] * 3,
                                    atol=1e-15)
         assert np.abs(amps[[0, 3, 5, 6, 7]]).max() < 1e-15
 
     def test_orthogonality(self):
-        assert abs(np.vdot(codeword(0).amplitudes, codeword(1).amplitudes)) < 1e-15
+        assert abs(np.vdot(codeword(0), codeword(1))) < 1e-15
 
     def test_encode_poles_and_equator(self):
-        np.testing.assert_allclose(encode_ideal(LogicalStateSpec(0.0)).amplitudes,
-                                   codeword(0).amplitudes, atol=1e-15)
-        np.testing.assert_allclose(encode_ideal(LogicalStateSpec(math.pi)).amplitudes,
-                                   codeword(1).amplitudes, atol=1e-15)
+        np.testing.assert_allclose(encode_ideal(LogicalStateSpec(0.0)),
+                                   codeword(0), atol=1e-15)
+        np.testing.assert_allclose(encode_ideal(LogicalStateSpec(math.pi)),
+                                   codeword(1), atol=1e-15)
         plus = encode_ideal(LogicalStateSpec(math.pi / 2))
-        assert abs(np.vdot(codeword(0).amplitudes, plus.amplitudes)
+        assert abs(np.vdot(codeword(0), plus)
                    - 1 / math.sqrt(2)) < 1e-12
 
     def test_encoder_unitary_columns(self):
         u = encoder_unitary()
-        np.testing.assert_allclose(u[:, 0], codeword(0).amplitudes, atol=1e-12)
-        np.testing.assert_allclose(u[:, 4], codeword(1).amplitudes, atol=1e-12)
+        np.testing.assert_allclose(u[:, 0], codeword(0), atol=1e-12)
+        np.testing.assert_allclose(u[:, 4], codeword(1), atol=1e-12)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(8), rtol=0, atol=1e-15)
         # every column lies in one excitation-parity sector
         parity = np.array([bin(d).count("1") % 2 for d in range(8)])
@@ -134,39 +141,50 @@ class TestCodewords:
         with pytest.raises(ValueError):
             codeword(2)
 
+    @pytest.mark.parametrize("make", [
+        lambda: codeword(0), lambda: codeword(1),
+        lambda: encode_ideal(LogicalStateSpec(1.3, 2.1))],
+        ids=["codeword0", "codeword1", "encode_ideal"])
+    def test_read_only_unit_vectors(self, make):
+        psi = make()
+        assert isinstance(psi, np.ndarray) and psi.shape == (8,)
+        assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+        assert not psi.flags.writeable
+        with pytest.raises(ValueError):
+            psi[0] = 1.0
+
 
 class TestSyndrome:
     def test_one_logical_flags_ancilla_one(self):
-        rho = tensor(codeword(1).to_density_matrix(),
-                     basis_state(1, 0).to_density_matrix())
+        rho = tensor(pure(codeword(1)), pure(ket(1, 0)))
         out = syndrome_extract(rho)
         # ancilla (qubit 3, LSB) must read 1 deterministically
-        assert abs(sum(out.data[i, i].real for i in range(1, 16, 2)) - 1.0) < 1e-12
+        assert abs(sum(out[i, i].real for i in range(1, 16, 2)) - 1.0) < 1e-12
 
     def test_damped_branch_flags_zero(self):
-        damped = basis_state(3, 3)  # |011>, one damping on |111>
-        rho = tensor(damped.to_density_matrix(), basis_state(1, 0).to_density_matrix())
+        damped = ket(3, 3)  # |011>, one damping on |111>
+        rho = tensor(pure(damped), pure(ket(1, 0)))
         out = syndrome_extract(rho)
-        assert abs(sum(out.data[i, i].real for i in range(0, 16, 2)) - 1.0) < 1e-12
+        assert abs(sum(out[i, i].real for i in range(0, 16, 2)) - 1.0) < 1e-12
 
     def test_codeword_superposition_stabilized(self):
         psi = encode_ideal(LogicalStateSpec(1.234, 0.77))
-        rho = tensor(psi.to_density_matrix(), basis_state(1, 0).to_density_matrix())
+        rho = tensor(pure(psi), pure(ket(1, 0)))
         out = syndrome_extract(rho)
-        p_one = sum(out.data[i, i].real for i in range(1, 16, 2))
+        p_one = sum(out[i, i].real for i in range(1, 16, 2))
         assert abs(p_one - 1.0) < 1e-12
 
     def test_wrong_register_size(self):
         with pytest.raises(ValueError):
-            syndrome_extract(codeword(0).to_density_matrix())
+            syndrome_extract(pure(codeword(0)))
 
 
 class TestRecoveryOperators:
     def test_entrywise_definition(self):
         g = 0.23
         r0, r1 = recovery_operators(g)
-        k0 = codeword(0).amplitudes
-        k1 = codeword(1).amplitudes
+        k0 = codeword(0)
+        k1 = codeword(1)
         np.testing.assert_allclose(
             r0, (1 - g) * np.outer(k0, k0) + np.outer(k1, k1), atol=1e-15)
         assert abs(r1[7, 3] - 1 / math.sqrt(3)) < 1e-15
@@ -180,8 +198,8 @@ class TestRecoveryOperators:
 
     @pytest.mark.parametrize("g", [0.0, 2.0**-52, 0.23, 1.0 / 3.0, 1.0])
     def test_bit_identical_to_outer_product_build(self, g):
-        k0 = codeword(0).amplitudes
-        k1 = codeword(1).amplitudes
+        k0 = codeword(0)
+        k1 = codeword(1)
         e000 = np.zeros(8, dtype=complex)
         e000[0] = 1.0
         sym2 = np.zeros(8, dtype=complex)
@@ -215,10 +233,10 @@ class TestRecoveryOperators:
     def test_recover_branch_weights(self):
         g = 0.1
         kept = RecoveryMap.ideal(g).superop()
-        rho = codeword(1).to_density_matrix().data
+        rho = pure(codeword(1))
         _, weight = apply_cycle(kept, rho)
         assert abs(weight - 1.0) < 1e-12  # R0 keeps |1_L>
-        w_state = codeword(0).to_density_matrix().data
+        w_state = pure(codeword(0))
         _, weight0 = apply_cycle(kept, w_state)
         assert abs(weight0 - (1 - g) ** 2) < 1e-12
 
@@ -232,10 +250,12 @@ def _haar_unitary(rng, dim):
 def _random_density(rng, n):
     a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
     rho = a @ a.conj().T
-    return DensityMatrix(rho / np.trace(rho))
+    rho = rho / np.trace(rho)
+    check_density(rho)
+    return rho
 
 
-def _recovery_reference(rho: DensityMatrix, w: np.ndarray):
+def _recovery_reference(rho: np.ndarray, w: np.ndarray):
     """The kept branch of a 5-qubit recovery W on (q0, q1, q2, a1, a2),
     index 4 data + 2 a1 + a2, applied to qubits 0..2 by embedded Kraus
     operators: parity extraction feeds W the inputs |d, parity(d), 0>, and
@@ -246,7 +266,8 @@ def _recovery_reference(rho: DensityMatrix, w: np.ndarray):
     kraus = [w[2 * b::4, 0::4] @ p_even + w[2 * b::4, 2::4] @ p_odd
              for b in (0, 1)]
     kept = apply_kraus(rho, kraus, [0, 1, 2])
-    return kept.data / kept.trace, kept.trace / rho.trace
+    weight = np.real(np.trace(kept))
+    return kept / weight, weight / np.real(np.trace(rho))
 
 
 _VARIANTS = st.sampled_from(["ideal", "approximate", "synthesized"])
@@ -288,15 +309,15 @@ class TestRecoveryEngine:
         rho3 = _random_density(rng, 3)
         # reference: (q0, q1, q2, a1, a2) register, parity onto a1, W,
         # keep a2 = 0, trace out both ancillas
-        full = tensor(rho3, basis_state(2, 0).to_density_matrix())
+        full = tensor(rho3, pure(ket(2, 0)))
         full = apply_kraus(syndrome_extract(full), [w], range(5))
         proj = np.kron(np.eye(16), np.diag([1.0, 0.0]))  # a2 = 0
-        kept = DensityMatrix(proj @ full.data @ proj, normalized=False)
-        reduced = partial_trace(kept, [0, 1, 2])
-        state, p_succ = apply_cycle(RecoveryMap.synthesized(w).superop(),
-                                    rho3.data)
-        assert abs(p_succ - kept.trace / full.trace) < 1e-12
-        assert np.max(np.abs(state - reduced.data / reduced.trace)) < 1e-12
+        kept = proj @ full @ proj
+        check_density(kept, normalized=False)
+        reduced = partial_trace(kept, [0, 1, 2], normalized=False)
+        state, p_succ = apply_cycle(RecoveryMap.synthesized(w).superop(), rho3)
+        assert abs(p_succ - np.real(np.trace(kept)) / np.real(np.trace(full))) < 1e-12
+        assert np.max(np.abs(state - reduced / np.real(np.trace(reduced)))) < 1e-12
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), variant=_VARIANTS)
@@ -310,7 +331,7 @@ class TestRecoveryEngine:
         want, p_want = _recovery_reference(
             damp_dephase(rho, range(3), gammas, ps), w)
         round_map = rmap.superop() @ noise_superop(gammas, ps)
-        got, p_got = apply_cycle(round_map, rho.data)
+        got, p_got = apply_cycle(round_map, rho)
         assert abs(p_got - p_want) < 1e-12
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -323,7 +344,7 @@ class TestRecoveryEngine:
         rmap, w = _random_rmap(variant, rng, rng.uniform(0.0, 0.6))
         rho = _random_density(rng, n)
         want, p_want = _recovery_reference(rho, w)
-        got, p_got = apply_cycle(rmap.superop(), rho.data)
+        got, p_got = apply_cycle(rmap.superop(), rho)
         assert abs(p_got - p_want) < 1e-12
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -332,17 +353,16 @@ class TestRecoveryEngine:
         rho3 = _random_density(rng, 3)
         spect = _random_density(rng, 2)
         kept = RecoveryMap.ideal(0.2).superop()
-        state3, p3 = apply_cycle(kept, rho3.data)
-        state5, p5 = apply_cycle(kept, tensor(rho3, spect).data)
+        state3, p3 = apply_cycle(kept, rho3)
+        state5, p5 = apply_cycle(kept, tensor(rho3, spect))
         assert abs(p3 - p5) < 1e-12
-        np.testing.assert_allclose(state5, np.kron(state3, spect.data),
+        np.testing.assert_allclose(state5, np.kron(state3, spect),
                                    atol=1e-14)
 
     def test_zero_weight_raises(self):
         # at gamma = 1 the no-damping branch removes the W state entirely
         with pytest.raises(ValueError, match="removed all weight"):
-            apply_cycle(RecoveryMap.ideal(1.0).superop(),
-                        codeword(0).to_density_matrix().data)
+            apply_cycle(RecoveryMap.ideal(1.0).superop(), pure(codeword(0)))
         # the compiled round of qec_cycle and the batched logical round keep
         # the same check: gamma = 1 empties both branches of every encoded state
         for theta in (0.0, 1.0, math.pi):
@@ -354,8 +374,7 @@ class TestRecoveryEngine:
 
     def test_register_too_small(self):
         with pytest.raises(ValueError, match="register of 2 qubits"):
-            apply_cycle(RecoveryMap.approximate().superop(),
-                        basis_state(2, 0).to_density_matrix().data)
+            apply_cycle(RecoveryMap.approximate().superop(), pure(ket(2, 0)))
 
 
 def _choi(superop):
@@ -426,7 +445,7 @@ class TestLogicalRound:
         assert np.linalg.eigvalsh(choi).min() >= -1e-12
         assert np.linalg.eigvalsh(_output_traced(choi)).max() <= 1 + 1e-12
         # the 64x64 round sends V E V^dag to V L(E) V^dag, nothing outside
-        v = np.stack([codeword(0).amplitudes, codeword(1).amplitudes], axis=1)
+        v = np.stack([codeword(0), codeword(1)], axis=1)
         full = rmap.superop() @ noise_superop(gammas, ps)
         for e in np.eye(4):
             out = (full @ (v @ e.reshape(2, 2) @ v.conj().T).ravel()).reshape(8, 8)
@@ -520,15 +539,42 @@ class TestQecCycle:
         assert abs(out.fidelity - f_ref) < 1e-12
         assert abs(out.success_probability - p_ref) < 1e-12
 
-    def test_mixed_input_requires_target(self):
-        with pytest.raises(ValueError):
-            qec_cycle(DensityMatrix(np.eye(8) / 8), 0.1, 0.0,
-                      RecoveryMap.ideal(0.1))
+    @pytest.mark.parametrize("psi", [
+        np.eye(8) / 8,  # a mixed state is not the encoded 8-vector
+        ket(4, 0),
+        ket(2, 0),
+        ket(3, 0)[:, None],
+    ], ids=["mixed", "4-qubit", "2-qubit", "column"])
+    def test_rejects_wrong_shape(self, psi):
+        with pytest.raises(ValueError, match="8-vector, got shape"):
+            qec_cycle(psi, 0.1, 0.0, RecoveryMap.ideal(0.1))
+
+    @pytest.mark.parametrize("scale", [1 + 1e-9, 1 - 1e-9, 0.0])
+    def test_rejects_unnormalized_psi(self, scale):
+        psi = encode_ideal(LogicalStateSpec(1.0))
+        with pytest.raises(ValueError, match="not normalized"):
+            qec_cycle(scale * psi, 0.1, 0.0, RecoveryMap.ideal(0.1))
+        qec_cycle((1 + 1e-13) * psi, 0.1, 0.0, RecoveryMap.ideal(0.1))  # inside
 
     def test_outcome_state_normalized(self):
         out = qec_cycle(encode_ideal(LogicalStateSpec(2.0)), 0.3, 0.1,
                         RecoveryMap.ideal(0.3))
-        assert abs(out.conditional_state.trace - 1.0) < 1e-12
+        assert isinstance(out.conditional_state, np.ndarray)
+        assert out.conditional_state.shape == (8, 8)
+        assert abs(np.real(np.trace(out.conditional_state)) - 1.0) < 1e-12
+        check_density(out.conditional_state)
+
+    @pytest.mark.parametrize("theta,phi,gamma,p", [
+        (0.0, 0.0, 0.1, 0.0), (1.1, 0.4, 0.07, 0.02),
+        (math.pi / 2, 3.0, 0.3, 0.1), (math.pi, 5.9, 0.5, 0.25)])
+    def test_bench_call_form_matches_logical_outcomes(self, theta, phi, gamma, p):
+        # the call the benchmark's estimator check makes; the round commutes
+        # with logical Z rotations, so phi moves neither figure
+        spec = LogicalStateSpec(theta, phi)
+        out = qec_cycle(encode_ideal(spec), gamma, p, RecoveryMap.ideal(gamma))
+        fids, probs = logical_outcomes([theta], gamma, p, RecoveryMap.ideal(gamma))
+        assert abs(out.fidelity - fids[0]) <= 1e-14
+        assert abs(out.success_probability - probs[0]) <= 1e-14
 
     @pytest.mark.parametrize("p", [-0.2, -1e-12, 0.6, math.nan])
     @pytest.mark.parametrize("run", [

@@ -1,11 +1,13 @@
-"""Every imported name and every private package name is used.
+"""Every imported name and every package-level name is used.
 
 pyflakes and ruff are not dependencies, so this walks the syntax tree with
 ``ast``: in each package module (``__init__.py`` re-exports and is left out)
 and each test file, a name bound by an import must be referenced somewhere
-in the same file, and a module-level private name of the package (a
-``_name`` bound by ``def``, ``class`` or assignment) must be referenced
-somewhere in the package.
+in the same file; a module-level private name of the package (a ``_name``
+bound by ``def``, ``class`` or assignment) must be referenced somewhere in
+the package; and a module-level public name of the package must be read by
+the package or the benchmark harness (``bench/*.py``), apart from the
+test-only names listed in ``TEST_ONLY``.
 """
 
 import ast
@@ -13,6 +15,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "nadqec").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
 FILES = sorted([p for p in PACKAGE if p.name != "__init__.py"]
                + list((ROOT / "tests").glob("*.py")))
 
@@ -40,9 +43,9 @@ def test_no_unused_imports():
     assert not found, "imported but never referenced:\n" + "\n".join(found)
 
 
-def private_definitions(source: str) -> list[str]:
-    """Non-dunder names starting with ``_`` that ``source`` binds at module
-    level by ``def``, ``class`` or assignment."""
+def module_definitions(source: str) -> list[str]:
+    """Names that ``source`` binds at module level by ``def``, ``class`` or
+    assignment."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -51,7 +54,18 @@ def private_definitions(source: str) -> list[str]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [n.id for t in targets for n in ast.walk(t)
                       if isinstance(n, ast.Name)]
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return names
+
+
+def private_definitions(source: str) -> list[str]:
+    """Non-dunder module-level names of ``source`` starting with ``_``."""
+    return [n for n in module_definitions(source)
+            if n.startswith("_") and not n.startswith("__")]
+
+
+def public_definitions(source: str) -> list[str]:
+    """Module-level names of ``source`` not starting with ``_``."""
+    return [n for n in module_definitions(source) if not n.startswith("_")]
 
 
 def references(source: str) -> set[str]:
@@ -76,3 +90,44 @@ def test_no_unused_private_names():
              for name in private_definitions(path.read_text()) if name not in used]
     assert not found, "private but never referenced in the package:\n" \
         + "\n".join(found)
+
+
+# Public names that only the tests read: closed-form oracles and helpers
+# the package no longer calls. The tuple may only shrink; a name the
+# package or the benchmark starts to read must leave it.
+TEST_ONLY = (
+    "recovery_operators", "oracle_worst_case_fidelity",
+    "oracle_success_multiround", "success_probability_zero_logical",
+    "match_success_form", "oracle_fidelity_series",
+    "oracle_fidelity_series_printed", "oracle_fidelity_series_time",
+    "oracle_fidelity_plus_state", "sample_qec_shots", "sample_bare_shots",
+    "gain_expt", "gain_theoretical_detail", "split_rounds",
+    "total_evolution_time", "fit_lifetime",
+)
+
+
+def unread_public_names(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """``module: name`` for each public module-level name of ``modules``
+    (file name to source) that no source in ``readers`` reads."""
+    read = set().union(*(references(r) for r in readers))
+    return [f"{name}: {n}" for name, source in modules.items()
+            for n in public_definitions(source) if n not in read]
+
+
+def test_detects_an_unread_public_name():
+    mod = ("A = 1\n_B = 2\ndef f(): return A\ndef g(): pass\n"
+           "class K: pass\nx: int = 0\n")
+    assert public_definitions(mod) == ["A", "f", "g", "K", "x"]
+    assert unread_public_names({"m.py": mod}, [mod, "m.K()\nprint(m.x)\n"]) \
+        == ["m.py: f", "m.py: g"]
+
+
+def test_no_unread_public_names():
+    modules = {p.name: p.read_text() for p in PACKAGE if p.name != "__init__.py"}
+    readers = [p.read_text() for p in PACKAGE + BENCH]
+    unread = unread_public_names(modules, readers)
+    found = [entry for entry in unread if entry.split(": ")[1] not in TEST_ONLY]
+    assert not found, "public but read by neither the package nor bench/:\n" \
+        + "\n".join(found)
+    stale = set(TEST_ONLY) - {entry.split(": ")[1] for entry in unread}
+    assert not stale, f"read by the package now, drop from TEST_ONLY: {sorted(stale)}"

@@ -13,7 +13,9 @@ from noise_reference import (
     apply_kraus,
     dephasing,
     idle_noise,
+    ket,
     noise_superop_einsum,
+    pure,
     tensor,
 )
 
@@ -25,21 +27,26 @@ from nadqec.noise import (
     p_of_t,
     readout_flip,
 )
-from nadqec.qcore import DensityMatrix, PureState, basis_state
+from nadqec.qcore import check_density
+
+
+def _density(data):
+    """``data`` as a complex array, checked as a density matrix."""
+    rho = np.asarray(data, dtype=complex)
+    check_density(rho)
+    return rho
 
 
 def _noisy(rho, gammas, ps=0.0):
     """noise_superop applied to a 3-qubit density matrix."""
-    return DensityMatrix((noise_superop(gammas, ps) @ rho.data.ravel())
-                         .reshape(8, 8))
+    return _density((noise_superop(gammas, ps) @ rho.ravel()).reshape(8, 8))
 
 
 def _on_qubit0(rho, gamma, p=0.0):
     """The map on qubit 0 alone: the other two data qubits stay in |0>,
     which neither damping nor dephasing moves, and are read off."""
-    full = tensor(rho, basis_state(2, 0).to_density_matrix())
-    return DensityMatrix(_noisy(full, [gamma, 0.0, 0.0], [p, 0.0, 0.0])
-                         .data[0::4, 0::4])
+    full = tensor(rho, pure(ket(2, 0)))
+    return _density(_noisy(full, [gamma, 0.0, 0.0], [p, 0.0, 0.0])[0::4, 0::4])
 
 
 class TestStrengths:
@@ -65,24 +72,24 @@ class TestStrengths:
 
 class TestChannels:
     def test_ad_identity_and_full_decay(self):
-        rho = DensityMatrix(np.array([[0.3, 0.2], [0.2, 0.7]]))
-        np.testing.assert_allclose(_on_qubit0(rho, 0.0).data, rho.data,
+        rho = _density(np.array([[0.3, 0.2], [0.2, 0.7]]))
+        np.testing.assert_allclose(_on_qubit0(rho, 0.0), rho,
                                    atol=1e-14)
         dead = _on_qubit0(rho, 1.0)
-        np.testing.assert_allclose(dead.data, [[1, 0], [0, 0]], atol=1e-14)
+        np.testing.assert_allclose(dead, [[1, 0], [0, 0]], atol=1e-14)
 
     def test_ad_quarter_decay(self):
-        rho = basis_state(1, 1).to_density_matrix()
+        rho = pure(ket(1, 1))
         out = _on_qubit0(rho, 0.25)
-        np.testing.assert_allclose(out.data, np.diag([0.25, 0.75]), atol=1e-14)
+        np.testing.assert_allclose(out, np.diag([0.25, 0.75]), atol=1e-14)
 
     def test_ad_composition_law(self):
         # AD(g1) then AD(g2) equals AD(g1 + g2 - g1 g2)
-        rho = DensityMatrix(np.array([[0.4, 0.3 - 0.1j], [0.3 + 0.1j, 0.6]]))
+        rho = _density(np.array([[0.4, 0.3 - 0.1j], [0.3 + 0.1j, 0.6]]))
         for g1, g2 in [(0.1, 0.2), (0.35, 0.5), (0.0, 0.7)]:
             composed = _on_qubit0(_on_qubit0(rho, g1), g2)
             direct = _on_qubit0(rho, g1 + g2 - g1 * g2)
-            np.testing.assert_allclose(composed.data, direct.data, atol=1e-12)
+            np.testing.assert_allclose(composed, direct, atol=1e-12)
 
     def test_time_composition_grid(self):
         # gamma(t1 + t2) composition over a grid of idle windows
@@ -94,27 +101,27 @@ class TestChannels:
                 assert abs(g_sum - (ga + gb - ga * gb)) < 1e-12
 
     def test_dephasing_scales_coherence(self):
-        rho = DensityMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        rho = _density(np.array([[0.5, 0.5], [0.5, 0.5]]))
         out = _on_qubit0(rho, 0.0, 0.5)
-        np.testing.assert_allclose(out.data, np.eye(2) / 2, atol=1e-14)
+        np.testing.assert_allclose(out, np.eye(2) / 2, atol=1e-14)
         out2 = _on_qubit0(rho, 0.0, 0.1)
-        assert abs(out2.data[0, 1] - 0.5 * (1 - 0.2)) < 1e-14
+        assert abs(out2[0, 1] - 0.5 * (1 - 0.2)) < 1e-14
 
     def test_dephasing_composition_law(self):
-        rho = DensityMatrix(np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]]))
+        rho = _density(np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]]))
         for p1, p2 in [(0.05, 0.1), (0.3, 0.25)]:
             composed = _on_qubit0(_on_qubit0(rho, 0.0, p1), 0.0, p2)
             direct = _on_qubit0(rho, 0.0, p1 + p2 - 2 * p1 * p2)
-            np.testing.assert_allclose(composed.data, direct.data, atol=1e-13)
+            np.testing.assert_allclose(composed, direct, atol=1e-13)
 
     def test_ad_dephasing_commute(self):
         # the map applies AD(0.2) then dephasing(0.15); the reverse order,
         # from explicit Kraus operators, gives the same state
-        rho = DensityMatrix(np.array([[0.3, 0.25 - 0.2j], [0.25 + 0.2j, 0.7]]))
+        rho = _density(np.array([[0.3, 0.25 - 0.2j], [0.25 + 0.2j, 0.7]]))
         ab = _on_qubit0(rho, 0.2, 0.15)
         ba = apply_kraus(apply_kraus(rho, dephasing(0.15), [0]),
                          amplitude_damping(0.2), [0])
-        np.testing.assert_allclose(ab.data, ba.data, atol=1e-13)
+        np.testing.assert_allclose(ab, ba, atol=1e-13)
 
     def test_strength_validation(self):
         for bad in (-0.1, 1.1, math.nan):
@@ -154,18 +161,18 @@ class TestChannels:
 
 class TestApplyChannel:
     def test_three_qubit_damping(self):
-        rho = _noisy(basis_state(3, 7).to_density_matrix(), 0.1)
-        assert abs(rho.data[7, 7].real - 0.9**3) < 1e-12
+        rho = _noisy(pure(ket(3, 7)), 0.1)
+        assert abs(rho[7, 7].real - 0.9**3) < 1e-12
 
     def test_disjoint_targets_commute(self):
         # damping on qubit 0 and dephasing on qubit 2, in either order
         rng = np.random.default_rng(42)
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        rho = DensityMatrix((a @ a.conj().T) / np.trace(a @ a.conj().T).real)
+        rho = _density((a @ a.conj().T) / np.trace(a @ a.conj().T).real)
         damp, dephase = ([0.3, 0.0, 0.0], 0.0), (0.0, [0.0, 0.0, 0.2])
         ab = _noisy(_noisy(rho, *damp), *dephase)
         ba = _noisy(_noisy(rho, *dephase), *damp)
-        np.testing.assert_allclose(ab.data, ba.data, atol=1e-12)
+        np.testing.assert_allclose(ab, ba, atol=1e-12)
 
 
 class TestNoiseParams:
@@ -238,11 +245,10 @@ class TestNoiseParams:
     def test_idle_noise_matches_manual(self):
         # a 10 us delay as the compiled map and as per-qubit Kraus operators
         params = NoiseParams.from_t1_t2(200.0, 150.0)
-        rho = PureState(np.array([1, 1, 0, 0, 0, 0, 1, 0]) / math.sqrt(3)) \
-            .to_density_matrix()
+        rho = pure(np.array([1, 1, 0, 0, 0, 0, 1, 0]) / math.sqrt(3))
         out = _noisy(rho, gamma_of_t(10.0, 200.0), p_of_t(10.0, params.tphi))
         manual = idle_noise(rho, 10.0, params)
-        np.testing.assert_allclose(out.data, manual.data, atol=1e-14)
+        np.testing.assert_allclose(out, manual, atol=1e-14)
 
 
 class TestReadout:

@@ -20,7 +20,7 @@ from lindblad_reference import (
 from lindblad_reference import propagate as propagate_reference
 from multiqec_reference import run_multiqec as run_multiqec_reference
 from multiqec_reference import schedule_rounds, total_evolution_time_exact
-from noise_reference import damp_dephase
+from noise_reference import Z, damp_dephase, embed, fidelity, pure
 
 from nadqec import code3, protocol
 from nadqec.noise import NoiseParams, gamma_of_t
@@ -38,7 +38,7 @@ from nadqec.protocol import (
     split_rounds,
     total_evolution_time,
 )
-from nadqec.qcore import X, Z, embed, fidelity, rx
+from nadqec.qcore import X, check_density, rx
 
 
 # decimals m * 10^e from 1e-4 to about 1e13, many of them below the reset
@@ -155,16 +155,16 @@ class TestMultiQec:
                              total_free=(70.0,))
         pts = run_multiqec(cfg, noise)
         target = code3.encode_ideal(cfg.logical)
-        rho = target.to_density_matrix()
+        rho = pure(target)
         p_total = 1.0
         for delay in (25.0, 25.0, 20.0):
             g = 1 - math.exp(-delay / 200.0)
             p = 0.5 * (1 - math.exp(-delay / noise.tphi))
             rho = damp_dephase(rho, range(3), g, p)
-            out = code3.qec_cycle(rho, 0.0, 0.0, code3.RecoveryMap.ideal(g),
-                                  target=target)
-            rho = out.conditional_state
-            p_total *= out.success_probability
+            rho, p_round = code3.apply_cycle(
+                code3.RecoveryMap.ideal(g).superop(), rho)
+            check_density(rho)
+            p_total *= p_round
         assert abs(pts[0].fidelity - fidelity(rho, target)) < 1e-12
         assert abs(pts[0].success_probability - p_total) < 1e-12
 
@@ -693,23 +693,6 @@ class TestEdgeCases:
         assert pts[0].fidelity == 1.0
         assert pts[0].success_probability == 1.0
         assert abs(pts[0].total_evolution_us - 1.096) < 1e-12
-
-
-class TestFiniteDurationPulses:
-    def test_finite_pulses_cost_fidelity(self):
-        base = CrosstalkModel(g=0.04, t1=80.0)
-        slow = CrosstalkModel(g=0.04, t1=80.0, pulse_duration=0.2)
-        ideal = run_crosstalk_toy(base, "1", 16.0, 2)
-        finite = run_crosstalk_toy(slow, "1", 16.0, 2)
-        assert finite.fidelity[-1] < ideal.fidelity[-1]
-
-    def test_zero_duration_is_default_path(self):
-        model = CrosstalkModel(g=0.04, t1=80.0)
-        a = run_crosstalk_toy(model, "1", 8.0, 1)
-        b = run_crosstalk_toy(CrosstalkModel(g=0.04, t1=80.0,
-                                             pulse_duration=0.0),
-                              "1", 8.0, 1)
-        np.testing.assert_allclose(a.fidelity, b.fidelity, atol=0)
 
 
 def test_row_assignment_matches_realized_signs():

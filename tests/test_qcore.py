@@ -1,8 +1,8 @@
-"""Register primitives: tensor structure and partial trace (the register
-helpers of ``noise_reference``), fidelity, and the measurement reference
-of ``estimator_reference``. The index convention
-(qubit 0 = most significant bit) is load-bearing for every other module,
-so it gets pinned here."""
+"""Register primitives: ``qcore.check_density`` and the gate matrices, the
+register helpers of ``noise_reference`` (tensor structure, ``embed``,
+partial trace, fidelity), and the measurement reference of
+``estimator_reference``. The index convention (qubit 0 = most significant
+bit) is load-bearing for every other module, so it gets pinned here."""
 
 import math
 
@@ -11,22 +11,9 @@ import pytest
 from estimator_reference import measure_computational
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from noise_reference import partial_trace, tensor
+from noise_reference import Z, embed, fidelity, ket, partial_trace, pure, tensor
 
-from nadqec.qcore import (
-    CZ,
-    DensityMatrix,
-    PureState,
-    X,
-    Z,
-    basis_state,
-    check_density,
-    embed,
-    fidelity,
-    rx,
-    ry,
-    rz,
-)
+from nadqec.qcore import CZ, X, check_density, rx, ry, rz
 
 CX = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
               dtype=complex)
@@ -37,35 +24,39 @@ def random_density(n_qubits, seed):
     dim = 2**n_qubits
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = a @ a.conj().T
-    return DensityMatrix(m / np.trace(m))
+    rho = m / np.trace(m)
+    check_density(rho)
+    return rho
 
 
 def random_state(n_qubits, seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
-    return PureState(v / np.linalg.norm(v))
+    psi = v / np.linalg.norm(v)
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+    return psi
 
 
 class TestTensor:
     def test_identity_case(self):
-        mixed = DensityMatrix(np.eye(2) / 2)
+        mixed = np.eye(2) / 2
+        check_density(mixed)
         out = tensor(mixed, mixed)
-        np.testing.assert_allclose(out.data, np.eye(4) / 4, atol=1e-15)
+        np.testing.assert_allclose(out, np.eye(4) / 4, atol=1e-15)
 
     def test_basis_case(self):
-        out = tensor(basis_state(1, 0).to_density_matrix(),
-                     basis_state(1, 1).to_density_matrix())
+        out = tensor(pure(ket(1, 0)), pure(ket(1, 1)))
         expected = np.zeros((4, 4))
         expected[1, 1] = 1.0  # |01> at index 1
-        np.testing.assert_allclose(out.data, expected, atol=1e-15)
+        np.testing.assert_allclose(out, expected, atol=1e-15)
 
     def test_zz_eigenstate(self):
         zz = np.kron(Z, Z)
-        ket11 = basis_state(2, 3).amplitudes
+        ket11 = ket(2, 3)
         np.testing.assert_allclose(zz @ ket11, ket11, atol=1e-15)
 
     def test_associative(self):
-        a, b, c = (random_density(1, s).data for s in (1, 2, 3))
+        a, b, c = (random_density(1, s) for s in (1, 2, 3))
         left = np.kron(np.kron(a, b), c)
         right = np.kron(a, np.kron(b, c))
         np.testing.assert_allclose(left, right, atol=1e-14)
@@ -127,15 +118,15 @@ class TestEmbed:
 
 class TestPartialTrace:
     def test_product_state(self):
-        rho = basis_state(2, 0).to_density_matrix()
+        rho = pure(ket(2, 0))
         out = partial_trace(rho, [0])
-        np.testing.assert_allclose(out.data, [[1, 0], [0, 0]], atol=1e-15)
+        np.testing.assert_allclose(out, [[1, 0], [0, 0]], atol=1e-15)
 
     def test_bell_state_maximally_mixed(self):
-        bell = PureState(np.array([1, 0, 0, 1]) / math.sqrt(2))
+        bell = np.array([1, 0, 0, 1]) / math.sqrt(2)
         for keep in ([0], [1]):
-            out = partial_trace(bell.to_density_matrix(), keep)
-            np.testing.assert_allclose(out.data, np.eye(2) / 2, atol=1e-15)
+            out = partial_trace(pure(bell), keep)
+            np.testing.assert_allclose(out, np.eye(2) / 2, atol=1e-15)
 
     def test_random_product_recovers_factor(self):
         for seed in range(5):
@@ -143,14 +134,14 @@ class TestPartialTrace:
             b = random_density(1, seed + 100)
             joint = tensor(a, b)
             np.testing.assert_allclose(
-                partial_trace(joint, [0, 1]).data, a.data, atol=1e-12)
+                partial_trace(joint, [0, 1]), a, atol=1e-12)
             np.testing.assert_allclose(
-                partial_trace(joint, [2]).data, b.data, atol=1e-12)
+                partial_trace(joint, [2]), b, atol=1e-12)
 
     def test_trace_preserved(self):
         rho = random_density(3, 11)
         out = partial_trace(rho, [1])
-        assert abs(out.trace - 1.0) < 1e-12
+        assert abs(np.trace(out).real - 1.0) < 1e-12
 
     def test_invalid_index(self):
         with pytest.raises(ValueError):
@@ -160,22 +151,25 @@ class TestPartialTrace:
 class TestFidelity:
     def test_pure_state_is_one(self):
         psi = random_state(2, 3)
-        assert abs(fidelity(psi.to_density_matrix(), psi) - 1.0) < 1e-12
+        assert abs(fidelity(pure(psi), psi) - 1.0) < 1e-12
 
     def test_maximally_mixed_is_half(self):
-        rho = DensityMatrix(np.eye(2) / 2)
+        rho = np.eye(2) / 2
+        check_density(rho)
         psi = random_state(1, 4)
         assert abs(fidelity(rho, psi) - 0.5) < 1e-12
 
     def test_damped_excited_state(self):
         # 25% damping leaves <1|rho|1> = 0.75
-        rho = DensityMatrix(np.diag([0.25, 0.75]))
-        assert abs(fidelity(rho, basis_state(1, 1)) - 0.75) < 1e-12
+        rho = np.diag([0.25, 0.75])
+        check_density(rho)
+        assert abs(fidelity(rho, ket(1, 1)) - 0.75) < 1e-12
 
     def test_global_phase_invariance(self):
         rho = random_density(2, 8)
         psi = random_state(2, 9)
-        rotated = PureState(np.exp(1j * 1.234) * psi.amplitudes)
+        rotated = np.exp(1j * 1.234) * psi
+        assert abs(np.linalg.norm(rotated) - 1.0) < 1e-12
         assert abs(fidelity(rho, psi) - fidelity(rho, rotated)) < 1e-12
 
     def test_dimension_mismatch(self):
@@ -185,12 +179,12 @@ class TestFidelity:
 
 class TestMeasurement:
     def test_plus_state(self):
-        plus = PureState(np.array([1, 1]) / math.sqrt(2))
-        probs = measure_computational(plus.to_density_matrix(), [0])
+        plus = np.array([1, 1]) / math.sqrt(2)
+        probs = measure_computational(pure(plus), [0])
         np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-12)
 
     def test_basis_state_deterministic(self):
-        rho = basis_state(3, 7).to_density_matrix()
+        rho = pure(ket(3, 7))
         probs = measure_computational(rho, [0, 1, 2])
         expected = np.zeros(8)
         expected[7] = 1.0
@@ -198,9 +192,9 @@ class TestMeasurement:
 
     def test_marginal_and_order(self):
         psi = random_state(3, 12)
-        rho = psi.to_density_matrix()
+        rho = pure(psi)
         probs = measure_computational(rho, [2, 0])
-        amp = psi.amplitudes
+        amp = psi
         expected = np.zeros(4)
         for idx in range(8):
             b2 = (idx >> 0) & 1
@@ -220,7 +214,7 @@ class TestMeasurement:
         # move each bit to its listed position
         qubits = data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))]
         rho = random_density(n, seed)
-        diag = np.real(np.diag(partial_trace(rho, qubits).data))
+        diag = np.real(np.diag(partial_trace(rho, qubits)))
         asc, m = sorted(qubits), len(qubits)
         want = np.zeros(2**m)
         for b in range(2**m):
@@ -233,11 +227,12 @@ class TestInvariantsAndGates:
     def test_unitary_preserves_spectrum(self):
         rho = random_density(3, 20)
         u = embed(rx(0.7), [1], 3) @ embed(CZ, [0, 2], 3)
-        out = DensityMatrix(u @ rho.data @ u.conj().T)
+        out = u @ rho @ u.conj().T
+        check_density(out)
         np.testing.assert_allclose(
-            np.sort(np.linalg.eigvalsh(out.data)),
-            np.sort(np.linalg.eigvalsh(rho.data)), atol=1e-10)
-        assert abs(out.trace - 1.0) < 1e-10
+            np.sort(np.linalg.eigvalsh(out)),
+            np.sort(np.linalg.eigvalsh(rho)), atol=1e-10)
+        assert abs(np.trace(out).real - 1.0) < 1e-10
 
     def test_rotation_conventions(self):
         np.testing.assert_allclose(rx(math.pi), -1j * X, atol=1e-15)
@@ -246,25 +241,22 @@ class TestInvariantsAndGates:
         np.testing.assert_allclose(rx(-math.pi), 1j * X, atol=1e-15)
 
     def test_subnormalized_branch_allowed(self):
-        branch = DensityMatrix(np.diag([0.3, 0.2]), normalized=False)
-        assert abs(branch.trace - 0.5) < 1e-12
+        branch = np.diag([0.3, 0.2])
+        check_density(branch, normalized=False)
+        assert abs(np.trace(branch) - 0.5) < 1e-12
 
 
 class TestValidation:
     def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(np.array([[1, 1], [0, 0]]))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check_density(np.array([[1, 1], [0, 0]]))
 
     def test_negative_eigenvalue_rejected(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(np.diag([1.5, -0.5]))
-
-    def test_unnormalized_state_rejected(self):
-        with pytest.raises(ValueError):
-            PureState([1.0, 1.0])
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            check_density(np.diag([1.5, -0.5]))
 
     def test_stack_checked_in_one_call(self):
-        stack = np.array([random_density(1, seed).data for seed in range(5)])
+        stack = np.array([random_density(1, seed) for seed in range(5)])
         check_density(stack)
         check_density(stack[:0])  # an empty stack has nothing to reject
         branch = np.array([np.diag([0.3, 0.2]), np.diag([0.1, 0.0])])
@@ -278,23 +270,25 @@ class TestValidation:
         (np.diag([0.7, 0.4]), "trace 1.1 != 1"),
     ])
     def test_stack_rejects_any_bad_matrix_like_density_matrix(self, bad, message):
-        # the same tolerances and messages as DensityMatrix, whichever slot
+        # a stack fails with the message of its bad matrix checked alone,
+        # whichever slot that matrix takes
         with pytest.raises(ValueError, match=message):
-            DensityMatrix(bad)
-        good = random_density(1, 3).data
+            check_density(bad)
+        good = random_density(1, 3)
         for stack in ([bad, good, good], [good, good, bad]):
             with pytest.raises(ValueError, match=message):
                 check_density(np.array(stack, dtype=complex))
 
     def test_stack_tolerances_match_density_matrix(self):
-        # just inside each tolerance passes, just outside fails, stacked or not
+        # just inside each tolerance passes, just outside fails, for one
+        # density matrix and for a stack alike
         inside = np.diag([1.0 + 9e-13, 0.0])
         outside = np.diag([1.0 + 2e-12, 0.0])
         psd_edge = np.diag([1.0 + 9e-11, -9e-11])
         for ok in (inside, psd_edge):
-            DensityMatrix(ok)
+            check_density(ok)
             check_density(np.array([ok, ok]))
         with pytest.raises(ValueError):
-            DensityMatrix(outside)
+            check_density(outside)
         with pytest.raises(ValueError):
             check_density(np.array([inside, outside]))
