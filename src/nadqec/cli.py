@@ -217,6 +217,12 @@ def _run_multiqec(spec: ExperimentSpec, out: Path) -> None:
     _write_csv(out, _POINT_HEADER, _point_rows(pts))
 
 
+# The CHaDD runner walks the full rounds of its longest point once, plus
+# one remainder round for each point that has one, at about 1.6 ms a round
+# at 7 qubits (CHaDD off plus on), so that count is capped.
+_CHADD_ROUNDS = 2500
+
+
 def _run_multiqec_chadd(spec: ExperimentSpec, out: Path) -> None:
     p = spec.params
     _require_numbers(p, ints={"spectators": 0})
@@ -239,6 +245,12 @@ def _run_multiqec_chadd(spec: ExperimentSpec, out: Path) -> None:
                               f"distinct qubits of the {n}-qubit register")
     noise = _noise_from(p, layout.n_qubits)
     cfg = _protocol_config(p, noise)
+    splits = [protocol.split_rounds(t, cfg.max_delay) for t in cfg.total_free]
+    rounds = max((full for full, _ in splits), default=0) \
+        + sum(rest > 0 for _, rest in splits)
+    if rounds > _CHADD_ROUNDS:
+        raise ConfigError(f"'total_free' over 'max_delay' {cfg.max_delay} "
+                          f"needs {rounds} rounds; at most {_CHADD_ROUNDS}")
     rows = []
     for chadd in (False, True):
         rows += _point_rows(protocol.run_multiqec_with_chadd(

@@ -26,7 +26,8 @@ dephasing of the data, written in closed form as a 64x64 map on the
 row-major vec of rho. ``RecoveryMap.superop`` is the kept recovery branch
 in the same form, sum_K K kron conj(K) (vec(A rho B) = (A kron B^T)
 vec(rho)). A round is the noise map, then that branch applied by
-``apply_cycle`` to data qubits 0..2 of any register of 3 to 7 qubits, so
+``apply_cycle`` to the data's 8x8 rho or to a stack of 8x8 data blocks,
+one per classical-spectator bit string, as one (64, m) product, so
 ``qec_cycle`` (one round on an encoded 8-vector, which no CLI kind runs)
 and the data + spectator registers of ``protocol.run_multiqec_with_chadd``
 share it. For the analytic recoveries a round that starts in the code
@@ -363,24 +364,24 @@ def logical_outcomes(thetas: Sequence[float], gamma: float, p: float,
 
 def apply_cycle(superop: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, float]:
     """A 64x64 map on data qubits 0..2, such as :meth:`RecoveryMap.superop`,
-    applied to rho of a register of 3 or more qubits; the other qubits are
+    applied to the data's 8x8 rho or to a stack of 8x8 blocks rho[a, b, s]
+    of shape (8, 8, m): the block view of a data + classical-spectator
+    register (``protocol.lindbladian``), whose spectators it leaves
     untouched.
 
-    rho is viewed as (8, m, 8, m), the data axes are brought together and
-    multiplied, and the result is mapped back. Returns the kept state
-    renormalized to unit trace and its weight relative to rho's trace.
+    The blocks' row-major vecs are the columns of one (64, m) array, so the
+    map is one product. Returns the kept state renormalized to unit trace
+    (the sum of its blocks' traces) and its weight relative to rho's.
     """
-    m = rho.shape[0] // 8
-    if m < 1:
-        raise ValueError(f"the recovery needs 3 data qubits, got a register "
-                         f"of {rho.shape[0].bit_length() - 1} qubits")
-    blocks = rho.reshape(8, m, 8, m).transpose(0, 2, 1, 3).reshape(64, m * m)
-    out = (superop @ blocks).reshape(8, 8, m, m).transpose(0, 2, 1, 3) \
-        .reshape(rho.shape)
-    weight = float(np.real(np.trace(out)))
+    if rho.shape[:2] != (8, 8) or rho.ndim > 3:
+        raise ValueError(f"the recovery takes 8x8 blocks of the 3 data qubits, "
+                         f"got a register of {rho.shape[0].bit_length() - 1} "
+                         f"qubits")
+    out = (superop @ rho.reshape(64, -1)).reshape(rho.shape)
+    weight = float(np.real(np.trace(out).sum()))
     if weight <= 0:
         raise ValueError("post-selection removed all weight")
-    return out / weight, weight / float(np.real(np.trace(rho)))
+    return out / weight, weight / float(np.real(np.trace(rho).sum()))
 
 
 @dataclass(frozen=True)

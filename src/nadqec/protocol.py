@@ -10,17 +10,23 @@ costs O(log k) 4x4 products, so 1e12 rounds take as long as 40 (see
 ``run_multiqec`` for the accuracy of the squaring). ``run_multiqec_with_chadd``'s
 round is Lindblad evolution of the data + spectator register, optionally as
 one robust CHaDD cycle, then the kept recovery branch
-(``RecoveryMap.superop``) applied by ``code3.apply_cycle``; it keeps the
-states after k full rounds and shares them across sweep points. The robust
-cycle is the constant pulse list ``ROBUST_PULSES``, which ``_chadd_cycle``
-walks for this runner and for the ZZ toy alike.
+(``RecoveryMap.superop``) applied by ``code3.apply_cycle``. Its spectators
+stay classical, so it holds the register as one 8x8 data block per
+spectator bit string, 64 * 2^k numbers for k spectators; it walks full
+rounds once per call and keeps the states at the round counts that sweep
+points end on. The robust cycle is the constant pulse list
+``ROBUST_PULSES``, which ``_chadd_cycle`` walks for this runner and for the
+ZZ toy alike.
 
 Every Lindblad evolution here (that register and the two-qubit ZZ toy)
 has a diagonal Z + ZZ Hamiltonian with per-qubit relaxation and
 dephasing, for which exp(tL) is closed: a decay factor per entry of rho
 times one 2x2 map per qubit on conserved coherence blocks
-(``lindbladian``, ``Lindbladian.propagator``, ``propagate``). Its factors
-are built once per distinct duration, and its cost does not grow with t.
+(``lindbladian``, ``Lindbladian.propagator``, ``propagate``). The same
+generator acts on the full register or, with trailing qubits held
+classical, on its block view rho[a, b, s]. Its factors are built once per
+distinct duration, or for a whole array of durations at once (the toy's
+free series is one such call), and its cost does not grow with t.
 
 A sweep point's schedule is the pair (full max_delay rounds, remainder),
 and its total evolution time a closed form in that pair; neither loops over
@@ -163,11 +169,13 @@ def recovery_t1(config: ProtocolConfig, noise: NoiseParams) -> float:
     return t1s[0]
 
 
-def _run_rounds(config: ProtocolConfig, reach: Callable[[int], tuple],
+def _run_rounds(config: ProtocolConfig,
+                reach_for: Callable[[set], Callable[[int], tuple]],
                 round_for: Callable[[float], Callable],
                 score: Callable[[list], Sequence[float]],
                 chadd: bool) -> list[MultiQecPoint]:
-    """The sweep loop of both runners. ``reach(k)`` returns the state after
+    """The sweep loop of both runners. ``reach_for(needed)``, given the set
+    of the points' full-round counts, returns ``reach(k)``: the state after
     k full max_delay rounds and its cumulative post-selection weight;
     ``round_for(delay)`` returns one round as state -> (renormalized state,
     p_round), for a point's remainder. Every point's schedule and timing
@@ -177,6 +185,7 @@ def _run_rounds(config: ProtocolConfig, reach: Callable[[int], tuple],
     (rounding amplified over very many rounds) raises ValueError."""
     den, schedules = _schedules(config.total_free, config.max_delay)
     finals, rows = [], []
+    reach = reach_for({k for k, _, _ in schedules})
     for total_free, (k, rest, evolution) in zip(config.total_free, schedules):
         state, p_total = reach(k)
         if rest:
@@ -291,7 +300,7 @@ def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoi
         # a point with no rounds keeps sigma0, the target itself
         return [1.0 if x is sigma0 else float(f) for x, f in zip(states, fids)]
 
-    return _run_rounds(config, reach,
+    return _run_rounds(config, lambda needed: reach,
                        lambda delay: functools.partial(_advance, round_map(delay)),
                        score, chadd=False)
 
@@ -340,11 +349,11 @@ def _on_axes(values: np.ndarray, axis_a: int, axis_b: int, ndim: int) -> np.ndar
 
 @dataclass(frozen=True)
 class Propagator:
-    """exp(t L) for one duration t: ``decay`` multiplies every entry of the
-    (2,)*2n view of rho, then each ``factors`` entry (index of the
-    a_j = b_j = 0 slice, of the a_j = b_j = 1 slice, e0, e1, cross) maps
-    (rho0, rho1) to (e0 rho0 + cross rho1, e1 rho1); ``cross`` is None when
-    qubit j does not relax."""
+    """exp(t L) for one duration t, or for each of an array of them on
+    leading axes: ``decay`` multiplies every entry of the (2,)*axes view of
+    rho, then each ``factors`` entry (index of the bit-0 slice, of the bit-1
+    slice, e0, e1, cross) maps (rho0, rho1) to (e0 rho0 + cross rho1,
+    e1 rho1); ``cross`` is None when the qubit does not relax."""
 
     decay: np.ndarray
     factors: tuple
@@ -354,30 +363,38 @@ class Propagator:
 class Lindbladian:
     """A generator of the one form every evolution here has, in the terms of
     its closed-form propagator (see ``lindbladian``): ``rates`` is K on the
-    (2,)*2n view of rho, and ``qubits`` lists (index of the a_j = b_j = 0
-    slice, of the a_j = b_j = 1 slice, s_j, 1/T1_j) for each qubit whose
-    slices move; s_j, the ZZ shift, broadcasts over a slice."""
+    (2,)*axes view of rho, and ``qubits`` lists (index of the bit-0 slice,
+    of the bit-1 slice, s_j, 1/T1_j) for each qubit whose slices move; s_j,
+    the ZZ shift, broadcasts over a slice."""
 
     rates: np.ndarray
     qubits: tuple
 
-    def propagator(self, t: float) -> Propagator:
-        """exp(t L), its factors built once for the duration t."""
+    def propagator(self, t) -> Propagator:
+        """exp(t L), its factors built once for the duration t, or for every
+        entry of an array of durations at once (a propagator whose leading
+        axes are those of t)."""
+        t = np.asarray(t, dtype=float)
+
+        def lead(x):  # t on leading axes before x's
+            return t.reshape(t.shape + (1,) * np.ndim(x))
         factors = []
         for idx0, idx1, s, relax in self.qubits:
-            e0 = np.exp(-2j * s * t)
+            ts = lead(s)
+            e0 = np.exp(-2j * s * ts)
             cross = None
             if relax:
                 # relax * t * e0 * expm1(x) / x with x = (d1 - d0) t; the
                 # form below cannot overflow, since |d1 - d0| >= relax
                 diff = 4j * s - relax
-                cross = relax * e0 * np.expm1(diff * t) / diff
-            factors.append((idx0, idx1, e0, np.exp((2j * s - relax) * t), cross))
-        return Propagator(np.exp(self.rates * t), tuple(factors))
+                cross = relax * e0 * np.expm1(diff * ts) / diff
+            factors.append((idx0, idx1, e0, np.exp((2j * s - relax) * ts), cross))
+        return Propagator(np.exp(self.rates * lead(self.rates)), tuple(factors))
 
 
 def lindbladian(n_qubits: int, params: NoiseParams, couplings: Sequence = (),
-                omega: Optional[Sequence[float]] = None) -> Lindbladian:
+                omega: Optional[Sequence[float]] = None,
+                classical: int = 0) -> Lindbladian:
     """H = sum_q omega_q/2 Z_q + sum g Z_a Z_b over ``couplings`` (a, b, g)
     (angular frequencies, rad/us; omega defaults to 0), with relaxation
     (sigma-) at 1/T1_q and dephasing (Z) at 1/(2 Tphi_q) on each qubit.
@@ -392,6 +409,16 @@ def lindbladian(n_qubits: int, params: NoiseParams, couplings: Sequence = (),
     at d1 = 2i s_j - 1/T1_j. These commute, so exp(tL) is e^{Kt} times one
     2x2 map per qubit. Per-qubit T1 or Tphi sequences must give one value
     per register qubit; a coupling must name two distinct register qubits.
+
+    The last ``classical`` qubits are held classical: the generator acts on
+    the block view rho[a, b, s] (a and b over the other, quantum qubits, s
+    the classical ones' bit string), the register's entries with a_q = b_q
+    on every classical qubit, which it maps among themselves. That view is
+    the (d, d, 2^classical) array whose block s is the quantum qubits'
+    state with the classical ones in |s>; ``classical=0`` is the full
+    register. A classical qubit's h_q is 0, so it adds nothing to K or to
+    any s_j; it keeps its 2x2 map on its one axis of s, with s_j from the
+    quantum qubits' coherences only.
     """
     n = n_qubits
     params.require_qubits(n)
@@ -402,38 +429,53 @@ def lindbladian(n_qubits: int, params: NoiseParams, couplings: Sequence = (),
         if a == b or not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"coupling {(a, b, g)} must name two distinct "
                              f"qubits of the {n}-qubit register")
+    quantum = n - classical
+    if not 0 < quantum <= n:
+        raise ValueError(f"{classical} classical qubits in a {n}-qubit register")
+    # the view's axes: the quantum qubits' a, their b, then the classical
+    # qubits' s; qubit j's slices fix bit j of a and b, or bit j of s
+    axes = 2 * quantum + classical
     relax = [1.0 / params.t1_of(q) for q in range(n)]
     dephase = [1.0 / params.tphi_of(q) for q in range(n)]
-    rates = sum(_on_axes(-1j * omega[q] * _H_STEP - np.abs(_H_STEP)
-                         * (relax[q] / 2 + dephase[q]), q, n + q, 2 * n)
-                for q in range(n))
+    rates = np.broadcast_to(
+        sum(_on_axes(-1j * omega[q] * _H_STEP - np.abs(_H_STEP)
+                     * (relax[q] / 2 + dephase[q]), q, quantum + q, axes)
+            for q in range(quantum)), (2,) * axes)
     qubits = []
     for j in range(n):
-        s = 0.0  # over a slice's axes: the other qubits' a, then their b
+        fixed = (j, quantum + j) if j < quantum else (quantum + j,)
+        rest = [x for x in range(axes) if x not in fixed]
+        s = np.zeros((1,) * len(rest))  # over a slice's axes
         for a, b, g in couplings:
-            if j in (a, b):
-                other = b if a == j else a
-                p = other - (other > j)
-                s = s + g * _on_axes(_H_STEP, p, n - 1 + p, 2 * n - 2)
-        if relax[j] or np.ndim(s):
-            # the trailing Ellipsis keeps a view at n = 1
-            idx = [(slice(None),) * j + (bit,) + (slice(None),) * (n - 1)
-                   + (bit, Ellipsis) for bit in (0, 1)]
+            other = b if a == j else a
+            if j in (a, b) and other < quantum:  # a classical h is 0
+                s = s + g * _on_axes(_H_STEP, rest.index(other),
+                                     rest.index(quantum + other), len(rest))
+        if relax[j] or s.any():
+            # a leading Ellipsis keeps a view even when every axis is fixed,
+            # and leaves room for a propagator's duration axes
+            idx = [(Ellipsis,) + tuple(bit if x in fixed else slice(None)
+                                       for x in range(axes)) for bit in (0, 1)]
             qubits.append((idx[0], idx[1], s, relax[j]))
     return Lindbladian(rates, tuple(qubits))
 
 
 def propagate(prop: Propagator, rho: np.ndarray) -> np.ndarray:
-    """exp(t L) applied to rho, returned Hermitian."""
-    out = rho.reshape(prop.decay.shape) * prop.decay
+    """exp(t L) applied to rho, returned Hermitian. rho is the (d, d)
+    register or its (d, d, m) block view (see ``lindbladian``); a
+    propagator over an array of durations returns one state per duration,
+    on leading axes of the same shape."""
+    axes = rho.size.bit_length() - 1
+    out = rho.reshape((2,) * axes) * prop.decay
     for idx0, idx1, e0, e1, cross in prop.factors:
         lo, hi = out[idx0], out[idx1]  # views into out
         lo *= e0
         if cross is not None:
             lo += cross * hi
         hi *= e1
-    out = out.reshape(rho.shape)
-    return 0.5 * (out + out.conj().T)
+    lead = out.ndim - axes
+    out = out.reshape(out.shape[:lead] + rho.shape)
+    return 0.5 * (out + out.swapaxes(lead, lead + 1).conj())
 
 
 @dataclass(frozen=True)
@@ -467,14 +509,28 @@ def _pulse_permutations(colors: Sequence[int]) -> dict:
             for color in (1, 2)}
 
 
-def _chadd_cycle(free: Propagator, rho: np.ndarray, perms: dict) -> np.ndarray:
+def _pulse_gathers(perms: dict, m: int) -> dict:
+    """Each pulse of ``_pulse_permutations`` as one gather of the flattened
+    (d, d, m) block view (``lindbladian``), the last log2(m) qubits held
+    classical: the register index a m + s goes to (a xor a') m + (s xor s'),
+    so a pulse permutes the quantum rows and columns by a xor a' and maps
+    block s to s xor s'. m = 1 gathers the (d, d) register itself."""
+    gathers = {}
+    for color, perm in perms.items():
+        rows, blocks = perm[::m] // m, perm[:m] % m
+        d = len(rows)
+        gathers[color] = ((rows[:, None, None] * d + rows[None, :, None]) * m
+                          + blocks).ravel()
+    return gathers
+
+
+def _chadd_cycle(free: Propagator, rho: np.ndarray, pulses: dict) -> np.ndarray:
     """One robust CHaDD cycle (``ROBUST_PULSES``): each interval propagates
-    by ``free`` (one tau), then applies its instantaneous pulse, a
-    permutation from ``perms``."""
+    by ``free`` (one tau), then applies its instantaneous pulse, a gather
+    from ``pulses`` (``_pulse_gathers``)."""
     for _, color in ROBUST_PULSES:
         rho = propagate(free, rho)
-        perm = perms[color]
-        rho = rho[perm][:, perm]
+        rho = rho.ravel()[pulses[color]].reshape(rho.shape)
     return rho
 
 
@@ -491,11 +547,13 @@ def run_crosstalk_toy(model: CrosstalkModel, probe_init: str, t_final: float,
     """Evolve (probe, spectator=|0>) under the ZZ toy model, recording the
     probe populations and its fidelity to the initial probe state.
 
-    ``cycles=None`` is free evolution, sampled 40 times; t_final = 0 keeps
-    the initial state. Otherwise t_final must be positive and is chopped
-    into ``cycles`` robust CHaDD cycles with instantaneous pulses between
-    their intervals; samples are taken once per full cycle (the pulse
-    product is identity up to phase there).
+    ``cycles=None`` is free evolution, sampled 40 times at multiples of
+    t_final / 40 by one propagator over all 40 durations (one closed-form
+    call, no stepping); t_final = 0 keeps the initial state. Otherwise
+    t_final must be positive and is chopped into ``cycles`` robust CHaDD
+    cycles with instantaneous pulses between their intervals; samples are
+    taken once per full cycle (the pulse product is identity up to phase
+    there).
     """
     kets = {"0": np.array([1, 0], complex), "1": np.array([0, 1], complex),
             "+": np.array([1, 1], complex) / math.sqrt(2)}
@@ -509,28 +567,23 @@ def run_crosstalk_toy(model: CrosstalkModel, probe_init: str, t_final: float,
     state = np.outer(psi, psi.conj())
     gen = model.lindbladian()
 
-    times = [0.0]
-    rows = [state]
     if cycles is None:
-        n_samples = 40
-        dt_sample = t_final / n_samples
-        step = gen.propagator(dt_sample)
-        for i in range(n_samples):
-            state = propagate(step, state)
-            times.append((i + 1) * dt_sample)
-            rows.append(state)
+        times = t_final / 40 * np.arange(41)
+        stack = np.concatenate(
+            (state[None], propagate(gen.propagator(times[1:]), state)))
     else:
         if cycles < 1:
             raise ValueError(f"cycles must be at least 1, got {cycles}")
         tau = t_final / (len(ROBUST_PULSES) * cycles)
         cycle = tau * len(ROBUST_PULSES)  # t_final / cycles rounds differently
         free = gen.propagator(tau)
-        perms = _pulse_permutations((1, 2))
+        pulses = _pulse_gathers(_pulse_permutations((1, 2)), 1)
+        times, rows = [0.0], [state]
         for i in range(cycles):
-            state = _chadd_cycle(free, state, perms)
+            state = _chadd_cycle(free, state, pulses)
             times.append((i + 1) * cycle)
             rows.append(state)
-    stack = np.stack(rows)
+        stack = np.stack(rows)
     check_density(stack, normalized=False)
     reduced = np.trace(stack.reshape(-1, 2, 2, 2, 2), axis1=2, axis2=4)
     proj_probe = np.outer(probe, probe.conj())
@@ -576,6 +629,23 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
     data + spectator register (ZZ couplings included), with ``chadd``
     chopped into one robust CHaDD cycle with instantaneous pulses.
 
+    The spectators stay classical: they start in |0...0>, the generator is
+    diagonal in Z with sigma- and Z dissipators, every pulse flips the same
+    bits of a and b, and the recovery acts on the data alone, so every
+    entry of rho[a, b] that the rounds reach has equal spectator bits in a
+    and b. The state is held as that block view (``lindbladian`` with the
+    spectators classical): rho[a, b, s], one 8x8 data block per spectator
+    bit string s, 64 * 2^k entries for k spectators where the register has
+    (8 * 2^k)^2, and nothing dropped. A pulse permutes the data rows and
+    columns and maps block s to s xor its spectator mask
+    (``_pulse_gathers``), and ``code3.apply_cycle`` applies the kept
+    recovery branch to every block in one product. Full rounds are walked
+    once per call, keeping only the states at the round counts that points
+    end on. A point's F is psi^dag sigma psi for the data's state sigma,
+    the sum of the blocks over its trace, and every reported state is
+    validated block by block in one ``check_density`` call: a
+    block-diagonal matrix is Hermitian and PSD exactly when its blocks are.
+
     The two QEC ancillas stay implicit: syndrome conditioning and recovery
     act on the data qubits through ``code3.apply_cycle``, and the ancilla
     reset is an exact replacement, so only their timing matters.
@@ -585,12 +655,12 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
         raise ValueError(f"register of {n} qubits exceeds the 7-qubit cap")
     t1 = recovery_t1(config, noise)
     psi = code3.encode_ideal(config.logical)
-    gen = lindbladian(n, noise, layout.couplings)
-    perms = _pulse_permutations(layout.resolved_colors()) if chadd else None
-    m = 2**(n - 3)  # the spectators' dimension; they start in |0...0>
-    spectators = np.zeros((m, m))
-    spectators[0, 0] = 1.0
-    rho0 = np.kron(np.outer(psi, psi.conj()), spectators)
+    m = 2**layout.spectators
+    gen = lindbladian(n, noise, layout.couplings, classical=layout.spectators)
+    pulses = (_pulse_gathers(_pulse_permutations(layout.resolved_colors()), m)
+              if chadd else None)
+    rho0 = np.zeros((8, 8, m), dtype=complex)
+    rho0[:, :, 0] = np.outer(psi, psi.conj())  # the spectators in |0...0>
 
     @functools.cache
     def round_for(delay: float):
@@ -598,27 +668,28 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
         kept = _recovery_map(config, gamma_of_t(delay, t1)).superop()
 
         def one_round(rho: np.ndarray):
-            rho = _chadd_cycle(free, rho, perms) if chadd else propagate(free, rho)
+            rho = _chadd_cycle(free, rho, pulses) if chadd else propagate(free, rho)
             return code3.apply_cycle(kept, rho)
         return one_round
 
-    # the state after k full rounds, shared by every point
     step = float(config.max_delay)
-    prefixes = [(rho0, 1.0)]
 
-    def reach(k: int) -> tuple[np.ndarray, float]:
-        while len(prefixes) <= k:
-            rho, p_total = prefixes[-1]
-            rho, p_round = round_for(step)(rho)
-            prefixes.append((rho, p_total * p_round))
-        return prefixes[k]
+    def reach_for(needed: set) -> Callable[[int], tuple]:
+        kept, rho, p_total = {}, rho0, 1.0
+        for k in range(max(needed, default=0) + 1):
+            if k:
+                rho, p_round = round_for(step)(rho)
+                p_total *= p_round
+            if k in needed:
+                kept[k] = rho, p_total
+        return kept.__getitem__
 
     def score(states: list) -> list[float]:
-        # the data's reduced state: the trace over the spectator index
-        stack = np.reshape(states, (-1, 8 * m, 8 * m))
-        check_density(stack, normalized=False)
-        reduced = np.trace(stack.reshape(-1, 8, m, 8, m), axis1=2, axis2=4)
+        stack = np.stack(states)  # (points, 8, 8, m)
+        check_density(stack.transpose(0, 3, 1, 2).reshape(-1, 8, 8),
+                      normalized=False)
+        # the data's reduced state: the sum over the spectator blocks
         return [float(np.real(psi.conj() @ (r / np.real(np.trace(r))) @ psi))
-                for r in reduced]
+                for r in stack.sum(axis=-1)]
 
-    return _run_rounds(config, reach, round_for, score, chadd)
+    return _run_rounds(config, reach_for, round_for, score, chadd)

@@ -1,4 +1,4 @@
-"""Multi-round QEC by the per-round Kraus loop.
+"""Multi-round QEC by the per-round loop.
 
 An independent reference for ``nadqec.protocol.run_multiqec``, which
 applies binary powers of a 4x4 logical round, shared between points, and
@@ -6,6 +6,16 @@ schedules and times each point in closed form: here every point lists its
 round delays, restarts from the encoded state, applies idle noise and the
 post-selected recovery to the 8x8 density matrix round by round, and sums
 the timing over that list.
+
+``run_multiqec_with_chadd`` is the same loop for
+``nadqec.protocol.run_multiqec_with_chadd`` on the full data + spectator
+register: the spectators join as |0...0> by ``np.kron``, each round
+evolves the whole (8 * 2^k)^2 rho under the full-register generator
+(``lindbladian`` with no classical qubits), applies each pulse as the row
+and column permutation of ``_pulse_permutations``, and applies the kept
+recovery branch with the data axes of rho viewed as (8, m, 8, m) and
+brought together. The package holds only the blocks with equal spectator
+bits; this keeps every entry.
 """
 
 from fractions import Fraction
@@ -17,12 +27,18 @@ from noise_reference import apply_kraus, fidelity, idle_noise, pure
 from nadqec import code3
 from nadqec.noise import NoiseParams, gamma_of_t
 from nadqec.protocol import (
+    ROBUST_PULSES,
     T_ENCODE,
     T_RECOVERY,
     T_RESET,
     MultiQecPoint,
     ProtocolConfig,
+    SpectatorLayout,
+    _pulse_permutations,
     _recovery_map,
+    lindbladian,
+    propagate,
+    recovery_t1,
 )
 from nadqec.qcore import check_density
 
@@ -90,5 +106,68 @@ def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoi
             success_probability=p_total,
             variant=config.recovery_variant,
             chadd=False,
+        ))
+    return points
+
+
+def apply_cycle_full(superop: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, float]:
+    """A 64x64 map on data qubits 0..2 of a full register rho: rho viewed
+    as (8, m, 8, m), the data axes brought together and multiplied, and the
+    result mapped back; returns it renormalized and its weight relative to
+    rho's trace."""
+    m = rho.shape[0] // 8
+    blocks = rho.reshape(8, m, 8, m).transpose(0, 2, 1, 3).reshape(64, m * m)
+    out = (superop @ blocks).reshape(8, 8, m, m).transpose(0, 2, 1, 3) \
+        .reshape(rho.shape)
+    weight = float(np.real(np.trace(out)))
+    if weight <= 0:
+        raise ValueError("post-selection removed all weight")
+    return out / weight, weight / float(np.real(np.trace(rho)))
+
+
+def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
+                            layout: SpectatorLayout, *,
+                            chadd: bool) -> list[MultiQecPoint]:
+    """The CHaDD runner on the full register, each point walked from the
+    encoded state."""
+    n = layout.n_qubits
+    t1 = recovery_t1(config, noise)
+    target = code3.encode_ideal(config.logical)
+    gen = lindbladian(n, noise, layout.couplings)
+    perms = _pulse_permutations(layout.resolved_colors())
+    m = 2**(n - 3)
+    spectators = np.zeros((m, m))
+    spectators[0, 0] = 1.0
+    rho0 = np.kron(pure(target), spectators)
+
+    def one_round(rho, delay):
+        if chadd:
+            free = gen.propagator(delay / len(ROBUST_PULSES))
+            for _, color in ROBUST_PULSES:
+                rho = propagate(free, rho)
+                perm = perms[color]
+                rho = rho[perm][:, perm]
+        else:
+            rho = propagate(gen.propagator(delay), rho)
+        kept = _recovery_map(config, gamma_of_t(delay, t1)).superop()
+        return apply_cycle_full(kept, rho)
+
+    points = []
+    for total_free in config.total_free:
+        schedule = schedule_rounds(total_free, config.max_delay)
+        rho, p_total = rho0, 1.0
+        for delay in schedule:
+            rho, p_round = one_round(rho, delay)
+            p_total *= p_round
+        check_density(rho, normalized=False)
+        reduced = np.trace(rho.reshape(8, m, 8, m), axis1=1, axis2=3)
+        points.append(MultiQecPoint(
+            total_free_us=total_free,
+            total_evolution_us=float(total_evolution_time_exact(schedule)),
+            rounds=len(schedule),
+            fidelity=fidelity(reduced / np.real(np.trace(reduced)), target),
+            success_probability=p_total,
+            variant=config.recovery_variant,
+            chadd=chadd,
         ))
     return points

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nadqec import cli, code3
+from nadqec import cli, code3, protocol
 from nadqec.circuits import Circuit
 from nadqec.cli import (
     CATALOG,
@@ -408,6 +408,31 @@ class TestRun:
         params["couplings"] = [[0, 3, 0.05]]
         assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_CONFIG
         assert "3-qubit register" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_delay,total_free", [
+        (30.0, [30.0, 30.0 * (cli._CHADD_ROUNDS + 1)]),  # cap + 1 full rounds
+        (30.0, [30.0 * cli._CHADD_ROUNDS + 1.5]),  # the cap plus a remainder
+        (30.0, [20.0] * (cli._CHADD_ROUNDS + 1)),  # cap + 1 remainder rounds
+        (1e-6, [1000.0])])  # 10^9 rounds
+    def test_chadd_round_cap(self, tmp_path, capsys, monkeypatch, max_delay,
+                             total_free):
+        # the rounds a run walks (its longest point's full rounds, plus one
+        # remainder round per point with one) over the cap are a config
+        # error naming the field, raised before any round runs
+        ran = []
+        monkeypatch.setattr(protocol, "run_multiqec_with_chadd",
+                            lambda *a, **k: ran.append(a) or [])
+        payload = {"kind": "multiqec-chadd", "output": str(tmp_path / "out.csv"),
+                   "params": {"theta": 1.0, "max_delay": max_delay,
+                              "total_free": total_free, "t1": 220.0}}
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_CONFIG
+        assert "'total_free'" in capsys.readouterr().err
+        assert ran == [] and not (tmp_path / "out.csv").exists()
+        # at the cap the spec runs
+        payload["params"].update(max_delay=30.0, total_free=[
+            30.0 * (cli._CHADD_ROUNDS - 2), 20.0, 30.0 * (cli._CHADD_ROUNDS - 3) + 5.0])
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_OK
+        assert len(ran) == 2
 
     def test_delay_beyond_every_lifetime_ends_at_once(self, tmp_path, capsys):
         # gamma = 1 over a 1e9 us delay: the propagator's cost does not grow

@@ -255,6 +255,25 @@ def _random_density(rng, n):
     return rho
 
 
+def _classical_spectator_blocks(rng, n):
+    """A random state of 3 data qubits and n - 3 classical spectators as
+    apply_cycle takes it: at n = 3 the 8x8 rho, else (8, 8, 2^(n-3))
+    blocks, one density matrix per spectator string s, weighted so that
+    the blocks' traces sum to 1."""
+    if n == 3:
+        return _random_density(rng, 3)
+    weights = rng.dirichlet(np.ones(2**(n - 3)))
+    return np.stack([w * _random_density(rng, 3) for w in weights], axis=-1)
+
+
+def _block_diagonal(blocks):
+    """The register sum_s blocks[:, :, s] kron |s><s|, spectators after the
+    data; an 8x8 rho is itself."""
+    blocks = blocks.reshape(8, 8, -1)
+    m = blocks.shape[2]
+    return np.einsum("abs,st->asbt", blocks, np.eye(m)).reshape(8 * m, 8 * m)
+
+
 def _recovery_reference(rho: np.ndarray, w: np.ndarray):
     """The kept branch of a 5-qubit recovery W on (q0, q1, q2, a1, a2),
     index 4 data + 2 a1 + a2, applied to qubits 0..2 by embedded Kraus
@@ -340,23 +359,27 @@ class TestRecoveryEngine:
            seed=st.integers(0, 2**32 - 1))
     def test_apply_cycle_matches_embed_reference(self, n, variant, seed):
         # the kept branch on data qubits 0..2 of a 3- to 7-qubit register
+        # whose spectators are classical, against the embedded Kraus
+        # operators on the block-diagonal register; the reference's
+        # off-diagonal spectator blocks must stay 0
         rng = np.random.default_rng(seed)
         rmap, w = _random_rmap(variant, rng, rng.uniform(0.0, 0.6))
-        rho = _random_density(rng, n)
-        want, p_want = _recovery_reference(rho, w)
-        got, p_got = apply_cycle(rmap.superop(), rho)
+        blocks = _classical_spectator_blocks(rng, n)
+        want, p_want = _recovery_reference(_block_diagonal(blocks), w)
+        got, p_got = apply_cycle(rmap.superop(), blocks)
+        assert got.shape == blocks.shape
         assert abs(p_got - p_want) < 1e-12
-        assert np.max(np.abs(got - want)) < 1e-12
+        assert np.max(np.abs(_block_diagonal(got) - want)) < 1e-12
 
     def test_spectators_untouched(self):
         rng = np.random.default_rng(4)
         rho3 = _random_density(rng, 3)
-        spect = _random_density(rng, 2)
+        spect = np.real(np.diag(_random_density(rng, 2)))  # classical, 2 qubits
         kept = RecoveryMap.ideal(0.2).superop()
         state3, p3 = apply_cycle(kept, rho3)
-        state5, p5 = apply_cycle(kept, tensor(rho3, spect))
+        state5, p5 = apply_cycle(kept, rho3[:, :, None] * spect)
         assert abs(p3 - p5) < 1e-12
-        np.testing.assert_allclose(state5, np.kron(state3, spect),
+        np.testing.assert_allclose(state5, state3[:, :, None] * spect,
                                    atol=1e-14)
 
     def test_zero_weight_raises(self):

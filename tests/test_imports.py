@@ -101,8 +101,8 @@ TEST_ONLY = (
     "match_success_form", "oracle_fidelity_series",
     "oracle_fidelity_series_printed", "oracle_fidelity_series_time",
     "oracle_fidelity_plus_state", "sample_qec_shots", "sample_bare_shots",
-    "gain_expt", "gain_theoretical_detail", "split_rounds",
-    "total_evolution_time", "fit_lifetime",
+    "gain_expt", "gain_theoretical_detail", "total_evolution_time",
+    "fit_lifetime",
 )
 
 

@@ -19,6 +19,9 @@ from lindblad_reference import (
 )
 from lindblad_reference import propagate as propagate_reference
 from multiqec_reference import run_multiqec as run_multiqec_reference
+from multiqec_reference import (
+    run_multiqec_with_chadd as run_multiqec_with_chadd_reference,
+)
 from multiqec_reference import schedule_rounds, total_evolution_time_exact
 from noise_reference import Z, damp_dephase, embed, fidelity, pure
 
@@ -409,6 +412,13 @@ def _reference_propagation(n, omega, couplings, noise, rho, t):
         liouvillian(h, collapse_operators(n, noise)), rho, t)
 
 
+def _restrict(rho, m):
+    """The entries of a register rho whose last log2(m) qubits have equal
+    bits in a and b, as the (d, d, m) block view rho[a, b, s]."""
+    d = rho.shape[0] // m
+    return np.einsum("asbs->abs", rho.reshape(d, m, d, m))
+
+
 class TestLindblad:
     def test_trace_preserved(self):
         model = CrosstalkModel(omega1=0.4, omega2=0.1, g=0.07, t1=80.0, tphi=120.0)
@@ -522,6 +532,51 @@ class TestLindblad:
         reference = evolve_lindblad(h, rho, 3.75, collapse, 240)
         assert np.abs(exact - reference).max() < 1e-10
 
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_block_view_matches_full_register_restricted(self, n):
+        # the last n - 3 qubits held classical: propagating rho[a, b, s]
+        # equals propagating the full register, then keeping the entries
+        # with equal bits on those qubits, whatever the others hold
+        rng = np.random.default_rng(n)
+        lifetimes = (math.inf, 30.0, 100.0, 220.0)
+        noise = NoiseParams(t1=[lifetimes[i] for i in rng.integers(4, size=n)],
+                            tphi=[lifetimes[i] for i in rng.integers(4, size=n)])
+        omega = rng.uniform(-0.5, 0.5, size=n)
+        # data-data, data-spectator and spectator-spectator pairs
+        couplings = [(0, 2, 0.03), (1, 3, -0.05), (n - 1, 0, 0.04),
+                     (3, n - 1, 0.02), (n - 1, 2, -0.01)][:5 if n > 4 else 3]
+        full_gen = lindbladian(n, noise, couplings, omega)
+        block_gen = lindbladian(n, noise, couplings, omega, classical=n - 3)
+        rho = _random_density(rng, 2**n)
+        m = 2**(n - 3)
+        for t in (0.0, 3.75, 37.5):
+            full = propagate(full_gen.propagator(t), rho)
+            got = propagate(block_gen.propagator(t), _restrict(rho, m))
+            assert got.shape == (8, 8, m)
+            assert np.abs(got - _restrict(full, m)).max() <= 1e-12
+
+    def test_classical_count_must_leave_a_quantum_qubit(self):
+        for classical in (-1, 4):
+            with pytest.raises(ValueError, match="classical qubits"):
+                lindbladian(4, NoiseParams(t1=100.0), classical=classical)
+
+    @pytest.mark.parametrize("classical", [0, 1, 2])
+    def test_batched_durations_match_single_propagators(self, classical):
+        # an array of durations gives one state per entry, on leading axes
+        # of the array's shape, each the one-duration propagator's
+        rng = np.random.default_rng(3 + classical)
+        noise = NoiseParams(t1=[100.0, math.inf, 220.0, 50.0],
+                            tphi=[80.0, 300.0, math.inf, 90.0])
+        gen = lindbladian(4, noise, [(0, 1, 0.05), (1, 3, -0.04), (2, 3, 0.03)],
+                          rng.uniform(-0.5, 0.5, size=4), classical=classical)
+        rho = _restrict(_random_density(rng, 16), 2**classical)
+        rho = rho[..., 0] if classical == 0 else rho
+        durations = np.array([[0.0, 1.5, 3.75], [20.0, 60.0, 1e3]])
+        batch = propagate(gen.propagator(durations), rho)
+        assert batch.shape == durations.shape + rho.shape
+        for i, t in np.ndenumerate(durations):
+            assert np.abs(batch[i] - propagate(gen.propagator(t), rho)).max() <= 1e-12
+
 
 class TestCrosstalkToy:
     def test_stationary_without_coupling_or_noise(self):
@@ -556,6 +611,26 @@ class TestCrosstalkToy:
     def test_bad_t_final_rejected(self, t_final, cycles, need):
         with pytest.raises(ValueError, match=f"t_final must be {need}"):
             run_crosstalk_toy(CrosstalkModel(t1=50.0), "1", t_final, cycles)
+
+    @pytest.mark.parametrize("probe", ["0", "1", "+"])
+    def test_free_series_equals_stepped_series(self, probe):
+        # one propagator over the 40 sample times against 40 steps of one
+        model = CrosstalkModel(omega1=0.3, omega2=0.2, g=0.05, t1=80.0, tphi=120.0)
+        series = run_crosstalk_toy(model, probe, 60.0)
+        ket = {"0": [1, 0], "1": [0, 1], "+": [1 / math.sqrt(2)] * 2}[probe]
+        psi = np.kron(ket, [1, 0]).astype(complex)
+        state = np.outer(psi, psi.conj())
+        step = model.lindbladian().propagator(60.0 / 40)
+        rows = [state]
+        for _ in range(40):
+            state = propagate(step, state)
+            rows.append(state)
+        reduced = np.trace(np.reshape(rows, (-1, 2, 2, 2, 2)), axis1=2, axis2=4)
+        np.testing.assert_array_equal(series.times, 1.5 * np.arange(41))
+        for got, want in ((series.pop0, reduced[:, 0, 0].real),
+                          (series.pop1, reduced[:, 1, 1].real),
+                          (series.fidelity, np.real(np.conj(ket) @ reduced @ ket))):
+            assert np.abs(got - want).max() <= 1e-12
 
     def test_free_evolution_over_zero_time_keeps_the_state(self):
         series = run_crosstalk_toy(CrosstalkModel(t1=50.0), "1", 0.0)
@@ -675,6 +750,71 @@ class TestMultiQecWithChadd:
         # 30, 15 and 20 us, each with one robust cycle of 8 intervals
         assert [a[1] for a in built["propagator"]] == [30 / 8, 15 / 8, 20 / 8]
         assert len(built["_recovery_map"]) == 3
+
+    @settings(max_examples=50, deadline=None)
+    @given(spectators=st.integers(0, 4), chadd=st.booleans(),
+           variant=st.sampled_from(["ideal", "approximate"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_full_register_reference(self, spectators, chadd, variant,
+                                             seed):
+        # the block state against the full (8 * 2^k)^2 register, walked
+        # point by point: per-qubit T1 and Tphi (some infinite), couplings
+        # of every kind the register has, and remainder rounds
+        rng = np.random.default_rng(seed)
+        n = 3 + spectators
+        lifetimes = (math.inf, 1e12, 50.0, 100.0, 220.0)
+        t1 = [lifetimes[i] for i in rng.integers(5, size=n)]
+        if variant == "ideal":
+            t1[1] = t1[2] = t1[0]  # the ideal recovery adapts to one T1
+        noise = NoiseParams(t1=t1, tphi=[lifetimes[i] for i in rng.integers(5, size=n)])
+
+        def g():
+            return float(rng.uniform(-0.1, 0.1))
+        couplings = [(int(rng.integers(2)), 2, g())]  # data-data
+        if spectators:
+            couplings.append((int(rng.integers(3)), int(rng.integers(3, n)), g()))
+        if spectators > 1:
+            couplings.append((3, n - 1, g()))  # spectator-spectator
+        for _ in range(rng.integers(3)):
+            a, b = rng.choice(n, 2, replace=False)
+            couplings.append((int(a), int(b), g()))
+        cfg = ProtocolConfig(
+            code3.LogicalStateSpec(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)),
+            max_delay=float(rng.choice([7.5, 10.0, 12.5])),
+            total_free=tuple(float(t) for t in rng.choice(
+                [0.0, 5.0, 10.0, 17.5, 25.0, 32.5], size=3)),
+            recovery_variant=variant)
+        layout = SpectatorLayout(spectators, tuple(couplings))
+        got = run_multiqec_with_chadd(cfg, noise, layout, chadd=chadd)
+        want = run_multiqec_with_chadd_reference(cfg, noise, layout, chadd=chadd)
+        for a, b in zip(got, want, strict=True):
+            assert (a.total_free_us, a.total_evolution_us, a.rounds, a.chadd) \
+                == (b.total_free_us, b.total_evolution_us, b.rounds, b.chadd)
+            assert abs(a.fidelity - b.fidelity) <= 1e-12
+            assert abs(a.success_probability - b.success_probability) \
+                <= 1e-12 * b.success_probability
+
+    @pytest.mark.parametrize("spectators", [0, 1, 4])
+    def test_state_holds_one_data_block_per_spectator_string(self, monkeypatch,
+                                                            spectators):
+        # every state propagated or recovered has 64 * 2^k entries, the
+        # register's (8 * 2^k)^2 restricted to equal spectator bits
+        sizes = []
+        for owner, name in ((protocol, "propagate"), (code3, "apply_cycle")):
+            def wrapped(op, rho, original=getattr(owner, name)):
+                out = original(op, rho)
+                sizes.append((rho.size, np.size(out[0] if isinstance(out, tuple)
+                                                else out)))
+                return out
+            monkeypatch.setattr(owner, name, wrapped)
+        layout = SpectatorLayout(spectators, tuple(
+            (0, 3 + i, 0.05) for i in range(spectators)))
+        cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
+                             total_free=(45.0,))
+        run_multiqec_with_chadd(cfg, self.noise, layout, chadd=True)
+        # two rounds of 8 intervals, each with its recovery
+        assert len(sizes) == 2 * (8 + 1)
+        assert set(sizes) == {(64 * 2**spectators,) * 2}
 
     def test_default_coloring_is_proper(self):
         layout = SpectatorLayout(spectators=2,
