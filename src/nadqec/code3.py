@@ -52,7 +52,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .qcore import TOL_ARITH, check_density, ry, rz
+from .qcore import TOL_ARITH, check_density
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,13 @@ def encode_ideal(spec: LogicalStateSpec) -> np.ndarray:
 
 
 def prep_unitary(spec: LogicalStateSpec) -> np.ndarray:
-    """Single-qubit G with G|0> = cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>."""
-    return rz(spec.phi) @ ry(spec.theta)
+    """Single-qubit G = Rz(phi) Ry(theta), so G|0> = cos(theta/2)|0>
+    + e^{i phi} sin(theta/2)|1> up to a global phase, in closed form:
+    [[e c, -e s], [conj(e) s, conj(e) c]] with e = exp(-i phi/2),
+    c = cos(theta/2), s = sin(theta/2)."""
+    e = complex(math.cos(spec.phi / 2), -math.sin(spec.phi / 2))
+    c, s = math.cos(spec.theta / 2), math.sin(spec.theta / 2)
+    return np.array([[e * c, -e * s], [e.conjugate() * s, e.conjugate() * c]])
 
 
 def encoder_unitary() -> np.ndarray:
@@ -228,7 +233,7 @@ class RecoveryMap:
         if u.shape != (32, 32):
             raise ValueError("synthesized recovery must be a 5-qubit unitary")
         dev = np.max(np.abs(u.conj().T @ u - np.eye(32)))
-        if dev > 1e-9:
+        if not dev <= 1e-9:
             raise ValueError(f"synthesized recovery not unitary: "
                              f"max |W^dag W - I| = {dev}")
         cols = u[:, _KEPT_COLS]
@@ -292,22 +297,39 @@ def noise_superop(gammas: float | Sequence[float],
     |0><0| with weight gamma and stays with weight 1 - gamma, and each
     coherence scales by sqrt(1 - gamma) (1 - 2p). The map's 125 nonzeros
     are the products of one such entry per qubit, scattered into place.
+    The map is complex (its entries are real, so the conversion is exact),
+    so that products with complex states and maps cast no copy of it.
     """
     if isinstance(gammas, (int, float)) and isinstance(ps, (int, float)):
         v0 = v1 = v2 = _noise_entries(gammas, ps)
     else:
         v0, v1, v2 = (_noise_entries(g, p) for g, p in
                       zip(np.broadcast_to(gammas, 3), np.broadcast_to(ps, 3)))
-    noise = np.zeros(64 * 64)
+    noise = np.zeros(64 * 64, dtype=complex)
     noise[_NOISE_INDEX] = ((v0[:, None, None] * v1[None, :, None])
                            * v2[None, None, :]).ravel()
     return noise.reshape(64, 64)
 
 
+def _encoder_constants(en: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What the measured estimator reads of an encoder En: V = En[:, [0, 4]]
+    (8x2, the code space) and En^dag reshaped to (2, 32), whose row j holds
+    rows 4j..4j+3 of En^dag, the rows that q0 = j of the inverted encoder
+    writes."""
+    return en[:, [0, 4]], en.conj().T.reshape(2, 32)
+
+
+# The package encoder's constants, and the identity the estimator's
+# isometry check subtracts, built once so that a default estimator call
+# rebuilds none of them.
+_CODE, _ENCODER_DAG = _encoder_constants(_ENCODER)
+_EYE8 = np.eye(8)
+for _const in (_CODE, _ENCODER_DAG, _EYE8):
+    _const.setflags(write=False)
+
 # The code space on the row-major vec: Lambda = V kron conj(V) with
 # V = [|0_L> |1_L>] (8x2) sends vec(sigma) of a 2x2 logical state to
 # vec(V sigma V^dag); its columns are orthonormal, read-only.
-_CODE = _ENCODER[:, [0, 4]]
 _LOGICAL = np.kron(_CODE, _CODE.conj())
 _LOGICAL.setflags(write=False)
 
@@ -330,7 +352,7 @@ def logical_round(gammas: float | Sequence[float], ps: float | Sequence[float],
     out = rmap.superop() @ (noise_superop(gammas, ps) @ _LOGICAL)
     round_map = _LOGICAL.conj().T @ out
     leak = np.max(np.abs(out - _LOGICAL @ round_map))
-    if leak > 1e-12:
+    if not leak <= 1e-12:
         raise ValueError(f"the round leaks out of the code space by {leak}")
     return round_map
 
@@ -355,8 +377,9 @@ def logical_outcomes(thetas: Sequence[float], gamma: float, p: float,
     sigma0 = (psi[:, :, None] * psi[:, None, :]).reshape(-1, 4)
     out = sigma0 @ logical_round(gamma, p, rmap).T
     weights = np.real(out[:, 0] + out[:, 3])
-    if np.any(weights <= 0):
-        raise ValueError("post-selection removed all weight")
+    if not np.all(weights > 0):
+        raise ValueError(f"post-selection removed all weight (kept weight "
+                         f"{weights[~(weights > 0)][0]})")
     kept = out / weights[:, None]
     check_density(kept.reshape(-1, 2, 2))
     return np.real((kept * sigma0).sum(axis=1)), weights
@@ -379,8 +402,8 @@ def apply_cycle(superop: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, float
                          f"qubits")
     out = (superop @ rho.reshape(64, -1)).reshape(rho.shape)
     weight = float(np.real(np.trace(out).sum()))
-    if weight <= 0:
-        raise ValueError("post-selection removed all weight")
+    if not weight > 0:
+        raise ValueError(f"post-selection removed all weight (kept weight {weight})")
     return out / weight, weight / float(np.real(np.trace(rho).sum()))
 
 
@@ -412,7 +435,7 @@ def qec_cycle(psi: np.ndarray, gamma: float, p: float,
         raise ValueError(f"qec_cycle takes the encoded 3-qubit 8-vector, "
                          f"got shape {psi.shape}")
     norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > TOL_ARITH:
+    if not abs(norm - 1.0) <= TOL_ARITH:
         raise ValueError(f"state not normalized: |psi| = {norm}")
     rho = np.outer(psi, psi.conj())
     noisy = (noise_superop(gamma, p) @ rho.ravel()).reshape(8, 8)
@@ -440,29 +463,43 @@ def measured_circuit_distribution(
     extraction sends |d>|00> to |d, parity(d), 0>, so the rest is the 32x8
     isometry V0 = ((G^dag En^dag) x I4) K with K = W[:, 4d + 2 parity(d)]
     (:meth:`RecoveryMap.kept_columns`). Entry (d, a2) of the distribution
-    is sum_a1 <d, a1, a2| V0 rho V0^dag |d, a1, a2>; V0 rho V0^dag itself is
-    never formed. rho is checked as a density matrix, V0^dag V0 = I within
-    1e-9, and the distribution's sum, the trace of V0 rho V0^dag, within
-    TOL_ARITH of 1.
+    is sum_a1 <d, a1, a2| V0 rho V0^dag |d, a1, a2>, read off in one
+    ``einsum`` of V0 rho against conj(V0); V0 rho V0^dag itself is never
+    formed. G is :func:`prep_unitary`'s closed form. What the circuit reads
+    of the package encoder, V = En[:, [0, 4]] (``_CODE``) and En^dag as
+    (2, 32) (``_ENCODER_DAG``), and the isometry check's identity
+    (``_EYE8``) are module constants built once at import by
+    ``_encoder_constants``; a passed ``encoder`` goes through the same
+    helper once per call.
+
+    Checks, each written so that NaN fails it: rho is a density matrix
+    (``check_density``), V0^dag V0 = I within 1e-9, and the distribution's
+    sum, the trace of V0 rho V0^dag, is 1 within TOL_ARITH. A NaN in the
+    encoder or the recovery raises rather than returning NaN
+    probabilities.
     """
     if rmap is None:
         rmap = RecoveryMap.ideal(gamma)
     g = prep_unitary(spec)  # G on q0 of the data
-    en = encoder_unitary() if encoder is None else np.asarray(encoder, complex)
-    psi = en[:, [0, 4]] @ g[:, 0]  # G|000> has amplitudes G[:, 0] on |000>, |100>
+    if encoder is None:
+        code, en_dag = _CODE, _ENCODER_DAG
+    else:
+        code, en_dag = _encoder_constants(np.asarray(encoder, complex))
+    psi = code @ g[:, 0]  # G|000> has amplitudes G[:, 0] on |000>, |100>
     rho = (noise_superop(gamma, p) @ np.outer(psi, psi.conj()).ravel()).reshape(8, 8)
     check_density(rho)
     # (G^dag x I4) En^dag, then that x I4 times K, each on its row's leading index
-    m = (g.conj().T @ en.conj().T.reshape(2, 32)).reshape(8, 8)
+    m = (g.conj().T @ en_dag).reshape(8, 8)
     v0 = (m @ rmap.kept_columns().reshape(8, 32)).reshape(32, 8)
-    dev = np.max(np.abs(v0.conj().T @ v0 - np.eye(8)))
-    if dev > 1e-9:
+    dev = np.abs(v0.conj().T @ v0 - _EYE8).max()
+    if not dev <= 1e-9:
         raise ValueError(f"post-noise circuit not an isometry: "
                          f"max |V0^dag V0 - I| = {dev}")
-    diag = np.real(np.sum((v0 @ rho) * v0.conj(), axis=1))
-    probs = diag.reshape(8, 2, 2).sum(axis=1).ravel()  # sum over a1
+    # rows of V0 are (d, a1, a2); sum over a1 and the data column index
+    probs = np.einsum("dabj,dabj->db", (v0 @ rho).reshape(8, 2, 2, 8),
+                      v0.conj().reshape(8, 2, 2, 8)).real.ravel()
     total = probs.sum()
-    if abs(total - 1.0) > TOL_ARITH:
+    if not abs(total - 1.0) <= TOL_ARITH:
         raise ValueError(f"outcome probabilities sum to {total}, not 1")
     return probs
 
@@ -472,8 +509,8 @@ def fidelity_from_distribution(probs: np.ndarray) -> tuple[float, float]:
     measured estimator; the a2 success bit is the least significant."""
     probs = np.asarray(probs, dtype=float)
     success = probs[0::2].sum()  # a2 = 0
-    if success <= 0:
-        raise ValueError("post-selection removed all weight")
+    if not success > 0:
+        raise ValueError(f"post-selection removed all weight (kept weight {success})")
     return float(probs[0] / success), float(success)
 
 

@@ -209,8 +209,8 @@ def _advance(round_map: np.ndarray, state: np.ndarray) -> tuple[np.ndarray, floa
     renormalized to unit trace, and its trace."""
     out = round_map @ state
     weight = float(np.real(out[0] + out[3]))
-    if weight <= 0:
-        raise ValueError("post-selection removed all weight")
+    if not weight > 0:
+        raise ValueError(f"post-selection removed all weight (kept weight {weight})")
     return out / weight, weight
 
 

@@ -12,6 +12,8 @@ class; ``check_density`` validates a density matrix or a stack of them.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Tolerance constants shared across the package. STRUCT covers structural
@@ -26,20 +28,28 @@ def check_density(data: np.ndarray, normalized: bool = True) -> None:
     TOL_ARITH when ``normalized``, and positive semidefinite within
     TOL_STRUCT; a stack is checked in one call and reports its worst
     matrix. ``normalized=False`` admits a sub-normalized post-selection
-    branch, whose weight is carried in the trace."""
+    branch, whose weight is carried in the trace.
+
+    Each check is written so that NaN fails it (``not x <= tol``), and any
+    non-finite entry makes the Hermiticity residual non-finite (inf - inf
+    and NaN - x are NaN, inf - x is inf), so a matrix holding NaN or inf
+    raises "not finite" with that residual. The checks are numpy reductions
+    only: one ``np.abs(...).max()``, the traces, and the lowest eigenvalues'
+    ``.min()``."""
     if data.size == 0:
         return
-    herm = abs(data - data.swapaxes(-1, -2).conj()).max()
-    if herm > TOL_ARITH:
-        raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm}")
+    herm = np.abs(data - data.swapaxes(-1, -2).conj()).max()
+    if not herm <= TOL_ARITH:
+        kind = "not Hermitian" if math.isfinite(herm) else "not finite"
+        raise ValueError(f"{kind}: max |rho - rho^dag| = {herm}")
     if normalized:
         traces = data.trace(0, -2, -1).real.ravel()
-        off = abs(traces - 1.0)
-        if off.max() > TOL_ARITH:
+        off = np.abs(traces - 1.0)
+        if not off.max() <= TOL_ARITH:
             raise ValueError(f"trace {traces[off.argmax()]} != 1 for "
                              f"normalized matrix")
-    min_eig = min(np.linalg.eigvalsh(data)[..., 0].flat)
-    if min_eig < -TOL_STRUCT:
+    min_eig = np.linalg.eigvalsh(data)[..., 0].min()
+    if not min_eig >= -TOL_STRUCT:
         raise ValueError(f"not positive semidefinite: min eigenvalue {min_eig}")
 
 

@@ -57,7 +57,7 @@ from nadqec.code3 import (
     success_probability_minus_form,
     success_probability_zero_logical,
 )
-from nadqec.qcore import check_density
+from nadqec.qcore import check_density, ry, rz
 
 
 def brute_force_cycle(theta, phi, gamma, p, recovery_gamma):
@@ -863,6 +863,88 @@ class TestCompiledEstimator:
         probs = measured_circuit_distribution(LogicalStateSpec(1.0, 0.5), 1.0, p)
         with pytest.raises(ValueError, match="post-selection removed all weight"):
             fidelity_from_distribution(probs)
+
+    def test_default_encoder_equals_explicit_encoder_bit_for_bit(self):
+        # the module constants and a passed encoder go through one helper
+        rng = np.random.default_rng(25)
+        for _ in range(50):
+            spec = LogicalStateSpec(rng.uniform(0, math.pi),
+                                    rng.uniform(0, 2 * math.pi))
+            g, p = rng.uniform(0, 0.3), rng.uniform(0, 0.2)
+            assert np.array_equal(
+                measured_circuit_distribution(spec, g, p),
+                measured_circuit_distribution(spec, g, p,
+                                              encoder=encoder_unitary()))
+
+    def test_prep_unitary_is_rz_ry(self):
+        for theta in np.linspace(0.0, math.pi, 7):
+            for phi in (0.0, 0.4, math.pi / 2, math.pi, 4.0, 2 * math.pi - 1e-9):
+                got = code3.prep_unitary(LogicalStateSpec(theta, phi))
+                assert np.max(np.abs(got - rz(phi) @ ry(theta))) <= 1e-15
+
+    def test_noise_map_is_complex_with_real_entries(self):
+        noise = noise_superop([0.1, 0.2, 0.3], [0.01, 0.0, 0.5])
+        assert noise.dtype == complex and not np.any(noise.imag)
+
+
+class TestNonFiniteInputsRaise:
+    """Every guard is written so that NaN fails it; none lets NaN through."""
+
+    def test_estimator_rejects_nan_encoder_column(self):
+        # column 3 is never read by the prepared state, so the noisy state
+        # is valid and the isometry check sees max |V0^dag V0 - I| = nan
+        encoder = encoder_unitary().copy()
+        encoder[:, 3] = np.nan
+        with pytest.raises(ValueError, match="not an isometry.* = nan"):
+            measured_circuit_distribution(LogicalStateSpec(1.0, 0.3), 0.1, 0.01,
+                                          encoder=encoder)
+
+    def test_estimator_rejects_nan_codeword_column(self):
+        encoder = encoder_unitary().copy()
+        encoder[:, 0] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            measured_circuit_distribution(LogicalStateSpec(1.0, 0.3), 0.1, 0.01,
+                                          encoder=encoder)
+
+    def test_estimator_sum_check_rejects_nan(self, monkeypatch):
+        # with the density check switched off, a NaN noise map reaches the
+        # last check, which must still fire
+        monkeypatch.setattr(code3, "check_density", lambda *a, **k: None)
+        monkeypatch.setattr(code3, "noise_superop",
+                            lambda *a: np.full((64, 64), np.nan))
+        with pytest.raises(ValueError, match="sum to nan"):
+            measured_circuit_distribution(LogicalStateSpec(1.0, 0.3), 0.1, 0.01)
+
+    def test_fidelity_from_distribution_rejects_nan(self):
+        with pytest.raises(ValueError, match="removed all weight.*nan"):
+            fidelity_from_distribution(np.full(16, np.nan))
+
+    def test_apply_cycle_rejects_nan_weight(self):
+        with pytest.raises(ValueError, match="removed all weight.*nan"):
+            apply_cycle(np.full((64, 64), np.nan), pure(codeword(0)))
+
+    def test_synthesized_rejects_nan_unitary(self):
+        w = np.eye(32, dtype=complex)
+        w[3, 3] = np.nan
+        with pytest.raises(ValueError, match="not unitary.* = nan"):
+            RecoveryMap.synthesized(w)
+
+    def test_logical_round_rejects_nan_leak(self):
+        cols = RecoveryMap.ideal(0.1).kept_columns().copy()
+        cols[0, 0] = np.nan
+        with pytest.raises(ValueError, match="leaks out of the code space by nan"):
+            logical_round(0.1, 0.01, RecoveryMap(cols))
+
+    def test_logical_outcomes_rejects_nan_weight(self, monkeypatch):
+        monkeypatch.setattr(code3, "logical_round",
+                            lambda *a: np.full((4, 4), np.nan))
+        with pytest.raises(ValueError, match="removed all weight.*nan"):
+            logical_outcomes([0.0, 1.0], 0.1, 0.01, RecoveryMap.ideal(0.1))
+
+    def test_qec_cycle_rejects_nan_state(self):
+        psi = np.full(8, np.nan, dtype=complex)
+        with pytest.raises(ValueError, match="not normalized"):
+            qec_cycle(psi, 0.1, 0.01, RecoveryMap.ideal(0.1))
 
 
 class TestEncoderInvariance:

@@ -275,6 +275,12 @@ class TestMultiQec:
         with pytest.raises(ValueError, match="post-selection removed all weight"):
             run_multiqec(cfg, NoiseParams(t1=0.5))
 
+    def test_nan_weight_raises(self):
+        # the weight guard is written so that NaN fails it
+        state = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+        with pytest.raises(ValueError, match="removed all weight.*nan"):
+            protocol._advance(np.full((4, 4), np.nan), state)
+
     def test_sweep_point_equals_its_lone_run(self):
         # shared squares change no bit
         total_free = (600.0, 0.0, 90.0, 20.0, 45.0, 1e5)

@@ -251,6 +251,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="not Hermitian"):
             check_density(np.array([[1, 1], [0, 0]]))
 
+    def test_infinite_coherence_is_not_finite(self):
+        # inf against a finite transpose entry leaves an inf residual
+        with pytest.raises(ValueError, match="not finite: .* = inf"):
+            check_density(np.array([[0.5, np.inf], [0.0, 0.5]]))
+
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(ValueError, match="not positive semidefinite"):
             check_density(np.diag([1.5, -0.5]))
@@ -278,6 +283,21 @@ class TestValidation:
         for stack in ([bad, good, good], [good, good, bad]):
             with pytest.raises(ValueError, match=message):
                 check_density(np.array(stack, dtype=complex))
+
+    @pytest.mark.parametrize("bad", [
+        np.diag([np.nan, 0.0, 0.0, 0.0]),
+        np.diag([np.inf, 0.0]),
+        np.array([[0.5, np.nan], [np.nan, 0.5]]),
+    ], ids=["nan-diagonal", "inf-diagonal", "nan-coherence"])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+    def test_non_finite_rejected(self, bad):
+        # every comparison fails on NaN, so a non-finite entry raises and
+        # the message names the residual that is not finite
+        with pytest.raises(ValueError, match=r"not finite: .* = nan"):
+            check_density(bad, normalized=False)
+        good = np.zeros_like(bad, dtype=complex)
+        with pytest.raises(ValueError, match="not finite"):
+            check_density(np.array([good, bad]), normalized=False)
 
     def test_stack_tolerances_match_density_matrix(self):
         # just inside each tolerance passes, just outside fails, for one
