@@ -367,16 +367,20 @@ def _run_oracle_check(spec: ExperimentSpec, out: Path) -> None:
     # one batched logical round per gamma; the rows run theta outer, gamma inner
     outcomes = [code3.logical_outcomes(thetas, g, 0.0, code3.RecoveryMap.ideal(g))
                 for g in gammas]
-    dev_f = dev_p_app = dev_p_main = 0.0
+    # the closed-form round the multi-round runner and the gain model use
+    rounds = [code3.PauliRound.of_noise(g, 0.0) for g in gammas]
+    dev_f = dev_p_app = dev_p_main = dev_closed = 0.0
     rows = []
     for i, theta in enumerate(thetas):
-        for g, (fids, probs) in zip(gammas, outcomes):
+        for g, rnd, (fids, probs) in zip(gammas, rounds, outcomes):
             f, prob = fids[i], probs[i]
             df = abs(f - code3.oracle_fidelity_ad(theta, g))
             dpa = abs(prob - code3.oracle_success_probability(theta, g, 0.0))
             dpm = abs(prob - code3.success_probability_minus_form(theta, g))
             dev_f, dev_p_app = max(dev_f, df), max(dev_p_app, dpa)
             dev_p_main = max(dev_p_main, dpm)
+            dev_closed = max(dev_closed, *(abs(a - b) for a, b in
+                                           zip(rnd.outcome(theta), (f, prob))))
             rows.append((theta, g, f, prob, df, dpa))
     _write_csv(out, ["theta", "gamma", "fidelity", "p_success",
                      "fidelity_deviation", "p_success_deviation"], rows)
@@ -385,8 +389,12 @@ def _run_oracle_check(spec: ExperimentSpec, out: Path) -> None:
     print(f"max |p_sim - p_minus_form| = {dev_p_main:.3e}")
     print(f"success-probability form matched: "
           f"{code3.success_form(dev_p_app, dev_p_main)}")
+    print(f"max |closed-form round - 64x64 round| = {dev_closed:.3e}")
     if dev_f > 1e-10 or dev_p_app > 1e-10:
         raise RuntimeError("oracle deviation above 1e-10")
+    if not dev_closed <= 1e-12:
+        raise RuntimeError("closed-form round deviates from the 64x64 round "
+                           "by more than 1e-12")
 
 
 @dataclass(frozen=True)
@@ -428,7 +436,8 @@ CATALOG: dict[str, ExperimentKind] = {
         ("restarts",)),
     "oracle-check": ExperimentKind(
         _run_oracle_check, (),
-        "fig1b", "closed-form oracles vs simulation on a (theta, gamma) grid",
+        "fig1b", "closed-form oracles and the closed-form round vs the 64x64 "
+        "round on a (theta, gamma) grid",
         ("theta_points", "gamma_points")),
 }
 

@@ -32,11 +32,14 @@ one per classical-spectator bit string, as one (64, m) product, so
 and the data + spectator registers of ``protocol.run_multiqec_with_chadd``
 share it. For the analytic recoveries a round that starts in the code
 space ends there, so ``logical_round`` restricts it exactly to a 4x4 map
-on the 2x2 logical state, which ``protocol.run_multiqec`` powers and ``logical_outcomes``
-applies to a batch of encoded states for the single-round callers (the
-``oracle-check`` kind, ``match_success_form`` and the gain model). The
-measured estimator applies the same noise map, then its post-noise circuit as one
-32x8 isometry built from the same 8 columns (``RecoveryMap.kept_columns``).
+on the 2x2 logical state, which ``logical_outcomes`` applies to a batch of
+encoded states (the ``oracle-check`` kind and ``match_success_form``).
+``PauliRound`` is that round in closed form, per-qubit noise included, with
+powers in closed form too: ``protocol.run_multiqec`` and the gain model
+run on it and build no 64x64 map, and ``oracle-check`` and the tests pin
+it to ``logical_round``. The measured estimator applies the same noise map,
+then its post-noise circuit as one 32x8 isometry built from the same 8
+columns (``RecoveryMap.kept_columns``).
 
 The success probability comes in two closed-form variants that disagree
 in one sign; see ``success_probability_minus_form`` /
@@ -383,6 +386,169 @@ def logical_outcomes(thetas: Sequence[float], gamma: float, p: float,
     kept = out / weights[:, None]
     check_density(kept.reshape(-1, 2, 2))
     return np.real((kept * sigma0).sum(axis=1)), weights
+
+
+# ---------------------------------------------------------------------------
+# The analytic round in closed form
+# ---------------------------------------------------------------------------
+
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def _per_qubit(values: float | Sequence[float]) -> list[float]:
+    """A shared scalar or one value per data qubit, as three floats."""
+    if np.ndim(values) == 0:
+        return [float(values)] * 3
+    return [float(v) for v in np.broadcast_to(values, 3)]
+
+
+def _log_mean_exp(zs: Sequence[float]) -> float:
+    """log((1/3) sum_i exp(-z_i)) over three z_i >= 0, as -min(z) plus a
+    log1p whose argument lies in [-2/3, 0]: accurate to a few ulp of the
+    z_i near 0, and -inf when every z_i is."""
+    low = min(zs)
+    if low == math.inf:
+        return -math.inf
+    return -low + math.log1p(sum(math.expm1(low - z) for z in zs) / 3)
+
+
+@dataclass(frozen=True)
+class PauliRound:
+    """One round of the noise then an analytic recovery (the ``ideal``
+    gamma-adapted one or the ``approximate`` gamma = 0 one) on the logical
+    state, in closed form. It is what :func:`logical_round` computes
+    numerically from the 64x64 maps, derived symbolically (sympy) for
+    per-qubit damping gamma_q and dephasing p_q.
+
+    With g_q = gamma_q, c_q = sqrt(1 - g_q)(1 - 2p_q) (a coherence's
+    factor), r = 1 - gamma of the recovery (1 for ``approximate``), e1 =
+    sum_q g_q, e2 = sum_{q<s} g_q g_s and C2 = sum_{q<s} c_q c_s, the round
+    keeps the populations of |0_L> and |1_L> by the upper-triangular map
+    [[T00, T01], [0, T11]], T00 = r^2 (3 + 2 e1 + 2 C2)/9, T01 = r^2 e2/3,
+    T11 = sum_{q<s} (1 - g_q)(1 - g_s)/3, and scales the coherence by
+    lam = r C2/3. Its Pauli transfer matrix (:meth:`pauli`, Greenbaum,
+    arXiv:1509.02921) is one 2x2 block on (I, Z) and lam on X and on Y.
+    For uniform noise, with a = g^2/2, b = (4/3) p (1 - p)(1 - g) and
+    w = (1 - g)^2, the ``ideal`` (I, Z) block is w (I + u v^T), u = (1, 1),
+    v = (a - b, -a - b).
+
+    Powers need no products: T^k has T00^k and T11^k on its diagonal and
+    T01 (T00^k - T11^k)/(T00 - T11) above it, which :meth:`advance`
+    evaluates as exp, expm1 and log1p of the fields below. Each field has
+    an error of a few ulp of the round's own rates, so k rounds carry an
+    error of a few ulp of k times those rates, the rate times the total
+    time: no rounding is amplified k-fold. For ``ideal`` uniform noise the
+    power is w^k (I + c_k u v^T), c_k = -expm1(k log1p(-2b))/(2b).
+    """
+
+    log_keep0: float  # log T00
+    log_keep1: float  # log T11
+    feed: float  # T01
+    log_coherence: float  # log lam
+
+    @classmethod
+    def of_delay(cls, delay: float, t1s: Sequence[float], tphis: Sequence[float],
+                 variant: str = "ideal") -> "PauliRound":
+        """The round of one idle ``delay`` with per-qubit T1 and Tphi (three
+        each), its weights taken from the delay itself: log(1 - gamma_q) =
+        -delay/T1_q and 1 - 2 p_q = exp(-delay/Tphi_q). ``ideal`` adapts to
+        qubit 0's gamma."""
+        return cls._of_exponents([delay / t for t in t1s],
+                                 [delay / t for t in tphis], variant)
+
+    @classmethod
+    def of_noise(cls, gammas: float | Sequence[float], ps: float | Sequence[float],
+                 variant: str = "ideal") -> "PauliRound":
+        """The round of damping gammas and dephasing ps (shared scalars or one
+        value per data qubit), as :func:`logical_round` takes them."""
+        gammas, ps = _per_qubit(gammas), _per_qubit(ps)
+        for g, p in zip(gammas, ps):
+            if not 0.0 <= g <= 1.0:
+                raise ValueError(f"gamma {g} outside [0, 1]")
+            if not 0.0 <= p <= 0.5:
+                raise ValueError(f"dephasing probability {p} outside [0, 0.5]")
+        return cls._of_exponents(
+            [-math.log1p(-g) if g < 1 else math.inf for g in gammas],
+            [-math.log1p(-2 * p) if p < 0.5 else math.inf for p in ps], variant)
+
+    @classmethod
+    def _of_exponents(cls, x: Sequence[float], y: Sequence[float],
+                      variant: str) -> "PauliRound":
+        """From x_q = -log(1 - g_q) and y_q = -log(1 - 2 p_q). Where 1 -
+        exp(-x_q) rounds to 1, gamma_q is 1, as :func:`logical_round` and the
+        recovery built from that gamma see it."""
+        if variant not in ("ideal", "approximate"):
+            raise ValueError(f"unknown recovery variant {variant!r}")
+        if not all(v >= 0 for v in (*x, *y)):
+            raise ValueError(f"negative or NaN noise exponent in {list(x)}, {list(y)}")
+        x = [math.inf if -math.expm1(-v) == 1.0 else v for v in x]
+        log_r = -x[0] if variant == "ideal" else 0.0
+        gs = [-math.expm1(-v) for v in x]
+        coh = [(x[a] + x[b]) / 2 + y[a] + y[b] for a, b in _PAIRS]
+        # T00 / r^2 = 1 + (2/9)(sum_q g_q - sum_{q<s} (1 - c_q c_s))
+        drift = sum(gs) + sum(math.expm1(-z) for z in coh)
+        return cls(log_keep0=2 * log_r + math.log1p(2 * drift / 9),
+                   log_keep1=_log_mean_exp([x[a] + x[b] for a, b in _PAIRS]),
+                   feed=math.exp(2 * log_r) * sum(gs[a] * gs[b] for a, b in _PAIRS) / 3,
+                   log_coherence=log_r + _log_mean_exp(coh))
+
+    def pauli(self) -> np.ndarray:
+        """The 4x4 Pauli transfer matrix R_ij = Tr(P_i L(P_j))/2 over
+        (I, X, Y, Z)."""
+        t00, t11 = math.exp(self.log_keep0), math.exp(self.log_keep1)
+        t01, lam = self.feed, math.exp(self.log_coherence)
+        return np.array([[(t00 + t01 + t11) / 2, 0, 0, (t00 - t01 - t11) / 2],
+                         [0, lam, 0, 0], [0, 0, lam, 0],
+                         [(t00 + t01 - t11) / 2, 0, 0, (t00 - t01 + t11) / 2]])
+
+    def advance(self, state: tuple, k: int = 1) -> tuple[tuple, float]:
+        """k >= 1 rounds applied to a logical state (p0, p1, coh): the
+        populations of |0_L> and |1_L> and |<0_L|sigma|1_L>| (the round keeps
+        the coherence's phase). Returns the kept state renormalized to unit
+        trace and its weight, the success probability of the k rounds.
+
+        Every term is scaled by exp(-k top), top the larger log population
+        weight, so the state stays defined where the weight underflows to
+        0.0. The weight guard is written so that NaN fails it: a kept trace
+        of 0 or NaN raises ValueError."""
+        p0, p1, coh = state
+        top = max(self.log_keep0, self.log_keep1)
+        if top == -math.inf:
+            trace = weight = 0.0
+        else:
+            gap = abs(self.log_keep0 - self.log_keep1)
+            # (T00^k - T11^k) / (T00 - T11) / exp((k - 1) top)
+            ratio = k if gap == 0 else math.expm1(-k * gap) / math.expm1(-gap)
+            p0 = math.exp(k * (self.log_keep0 - top)) * p0 \
+                + self.feed * math.exp(-top) * ratio * p1
+            p1 = math.exp(k * (self.log_keep1 - top)) * p1
+            coh *= math.exp(k * (self.log_coherence - top))
+            trace = p0 + p1
+            weight = math.exp(k * top) * trace
+        if not trace > 0:
+            raise ValueError(f"post-selection removed all weight (kept weight {weight})")
+        return (p0 / trace, p1 / trace, coh / trace), weight
+
+    def outcome(self, theta: float) -> tuple[float, float]:
+        """(fidelity, success probability) of one round on the encoded state
+        cos(theta/2)|0_L> + e^{i phi} sin(theta/2)|1_L>, for any phi."""
+        start = logical_state(theta)
+        state, weight = self.advance(start)
+        return logical_fidelity(start, state), weight
+
+
+def logical_state(theta: float) -> tuple[float, float, float]:
+    """The encoded state at Bloch angle theta as :meth:`PauliRound.advance`
+    takes it: (cos^2(theta/2), sin^2(theta/2), cos(theta/2) sin(theta/2))."""
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return c * c, s * s, c * s
+
+
+def logical_fidelity(start: tuple, state: tuple) -> float:
+    """<psi|sigma|psi> of a unit-trace ``state`` to the pure ``start``
+    (both as :func:`logical_state` gives them):
+    c^2 p0 + s^2 p1 + 2 c s coh."""
+    return start[0] * state[0] + start[1] * state[1] + 2 * start[2] * state[2]
 
 
 def apply_cycle(superop: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, float]:

@@ -143,8 +143,9 @@ def gain_theoretical_detail(theta: float, gamma: float, p: float,
                             e_meas: float) -> GainBreakdown:
     """Per-shot gain model.
 
-    F_QEC and p_success come from the exact single-round simulation,
-    ``code3.logical_outcomes`` (which the closed-form oracles validate),
+    F_QEC and p_success are one round of the gamma-adapted code in closed
+    form, ``code3.PauliRound.outcome`` (which ``oracle-check`` and the tests
+    pin to the numeric 64x64 round, ``code3.logical_outcomes``),
     F_bare = 1 - gamma from |1> decay, and the per-shot sigmas are binomial
     in the adjusted fidelities:
     gain = (F*_QEC sigma_bare) / (F*_bare sigma_QEC) * sqrt(p_success).
@@ -154,9 +155,7 @@ def gain_theoretical_detail(theta: float, gamma: float, p: float,
 
 def _adapted_cycle(theta: float, gamma: float, p: float) -> tuple[float, float]:
     """(F, P) of one round with the gamma-adapted recovery."""
-    fids, probs = code3.logical_outcomes([theta], gamma, p,
-                                         code3.RecoveryMap.ideal(gamma))
-    return float(fids[0]), float(probs[0])
+    return code3.PauliRound.of_noise(gamma, p, "ideal").outcome(theta)
 
 
 def _gain_breakdown(outcome: tuple[float, float], gamma: float,
@@ -196,7 +195,7 @@ def gain_surface(
 ) -> list[GainCell]:
     """Gain over a (T1, E_meas, delay) grid with T2 = 2 T1 (no pure
     dephasing). Grid order: T1 outer, then E_meas, then delay. The QEC
-    cycle is simulated once per distinct gamma."""
+    round is evaluated in closed form once per distinct gamma."""
     if not (len(t1_range) and len(emeas_range) and len(delay_range)):
         raise ValueError("all grid ranges must be non-empty")
     cycles: dict[float, tuple[float, float]] = {}

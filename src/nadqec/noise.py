@@ -1,7 +1,9 @@
 """Noise strengths from coherence times and readout error.
 
 Damping strength follows gamma(t) = 1 - exp(-t/T1); the pure-dephasing
-probability follows p(t) = (1 - exp(-t/Tphi)) / 2. Idle noise over a delay
+probability follows p(t) = (1 - exp(-t/Tphi)) / 2, which the package never
+forms: the closed-form round (``code3.PauliRound.of_delay``) takes
+1 - 2p = exp(-t/Tphi) from the delay itself. Idle noise over a delay
 is amplitude damping followed by dephasing on each data qubit; the two
 commute exactly, and ``code3.noise_superop`` applies them as one compiled
 map. Readout error is an independent flip of each measured bit
@@ -82,17 +84,6 @@ def gamma_of_t(t: float, t1: float) -> float:
     if t1 <= 0:
         raise ValueError(f"T1 must be positive, got {t1}")
     return 1.0 - math.exp(-t / t1)
-
-
-def p_of_t(t: float, tphi: float) -> float:
-    """Dephasing probability accumulated over an idle window of length t."""
-    if t < 0:
-        raise ValueError(f"negative time {t}")
-    if tphi <= 0:
-        raise ValueError(f"Tphi must be positive, got {tphi}")
-    if math.isinf(tphi):
-        return 0.0
-    return 0.5 * (1.0 - math.exp(-t / tphi))
 
 
 def readout_flip(distribution: np.ndarray, e_meas: float) -> np.ndarray:

@@ -4,17 +4,17 @@ two-qubit ZZ-crosstalk Lindblad toy model.
 Both multi-round runners share one sweep loop (``_run_rounds``), and each
 builds a distinct delay's round once per call; they differ only in how a
 point reaches k full rounds. ``run_multiqec``'s round starts and ends in the
-code space, so it runs on the 2x2 logical state as the 4x4 map of
-``code3.logical_round``, and k rounds are binary powers of that map: a point
-costs O(log k) 4x4 products, so 1e12 rounds take as long as 40 (see
-``run_multiqec`` for the accuracy of the squaring). ``run_multiqec_with_chadd``'s
-round is Lindblad evolution of the data + spectator register, optionally as
-one robust CHaDD cycle, then the kept recovery branch
-(``RecoveryMap.superop``) applied by ``code3.apply_cycle``. Its spectators
-stay classical, so it holds the register as one 8x8 data block per
-spectator bit string, 64 * 2^k numbers for k spectators; it walks full
-rounds once per call and keeps the states at the round counts that sweep
-points end on. The robust cycle is the constant pulse list
+code space, so it runs on the logical state as ``code3.PauliRound``, the
+round in closed form, and k rounds are that form's closed-form power: a
+point costs a few scalar operations at any k, 1e18 rounds as many as one,
+and the result is exact to a few ulp (see ``run_multiqec``).
+``run_multiqec_with_chadd``'s round is Lindblad evolution of the data +
+spectator register, optionally as one robust CHaDD cycle, then the kept
+recovery branch (``RecoveryMap.superop``) applied by ``code3.apply_cycle``.
+Its spectators stay classical, so it holds the register as one 8x8 data
+block per spectator bit string, 64 * 2^k numbers for k spectators; it walks
+full rounds once per call and keeps the states at the round counts that
+sweep points end on. The robust cycle is the constant pulse list
 ``ROBUST_PULSES``, which ``_chadd_cycle`` walks for this runner and for the
 ZZ toy alike.
 
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -53,7 +54,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import code3
-from .noise import NoiseParams, gamma_of_t, p_of_t
+from .noise import NoiseParams, gamma_of_t
 from .qcore import check_density
 
 
@@ -181,12 +182,20 @@ def _run_rounds(config: ProtocolConfig,
     p_round), for a point's remainder. Every point's schedule and timing
     come from one integer pass over the sweep (``_schedules``), and
     ``score`` turns the final states of all points into their fidelities in
-    one call. A point whose carried success probability exceeds 1 + 1e-12
-    (rounding amplified over very many rounds) raises ValueError."""
+    one call. A point whose total evolution time exceeds the largest float,
+    or whose carried success probability exceeds 1 + 1e-12, raises
+    ValueError."""
     den, schedules = _schedules(config.total_free, config.max_delay)
     finals, rows = [], []
     reach = reach_for({k for k, _, _ in schedules})
     for total_free, (k, rest, evolution) in zip(config.total_free, schedules):
+        try:
+            evolution_us = evolution / den
+        except OverflowError:
+            raise ValueError(
+                f"the total evolution time at total_free {total_free} with "
+                f"max_delay {config.max_delay} exceeds {sys.float_info.max!r} "
+                f"us, the largest float") from None
         state, p_total = reach(k)
         if rest:
             state, p_round = round_for(rest / den)(state)
@@ -194,24 +203,13 @@ def _run_rounds(config: ProtocolConfig,
         if p_total > 1 + 1e-12:
             raise ValueError(
                 f"success probability {p_total} exceeds 1 at total_free "
-                f"{total_free} with max_delay {config.max_delay}: the round "
-                f"map's rounding, amplified over too many rounds")
+                f"{total_free} with max_delay {config.max_delay}")
         finals.append(state)
-        rows.append((total_free, evolution / den, k + (rest > 0), p_total))
+        rows.append((total_free, evolution_us, k + (rest > 0), p_total))
     return [MultiQecPoint(total_free_us=t, total_evolution_us=evolution,
                           rounds=n, fidelity=f, success_probability=p,
                           variant=config.recovery_variant, chadd=chadd)
             for (t, evolution, n, p), f in zip(rows, score(finals), strict=True)]
-
-
-def _advance(round_map: np.ndarray, state: np.ndarray) -> tuple[np.ndarray, float]:
-    """A 4x4 map applied to the vec of a 2x2 logical state: the result
-    renormalized to unit trace, and its trace."""
-    out = round_map @ state
-    weight = float(np.real(out[0] + out[3]))
-    if not weight > 0:
-        raise ValueError(f"post-selection removed all weight (kept weight {weight})")
-    return out / weight, weight
 
 
 def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoint]:
@@ -219,90 +217,52 @@ def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoi
     report fidelity against the ideal logical state and the cumulative
     post-selection probability.
 
-    Idle noise uses gamma(t) and p(t) over each delay; the recovery window
-    itself is noiseless (gates are time-accounted but error-free), which
-    keeps single-round runs exactly on the closed-form oracle.
+    Idle noise is damping and dephasing over each delay; the recovery
+    window itself is noiseless (gates are time-accounted but error-free),
+    which keeps single-round runs exactly on the closed-form oracle.
 
-    A round starts and ends in the code space, so it runs on the 2x2
-    logical state sigma as the 4x4 map L of ``code3.logical_round``, built
-    once per distinct delay. k full rounds are L^k by binary powers: the
-    squares L^(2^j) are built once per call, each renormalized by its
-    largest entry with the log of that scale carried alongside (L is
-    defective, so eigenvalues would not do), and a point applies the
-    squares of k's set bits to its state, lowest first, so it costs
-    O(log k) 4x4 products. The state and log-weight after each low-bit
-    prefix k & (2^(j+1) - 1) are kept for the call, so points share them:
-    a point resumes from its longest prefix already reached and replays
-    exactly the float operations of its lone run. F is psi_L^dag sigma
-    psi_L and P the carried weight. Every reported sigma is validated in
-    one batched ``qcore.check_density``.
+    A round starts and ends in the code space, so it acts on the logical
+    state as ``code3.PauliRound``, the round in closed form, built once per
+    distinct delay from the delay itself (log(1 - gamma_q) = -delay/T1_q,
+    1 - 2 p_q = exp(-delay/Tphi_q)), per-qubit lifetimes included. A point
+    reaches its k full rounds by one closed-form power of that round
+    (``PauliRound.advance``), then applies its remainder round once, so it
+    costs a few scalar operations whatever k is and depends on no other
+    point. The 64x64 maps are not built. F is psi_L^dag sigma psi_L and P
+    the carried weight. Every reported sigma is validated in one batched
+    ``qcore.check_density``.
 
-    Accuracy, measured at theta = pi and T2 = 2 T1 against the closed form
-    1 / (1 + k gamma^2): the squaring reproduces the exact powers of the
-    built L within 3.8e-13 at k = 1e6 and 2.9e-10 at k = 1e12; what remains
-    is L's own rounding (a few ulp on its diagonal) amplified k-fold. Up to
-    k = 1e6, F is within 1.4e-10 absolute for delays of 1 ns to 30 us
-    (1.39e-10 at 0.3 us, 2.2e-11 from 1 us up, 1.5e-14 at 1 ns); at
-    k = 1e12 (1 ns rounds over 1e9 us) it is within 6.9e-4 relative. P can
-    underflow to 0.0 at such k; F stays defined.
+    Accuracy, against 60-digit mpmath powers of the exact round
+    (``tests/multiqec_reference.run_multiqec_mpmath``): F and P within
+    2.6e-15 relative at 792 points, theta from 0.3 to 3.14159, uniform and
+    per-qubit T1 and Tphi, both variants, max_delay from 1e-20 to 30 us
+    and k up to 3e21 (the tests hold them to 1e-12). The per-round error
+    is a few ulp of the round's rates, so k rounds carry a few ulp of the
+    rate times the total time; nothing is amplified k-fold. P can
+    underflow to 0.0 at large total times; F stays defined.
     """
-    t1 = recovery_t1(config, noise)
-    c = math.cos(config.logical.theta / 2)
-    s = math.sin(config.logical.theta / 2)
-    psi = np.array([c, s * np.exp(1j * config.logical.phi)])
-    sigma0 = np.outer(psi, psi.conj()).ravel()
+    recovery_t1(config, noise)
+    t1s = [noise.t1_of(q) for q in range(3)]
+    tphis = [noise.tphi_of(q) for q in range(3)]
+    start = code3.logical_state(config.logical.theta)
 
     @functools.cache
-    def round_map(delay: float) -> np.ndarray:
-        return code3.logical_round(
-            [gamma_of_t(delay, noise.t1_of(q)) for q in range(3)],
-            [p_of_t(delay, noise.tphi_of(q)) for q in range(3)],
-            _recovery_map(config, gamma_of_t(delay, t1)))
+    def round_for(delay: float) -> code3.PauliRound:
+        return code3.PauliRound.of_delay(delay, t1s, tphis, config.recovery_variant)
 
     step = float(config.max_delay)
-    squares = []  # (L^(2^j) / e^w, w) over the full round's L
-    # (state, log P) after k full rounds for every k reached so far; a
-    # point's k passes through its low-bit prefixes k & (2^(j+1) - 1),
-    # which other points share
-    reached = {0: (sigma0, 0.0)}
 
-    def reach(k: int) -> tuple[np.ndarray, float]:
-        # k's prefixes not yet reached, clearing its top set bit each time
-        todo = []
-        while k not in reached:
-            todo.append(k)
-            k ^= 1 << (k.bit_length() - 1)
-        state, log_p = reached[k]
-        for prefix in reversed(todo):
-            j = prefix.bit_length() - 1
-            while len(squares) <= j:
-                if not squares:
-                    squares.append((round_map(step), 0.0))
-                else:
-                    prev, w = squares[-1]
-                    square = prev @ prev
-                    scale = float(np.max(np.abs(square)))
-                    if scale == 0:
-                        raise ValueError("post-selection removed all weight")
-                    squares.append((square / scale, 2 * w + math.log(scale)))
-            power, w = squares[j]
-            state, weight = _advance(power, state)
-            log_p += w + math.log(weight)
-            reached[prefix] = state, log_p
-        return state, math.exp(log_p)
+    def reach(k: int) -> tuple[tuple, float]:
+        return round_for(step).advance(start, k) if k else (start, 1.0)
 
     def score(states: list) -> list[float]:
-        stack = np.reshape(states, (-1, 4))
-        check_density(stack.reshape(-1, 2, 2))
-        # sum_ij conj(psi_i) sigma_ij psi_j, row by row, so that a point's F
-        # does not depend on the other points of its call
-        fids = np.real((stack * sigma0.conj()).sum(axis=1))
-        # a point with no rounds keeps sigma0, the target itself
-        return [1.0 if x is sigma0 else float(f) for x, f in zip(states, fids)]
+        check_density(np.array([[[p0, coh], [coh, p1]] for p0, p1, coh in states]))
+        # a point with no rounds keeps the start, the target itself
+        return [1.0 if x is start else code3.logical_fidelity(start, x)
+                for x in states]
 
     return _run_rounds(config, lambda needed: reach,
-                       lambda delay: functools.partial(_advance, round_map(delay)),
-                       score, chadd=False)
+                       lambda delay: round_for(delay).advance, score, chadd=False)
 
 
 def fit_lifetime(times: Sequence[float], fidelities: Sequence[float]) -> float:

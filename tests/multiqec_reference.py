@@ -7,6 +7,14 @@ round delays, restarts from the encoded state, applies idle noise and the
 post-selected recovery to the 8x8 density matrix round by round, and sums
 the timing over that list.
 
+``run_multiqec_mpmath`` is the same protocol at 60 digits: each round is
+the Pauli transfer matrix of the analytic round as a sympy derivation from
+the Kraus operators gives it (one polynomial per entry in the per-qubit
+gamma_q, the coherence factors c_q = sqrt(1 - gamma_q)(1 - 2 p_q) and the
+recovery's 1 - gamma), and k rounds are its k-th power by binary
+squaring in mpmath, so a float power at any k has an exact value to be
+measured against.
+
 ``run_multiqec_with_chadd`` is the same loop for
 ``nadqec.protocol.run_multiqec_with_chadd`` on the full data + spectator
 register: the spectators join as |0...0> by ``np.kron``, each round
@@ -21,6 +29,7 @@ bits; this keeps every entry.
 from fractions import Fraction
 from typing import Sequence
 
+import mpmath
 import numpy as np
 from noise_reference import apply_kraus, fidelity, idle_noise, pure
 
@@ -39,6 +48,7 @@ from nadqec.protocol import (
     lindbladian,
     propagate,
     recovery_t1,
+    split_rounds,
 )
 from nadqec.qcore import check_density
 
@@ -108,6 +118,59 @@ def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoi
             chadd=False,
         ))
     return points
+
+
+def _pauli_round_mp(delay, noise: NoiseParams, variant: str):
+    """One round's (I, Z) block and its X and Y entry, in mpmath."""
+    delay = mpmath.mpf(delay)
+    g = [-mpmath.expm1(-delay / noise.t1_of(q)) for q in range(3)]
+    c = [mpmath.sqrt(1 - g[q]) * mpmath.exp(-delay / noise.tphi_of(q))
+         for q in range(3)]
+    pairs = ((0, 1), (0, 2), (1, 2))
+    e1 = sum(g)
+    e2 = sum(g[a] * g[b] for a, b in pairs)
+    c2 = sum(c[a] * c[b] for a, b in pairs)
+    r = 1 - g[0] if variant == "ideal" else mpmath.mpf(1)
+    common = 2 * r**2 * c2 + 2 * e1 * r**2 + 3 * r**2
+    block = mpmath.matrix([
+        [common + 3 * e2 * (r**2 + 1) - 6 * e1 + 9,
+         common - 3 * e2 * (r**2 + 1) + 6 * e1 - 9],
+        [common + 3 * e2 * (r**2 - 1) + 6 * e1 - 9,
+         common - 3 * e2 * (r**2 - 1) - 6 * e1 + 9]]) / 18
+    return block, r * c2 / 3
+
+
+def _power_mp(block, lam, k: int):
+    """(block^k, lam^k) by binary squaring."""
+    out, out_lam = mpmath.eye(2), mpmath.mpf(1)
+    while k:
+        if k & 1:
+            out, out_lam = out * block, out_lam * lam
+        block, lam = block * block, lam * lam
+        k >>= 1
+    return out, out_lam
+
+
+def run_multiqec_mpmath(config: ProtocolConfig, noise: NoiseParams,
+                        digits: int = 60) -> list[tuple]:
+    """(fidelity, success probability) of each point as mpf values: k full
+    rounds of float(max_delay), then the remainder round, on the Bloch
+    vector (1, sin theta cos phi, sin theta sin phi, cos theta)."""
+    with mpmath.workdps(digits):
+        theta = mpmath.mpf(config.logical.theta)
+        x0, z0 = mpmath.sin(theta), mpmath.cos(theta)
+        out = []
+        for total_free in config.total_free:
+            full, rest = split_rounds(total_free, config.max_delay)
+            iz, lam = mpmath.matrix([1, z0]), mpmath.mpf(1)
+            steps = [(float(config.max_delay), full)] + [(float(rest), 1)] * (rest > 0)
+            for delay, k in steps:
+                block, scale = _power_mp(*_pauli_round_mp(delay, noise,
+                                                          config.recovery_variant), k)
+                iz, lam = block * iz, lam * scale
+            weight = iz[0]
+            out.append(((weight + x0 * x0 * lam + z0 * iz[1]) / (2 * weight), weight))
+        return out
 
 
 def apply_cycle_full(superop: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, float]:

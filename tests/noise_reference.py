@@ -11,7 +11,9 @@ maps regrouped by one ``einsum``, against which the scattered build is
 pinned entry for entry. States are plain arrays: ``ket`` and ``pure`` make
 basis vectors and |psi><psi|, ``tensor`` and ``partial_trace`` join and
 split registers, and ``fidelity`` reads <psi| rho |psi>; every density
-matrix these helpers return passes ``qcore.check_density``.
+matrix these helpers return passes ``qcore.check_density``. ``p_of_t`` is
+the dephasing probability of an idle window, which only these references
+form.
 """
 
 import math
@@ -19,10 +21,21 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from nadqec.noise import NoiseParams, gamma_of_t, p_of_t
+from nadqec.noise import NoiseParams, gamma_of_t
 from nadqec.qcore import TOL_ARITH, check_density
 
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def p_of_t(t: float, tphi: float) -> float:
+    """Dephasing probability accumulated over an idle window of length t."""
+    if t < 0:
+        raise ValueError(f"negative time {t}")
+    if tphi <= 0:
+        raise ValueError(f"Tphi must be positive, got {tphi}")
+    if math.isinf(tphi):
+        return 0.0
+    return 0.5 * (1.0 - math.exp(-t / tphi))
 
 
 def _qubit_count(dim: int) -> int:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from multiqec_reference import run_multiqec_mpmath
 
 from nadqec import cli, code3, protocol
 from nadqec.circuits import Circuit
@@ -29,7 +30,7 @@ from nadqec.code3 import (
     oracle_fidelity_multiround,
     qec_cycle,
 )
-from nadqec.noise import gamma_of_t
+from nadqec.noise import NoiseParams, gamma_of_t
 from nadqec.synth import verify_recovery_circuit
 
 
@@ -100,7 +101,7 @@ class TestRun:
         assert (tmp_path / "out.csv").read_bytes() == first
 
     def test_trillion_rounds_finish_at_once(self, tmp_path):
-        # 1e9 us in 1 ns rounds is 1e12 rounds, reached by about 40 squarings
+        # 1e9 us in 1 ns rounds is 1e12 rounds, one closed-form power
         payload = multiqec_payload(tmp_path)
         payload["params"].update(max_delay=1e-3, total_free=[1e9])
         path = write_spec(tmp_path, payload)
@@ -132,17 +133,10 @@ class TestRun:
         assert cli.main(["run", str(path)]) == EXIT_NUMERICAL
 
     @pytest.mark.parametrize("kind,params,message", [
-        # 6e324 rounds: the evolution time and P overflow a float
+        # 6e324 rounds: the evolution time exceeds the largest float,
+        # 1.7976931348623157e+308 us
         ("multiqec", {"t2": 440.0, "max_delay": 5e-324}, "exceeds 1"),
         ("delay-sweep", {"t2": 440.0, "delays": [5e-324]}, "exceeds 1"),
-        # 3e301 rounds: exp of the carried log-weight overflows
-        ("multiqec", {"t2": 440.0, "max_delay": 1e-300}, "math range error"),
-        ("multiqec", {"t2": 300.0, "max_delay": 1e-20,
-                      "total_free": [1e-3, 1, 30]}, "exceeds 1"),
-        # 1e16 rounds of 1e-16 us: the round's rounding, amplified, puts P
-        # at 1.000000976
-        ("multiqec", {"t2": 300.0, "max_delay": 1e-16,
-                      "total_free": [1e-3, 1, 30]}, "success probability 1.0000009"),
     ])
     def test_extreme_round_counts_exit_numerical(self, tmp_path, capsys, kind,
                                                  params, message):
@@ -153,6 +147,32 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith(f"numerical failure in '{kind}'")
         assert message in err and err.count("\n") == 1
+        assert "total evolution time" in err and "largest float" in err
+
+    @pytest.mark.parametrize("params,digits", [
+        # 3e301 rounds of 1e-300 us, which 60 digits cannot resolve
+        ({"t2": 440.0, "max_delay": 1e-300}, 360),
+        # 1e17 to 3e21 rounds, and 1e13 to 3e17
+        ({"t2": 300.0, "max_delay": 1e-20, "total_free": [1e-3, 1, 30]}, 60),
+        ({"t2": 300.0, "max_delay": 1e-16, "total_free": [1e-3, 1, 30]}, 60),
+    ], ids=["max_delay-1e-300", "max_delay-1e-20", "max_delay-1e-16"])
+    def test_extreme_round_counts_are_exact(self, tmp_path, params, digits):
+        # the closed-form power is exact at any round count: each printed
+        # value is the 60-digit (or finer) mpmath one to its 10 digits
+        payload = {"kind": "multiqec", "output": str(tmp_path / "out.csv"),
+                   "params": {"theta": 3.14159, "t1": 220.0,
+                              "total_free": [0, 30], **params}}
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_OK
+        cfg = protocol.ProtocolConfig(LogicalStateSpec(3.14159), params["max_delay"],
+                                      tuple(payload["params"]["total_free"]))
+        want = run_multiqec_mpmath(cfg, NoiseParams.from_t1_t2(220.0, params["t2"]),
+                                   digits)
+        rows = (tmp_path / "out.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(want)
+        for row, (fid, prob) in zip(rows, want):
+            cells = row.split(",")
+            assert float(cells[1]) == pytest.approx(float(fid), rel=1e-9)
+            assert float(cells[2]) == pytest.approx(float(prob), rel=1e-9)
 
     @pytest.mark.parametrize("field,value,named", [
         ("t1", -5.0, "t1"), ("t1", math.nan, "t1"), ("t1", "abc", "t1"),
@@ -504,6 +524,22 @@ class TestRun:
         }
         assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_OK
         assert len(calls) == 3
+
+    def test_oracle_check_pins_the_closed_form_round(self, tmp_path, monkeypatch,
+                                                     capsys):
+        payload = {
+            "kind": "oracle-check",
+            "output": str(tmp_path / "oracle.csv"),
+            "params": {"theta_points": 3, "gamma_points": 3},
+        }
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_OK
+        assert "max |closed-form round - 64x64 round| = " in capsys.readouterr().out
+        outcome = code3.PauliRound.outcome
+        monkeypatch.setattr(code3.PauliRound, "outcome",
+                            lambda rnd, theta: (outcome(rnd, theta)[0] + 2e-12,
+                                                outcome(rnd, theta)[1]))
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_NUMERICAL
+        assert "closed-form round deviates" in capsys.readouterr().err
 
     def test_ten_digit_precision(self, tmp_path):
         path = write_spec(tmp_path, multiqec_payload(tmp_path))

@@ -27,6 +27,7 @@ from noise_reference import (
     apply_kraus,
     damp_dephase,
     ket,
+    p_of_t,
     partial_trace,
     pure,
     tensor,
@@ -35,6 +36,7 @@ from noise_reference import (
 from nadqec import code3
 from nadqec.code3 import (
     LogicalStateSpec,
+    PauliRound,
     RecoveryMap,
     apply_cycle,
     codeword,
@@ -494,6 +496,95 @@ class TestLogicalRound:
             logical_round(0.1, 0.05, rmap)
         with pytest.raises(ValueError, match="leaks out of the code space"):
             logical_outcomes([1.0], 0.1, 0.05, rmap)
+
+
+_PAULIS = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+           np.diag([1.0, -1.0]))
+
+
+def _pauli_transfer(round_map):
+    """R_ij = Tr(P_i L(P_j))/2 of a 4x4 map on the row-major vec."""
+    outs = [(round_map @ p.ravel()).reshape(2, 2) for p in _PAULIS]
+    return np.array([[np.real(np.trace(p @ out)) / 2 for out in outs]
+                     for p in _PAULIS])
+
+
+def _analytic_rmap(variant, gamma):
+    return RecoveryMap.ideal(gamma) if variant == "ideal" \
+        else RecoveryMap.approximate()
+
+
+class TestPauliRound:
+    """The closed-form round against the numeric 64x64 round it replaces
+    on the runner's path, and against the p = 0 multi-round oracles."""
+
+    @pytest.mark.parametrize("variant", ["ideal", "approximate"])
+    def test_equals_logical_round_on_a_grid(self, variant):
+        worst = 0.0
+        for g in np.linspace(0.0, 0.95, 20):
+            for p in np.linspace(0.0, 0.5, 11):
+                want = _pauli_transfer(logical_round(g, p, _analytic_rmap(variant, g)))
+                got = PauliRound.of_noise(g, p, variant).pauli()
+                worst = max(worst, np.abs(got - want).max())
+        assert worst <= 2e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(gammas=st.lists(st.floats(0.0, 0.95), min_size=3, max_size=3),
+           ps=st.lists(st.floats(0.0, 0.5), min_size=3, max_size=3),
+           variant=st.sampled_from(["ideal", "approximate"]))
+    def test_per_qubit_noise_equals_logical_round(self, gammas, ps, variant):
+        # the ideal recovery adapts to one gamma, so it takes one
+        if variant == "ideal":
+            gammas = [gammas[0]] * 3
+        want = _pauli_transfer(logical_round(gammas, ps,
+                                             _analytic_rmap(variant, gammas[0])))
+        assert np.abs(PauliRound.of_noise(gammas, ps, variant).pauli() - want).max() \
+            <= 2e-15
+
+    @pytest.mark.parametrize("variant", ["ideal", "approximate"])
+    @pytest.mark.parametrize("p", [0.0, 0.2, 0.5])
+    def test_complete_damping_equals_logical_round(self, variant, p):
+        rmap = _analytic_rmap(variant, 1.0)
+        got = PauliRound.of_noise(1.0, p, variant).pauli()
+        assert np.abs(got - _pauli_transfer(logical_round(1.0, p, rmap))).max() <= 2e-15
+        # 40 us at T1 = 1 us: 1 - exp(-40) rounds to 1
+        got = PauliRound.of_delay(40.0, [1.0] * 3, [300.0] * 3, variant).pauli()
+        want = _pauli_transfer(logical_round(1.0, p_of_t(40.0, 300.0), rmap))
+        assert np.abs(got - want).max() <= 2e-15
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0, math.pi / 2, 3.14159, math.pi])
+    def test_powers_equal_multiround_oracles_at_zero_dephasing(self, theta):
+        for g in (0.0, 1e-9, 1e-3, 0.05):
+            for k in (1, 2, 7, 40, 1000):
+                start = code3.logical_state(theta)
+                state, prob = PauliRound.of_noise(g, 0.0).advance(start, k)
+                want_p = code3.oracle_success_multiround(theta, [g] * k)
+                assert abs(code3.logical_fidelity(start, state)
+                           - code3.oracle_fidelity_multiround(theta, [g] * k)) <= 1e-12
+                assert abs(prob - want_p) <= 1e-12 * want_p
+
+    def test_outcome_equals_logical_outcomes(self):
+        thetas = np.linspace(0.0, math.pi, 7)
+        for variant in ("ideal", "approximate"):
+            for g, p in ((0.0, 0.0), (0.1, 0.03), (0.6, 0.4)):
+                fids, probs = logical_outcomes(thetas, g, p, _analytic_rmap(variant, g))
+                rnd = PauliRound.of_noise(g, p, variant)
+                for theta, f, prob in zip(thetas, fids, probs):
+                    got_f, got_p = rnd.outcome(theta)
+                    assert abs(got_f - f) <= 1e-14
+                    assert abs(got_p - prob) <= 1e-14
+
+    @pytest.mark.parametrize("gamma,p", [(-0.1, 0.0), (1.1, 0.0), (0.1, -0.2),
+                                         (0.1, 0.6), (math.nan, 0.0), (0.1, math.nan)])
+    def test_noise_outside_range_raises(self, gamma, p):
+        with pytest.raises(ValueError, match="outside"):
+            PauliRound.of_noise(gamma, p)
+
+    def test_unknown_variant_and_negative_delay_raise(self):
+        with pytest.raises(ValueError, match="unknown recovery variant"):
+            PauliRound.of_noise(0.1, 0.0, "synthesized")
+        with pytest.raises(ValueError, match="negative or NaN"):
+            PauliRound.of_delay(-1.0, [220.0] * 3, [300.0] * 3)
 
 
 class TestLogicalOutcomes:

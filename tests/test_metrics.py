@@ -164,9 +164,9 @@ class TestGainSurface:
         # delay / T1 repeats across T1 rows and every E_meas reuses gamma
         t1s, es, delays = [50.0, 100.0], [0.01, 0.05], [10.0, 20.0, 40.0]
         cycles = []
-        logical_outcomes = code3.logical_outcomes
-        monkeypatch.setattr(code3, "logical_outcomes",
-                            lambda *a: cycles.append(a[1]) or logical_outcomes(*a))
+        of_noise = code3.PauliRound.of_noise
+        monkeypatch.setattr(code3.PauliRound, "of_noise",
+                            lambda *a: cycles.append(a[0]) or of_noise(*a))
         cells = gain_surface(t1s, es, delays, theta=2.0)
         assert sorted(cycles) == sorted({gamma_of_t(d, t1)
                                          for t1 in t1s for d in delays})

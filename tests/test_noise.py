@@ -15,6 +15,7 @@ from noise_reference import (
     idle_noise,
     ket,
     noise_superop_einsum,
+    p_of_t,
     pure,
     tensor,
 )
@@ -24,7 +25,6 @@ from nadqec.code3 import LogicalStateSpec, noise_superop
 from nadqec.noise import (
     NoiseParams,
     gamma_of_t,
-    p_of_t,
     readout_flip,
 )
 from nadqec.qcore import check_density

@@ -22,7 +22,11 @@ from multiqec_reference import run_multiqec as run_multiqec_reference
 from multiqec_reference import (
     run_multiqec_with_chadd as run_multiqec_with_chadd_reference,
 )
-from multiqec_reference import schedule_rounds, total_evolution_time_exact
+from multiqec_reference import (
+    run_multiqec_mpmath,
+    schedule_rounds,
+    total_evolution_time_exact,
+)
 from noise_reference import Z, damp_dephase, embed, fidelity, pure
 
 from nadqec import code3, protocol
@@ -215,74 +219,75 @@ class TestMultiQec:
 
     def test_one_round_map_per_distinct_delay(self, monkeypatch):
         built = []
-        build = code3.logical_round
-        monkeypatch.setattr(code3, "logical_round",
-                            lambda *a: built.append(a) or build(*a))
+        build = code3.PauliRound.of_delay
+        monkeypatch.setattr(code3.PauliRound, "of_delay",
+                            lambda *a: built.append(a[0]) or build(*a))
         cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
                              total_free=(600.0, 30.0, 45.0, 75.0, 90.0, 20.0))
         run_multiqec(cfg, NoiseParams(t1=220.0, tphi=300.0))
-        assert len(built) == 3  # 30, 15 and 20 us
+        assert sorted(built) == [15.0, 20.0, 30.0]
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 8, 1000, 10**6, 2**40 - 1])
     def test_point_costs_logarithmic_products(self, monkeypatch, k):
-        # every 4x4 product, a squaring or a power applied to the state, has
-        # a logical-round map as its left operand, which counts it
-        products = []
-
-        class Counted(np.ndarray):
-            def __matmul__(self, other):
-                products.append(other.shape)
-                return super().__matmul__(other)
-
-        build = code3.logical_round
-        monkeypatch.setattr(code3, "logical_round",
-                            lambda *a: build(*a).view(Counted))
+        # a point costs one closed-form power of its full round and one
+        # remainder round, whatever k is: no count here grows with k, and it
+        # stays within the O(log k) bound of binary powering
+        advanced, built = [], []
+        advance = code3.PauliRound.advance
+        build = code3.PauliRound.of_delay
+        monkeypatch.setattr(code3.PauliRound, "advance",
+                            lambda rnd, state, n=1: advanced.append(n)
+                            or advance(rnd, state, n))
+        monkeypatch.setattr(code3.PauliRound, "of_delay",
+                            lambda *a: built.append(a[0]) or build(*a))
         for rest in (0.0, 0.25):  # without and with a remainder round
-            products.clear()
+            advanced.clear()
+            built.clear()
             cfg = ProtocolConfig(code3.LogicalStateSpec(2.0, 0.5), max_delay=0.5,
                                  total_free=(0.5 * k + rest,))
             assert run_multiqec(cfg, NoiseParams(t1=220.0, tphi=300.0))[0].rounds \
                 == k + (rest > 0)
-            assert len(products) <= 2 * math.ceil(math.log2(k + 1)) + 1
+            assert advanced == [k] * (k > 0) + [1] * (rest > 0)
+            assert len(built) == (k > 0) + (rest > 0)
+            assert len(advanced) <= 2 * math.ceil(math.log2(k + 1)) + 1
 
-    def test_sweep_shares_low_bit_prefixes(self, monkeypatch):
-        # k = 1..20 has 42 set bits but 20 distinct low-bit prefixes
-        # k & (2^(j+1) - 1); each prefix's power is applied to a state once
-        applied = []
-
-        class Counted(np.ndarray):
-            def __matmul__(self, other):
-                if other.ndim == 1:
-                    applied.append(other.shape)
-                return super().__matmul__(other)
-
-        build = code3.logical_round
-        monkeypatch.setattr(code3, "logical_round",
-                            lambda *a: build(*a).view(Counted))
-        cfg = ProtocolConfig(code3.LogicalStateSpec(2.0, 0.5), max_delay=0.5,
-                             total_free=tuple(0.5 * k for k in range(1, 21)))
-        pts = run_multiqec(cfg, NoiseParams(t1=220.0, tphi=300.0))
-        assert [p.rounds for p in pts] == list(range(1, 21))
-        assert len(applied) <= 20
+    @pytest.mark.parametrize("t1,tphi", [(220.0, 300.0), ([200.0, 220.0, 250.0],
+                                                          [300.0, 500.0, 400.0])])
+    def test_run_builds_no_64x64_map(self, monkeypatch, t1, tphi):
+        # uniform and per-qubit noise alike take the round in closed form
+        def refuse(*_):
+            raise AssertionError("the 64x64 maps were built")
+        for name in ("logical_round", "logical_outcomes", "noise_superop"):
+            monkeypatch.setattr(code3, name, refuse)
+        monkeypatch.setattr(code3.RecoveryMap, "superop", refuse)
+        cfg = ProtocolConfig(code3.LogicalStateSpec(2.0, 0.5), max_delay=30,
+                             total_free=(0.0, 20.0, 600.0, 1e9),
+                             recovery_variant="approximate")
+        pts = run_multiqec(cfg, NoiseParams(t1=t1, tphi=tphi))
+        assert [p.rounds for p in pts] == [0, 1, 20, 33333334]
 
     @pytest.mark.parametrize("total_free", [(30.0,), (60.0,), (75.0,), (20.0,),
                                             (0.0, 90.0)])
     def test_full_damping_removes_all_weight(self, total_free):
         # T1 = 0.5 us damps every delay here to gamma = 1, whether a point
-        # reaches it by one round, by a squared power or by its remainder
+        # reaches it by one round, by a power or by its remainder
         cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
                              total_free=total_free)
         with pytest.raises(ValueError, match="post-selection removed all weight"):
             run_multiqec(cfg, NoiseParams(t1=0.5))
 
     def test_nan_weight_raises(self):
-        # the weight guard is written so that NaN fails it
-        state = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-        with pytest.raises(ValueError, match="removed all weight.*nan"):
-            protocol._advance(np.full((4, 4), np.nan), state)
+        # the weight guard of the closed-form power is written so that NaN
+        # fails it, whichever field holds the NaN and whatever k is
+        nan = math.nan
+        for fields in ((nan, nan, nan, nan), (0.0, nan, 0.0, 0.0),
+                       (nan, 0.0, 0.0, 0.0), (-0.1, -0.1, nan, -0.1)):
+            for k in (1, 10**12):
+                with pytest.raises(ValueError, match="removed all weight.*nan"):
+                    code3.PauliRound(*fields).advance((0.5, 0.5, 0.5), k)
 
     def test_sweep_point_equals_its_lone_run(self):
-        # shared squares change no bit
+        # a shared round changes no bit
         total_free = (600.0, 0.0, 90.0, 20.0, 45.0, 1e5)
         noise = NoiseParams(t1=220.0, tphi=300.0)
 
@@ -321,6 +326,57 @@ class TestMultiQec:
         times = np.linspace(10, 400, 20)
         tau = fit_lifetime(times, [math.exp(-t / 220.0) for t in times])
         assert abs(tau - 220.0) < 1e-6
+
+
+def _assert_matches_mpmath(cfg, noise, digits=60):
+    """Every point's F and P within 1e-12 relative of the mpmath powers."""
+    for got, (fid, prob) in zip(run_multiqec(cfg, noise),
+                                run_multiqec_mpmath(cfg, noise, digits), strict=True):
+        assert abs(got.fidelity / fid - 1) <= 1e-12
+        assert abs(got.success_probability / prob - 1) <= 1e-12
+
+
+# (max_delay, T2, total_free) at T1 = 220 us: 3e7, 3e10, 3e15, 1e13 to 3e17,
+# 1e18 and 1e17 to 3e21 full rounds. The squaring the closed form replaced
+# reported P off by 2.2e-9 and 1.2e-6 relative on the first two, P =
+# 0.99999997 for 0.7613 on the third, exited on P > 1 on the 1e-16 and
+# 1e-20 specs, and on a math range error at 1e-300.
+_EXTREME_SPECS = [
+    (1e-6, 440.0, (30.0,)), (1e-9, 440.0, (30.0,)), (1e-14, 300.0, (30.0,)),
+    (1e-16, 300.0, (1e-3, 1.0, 30.0)), (1e-17, 300.0, (10.0,)),
+    (1e-20, 300.0, (1e-3, 1.0, 30.0)),
+]
+
+
+class TestExtremeRoundCounts:
+    """F and P at any round count against 60-digit mpmath powers of the
+    exact round (``multiqec_reference.run_multiqec_mpmath``)."""
+
+    @pytest.mark.parametrize("variant", ["ideal", "approximate"])
+    @pytest.mark.parametrize("max_delay,t2,total_free", _EXTREME_SPECS)
+    def test_matches_mpmath(self, max_delay, t2, total_free, variant):
+        noise = NoiseParams.from_t1_t2(220.0, t2)
+        for theta in (3.14159, 1.2):
+            cfg = ProtocolConfig(code3.LogicalStateSpec(theta), max_delay,
+                                 total_free, recovery_variant=variant)
+            _assert_matches_mpmath(cfg, noise)
+
+    @pytest.mark.parametrize("variant,t1", [
+        ("ideal", 220.0), ("approximate", [200.0, 220.0, 250.0])])
+    @pytest.mark.parametrize("max_delay,total_free", [
+        (7.5, (0.0, 3.2, 100.0, 1000.1)), (1e-16, (1e-3, 30.0))])
+    def test_per_qubit_noise_matches_mpmath(self, variant, t1, max_delay,
+                                            total_free):
+        noise = NoiseParams(t1=t1, tphi=[300.0, 500.0, 400.0])
+        cfg = ProtocolConfig(code3.LogicalStateSpec(2.0), max_delay, total_free,
+                             recovery_variant=variant)
+        _assert_matches_mpmath(cfg, noise)
+
+    def test_shortest_rounds_need_more_digits(self):
+        # 1e-300 us rounds: 60 digits cannot hold 1 - 1e-300, 360 can
+        noise = NoiseParams.from_t1_t2(220.0, 440.0)
+        cfg = ProtocolConfig(code3.LogicalStateSpec(3.14159), 1e-300, (30.0,))
+        _assert_matches_mpmath(cfg, noise, digits=360)
 
 
 # The 4x4 Walsh-Hadamard sign matrix; the toggling signs of color 1 and
