@@ -332,6 +332,8 @@ def _run_synth(spec: ExperimentSpec, out: Path) -> None:
     from . import synth  # loads scipy.optimize, which no other kind needs
 
     _require_numbers(spec.params, ints={"restarts": 1})
+    # each start of the never-converging 3-layer recovery factor costs ~12 ms
+    _require_in(spec.params, "restarts", lambda v: v <= 1000, "at most 1000")
     restarts = spec.params.get("restarts", 20)
     seed = spec.seed
     enc_circ, enc_res = synth.synthesize_encoder(seed=seed, restarts=restarts)
@@ -362,6 +364,9 @@ def _run_synth(spec: ExperimentSpec, out: Path) -> None:
 def _run_oracle_check(spec: ExperimentSpec, out: Path) -> None:
     p = spec.params
     _require_numbers(p, ints={"theta_points": 1, "gamma_points": 1})
+    # one CSV row per (theta, gamma) pair: at most 10^4, as the toy's cycles
+    for name in ("theta_points", "gamma_points"):
+        _require_in(p, name, lambda v: v <= 100, "at most 100")
     thetas = np.linspace(0.0, math.pi, p.get("theta_points", 10))
     gammas = np.linspace(0.0, 0.3, p.get("gamma_points", 10))
     # one batched logical round per gamma; the rows run theta outer, gamma inner

@@ -33,18 +33,18 @@ and the data + spectator registers of ``protocol.run_multiqec_with_chadd``
 share it. For the analytic recoveries a round that starts in the code
 space ends there, so ``logical_round`` restricts it exactly to a 4x4 map
 on the 2x2 logical state, which ``logical_outcomes`` applies to a batch of
-encoded states (the ``oracle-check`` kind and ``match_success_form``).
+encoded states (the ``oracle-check`` kind).
 ``PauliRound`` is that round in closed form, per-qubit noise included, with
 powers in closed form too: ``protocol.run_multiqec`` and the gain model
 run on it and build no 64x64 map, and ``oracle-check`` and the tests pin
 it to ``logical_round``. The measured estimator applies the same noise map,
 then its post-noise circuit as one 32x8 isometry built from the same 8
-columns (``RecoveryMap.kept_columns``).
+columns (``RecoveryMap.columns``).
 
 The success probability comes in two closed-form variants that disagree
 in one sign; see ``success_probability_minus_form`` /
-``oracle_success_probability`` and ``match_success_form``. The simulated
-logical round arbitrates (the "+" variant wins).
+``oracle_success_probability``. The simulated logical round arbitrates
+(the "+" variant wins; ``oracle-check`` reports it through ``success_form``).
 """
 
 from __future__ import annotations
@@ -242,10 +242,6 @@ class RecoveryMap:
         cols = u[:, _KEPT_COLS]
         cols.setflags(write=False)
         return cls(cols)
-
-    def kept_columns(self) -> np.ndarray:
-        """The 32x8 block W[:, 4d + 2 parity(d)]."""
-        return self.columns
 
     def kraus(self) -> tuple[np.ndarray, np.ndarray]:
         """The post-selected recovery as two Kraus operators on the data:
@@ -628,7 +624,7 @@ def measured_circuit_distribution(
     rho = En (G|0> x |00>). The ancillas are still |00> and parity
     extraction sends |d>|00> to |d, parity(d), 0>, so the rest is the 32x8
     isometry V0 = ((G^dag En^dag) x I4) K with K = W[:, 4d + 2 parity(d)]
-    (:meth:`RecoveryMap.kept_columns`). Entry (d, a2) of the distribution
+    (``RecoveryMap.columns``). Entry (d, a2) of the distribution
     is sum_a1 <d, a1, a2| V0 rho V0^dag |d, a1, a2>, read off in one
     ``einsum`` of V0 rho against conj(V0); V0 rho V0^dag itself is never
     formed. G is :func:`prep_unitary`'s closed form. What the circuit reads
@@ -656,7 +652,7 @@ def measured_circuit_distribution(
     check_density(rho)
     # (G^dag x I4) En^dag, then that x I4 times K, each on its row's leading index
     m = (g.conj().T @ en_dag).reshape(8, 8)
-    v0 = (m @ rmap.kept_columns().reshape(8, 32)).reshape(32, 8)
+    v0 = (m @ rmap.columns.reshape(8, 32)).reshape(32, 8)
     dev = np.abs(v0.conj().T @ v0 - _EYE8).max()
     if not dev <= 1e-9:
         raise ValueError(f"post-noise circuit not an isometry: "
@@ -739,23 +735,6 @@ def success_probability_minus_form(theta: float, gamma: float) -> float:
 def success_probability_zero_logical(gamma: float, p: float) -> float:
     """Lower bound over logical states (theta = 0)."""
     return (1 - gamma) ** 2 * (1 + (8 * p / 3.0) * (gamma + p - 1 - gamma * p))
-
-
-def match_success_form() -> str:
-    """Report which printed success-probability form the simulated logical
-    round (:func:`logical_outcomes`) reproduces on a 5x5 grid of theta
-    and gamma: 'plus', 'minus', or 'neither', as :func:`success_form`
-    decides."""
-    thetas = np.linspace(0.0, math.pi, 5)
-    dev_app = dev_main = 0.0
-    for g in np.linspace(0.0, 0.3, 5):
-        _, probs = logical_outcomes(thetas, g, 0.0, RecoveryMap.ideal(g))
-        for theta, prob in zip(thetas, probs):
-            dev_app = max(dev_app,
-                          abs(prob - oracle_success_probability(theta, g, 0.0)))
-            dev_main = max(dev_main,
-                           abs(prob - success_probability_minus_form(theta, g)))
-    return success_form(dev_app, dev_main)
 
 
 def success_form(dev_plus: float, dev_minus: float) -> str:

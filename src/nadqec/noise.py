@@ -13,6 +13,7 @@ map. Readout error is an independent flip of each measured bit
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,16 +34,21 @@ class NoiseParams:
     tphi: float | Sequence[float] = math.inf
 
     def __post_init__(self):
-        # +inf lifetimes mean no relaxation or no dephasing; NaN is rejected,
-        # and so are booleans, which numpy would read as 0 and 1 us
+        # +inf lifetimes mean no relaxation or no dephasing. NaN, booleans
+        # (numpy would read 0 and 1 us) and a rate 1/T that overflows are
+        # rejected. Kept as floats, one per qubit or shared, not as a field
+        per_qubit = {}
         for name in ("t1", "tphi"):
             raw = getattr(self, name)
             if any(isinstance(x, (bool, np.bool_))
                    for x in np.ravel(np.array(raw, dtype=object))):
                 raise ValueError(f"{name} must be a number, not a boolean, got {raw!r}")
             v = np.asarray(raw, dtype=float)
-            if v.size == 0 or not np.all(v > 0):
-                raise ValueError(f"{name} must be positive, got {raw!r}")
+            if v.ndim > 1 or v.size == 0 or not np.all(v > 1 / sys.float_info.max):
+                raise ValueError(f"{name} must be a positive number or a flat list "
+                                 f"of them, with a finite rate 1/{name}, got {raw!r}")
+            per_qubit[name] = tuple(np.atleast_1d(v).tolist())
+        object.__setattr__(self, "_per_qubit", per_qubit)
 
     @classmethod
     def from_t1_t2(cls, t1: float, t2: float) -> "NoiseParams":
@@ -55,25 +61,24 @@ class NoiseParams:
         tphi = math.inf if inv_tphi <= 0 else 1.0 / inv_tphi
         return cls(t1=t1, tphi=tphi)
 
-    def _per_qubit(self, name: str, qubit: int) -> float:
-        arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-        if arr.size > 1 and not 0 <= qubit < arr.size:
+    def _value(self, name: str, qubit: int) -> float:
+        values = self._per_qubit[name]
+        if len(values) > 1 and not 0 <= qubit < len(values):
             raise ValueError(
-                f"{name} has {arr.size} per-qubit values, none for qubit {qubit}")
-        return float(arr[qubit] if arr.size > 1 else arr[0])
+                f"{name} has {len(values)} per-qubit values, none for qubit {qubit}")
+        return values[qubit if len(values) > 1 else 0]
 
     def t1_of(self, qubit: int) -> float:
-        return self._per_qubit("t1", qubit)
+        return self._value("t1", qubit)
 
     def tphi_of(self, qubit: int) -> float:
-        return self._per_qubit("tphi", qubit)
+        return self._value("tphi", qubit)
 
     def require_qubits(self, n_qubits: int) -> None:
         """Raise unless each per-qubit sequence has one value per qubit."""
-        for name in ("t1", "tphi"):
-            size = np.size(getattr(self, name))
-            if size not in (1, n_qubits):
-                raise ValueError(f"{name} has {size} per-qubit values for a "
+        for name, values in self._per_qubit.items():
+            if len(values) not in (1, n_qubits):
+                raise ValueError(f"{name} has {len(values)} per-qubit values for a "
                                  f"{n_qubits}-qubit register")
 
 

@@ -76,11 +76,9 @@ class ProtocolConfig:
     recovery_variant: str = "ideal"  # ideal | approximate
 
     def __post_init__(self):
-        if self.max_delay <= 0:
-            raise ValueError("max_delay must be positive")
         object.__setattr__(self, "total_free", tuple(self.total_free))
-        if any(t < 0 for t in self.total_free):
-            raise ValueError("total_free must be non-negative")
+        # the sweep, parsed once; an attribute, not a field, so == and repr ignore it
+        object.__setattr__(self, "_schedule", _schedules(self.total_free, self.max_delay))
         if self.recovery_variant not in ("ideal", "approximate"):
             raise ValueError(f"unknown recovery variant {self.recovery_variant!r}")
 
@@ -90,16 +88,21 @@ def _schedules(total_free: Sequence[float],
     """Each point's (full max_delay rounds, remainder, total evolution
     time), the last two as integers over the common denominator returned
     with them: every input is read as its exact decimal text, so the sums
-    are exact and one int / int division rounds each result correctly.
+    are exact and one int / int division rounds each result correctly. The
+    one check of both inputs: finite, max_delay > 0, total_free entries >= 0.
 
     A full round's delay shorter than the reset before it adds the
     shortfall, T_RESET - max_delay, on every full round but the first, and
     a remainder round after a full one adds T_RESET - remainder likewise.
     """
-    step_num, step_den = Decimal(str(max_delay)).as_integer_ratio()
+    def exact(value, name: str) -> tuple[int, int]:
+        if not (d := Decimal(str(value))).is_finite():
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        return d.as_integer_ratio()
+    step_num, step_den = exact(max_delay, "max_delay")
     if step_num <= 0:
         raise ValueError("max_delay must be positive")
-    totals = [Decimal(str(t)).as_integer_ratio() for t in total_free]
+    totals = [exact(t, "total_free") for t in total_free]
     if any(num < 0 for num, _ in totals):
         raise ValueError("total_free must be non-negative")
     den = math.lcm(_UNIT, step_den, *(d for _, d in totals))
@@ -180,12 +183,12 @@ def _run_rounds(config: ProtocolConfig,
     k full max_delay rounds and its cumulative post-selection weight;
     ``round_for(delay)`` returns one round as state -> (renormalized state,
     p_round), for a point's remainder. Every point's schedule and timing
-    come from one integer pass over the sweep (``_schedules``), and
+    come from the config's one integer pass over the sweep (``_schedules``), and
     ``score`` turns the final states of all points into their fidelities in
     one call. A point whose total evolution time exceeds the largest float,
     or whose carried success probability exceeds 1 + 1e-12, raises
     ValueError."""
-    den, schedules = _schedules(config.total_free, config.max_delay)
+    den, schedules = config._schedule
     finals, rows = [], []
     reach = reach_for({k for k, _, _ in schedules})
     for total_free, (k, rest, evolution) in zip(config.total_free, schedules):
@@ -330,10 +333,13 @@ class Lindbladian:
     rates: np.ndarray
     qubits: tuple
 
+    @np.errstate(over="ignore", invalid="raise")
     def propagator(self, t) -> Propagator:
         """exp(t L), its factors built once for the duration t, or for every
         entry of an array of durations at once (a propagator whose leading
-        axes are those of t)."""
+        axes are those of t). A decay rate times t that overflows decays to
+        0; a phase (a frequency or coupling times t) that overflows has no
+        value and raises FloatingPointError."""
         t = np.asarray(t, dtype=float)
 
         def lead(x):  # t on leading axes before x's

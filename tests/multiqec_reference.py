@@ -1,8 +1,9 @@
 """Multi-round QEC by the per-round loop.
 
 An independent reference for ``nadqec.protocol.run_multiqec``, which
-applies binary powers of a 4x4 logical round, shared between points, and
-schedules and times each point in closed form: here every point lists its
+reaches each point's k rounds by one closed-form power of the logical round
+(``code3.PauliRound.advance``) and schedules and times each point in
+closed form: here every point lists its
 round delays, restarts from the encoded state, applies idle noise and the
 post-selected recovery to the 8x8 density matrix round by round, and sums
 the timing over that list.

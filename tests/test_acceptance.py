@@ -57,7 +57,7 @@ def test_ac1_oracle_equivalence():
             dev_main = max(dev_main, abs(out.success_probability
                                          - success_probability_minus_form(theta, g)))
     elapsed = time.monotonic() - t0
-    matched = code3.match_success_form()
+    matched = code3.success_form(dev_p, dev_main)
     ok = dev_f < 1e-10 and dev_p < 1e-10 and elapsed < 10.0
     assert report(1, ok,
                   f"max|dF|={dev_f:.2e}, max|dp|={dev_p:.2e} vs the "

@@ -6,13 +6,14 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from multiqec_reference import run_multiqec_mpmath
 
-from nadqec import cli, code3, protocol
+from nadqec import cli, code3, protocol, synth
 from nadqec.circuits import Circuit
 from nadqec.cli import (
     CATALOG,
@@ -31,7 +32,6 @@ from nadqec.code3 import (
     qec_cycle,
 )
 from nadqec.noise import NoiseParams, gamma_of_t
-from nadqec.synth import verify_recovery_circuit
 
 
 def write_spec(tmp_path: Path, payload: dict) -> Path:
@@ -295,7 +295,8 @@ class TestRun:
         assert encoder.count("CZ") == 8
         recovery = Circuit.deserialize(
             (tmp_path / "synth.recovery.txt").read_text(), 5)
-        assert verify_recovery_circuit(recovery, RecoveryMap.approximate()).passed
+        assert synth.verify_recovery_circuit(recovery,
+                                             RecoveryMap.approximate()).passed
 
     @pytest.mark.parametrize("restarts", [0, -1, "2", 1.5, True])
     def test_synth_restarts_validated(self, tmp_path, restarts):
@@ -304,6 +305,37 @@ class TestRun:
         path = write_spec(tmp_path, payload)
         assert cli.main(["run", str(path)]) == EXIT_CONFIG
         assert not (tmp_path / "synth.csv").exists()
+
+    def test_synth_restarts_cap(self, tmp_path, capsys, monkeypatch):
+        # over the cap is a config error before any start runs; at the cap
+        # the count reaches synthesis (stopped here before it starts)
+        asked = []
+
+        def stop(*, seed, restarts):
+            asked.append(restarts)
+            raise RuntimeError("stopped before synthesis")
+        monkeypatch.setattr(synth, "synthesize_encoder", stop)
+        payload = {"kind": "synth", "output": str(tmp_path / "synth.csv"),
+                   "params": {"restarts": 1001}}
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_CONFIG
+        assert "'restarts' must be at most 1000" in capsys.readouterr().err
+        assert asked == []
+        payload["params"]["restarts"] = 1000
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) \
+            == EXIT_NUMERICAL
+        assert asked == [1000]
+
+    @pytest.mark.parametrize("field", ["theta_points", "gamma_points"])
+    def test_oracle_check_grid_cap(self, tmp_path, capsys, field):
+        out = tmp_path / "oracle.csv"
+        payload = {"kind": "oracle-check", "output": str(out),
+                   "params": {"theta_points": 1, "gamma_points": 1, field: 101}}
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_CONFIG
+        assert f"'{field}' must be at most 100" in capsys.readouterr().err
+        assert not out.exists()
+        payload["params"][field] = 100
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 1 + 100
 
     @pytest.mark.parametrize("kind,field,value", [
         ("multiqec-chadd", "spectators", "x"),
@@ -547,6 +579,83 @@ class TestRun:
         row = (tmp_path / "out.csv").read_text().splitlines()[1]
         fid = row.split(",")[1]
         assert len(fid.replace(".", "").replace("-", "").lstrip("0")) <= 10
+
+
+# A small valid spec of each kind but synth, with every catalog field set
+# except t2 and tphi (together they are a config error; each is fuzzed alone)
+_FUZZ_BASE = {
+    "multiqec": {"theta": 1.0, "max_delay": 30.0, "total_free": [30.0, 45.0],
+                 "t1": 220.0, "phi": 0.5, "recovery": "ideal"},
+    "multiqec-chadd": {"theta": 1.0, "max_delay": 30.0,
+                       "total_free": [30.0, 45.0], "t1": 220.0, "phi": 0.5,
+                       "recovery": "ideal", "spectators": 1,
+                       "couplings": [[0, 3, 0.05]]},
+    "delay-sweep": {"delays": [30.0, 60.0], "total_free": [30.0, 90.0],
+                    "t1": 220.0, "theta": 1.0, "recovery": "approximate"},
+    "crosstalk-toy": {"t1": 100.0, "omega1": 0.3, "omega2": 0.2, "g": 0.05,
+                      "t_final": 16.0, "cycles": 2},
+    "gain-surface": {"t1_range": [100.0], "emeas_range": [0.01],
+                     "delay_range": [10.0], "theta": 1.0},
+    "oracle-check": {"theta_points": 3, "gamma_points": 2},
+}
+_FUZZ_VALUES = (math.nan, math.inf, -math.inf, 1e308, 5e-324, True, "x", None,
+                10**30)
+# fields that take a list (per-qubit lifetimes included)
+_LIST_FIELDS = {"total_free", "delays", "couplings", "t1_range", "emeas_range",
+                "delay_range", "t1", "t2", "tphi"}
+_PROBABILITY_COLUMNS = {"fidelity", "success_probability", "pop0", "pop1",
+                        "F_qec", "F_bare", "p_success"}
+
+
+class TestInputFuzz:
+    @pytest.mark.parametrize("kind", sorted(_FUZZ_BASE))
+    def test_every_field_value_ends_with_an_exit_code(self, tmp_path, capsys,
+                                                      kind):
+        # each catalog field in turn takes each value; a run ends with exit
+        # 0, 2 or 3, raises nothing and warns nothing, and an exit-0 CSV
+        # holds only finite numbers with its probabilities in [0, 1]
+        base = _FUZZ_BASE[kind]
+        entry = CATALOG[kind]
+        out = tmp_path / "out.csv"
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": kind, "output": str(out), "params": base}))
+        assert cli.main(["run", str(spec)]) == EXIT_OK
+        faults = []
+        for field in entry.required + entry.optional:
+            values = list(_FUZZ_VALUES)
+            if field in _LIST_FIELDS:
+                values += [[v] for v in _FUZZ_VALUES] + [[]]
+            for value in values:
+                spec.write_text(json.dumps(
+                    {"kind": kind, "output": str(out),
+                     "params": {**base, field: value}}))
+                out.unlink(missing_ok=True)
+                case = f"{field}={value!r}"
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        code = cli.main(["run", str(spec)])
+                    except Exception as exc:  # reported with the other faults
+                        faults.append(f"{case}: raised {exc!r}")
+                        continue
+                faults += [f"{case}: warned {w.message}" for w in caught]
+                if code not in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL):
+                    faults.append(f"{case}: exit {code!r}")
+                if code == EXIT_OK:
+                    header, *rows = [r.split(",") for r
+                                     in out.read_text().splitlines()]
+                    for row in rows:
+                        for column, cell in zip(header, row, strict=True):
+                            try:
+                                x = float(cell)
+                            except ValueError:
+                                continue  # a label such as the variant
+                            if not math.isfinite(x) or (
+                                    column in _PROBABILITY_COLUMNS
+                                    and not 0.0 <= x <= 1.0):
+                                faults.append(f"{case}: {column} = {cell}")
+        capsys.readouterr()
+        assert not faults, "\n".join(faults)
 
 
 class TestCatalog:

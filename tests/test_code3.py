@@ -33,7 +33,8 @@ from noise_reference import (
     tensor,
 )
 
-from nadqec import code3
+from nadqec import cli, code3
+from nadqec.cli import ExperimentSpec
 from nadqec.code3 import (
     LogicalStateSpec,
     PauliRound,
@@ -56,6 +57,7 @@ from nadqec.code3 import (
     oracle_worst_case_fidelity,
     qec_cycle,
     recovery_operators,
+    success_form,
     success_probability_minus_form,
     success_probability_zero_logical,
 )
@@ -634,8 +636,14 @@ class TestQecCycle:
         assert abs(out.success_probability - 0.8181) < 1e-12
         assert abs(success_probability_minus_form(math.pi, 0.1) - 0.8019) < 1e-12
 
-    def test_match_reported_form(self):
-        assert code3.match_success_form() == "plus"
+    def test_match_reported_form(self, tmp_path, capsys):
+        # the oracle-check kind decides the form on its own grid
+        spec = ExperimentSpec("oracle-check", {}, str(tmp_path / "oracle.csv"))
+        assert cli.run(spec) == cli.EXIT_OK
+        assert "success-probability form matched: plus" in capsys.readouterr().out
+        assert success_form(1e-11, 0.5) == "plus"
+        assert success_form(0.5, 1e-11) == "minus"
+        assert success_form(1e-10, 1e-10) == "neither"
 
     def test_matches_brute_force(self):
         for theta, phi, g, p in [(0.7, 0.3, 0.15, 0.0), (2.2, 4.0, 0.08, 0.06),
@@ -907,7 +915,7 @@ class TestCompiledEstimator:
         r0, r1 = recovery_operators(gamma)
         for rmap in (RecoveryMap.ideal(gamma),) + (
                 (RecoveryMap.approximate(),) if gamma == 0.0 else ()):
-            k = rmap.kept_columns().reshape(8, 2, 2, 8)  # (d, a1, a2, d')
+            k = rmap.columns.reshape(8, 2, 2, 8)  # (d, a1, a2, d')
             for b, r in ((1, r0), (0, r1)):
                 cols = parity == b
                 want = block_unitary(r)[:, :8].reshape(2, 8, 8)[:, :, cols]
@@ -924,7 +932,7 @@ class TestCompiledEstimator:
         w = _haar_unitary(np.random.default_rng(5), 32)
         parity = [bin(d).count("1") % 2 for d in range(8)]
         want = w[:, [4 * d + 2 * parity[d] for d in range(8)]]
-        assert np.array_equal(RecoveryMap.synthesized(w).kept_columns(), want)
+        assert np.array_equal(RecoveryMap.synthesized(w).columns, want)
 
     def test_rejects_scaled_encoder(self):
         with pytest.raises(ValueError):
@@ -1021,7 +1029,7 @@ class TestNonFiniteInputsRaise:
             RecoveryMap.synthesized(w)
 
     def test_logical_round_rejects_nan_leak(self):
-        cols = RecoveryMap.ideal(0.1).kept_columns().copy()
+        cols = RecoveryMap.ideal(0.1).columns.copy()
         cols[0, 0] = np.nan
         with pytest.raises(ValueError, match="leaks out of the code space by nan"):
             logical_round(0.1, 0.01, RecoveryMap(cols))

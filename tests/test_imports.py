@@ -98,11 +98,10 @@ def test_no_unused_private_names():
 TEST_ONLY = (
     "recovery_operators", "oracle_worst_case_fidelity",
     "oracle_success_multiround", "success_probability_zero_logical",
-    "match_success_form", "oracle_fidelity_series",
-    "oracle_fidelity_series_printed", "oracle_fidelity_series_time",
-    "oracle_fidelity_plus_state", "sample_qec_shots", "sample_bare_shots",
-    "gain_expt", "gain_theoretical_detail", "total_evolution_time",
-    "fit_lifetime",
+    "oracle_fidelity_series", "oracle_fidelity_series_printed",
+    "oracle_fidelity_series_time", "oracle_fidelity_plus_state",
+    "sample_qec_shots", "sample_bare_shots", "gain_expt",
+    "gain_theoretical_detail", "total_evolution_time", "fit_lifetime",
 )
 
 

@@ -199,7 +199,11 @@ class TestNoiseParams:
         ({"t1": 100.0, "tphi": [80.0, -1.0]}, "tphi"),
         # booleans, which numpy would read as T = 1 us
         ({"t1": True}, "t1"), ({"t1": [100.0, True]}, "t1"),
-        ({"t1": 100.0, "tphi": True}, "tphi")])
+        ({"t1": 100.0, "tphi": True}, "tphi"),
+        # a nested list has no one value per qubit
+        ({"t1": [[100.0, 200.0]]}, "t1"),
+        # 1/T overflows below 1/max float (5.6e-309 us)
+        ({"t1": 5e-324}, "t1"), ({"t1": 100.0, "tphi": [80.0, 5e-309]}, "tphi")])
     def test_invalid_values_rejected(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
             NoiseParams(**kwargs)

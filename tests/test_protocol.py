@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -114,6 +115,38 @@ class TestScheduling:
             split_rounds(30, 0)
         with pytest.raises(ValueError, match="total_free"):
             split_rounds(-1, 30)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_name_the_field(self, bad):
+        spec = code3.LogicalStateSpec(1.0)
+        for field, call in (
+                ("max_delay", lambda: ProtocolConfig(spec, bad, (30.0,))),
+                ("total_free", lambda: ProtocolConfig(spec, 30.0, (30.0, bad))),
+                ("max_delay", lambda: split_rounds(30.0, bad)),
+                ("total_free", lambda: split_rounds(bad, 30.0)),
+                ("max_delay", lambda: total_evolution_time(30.0, bad)),
+                ("total_free", lambda: total_evolution_time(bad, 30.0))):
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                call()
+
+    def test_runners_read_the_config_schedule(self, monkeypatch):
+        # the config parses its sweep once; the runners read that schedule
+        cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
+                             total_free=(0.0, 40.0, 95.5))
+        assert cfg == ProtocolConfig(code3.LogicalStateSpec(1.0), 30, (0.0, 40.0, 95.5))
+        assert "_schedule" not in repr(cfg)
+        noise = NoiseParams.from_t1_t2(220.0, 300.0)
+        layout = SpectatorLayout(spectators=1, couplings=((0, 3, 0.05),))
+        want = [run_multiqec(cfg, noise)] + [
+            run_multiqec_with_chadd(cfg, noise, layout, chadd=chadd)
+            for chadd in (False, True)]
+
+        def parse_again(*args):
+            raise AssertionError("the schedule was parsed again")
+        monkeypatch.setattr(protocol, "_schedules", parse_again)
+        assert [run_multiqec(cfg, noise)] + [
+            run_multiqec_with_chadd(cfg, noise, layout, chadd=chadd)
+            for chadd in (False, True)] == want
 
 
 class TestTiming:
@@ -518,6 +551,23 @@ class TestLindblad:
         rho = np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)
         out = propagate(lindbladian(2, noise).propagator(20.0), rho)
         assert abs(out[3, 3].real - math.exp(-20.0 / 100.0 - 20.0 / 200.0)) < 1e-12
+
+    @pytest.mark.parametrize("model", [CrosstalkModel(omega1=1e308),
+                                       CrosstalkModel(g=1e308)])
+    def test_overflowing_phase_raises(self, model):
+        # omega t or g t past the largest float is a phase with no value
+        with pytest.raises(FloatingPointError, match="invalid value"):
+            model.lindbladian().propagator(np.array([1.0, 16.0]))
+
+    def test_overflowing_decay_is_zero(self):
+        # t / T1 past the largest float is a decay of exactly 0, with no
+        # error and no warning
+        rho = np.diag([0.0, 1.0]).astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prop = lindbladian(1, NoiseParams(t1=1e-300)).propagator(1e10)
+        out = propagate(prop, rho)
+        assert np.max(np.abs(out - np.diag([1.0, 0.0]))) < 1e-15
 
     @pytest.mark.parametrize("a,b", [(0, 0), (0, -1), (4, 1)])
     def test_bad_coupling_rejected(self, a, b):
