@@ -245,9 +245,7 @@ def _run_multiqec_chadd(spec: ExperimentSpec, out: Path) -> None:
                               f"distinct qubits of the {n}-qubit register")
     noise = _noise_from(p, layout.n_qubits)
     cfg = _protocol_config(p, noise)
-    splits = [protocol.split_rounds(t, cfg.max_delay) for t in cfg.total_free]
-    rounds = max((full for full, _ in splits), default=0) \
-        + sum(rest > 0 for _, rest in splits)
+    rounds = cfg.walked_rounds()
     if rounds > _CHADD_ROUNDS:
         raise ConfigError(f"'total_free' over 'max_delay' {cfg.max_delay} "
                           f"needs {rounds} rounds; at most {_CHADD_ROUNDS}")
@@ -332,7 +330,8 @@ def _run_synth(spec: ExperimentSpec, out: Path) -> None:
     from . import synth  # loads scipy.optimize, which no other kind needs
 
     _require_numbers(spec.params, ints={"restarts": 1})
-    # each start of the never-converging 3-layer recovery factor costs ~12 ms
+    # a depth level that does not converge runs every start (about 12 ms
+    # each at 3 layers, more deeper), and a search may try six levels
     _require_in(spec.params, "restarts", lambda v: v <= 1000, "at most 1000")
     restarts = spec.params.get("restarts", 20)
     seed = spec.seed

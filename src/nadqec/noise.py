@@ -52,9 +52,12 @@ class NoiseParams:
 
     @classmethod
     def from_t1_t2(cls, t1: float, t2: float) -> "NoiseParams":
+        # a rate 1/t2 that overflows would reach __post_init__ as tphi = 0
         for name, v in (("t1", t1), ("t2", t2)):
-            if isinstance(v, bool) or not (isinstance(v, (int, float)) and v > 0):
-                raise ValueError(f"{name} must be a positive number, got {v!r}")
+            if isinstance(v, bool) or not (isinstance(v, (int, float))
+                                           and v > 1 / sys.float_info.max):
+                raise ValueError(f"{name} must be a positive number with a finite "
+                                 f"rate 1/{name}, got {v!r}")
         if t2 > 2 * t1 + 1e-12:
             raise ValueError(f"T2 = {t2} exceeds the physical bound 2*T1 = {2 * t1}")
         inv_tphi = 1.0 / t2 - 1.0 / (2.0 * t1)

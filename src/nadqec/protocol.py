@@ -33,12 +33,11 @@ and its total evolution time a closed form in that pair; neither loops over
 rounds. ``_schedules`` computes both for every point of a sweep in Python
 integers over one common denominator (each input read as its exact decimal
 text), and one int / int division rounds each reported float correctly;
-``split_rounds`` and ``total_evolution_time`` return the same values as
-exact fractions. The durations (microseconds) are constants: encoding
-0.548, recovery 3.072, ancilla reset 2.72. The reset overlaps the
-following round's delay and only adds time when that delay is shorter
-than the reset itself. Durations are exact decimal fractions, so worked
-examples come out exact.
+``total_evolution_time`` returns the same time as an exact fraction. The
+durations (microseconds) are constants: encoding 0.548, recovery 3.072,
+ancilla reset 2.72. The reset overlaps the following round's delay and
+only adds time when that delay is shorter than the reset itself.
+Durations are exact decimal fractions, so worked examples come out exact.
 """
 
 from __future__ import annotations
@@ -82,6 +81,14 @@ class ProtocolConfig:
         if self.recovery_variant not in ("ideal", "approximate"):
             raise ValueError(f"unknown recovery variant {self.recovery_variant!r}")
 
+    def walked_rounds(self) -> int:
+        """The rounds a runner that walks full rounds once per call
+        (``run_multiqec_with_chadd``) applies: the longest point's full
+        rounds, plus one remainder round per point that has one."""
+        points = self._schedule[1]
+        return (max((full for full, _, _ in points), default=0)
+                + sum(rest > 0 for _, rest, _ in points))
+
 
 def _schedules(total_free: Sequence[float],
                max_delay: float) -> tuple[int, list[tuple[int, int, int]]]:
@@ -120,14 +127,6 @@ def _schedules(total_free: Sequence[float],
             evolution += reset - rest
         points.append((full, rest, evolution))
     return den, points
-
-
-def split_rounds(total_free: float, max_delay: float) -> tuple[int, Fraction]:
-    """Greedy fill as (full max_delay rounds, remainder); a remainder of 0
-    means no remainder round. Exact fractions, so
-    full * max_delay + remainder == total_free."""
-    den, [(full, rest, _)] = _schedules((total_free,), max_delay)
-    return full, Fraction(rest, den)
 
 
 def total_evolution_time(total_free: float, max_delay: float) -> Fraction:
@@ -358,6 +357,17 @@ class Lindbladian:
         return Propagator(np.exp(self.rates * lead(self.rates)), tuple(factors))
 
 
+def _require_phase(name: str, frequency: float, duration: float) -> None:
+    """Raise FloatingPointError naming ``name`` unless every phase the
+    propagator forms from ``frequency`` (rad/us) over ``duration`` (us) is
+    a float: the largest is 4 |f| t, a coupling's in the relaxation cross
+    term, and 4 |f| is formed before t is applied."""
+    if not math.isfinite(4 * abs(frequency) * max(duration, 1.0)):
+        raise FloatingPointError(
+            f"{name} = {frequency!r} rad/us times the duration {duration!r} us "
+            f"overflows: the phase has no float value")
+
+
 def lindbladian(n_qubits: int, params: NoiseParams, couplings: Sequence = (),
                 omega: Optional[Sequence[float]] = None,
                 classical: int = 0) -> Lindbladian:
@@ -528,6 +538,13 @@ def run_crosstalk_toy(model: CrosstalkModel, probe_init: str, t_final: float,
     if not (t_final >= 0 if cycles is None else t_final > 0):
         need = "non-negative" if cycles is None else "positive"
         raise ValueError(f"t_final must be {need}, got {t_final}")
+    if cycles is not None and cycles < 1:
+        raise ValueError(f"cycles must be at least 1, got {cycles}")
+    # the free series' longest span is t_final; a CHaDD cycle's span is
+    # each of its intervals, t_final / (8 cycles)
+    span = t_final if cycles is None else t_final / (len(ROBUST_PULSES) * cycles)
+    for name in ("omega1", "omega2", "g"):
+        _require_phase(name, getattr(model, name), span)
     probe = kets[probe_init]
     psi = np.kron(probe, kets["0"])
     state = np.outer(psi, psi.conj())
@@ -538,11 +555,8 @@ def run_crosstalk_toy(model: CrosstalkModel, probe_init: str, t_final: float,
         stack = np.concatenate(
             (state[None], propagate(gen.propagator(times[1:]), state)))
     else:
-        if cycles < 1:
-            raise ValueError(f"cycles must be at least 1, got {cycles}")
-        tau = t_final / (len(ROBUST_PULSES) * cycles)
-        cycle = tau * len(ROBUST_PULSES)  # t_final / cycles rounds differently
-        free = gen.propagator(tau)
+        cycle = span * len(ROBUST_PULSES)  # t_final / cycles rounds differently
+        free = gen.propagator(span)
         pulses = _pulse_gathers(_pulse_permutations((1, 2)), 1)
         times, rows = [0.0], [state]
         for i in range(cycles):
@@ -620,6 +634,19 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
     if n > 7:
         raise ValueError(f"register of {n} qubits exceeds the 7-qubit cap")
     t1 = recovery_t1(config, noise)
+    # the longest free evolution: max_delay if any point has a full round,
+    # else the longest remainder (shorter than max_delay); with chadd, one
+    # of the CHaDD cycle's eight intervals
+    den, points = config._schedule
+    span = max((rest / den for _, rest, _ in points), default=0.0)
+    if any(full for full, _, _ in points):
+        span = float(config.max_delay)
+    if chadd:
+        span /= len(ROBUST_PULSES)
+    for q in range(n):
+        _require_phase(f"the summed |g| of the couplings on qubit {q}",
+                       sum(abs(g) for a, b, g in layout.couplings if q in (a, b)),
+                       span)
     psi = code3.encode_ideal(config.logical)
     m = 2**layout.spectators
     gen = lindbladian(n, noise, layout.couplings, classical=layout.spectators)

@@ -46,16 +46,25 @@ from nadqec.protocol import (
     SpectatorLayout,
     _pulse_permutations,
     _recovery_map,
+    _schedules,
     lindbladian,
     propagate,
     recovery_t1,
-    split_rounds,
 )
 from nadqec.qcore import check_density
 
 
 def _frac(x: float) -> Fraction:
     return Fraction(str(x))
+
+
+def split_rounds(total_free: float, max_delay: float) -> tuple[int, Fraction]:
+    """The package's one point schedule (``protocol._schedules``) as
+    (full max_delay rounds, remainder) in exact fractions, so
+    full * max_delay + remainder == total_free; a remainder of 0 means no
+    remainder round."""
+    den, [(full, rest, _)] = _schedules((total_free,), max_delay)
+    return full, Fraction(rest, den)
 
 
 def schedule_rounds(total_free: float, max_delay: float) -> list[float]:

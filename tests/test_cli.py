@@ -180,7 +180,8 @@ class TestRun:
         ("e_meas", 0.02, "e_meas"), ("t1", True, "'t1'"), ("t2", True, "'t2'"),
         ("tphi", True, "'tphi'"), ("t1", [True, True, True], "'t1'"),
         ("tphi", "abc", "'tphi'"), ("t1", None, "'t1'"),
-        ("tphi", 1.0, "'t2' and 'tphi'")])
+        ("tphi", 1.0, "'t2' and 'tphi'"),
+        ("t2", 5e-324, "t2 must be a positive number with a finite rate 1/t2")])
     def test_invalid_noise_is_config_error(self, tmp_path, field, value, named,
                                            capsys):
         payload = multiqec_payload(tmp_path)
@@ -447,6 +448,28 @@ class TestRun:
         assert code in (EXIT_OK, EXIT_CONFIG)
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,field,value,named", [
+        ("crosstalk-toy", "g", 1e308, "g = 1e+308 rad/us times the duration 60.0 us"),
+        ("crosstalk-toy", "omega1", 1e308, "omega1 = 1e+308 rad/us"),
+        ("multiqec-chadd", "couplings", [[0, 3, 1e308]],
+         "couplings on qubit 0 = 1e+308 rad/us times the duration 30.0 us")])
+    def test_phase_overflow_names_the_field(self, tmp_path, capsys, kind, field,
+                                            value, named):
+        # a frequency times the duration past the largest float is a
+        # numerical failure that names the field, not numpy's text
+        params = {"crosstalk-toy": {"t1": 220.0},
+                  "multiqec-chadd": {"theta": 1.0, "max_delay": 30.0,
+                                     "total_free": [30.0, 60.0], "t1": 220.0}}[kind]
+        payload = {"kind": kind, "output": str(tmp_path / "out.csv"),
+                   "params": {**params, field: value}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["run", str(write_spec(tmp_path, payload))])
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERICAL
+        assert named in err and "overflows" in err and "invalid value" not in err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_chadd_without_spectators(self, tmp_path, capsys):
         # the default coupling names a spectator, so none is used without one
         params = {"theta": 1.0, "max_delay": 30.0, "total_free": [30.0],
@@ -485,6 +508,18 @@ class TestRun:
             30.0 * (cli._CHADD_ROUNDS - 2), 20.0, 30.0 * (cli._CHADD_ROUNDS - 3) + 5.0])
         assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_OK
         assert len(ran) == 2
+
+    def test_chadd_parses_the_sweep_once(self, tmp_path, monkeypatch):
+        # the round cap and both runs read the config's one schedule
+        passes = []
+        schedules = protocol._schedules
+        monkeypatch.setattr(protocol, "_schedules",
+                            lambda *a: passes.append(a) or schedules(*a))
+        payload = {"kind": "multiqec-chadd", "output": str(tmp_path / "out.csv"),
+                   "params": {"theta": 1.0, "max_delay": 30.0,
+                              "total_free": [30.0, 45.0, 95.5], "t1": 220.0}}
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_OK
+        assert len(passes) == 1
 
     def test_delay_beyond_every_lifetime_ends_at_once(self, tmp_path, capsys):
         # gamma = 1 over a 1e9 us delay: the propagator's cost does not grow

@@ -220,6 +220,15 @@ class TestNoiseParams:
         assert gamma_of_t(10.0, p.t1_of(0)) == 0.0
         assert p_of_t(10.0, p.tphi_of(0)) == 0.0
 
+    @pytest.mark.parametrize("t1,t2,field", [
+        (100.0, 5e-324, "t2"), (100.0, 5e-309, "t2"), (5e-324, 1e-13, "t1")])
+    def test_from_t1_t2_names_an_overflowing_rate(self, t1, t2, field):
+        # 1/t2 = inf once made tphi = 0.0, and the error named tphi
+        with pytest.raises(ValueError, match=f"^{field} must be a positive "
+                           f"number with a finite rate 1/{field}, got"):
+            NoiseParams.from_t1_t2(t1, t2)
+        assert NoiseParams.from_t1_t2(100.0, 6e-309).tphi_of(0) > 0
+
     def test_from_t1_t2_rejects_invalid_t1(self):
         for t1 in (-5.0, math.nan, [100.0, 200.0]):
             with pytest.raises(ValueError, match="t1"):

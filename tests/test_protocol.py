@@ -2,6 +2,7 @@
 
 import functools
 import math
+import sys
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -26,6 +27,7 @@ from multiqec_reference import (
 from multiqec_reference import (
     run_multiqec_mpmath,
     schedule_rounds,
+    split_rounds,
     total_evolution_time_exact,
 )
 from noise_reference import Z, damp_dephase, embed, fidelity, pure
@@ -43,7 +45,6 @@ from nadqec.protocol import (
     run_crosstalk_toy,
     run_multiqec,
     run_multiqec_with_chadd,
-    split_rounds,
     total_evolution_time,
 )
 from nadqec.qcore import X, check_density, rx
@@ -558,6 +559,25 @@ class TestLindblad:
         # omega t or g t past the largest float is a phase with no value
         with pytest.raises(FloatingPointError, match="invalid value"):
             model.lindbladian().propagator(np.array([1.0, 16.0]))
+
+    def test_runners_name_an_overflowing_phase(self):
+        # each runner checks 4 |f| t, the largest phase the propagator
+        # forms, before it builds one: just below that bound the run is
+        # finite and warns nothing, above it the error names the field
+        bound = sys.float_info.max / (4 * 60.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = run_crosstalk_toy(CrosstalkModel(g=0.99 * bound), "+", 60.0)
+        assert np.all(np.isfinite(series.fidelity))
+        for field in ("omega1", "omega2", "g"):
+            model = CrosstalkModel(**{field: -1.01 * bound})
+            for cycles in (None, 1):
+                with pytest.raises(FloatingPointError, match=f"^{field} = "):
+                    run_crosstalk_toy(model, "0", 60.0 * (8 if cycles else 1), cycles)
+        cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), 60.0, (10.0, 70.0))
+        layout = SpectatorLayout(couplings=((0, 3, 0.6 * bound), (1, 3, 0.6 * bound)))
+        with pytest.raises(FloatingPointError, match="couplings on qubit 3 = "):
+            run_multiqec_with_chadd(cfg, NoiseParams(t1=220.0), layout, chadd=False)
 
     def test_overflowing_decay_is_zero(self):
         # t / T1 past the largest float is a decay of exactly 0, with no

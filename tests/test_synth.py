@@ -435,12 +435,47 @@ class TestSynthKindStructure:
     def test_benchmark_spec_depths_and_restarts(self):
         # the `synth` kind at seed 10, restarts 2 (bench/workloads.py's
         # SYNTH_SPEC) synthesizes the encoder at seed 10 and U at seed 11;
-        # both fail every 3-layer start before 4 layers converge
+        # the encoder fails both 3-layer starts before 4 layers converge,
+        # and U, whose search starts at 4 layers, converges on the first
         enc_circ, enc = synthesize_encoder(seed=10, restarts=2)
         u_circ, u = synth.synthesize_recovery_u(seed=11, restarts=2)
         assert enc.converged and u.converged
         assert (enc_circ.count("CZ"), enc.restarts_used) == (8, 3)
-        assert (u_circ.count("CZ"), u.restarts_used) == (8, 3)
+        assert (u_circ.count("CZ"), u.restarts_used) == (8, 1)
+
+
+class TestRecoveryFirstDepth:
+    """U's search starts at 4 CZ layers: no 3-layer start converges."""
+
+    def test_skipping_three_layers_emits_the_same_circuit(self):
+        # each level seeds its starts alike, so only the failed 3-layer
+        # starts go: the same angles and circuit, ``restarts`` fewer starts
+        target, mask = synth.recovery_u_target()
+        for seed in range(1, 13):
+            circ, res = synth.synthesize_recovery_u(seed=seed, restarts=2)
+            old_circ, old = synth.synthesize(target, mask, 3, seed=seed,
+                                             restarts=2, first_layers=3)
+            np.testing.assert_array_equal(res.params, old.params)
+            assert circ.serialize() == old_circ.serialize()
+            assert res.restarts_used == old.restarts_used - 2
+            assert (res.cost, res.converged) == (old.cost, old.converged)
+
+    def test_three_layer_starts_stall_far_from_zero(self):
+        # a 1000-start search found no cost below 0.179 (README)
+        target, mask = synth.recovery_u_target()
+        problem = SynthesisProblem(target, Ansatz(3, 3), mask=mask)
+        for seed in range(10):
+            assert optimize(problem, seed=seed, restarts=1).cost >= 0.17
+
+    def test_mask_forces_the_pauli_condition(self, recovery_u):
+        # pinned columns 000 and 100 and odd-parity columns 011 and 111
+        # make U map IxZxZ to -ZxZxZ, for the read-only factor and for the
+        # AC6 circuit alike
+        z = np.diag([1.0, -1.0])
+        izz = np.kron(np.eye(2), np.kron(z, z))
+        zzz = np.kron(z, np.kron(z, z))
+        for u in (canonical_recovery_split(0.0).u, recovery_u.unitary()):
+            assert np.max(np.abs(u @ izz @ u.conj().T + zzz)) < 1e-10
 
 
 class TestDiagonalBlockCircuit:
