@@ -120,7 +120,8 @@ def _write_manifest(spec: ExperimentSpec, out_csv: Path, t0: float) -> None:
 
 
 def _noise_from(params: Mapping, n_qubits: int) -> NoiseParams:
-    """Noise for an ``n_qubits`` register; invalid values are config errors."""
+    """Noise for an ``n_qubits`` register; invalid values, or per-qubit
+    lifetimes that do not cover the register, are config errors."""
     if "t1" not in params:
         raise ConfigError("missing field 't1' in params")
     for name in ("t1", "t2", "tphi"):  # +inf passes: no relaxation or dephasing
@@ -133,7 +134,7 @@ def _noise_from(params: Mapping, n_qubits: int) -> NoiseParams:
             noise = NoiseParams.from_t1_t2(t1, params["t2"])
         else:
             noise = NoiseParams(t1=t1, tphi=params.get("tphi", math.inf))
-        noise.require_qubits(n_qubits)
+        noise.lifetimes(n_qubits)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid noise params: {exc}") from exc
     return noise
@@ -194,7 +195,8 @@ def _require_in(p: Mapping, name: str, ok: Callable[[float], bool],
         raise ConfigError(f"'{name}' must be {what}, got {p[name]!r}")
 
 
-def _protocol_config(p: Mapping, noise: NoiseParams) -> protocol.ProtocolConfig:
+def _protocol_config(p: Mapping, t1s: Sequence[float]) -> protocol.ProtocolConfig:
+    """The sweep of ``p`` for a register's ``t1s``; invalid values are config errors."""
     _require_numbers(p, ("theta", "phi", "max_delay"), lists=("total_free",))
     recovery = p.get("recovery", "ideal")
     if recovery not in ("ideal", "approximate"):
@@ -205,7 +207,7 @@ def _protocol_config(p: Mapping, noise: NoiseParams) -> protocol.ProtocolConfig:
             logical=code3.LogicalStateSpec(p["theta"], p.get("phi", 0.0)),
             max_delay=p["max_delay"], total_free=tuple(p["total_free"]),
             recovery_variant=recovery)
-        protocol.recovery_t1(cfg, noise)
+        protocol.recovery_t1(cfg, t1s)
     except ValueError as exc:
         raise ConfigError(f"invalid protocol params: {exc}") from exc
     return cfg
@@ -213,7 +215,8 @@ def _protocol_config(p: Mapping, noise: NoiseParams) -> protocol.ProtocolConfig:
 
 def _run_multiqec(spec: ExperimentSpec, out: Path) -> None:
     noise = _noise_from(spec.params, 3)
-    pts = protocol.run_multiqec(_protocol_config(spec.params, noise), noise)
+    cfg = _protocol_config(spec.params, noise.lifetimes(3)[0])
+    pts = protocol.run_multiqec(cfg, noise)
     _write_csv(out, _POINT_HEADER, _point_rows(pts))
 
 
@@ -243,8 +246,8 @@ def _run_multiqec_chadd(spec: ExperimentSpec, out: Path) -> None:
         if a == b or not (0 <= a < n and 0 <= b < n):
             raise ConfigError(f"'couplings' entry {[a, b, g]} must name two "
                               f"distinct qubits of the {n}-qubit register")
-    noise = _noise_from(p, layout.n_qubits)
-    cfg = _protocol_config(p, noise)
+    noise = _noise_from(p, n)
+    cfg = _protocol_config(p, noise.lifetimes(n)[0])
     rounds = cfg.walked_rounds()
     if rounds > _CHADD_ROUNDS:
         raise ConfigError(f"'total_free' over 'max_delay' {cfg.max_delay} "
@@ -259,11 +262,12 @@ def _run_multiqec_chadd(spec: ExperimentSpec, out: Path) -> None:
 def _run_delay_sweep(spec: ExperimentSpec, out: Path) -> None:
     p = spec.params
     noise = _noise_from(p, 3)
+    t1s = noise.lifetimes(3)[0]
     _require_numbers(p, (), lists=("delays",))
     rows = []
     for max_delay in p["delays"]:
         cfg = _protocol_config({"theta": math.pi, **p, "max_delay": max_delay},
-                               noise)
+                               t1s)
         for x in protocol.run_multiqec(cfg, noise):
             rows.append((max_delay, x.total_free_us, x.total_evolution_us,
                          x.fidelity, x.success_probability, x.rounds))
@@ -281,7 +285,7 @@ def _run_crosstalk_toy(spec: ExperimentSpec, out: Path) -> None:
     noise = _noise_from(p, 2)
     model = protocol.CrosstalkModel(
         omega1=p.get("omega1", 0.3), omega2=p.get("omega2", 0.2),
-        g=p.get("g", 0.05), t1=noise.t1, tphi=noise.tphi)
+        g=p.get("g", 0.05), noise=noise)
     t_final = p.get("t_final", 60.0)
     cycles = p.get("cycles", 4)
     rows = []
@@ -451,8 +455,6 @@ def run(spec: ExperimentSpec) -> int:
     out = Path(spec.output)
     try:
         CATALOG[spec.kind].runner(spec, out)
-    except ConfigError:
-        raise
     except (RuntimeError, ValueError, ArithmeticError) as exc:
         print(f"numerical failure in '{spec.kind}': {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

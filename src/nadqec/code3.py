@@ -275,13 +275,27 @@ _NOISE_INDEX = (4 * _NOISE_POS[:, None, None] + 2 * _NOISE_POS[None, :, None]
                 + _NOISE_POS[None, None, :]).ravel()
 
 
-def _noise_entries(g: float, p: float) -> np.ndarray:
-    """One qubit's nonzeros of the noise map, in ``_NOISE_POS`` order."""
+def _checked(g: float, p: float) -> tuple[float, float]:
+    """gamma in [0, 1] and p in [0, 0.5] as floats; else (NaN too) ValueError."""
     g, p = float(g), float(p)
     if not 0.0 <= g <= 1.0:
         raise ValueError(f"gamma {g} outside [0, 1]")
     if not 0.0 <= p <= 0.5:
         raise ValueError(f"dephasing probability {p} outside [0, 0.5]")
+    return g, p
+
+
+def _per_qubit(gammas: float | Sequence[float],
+               ps: float | Sequence[float]) -> list[tuple[float, float]]:
+    """Shared scalars or one value per data qubit, as three checked pairs."""
+    if np.ndim(gammas) == np.ndim(ps) == 0:
+        return [_checked(gammas, ps)] * 3
+    return [_checked(g, p) for g, p in
+            zip(np.broadcast_to(gammas, 3), np.broadcast_to(ps, 3))]
+
+
+def _noise_entries(g: float, p: float) -> np.ndarray:
+    """A checked (gamma, p)'s nonzeros of the noise map, in ``_NOISE_POS`` order."""
     coh = math.sqrt(1.0 - g) * (1.0 - 2.0 * p)
     return np.array([1.0, g, 1.0 - g, coh, coh])
 
@@ -300,10 +314,9 @@ def noise_superop(gammas: float | Sequence[float],
     so that products with complex states and maps cast no copy of it.
     """
     if isinstance(gammas, (int, float)) and isinstance(ps, (int, float)):
-        v0 = v1 = v2 = _noise_entries(gammas, ps)
+        v0 = v1 = v2 = _noise_entries(*_checked(gammas, ps))
     else:
-        v0, v1, v2 = (_noise_entries(g, p) for g, p in
-                      zip(np.broadcast_to(gammas, 3), np.broadcast_to(ps, 3)))
+        v0, v1, v2 = (_noise_entries(g, p) for g, p in _per_qubit(gammas, ps))
     noise = np.zeros(64 * 64, dtype=complex)
     noise[_NOISE_INDEX] = ((v0[:, None, None] * v1[None, :, None])
                            * v2[None, None, :]).ravel()
@@ -391,13 +404,6 @@ def logical_outcomes(thetas: Sequence[float], gamma: float, p: float,
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def _per_qubit(values: float | Sequence[float]) -> list[float]:
-    """A shared scalar or one value per data qubit, as three floats."""
-    if np.ndim(values) == 0:
-        return [float(values)] * 3
-    return [float(v) for v in np.broadcast_to(values, 3)]
-
-
 def _log_mean_exp(zs: Sequence[float]) -> float:
     """log((1/3) sum_i exp(-z_i)) over three z_i >= 0, as -min(z) plus a
     log1p whose argument lies in [-2/3, 0]: accurate to a few ulp of the
@@ -457,15 +463,11 @@ class PauliRound:
                  variant: str = "ideal") -> "PauliRound":
         """The round of damping gammas and dephasing ps (shared scalars or one
         value per data qubit), as :func:`logical_round` takes them."""
-        gammas, ps = _per_qubit(gammas), _per_qubit(ps)
-        for g, p in zip(gammas, ps):
-            if not 0.0 <= g <= 1.0:
-                raise ValueError(f"gamma {g} outside [0, 1]")
-            if not 0.0 <= p <= 0.5:
-                raise ValueError(f"dephasing probability {p} outside [0, 0.5]")
+        pairs = _per_qubit(gammas, ps)
         return cls._of_exponents(
-            [-math.log1p(-g) if g < 1 else math.inf for g in gammas],
-            [-math.log1p(-2 * p) if p < 0.5 else math.inf for p in ps], variant)
+            [-math.log1p(-g) if g < 1 else math.inf for g, _ in pairs],
+            [-math.log1p(-2 * p) if p < 0.5 else math.inf for _, p in pairs],
+            variant)
 
     @classmethod
     def _of_exponents(cls, x: Sequence[float], y: Sequence[float],
@@ -543,8 +545,9 @@ def logical_state(theta: float) -> tuple[float, float, float]:
 def logical_fidelity(start: tuple, state: tuple) -> float:
     """<psi|sigma|psi> of a unit-trace ``state`` to the pure ``start``
     (both as :func:`logical_state` gives them):
-    c^2 p0 + s^2 p1 + 2 c s coh."""
-    return start[0] * state[0] + start[1] * state[1] + 2 * start[2] * state[2]
+    c^2 p0 + s^2 p1 + 2 c s coh, capped at 1, which rounding can pass."""
+    return min(start[0] * state[0] + start[1] * state[1]
+               + 2 * start[2] * state[2], 1.0)
 
 
 def apply_cycle(superop: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, float]:

@@ -24,10 +24,11 @@ import numpy as np
 class NoiseParams:
     """Per-qubit coherence times.
 
-    ``t1`` and ``tphi`` may be scalars (shared by all qubits) or per-qubit
-    sequences. ``tphi`` is the pure-dephasing lifetime; use
-    :meth:`from_t1_t2` when the device is characterised by T2 instead
-    (1/T2 = 1/(2 T1) + 1/Tphi).
+    ``t1`` and ``tphi`` are given as scalars (shared by all qubits) or
+    per-qubit sequences and kept as float tuples, one entry when shared;
+    :meth:`lifetimes` reads them for a register. ``tphi`` is the
+    pure-dephasing lifetime; use :meth:`from_t1_t2` when the device is
+    characterised by T2 instead (1/T2 = 1/(2 T1) + 1/Tphi).
     """
 
     t1: float | Sequence[float]
@@ -35,9 +36,7 @@ class NoiseParams:
 
     def __post_init__(self):
         # +inf lifetimes mean no relaxation or no dephasing. NaN, booleans
-        # (numpy would read 0 and 1 us) and a rate 1/T that overflows are
-        # rejected. Kept as floats, one per qubit or shared, not as a field
-        per_qubit = {}
+        # (numpy would read 0 and 1 us) and a rate 1/T that overflows are rejected
         for name in ("t1", "tphi"):
             raw = getattr(self, name)
             if any(isinstance(x, (bool, np.bool_))
@@ -47,8 +46,7 @@ class NoiseParams:
             if v.ndim > 1 or v.size == 0 or not np.all(v > 1 / sys.float_info.max):
                 raise ValueError(f"{name} must be a positive number or a flat list "
                                  f"of them, with a finite rate 1/{name}, got {raw!r}")
-            per_qubit[name] = tuple(np.atleast_1d(v).tolist())
-        object.__setattr__(self, "_per_qubit", per_qubit)
+            object.__setattr__(self, name, tuple(np.atleast_1d(v).tolist()))
 
     @classmethod
     def from_t1_t2(cls, t1: float, t2: float) -> "NoiseParams":
@@ -64,25 +62,17 @@ class NoiseParams:
         tphi = math.inf if inv_tphi <= 0 else 1.0 / inv_tphi
         return cls(t1=t1, tphi=tphi)
 
-    def _value(self, name: str, qubit: int) -> float:
-        values = self._per_qubit[name]
-        if len(values) > 1 and not 0 <= qubit < len(values):
-            raise ValueError(
-                f"{name} has {len(values)} per-qubit values, none for qubit {qubit}")
-        return values[qubit if len(values) > 1 else 0]
-
-    def t1_of(self, qubit: int) -> float:
-        return self._value("t1", qubit)
-
-    def tphi_of(self, qubit: int) -> float:
-        return self._value("tphi", qubit)
-
-    def require_qubits(self, n_qubits: int) -> None:
-        """Raise unless each per-qubit sequence has one value per qubit."""
-        for name, values in self._per_qubit.items():
+    def lifetimes(self, n_qubits: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """(T1s, Tphis) of an ``n_qubits`` register, one value per qubit: a
+        shared value repeated, else exactly ``n_qubits`` per-qubit values,
+        or ValueError."""
+        out = []
+        for name, values in (("t1", self.t1), ("tphi", self.tphi)):
             if len(values) not in (1, n_qubits):
                 raise ValueError(f"{name} has {len(values)} per-qubit values for a "
                                  f"{n_qubits}-qubit register")
+            out.append(values * n_qubits if len(values) == 1 else values)
+        return out[0], out[1]
 
 
 def gamma_of_t(t: float, t1: float) -> float:

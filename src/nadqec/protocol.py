@@ -157,18 +157,18 @@ def _recovery_map(config: ProtocolConfig, gamma: float) -> code3.RecoveryMap:
     return code3.RecoveryMap.approximate()
 
 
-def recovery_t1(config: ProtocolConfig, noise: NoiseParams) -> float:
-    """The T1 whose gamma(delay) the recovery is built from: data qubit 0's.
+def recovery_t1(config: ProtocolConfig, t1s: Sequence[float]) -> float:
+    """The T1 whose gamma(delay) the recovery is built from: data qubit 0's,
+    of the register's per-qubit ``t1s`` (``NoiseParams.lifetimes``).
 
     The ideal recovery adapts to a single gamma. With T1 differing across
     the data qubits its result would depend on qubit order, so that case
     raises ValueError; the approximate variant accepts it.
     """
-    t1s = [noise.t1_of(q) for q in range(3)]
-    if config.recovery_variant == "ideal" and len(set(t1s)) > 1:
+    if config.recovery_variant == "ideal" and len(set(t1s[:3])) > 1:
         raise ValueError(
             f"the ideal recovery adapts to one T1, but the data qubits have "
-            f"t1 = {t1s}; use the approximate recovery for per-qubit T1")
+            f"t1 = {list(t1s[:3])}; use the approximate recovery for per-qubit T1")
     return t1s[0]
 
 
@@ -243,9 +243,8 @@ def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoi
     rate times the total time; nothing is amplified k-fold. P can
     underflow to 0.0 at large total times; F stays defined.
     """
-    recovery_t1(config, noise)
-    t1s = [noise.t1_of(q) for q in range(3)]
-    tphis = [noise.tphi_of(q) for q in range(3)]
+    t1s, tphis = noise.lifetimes(3)
+    recovery_t1(config, t1s)
     start = code3.logical_state(config.logical.theta)
 
     @functools.cache
@@ -259,9 +258,7 @@ def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoi
 
     def score(states: list) -> list[float]:
         check_density(np.array([[[p0, coh], [coh, p1]] for p0, p1, coh in states]))
-        # a point with no rounds keeps the start, the target itself
-        return [1.0 if x is start else code3.logical_fidelity(start, x)
-                for x in states]
+        return [code3.logical_fidelity(start, x) for x in states]
 
     return _run_rounds(config, lambda needed: reach,
                        lambda delay: round_for(delay).advance, score, chadd=False)
@@ -397,7 +394,7 @@ def lindbladian(n_qubits: int, params: NoiseParams, couplings: Sequence = (),
     quantum qubits' coherences only.
     """
     n = n_qubits
-    params.require_qubits(n)
+    t1s, tphis = params.lifetimes(n)
     omega = np.zeros(n) if omega is None else np.asarray(omega, dtype=float)
     if omega.shape != (n,):
         raise ValueError(f"{omega.size} frequencies for {n} qubits")
@@ -411,12 +408,18 @@ def lindbladian(n_qubits: int, params: NoiseParams, couplings: Sequence = (),
     # the view's axes: the quantum qubits' a, their b, then the classical
     # qubits' s; qubit j's slices fix bit j of a and b, or bit j of s
     axes = 2 * quantum + classical
-    relax = [1.0 / params.t1_of(q) for q in range(n)]
-    dephase = [1.0 / params.tphi_of(q) for q in range(n)]
+    relax = [1.0 / t for t in t1s]
+    # an entry's decay rate, capped at the largest float where a qubit's
+    # 1/(2 T1) + 1/Tphi or the sum over its differing qubits overflows: it
+    # then decays to 0 at any t > 0, as a rate times t that overflows does
+    with np.errstate(over="ignore"):
+        decay = sum(_on_axes(np.abs(_H_STEP) * min(relax[q] / 2 + 1.0 / tphis[q],
+                                                   sys.float_info.max),
+                             q, quantum + q, axes) for q in range(quantum))
     rates = np.broadcast_to(
-        sum(_on_axes(-1j * omega[q] * _H_STEP - np.abs(_H_STEP)
-                     * (relax[q] / 2 + dephase[q]), q, quantum + q, axes)
-            for q in range(quantum)), (2,) * axes)
+        sum(_on_axes(-1j * omega[q] * _H_STEP, q, quantum + q, axes)
+            for q in range(quantum)) - np.minimum(decay, sys.float_info.max),
+        (2,) * axes)
     qubits = []
     for j in range(n):
         fixed = (j, quantum + j) if j < quantum else (quantum + j,)
@@ -457,18 +460,18 @@ def propagate(prop: Propagator, rho: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class CrosstalkModel:
     """Two-qubit ZZ toy model: H = w1/2 Z1 + w2/2 Z2 + g Z1 Z2 (angular
-    frequencies, rad/us) with per-qubit relaxation and dephasing."""
+    frequencies, rad/us) with relaxation and dephasing from ``noise``,
+    shared or per qubit (``NoiseParams.lifetimes(2)``)."""
 
     omega1: float = 0.0
     omega2: float = 0.0
     g: float = 0.05
-    t1: float = math.inf
-    tphi: float = math.inf
+    noise: NoiseParams = NoiseParams(t1=math.inf)
 
     def lindbladian(self) -> Lindbladian:
         """The model's generator."""
-        return lindbladian(2, NoiseParams(t1=self.t1, tphi=self.tphi),
-                           ((0, 1, self.g),), (self.omega1, self.omega2))
+        return lindbladian(2, self.noise, ((0, 1, self.g),),
+                           (self.omega1, self.omega2))
 
 
 def _pulse_permutations(colors: Sequence[int]) -> dict:
@@ -633,7 +636,7 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
     n = layout.n_qubits
     if n > 7:
         raise ValueError(f"register of {n} qubits exceeds the 7-qubit cap")
-    t1 = recovery_t1(config, noise)
+    t1 = recovery_t1(config, noise.lifetimes(n)[0])
     # the longest free evolution: max_delay if any point has a full round,
     # else the longest remainder (shorter than max_delay); with chadd, one
     # of the CHaDD cycle's eight intervals

@@ -118,14 +118,11 @@ def collapse_operators(n_qubits: int, params: NoiseParams) -> list[np.ndarray]:
 
     Per-qubit T1 or Tphi sequences must give one value per register qubit.
     """
-    params.require_qubits(n_qubits)
     sm = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
     ops = []
-    for q in range(n_qubits):
-        t1 = params.t1_of(q)
+    for q, (t1, tphi) in enumerate(zip(*params.lifetimes(n_qubits))):
         if math.isfinite(t1):
             ops.append(math.sqrt(1.0 / t1) * embed(sm, [q], n_qubits))
-        tphi = params.tphi_of(q)
         if math.isfinite(tphi):
             ops.append(math.sqrt(1.0 / (2.0 * tphi)) * embed(Z, [q], n_qubits))
     return ops

@@ -103,6 +103,7 @@ def total_evolution_time_exact(schedule: Sequence[float]) -> Fraction:
 
 def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoint]:
     target = code3.encode_ideal(config.logical)
+    t1 = noise.lifetimes(3)[0][0]  # the recovery adapts to qubit 0's gamma
     points = []
     for total_free in config.total_free:
         schedule = schedule_rounds(total_free, config.max_delay)
@@ -110,7 +111,7 @@ def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoi
         p_total = 1.0
         for delay in schedule:
             rho = idle_noise(rho, delay, noise)
-            rmap = _recovery_map(config, gamma_of_t(delay, noise.t1_of(0)))
+            rmap = _recovery_map(config, gamma_of_t(delay, t1))
             kept = apply_kraus(rho, rmap.kraus(), [0, 1, 2])
             weight = float(np.real(np.trace(kept)))
             if weight <= 0:
@@ -133,9 +134,9 @@ def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoi
 def _pauli_round_mp(delay, noise: NoiseParams, variant: str):
     """One round's (I, Z) block and its X and Y entry, in mpmath."""
     delay = mpmath.mpf(delay)
-    g = [-mpmath.expm1(-delay / noise.t1_of(q)) for q in range(3)]
-    c = [mpmath.sqrt(1 - g[q]) * mpmath.exp(-delay / noise.tphi_of(q))
-         for q in range(3)]
+    t1s, tphis = noise.lifetimes(3)
+    g = [-mpmath.expm1(-delay / t1s[q]) for q in range(3)]
+    c = [mpmath.sqrt(1 - g[q]) * mpmath.exp(-delay / tphis[q]) for q in range(3)]
     pairs = ((0, 1), (0, 2), (1, 2))
     e1 = sum(g)
     e2 = sum(g[a] * g[b] for a, b in pairs)
@@ -204,7 +205,7 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
     """The CHaDD runner on the full register, each point walked from the
     encoded state."""
     n = layout.n_qubits
-    t1 = recovery_t1(config, noise)
+    t1 = recovery_t1(config, noise.lifetimes(n)[0])
     target = code3.encode_ideal(config.logical)
     gen = lindbladian(n, noise, layout.couplings)
     perms = _pulse_permutations(layout.resolved_colors())

@@ -173,7 +173,8 @@ def damp_dephase(rho: np.ndarray, qubits: Sequence[int],
 def idle_noise(rho: np.ndarray, duration: float, params: NoiseParams,
                qubits: Optional[Sequence[int]] = None) -> np.ndarray:
     """Free-evolution noise: AD(gamma(t)) then dephasing(p(t)) per qubit."""
-    qubits = range(_qubit_count(rho.shape[0])) if qubits is None else list(qubits)
-    return damp_dephase(rho, qubits,
-                        [gamma_of_t(duration, params.t1_of(q)) for q in qubits],
-                        [p_of_t(duration, params.tphi_of(q)) for q in qubits])
+    n = _qubit_count(rho.shape[0])
+    qubits = range(n) if qubits is None else list(qubits)
+    t1s, tphis = params.lifetimes(n)
+    return damp_dephase(rho, qubits, [gamma_of_t(duration, t1s[q]) for q in qubits],
+                        [p_of_t(duration, tphis[q]) for q in qubits])

@@ -178,7 +178,8 @@ def test_ac8_chadd_exactness():
 
 
 def test_ac9_crosstalk_toy_directionality():
-    model = protocol.CrosstalkModel(omega1=0.3, omega2=0.2, g=0.05, t1=100.0)
+    model = protocol.CrosstalkModel(omega1=0.3, omega2=0.2, g=0.05,
+                                    noise=NoiseParams(t1=100.0))
     t_final = 60.0
     outcomes = {}
     for probe in ("0", "1"):

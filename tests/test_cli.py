@@ -542,6 +542,19 @@ class TestRun:
         assert rows[0] == "T1_us,E_meas,delay_us,gain,F_qec,F_bare,p_success,seed"
         assert len(rows) == 1 + 8
 
+    def test_gain_surface_at_zero_delay(self, tmp_path, capsys):
+        # no noise: the closed-form round's F can round to an ulp above 1
+        # (at theta = 5 pi / 8, say), which the adjusted fidelity F* rejects
+        path = tmp_path / "spec.json"
+        for theta in [*np.linspace(0.0, math.pi, 201), 5 * math.pi / 8]:
+            payload = {"kind": "gain-surface", "output": str(tmp_path / "gain.csv"),
+                       "params": {"t1_range": [100.0], "emeas_range": [0.01],
+                                  "delay_range": [0.0], "theta": float(theta)}}
+            path.write_text(json.dumps(payload))
+            assert cli.main(["run", str(path)]) == EXIT_OK, capsys.readouterr().err
+            row = (tmp_path / "gain.csv").read_text().splitlines()[1].split(",")
+            assert row[4] == "1"  # F_qec
+
     def test_oracle_check(self, tmp_path):
         payload = {
             "kind": "oracle-check",
@@ -642,6 +655,35 @@ _PROBABILITY_COLUMNS = {"fidelity", "success_probability", "pop0", "pop1",
                         "F_qec", "F_bare", "p_success"}
 
 
+def _run_faults(spec: Path, out: Path, kind: str, params: dict, case: str) -> list:
+    """Run one spec through ``cli.main``: the faults of a run that raises,
+    warns, ends with an exit code other than 0, 2 or 3, or ends with exit 0
+    and a CSV holding a non-finite number or a probability outside [0, 1]."""
+    spec.write_text(json.dumps({"kind": kind, "output": str(out), "params": params}))
+    out.unlink(missing_ok=True)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(["run", str(spec)])
+        except Exception as exc:
+            return [f"{case}: raised {exc!r}"]
+    faults = [f"{case}: warned {w.message}" for w in caught]
+    if code not in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL):
+        faults.append(f"{case}: exit {code!r}")
+    if code == EXIT_OK:
+        header, *rows = [r.split(",") for r in out.read_text().splitlines()]
+        for row in rows:
+            for column, cell in zip(header, row, strict=True):
+                try:
+                    x = float(cell)
+                except ValueError:
+                    continue  # a label such as the variant
+                if not math.isfinite(x) or (column in _PROBABILITY_COLUMNS
+                                            and not 0.0 <= x <= 1.0):
+                    faults.append(f"{case}: {column} = {cell}")
+    return faults
+
+
 class TestInputFuzz:
     @pytest.mark.parametrize("kind", sorted(_FUZZ_BASE))
     def test_every_field_value_ends_with_an_exit_code(self, tmp_path, capsys,
@@ -661,36 +703,23 @@ class TestInputFuzz:
             if field in _LIST_FIELDS:
                 values += [[v] for v in _FUZZ_VALUES] + [[]]
             for value in values:
-                spec.write_text(json.dumps(
-                    {"kind": kind, "output": str(out),
-                     "params": {**base, field: value}}))
-                out.unlink(missing_ok=True)
-                case = f"{field}={value!r}"
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    try:
-                        code = cli.main(["run", str(spec)])
-                    except Exception as exc:  # reported with the other faults
-                        faults.append(f"{case}: raised {exc!r}")
-                        continue
-                faults += [f"{case}: warned {w.message}" for w in caught]
-                if code not in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL):
-                    faults.append(f"{case}: exit {code!r}")
-                if code == EXIT_OK:
-                    header, *rows = [r.split(",") for r
-                                     in out.read_text().splitlines()]
-                    for row in rows:
-                        for column, cell in zip(header, row, strict=True):
-                            try:
-                                x = float(cell)
-                            except ValueError:
-                                continue  # a label such as the variant
-                            if not math.isfinite(x) or (
-                                    column in _PROBABILITY_COLUMNS
-                                    and not 0.0 <= x <= 1.0):
-                                faults.append(f"{case}: {column} = {cell}")
+                faults += _run_faults(spec, out, kind, {**base, field: value},
+                                      f"{field}={value!r}")
         capsys.readouterr()
         assert not faults, "\n".join(faults)
+
+    @pytest.mark.parametrize("kind,fields", [
+        # each lifetime passes alone, but a qubit's decay rate
+        # 1/(2 T1) + 1/Tphi, or the sum over two dephasing qubits, overflows
+        ("crosstalk-toy", {"t1": 6e-309, "tphi": 6e-309}),
+        ("multiqec-chadd", {"tphi": 6e-309, "t1": 1e300})])
+    def test_field_pairs_end_with_an_exit_code(self, tmp_path, capsys, kind,
+                                               fields):
+        faults = _run_faults(tmp_path / "spec.json", tmp_path / "out.csv", kind,
+                             {**_FUZZ_BASE[kind], **fields}, repr(fields))
+        capsys.readouterr()
+        assert not faults, "\n".join(faults)
+        assert (tmp_path / "out.csv").exists()  # a defined result, exit 0
 
 
 class TestCatalog:

@@ -178,11 +178,11 @@ class TestApplyChannel:
 class TestNoiseParams:
     def test_t2_relation(self):
         p = NoiseParams.from_t1_t2(200.0, 150.0)
-        assert abs(1.0 / p.tphi - (1.0 / 150.0 - 1.0 / 400.0)) < 1e-15
+        assert abs(1.0 / p.lifetimes(1)[1][0] - (1.0 / 150.0 - 1.0 / 400.0)) < 1e-15
 
     def test_t1_limited_t2_gives_infinite_tphi(self):
         p = NoiseParams.from_t1_t2(220.0, 440.0)
-        assert math.isinf(p.tphi)
+        assert math.isinf(p.lifetimes(1)[1][0])
 
     def test_unphysical_t2_rejected(self):
         with pytest.raises(ValueError):
@@ -190,7 +190,7 @@ class TestNoiseParams:
 
     def test_per_qubit_values(self):
         p = NoiseParams(t1=[100.0, 200.0, 300.0])
-        assert p.t1_of(1) == 200.0
+        assert p.lifetimes(3)[0][1] == 200.0
 
     @pytest.mark.parametrize("kwargs,field", [
         ({"t1": math.nan}, "t1"), ({"t1": -math.inf}, "t1"),
@@ -217,8 +217,9 @@ class TestNoiseParams:
 
     def test_infinite_lifetimes_mean_no_noise(self):
         p = NoiseParams(t1=math.inf)
-        assert gamma_of_t(10.0, p.t1_of(0)) == 0.0
-        assert p_of_t(10.0, p.tphi_of(0)) == 0.0
+        (t1,), (tphi,) = p.lifetimes(1)
+        assert gamma_of_t(10.0, t1) == 0.0
+        assert p_of_t(10.0, tphi) == 0.0
 
     @pytest.mark.parametrize("t1,t2,field", [
         (100.0, 5e-324, "t2"), (100.0, 5e-309, "t2"), (5e-324, 1e-13, "t1")])
@@ -227,7 +228,7 @@ class TestNoiseParams:
         with pytest.raises(ValueError, match=f"^{field} must be a positive "
                            f"number with a finite rate 1/{field}, got"):
             NoiseParams.from_t1_t2(t1, t2)
-        assert NoiseParams.from_t1_t2(100.0, 6e-309).tphi_of(0) > 0
+        assert NoiseParams.from_t1_t2(100.0, 6e-309).lifetimes(1)[1][0] > 0
 
     def test_from_t1_t2_rejects_invalid_t1(self):
         for t1 in (-5.0, math.nan, [100.0, 200.0]):
@@ -237,9 +238,9 @@ class TestNoiseParams:
     def test_per_qubit_lookup_does_not_wrap(self):
         p = NoiseParams(t1=[100.0, 200.0], tphi=[50.0, 60.0])
         with pytest.raises(ValueError, match="t1 has 2 per-qubit values"):
-            p.t1_of(2)
+            p.lifetimes(3)
         with pytest.raises(ValueError, match="tphi has 2 per-qubit values"):
-            p.tphi_of(2)
+            NoiseParams(t1=100.0, tphi=[50.0, 60.0]).lifetimes(3)
 
     def test_idle_noise_needs_a_value_per_qubit(self):
         cfg = protocol.ProtocolConfig(LogicalStateSpec(1.0), max_delay=30,
@@ -248,18 +249,31 @@ class TestNoiseParams:
         with pytest.raises(ValueError, match="t1"):
             protocol.run_multiqec(cfg, NoiseParams(t1=[100.0, 200.0]))
 
-    def test_require_qubits(self):
-        NoiseParams(t1=100.0).require_qubits(5)
-        NoiseParams(t1=[1.0, 2.0, 3.0]).require_qubits(3)
+    @pytest.mark.parametrize("noise,message", [
+        (NoiseParams(t1=[220.0] * 4), "t1 has 4 per-qubit values"),
+        (NoiseParams(t1=220.0, tphi=[300.0] * 7), "tphi has 7 per-qubit values")])
+    def test_run_multiqec_needs_one_value_per_data_qubit(self, noise, message):
+        # a longer list is not cut to the three data qubits
+        cfg = protocol.ProtocolConfig(LogicalStateSpec(1.0), max_delay=30,
+                                      total_free=(30.0,))
+        with pytest.raises(ValueError,
+                           match=f"^{message} for a 3-qubit register$"):
+            protocol.run_multiqec(cfg, noise)
+
+    def test_lifetimes(self):
+        assert NoiseParams(t1=100.0).lifetimes(5) == ((100.0,) * 5, (math.inf,) * 5)
+        assert NoiseParams(t1=[1.0, 2.0, 3.0], tphi=9.0).lifetimes(3) == (
+            (1.0, 2.0, 3.0), (9.0,) * 3)
         with pytest.raises(ValueError, match="t1 has 3 per-qubit values "
                                              "for a 4-qubit register"):
-            NoiseParams(t1=[1.0, 2.0, 3.0]).require_qubits(4)
+            NoiseParams(t1=[1.0, 2.0, 3.0]).lifetimes(4)
 
     def test_idle_noise_matches_manual(self):
         # a 10 us delay as the compiled map and as per-qubit Kraus operators
         params = NoiseParams.from_t1_t2(200.0, 150.0)
         rho = pure(np.array([1, 1, 0, 0, 0, 0, 1, 0]) / math.sqrt(3))
-        out = _noisy(rho, gamma_of_t(10.0, 200.0), p_of_t(10.0, params.tphi))
+        out = _noisy(rho, gamma_of_t(10.0, 200.0),
+                     p_of_t(10.0, params.lifetimes(1)[1][0]))
         manual = idle_noise(rho, 10.0, params)
         np.testing.assert_allclose(out, manual, atol=1e-14)
 

@@ -200,7 +200,7 @@ class TestMultiQec:
         p_total = 1.0
         for delay in (25.0, 25.0, 20.0):
             g = 1 - math.exp(-delay / 200.0)
-            p = 0.5 * (1 - math.exp(-delay / noise.tphi))
+            p = 0.5 * (1 - math.exp(-delay / noise.lifetimes(3)[1][0]))
             rho = damp_dephase(rho, range(3), g, p)
             rho, p_round = code3.apply_cycle(
                 code3.RecoveryMap.ideal(g).superop(), rho)
@@ -517,13 +517,15 @@ def _restrict(rho, m):
 
 class TestLindblad:
     def test_trace_preserved(self):
-        model = CrosstalkModel(omega1=0.4, omega2=0.1, g=0.07, t1=80.0, tphi=120.0)
+        model = CrosstalkModel(omega1=0.4, omega2=0.1, g=0.07,
+                               noise=NoiseParams(t1=80.0, tphi=120.0))
         rho = np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex)
         out = propagate(model.lindbladian().propagator(25.0), rho)
         assert abs(np.trace(out).real - 1.0) < 1e-9
 
     def test_richardson_convergence(self):
-        model = CrosstalkModel(omega1=0.4, omega2=0.1, g=0.07, t1=80.0, tphi=120.0)
+        model = CrosstalkModel(omega1=0.4, omega2=0.1, g=0.07,
+                               noise=NoiseParams(t1=80.0, tphi=120.0))
         collapse = collapse_operators(2, NoiseParams(t1=80.0, tphi=120.0))
         rho = np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex)
         h = crosstalk_hamiltonian(model)
@@ -552,6 +554,23 @@ class TestLindblad:
         rho = np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)
         out = propagate(lindbladian(2, noise).propagator(20.0), rho)
         assert abs(out[3, 3].real - math.exp(-20.0 / 100.0 - 20.0 / 200.0)) < 1e-12
+
+    def test_overflowing_decay_rate_decays_to_zero(self):
+        # 1/(2 T1) + 1/Tphi past the largest float on each qubit, and the
+        # two qubits' dephasing summed past it on the |01><10| coherence:
+        # every coherence is gone at any t > 0 and t = 0 is the identity
+        psi = np.full(4, 0.5, dtype=complex)
+        rho = np.outer(psi, psi.conj())
+        for noise in (NoiseParams(t1=6e-309, tphi=6e-309),
+                      NoiseParams(t1=1e300, tphi=6e-309)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                gen = lindbladian(2, noise, ((0, 1, 0.05),), (0.3, 0.2))
+                out = propagate(gen.propagator(np.array([0.0, 1e-300, 16.0])), rho)
+            np.testing.assert_array_equal(out[0], rho)
+            for later in out[1:]:
+                assert np.all(later[~np.eye(4, dtype=bool)] == 0)
+                assert abs(np.trace(later) - 1) < 1e-15
 
     @pytest.mark.parametrize("model", [CrosstalkModel(omega1=1e308),
                                        CrosstalkModel(g=1e308)])
@@ -717,13 +736,15 @@ class TestCrosstalkToy:
         np.testing.assert_allclose(series.pop1, 1.0, atol=1e-10)
 
     def test_probe_one_improves_with_chadd(self):
-        model = CrosstalkModel(omega1=0.3, omega2=0.2, g=0.05, t1=100.0)
+        model = CrosstalkModel(omega1=0.3, omega2=0.2, g=0.05,
+                               noise=NoiseParams(t1=100.0))
         with_dd = run_crosstalk_toy(model, "1", 60.0, 4)
         without = run_crosstalk_toy(model, "1", 60.0)
         assert with_dd.fidelity[-1] > without.fidelity[-1]
 
     def test_probe_zero_degrades_with_chadd(self):
-        model = CrosstalkModel(omega1=0.3, omega2=0.2, g=0.05, t1=100.0)
+        model = CrosstalkModel(omega1=0.3, omega2=0.2, g=0.05,
+                               noise=NoiseParams(t1=100.0))
         with_dd = run_crosstalk_toy(model, "0", 60.0, 4)
         without = run_crosstalk_toy(model, "0", 60.0)
         assert with_dd.fidelity[-1] < without.fidelity[-1]
@@ -742,12 +763,14 @@ class TestCrosstalkToy:
         (-60.0, None, "non-negative")])
     def test_bad_t_final_rejected(self, t_final, cycles, need):
         with pytest.raises(ValueError, match=f"t_final must be {need}"):
-            run_crosstalk_toy(CrosstalkModel(t1=50.0), "1", t_final, cycles)
+            run_crosstalk_toy(CrosstalkModel(noise=NoiseParams(t1=50.0)), "1",
+                              t_final, cycles)
 
     @pytest.mark.parametrize("probe", ["0", "1", "+"])
     def test_free_series_equals_stepped_series(self, probe):
         # one propagator over the 40 sample times against 40 steps of one
-        model = CrosstalkModel(omega1=0.3, omega2=0.2, g=0.05, t1=80.0, tphi=120.0)
+        model = CrosstalkModel(omega1=0.3, omega2=0.2, g=0.05,
+                               noise=NoiseParams(t1=80.0, tphi=120.0))
         series = run_crosstalk_toy(model, probe, 60.0)
         ket = {"0": [1, 0], "1": [0, 1], "+": [1 / math.sqrt(2)] * 2}[probe]
         psi = np.kron(ket, [1, 0]).astype(complex)
@@ -765,7 +788,7 @@ class TestCrosstalkToy:
             assert np.abs(got - want).max() <= 1e-12
 
     def test_free_evolution_over_zero_time_keeps_the_state(self):
-        series = run_crosstalk_toy(CrosstalkModel(t1=50.0), "1", 0.0)
+        series = run_crosstalk_toy(CrosstalkModel(noise=NoiseParams(t1=50.0)), "1", 0.0)
         assert len(series.times) == 41 and not series.times.any()
         np.testing.assert_array_equal(series.fidelity, 1.0)
 
