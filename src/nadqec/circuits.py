@@ -63,17 +63,19 @@ class Circuit:
     def unitary(self) -> np.ndarray:
         """Compile to a dense matrix (gates applied left to right).
 
-        Each gate acts on its own qubits' row axes of the (2,)*n + (2^n,)
-        view of the matrix so far, never lifted to 2^n x 2^n.
+        A CZ flips the sign of the rows where both its qubits are 1, on the
+        (2^a, 2, 2^(b-a-1), 2, rest) view for qubits a < b; a 1-qubit gate
+        on qubit q is one 2x2 product on the (2^q, 2, rest) view of the
+        matrix so far. No gate is lifted to 2^n x 2^n.
         """
-        n, dim = self.n_qubits, 2**self.n_qubits
+        dim = 2**self.n_qubits
         u = np.eye(dim, dtype=complex)
         for g in self.gates:
-            k = len(g.qubits)
-            m = g.matrix().reshape((2,) * (2 * k))
-            t = np.tensordot(m, u.reshape((2,) * n + (dim,)),
-                             axes=(list(range(k, 2 * k)), list(g.qubits)))
-            u = np.moveaxis(t, list(range(k)), list(g.qubits)).reshape(dim, dim)
+            if g.name == "CZ":
+                a, b = sorted(g.qubits)
+                u.reshape(2**a, 2, 2**(b - a - 1), 2, -1)[:, 1, :, 1] *= -1
+            else:
+                u = (g.matrix() @ u.reshape(2**g.qubits[0], 2, -1)).reshape(dim, dim)
         return u
 
     def inverse(self) -> "Circuit":

@@ -6,9 +6,11 @@ builds each rotation layer of the ansatz as one matrix and reads the
 gradients of a layer off its single-qubit marginals: here every RX and RZ
 is its own 2x2 rotation, applied to the qubit's row index and peeled off
 again in the backward sweep. ``circuit_unitary`` is the reference for
-``Circuit.unitary``, which applies each gate on its own qubits' axes: here
-every gate is lifted to the whole register with ``noise_reference.embed`` and
-multiplied in as a 2^n x 2^n matrix.
+``Circuit.unitary``, which applies a CZ as a row sign and a 1-qubit gate as
+one 2x2 product on a reshaped view: here every gate is lifted to the whole
+register with ``noise_reference.embed`` and multiplied in as a 2^n x 2^n
+matrix. ``circuit_unitary_by_axes`` is the second reference, the
+``tensordot`` contraction on each gate's own qubit axes.
 """
 
 import math
@@ -26,6 +28,21 @@ def circuit_unitary(circ: Circuit) -> np.ndarray:
     u = np.eye(2**circ.n_qubits, dtype=complex)
     for g in circ.gates:
         u = embed(g.matrix(), list(g.qubits), circ.n_qubits) @ u
+    return u
+
+
+def circuit_unitary_by_axes(circ: Circuit) -> np.ndarray:
+    """The circuit's matrix, each gate contracted into its own qubits' row
+    axes of the (2,)*n + (2^n,) view with ``tensordot`` (gates applied left
+    to right)."""
+    n, dim = circ.n_qubits, 2**circ.n_qubits
+    u = np.eye(dim, dtype=complex)
+    for g in circ.gates:
+        k = len(g.qubits)
+        m = g.matrix().reshape((2,) * (2 * k))
+        t = np.tensordot(m, u.reshape((2,) * n + (dim,)),
+                         axes=(list(range(k, 2 * k)), list(g.qubits)))
+        u = np.moveaxis(t, list(range(k)), list(g.qubits)).reshape(dim, dim)
     return u
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from noise_reference import embed
-from synth_reference import circuit_unitary
+from synth_reference import circuit_unitary, circuit_unitary_by_axes
 
 from nadqec.circuits import Circuit, Gate, remapped
 from nadqec.qcore import CZ, rx, rz
@@ -85,6 +85,19 @@ class TestCompilation:
                    for _ in range(40)]
         for circ in fixed + randoms:
             assert np.array_equal(circ.unitary(), circuit_unitary(circ)), circ
+
+
+    def test_equals_tensordot_form(self):
+        # the row-sign CZ and the 2x2 product on a reshaped view give the
+        # tensordot contraction's matrix bit for bit
+        rng = np.random.default_rng(31)
+        circuits = [self._random_circuit(rng, n) for n in range(2, 6)
+                    for _ in range(40)]
+        assert {g.name for c in circuits for g in c.gates} == \
+            {"RX", "RY", "RZ", "X", "CZ"}
+        for circ in circuits:
+            assert np.array_equal(circ.unitary(),
+                                  circuit_unitary_by_axes(circ)), circ
 
 
 class TestSerialization:

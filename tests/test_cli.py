@@ -282,18 +282,20 @@ class TestRun:
             ExperimentSpec.load(write_spec(tmp_path, payload))
 
     def test_synth_restarts_column_counts_every_level(self, tmp_path):
-        # seed 10, two restarts: the 3-layer encoder level spends both
-        # starts and fails, then 4 layers converge on the first start
-        payload = {"kind": "synth", "seed": 10,
+        # seed 1, two restarts: the recovery factor (seed 2) spends both
+        # 4-layer starts and fails, then 5 layers converge on the first
+        # start; the encoder converges on its first 3-layer start
+        payload = {"kind": "synth", "seed": 1,
                    "output": str(tmp_path / "synth.csv"),
                    "params": {"restarts": 2}}
         assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_OK
         rows = {r.split(",")[0]: r.split(",")
                 for r in (tmp_path / "synth.csv").read_text().splitlines()[1:]}
-        assert rows["encoder"][2:] == ["8", "3"]
+        assert rows["recovery_u"][2:] == ["10", "3"]
+        assert rows["encoder"][2:] == ["6", "1"]
         # the written circuits parse back, and the recovery still verifies
         encoder = Circuit.deserialize((tmp_path / "synth.encoder.txt").read_text(), 3)
-        assert encoder.count("CZ") == 8
+        assert encoder.count("CZ") == 6
         recovery = Circuit.deserialize(
             (tmp_path / "synth.recovery.txt").read_text(), 5)
         assert synth.verify_recovery_circuit(recovery,

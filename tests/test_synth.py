@@ -183,8 +183,9 @@ class TestStallStop:
                 np.testing.assert_array_equal(c.x, p.x)
 
     def test_stalled_starts_end_early(self, monkeypatch):
-        # the bench spec's encoder: both 3-layer starts stall at a nonzero
-        # minimum, then the first 4-layer start converges
+        # BFGS on the bench spec's encoder target (``synthesize_encoder``
+        # itself runs Levenberg-Marquardt): both 3-layer starts stall at a
+        # nonzero minimum, then the first 4-layer start converges
         calls = []
         gradient = synth._AnsatzEvaluator.gradient
 
@@ -192,12 +193,12 @@ class TestStallStop:
             calls.append(1)
             return gradient(self, params)
 
+        t, mask = synth.encoder_target()
         with monkeypatch.context() as mp:
             mp.setattr(synth._AnsatzEvaluator, "gradient", counted)
-            circ, res = synthesize_encoder(seed=10, restarts=2)
+            circ, res = synth.synthesize(t, mask, 3, seed=10, restarts=2)
         assert res.converged and circ.count("CZ") == 8
         assert len(calls) <= 150  # 267 without the rule
-        t, mask = synth.encoder_target()
         problem = SynthesisProblem(t, Ansatz(3, 3), mask=mask)
         plain, p_runs = _starts(monkeypatch, problem, 10, 2, stall=False)
         cut, c_runs = _starts(monkeypatch, problem, 10, 2)
@@ -213,17 +214,20 @@ def _random_unitary(rng, dim):
     return np.linalg.qr(a)[0]
 
 
+_PROBLEMS = pytest.mark.parametrize("make_problem", [
+    lambda rng: SynthesisProblem(synth.encoder_target()[0], Ansatz(3, 3),
+                                 mask=synth.encoder_target()[1]),
+    lambda rng: SynthesisProblem(synth.recovery_u_target()[0], Ansatz(3, 4),
+                                 mask=synth.recovery_u_target()[1]),
+    lambda rng: SynthesisProblem(_random_unitary(rng, 8), Ansatz(3, 2),
+                                 mask=[1, 6]),
+], ids=["column-mask", "pair-mask", "random-target"])
+
+
 class TestGradient:
     """The adjoint gradient against central differences of ``cost``."""
 
-    @pytest.mark.parametrize("make_problem", [
-        lambda rng: SynthesisProblem(synth.encoder_target()[0], Ansatz(3, 3),
-                                     mask=synth.encoder_target()[1]),
-        lambda rng: SynthesisProblem(synth.recovery_u_target()[0], Ansatz(3, 4),
-                                     mask=synth.recovery_u_target()[1]),
-        lambda rng: SynthesisProblem(_random_unitary(rng, 8), Ansatz(3, 2),
-                                     mask=[1, 6]),
-    ], ids=["column-mask", "pair-mask", "random-target"])
+    @_PROBLEMS
     def test_matches_central_differences(self, make_problem):
         rng = np.random.default_rng(21)
         problem = make_problem(rng)
@@ -234,6 +238,84 @@ class TestGradient:
         fd = np.array([(cost(problem, x + h * e) - cost(problem, x - h * e))
                        / (2 * h) for e in np.eye(x.size)])
         np.testing.assert_allclose(g, fd, atol=1e-7)
+
+
+class TestJacobian:
+    """The stacked residual's Jacobian against central differences of the
+    residual and against the adjoint gradient."""
+
+    @staticmethod
+    def _stacked(evaluator, x):
+        res = evaluator.residual(x)[1]
+        return np.concatenate([res.real, res.imag])
+
+    @_PROBLEMS
+    def test_matches_central_differences(self, make_problem):
+        rng = np.random.default_rng(21)
+        problem = make_problem(rng)
+        evaluator = synth._AnsatzEvaluator(problem)
+        x = rng.uniform(-math.pi, math.pi, problem.ansatz.parameter_count)
+        f, jac = evaluator.jacobian(x)
+        np.testing.assert_array_equal(f, self._stacked(evaluator, x))
+        h = 1e-6
+        fd = np.array([(self._stacked(evaluator, x + h * e)
+                        - self._stacked(evaluator, x - h * e)) / (2 * h)
+                       for e in np.eye(x.size)]).T
+        np.testing.assert_allclose(jac, fd, rtol=0, atol=1e-8)
+
+    @_PROBLEMS
+    def test_twice_jt_f_is_the_gradient(self, make_problem):
+        rng = np.random.default_rng(22)
+        problem = make_problem(rng)
+        evaluator = synth._AnsatzEvaluator(problem)
+        for _ in range(5):
+            x = rng.uniform(-math.pi, math.pi, problem.ansatz.parameter_count)
+            f, jac = evaluator.jacobian(x)
+            c, g = evaluator.gradient(x)
+            assert abs(f @ f - c) <= 1e-13
+            np.testing.assert_allclose(2 * jac.T @ f, g, rtol=0, atol=1e-13)
+
+
+class TestLevenbergMarquardt:
+    def test_repeatable_across_allocations(self):
+        # the same angles bit for bit however the arrays happen to be laid
+        # out in memory between runs
+        first = synthesize_encoder(seed=10, restarts=2)[1]
+        for size in (1, 3, 17, 129, 4097):
+            held = [np.ones(size, complex) for _ in range(size % 7 + 1)]
+            again = synthesize_encoder(seed=10, restarts=2)[1]
+            np.testing.assert_array_equal(again.params, first.params)
+            assert again.cost == first.cost
+            del held
+
+    def test_more_angles_than_residuals(self):
+        # 5 layers: 36 angles against 32 real residuals; the damped system
+        # is solvable without m >= n
+        target, mask = synth.encoder_target()
+        problem = SynthesisProblem(target, Ansatz(3, 5), mask=mask)
+        evaluator = synth._AnsatzEvaluator(problem)
+        assert (evaluator.n_params, 2 * evaluator.rows.size) == (36, 32)
+        res = optimize(problem, seed=10, restarts=1,
+                       _start=synth._levenberg_marquardt)
+        assert res.converged and res.cost < 1e-20
+
+    def test_failure_reported_not_raised(self):
+        # no entangler: the cost bottoms out at 4, and the start ends there
+        swapish = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+        problem = SynthesisProblem(swapish, Ansatz(2, 0), tolerance=1e-10)
+        res = optimize(problem, seed=0, restarts=2,
+                       _start=synth._levenberg_marquardt)
+        assert not res.converged and res.restarts_used == 2
+        assert abs(res.cost - 4.0) < 1e-9
+
+    def test_encoder_no_deeper_than_bfgs(self):
+        # (CZ count, starts) of the BFGS encoder at spec seeds 0-11,
+        # restarts 2; Levenberg-Marquardt converges at 3 layers at each
+        bfgs = [(6, 1)] * 8 + [(6, 2), (6, 2), (8, 3), (6, 1)]
+        for seed, (cz, starts) in enumerate(bfgs):
+            circ, res = synthesize_encoder(seed=seed, restarts=2)
+            assert res.converged and circ.count("CZ") == 6 <= cz
+            assert res.restarts_used <= starts
 
 
 class TestLayerEvaluator:
@@ -435,12 +517,13 @@ class TestSynthKindStructure:
     def test_benchmark_spec_depths_and_restarts(self):
         # the `synth` kind at seed 10, restarts 2 (bench/workloads.py's
         # SYNTH_SPEC) synthesizes the encoder at seed 10 and U at seed 11;
-        # the encoder fails both 3-layer starts before 4 layers converge,
-        # and U, whose search starts at 4 layers, converges on the first
+        # the encoder converges on its first 3-layer start (BFGS failed
+        # both and needed 4 layers), and U, whose search starts at 4
+        # layers, converges on the first
         enc_circ, enc = synthesize_encoder(seed=10, restarts=2)
         u_circ, u = synth.synthesize_recovery_u(seed=11, restarts=2)
         assert enc.converged and u.converged
-        assert (enc_circ.count("CZ"), enc.restarts_used) == (8, 3)
+        assert (enc_circ.count("CZ"), enc.restarts_used) == (6, 1)
         assert (u_circ.count("CZ"), u.restarts_used) == (8, 1)
 
 
