@@ -334,10 +334,10 @@ def _run_synth(spec: ExperimentSpec, out: Path) -> None:
     from . import synth  # loads scipy.optimize, which no other kind needs
 
     _require_numbers(spec.params, ints={"restarts": 1})
-    # a depth level that does not converge runs every start (about 9 ms
-    # each for an encoder start at 3 layers, 8 to 12 ms for a recovery
-    # factor start at 4 or 5 layers, more deeper), and a search may try
-    # six levels
+    # a depth level that does not converge runs every start (a failed
+    # encoder start at 3 layers takes about 15 ms, up to about 95 ms; a
+    # failed recovery factor start at 4 or 5 layers about 15 to 20 ms, up
+    # to about 45 ms; more deeper), and a search may try six levels
     _require_in(spec.params, "restarts", lambda v: v <= 1000, "at most 1000")
     restarts = spec.params.get("restarts", 20)
     seed = spec.seed

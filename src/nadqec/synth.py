@@ -2,16 +2,16 @@
 
 Targets are matched by minimizing the masked squared Frobenius distance
 C(theta) = sum_{(i,j) in mask} |O_ij - U_ij(theta)|^2 from seeded
-multi-start points. The encoder runs Levenberg-Marquardt on the stacked
-real and imaginary masked residual with its exact Jacobian
-(``_levenberg_marquardt``); the recovery factor runs BFGS on the exact
-adjoint gradient (``_bfgs``), where a start whose cost stalls above the
-tolerance is ended there (``_STALL_DECREASE``), which no start that meets
-the tolerance ever is. The ansatz is applied one rotation layer at a time,
-each layer a single 2^n x 2^n matrix with the preceding CZ layer's +-1
-diagonal folded in; the gradients of a layer's angles are read off
-single-qubit marginals, and the Jacobian's columns are masked entries of
-suffix x generator x prefix products.
+multi-start points. Both optimizers read one derivative, the exact
+Jacobian of the masked residual: the encoder runs Levenberg-Marquardt on
+the stacked real and imaginary residual (``_levenberg_marquardt``); the
+recovery factor runs BFGS on the gradient that the Jacobian gives
+(``_bfgs``), where a start whose cost stalls above the tolerance is ended
+there (``_STALL_DECREASE``), which no start that meets the tolerance ever
+is. The ansatz is applied one rotation layer at a time, each layer a
+single 2^n x 2^n matrix with the preceding CZ layer's +-1 diagonal folded
+in, and the Jacobian's columns are masked entries of suffix x generator x
+prefix products.
 
 Also holds the shared-factor split of the non-unitary recovery and the
 block encoding of its diagonal part. The recovery factorization uses a
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import optimize as sciopt
@@ -74,20 +74,19 @@ class Ansatz:
 
 
 class _AnsatzEvaluator:
-    """Cost and exact gradient of one synthesis problem, a layer at a time.
+    """Masked residual and its exact Jacobian for one synthesis problem, a
+    layer at a time.
 
     U = R_L D ... D R_1 D R_0: each rotation layer is one matrix
     R_l = (x)_q RZ(b_q) RX(a_q) (qubit 0 most significant) and D is the CZ
     layer's +-1 diagonal, folded into W_l = R_l D (l >= 1, W_0 = R_0). The
-    gradient is adjoint: the forward pass keeps the prefixes
-    U_l = W_l U_{l-1}, the backward pass carries the masked residual
-    E = U - T back as E_{l-1} = W_l^dag E_l (every layer after l peeled
-    off). A
-    generator G on qubit q applied after R_l gives dC/dtheta =
-    Im Tr(G U_l E_l^dag) = Im Tr(G n_q), n_q = Tr_{!=q}(U_l E_l^dag). RZ is
-    last on its qubit and RX's generator moved past it is
-    RZ X RZ^dag = cos b X + sin b Y, so dC/db_q = Im(n_q[0,0] - n_q[1,1])
-    and dC/da_q = Im(e^{ib} n_q[0,1] + e^{-ib} n_q[1,0]).
+    forward pass keeps the prefixes U_l = W_l U_{l-1}. With the suffix
+    S_l = W_L ... W_{l+1}, the derivative of U by an angle of layer l on
+    qubit q is S_l (-i/2) G U_l: G = Z for the RZ angle and
+    G = RZ X RZ^dag = e^{-ib Z} X for the RX angle (RZ is last on its
+    qubit), so G U_l is a row sign or a row gather with a phase. Both
+    optimizers read this one Jacobian: LM as its stacked real and imaginary
+    parts, BFGS as the gradient 2 Re(r^H J) of C = |r|^2.
     """
 
     def __init__(self, problem: SynthesisProblem):
@@ -101,12 +100,6 @@ class _AnsatzEvaluator:
         for a, b in ansatz.edges:
             self.entangler[bits[:, a] & bits[:, b] == 1] *= -1
         self.n_params = ansatz.parameter_count
-        # einsum subscripts over a stack z of layers: the kron of the n
-        # per-qubit factors, and the partial trace onto each qubit q
-        r, c = _LETTERS[:n], _LETTERS[n:2 * n]
-        self.kron = ",".join(f"{i}{j}z" for i, j in zip(r, c)) + f"->z{r}{c}"
-        self.marginals = [f"z{r[:q]}x{r[q + 1:]}{r[:q]}y{r[q + 1:]}->zxy"
-                          for q in range(n)]
         self.rows, self.cols = problem.mask_indices()
         self.target_vals = problem.target[self.rows, self.cols]
         # Z on qubit q as +-1 per row index, and the row index with qubit q
@@ -124,8 +117,12 @@ class _AnsatzEvaluator:
         # RZ(b) RX(a) = [[ph cos, -i ph sin], [-i ph* sin, ph* cos]]
         factors = np.array([[ph * cos, -1j * ph * sin],
                             [-1j * ph.conj() * sin, ph.conj() * cos]])
-        dim = self.entangler.size
-        rot = np.einsum(self.kron, *factors.transpose(2, 0, 1, 3)).reshape(-1, dim, dim)
+        # each layer the Kronecker product of its qubits' factors, qubit 0
+        # outermost: (A (x) B)[2i + k, 2j + l] = A[i, j] B[k, l]
+        rot, *rest = factors.transpose(2, 3, 0, 1)  # each (layer, 2, 2)
+        for f in rest:
+            d = 2 * rot.shape[1]
+            rot = (rot[:, :, None, :, None] * f[:, None, :, None, :]).reshape(-1, d, d)
         # W_l = R_l D for l >= 1: D's entries are +-1, so every product is
         # exact and W_l @ U_{l-1} equals R_l @ (D U_{l-1}) bit for bit
         rot[1:] *= self.entangler
@@ -137,38 +134,9 @@ class _AnsatzEvaluator:
     def unitary(self, params: np.ndarray) -> np.ndarray:
         return self._forward(params)[2][-1]
 
-    def residual(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """U and the masked U - T."""
-        u = self.unitary(params)
-        return u, u[self.rows, self.cols] - self.target_vals
-
-    def gradient(self, params: np.ndarray) -> tuple[float, np.ndarray]:
-        """Cost and its exact gradient from one forward and one backward
-        pass."""
-        b, rot, pre = self._forward(params)
-        res = pre[-1][self.rows, self.cols] - self.target_vals
-        e = np.zeros(rot.shape, complex)
-        # add.at, not assignment: a pair mask may list an entry twice
-        np.add.at(e[-1], (self.rows, self.cols), res)
-        rot_h = rot.conj().transpose(0, 2, 1)  # W_l^dag = D R_l^dag
-        for layer in range(len(rot) - 1, 0, -1):
-            e[layer - 1] = rot_h[layer] @ e[layer]
-        k = (pre @ e.conj().transpose(0, 2, 1)).reshape((-1,) + (2,) * (2 * len(b)))
-        m = np.array([np.einsum(spec, k) for spec in self.marginals])
-        grad = np.array([(np.exp(1j * b) * m[..., 0, 1]
-                          + np.exp(-1j * b) * m[..., 1, 0]).imag,
-                         (m[..., 0, 0] - m[..., 1, 1]).imag])
-        return float(np.sum(np.abs(res) ** 2)), grad.T.ravel()
-
-    def jacobian(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The stacked real and imaginary masked residual f, with
-        C = f.f, and its exact Jacobian J (so the gradient is 2 J^T f).
-
-        With the suffix S_l = W_L ... W_{l+1}, the derivative of U by an
-        angle of layer l on qubit q is S_l (-i/2) G U_l: G = Z for the RZ
-        angle and G = RZ X RZ^dag = e^{-ib Z} X for the RX angle, so G U_l
-        is a row sign or a row gather with a phase.
-        """
+    def _columns(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The complex masked residual r = U - T and its Jacobian, one
+        column per angle."""
         b, rot, pre = self._forward(params)
         res = pre[-1][self.rows, self.cols] - self.target_vals
         suffix = np.empty_like(rot)
@@ -182,43 +150,36 @@ class _AnsatzEvaluator:
         d_rz = self.z_sign @ (s * u)
         phase = np.exp(-1j * b.T[:, :, None] * self.z_sign)
         d_rx = (phase[:, :, None] @ (s[:, None] * u[:, self.x_flip]))[:, :, 0]
-        jac = -0.5j * np.stack([d_rx, d_rz], axis=2).reshape(self.n_params, -1).T
+        return res, -0.5j * np.stack([d_rx, d_rz], axis=2).reshape(self.n_params, -1).T
+
+    def gradient(self, params: np.ndarray) -> tuple[float, np.ndarray]:
+        """The cost C = |r|^2 and its gradient 2 Re(r^H J), for BFGS."""
+        res, jac = self._columns(params)
+        return float(np.vdot(res, res).real), 2 * (res.conj() @ jac).real
+
+    def jacobian(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The stacked real and imaginary residual f, with C = f.f, and its
+        Jacobian, for LM."""
+        res, jac = self._columns(params)
         return (np.concatenate([res.real, res.imag]),
                 np.concatenate([jac.real, jac.imag]))
-
-
-_LETTERS = "abcdefghijklmnopqrstuvw"  # einsum indices, leaving x, y, z free
 
 
 @dataclass(frozen=True)
 class SynthesisProblem:
     target: np.ndarray
     ansatz: Ansatz
-    mask: Optional[object] = None  # None | column index list | (i, j) pair list
+    mask: Sequence[tuple[int, int]]  # the (row, column) entries compared
     tolerance: float = 1e-10
 
     def mask_indices(self) -> tuple[np.ndarray, np.ndarray]:
         dim = self.target.shape[0]
-        if self.mask is None:
-            rows, cols = np.meshgrid(range(dim), range(dim), indexing="ij")
-            return rows.ravel(), cols.ravel()
-        mask = list(self.mask)
-        if mask and isinstance(mask[0], (tuple, list)):
-            rows = np.array([i for i, _ in mask])
-            cols = np.array([j for _, j in mask])
-        else:
-            cols = np.repeat(np.asarray(mask, dtype=int), dim)
-            rows = np.tile(np.arange(dim), len(mask))
-        if rows.size and (rows.min() < 0 or rows.max() >= dim
-                          or cols.min() < 0 or cols.max() >= dim):
+        pairs = np.array(self.mask, dtype=int)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("mask must list (row, column) pairs")
+        if pairs.min() < 0 or pairs.max() >= dim:
             raise ValueError(f"mask exceeds the {dim}x{dim} index range")
-        return rows, cols
-
-
-def cost(problem: SynthesisProblem, params: Sequence[float]) -> float:
-    """Masked squared Frobenius distance."""
-    res = _AnsatzEvaluator(problem).residual(np.asarray(params, dtype=float))[1]
-    return float(np.sum(np.abs(res) ** 2))
+        return pairs[:, 0], pairs[:, 1]
 
 
 @dataclass(frozen=True)
@@ -261,8 +222,8 @@ def _stall_stop(tolerance: float):
 
 def _bfgs(evaluator: _AnsatzEvaluator, x0: np.ndarray,
           tolerance: float) -> tuple[np.ndarray, float]:
-    """One BFGS start on the adjoint gradient, ended once it stalls above
-    ``tolerance``."""
+    """One BFGS start on the gradient 2 Re(r^H J), ended once it stalls
+    above ``tolerance``."""
     res = sciopt.minimize(evaluator.gradient, x0, jac=True, method="BFGS",
                           callback=_stall_stop(tolerance),
                           options={"gtol": 1e-12, "maxiter": 400})
@@ -341,7 +302,7 @@ def optimize(problem: SynthesisProblem, seed: int = 0, restarts: int = 20,
 
 def synthesize(
     target: np.ndarray,
-    mask: Optional[object],
+    mask: Sequence[tuple[int, int]],
     n_qubits: int,
     seed: int = 0,
     tolerance: float = 1e-10,
@@ -517,13 +478,13 @@ def block_encode_diagonal(gamma: float, mode: str = "exact") -> Circuit:
 # ---------------------------------------------------------------------------
 
 
-def encoder_target() -> tuple[np.ndarray, list[int]]:
-    """Column-masked encoder synthesis target: |000> -> |0_L|,
-    |100> -> |1_L> (only those two columns of ``code3.encoder_unitary``
-    matter)."""
+def encoder_target() -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Masked encoder synthesis target: |000> -> |0_L>, |100> -> |1_L>
+    (only those two columns of ``code3.encoder_unitary`` matter, column 0's
+    rows then column 4's)."""
     target = np.zeros((8, 8), complex)
     target[:, [0, 4]] = code3.encoder_unitary()[:, [0, 4]]
-    return target, [0, 4]
+    return target, [(i, j) for j in (0, 4) for i in range(8)]
 
 
 def recovery_u_target() -> tuple[np.ndarray, list[tuple[int, int]]]:

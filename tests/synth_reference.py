@@ -2,15 +2,15 @@
 circuit compilation by full-register products.
 
 An independent reference for ``nadqec.synth._AnsatzEvaluator``, which
-builds each rotation layer of the ansatz as one matrix and reads the
-gradients of a layer off its single-qubit marginals: here every RX and RZ
-is its own 2x2 rotation, applied to the qubit's row index and peeled off
-again in the backward sweep. ``circuit_unitary`` is the reference for
-``Circuit.unitary``, which applies a CZ as a row sign and a 1-qubit gate as
-one 2x2 product on a reshaped view: here every gate is lifted to the whole
-register with ``noise_reference.embed`` and multiplied in as a 2^n x 2^n
-matrix. ``circuit_unitary_by_axes`` is the second reference, the
-``tensordot`` contraction on each gate's own qubit axes.
+builds each rotation layer of the ansatz as one matrix and reads both
+optimizers' derivatives off the exact Jacobian of the masked residual: here
+every RX and RZ is its own 2x2 rotation, applied to the qubit's row index
+and peeled off again in an adjoint backward sweep. ``circuit_unitary`` is
+the reference for ``Circuit.unitary``, which applies a CZ as a row sign and
+a 1-qubit gate as one 2x2 product on a reshaped view: here every gate is
+lifted to the whole register with ``noise_reference.embed`` and multiplied
+in as a 2^n x 2^n matrix. ``circuit_unitary_by_axes`` is the second
+reference, the ``tensordot`` contraction on each gate's own qubit axes.
 """
 
 import math

@@ -7,7 +7,10 @@ in the same file; a module-level private name of the package (a ``_name``
 bound by ``def``, ``class`` or assignment) must be referenced somewhere in
 the package; and a module-level public name of the package must be read by
 the package or the benchmark harness (``bench/*.py``), apart from the
-test-only names listed in ``TEST_ONLY``.
+test-only names listed in ``TEST_ONLY``. A name counts as read when it is
+loaded bare, imported by name, or read as an attribute of a package module
+(``code3.x``, ``synth.x``); an attribute of anything else (``res.cost``)
+reads no module-level name.
 """
 
 import ast
@@ -16,6 +19,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "nadqec").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
+MODULES = frozenset(p.stem for p in PACKAGE)
 FILES = sorted([p for p in PACKAGE if p.name != "__init__.py"]
                + list((ROOT / "tests").glob("*.py")))
 
@@ -68,12 +72,19 @@ def public_definitions(source: str) -> list[str]:
     return [n for n in module_definitions(source) if not n.startswith("_")]
 
 
-def references(source: str) -> set[str]:
-    """Names ``source`` reads, bare or as an attribute."""
-    tree = ast.parse(source)
-    return ({n.id for n in ast.walk(tree)
-             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+def references(source: str, modules=MODULES) -> set[str]:
+    """Names ``source`` reads: bare, imported by name, or as an attribute
+    of one of ``modules``."""
+    read = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            read.add(n.id)
+        elif isinstance(n, ast.ImportFrom):
+            read |= {a.name for a in n.names}
+        elif (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+              and n.value.id in modules):
+            read.add(n.attr)
+    return read
 
 
 def test_detects_an_unused_private_name():
@@ -108,7 +119,8 @@ TEST_ONLY = (
 def unread_public_names(modules: dict[str, str], readers: list[str]) -> list[str]:
     """``module: name`` for each public module-level name of ``modules``
     (file name to source) that no source in ``readers`` reads."""
-    read = set().union(*(references(r) for r in readers))
+    stems = {Path(name).stem for name in modules}
+    read = set().union(*(references(r, stems) for r in readers))
     return [f"{name}: {n}" for name, source in modules.items()
             for n in public_definitions(source) if n not in read]
 
@@ -119,6 +131,12 @@ def test_detects_an_unread_public_name():
     assert public_definitions(mod) == ["A", "f", "g", "K", "x"]
     assert unread_public_names({"m.py": mod}, [mod, "m.K()\nprint(m.x)\n"]) \
         == ["m.py: f", "m.py: g"]
+    # a field read off an object is no read of the module's function of
+    # that name; a read off the module or an import by name is
+    assert unread_public_names({"m.py": mod}, [mod, "res.f\nobj.g()\n"]) \
+        == ["m.py: f", "m.py: g", "m.py: K", "m.py: x"]
+    assert unread_public_names({"m.py": mod}, [mod, "from m import f, K\nm.g\n"]) \
+        == ["m.py: x"]
 
 
 def test_no_unread_public_names():
