@@ -343,9 +343,9 @@ def _run_synth(spec: ExperimentSpec, out: Path) -> None:
     seed = spec.seed
     enc_circ, enc_res = synth.synthesize_encoder(seed=seed, restarts=restarts)
     u_circ, u_res = synth.synthesize_recovery_u(seed=seed + 1, restarts=restarts)
-    rec_circ = synth.build_recovery_circuit(u_circ, 0.0, "approx")
+    rec_circ = synth.build_recovery_circuit(u_circ)
     report = synth.verify_recovery_circuit(rec_circ, code3.RecoveryMap.approximate())
-    d_circ = synth.block_encode_diagonal(0.0, "approx")
+    d_circ = synth.block_encode_diagonal(0.0)
     d_block = d_circ.unitary()[0::2][:, 0::2]
     d_target = synth.canonical_recovery_split(0.0).d
     d_dev = float(np.max(np.abs(d_block - d_target)))

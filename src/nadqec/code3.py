@@ -323,18 +323,13 @@ def noise_superop(gammas: float | Sequence[float],
     return noise.reshape(64, 64)
 
 
-def _encoder_constants(en: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """What the measured estimator reads of an encoder En: V = En[:, [0, 4]]
-    (8x2, the code space) and En^dag reshaped to (2, 32), whose row j holds
-    rows 4j..4j+3 of En^dag, the rows that q0 = j of the inverted encoder
-    writes."""
-    return en[:, [0, 4]], en.conj().T.reshape(2, 32)
-
-
-# The package encoder's constants, and the identity the estimator's
-# isometry check subtracts, built once so that a default estimator call
-# rebuilds none of them.
-_CODE, _ENCODER_DAG = _encoder_constants(_ENCODER)
+# What the measured estimator reads of the package encoder En, built once
+# so that an estimator call rebuilds none of it: V = En[:, [0, 4]] (8x2,
+# the code space), En^dag reshaped to (2, 32), whose row j holds rows
+# 4j..4j+3 of En^dag (the rows that q0 = j of the inverted encoder
+# writes), and the identity that the isometry check subtracts.
+_CODE = _ENCODER[:, [0, 4]]
+_ENCODER_DAG = _ENCODER.conj().T.reshape(2, 32)
 _EYE8 = np.eye(8)
 for _const in (_CODE, _ENCODER_DAG, _EYE8):
     _const.setflags(write=False)
@@ -614,7 +609,6 @@ def measured_circuit_distribution(
     gamma: float,
     p: float,
     rmap: Optional[RecoveryMap] = None,
-    encoder: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Outcome distribution of the full measured estimator circuit.
 
@@ -633,28 +627,22 @@ def measured_circuit_distribution(
     formed. G is :func:`prep_unitary`'s closed form. What the circuit reads
     of the package encoder, V = En[:, [0, 4]] (``_CODE``) and En^dag as
     (2, 32) (``_ENCODER_DAG``), and the isometry check's identity
-    (``_EYE8``) are module constants built once at import by
-    ``_encoder_constants``; a passed ``encoder`` goes through the same
-    helper once per call.
+    (``_EYE8``) are module constants built once at import. ``rmap``
+    defaults to ``RecoveryMap.ideal(gamma)``.
 
     Checks, each written so that NaN fails it: rho is a density matrix
     (``check_density``), V0^dag V0 = I within 1e-9, and the distribution's
     sum, the trace of V0 rho V0^dag, is 1 within TOL_ARITH. A NaN in the
-    encoder or the recovery raises rather than returning NaN
-    probabilities.
+    recovery raises rather than returning NaN probabilities.
     """
     if rmap is None:
         rmap = RecoveryMap.ideal(gamma)
     g = prep_unitary(spec)  # G on q0 of the data
-    if encoder is None:
-        code, en_dag = _CODE, _ENCODER_DAG
-    else:
-        code, en_dag = _encoder_constants(np.asarray(encoder, complex))
-    psi = code @ g[:, 0]  # G|000> has amplitudes G[:, 0] on |000>, |100>
+    psi = _CODE @ g[:, 0]  # G|000> has amplitudes G[:, 0] on |000>, |100>
     rho = (noise_superop(gamma, p) @ np.outer(psi, psi.conj()).ravel()).reshape(8, 8)
     check_density(rho)
     # (G^dag x I4) En^dag, then that x I4 times K, each on its row's leading index
-    m = (g.conj().T @ en_dag).reshape(8, 8)
+    m = (g.conj().T @ _ENCODER_DAG).reshape(8, 8)
     v0 = (m @ rmap.columns.reshape(8, 32)).reshape(32, 8)
     dev = np.abs(v0.conj().T @ v0 - _EYE8).max()
     if not dev <= 1e-9:

@@ -1,10 +1,10 @@
 """Shot sampling, SNR, and the gain figure of merit.
 
 Gain compares the post-selected QEC protocol against a bare |1>-prepared
-qubit at matched evolution time. The per-shot theoretical model discounts
-post-selection by sqrt(p_success) and folds the measurement error into
-both fidelities through F* = F (1 - E) + (1 - F) E; standard deviations
-are binomial in F*.
+qubit at matched evolution time. The per-shot theoretical model behind
+``gain_surface`` discounts post-selection by sqrt(p_success) and folds the
+measurement error into both fidelities through F* = F (1 - E) + (1 - F) E;
+standard deviations are binomial in F*.
 """
 
 from __future__ import annotations
@@ -126,54 +126,19 @@ def f_star(f: float, e_meas: float) -> float:
     return f * (1.0 - e_meas) + (1.0 - f) * e_meas
 
 
-@dataclass(frozen=True)
-class GainBreakdown:
-    gain: float
-    f_qec: float
-    f_bare: float
-    f_qec_star: float
-    f_bare_star: float
-    p_success: float
-    sigma_qec: float
-    sigma_bare: float
-    limit_case: bool
-
-
-def gain_theoretical_detail(theta: float, gamma: float, p: float,
-                            e_meas: float) -> GainBreakdown:
-    """Per-shot gain model.
-
-    F_QEC and p_success are one round of the gamma-adapted code in closed
-    form, ``code3.PauliRound.outcome`` (which ``oracle-check`` and the tests
-    pin to the numeric 64x64 round, ``code3.logical_outcomes``),
-    F_bare = 1 - gamma from |1> decay, and the per-shot sigmas are binomial
-    in the adjusted fidelities:
-    gain = (F*_QEC sigma_bare) / (F*_bare sigma_QEC) * sqrt(p_success).
-    """
-    return _gain_breakdown(_adapted_cycle(theta, gamma, p), gamma, e_meas)
-
-
-def _adapted_cycle(theta: float, gamma: float, p: float) -> tuple[float, float]:
-    """(F, P) of one round with the gamma-adapted recovery."""
-    return code3.PauliRound.of_noise(gamma, p, "ideal").outcome(theta)
-
-
-def _gain_breakdown(outcome: tuple[float, float], gamma: float,
-                    e_meas: float) -> GainBreakdown:
-    f_qec, p_success = outcome
-    f_bare = 1.0 - gamma
+def _gain(f_qec: float, p_success: float, f_bare: float, e_meas: float) -> float:
+    """Per-shot gain (F*_QEC sigma_bare) / (F*_bare sigma_QEC) sqrt(p_success),
+    the sigmas binomial in the adjusted fidelities F*; inf where sigma_QEC
+    vanishes (the noiseless-estimator limit), else 0 where sigma_bare does."""
     fq = f_star(f_qec, e_meas)
     fb = f_star(f_bare, e_meas)
     sq = math.sqrt(max(fq * (1 - fq), 0.0))
     sb = math.sqrt(max(fb * (1 - fb), 0.0))
-    limit = sq == 0.0 or sb == 0.0
     if sq == 0.0:
-        gain = math.inf  # noiseless-estimator limit; the ratio diverges
-    elif sb == 0.0:
-        gain = 0.0
-    else:
-        gain = (fq * sb) / (fb * sq) * math.sqrt(p_success)
-    return GainBreakdown(gain, f_qec, f_bare, fq, fb, p_success, sq, sb, limit)
+        return math.inf
+    if sb == 0.0:
+        return 0.0
+    return (fq * sb) / (fb * sq) * math.sqrt(p_success)
 
 
 @dataclass(frozen=True)
@@ -194,8 +159,12 @@ def gain_surface(
     theta: float = math.pi,
 ) -> list[GainCell]:
     """Gain over a (T1, E_meas, delay) grid with T2 = 2 T1 (no pure
-    dephasing). Grid order: T1 outer, then E_meas, then delay. The QEC
-    round is evaluated in closed form once per distinct gamma."""
+    dephasing). Grid order: T1 outer, then E_meas, then delay.
+
+    F_QEC and p_success are one round of the gamma-adapted code in closed
+    form, ``code3.PauliRound.outcome`` (which ``oracle-check`` and the
+    tests pin to the numeric 64x64 round), evaluated once per distinct
+    gamma; F_bare = 1 - gamma from |1> decay."""
     if not (len(t1_range) and len(emeas_range) and len(delay_range)):
         raise ValueError("all grid ranges must be non-empty")
     cycles: dict[float, tuple[float, float]] = {}
@@ -205,8 +174,9 @@ def gain_surface(
             for delay in delay_range:
                 g = gamma_of_t(delay, t1)
                 if g not in cycles:
-                    cycles[g] = _adapted_cycle(theta, g, 0.0)
-                det = _gain_breakdown(cycles[g], g, e)
-                cells.append(GainCell(t1, e, delay, det.gain, det.f_qec,
-                                      det.f_bare, det.p_success))
+                    cycles[g] = code3.PauliRound.of_noise(g, 0.0, "ideal").outcome(theta)
+                f_qec, p_success = cycles[g]
+                f_bare = 1.0 - g
+                cells.append(GainCell(t1, e, delay, _gain(f_qec, p_success, f_bare, e),
+                                      f_qec, f_bare, p_success))
     return cells

@@ -184,9 +184,9 @@ def _run_rounds(config: ProtocolConfig,
     p_round), for a point's remainder. Every point's schedule and timing
     come from the config's one integer pass over the sweep (``_schedules``), and
     ``score`` turns the final states of all points into their fidelities in
-    one call. A point whose total evolution time exceeds the largest float,
-    or whose carried success probability exceeds 1 + 1e-12, raises
-    ValueError."""
+    one call; an empty sweep returns [] without calling it. A point whose
+    total evolution time exceeds the largest float, or whose carried
+    success probability exceeds 1 + 1e-12, raises ValueError."""
     den, schedules = config._schedule
     finals, rows = [], []
     reach = reach_for({k for k, _, _ in schedules})
@@ -208,6 +208,8 @@ def _run_rounds(config: ProtocolConfig,
                 f"{total_free} with max_delay {config.max_delay}")
         finals.append(state)
         rows.append((total_free, evolution_us, k + (rest > 0), p_total))
+    if not rows:  # an empty sweep: no states to score
+        return []
     return [MultiQecPoint(total_free_us=t, total_evolution_us=evolution,
                           rounds=n, fidelity=f, success_probability=p,
                           variant=config.recovery_variant, chadd=chadd)

@@ -346,18 +346,16 @@ _POS_DEAD = (3, 7)  # |011>, |111>
 class RecoverySplit:
     u: np.ndarray
     d: np.ndarray
-    v0: np.ndarray
-    v1: np.ndarray
-    gamma: float
 
 
 def canonical_recovery_split(gamma: float) -> RecoverySplit:
     """Shared-factor split of the two recovery operators.
 
-    R_no-damping agrees with U D V0^dag and R_damping with U D V1^dag on
-    their parity branches, with V0 = U and V1 = (XxXxX) U (XxIxI). U is the
-    encoder with q0 flipped on its input (columns j and j ^ 4 swapped), so
-    V1 is the encoder with its rows reversed; all three are read-only. D is
+    R_no-damping agrees with U D U^dag and R_damping with U D V1^dag on
+    their parity branches, with V1 = (XxXxX) U (XxIxI), which
+    ``build_recovery_circuit`` applies as X conjugations of U^dag. U is
+    the read-only encoder with q0 flipped on its input (columns j and
+    j ^ 4 swapped), so V1 is the encoder with its rows reversed. D is
     diagonal with entries 1 at 000, (1-gamma) at 100, 0 at the occupied
     dead coordinates 011 and 111, and 1 at the unreachable positions.
     """
@@ -368,7 +366,7 @@ def canonical_recovery_split(gamma: float) -> RecoverySplit:
     d[_POS_SVG, _POS_SVG] = 1 - gamma
     for pos in _POS_DEAD:
         d[pos, pos] = 0.0
-    return RecoverySplit(u=u, d=d, v0=u, v1=en[::-1], gamma=gamma)
+    return RecoverySplit(u=u, d=d)
 
 
 # ---------------------------------------------------------------------------
@@ -454,23 +452,18 @@ def diagonal_block_circuit(diag: Sequence[float]) -> Circuit:
     return Circuit(n + 1, tuple(multiplexed_ry(list(range(n)), n, angles)))
 
 
-def block_encode_diagonal(gamma: float, mode: str = "exact") -> Circuit:
-    """Circuit realization of the recovery's diagonal factor on a
-    (q0, q1, q2, block ancilla) register.
+def block_encode_diagonal(gamma: float) -> Circuit:
+    """Circuit realization of the recovery's diagonal factor D on a
+    (q0, q1, q2, block ancilla) register, its ancilla-0 block equal to
+    ``canonical_recovery_split(gamma).d``.
 
-    exact: one multiplexed RY carrying the two nonzero rotation angles
-    (2*arccos of 1 and 1-gamma) plus the pi flips on the dead coordinates;
-    its ancilla-0 block equals the canonical diagonal for any gamma.
-    approx: the gamma = 0 Margolus-type 5-CZ construction, acting on
-    (q1, q2, ancilla) only.
+    At gamma == 0 this is the 5-CZ Margolus-type block on (q1, q2,
+    ancilla) only; otherwise one multiplexed RY carrying 2*arccos of each
+    diagonal entry (14 CZ).
     """
-    split = canonical_recovery_split(gamma)
-    diag = np.real(np.diag(split.d))
-    if mode == "exact":
-        return diagonal_block_circuit(diag)
-    if mode == "approx":
+    if gamma == 0:
         return remapped(margolus_circuit(), {0: 1, 1: 2, 2: 3}, 4)
-    raise ValueError(f"mode must be 'exact' or 'approx', got {mode!r}")
+    return diagonal_block_circuit(np.real(np.diag(canonical_recovery_split(gamma).d)))
 
 
 # ---------------------------------------------------------------------------
@@ -520,18 +513,19 @@ def synthesize_recovery_u(seed: int = 11, **kwargs) -> tuple[Circuit, SynthesisR
     return synthesize(target, mask, 3, seed=seed, first_layers=4, **kwargs)
 
 
-def build_recovery_circuit(u_circuit: Circuit, gamma: float = 0.0,
-                           mode: str = "approx") -> Circuit:
-    """Full syndrome-conditioned recovery on (q0, q1, q2, a1, a2).
+def build_recovery_circuit(u_circuit: Circuit, gamma: float = 0.0) -> Circuit:
+    """Full syndrome-conditioned recovery adapted to ``gamma`` on
+    (q0, q1, q2, a1, a2).
 
     Applies V^dag conditioned on the syndrome ancilla a1 (plain U^dag for
-    a1 = 1, X-conjugated for a1 = 0), the diagonal block encoding on a2,
-    then U. Anti-controls on a1 are X-conjugated CXs.
+    a1 = 1, X-conjugated for a1 = 0), the diagonal block encoding of
+    ``block_encode_diagonal(gamma)`` on a2, then U. Anti-controls on a1
+    are X-conjugated CXs.
     """
     if u_circuit.n_qubits != 3:
         raise ValueError("recovery factor circuit must act on 3 qubits")
     u5 = remapped(u_circuit, {0: 0, 1: 1, 2: 2}, 5)
-    d5 = remapped(block_encode_diagonal(gamma, mode), {0: 0, 1: 1, 2: 2, 3: 4}, 5)
+    d5 = remapped(block_encode_diagonal(gamma), {0: 0, 1: 1, 2: 2, 3: 4}, 5)
     gates: list[Gate] = [Gate("X", (3,))]
     for q in range(3):  # XXX on data when a1 = 0
         gates += _cx_gates(3, q)

@@ -133,7 +133,6 @@ def measured_circuit_distribution(
     gamma: float,
     p: float,
     w: Optional[np.ndarray] = None,
-    encoder: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Outcome distribution of the full measured estimator circuit.
 
@@ -148,7 +147,7 @@ def measured_circuit_distribution(
         w = combined_recovery_unitary(*recovery_operators(gamma))
     psi0 = pure(ket(5, 0))
     g = prep_unitary(spec)
-    en = encoder_unitary() if encoder is None else np.asarray(encoder, complex)
+    en = encoder_unitary()
     rho = apply_kraus(psi0, [g], [0])
     rho = apply_kraus(rho, [en], [0, 1, 2])
     rho = damp_dephase(rho, range(3), gamma, p)

@@ -35,7 +35,7 @@ from nadqec.code3 import (
     qec_cycle,
     success_probability_minus_form,
 )
-from nadqec.noise import NoiseParams, gamma_of_t
+from nadqec.noise import NoiseParams
 
 
 def report(criterion: int, ok: bool, detail: str) -> bool:
@@ -141,9 +141,9 @@ def test_ac6_synthesis():
     t0 = time.monotonic()
     enc_circ, enc_res = synth.synthesize_encoder(seed=7, tolerance=1e-12)
     u_circ, u_res = synth.synthesize_recovery_u(seed=11, tolerance=1e-12)
-    rec_circ = synth.build_recovery_circuit(u_circ, 0.0, "approx")
+    rec_circ = synth.build_recovery_circuit(u_circ)
     rep = synth.verify_recovery_circuit(rec_circ, RecoveryMap.approximate())
-    d_block = synth.block_encode_diagonal(0.0, "approx")
+    d_block = synth.block_encode_diagonal(0.0)
     elapsed = time.monotonic() - t0
     ok = (enc_res.cost < 1e-6 and u_res.cost < 1e-6
           and rep.max_deviation < 1e-6 and d_block.count("CZ") == 5
@@ -238,20 +238,20 @@ def test_ac12_gain_surface():
     dominated = all(by_key[(t1, 0.05, d)] <= by_key[(t1, 0.0, d)]
                     for t1 in t1s for d in delays)
 
-    g = gamma_of_t(30.0, 200.0)
-    det = metrics.gain_theoretical_detail(math.pi, g, 0.0, 0.01)
+    cell, = metrics.gain_surface([200.0], [0.01], [30.0])
     n = 10**5
-    qec = metrics.sample_qec_shots(det.f_qec, det.p_success, n, 0.01, seed=1212)
-    bare = metrics.sample_bare_shots(det.f_bare, n, 0.01, seed=1213)
+    qec = metrics.sample_qec_shots(cell.f_qec, cell.p_success, n, 0.01, seed=1212)
+    bare = metrics.sample_bare_shots(cell.f_bare, n, 0.01, seed=1213)
     observed = metrics.gain_expt(qec, bare)
-    fq, fb, p = det.f_qec_star, det.f_bare_star, det.p_success
-    sigma_gain = det.gain * math.sqrt(
+    fq, fb, p = (metrics.f_star(cell.f_qec, 0.01), metrics.f_star(cell.f_bare, 0.01),
+                 cell.p_success)
+    sigma_gain = cell.gain * math.sqrt(
         (1 / (fq * (1 - fq) * p * n) + 1 / (fb * (1 - fb) * n)
          + (1 - p) / (p * n)) / 4)
-    sampled_ok = abs(observed - det.gain) < 3 * sigma_gain
+    sampled_ok = abs(observed - cell.gain) < 3 * sigma_gain
     ok = low_e_wins > 0 and dominated and sampled_ok
     assert report(12, ok,
                   f"{low_e_wins} cells with gain>1 at E<=5e-3; high-error "
                   f"column dominated everywhere: {dominated}; sampled gain "
-                  f"{observed:.4f} vs model {det.gain:.4f} "
+                  f"{observed:.4f} vs model {cell.gain:.4f} "
                   f"(3 sigma = {3 * sigma_gain:.4f})")

@@ -93,6 +93,14 @@ class TestRun:
         assert manifest["rng"] == "PCG64"
         assert "version" in manifest and "wall_time_s" in manifest
 
+    @pytest.mark.parametrize("kind", ["multiqec", "multiqec-chadd", "delay-sweep"])
+    def test_empty_sweep_writes_a_header_only_csv(self, tmp_path, kind):
+        payload = {"kind": kind, "output": str(tmp_path / "out.csv"),
+                   "params": dict(_FUZZ_BASE[kind], total_free=[])}
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_OK
+        lines = (tmp_path / "out.csv").read_text().splitlines()
+        assert len(lines) == 1 and "total_evolution_us" in lines[0].split(",")
+
     def test_byte_identical_reruns(self, tmp_path):
         path = write_spec(tmp_path, multiqec_payload(tmp_path))
         cli.main(["run", str(path)])

@@ -868,22 +868,13 @@ class TestCompiledEstimator:
     @given(theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2 * math.pi,
                                                          exclude_max=True),
            gamma=st.floats(0.0, 0.6), p=st.floats(0.0, 0.5),
-           variant=_VARIANTS,
-           custom_encoder=st.booleans(), seed=st.integers(0, 2**32 - 1))
+           variant=_VARIANTS, seed=st.integers(0, 2**32 - 1))
     def test_matches_gate_by_gate_reference(self, theta, phi, gamma, p, variant,
-                                            custom_encoder, seed):
-        rng = np.random.default_rng(seed)
-        rmap, w = _random_rmap(variant, rng, gamma)
-        encoder = None
-        if custom_encoder:
-            # same two codeword columns, completion shuffled and re-phased
-            encoder = encoder_unitary().copy()
-            free = [1, 2, 3, 5, 6, 7]
-            encoder[:, free] = encoder[:, rng.permutation(free)] \
-                * np.exp(2j * math.pi * rng.random(6))
+                                            seed):
+        rmap, w = _random_rmap(variant, np.random.default_rng(seed), gamma)
         spec = LogicalStateSpec(theta, phi)
-        got = measured_circuit_distribution(spec, gamma, p, rmap, encoder)
-        want = measured_circuit_reference(spec, gamma, p, w, encoder)
+        got = measured_circuit_distribution(spec, gamma, p, rmap)
+        want = measured_circuit_reference(spec, gamma, p, w)
         assert np.max(np.abs(got - want)) <= 1e-12
 
     @pytest.mark.parametrize("gamma", [0.0, 0.07, 0.3, 1.0])
@@ -934,19 +925,14 @@ class TestCompiledEstimator:
         want = w[:, [4 * d + 2 * parity[d] for d in range(8)]]
         assert np.array_equal(RecoveryMap.synthesized(w).columns, want)
 
-    def test_rejects_scaled_encoder(self):
-        with pytest.raises(ValueError):
-            measured_circuit_distribution(LogicalStateSpec(1.0, 0.5), 0.1, 0.05,
-                                          encoder=1.01 * encoder_unitary())
-
     def test_rejects_non_isometric_circuit(self):
-        # the prepared state only reads encoder columns 0 and 4, so the
-        # noisy state stays valid and only the isometry check can fire
-        encoder = encoder_unitary().copy()
-        encoder[:, 3] *= 1.01
+        # a recovery column scaled by 1.01 leaves the noisy state valid, so
+        # only the isometry check can fire
+        cols = RecoveryMap.ideal(0.1).columns.copy()
+        cols[:, 3] *= 1.01
         with pytest.raises(ValueError, match="not an isometry"):
             measured_circuit_distribution(LogicalStateSpec(1.0, 0.5), 0.1, 0.05,
-                                          encoder=encoder)
+                                          RecoveryMap(cols))
 
     def test_rejects_unnormalized_distribution(self):
         # (1 + 2e-10) W passes the 1e-9 unitarity and isometry bounds, but
@@ -963,17 +949,17 @@ class TestCompiledEstimator:
         with pytest.raises(ValueError, match="post-selection removed all weight"):
             fidelity_from_distribution(probs)
 
-    def test_default_encoder_equals_explicit_encoder_bit_for_bit(self):
-        # the module constants and a passed encoder go through one helper
-        rng = np.random.default_rng(25)
-        for _ in range(50):
-            spec = LogicalStateSpec(rng.uniform(0, math.pi),
-                                    rng.uniform(0, 2 * math.pi))
-            g, p = rng.uniform(0, 0.3), rng.uniform(0, 0.2)
-            assert np.array_equal(
-                measured_circuit_distribution(spec, g, p),
-                measured_circuit_distribution(spec, g, p,
-                                              encoder=encoder_unitary()))
+    def test_lemma_holds_for_synthesized_recovery(self):
+        # the all-zero/fidelity identity is structural: it holds for any
+        # block-encoded recovery, not just the analytic one
+        rmap = RecoveryMap.synthesized(
+            combined_recovery_unitary(*recovery_operators(0.07)))
+        spec = LogicalStateSpec(0.9, 2.5)
+        probs = measured_circuit_distribution(spec, 0.07, 0.02, rmap=rmap)
+        f_hat, p_hat = fidelity_from_distribution(probs)
+        ref = qec_cycle(encode_ideal(spec), 0.07, 0.02, rmap)
+        assert abs(f_hat - ref.fidelity) < 1e-10
+        assert abs(p_hat - ref.success_probability) < 1e-10
 
     def test_prep_unitary_is_rz_ry(self):
         for theta in np.linspace(0.0, math.pi, 7):
@@ -989,21 +975,14 @@ class TestCompiledEstimator:
 class TestNonFiniteInputsRaise:
     """Every guard is written so that NaN fails it; none lets NaN through."""
 
-    def test_estimator_rejects_nan_encoder_column(self):
-        # column 3 is never read by the prepared state, so the noisy state
-        # is valid and the isometry check sees max |V0^dag V0 - I| = nan
-        encoder = encoder_unitary().copy()
-        encoder[:, 3] = np.nan
+    def test_estimator_rejects_nan_recovery_column(self):
+        # the recovery acts after the noise, so the noisy state is valid
+        # and the isometry check sees max |V0^dag V0 - I| = nan
+        cols = RecoveryMap.ideal(0.1).columns.copy()
+        cols[:, 3] = np.nan
         with pytest.raises(ValueError, match="not an isometry.* = nan"):
             measured_circuit_distribution(LogicalStateSpec(1.0, 0.3), 0.1, 0.01,
-                                          encoder=encoder)
-
-    def test_estimator_rejects_nan_codeword_column(self):
-        encoder = encoder_unitary().copy()
-        encoder[:, 0] = np.nan
-        with pytest.raises(ValueError, match="not finite"):
-            measured_circuit_distribution(LogicalStateSpec(1.0, 0.3), 0.1, 0.01,
-                                          encoder=encoder)
+                                          RecoveryMap(cols))
 
     def test_estimator_sum_check_rejects_nan(self, monkeypatch):
         # with the density check switched off, a NaN noise map reaches the
@@ -1044,32 +1023,3 @@ class TestNonFiniteInputsRaise:
         psi = np.full(8, np.nan, dtype=complex)
         with pytest.raises(ValueError, match="not normalized"):
             qec_cycle(psi, 0.1, 0.01, RecoveryMap.ideal(0.1))
-
-
-class TestEncoderInvariance:
-    def test_estimator_ignores_encoder_completion(self):
-        # the fidelity estimate and success probability only read the two
-        # meaningful encoder columns; shuffling the completion must not
-        # move them (other outcome entries may shift)
-        u = encoder_unitary().copy()
-        u[:, [1, 2]] = u[:, [2, 1]]
-        u[:, 3] = -u[:, 3]
-        spec = LogicalStateSpec(1.3, 0.9)
-        base = fidelity_from_distribution(
-            measured_circuit_distribution(spec, 0.12, 0.03))
-        alt = fidelity_from_distribution(
-            measured_circuit_distribution(spec, 0.12, 0.03, encoder=u))
-        assert abs(base[0] - alt[0]) < 1e-12
-        assert abs(base[1] - alt[1]) < 1e-12
-
-    def test_lemma_holds_for_synthesized_recovery(self):
-        # the all-zero/fidelity identity is structural: it holds for any
-        # block-encoded recovery, not just the analytic one
-        rmap = RecoveryMap.synthesized(
-            combined_recovery_unitary(*recovery_operators(0.07)))
-        spec = LogicalStateSpec(0.9, 2.5)
-        probs = measured_circuit_distribution(spec, 0.07, 0.02, rmap=rmap)
-        f_hat, p_hat = fidelity_from_distribution(probs)
-        ref = qec_cycle(encode_ideal(spec), 0.07, 0.02, rmap)
-        assert abs(f_hat - ref.fidelity) < 1e-10
-        assert abs(p_hat - ref.success_probability) < 1e-10

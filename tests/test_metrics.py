@@ -11,7 +11,6 @@ from nadqec.metrics import (
     f_star,
     gain_expt,
     gain_surface,
-    gain_theoretical_detail,
     sample_bare_shots,
     sample_qec_shots,
     sample_shots,
@@ -107,40 +106,43 @@ class TestGainExpt:
 class TestGainTheoretical:
     def test_agrees_with_sampling_three_sigma(self):
         t1, delay, e = 200.0, 30.0, 0.01
-        g = gamma_of_t(delay, t1)
-        det = gain_theoretical_detail(math.pi, g, 0.0, e)
+        cell, = gain_surface([t1], [e], [delay])
         n = 10**5
-        qec = sample_qec_shots(det.f_qec, det.p_success, n, e, seed=11)
-        bare = sample_bare_shots(det.f_bare, n, e, seed=12)
+        qec = sample_qec_shots(cell.f_qec, cell.p_success, n, e, seed=11)
+        bare = sample_bare_shots(cell.f_bare, n, e, seed=12)
         observed = gain_expt(qec, bare)
-        fq, fb, p = det.f_qec_star, det.f_bare_star, det.p_success
+        fq, fb, p = f_star(cell.f_qec, e), f_star(cell.f_bare, e), cell.p_success
         var_ln = (1 / (fq * (1 - fq) * p * n) + 1 / (fb * (1 - fb) * n)
                   + (1 - p) / (p * n)) / 4
-        assert abs(observed - det.gain) < 3 * det.gain * math.sqrt(var_ln)
+        assert abs(observed - cell.gain) < 3 * cell.gain * math.sqrt(var_ln)
 
     def test_limit_case_flagged(self):
-        det = gain_theoretical_detail(math.pi, 0.0, 0.0, 0.0)
-        assert det.limit_case
-        assert math.isinf(det.gain)
+        # no delay and no readout error: F*_QEC = 1, so sigma_QEC vanishes
+        cell, = gain_surface([200.0], [0.0], [0.0])
+        assert (cell.f_qec, cell.f_bare) == (1.0, 1.0)
+        assert math.isinf(cell.gain)
 
     def test_beats_break_even_at_low_readout_error(self):
-        g = gamma_of_t(30.0, 200.0)
-        assert gain_theoretical_detail(math.pi, g, 0.0, 0.0).gain > 1.0
+        assert gain_surface([200.0], [0.0], [30.0])[0].gain > 1.0
 
     def test_readout_error_reduces_gain(self):
-        g = gamma_of_t(30.0, 200.0)
-        gains = [gain_theoretical_detail(math.pi, g, 0.0, e).gain
-                 for e in (0.0, 0.005, 0.02, 0.05)]
+        gains = [c.gain for c in gain_surface([200.0], [0.0, 0.005, 0.02, 0.05],
+                                              [30.0])]
         assert all(a > b for a, b in zip(gains, gains[1:]))
 
 
 class TestGainSurface:
     def test_single_point_consistent(self):
+        # the per-shot model from one closed-form round, written out
         cells = gain_surface([200.0], [0.01], [30.0])
         assert len(cells) == 1
         g = gamma_of_t(30.0, 200.0)
-        assert cells[0].gain == pytest.approx(
-            gain_theoretical_detail(math.pi, g, 0.0, 0.01).gain)
+        f, p = code3.PauliRound.of_noise(g, 0.0, "ideal").outcome(math.pi)
+        fq, fb = f_star(f, 0.01), f_star(1 - g, 0.01)
+        want = fq * math.sqrt(fb * (1 - fb)) / (fb * math.sqrt(fq * (1 - fq))) \
+            * math.sqrt(p)
+        assert (cells[0].f_qec, cells[0].f_bare, cells[0].p_success) == (f, 1 - g, p)
+        assert cells[0].gain == pytest.approx(want, rel=1e-14)
 
     def test_zero_error_column_dominates(self):
         t1s, es, delays = [150.0, 250.0], [0.0, 0.01, 0.05], [20.0, 40.0]
@@ -170,11 +172,10 @@ class TestGainSurface:
         cells = gain_surface(t1s, es, delays, theta=2.0)
         assert sorted(cycles) == sorted({gamma_of_t(d, t1)
                                          for t1 in t1s for d in delays})
+        # a cell read from the cache equals the cell of its lone grid
         for c in cells:
-            det = gain_theoretical_detail(2.0, gamma_of_t(c.delay_us, c.t1_us),
-                                          0.0, c.e_meas)
-            assert (c.gain, c.f_qec, c.f_bare, c.p_success) == \
-                (det.gain, det.f_qec, det.f_bare, det.p_success)
+            lone, = gain_surface([c.t1_us], [c.e_meas], [c.delay_us], theta=2.0)
+            assert c == lone
 
 
 class TestQecSampling:

@@ -787,6 +787,26 @@ class TestCrosstalkToy:
                           (series.fidelity, np.real(np.conj(ket) @ reduced @ ket))):
             assert np.abs(got - want).max() <= 1e-12
 
+    @pytest.mark.parametrize("cycles", [None, 3])
+    def test_diagonal_probes_cannot_see_coupling_or_dephasing(self, cycles):
+        # |0> and |1> start the probe diagonal, and the ZZ coupling, the Z
+        # terms and dephasing act only on coherences, so the populations
+        # and fidelity follow T1 alone, bit for bit; a "+" probe sees them
+        base = CrosstalkModel(g=0.0, noise=NoiseParams(t1=80.0))
+        others = (CrosstalkModel(omega1=0.3, omega2=0.2, g=0.05,
+                                 noise=NoiseParams(t1=80.0, tphi=120.0)),
+                  CrosstalkModel(omega1=-1.1, omega2=0.7, g=0.2,
+                                 noise=NoiseParams.from_t1_t2(80.0, 100.0)))
+        for probe in ("0", "1"):
+            want = run_crosstalk_toy(base, probe, 60.0, cycles)
+            for model in others:
+                got = run_crosstalk_toy(model, probe, 60.0, cycles)
+                for field in ("times", "pop0", "pop1", "fidelity"):
+                    assert np.array_equal(getattr(got, field), getattr(want, field))
+        plus = [run_crosstalk_toy(m, "+", 60.0, cycles).fidelity
+                for m in (base,) + others]
+        assert all(not np.array_equal(plus[0], f) for f in plus[1:])
+
     def test_free_evolution_over_zero_time_keeps_the_state(self):
         series = run_crosstalk_toy(CrosstalkModel(noise=NoiseParams(t1=50.0)), "1", 0.0)
         assert len(series.times) == 41 and not series.times.any()
@@ -803,6 +823,13 @@ class TestMultiQecWithChadd:
         pts = run_multiqec_with_chadd(cfg, NoiseParams(t1=1e12), layout, chadd=True)
         assert abs(pts[0].fidelity - 1.0) < 1e-8
         assert abs(pts[0].success_probability - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("chadd", [False, True])
+    def test_empty_sweep_returns_no_points(self, chadd):
+        cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
+                             total_free=())
+        layout = SpectatorLayout(spectators=1, couplings=((0, 3, 0.05),))
+        assert run_multiqec_with_chadd(cfg, self.noise, layout, chadd=chadd) == []
 
     def test_matches_kraus_engine_without_chadd(self):
         cfg = ProtocolConfig(code3.LogicalStateSpec(2.1, 0.4), max_delay=30,

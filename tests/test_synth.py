@@ -395,38 +395,39 @@ class TestLayerEvaluator:
                                    rtol=0, atol=1e-12)
 
 
+_XXX = embed(XMAT, [0], 3) @ embed(XMAT, [1], 3) @ embed(XMAT, [2], 3)
+_X1 = embed(XMAT, [0], 3)
+
+
 class TestCanonicalSplit:
     def test_reproduces_branches(self):
+        # both branches share U and D; the damping branch's V1 is the
+        # X-conjugated U, as build_recovery_circuit applies it
         p_odd, p_even = parity_projectors()
         for g in (0.0, 0.15, 0.4):
             split = canonical_recovery_split(g)
+            v1 = _XXX @ split.u @ _X1
             r0, r1 = code3.recovery_operators(g)
             np.testing.assert_allclose(
-                split.u @ split.d @ split.v0.conj().T @ p_odd, r0 @ p_odd,
+                split.u @ split.d @ split.u.conj().T @ p_odd, r0 @ p_odd,
                 atol=1e-12)
             np.testing.assert_allclose(
-                split.u @ split.d @ split.v1.conj().T @ p_even, r1 @ p_even,
+                split.u @ split.d @ v1.conj().T @ p_even, r1 @ p_even,
                 atol=1e-12)
 
     def test_shared_factors_and_x_relation(self):
-        # both branches share U and D; the damping-branch V is the
-        # X-conjugated U, exactly
-        split = canonical_recovery_split(0.3)
-        np.testing.assert_allclose(split.v0, split.u, atol=1e-15)
-        xxx = embed(XMAT, [0], 3) @ embed(XMAT, [1], 3) @ embed(XMAT, [2], 3)
-        x1 = embed(XMAT, [0], 3)
-        np.testing.assert_allclose(split.v1, xxx @ split.u @ x1, atol=1e-14)
         # U is the encoder with q0 flipped on its input and V1 the encoder
         # with its rows reversed, exactly
+        split = canonical_recovery_split(0.3)
         en = code3.encoder_unitary()
-        np.testing.assert_array_equal(split.u, en @ x1)
+        np.testing.assert_array_equal(split.u, en @ _X1)
         np.testing.assert_array_equal(split.u, en[:, [4, 5, 6, 7, 0, 1, 2, 3]])
-        np.testing.assert_array_equal(split.v1, xxx @ en)
-        np.testing.assert_array_equal(split.v1, en[::-1])
+        np.testing.assert_array_equal(_XXX @ split.u @ _X1, _XXX @ en)
+        np.testing.assert_array_equal(_XXX @ split.u @ _X1, en[::-1])
 
     def test_factors_unitary_and_diagonal(self):
         split = canonical_recovery_split(0.2)
-        for m in (split.u, split.v0, split.v1):
+        for m in (split.u, _XXX @ split.u @ _X1):
             np.testing.assert_allclose(m.conj().T @ m, np.eye(8), atol=1e-12)
         off = split.d - np.diag(np.diag(split.d))
         assert np.abs(off).max() == 0.0
@@ -457,9 +458,11 @@ class TestBlockEncoding:
             expected[2 * x: 2 * x + 2, 2 * x: 2 * x + 2] = ry(angles[x])
         np.testing.assert_allclose(w, expected, atol=1e-12)
 
-    def test_exact_mode_block_matches_any_gamma(self):
-        for g in (0.0, 0.2, 0.6):
-            circ = block_encode_diagonal(g, "exact")
+    def test_block_matches_any_gamma(self):
+        # the Margolus block at gamma = 0, the multiplexed RY otherwise
+        for g, cz in ((0.0, 5), (1e-300, 14), (0.2, 14), (0.6, 14), (1.0, 14)):
+            circ = block_encode_diagonal(g)
+            assert circ.count("CZ") == cz
             blk = circ.unitary()[0::2][:, 0::2]
             np.testing.assert_allclose(
                 blk, canonical_recovery_split(g).d, atol=1e-10)
@@ -479,7 +482,8 @@ class TestMargolus:
                 assert g.qubits in ((0, 1), (1, 2))
 
     def test_approx_mode_spares_the_first_data_qubit(self):
-        circ = block_encode_diagonal(0.0, "approx")
+        # the approximate (gamma = 0) recovery's block
+        circ = block_encode_diagonal(0.0)
         assert all(0 not in g.qubits for g in circ.gates)
         assert circ.count("CZ") == 5
 
@@ -489,18 +493,23 @@ class TestRecoveryCircuit:
         assert recovery_u.count("CZ") == 8
 
     def test_approx_matches_analytic(self, recovery_u):
-        circ = build_recovery_circuit(recovery_u, 0.0, "approx")
+        circ = build_recovery_circuit(recovery_u)
         report = verify_recovery_circuit(circ, code3.RecoveryMap.approximate())
         assert report.passed
         assert report.max_deviation < 1e-6
 
-    def test_exact_matches_adapted_recovery(self, recovery_u):
-        circ = build_recovery_circuit(recovery_u, 0.12, "exact")
-        report = verify_recovery_circuit(circ, code3.RecoveryMap.ideal(0.12))
+    @pytest.mark.parametrize("gamma, cz", [(0.0, 25), (0.12, 34)])
+    def test_gamma_selects_the_recovery(self, recovery_u, gamma, cz):
+        # the factor's 8 CZ twice, 6 for the syndrome-controlled X flips,
+        # then the 5-CZ Margolus block at gamma = 0 or the 14-CZ
+        # multiplexed RY otherwise
+        report = verify_recovery_circuit(build_recovery_circuit(recovery_u, gamma),
+                                         code3.RecoveryMap.ideal(gamma))
         assert report.max_deviation < 1e-6
+        assert report.cz_count == cz
 
     def test_corrupted_circuit_flagged(self, recovery_u):
-        circ = build_recovery_circuit(recovery_u, 0.0, "approx")
+        circ = build_recovery_circuit(recovery_u)
         gates = list(circ.gates)
         for i, g in enumerate(gates):
             if g.name == "RX":
@@ -514,7 +523,7 @@ class TestRecoveryCircuit:
     def test_flipped_syndrome_ancilla_flagged(self, recovery_u):
         # X on a1 after a converged circuit moves each branch's kept rows to
         # the other syndrome outcome, where the analytic branch has none
-        circ = build_recovery_circuit(recovery_u, 0.0, "approx")
+        circ = build_recovery_circuit(recovery_u)
         rmap = code3.RecoveryMap.approximate()
         assert verify_recovery_circuit(circ, rmap).passed
         flipped = Circuit(5, circ.gates + (Gate("X", (3,)),))
@@ -523,7 +532,7 @@ class TestRecoveryCircuit:
         assert not report.passed
 
     def test_cycle_through_circuit_matches_analytic(self, recovery_u):
-        circ = build_recovery_circuit(recovery_u, 0.0, "approx")
+        circ = build_recovery_circuit(recovery_u)
         rmap = code3.RecoveryMap.synthesized(circ.unitary())
         spec = code3.LogicalStateSpec(1.9, 0.7)
         psi = code3.encode_ideal(spec)
