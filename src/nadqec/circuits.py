@@ -28,10 +28,15 @@ class Gate:
     param: float | None = None
 
     def __post_init__(self):
+        # normalise to an upper-case name, a tuple of int and a float; most
+        # gates arrive that way, and those skip the frozen-field rewrites
         name = self.name.upper()
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        if self.param is not None:
+        if name != self.name:
+            object.__setattr__(self, "name", name)
+        if type(self.qubits) is not tuple or \
+                any(type(q) is not int for q in self.qubits):
+            object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        if self.param is not None and type(self.param) is not float:
             object.__setattr__(self, "param", float(self.param))
         if name not in _ROTATIONS and name not in _FIXED:
             raise ValueError(f"unknown gate {name!r}")

@@ -28,8 +28,7 @@ encoder with its rows reversed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import optimize as sciopt
@@ -38,8 +37,7 @@ from . import code3
 from .circuits import Circuit, Gate, remapped
 
 
-@dataclass(frozen=True)
-class Ansatz:
+class Ansatz(NamedTuple):
     """Alternating single-qubit rotation layers (RX then RZ on every qubit)
     and CZ entangling layers over a line of qubits."""
 
@@ -60,12 +58,13 @@ class Ansatz:
             raise ValueError(
                 f"expected {self.parameter_count} parameters, got {params.shape}"
             )
+        angles = params.tolist()  # Python floats, as a Gate keeps them
         gates: list[Gate] = []
         k = 0
         for layer in range(self.layers + 1):
             for q in range(self.n_qubits):
-                gates.append(Gate("RX", (q,), params[k]))
-                gates.append(Gate("RZ", (q,), params[k + 1]))
+                gates.append(Gate("RX", (q,), angles[k]))
+                gates.append(Gate("RZ", (q,), angles[k + 1]))
                 k += 2
             if layer < self.layers:
                 for a, b in self.edges:
@@ -81,8 +80,8 @@ class _AnsatzEvaluator:
     R_l = (x)_q RZ(b_q) RX(a_q) (qubit 0 most significant) and D is the CZ
     layer's +-1 diagonal, folded into W_l = R_l D (l >= 1, W_0 = R_0). The
     forward pass keeps the prefixes U_l = W_l U_{l-1}. With the suffix
-    S_l = W_L ... W_{l+1}, the derivative of U by an angle of layer l on
-    qubit q is S_l (-i/2) G U_l: G = Z for the RZ angle and
+    S_l = W_L ... W_{l+1} = U U_l^dag, the derivative of U by an angle of
+    layer l on qubit q is S_l (-i/2) G U_l: G = Z for the RZ angle and
     G = RZ X RZ^dag = e^{-ib Z} X for the RX angle (RZ is last on its
     qubit), so G U_l is a row sign or a row gather with a phase. Both
     optimizers read this one Jacobian: LM as its stacked real and imaginary
@@ -102,55 +101,65 @@ class _AnsatzEvaluator:
         self.n_params = ansatz.parameter_count
         self.rows, self.cols = problem.mask_indices()
         self.target_vals = problem.target[self.rows, self.cols]
+        # the mask's distinct rows, and each entry's place among them (not
+        # ``np.unique``, whose first call raises the peak memory by 0.5 MB)
+        self.row_set = np.array(sorted(set(self.rows.tolist())))
+        self.row_of = np.searchsorted(self.row_set, self.rows)
         # Z on qubit q as +-1 per row index, and the row index with qubit q
         # flipped (X on q as a row gather), each (qubit, 2^n)
-        self.z_sign = 1 - 2 * bits.T
+        self.z_sign = 1.0 - 2 * bits.T
         self.x_flip = np.arange(2**n) ^ (1 << np.arange(n - 1, -1, -1))[:, None]
 
     def _forward(self, params: np.ndarray):
-        """The RZ angles, the layers W_l and the prefixes U_l."""
+        """The RZ angles and the prefixes U_l."""
         if params.shape != (self.n_params,):
             raise ValueError(
                 f"expected {self.n_params} parameters, got {params.shape}")
         a, b = params.reshape(-1, self.n_qubits, 2).T  # each (qubit, layer)
-        cos, sin, ph = np.cos(a / 2), np.sin(a / 2), np.exp(-0.5j * b)
-        # RZ(b) RX(a) = [[ph cos, -i ph sin], [-i ph* sin, ph* cos]]
-        factors = np.array([[ph * cos, -1j * ph * sin],
-                            [-1j * ph.conj() * sin, ph.conj() * cos]])
+        ph = np.exp(-0.5j * b)
+        # RZ(b) RX(a) = [[al, be], [-be*, al*]], al = ph cos(a/2) and
+        # be = -i ph sin(a/2), one (qubit, layer, 2, 2) stack
+        al, be = ph * np.cos(a / 2), -1j * ph * np.sin(a / 2)
+        factors = np.stack([al, be, -be.conj(), al.conj()], axis=-1)
         # each layer the Kronecker product of its qubits' factors, qubit 0
         # outermost: (A (x) B)[2i + k, 2j + l] = A[i, j] B[k, l]
-        rot, *rest = factors.transpose(2, 3, 0, 1)  # each (layer, 2, 2)
+        rot, *rest = factors.reshape(self.n_qubits, -1, 2, 2)
         for f in rest:
             d = 2 * rot.shape[1]
             rot = (rot[:, :, None, :, None] * f[:, None, :, None, :]).reshape(-1, d, d)
         # W_l = R_l D for l >= 1: D's entries are +-1, so every product is
         # exact and W_l @ U_{l-1} equals R_l @ (D U_{l-1}) bit for bit
         rot[1:] *= self.entangler
-        pre = rot.copy()
+        pre = np.empty_like(rot)
+        pre[0] = rot[0]
         for layer in range(1, len(rot)):
-            pre[layer] = rot[layer] @ pre[layer - 1]
-        return b, rot, pre
+            np.matmul(rot[layer], pre[layer - 1], out=pre[layer])
+        return b, pre
 
     def unitary(self, params: np.ndarray) -> np.ndarray:
-        return self._forward(params)[2][-1]
+        return self._forward(params)[1][-1]
 
     def _columns(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The complex masked residual r = U - T and its Jacobian, one
         column per angle."""
-        b, rot, pre = self._forward(params)
+        b, pre = self._forward(params)
         res = pre[-1][self.rows, self.cols] - self.target_vals
-        suffix = np.empty_like(rot)
-        suffix[-1] = np.eye(self.entangler.size)
-        for layer in range(len(rot) - 1, 0, -1):
-            suffix[layer - 1] = suffix[layer] @ rot[layer]
-        # s[l, j, k] = S_l[row_k, j] and u[l, j, k] = U_l[j, col_k]: a
+        # S_l = U U_l^dag, as U_l is unitary: the suffix rows the mask
+        # reads, for its distinct rows at once, then one per mask entry;
+        # s[l, j, k] = S_l[row_k, j] and u[l, j, k] = U_l[j, col_k], so a
         # masked entry of S_l G U_l is sum_j s[l, j, k] (G U_l)[j, col_k]
-        s = suffix[:, self.rows, :].transpose(0, 2, 1)
-        u = pre[:, :, self.cols]
-        d_rz = self.z_sign @ (s * u)
+        # (``take`` keeps k the contiguous axis)
+        s = np.take(pre.conj() @ pre[-1][self.row_set].T, self.row_of, axis=2)
+        u = np.take(pre, self.cols, axis=2)
+        # d[l, q] = the RX and the RZ column of layer l, qubit q, in the
+        # parameters' order, each without its -i/2
+        d = np.empty((len(pre), self.n_qubits, 2, u.shape[2]), complex)
+        np.matmul(self.z_sign, s * u, out=d[:, :, 1])
+        flipped = np.take(u, self.x_flip, axis=1)  # (layer, qubit, j, k)
+        flipped *= s[:, None]
         phase = np.exp(-1j * b.T[:, :, None] * self.z_sign)
-        d_rx = (phase[:, :, None] @ (s[:, None] * u[:, self.x_flip]))[:, :, 0]
-        return res, -0.5j * np.stack([d_rx, d_rz], axis=2).reshape(self.n_params, -1).T
+        np.matmul(phase[:, :, None], flipped, out=d[:, :, :1])
+        return res, -0.5j * d.reshape(self.n_params, -1).T
 
     def gradient(self, params: np.ndarray) -> tuple[float, np.ndarray]:
         """The cost C = |r|^2 and its gradient 2 Re(r^H J), for BFGS."""
@@ -165,8 +174,7 @@ class _AnsatzEvaluator:
                 np.concatenate([jac.real, jac.imag]))
 
 
-@dataclass(frozen=True)
-class SynthesisProblem:
+class SynthesisProblem(NamedTuple):
     target: np.ndarray
     ansatz: Ansatz
     mask: Sequence[tuple[int, int]]  # the (row, column) entries compared
@@ -182,13 +190,11 @@ class SynthesisProblem:
         return pairs[:, 0], pairs[:, 1]
 
 
-@dataclass(frozen=True)
-class SynthesisResult:
+class SynthesisResult(NamedTuple):
     params: np.ndarray
     cost: float
     converged: bool
     restarts_used: int
-    seed: int
 
 
 # A BFGS iteration that lowers the cost by less than this fraction of itself
@@ -296,8 +302,7 @@ def optimize(problem: SynthesisProblem, seed: int = 0, restarts: int = 20,
             best_x, best_c = x, c
         if best_c <= problem.tolerance:
             break
-    return SynthesisResult(best_x, best_c, best_c <= problem.tolerance,
-                           r + 1, seed)
+    return SynthesisResult(best_x, best_c, best_c <= problem.tolerance, r + 1)
 
 
 def synthesize(
@@ -325,7 +330,7 @@ def synthesize(
         starts += result.restarts_used
         if result.converged:
             break
-    return ansatz.circuit(result.params), replace(result, restarts_used=starts)
+    return ansatz.circuit(result.params), result._replace(restarts_used=starts)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +347,7 @@ _POS_SVG = 4  # |100>
 _POS_DEAD = (3, 7)  # |011>, |111>
 
 
-@dataclass(frozen=True)
-class RecoverySplit:
+class RecoverySplit(NamedTuple):
     u: np.ndarray
     d: np.ndarray
 
@@ -537,8 +541,7 @@ def build_recovery_circuit(u_circuit: Circuit, gamma: float = 0.0) -> Circuit:
     return Circuit(5, tuple(gates))
 
 
-@dataclass(frozen=True)
-class RecoveryVerification:
+class RecoveryVerification(NamedTuple):
     max_deviation: float
     cz_count: int
     passed: bool

@@ -12,6 +12,47 @@ from nadqec.qcore import CZ, rx, rz
 
 
 class TestGates:
+    @pytest.mark.parametrize("name, qubits, param", [
+        ("rx", (0,), 0.5),
+        ("Rz", (1,), -0.25),
+        ("RX", (np.int64(2),), 0.5),
+        ("RY", (True,), 0.5),
+        ("RZ", [0], 1.5),
+        ("RX", (0,), 1),
+        ("RY", (3,), np.float64(0.75)),
+        ("cz", [np.int64(0), False], None),
+        ("x", (np.int32(1),), None),
+    ])
+    def test_normalised_to_canonical_values(self, name, qubits, param):
+        # an upper-case name, a tuple of int and a float (or None), whatever
+        # mix of types and containers the values arrive in
+        gate = Gate(name, qubits, param)
+        assert gate.name == name.upper()
+        assert type(gate.qubits) is tuple
+        assert all(type(q) is int for q in gate.qubits)
+        assert gate.qubits == tuple(int(q) for q in qubits)
+        if param is None:
+            assert gate.param is None
+        else:
+            assert type(gate.param) is float and gate.param == param
+        assert hash(gate) == hash(Gate(name.upper(), gate.qubits, gate.param))
+
+    @pytest.mark.parametrize("args, message", [
+        (("CNOT", (0, 1)), "unknown gate 'CNOT'"),
+        (("cnot", [np.int64(0), 1]), "unknown gate 'CNOT'"),
+        (("CZ", (0,)), r"CZ takes 2 qubit\(s\), got \(0,\)"),
+        (("cz", [np.int64(0)]), r"CZ takes 2 qubit\(s\), got \(0,\)"),
+        (("RX", (0, 1), 0.3), r"RX takes 1 qubit\(s\), got \(0, 1\)"),
+        (("rx", [True, 1], 1), r"RX takes 1 qubit\(s\), got \(1, 1\)"),
+        (("RX", (0,)), "RX requires a parameter"),
+        (("ry", (np.int64(0),)), "RY requires a parameter"),
+        (("X", (0,), 0.5), "X takes no parameter"),
+        (("x", [0], np.float64(0.5)), "X takes no parameter"),
+    ])
+    def test_every_check_fires_on_canonical_and_raw_values(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Gate(*args)
+
     def test_unknown_gate_rejected(self):
         with pytest.raises(ValueError):
             Gate("CNOT", (0, 1))

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import traceback
 import warnings
 from pathlib import Path
 
@@ -665,19 +666,42 @@ _PROBABILITY_COLUMNS = {"fidelity", "success_probability", "pop0", "pop1",
                         "F_qec", "F_bare", "p_success"}
 
 
+_PACKAGE = Path(cli.__file__).resolve().parent
+
+
+def _numerical_raise_faults(spec: Path, out: Path, case: str) -> list:
+    """Re-run an exit-3 spec's runner: the fault of an exception raised
+    outside ``nadqec`` (inside numpy or scipy, say), which the CLI would
+    report as a numerical failure like a deliberate raise."""
+    loaded = ExperimentSpec.load(spec)
+    try:
+        CATALOG[loaded.kind].runner(loaded, out)
+    except (RuntimeError, ValueError, ArithmeticError) as exc:
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        if Path(frame.filename).resolve().parent != _PACKAGE:
+            return [f"{case}: exit 3 from {frame.filename}:{frame.lineno} "
+                    f"({exc!r})"]
+        return []
+    return [f"{case}: exit 3, but the runner did not raise again"]
+
+
 def _run_faults(spec: Path, out: Path, kind: str, params: dict, case: str) -> list:
     """Run one spec through ``cli.main``: the faults of a run that raises,
-    warns, ends with an exit code other than 0, 2 or 3, or ends with exit 0
-    and a CSV holding a non-finite number or a probability outside [0, 1]."""
+    warns, ends with an exit code other than 0, 2 or 3, ends with exit 3 on
+    an exception that no ``nadqec`` line raised, or ends with exit 0 and a
+    CSV holding a non-finite number or a probability outside [0, 1]."""
     spec.write_text(json.dumps({"kind": kind, "output": str(out), "params": params}))
     out.unlink(missing_ok=True)
+    faults = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             code = cli.main(["run", str(spec)])
+            if code == EXIT_NUMERICAL:
+                faults += _numerical_raise_faults(spec, out, case)
         except Exception as exc:
             return [f"{case}: raised {exc!r}"]
-    faults = [f"{case}: warned {w.message}" for w in caught]
+    faults += [f"{case}: warned {w.message}" for w in caught]
     if code not in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL):
         faults.append(f"{case}: exit {code!r}")
     if code == EXIT_OK:
@@ -768,9 +792,11 @@ class TestCatalog:
         assert done.returncode == 0, done.stderr
 
     def test_import_leaves_out_scipy_optimize(self):
-        # only the synth kind needs scipy.optimize, and it imports synth itself
+        # only the synth kind needs scipy.optimize, and it imports synth
+        # itself, so no other kind pays for importing either
         done = self._python("-c", "import nadqec, nadqec.cli, sys; "
-                                  "assert 'scipy.optimize' not in sys.modules")
+                                  "assert 'scipy.optimize' not in sys.modules; "
+                                  "assert 'nadqec.synth' not in sys.modules")
         assert done.returncode == 0, done.stderr
 
 

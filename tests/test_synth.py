@@ -112,6 +112,30 @@ class TestCost:
         assert abs(c - 4.0) < 1e-12  # the CZ layer alone: |(-1) - 1|^2
 
 
+class TestRecords:
+    def test_fields_defaults_and_immutability(self):
+        # each record's fields, in order, with their defaults; none can be
+        # reassigned, and a result changes only into a new record
+        assert Ansatz._fields == ("n_qubits", "layers")
+        assert SynthesisProblem._fields == ("target", "ansatz", "mask",
+                                            "tolerance")
+        assert SynthesisProblem._field_defaults == {"tolerance": 1e-10}
+        assert synth.SynthesisResult._fields == ("params", "cost",
+                                                 "converged", "restarts_used")
+        assert synth.RecoverySplit._fields == ("u", "d")
+        assert synth.RecoveryVerification._fields == ("max_deviation",
+                                                      "cz_count", "passed")
+        ansatz = Ansatz(2, 1)
+        problem = SynthesisProblem(np.eye(4, dtype=complex), ansatz, [(0, 0)])
+        result = optimize(problem, seed=0, restarts=1)
+        for record, field in ((ansatz, "layers"), (problem, "tolerance"),
+                              (result, "restarts_used")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
+        assert result._replace(restarts_used=5).restarts_used == 5
+        assert result.restarts_used == 1
+
+
 class TestOptimize:
     def test_single_qubit_euler_complete(self):
         rng = np.random.default_rng(5)
@@ -393,6 +417,25 @@ class TestLayerEvaluator:
         np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(layered.unitary(x), reference.unitary(x),
                                    rtol=0, atol=1e-12)
+
+    def test_five_qubit_recovery_problem(self):
+        # the whole recovery on (q0, q1, q2, a1, a2): RecoveryMap.ideal(0)'s
+        # kept columns on their 16 a2 = 0 rows, at 6 layers
+        target = np.zeros((32, 32), complex)
+        target[:, code3._KEPT_COLS] = code3.RecoveryMap.ideal(0.0).columns
+        mask = [(i, j) for j in code3._KEPT_COLS for i in range(0, 32, 2)]
+        problem = SynthesisProblem(target, Ansatz(5, 6), mask=mask)
+        layered = synth._AnsatzEvaluator(problem)
+        reference = GateByGateEvaluator(problem)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            x = rng.uniform(-math.pi, math.pi, problem.ansatz.parameter_count)
+            c, g = layered.gradient(x)
+            c_ref, g_ref = reference.gradient(x)
+            assert abs(c - c_ref) <= 1e-12
+            np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-12)
+            f, jac = layered.jacobian(x)
+            np.testing.assert_allclose(2 * jac.T @ f, g_ref, rtol=0, atol=1e-12)
 
 
 _XXX = embed(XMAT, [0], 3) @ embed(XMAT, [1], 3) @ embed(XMAT, [2], 3)
