@@ -9,7 +9,7 @@ Round-trips exactly (floats are written with ``repr`` precision).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -97,26 +97,19 @@ class Circuit:
     def count(self, name: str) -> int:
         return sum(1 for g in self.gates if g.name == name.upper())
 
+    def _listing(self, angle: Callable[[float], str]) -> str:
+        """One ``GATE q[,q2] [angle]`` line per gate, the angle as ``angle``
+        prints it."""
+        return "".join(f"{g.name} {','.join(map(str, g.qubits))}"
+                       + ("" if g.param is None else f" {angle(g.param)}") + "\n"
+                       for g in self.gates)
+
     def describe(self) -> str:
         """Human-oriented listing with rotation angles as multiples of pi."""
-        lines = []
-        for g in self.gates:
-            qubits = ",".join(str(q) for q in g.qubits)
-            if g.param is not None:
-                lines.append(f"{g.name} {qubits} {g.param / np.pi:+.6f}pi")
-            else:
-                lines.append(f"{g.name} {qubits}")
-        return "\n".join(lines) + ("\n" if lines else "")
+        return self._listing(lambda a: f"{a / np.pi:+.6f}pi")
 
     def serialize(self) -> str:
-        lines = []
-        for g in self.gates:
-            qubits = ",".join(str(q) for q in g.qubits)
-            if g.param is not None:
-                lines.append(f"{g.name} {qubits} {g.param!r}")
-            else:
-                lines.append(f"{g.name} {qubits}")
-        return "\n".join(lines) + ("\n" if lines else "")
+        return self._listing(repr)
 
     @classmethod
     def deserialize(cls, text: str, n_qubits: int) -> "Circuit":

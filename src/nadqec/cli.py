@@ -149,9 +149,9 @@ _POINT_HEADER = ["total_evolution_us", "fidelity", "success_probability",
                  "rounds", "variant", "chadd"]
 
 
-def _point_rows(pts) -> list[tuple]:
+def _point_rows(pts, variant: str, chadd: bool) -> list[tuple]:
     return [(x.total_evolution_us, x.fidelity, x.success_probability,
-             x.rounds, x.variant, x.chadd) for x in pts]
+             x.rounds, variant, chadd) for x in pts]
 
 
 def _is_int(v) -> bool:
@@ -217,7 +217,7 @@ def _run_multiqec(spec: ExperimentSpec, out: Path) -> None:
     noise = _noise_from(spec.params, 3)
     cfg = _protocol_config(spec.params, noise.lifetimes(3)[0])
     pts = protocol.run_multiqec(cfg, noise)
-    _write_csv(out, _POINT_HEADER, _point_rows(pts))
+    _write_csv(out, _POINT_HEADER, _point_rows(pts, cfg.recovery_variant, False))
 
 
 # The CHaDD runner walks the full rounds of its longest point once, plus
@@ -255,7 +255,7 @@ def _run_multiqec_chadd(spec: ExperimentSpec, out: Path) -> None:
     rows = []
     for chadd in (False, True):
         rows += _point_rows(protocol.run_multiqec_with_chadd(
-            cfg, noise, layout, chadd=chadd))
+            cfg, noise, layout, chadd=chadd), cfg.recovery_variant, chadd)
     _write_csv(out, _POINT_HEADER, rows)
 
 
@@ -314,20 +314,6 @@ def _run_gain_surface(spec: ExperimentSpec, out: Path) -> None:
              c.p_success, spec.seed) for c in cells]
     _write_csv(out, ["T1_us", "E_meas", "delay_us", "gain", "F_qec", "F_bare",
                      "p_success", "seed"], rows)
-    # soft monotonicity report: gain should not grow with E_meas
-    violations = []
-    nd = len(p["delay_range"])
-    ne = len(p["emeas_range"])
-    for i, t1 in enumerate(p["t1_range"]):
-        for k in range(nd):
-            col = [cells[i * ne * nd + j * nd + k].gain for j in range(ne)]
-            for j in range(1, len(col)):
-                if col[j] > col[j - 1] + 1e-12:
-                    violations.append((t1, p["emeas_range"][j],
-                                       p["delay_range"][k]))
-    if violations:
-        print(f"gain not monotone in E_meas at {len(violations)} cell(s): "
-              f"{violations[:5]}")
 
 
 def _run_synth(spec: ExperimentSpec, out: Path) -> None:
@@ -359,8 +345,7 @@ def _run_synth(spec: ExperimentSpec, out: Path) -> None:
     ]
     _write_csv(out, ["component", "cost_or_deviation", "cz_count", "restarts"],
                rows)
-    base = Path(str(out).removesuffix(".csv") if str(out).endswith(".csv")
-                else str(out))
+    base = Path(str(out).removesuffix(".csv"))
     Path(f"{base}.encoder.txt").write_text(enc_circ.serialize())
     Path(f"{base}.recovery.txt").write_text(rec_circ.serialize())
     Path(f"{base}.encoder.angles.txt").write_text(enc_circ.describe())
@@ -506,12 +491,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "check":
         return check()
     try:
-        spec = ExperimentSpec.load(args.spec)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return run(spec)
+        return run(ExperimentSpec.load(args.spec))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -689,11 +689,6 @@ def oracle_fidelity_multiround(theta: float, gammas: Sequence[float]) -> float:
     return (1 + big_g * s2 * c2) / (1 + big_g * s2)
 
 
-def oracle_worst_case_fidelity(gamma: float) -> float:
-    """Minimum over logical states, attained at theta = pi."""
-    return 1.0 / (1.0 + gamma**2)
-
-
 def oracle_success_probability(theta: float, gamma: float, p: float = 0.0) -> float:
     """Success probability, the "+"-sign closed form simulation confirms:
     (1-g)^2 (1 + g^2 sin^2(t/2) + (8/3) p (p-1)(1-g) cos^2(t/2))."""
@@ -721,11 +716,6 @@ def success_probability_minus_form(theta: float, gamma: float) -> float:
     """
     s2 = math.sin(theta / 2) ** 2
     return (1 - gamma) ** 2 * (1 - gamma**2 * s2)
-
-
-def success_probability_zero_logical(gamma: float, p: float) -> float:
-    """Lower bound over logical states (theta = 0)."""
-    return (1 - gamma) ** 2 * (1 + (8 * p / 3.0) * (gamma + p - 1 - gamma * p))
 
 
 def success_form(dev_plus: float, dev_minus: float) -> str:
@@ -764,6 +754,13 @@ _SERIES_COEFFS = {
 }
 
 
+def _series(variant: str) -> tuple:
+    """``variant``'s (p, p^2, p*g, g^2) coefficient functions of theta."""
+    if variant not in _SERIES_COEFFS:
+        raise ValueError(f"variant must be 'ideal' or 'approximate', got {variant!r}")
+    return _SERIES_COEFFS[variant]
+
+
 def _evaluate_series(coeffs, theta: float, gamma: float, p: float) -> float:
     cp, cpp, cpg, cgg = coeffs
     return 1.0 + cp(theta) * p + cpp(theta) * p**2 + cpg(theta) * p * gamma \
@@ -776,9 +773,7 @@ def oracle_fidelity_series(theta: float, gamma: float, p: float,
 
     Valid in the small-noise regime only; the caller owns regime validity.
     """
-    if variant not in _SERIES_COEFFS:
-        raise ValueError(f"variant must be 'ideal' or 'approximate', got {variant!r}")
-    return _evaluate_series(_SERIES_COEFFS[variant], theta, gamma, p)
+    return _evaluate_series(_series(variant), theta, gamma, p)
 
 
 # The paper's printed expansion for the gamma-adapted recovery: the p and
@@ -810,16 +805,8 @@ def oracle_fidelity_series_time(theta: float, t: float, t1: float, t2: float,
     r = 1/Tphi = 1/T2 - 1/(2 T1), and keeps the terms through t^2; no
     term is linear in gamma, so its t^2 part drops out.
     """
-    if variant not in _SERIES_COEFFS:
-        raise ValueError(f"variant must be 'ideal' or 'approximate', got {variant!r}")
-    cp, cpp, cpg, cgg = (c(theta) for c in _SERIES_COEFFS[variant])
+    cp, cpp, cpg, cgg = (c(theta) for c in _series(variant))
     r = 1 / t2 - 1 / (2 * t1)
     p1, p2, g1 = r / 2, -r * r / 4, 1 / t1
     quad = cp * p2 + cpp * p1**2 + cpg * p1 * g1 + cgg * g1**2
     return 1.0 + cp * p1 * t + quad * t**2
-
-
-def oracle_fidelity_plus_state(gamma: float, p: float) -> float:
-    """Special case |+_L>, |-_L> under the adapted recovery: the ideal
-    series at theta = pi/2, 1 - (4 + 2 g) p / 3 - 4 p^2 / 9 - g^2 / 4."""
-    return 1.0 - (4 + 2 * gamma) * p / 3.0 - 4 * p**2 / 9.0 - gamma**2 / 4.0

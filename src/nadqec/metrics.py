@@ -128,16 +128,15 @@ def f_star(f: float, e_meas: float) -> float:
 
 def _gain(f_qec: float, p_success: float, f_bare: float, e_meas: float) -> float:
     """Per-shot gain (F*_QEC sigma_bare) / (F*_bare sigma_QEC) sqrt(p_success),
-    the sigmas binomial in the adjusted fidelities F*; inf where sigma_QEC
-    vanishes (the noiseless-estimator limit), else 0 where sigma_bare does."""
+    the sigmas binomial in the adjusted fidelities F*; inf where either sigma
+    vanishes: sigma_bare does only at gamma = 0 and E = 0, the noiseless
+    limit, where sigma_QEC vanishes too but for the rounding of F_QEC."""
     fq = f_star(f_qec, e_meas)
     fb = f_star(f_bare, e_meas)
     sq = math.sqrt(max(fq * (1 - fq), 0.0))
     sb = math.sqrt(max(fb * (1 - fb), 0.0))
-    if sq == 0.0:
+    if sq == 0.0 or sb == 0.0:
         return math.inf
-    if sb == 0.0:
-        return 0.0
     return (fq * sb) / (fb * sq) * math.sqrt(p_success)
 
 

@@ -147,8 +147,6 @@ class MultiQecPoint:
     rounds: int
     fidelity: float
     success_probability: float
-    variant: str
-    chadd: bool
 
 
 def _recovery_map(config: ProtocolConfig, gamma: float) -> code3.RecoveryMap:
@@ -172,24 +170,21 @@ def recovery_t1(config: ProtocolConfig, t1s: Sequence[float]) -> float:
     return t1s[0]
 
 
-def _run_rounds(config: ProtocolConfig,
-                reach_for: Callable[[set], Callable[[int], tuple]],
+def _run_rounds(config: ProtocolConfig, reach: Callable[[int], tuple],
                 round_for: Callable[[float], Callable],
-                score: Callable[[list], Sequence[float]],
-                chadd: bool) -> list[MultiQecPoint]:
-    """The sweep loop of both runners. ``reach_for(needed)``, given the set
-    of the points' full-round counts, returns ``reach(k)``: the state after
-    k full max_delay rounds and its cumulative post-selection weight;
-    ``round_for(delay)`` returns one round as state -> (renormalized state,
-    p_round), for a point's remainder. Every point's schedule and timing
-    come from the config's one integer pass over the sweep (``_schedules``), and
-    ``score`` turns the final states of all points into their fidelities in
-    one call; an empty sweep returns [] without calling it. A point whose
-    total evolution time exceeds the largest float, or whose carried
-    success probability exceeds 1 + 1e-12, raises ValueError."""
+                score: Callable[[list], Sequence[float]]) -> list[MultiQecPoint]:
+    """The sweep loop of both runners. ``reach(k)`` returns the state after
+    k full max_delay rounds and its cumulative post-selection weight, for
+    every point's full-round count k; ``round_for(delay)`` returns one round
+    as state -> (renormalized state, p_round), for a point's remainder.
+    Every point's schedule and timing come from the config's one integer
+    pass over the sweep (``_schedules``), and ``score`` turns the final
+    states of all points into their fidelities in one call; an empty sweep
+    returns [] without calling it. A point whose total evolution time
+    exceeds the largest float, or whose carried success probability exceeds
+    1 + 1e-12, raises ValueError."""
     den, schedules = config._schedule
     finals, rows = [], []
-    reach = reach_for({k for k, _, _ in schedules})
     for total_free, (k, rest, evolution) in zip(config.total_free, schedules):
         try:
             evolution_us = evolution / den
@@ -211,8 +206,7 @@ def _run_rounds(config: ProtocolConfig,
     if not rows:  # an empty sweep: no states to score
         return []
     return [MultiQecPoint(total_free_us=t, total_evolution_us=evolution,
-                          rounds=n, fidelity=f, success_probability=p,
-                          variant=config.recovery_variant, chadd=chadd)
+                          rounds=n, fidelity=f, success_probability=p)
             for (t, evolution, n, p), f in zip(rows, score(finals), strict=True)]
 
 
@@ -262,8 +256,7 @@ def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoi
         check_density(np.array([[[p0, coh], [coh, p1]] for p0, p1, coh in states]))
         return [code3.logical_fidelity(start, x) for x in states]
 
-    return _run_rounds(config, lambda needed: reach,
-                       lambda delay: round_for(delay).advance, score, chadd=False)
+    return _run_rounds(config, reach, lambda delay: round_for(delay).advance, score)
 
 
 def fit_lifetime(times: Sequence[float], fidelities: Sequence[float]) -> float:
@@ -476,30 +469,24 @@ class CrosstalkModel:
                            (self.omega1, self.omega2))
 
 
-def _pulse_permutations(colors: Sequence[int]) -> dict:
-    """Each color's pulse as an index permutation of the register.
+def _pulse_gathers(colors: Sequence[int], m: int) -> dict:
+    """Each color's pulse as one gather of the flattened (d, d, m) block
+    view (``lindbladian``) of the register ``colors`` colors qubit by qubit,
+    its last log2(m) qubits held classical; m = 1 gathers the (d, d)
+    register itself.
 
-    X and RX(-pi) = iX act alike under conjugation: on the qubits of mask m
-    (qubit 0 the MSB) both map rho[a, b] to rho[a xor m, b xor m], so a
-    pulse is ``rho[perm][:, perm]`` with perm = arange(2^n) xor m.
+    X and RX(-pi) = iX act alike under conjugation: on the qubits of mask
+    ``mask`` (qubit 0 the MSB) both map rho[i, j] to rho[i xor mask,
+    j xor mask]. The register index i = a m + s is the quantum part a and
+    the classical part s, so a pulse flips the rows and columns by
+    a xor (mask // m) and maps block s to s xor (mask % m).
     """
     n = len(colors)
-    index = np.arange(2**n)
-    return {color: index ^ sum(1 << (n - 1 - q) for q, c in enumerate(colors)
-                               if c == color)
-            for color in (1, 2)}
-
-
-def _pulse_gathers(perms: dict, m: int) -> dict:
-    """Each pulse of ``_pulse_permutations`` as one gather of the flattened
-    (d, d, m) block view (``lindbladian``), the last log2(m) qubits held
-    classical: the register index a m + s goes to (a xor a') m + (s xor s'),
-    so a pulse permutes the quantum rows and columns by a xor a' and maps
-    block s to s xor s'. m = 1 gathers the (d, d) register itself."""
+    d = 2**n // m
     gathers = {}
-    for color, perm in perms.items():
-        rows, blocks = perm[::m] // m, perm[:m] % m
-        d = len(rows)
+    for color in (1, 2):
+        mask = sum(1 << (n - 1 - q) for q, c in enumerate(colors) if c == color)
+        rows, blocks = np.arange(d) ^ (mask // m), np.arange(m) ^ (mask % m)
         gathers[color] = ((rows[:, None, None] * d + rows[None, :, None]) * m
                           + blocks).ravel()
     return gathers
@@ -562,7 +549,7 @@ def run_crosstalk_toy(model: CrosstalkModel, probe_init: str, t_final: float,
     else:
         cycle = span * len(ROBUST_PULSES)  # t_final / cycles rounds differently
         free = gen.propagator(span)
-        pulses = _pulse_gathers(_pulse_permutations((1, 2)), 1)
+        pulses = _pulse_gathers((1, 2), 1)
         times, rows = [0.0], [state]
         for i in range(cycles):
             state = _chadd_cycle(free, state, pulses)
@@ -655,10 +642,9 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
     psi = code3.encode_ideal(config.logical)
     m = 2**layout.spectators
     gen = lindbladian(n, noise, layout.couplings, classical=layout.spectators)
-    pulses = (_pulse_gathers(_pulse_permutations(layout.resolved_colors()), m)
-              if chadd else None)
-    rho0 = np.zeros((8, 8, m), dtype=complex)
-    rho0[:, :, 0] = np.outer(psi, psi.conj())  # the spectators in |0...0>
+    pulses = _pulse_gathers(layout.resolved_colors(), m) if chadd else None
+    rho = np.zeros((8, 8, m), dtype=complex)
+    rho[:, :, 0] = np.outer(psi, psi.conj())  # the spectators in |0...0>
 
     @functools.cache
     def round_for(delay: float):
@@ -670,17 +656,15 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
             return code3.apply_cycle(kept, rho)
         return one_round
 
-    step = float(config.max_delay)
-
-    def reach_for(needed: set) -> Callable[[int], tuple]:
-        kept, rho, p_total = {}, rho0, 1.0
-        for k in range(max(needed, default=0) + 1):
-            if k:
-                rho, p_round = round_for(step)(rho)
-                p_total *= p_round
-            if k in needed:
-                kept[k] = rho, p_total
-        return kept.__getitem__
+    # walk the full rounds once, keeping the states that points end on
+    needed = {full for full, _, _ in points}
+    reached, p_total = {}, 1.0
+    for k in range(max(needed, default=0) + 1):
+        if k:
+            rho, p_round = round_for(float(config.max_delay))(rho)
+            p_total *= p_round
+        if k in needed:
+            reached[k] = rho, p_total
 
     def score(states: list) -> list[float]:
         stack = np.stack(states)  # (points, 8, 8, m)
@@ -690,4 +674,4 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
         return [float(np.real(psi.conj() @ (r / np.real(np.trace(r))) @ psi))
                 for r in stack.sum(axis=-1)]
 
-    return _run_rounds(config, reach_for, round_for, score, chadd)
+    return _run_rounds(config, reached.__getitem__, round_for, score)

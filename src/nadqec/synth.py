@@ -528,16 +528,15 @@ def build_recovery_circuit(u_circuit: Circuit, gamma: float = 0.0) -> Circuit:
     """
     if u_circuit.n_qubits != 3:
         raise ValueError("recovery factor circuit must act on 3 qubits")
-    u5 = remapped(u_circuit, {0: 0, 1: 1, 2: 2}, 5)
     d5 = remapped(block_encode_diagonal(gamma), {0: 0, 1: 1, 2: 2, 3: 4}, 5)
     gates: list[Gate] = [Gate("X", (3,))]
     for q in range(3):  # XXX on data when a1 = 0
         gates += _cx_gates(3, q)
-    gates += list(u5.inverse().gates)
+    gates += u_circuit.inverse().gates  # U's qubits 0..2 are the data's
     gates += _cx_gates(3, 0)  # X on q0 when a1 = 0
     gates.append(Gate("X", (3,)))
-    gates += list(d5.gates)
-    gates += list(u5.gates)
+    gates += d5.gates
+    gates += u_circuit.gates
     return Circuit(5, tuple(gates))
 
 

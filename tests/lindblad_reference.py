@@ -9,7 +9,8 @@
   Sci. Comput. 33, 2011) in equal sub-steps of at most 5 us, since its
   error grows with t ||L||.
 
-It also holds the ZZ toy model's Hamiltonian as a matrix and the
+It also holds the ZZ toy model's Hamiltonian as a matrix, each pulse of a
+CHaDD colouring as a permutation of the full register, and the
 closed-system propagator of one CHaDD cycle, which the exactness checks
 of the decoupling sequence use.
 """
@@ -24,7 +25,21 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from nadqec.noise import NoiseParams
-from nadqec.protocol import ROBUST_PULSES, CrosstalkModel, _pulse_permutations
+from nadqec.protocol import ROBUST_PULSES, CrosstalkModel
+
+
+def pulse_permutations(colors: Sequence[int]) -> dict:
+    """Each color's pulse as an index permutation of the full register.
+
+    X and RX(-pi) = iX act alike under conjugation: on the qubits of mask m
+    (qubit 0 the MSB) both map rho[a, b] to rho[a xor m, b xor m], so a
+    pulse is ``rho[perm][:, perm]`` with perm = arange(2^n) xor m.
+    """
+    n = len(colors)
+    index = np.arange(2**n)
+    return {color: index ^ sum(1 << (n - 1 - q) for q, c in enumerate(colors)
+                               if c == color)
+            for color in (1, 2)}
 
 
 def crosstalk_hamiltonian(model: CrosstalkModel) -> np.ndarray:
@@ -44,7 +59,7 @@ def chadd_cycle_unitary(tau: float, h: np.ndarray,
     if len(colors) != n:
         raise ValueError(f"{len(colors)} colors for {n} qubits")
     free = expm(-1j * h * tau)
-    perms = _pulse_permutations(colors)
+    perms = pulse_permutations(colors)
     u = np.eye(h.shape[0], dtype=complex)
     for _, color in ROBUST_PULSES:
         u = (free @ u)[perms[color]]

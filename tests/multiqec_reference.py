@@ -21,9 +21,9 @@ measured against.
 register: the spectators join as |0...0> by ``np.kron``, each round
 evolves the whole (8 * 2^k)^2 rho under the full-register generator
 (``lindbladian`` with no classical qubits), applies each pulse as the row
-and column permutation of ``_pulse_permutations``, and applies the kept
-recovery branch with the data axes of rho viewed as (8, m, 8, m) and
-brought together. The package holds only the blocks with equal spectator
+and column permutation of ``lindblad_reference.pulse_permutations``, and
+applies the kept recovery branch with the data axes of rho viewed as
+(8, m, 8, m) and brought together. The package holds only the blocks with equal spectator
 bits; this keeps every entry.
 """
 
@@ -32,6 +32,7 @@ from typing import Sequence
 
 import mpmath
 import numpy as np
+from lindblad_reference import pulse_permutations
 from noise_reference import apply_kraus, fidelity, idle_noise, pure
 
 from nadqec import code3
@@ -44,7 +45,6 @@ from nadqec.protocol import (
     MultiQecPoint,
     ProtocolConfig,
     SpectatorLayout,
-    _pulse_permutations,
     _recovery_map,
     _schedules,
     lindbladian,
@@ -125,8 +125,6 @@ def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoi
             rounds=len(schedule),
             fidelity=fidelity(rho, target) if schedule else 1.0,
             success_probability=p_total,
-            variant=config.recovery_variant,
-            chadd=False,
         ))
     return points
 
@@ -208,7 +206,7 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
     t1 = recovery_t1(config, noise.lifetimes(n)[0])
     target = code3.encode_ideal(config.logical)
     gen = lindbladian(n, noise, layout.couplings)
-    perms = _pulse_permutations(layout.resolved_colors())
+    perms = pulse_permutations(layout.resolved_colors())
     m = 2**(n - 3)
     spectators = np.zeros((m, m))
     spectators[0, 0] = 1.0
@@ -241,7 +239,5 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
             rounds=len(schedule),
             fidelity=fidelity(reduced / np.real(np.trace(reduced)), target),
             success_probability=p_total,
-            variant=config.recovery_variant,
-            chadd=chadd,
         ))
     return points

@@ -566,6 +566,18 @@ class TestRun:
             row = (tmp_path / "gain.csv").read_text().splitlines()[1].split(",")
             assert row[4] == "1"  # F_qec
 
+    def test_gain_surface_prints_nothing(self, tmp_path, capsys):
+        # a descending E_meas grid is valid: the gain falls along E_meas,
+        # so read in grid order it rises, and the run still reports nothing
+        payload = {"kind": "gain-surface", "output": str(tmp_path / "gain.csv"),
+                   "params": {"t1_range": [50.0], "emeas_range": [0.05, 0.01],
+                              "delay_range": [0.0, 10.0]}}
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        gains = [float(row.split(",")[3]) for row in
+                 (tmp_path / "gain.csv").read_text().splitlines()[1:]]
+        assert gains[3] > gains[1]  # E_meas 0.01 against 0.05 at 10 us
+
     def test_oracle_check(self, tmp_path):
         payload = {
             "kind": "oracle-check",

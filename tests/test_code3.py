@@ -49,17 +49,14 @@ from nadqec.code3 import (
     measured_circuit_distribution,
     noise_superop,
     oracle_fidelity_ad,
-    oracle_fidelity_plus_state,
     oracle_fidelity_series,
     oracle_fidelity_series_printed,
     oracle_fidelity_series_time,
     oracle_success_probability,
-    oracle_worst_case_fidelity,
     qec_cycle,
     recovery_operators,
     success_form,
     success_probability_minus_form,
-    success_probability_zero_logical,
 )
 from nadqec.qcore import check_density, ry, rz
 
@@ -740,15 +737,18 @@ class TestOracleGrids:
                            - oracle_success_probability(theta, g, 0.0)) < 1e-15
 
     def test_worst_case_curve(self):
+        # the minimum over logical states, at theta = pi: 1 / (1 + g^2)
         for g in np.linspace(0.0, 0.3, 10):
             out = qec_cycle(codeword(1), g, 0.0, RecoveryMap.ideal(g))
-            assert abs(out.fidelity - oracle_worst_case_fidelity(g)) < 1e-10
+            assert abs(out.fidelity - 1.0 / (1.0 + g**2)) < 1e-10
 
     def test_zero_logical_lower_bound(self):
+        # the lower bound over logical states, at theta = 0:
+        # (1 - g)^2 (1 + (8 p / 3)(g + p - 1 - g p))
         for g, p in [(0.05, 0.02), (0.1, 0.08), (0.2, 0.15)]:
             out = qec_cycle(codeword(0), g, p, RecoveryMap.ideal(g))
-            assert abs(out.success_probability
-                       - success_probability_zero_logical(g, p)) < 1e-12
+            assert abs(out.success_probability - (1 - g) ** 2
+                       * (1 + (8 * p / 3.0) * (g + p - 1 - g * p))) < 1e-12
 
 
 class TestSeriesOracles:
@@ -768,8 +768,10 @@ class TestSeriesOracles:
                    - (1 - 0.04**2 / 2)) < 1e-15
 
     def test_plus_state_special_case_consistent(self):
+        # |+_L>, |-_L> under the adapted recovery:
+        # 1 - (4 + 2 g) p / 3 - 4 p^2 / 9 - g^2 / 4
         for g, p in [(0.01, 0.005), (0.02, 0.02)]:
-            assert abs(oracle_fidelity_plus_state(g, p)
+            assert abs(1.0 - (4 + 2 * g) * p / 3.0 - 4 * p**2 / 9.0 - g**2 / 4.0
                        - oracle_fidelity_series(math.pi / 2, g, p, "ideal")) < 1e-14
 
     def test_time_form_matches_composed_form_linearly(self):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nadqec import code3
 from nadqec.metrics import (
@@ -121,6 +123,13 @@ class TestGainTheoretical:
         cell, = gain_surface([200.0], [0.0], [0.0])
         assert (cell.f_qec, cell.f_bare) == (1.0, 1.0)
         assert math.isinf(cell.gain)
+        # at every theta: the closed-form round can round F_QEC to an ulp
+        # or two below 1 (it does at theta = pi/8), leaving sigma_QEC > 0,
+        # but sigma_bare vanishes, so the gain is still inf and never 0
+        for theta in [*np.linspace(0.0, math.pi, 201), math.pi / 8]:
+            cell, = gain_surface([200.0], [0.0], [0.0], theta=float(theta))
+            assert cell.f_bare == 1.0 and cell.f_qec >= 1.0 - 2**-52, theta
+            assert math.isinf(cell.gain), theta
 
     def test_beats_break_even_at_low_readout_error(self):
         assert gain_surface([200.0], [0.0], [30.0])[0].gain > 1.0
@@ -152,6 +161,22 @@ class TestGainSurface:
             for d in delays:
                 for e in es[1:]:
                     assert by_key[(t1, 0.0, d)] >= by_key[(t1, e, d)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(theta=st.floats(0.0, math.pi), t1=st.floats(50.0, 500.0),
+           delays=st.lists(st.floats(0.0, 300.0), max_size=3),
+           grid=st.lists(st.integers(0, 50), min_size=2, max_size=8))
+    def test_gain_never_rises_with_error(self, theta, t1, delays, grid):
+        # on a sorted E_meas grid in [0, 0.5], delay 0 included. The exact
+        # gain is flat in E > 0 at delay 0 (F_QEC = F_bare = 1), so the
+        # computed one may wobble there by rounding: 1e-12 relative
+        es = [i / 100 for i in sorted(grid)]
+        delays = [0.0, *delays]
+        cells = gain_surface([t1], es, delays, theta=theta)
+        for k, delay in enumerate(delays):
+            column = [cells[j * len(delays) + k].gain for j in range(len(es))]
+            assert all(b <= a * (1 + 1e-12) for a, b in zip(column, column[1:])), \
+                (delay, column)
 
     def test_gain_monotone_in_error(self):
         cells = gain_surface([220.0], [0.0, 0.002, 0.01, 0.03, 0.05], [30.0])

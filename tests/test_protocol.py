@@ -1,6 +1,7 @@
 """Scheduling, timing, multi-round QEC, CHaDD, and the Lindblad toy model."""
 
 import functools
+import itertools
 import math
 import sys
 import warnings
@@ -18,6 +19,7 @@ from lindblad_reference import (
     evolve_lindblad,
     liouvillian,
     lindblad_rhs,
+    pulse_permutations,
 )
 from lindblad_reference import propagate as propagate_reference
 from multiqec_reference import run_multiqec as run_multiqec_reference
@@ -459,16 +461,37 @@ class TestChaddSequence:
     @pytest.mark.parametrize("kind", ["X", "XT"])
     def test_pulse_permutation_matches_kron_conjugation(self, kind):
         # X and RX(-pi) = iX on every qubit of a color, as a register-sized
-        # matrix, conjugate rho as the color's index permutation does
+        # matrix, conjugate rho as the color's gather of the register does
         rng = np.random.default_rng(5)
         colors = (1, 2, 1, 1, 2)
         rho = _random_density(rng, 32)
         pulse = X if kind == "X" else rx(-math.pi)
-        for color, perm in protocol._pulse_permutations(colors).items():
+        for color, gather in protocol._pulse_gathers(colors, 1).items():
             u = functools.reduce(np.kron, [pulse if c == color else np.eye(2)
                                            for c in colors])
-            np.testing.assert_allclose(rho[perm][:, perm], u @ rho @ u.conj().T,
-                                       atol=1e-15)
+            np.testing.assert_allclose(rho.ravel()[gather].reshape(rho.shape),
+                                       u @ rho @ u.conj().T, atol=1e-15)
+
+    def test_pulse_gathers_match_full_register_permutation(self):
+        # every colouring by 1, 2 and 3 (never pulsed) of 1 to 7 qubits and
+        # every split with the last k <= n - 3 qubits classical: a gather of
+        # the block view is the full register's permutation restricted to
+        # equal classical bits, rho[a m + s, b m + s] -> block (a, b, s)
+        for n in range(1, 8):
+            register = np.arange(4**n).reshape(2**n, 2**n)  # distinct entries
+            # each split's block view, as indices into the flat register
+            views = {m: np.einsum("asbs->abs", register.reshape(
+                2**n // m, m, 2**n // m, m)).ravel()
+                for m in (2**k for k in range(max(n - 2, 1)))}
+            for colors in itertools.product((1, 2, 3), repeat=n):
+                perms = pulse_permutations(colors)
+                pulsed = {c: register[np.ix_(p, p)].ravel() for c, p in perms.items()}
+                for m, view in views.items():
+                    gathers = protocol._pulse_gathers(colors, m)
+                    assert sorted(gathers) == sorted(perms) == [1, 2]
+                    for color in perms:
+                        assert np.array_equal(view[gathers[color]],
+                                              pulsed[color][view])
 
     def test_closed_system_cycle_is_identity(self):
         rng = np.random.default_rng(17)
@@ -886,19 +909,19 @@ class TestMultiQecWithChadd:
                                     SpectatorLayout(spectators=1), chadd=False)
 
     def test_pulse_unitaries_built_once_per_run(self, monkeypatch):
-        # the pulses, as index permutations: one set per run with CHaDD,
-        # none without
+        # the pulses, as gathers of the block state: one set per run with
+        # CHaDD, none without
         built = []
-        permutations = protocol._pulse_permutations
-        monkeypatch.setattr(protocol, "_pulse_permutations",
-                            lambda *a: built.append(a) or permutations(*a))
+        gathers = protocol._pulse_gathers
+        monkeypatch.setattr(protocol, "_pulse_gathers",
+                            lambda *a: built.append(a) or gathers(*a))
         cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
                              total_free=(30.0, 75.0))
         layout = SpectatorLayout(spectators=1, couplings=((0, 3, 0.05),))
         run_multiqec_with_chadd(cfg, self.noise, layout, chadd=False)
         assert built == []
         run_multiqec_with_chadd(cfg, self.noise, layout, chadd=True)
-        assert built == [(layout.resolved_colors(),)]
+        assert built == [(layout.resolved_colors(), 2)]
 
     @pytest.mark.parametrize("chadd", [False, True])
     @pytest.mark.parametrize("spectators", [0, 1, 2])
@@ -970,8 +993,8 @@ class TestMultiQecWithChadd:
         got = run_multiqec_with_chadd(cfg, noise, layout, chadd=chadd)
         want = run_multiqec_with_chadd_reference(cfg, noise, layout, chadd=chadd)
         for a, b in zip(got, want, strict=True):
-            assert (a.total_free_us, a.total_evolution_us, a.rounds, a.chadd) \
-                == (b.total_free_us, b.total_evolution_us, b.rounds, b.chadd)
+            assert (a.total_free_us, a.total_evolution_us, a.rounds) \
+                == (b.total_free_us, b.total_evolution_us, b.rounds)
             assert abs(a.fidelity - b.fidelity) <= 1e-12
             assert abs(a.success_probability - b.success_probability) \
                 <= 1e-12 * b.success_probability
