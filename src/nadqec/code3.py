@@ -177,14 +177,12 @@ _KEPT_COLS = 4 * np.arange(8) + 2 * _PARITY
 def _kept_block(r=(0.0, 0.0), s=(0.0, 0.0)) -> np.ndarray:
     """32x8 block with rows 4d + 2 a1 + a2 holding, in column d', column d'
     of r[0] on a2 = 0 and of s[0] on a2 = 1 under a1 = 1 when parity(d') is
-    odd, and of r[1] and s[1] under a1 = 0 when it is even; read-only."""
+    odd, and of r[1] and s[1] under a1 = 0 when it is even."""
     k = np.zeros((8, 2, 2, 8), dtype=complex)
     for a2, (odd, even) in enumerate((r, s)):
         k[:, 1, a2] = odd * _PARITY
         k[:, 0, a2] = even * (1 - _PARITY)
-    k = k.reshape(32, 8)
-    k.setflags(write=False)
-    return k
+    return k.reshape(32, 8)
 
 
 # W's kept columns for the analytic recoveries are (1-g) K_R
@@ -193,12 +191,17 @@ def _kept_block(r=(0.0, 0.0), s=(0.0, 0.0)) -> np.ndarray:
 # R0^dag R0 = (1-g)^2 |0_L><0_L| + |1_L><1_L| and
 # R1^dag R1 = (1-g)^2 |000><000| + |sym2><sym2|, each S_b is
 # sqrt(g(2-g)) times one projector plus the projector onto the rest.
+# The three blocks have disjoint supports, so their weighted sum, taken as
+# one product of the weights (1-g, sqrt(g(2-g)), 1) with the read-only
+# (3, 256) stack of (K_R, K_S, K_1), adds each entry to exact zeros only.
 _P000 = _projector(_E000, _E000)
-_K_R = _kept_block(r=(_P0L, _L0_000))
-_K_S = _kept_block(s=(_P0L, _P000))
-_K_1 = _kept_block(r=(_P1L, _L1_SYM2),
-                   s=(np.eye(8) - _P0L - _P1L,
-                      np.eye(8) - _P000 - _projector(_SYM2, _SYM2)))
+_K_STACK = np.reshape([
+    _kept_block(r=(_P0L, _L0_000)),
+    _kept_block(s=(_P0L, _P000)),
+    _kept_block(r=(_P1L, _L1_SYM2),
+                s=(np.eye(8) - _P0L - _P1L,
+                   np.eye(8) - _P000 - _projector(_SYM2, _SYM2)))], (3, 256))
+_K_STACK.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,10 +219,13 @@ class RecoveryMap:
     def ideal(cls, gamma: float) -> "RecoveryMap":
         """The gamma-adapted recovery, whose a1 = 1 (no-damping) and a1 = 0
         (damping) branches apply ``recovery_operators(gamma)`` block-encoded
-        on a2; its columns are (1-g) K_R + sqrt(g(2-g)) K_S + K_1."""
+        on a2; its columns are (1-g) K_R + sqrt(g(2-g)) K_S + K_1, one
+        ``np.dot`` of those weights with the stacked blocks."""
         if not 0.0 <= gamma <= 1.0:
             raise ValueError(f"gamma {gamma} outside [0, 1]")
-        cols = (1 - gamma) * _K_R + math.sqrt(gamma * (2 - gamma)) * _K_S + _K_1
+        weights = np.array((1 - gamma, math.sqrt(gamma * (2 - gamma)), 1.0),
+                           dtype=complex)
+        cols = np.dot(weights, _K_STACK).reshape(32, 8)
         cols.setflags(write=False)
         return cls(cols)
 
@@ -295,9 +301,11 @@ def _per_qubit(gammas: float | Sequence[float],
 
 
 def _noise_entries(g: float, p: float) -> np.ndarray:
-    """A checked (gamma, p)'s nonzeros of the noise map, in ``_NOISE_POS`` order."""
+    """A checked (gamma, p)'s nonzeros of the noise map, in ``_NOISE_POS``
+    order, as complex (their products stay exact, and the scatter into the
+    complex map casts nothing)."""
     coh = math.sqrt(1.0 - g) * (1.0 - 2.0 * p)
-    return np.array([1.0, g, 1.0 - g, coh, coh])
+    return np.array([1.0, g, 1.0 - g, coh, coh], dtype=complex)
 
 
 def noise_superop(gammas: float | Sequence[float],
@@ -309,17 +317,17 @@ def noise_superop(gammas: float | Sequence[float],
     Per qubit, on the (r, c, r', c') axes: |0><0| stays, |1><1| goes to
     |0><0| with weight gamma and stays with weight 1 - gamma, and each
     coherence scales by sqrt(1 - gamma) (1 - 2p). The map's 125 nonzeros
-    are the products of one such entry per qubit, scattered into place.
-    The map is complex (its entries are real, so the conversion is exact),
-    so that products with complex states and maps cast no copy of it.
+    are the products of one such entry per qubit, formed by one
+    ``np.multiply.outer`` broadcast and scattered into place. The map is
+    complex (its entries are real, so the conversion is exact), so that
+    products with complex states and maps cast no copy of it.
     """
     if isinstance(gammas, (int, float)) and isinstance(ps, (int, float)):
         v0 = v1 = v2 = _noise_entries(*_checked(gammas, ps))
     else:
         v0, v1, v2 = (_noise_entries(g, p) for g, p in _per_qubit(gammas, ps))
     noise = np.zeros(64 * 64, dtype=complex)
-    noise[_NOISE_INDEX] = ((v0[:, None, None] * v1[None, :, None])
-                           * v2[None, None, :]).ravel()
+    noise[_NOISE_INDEX] = np.multiply.outer(v0[:, None] * v1, v2).ravel()
     return noise.reshape(64, 64)
 
 
@@ -529,6 +537,20 @@ class PauliRound:
         state, weight = self.advance(start)
         return logical_fidelity(start, state), weight
 
+    def infidelity(self, theta: float) -> float:
+        """1 - F of :meth:`outcome`'s fidelity, formed without taking F
+        from 1: with c^2, s^2 of :func:`logical_state`, 1 - F is
+        s^2 [c^2 (T00 - lam + T11 - lam) + T01 s^2] / tr over the kept trace
+        tr = T00 c^2 + (T01 + T11) s^2, each T scaled by 1/lam, so that
+        T/lam - 1 is expm1 of a difference of log fields and never a
+        difference of rounded numbers near 1."""
+        c2, s2, _ = logical_state(theta)
+        keep0 = self.log_keep0 - self.log_coherence
+        keep1 = self.log_keep1 - self.log_coherence
+        feed = self.feed * math.exp(-self.log_coherence)
+        return s2 * (c2 * (math.expm1(keep0) + math.expm1(keep1)) + feed * s2) \
+            / (math.exp(keep0) * c2 + (feed + math.exp(keep1)) * s2)
+
 
 def logical_state(theta: float) -> tuple[float, float, float]:
     """The encoded state at Bloch angle theta as :meth:`PauliRound.advance`
@@ -622,13 +644,14 @@ def measured_circuit_distribution(
     extraction sends |d>|00> to |d, parity(d), 0>, so the rest is the 32x8
     isometry V0 = ((G^dag En^dag) x I4) K with K = W[:, 4d + 2 parity(d)]
     (``RecoveryMap.columns``). Entry (d, a2) of the distribution
-    is sum_a1 <d, a1, a2| V0 rho V0^dag |d, a1, a2>, read off in one
-    ``einsum`` of V0 rho against conj(V0); V0 rho V0^dag itself is never
-    formed. G is :func:`prep_unitary`'s closed form. What the circuit reads
-    of the package encoder, V = En[:, [0, 4]] (``_CODE``) and En^dag as
-    (2, 32) (``_ENCODER_DAG``), and the isometry check's identity
-    (``_EYE8``) are module constants built once at import. ``rmap``
-    defaults to ``RecoveryMap.ideal(gamma)``.
+    is sum_a1 <d, a1, a2| V0 rho V0^dag |d, a1, a2>, read off as the real
+    part of (V0 rho) * conj(V0) summed over a1 and the data column index;
+    V0 rho V0^dag itself is never formed, and conj(V0) is formed once for
+    this read and the isometry check. G is :func:`prep_unitary`'s closed
+    form. What the circuit reads of the package encoder, V = En[:, [0, 4]]
+    (``_CODE``) and En^dag as (2, 32) (``_ENCODER_DAG``), and the isometry
+    check's identity (``_EYE8``) are module constants built once at import.
+    ``rmap`` defaults to ``RecoveryMap.ideal(gamma)``.
 
     Checks, each written so that NaN fails it: rho is a density matrix
     (``check_density``), V0^dag V0 = I within 1e-9, and the distribution's
@@ -639,18 +662,18 @@ def measured_circuit_distribution(
         rmap = RecoveryMap.ideal(gamma)
     g = prep_unitary(spec)  # G on q0 of the data
     psi = _CODE @ g[:, 0]  # G|000> has amplitudes G[:, 0] on |000>, |100>
-    rho = (noise_superop(gamma, p) @ np.outer(psi, psi.conj()).ravel()).reshape(8, 8)
+    rho = (noise_superop(gamma, p) @ (psi[:, None] * psi.conj()).ravel()).reshape(8, 8)
     check_density(rho)
     # (G^dag x I4) En^dag, then that x I4 times K, each on its row's leading index
     m = (g.conj().T @ _ENCODER_DAG).reshape(8, 8)
     v0 = (m @ rmap.columns.reshape(8, 32)).reshape(32, 8)
-    dev = np.abs(v0.conj().T @ v0 - _EYE8).max()
+    v0_conj = v0.conj()
+    dev = np.abs(v0_conj.T @ v0 - _EYE8).max()
     if not dev <= 1e-9:
         raise ValueError(f"post-noise circuit not an isometry: "
                          f"max |V0^dag V0 - I| = {dev}")
     # rows of V0 are (d, a1, a2); sum over a1 and the data column index
-    probs = np.einsum("dabj,dabj->db", (v0 @ rho).reshape(8, 2, 2, 8),
-                      v0.conj().reshape(8, 2, 2, 8)).real.ravel()
+    probs = ((v0 @ rho) * v0_conj).real.reshape(8, 2, 2, 8).sum(axis=(1, 3)).ravel()
     total = probs.sum()
     if not abs(total - 1.0) <= TOL_ARITH:
         raise ValueError(f"outcome probabilities sum to {total}, not 1")

@@ -126,15 +126,19 @@ def f_star(f: float, e_meas: float) -> float:
     return f * (1.0 - e_meas) + (1.0 - f) * e_meas
 
 
-def _gain(f_qec: float, p_success: float, f_bare: float, e_meas: float) -> float:
+def _gain(f_qec: float, u_qec: float, p_success: float, gamma: float,
+          e_meas: float) -> float:
     """Per-shot gain (F*_QEC sigma_bare) / (F*_bare sigma_QEC) sqrt(p_success),
-    the sigmas binomial in the adjusted fidelities F*; inf where either sigma
-    vanishes: sigma_bare does only at gamma = 0 and E = 0, the noiseless
-    limit, where sigma_QEC vanishes too but for the rounding of F_QEC."""
+    the sigmas binomial in the adjusted fidelities F*, F*_bare that of
+    F_bare = 1 - gamma. Each sigma^2 = F* (1 - F*) takes 1 - F* =
+    (1 - F)(1 - 2E) + E from the infidelity, ``u_qec`` or gamma, never
+    from 1 - F* with F* near 1, so the gain keeps its digits at short
+    delays. Inf where either sigma vanishes: sigma_bare does only at
+    gamma = 0 and E = 0, the noiseless limit, where sigma_QEC does too."""
     fq = f_star(f_qec, e_meas)
-    fb = f_star(f_bare, e_meas)
-    sq = math.sqrt(max(fq * (1 - fq), 0.0))
-    sb = math.sqrt(max(fb * (1 - fb), 0.0))
+    fb = f_star(1.0 - gamma, e_meas)
+    sq = math.sqrt(max(fq * (u_qec * (1 - 2 * e_meas) + e_meas), 0.0))
+    sb = math.sqrt(fb * (gamma * (1 - 2 * e_meas) + e_meas))
     if sq == 0.0 or sb == 0.0:
         return math.inf
     return (fq * sb) / (fb * sq) * math.sqrt(p_success)
@@ -163,19 +167,20 @@ def gain_surface(
     F_QEC and p_success are one round of the gamma-adapted code in closed
     form, ``code3.PauliRound.outcome`` (which ``oracle-check`` and the
     tests pin to the numeric 64x64 round), evaluated once per distinct
-    gamma; F_bare = 1 - gamma from |1> decay."""
+    gamma with its infidelity ``code3.PauliRound.infidelity``; F_bare =
+    1 - gamma from |1> decay."""
     if not (len(t1_range) and len(emeas_range) and len(delay_range)):
         raise ValueError("all grid ranges must be non-empty")
-    cycles: dict[float, tuple[float, float]] = {}
+    cycles: dict[float, tuple[float, float, float]] = {}
     cells = []
     for t1 in t1_range:
         for e in emeas_range:
             for delay in delay_range:
                 g = gamma_of_t(delay, t1)
                 if g not in cycles:
-                    cycles[g] = code3.PauliRound.of_noise(g, 0.0, "ideal").outcome(theta)
-                f_qec, p_success = cycles[g]
-                f_bare = 1.0 - g
-                cells.append(GainCell(t1, e, delay, _gain(f_qec, p_success, f_bare, e),
-                                      f_qec, f_bare, p_success))
+                    rnd = code3.PauliRound.of_noise(g, 0.0, "ideal")
+                    cycles[g] = (*rnd.outcome(theta), rnd.infidelity(theta))
+                f_qec, p_success, u_qec = cycles[g]
+                cells.append(GainCell(t1, e, delay, _gain(f_qec, u_qec, p_success, g, e),
+                                      f_qec, 1.0 - g, p_success))
     return cells

@@ -33,22 +33,33 @@ def check_density(data: np.ndarray, normalized: bool = True) -> None:
     Each check is written so that NaN fails it (``not x <= tol``), and any
     non-finite entry makes the Hermiticity residual non-finite (inf - inf
     and NaN - x are NaN, inf - x is inf), so a matrix holding NaN or inf
-    raises "not finite" with that residual. The checks are numpy reductions
-    only: one ``np.abs(...).max()``, the traces, and the lowest eigenvalues'
-    ``.min()``."""
+    raises "not finite" with that residual. The checks are one
+    ``np.abs(...).max()`` of the residual, the trace offsets and the lowest
+    eigenvalues of one ``eigvalsh`` call, which returns them ascending. A
+    single (d, d) matrix takes a 2-D path with the same verdicts and
+    messages and less numpy dispatch: its residual against ``data.T.conj()``,
+    its trace offset as one scalar and its first eigenvalue, where a stack
+    takes the minimum over its matrices' first eigenvalues."""
     if data.size == 0:
         return
-    herm = np.abs(data - data.swapaxes(-1, -2).conj()).max()
+    stack = data.ndim > 2
+    herm = np.abs(data - (data.swapaxes(-1, -2) if stack else data.T).conj()).max()
     if not herm <= TOL_ARITH:
         kind = "not Hermitian" if math.isfinite(herm) else "not finite"
         raise ValueError(f"{kind}: max |rho - rho^dag| = {herm}")
     if normalized:
-        traces = data.trace(0, -2, -1).real.ravel()
-        off = np.abs(traces - 1.0)
-        if not off.max() <= TOL_ARITH:
-            raise ValueError(f"trace {traces[off.argmax()]} != 1 for "
-                             f"normalized matrix")
-    min_eig = np.linalg.eigvalsh(data)[..., 0].min()
+        if stack:
+            traces = data.trace(0, -2, -1).real.ravel()
+            offs = np.abs(traces - 1.0)
+            worst = offs.argmax()  # the first NaN, if any
+            trace, off = traces[worst], offs[worst]
+        else:
+            trace = data.trace().real
+            off = abs(trace - 1.0)
+        if not off <= TOL_ARITH:
+            raise ValueError(f"trace {trace} != 1 for normalized matrix")
+    eigs = np.linalg.eigvalsh(data)  # ascending, per matrix
+    min_eig = eigs[..., 0].min() if stack else eigs[0]
     if not min_eig >= -TOL_STRUCT:
         raise ValueError(f"not positive semidefinite: min eigenvalue {min_eig}")
 

@@ -572,6 +572,7 @@ class TestPauliRound:
                     got_f, got_p = rnd.outcome(theta)
                     assert abs(got_f - f) <= 1e-14
                     assert abs(got_p - prob) <= 1e-14
+                    assert abs(rnd.infidelity(theta) - (1 - f)) <= 1e-14
 
     @pytest.mark.parametrize("gamma,p", [(-0.1, 0.0), (1.1, 0.0), (0.1, -0.2),
                                          (0.1, 0.6), (math.nan, 0.0), (0.1, math.nan)])
@@ -878,6 +879,30 @@ class TestCompiledEstimator:
         got = measured_circuit_distribution(spec, gamma, p, rmap)
         want = measured_circuit_reference(spec, gamma, p, w)
         assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_estimate_equals_qec_cycle_on_benchmark_like_tuples(self):
+        # AC5 on 300 tuples drawn as the estimator benchmark draws them:
+        # the all-zero estimate and the success weight are qec_cycle's
+        rng = np.random.default_rng(35)
+        for _ in range(300):
+            theta, phi = rng.uniform(0.0, math.pi), rng.uniform(0.0, 2 * math.pi)
+            g, p = rng.uniform(0.001, 0.3), rng.uniform(0.001, 0.2)
+            spec = LogicalStateSpec(theta, phi)
+            f_hat, p_hat = fidelity_from_distribution(
+                measured_circuit_distribution(spec, g, p))
+            ref = qec_cycle(encode_ideal(spec), g, p, RecoveryMap.ideal(g))
+            assert abs(f_hat - ref.fidelity) <= 1e-12
+            assert abs(p_hat - ref.success_probability) <= 1e-12
+
+    def test_ideal_columns_are_the_weighted_blocks(self):
+        # the stacked product adds each entry to exact zeros only, so it is
+        # the three-term sum (1-g) K_R + sqrt(g(2-g)) K_S + K_1 bit for bit
+        k_r, k_s, k_1 = code3._K_STACK.reshape(3, 32, 8)
+        for g in [0.0, 2.0**-52, 1e-300, 0.07, 0.3, 0.5, 1.0,
+                  *np.random.default_rng(3).uniform(0.0, 1.0, 200)]:
+            want = (1 - g) * k_r + math.sqrt(g * (2 - g)) * k_s + k_1
+            got = RecoveryMap.ideal(g).columns
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("gamma", [0.0, 0.07, 0.3, 1.0])
     def test_combined_unitary_equals_embed_construction(self, gamma):

@@ -10,7 +10,10 @@ the package or the benchmark harness (``bench/*.py``), apart from the
 test-only names listed in ``TEST_ONLY``. A name counts as read when it is
 loaded bare, imported by name, or read as an attribute of a package module
 (``code3.x``, ``synth.x``); an attribute of anything else (``res.cost``)
-reads no module-level name.
+reads no module-level name. The package also reaches numpy and scipy only
+through their public API: no name it imports from them, or reads as an
+attribute of what it imports, has a dotted component after the root that
+starts with ``_`` (``numpy.linalg._umath_linalg``), dunders aside.
 """
 
 import ast
@@ -45,6 +48,54 @@ def test_no_unused_imports():
     found = [f"{path.relative_to(ROOT)}: {name}" for path in FILES
              for name in unused_imports(path.read_text())]
     assert not found, "imported but never referenced:\n" + "\n".join(found)
+
+
+def private_library_names(source: str, roots=("numpy", "scipy")) -> list[str]:
+    """Dotted names under ``roots`` that ``source`` imports, or reads as an
+    attribute chain off a name it imported from them, whose components
+    after the root include a non-dunder one starting with ``_``."""
+    tree = ast.parse(source)
+    bound = {}  # local name -> dotted name it stands for
+    named = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                named.append(a.name)
+                bound[a.asname or a.name.split(".")[0]] = a.name if a.asname \
+                    else a.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for a in node.names:
+                named.append(f"{node.module}.{a.name}")
+                bound[a.asname or a.name] = named[-1]
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in bound:
+            named.append(".".join([bound[node.id], *reversed(chain)]))
+    return sorted({name for name in named if name.split(".")[0] in roots
+                   and any(part.startswith("_") and not (part.startswith("__")
+                                                         and part.endswith("__"))
+                           for part in name.split(".")[1:])})
+
+
+def test_detects_a_private_library_module():
+    source = ("import numpy as np\nimport numpy.linalg._umath_linalg\n"
+              "from numpy.linalg import _umath_linalg as ul, eigvalsh\n"
+              "from scipy._lib import util\nfrom scipy import optimize as so\n"
+              "import os._private\nfrom .qcore import _helper\n"
+              "np.linalg._umath_linalg.eigvalsh_lo(a)\nso._minimize.x\n"
+              "np.linalg.eigvalsh(a)\nnp.__version__\nrho._cache\n")
+    assert private_library_names(source) == [
+        "numpy.linalg._umath_linalg", "numpy.linalg._umath_linalg.eigvalsh_lo",
+        "scipy._lib.util", "scipy.optimize._minimize", "scipy.optimize._minimize.x"]
+
+
+def test_no_private_library_modules():
+    found = [f"{path.relative_to(ROOT)}: {name}" for path in PACKAGE
+             for name in private_library_names(path.read_text())]
+    assert not found, "private numpy or scipy API:\n" + "\n".join(found)
 
 
 def module_definitions(source: str) -> list[str]:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +131,24 @@ class TestGainTheoretical:
             cell, = gain_surface([200.0], [0.0], [0.0], theta=float(theta))
             assert cell.f_bare == 1.0 and cell.f_qec >= 1.0 - 2**-52, theta
             assert math.isinf(cell.gain), theta
+
+    @pytest.mark.parametrize("theta", [0.3, math.pi / 2, math.pi])
+    def test_gain_at_zero_error_matches_50_digit_arithmetic(self, theta):
+        # at E = 0 and delays down to 10 ns, 1 - F_QEC falls to 1e-12, and
+        # a sigma formed from 1 - F there kept about 7 digits of the gain;
+        # the reference is the closed-form round at the model's float gamma
+        delays = [0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 80.0]
+        for t1 in (50.0, 220.0):
+            cells = gain_surface([t1], [0.0], delays, theta=theta)
+            for cell, delay in zip(cells, delays):
+                with mpmath.workdps(50):
+                    g = mpmath.mpf(gamma_of_t(delay, t1))
+                    s2 = mpmath.sin(mpmath.mpf(theta) / 2) ** 2
+                    f = (1 + g**2 * s2 * (1 - s2)) / (1 + g**2 * s2)
+                    p = (1 - g) ** 2 * (1 + g**2 * s2)
+                    want = f * mpmath.sqrt(g * (1 - g)) \
+                        / ((1 - g) * mpmath.sqrt(f * (1 - f))) * mpmath.sqrt(p)
+                assert cell.gain == pytest.approx(float(want), rel=1e-12), delay
 
     def test_beats_break_even_at_low_readout_error(self):
         assert gain_surface([200.0], [0.0], [30.0])[0].gain > 1.0

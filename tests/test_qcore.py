@@ -284,6 +284,49 @@ class TestValidation:
             with pytest.raises(ValueError, match=message):
                 check_density(np.array(stack, dtype=complex))
 
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 3), normalized=st.booleans(),
+           flaw=st.sampled_from(["valid", "nan", "inf", "-inf", "non-hermitian",
+                                 "trace", "negative-eigenvalue"]),
+           seed=st.integers(0, 2**16))
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+    def test_matrix_and_one_matrix_stack_agree(self, n, normalized, flaw, seed):
+        # one (d, d) matrix takes its own path; as a (1, d, d) stack it must
+        # get the same verdict and the same message, at d = 2, 4 and 8
+        rng = np.random.default_rng(seed)
+        rho = random_density(n, seed)
+        i, j = rng.integers(2**n, size=2)
+        if flaw in ("nan", "inf", "-inf"):
+            rho[i, j] = float(flaw)
+        elif flaw == "non-hermitian":
+            rho[0, 1] += 2e-12
+        elif flaw == "trace":
+            rho[i, i] += 2e-12
+        elif flaw == "negative-eigenvalue":
+            eigs = np.diag([-2e-10, *rng.dirichlet(np.ones(2**n - 1)) * (1 + 2e-10)])
+            u = np.linalg.qr(rng.normal(size=rho.shape)
+                             + 1j * rng.normal(size=rho.shape))[0]
+            m = u @ eigs @ u.conj().T
+            rho = (m + m.conj().T) / 2
+
+        def verdict(data):
+            try:
+                check_density(data, normalized)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        alone = verdict(rho)
+        assert alone == verdict(rho[None])
+        expected = {"nan": "not finite", "inf": "not finite", "-inf": "not finite",
+                    "non-hermitian": "not Hermitian",
+                    "trace": "trace" if normalized else None,
+                    "negative-eigenvalue": "not positive semidefinite"}.get(flaw)
+        if expected is None:
+            assert alone is None
+        else:
+            assert alone.startswith(expected)
+
     @pytest.mark.parametrize("bad", [
         np.diag([np.nan, 0.0, 0.0, 0.0]),
         np.diag([np.inf, 0.0]),
