@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import tempfile
 import time
@@ -45,31 +46,50 @@ class ExperimentSpec:
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentSpec":
+        """The spec in the JSON file ``path``; a file that cannot be read
+        or a spec that is malformed is a ConfigError naming ``path``."""
         try:
-            raw = json.loads(Path(path).read_text())
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError(f"spec file not found: {path}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})")
+        except RecursionError:
+            raise ConfigError(f"{path}: invalid JSON (nested too deeply)")
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read the spec file ({exc.strerror})")
+        try:
+            return cls._from_json(raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+
+    @classmethod
+    def _from_json(cls, raw) -> "ExperimentSpec":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"a spec must be a JSON object, got {raw!r}")
         for req in ("kind", "output"):
             if req not in raw:
-                raise ConfigError(f"{path}: missing required field '{req}'")
+                raise ConfigError(f"missing required field '{req}'")
         kind = raw["kind"]
+        if not isinstance(kind, str):
+            raise ConfigError(f"'kind' must be a string, got {kind!r}")
         if kind not in CATALOG:
             raise ConfigError(
-                f"{path}: unknown kind '{kind}'; known: {', '.join(sorted(CATALOG))}")
+                f"unknown kind '{kind}'; known: {', '.join(sorted(CATALOG))}")
         params = raw.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError(f"'params' must be a JSON object, got {params!r}")
         missing = [f for f in CATALOG[kind].required if f not in params]
         if missing:
             raise ConfigError(
-                f"{path}: kind '{kind}' missing parameter field(s): "
-                + ", ".join(missing))
+                f"kind '{kind}' missing parameter field(s): " + ", ".join(missing))
         unknown = sorted(set(params) - set(CATALOG[kind].required)
                          - set(CATALOG[kind].optional))
         if unknown:
             raise ConfigError(
-                f"{path}: kind '{kind}' has no parameter field(s): "
-                + ", ".join(unknown))
+                f"kind '{kind}' has no parameter field(s): " + ", ".join(unknown))
         _require_numbers(raw, ints={"seed": 0})
         _require_output(raw["output"])
         return cls(kind=kind, params=params, output=raw["output"],
@@ -77,14 +97,22 @@ class ExperimentSpec:
 
 
 def _require_output(output) -> None:
-    """``output`` is a path a CSV can be written to: a non-empty string,
-    not a directory, with no existing file among its parent directories."""
+    """``output`` is a path a CSV can be written to: a non-empty string
+    that names a file (no NUL byte, encodable as a file name), not a
+    directory, with no existing file among its parent directories."""
     if not (isinstance(output, str) and output):
         raise ConfigError(f"'output' must be a file path, got {output!r}")
+    if "\0" in output:
+        raise ConfigError(f"'output' {output!r} holds a NUL byte")
     out = Path(output)
-    if out.is_dir():
+    try:
+        os.fsencode(output)  # a lone surrogate names no file
+        is_dir = out.is_dir()
+        ancestor = next((d for d in out.parents if d.exists()), None)
+    except (OSError, UnicodeError) as exc:
+        raise ConfigError(f"'output' {output!r} is not a usable file path ({exc})")
+    if is_dir:
         raise ConfigError(f"'output' {output!r} is a directory")
-    ancestor = next((d for d in out.parents if d.exists()), None)
     if ancestor is not None and not ancestor.is_dir():
         raise ConfigError(f"'output' {output!r} lies under {str(ancestor)!r}, "
                           f"which is not a directory")
@@ -105,13 +133,16 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
     path.write_text("\n".join(lines) + "\n")
 
 
+RNG_KIND = "PCG64"  # numpy default_rng, which synth seeds from the spec seed
+
+
 def _write_manifest(spec: ExperimentSpec, out_csv: Path, t0: float) -> None:
     manifest = {
         "kind": spec.kind,
         "params": dict(spec.params),
         "seed": spec.seed,
         "output": str(out_csv),
-        "rng": metrics.RNG_KIND,
+        "rng": RNG_KIND,
         "version": __version__,
         "wall_time_s": round(time.time() - t0, 3),
     }

@@ -45,6 +45,9 @@ The success probability comes in two closed-form variants that disagree
 in one sign; see ``success_probability_minus_form`` /
 ``oracle_success_probability``. The simulated logical round arbitrates
 (the "+" variant wins; ``oracle-check`` reports it through ``success_form``).
+Those forms and ``oracle_fidelity_ad`` are the closed-form oracles that
+``oracle-check`` reads; the multi-round and series oracles the tests
+compare against are in ``tests/oracle_reference.py``.
 """
 
 from __future__ import annotations
@@ -146,25 +149,15 @@ def _projector(ket: np.ndarray, bra: np.ndarray) -> np.ndarray:
 
 # |000> is encoder column 1 and |sym2> = (|011> + |101> + |110>)/sqrt(3) its
 # column 0 with the rows reversed. |0_L><0_L|, |1_L><1_L|, |0_L><000| and
-# |1_L><sym2| are the terms of both recovery operators.
+# |1_L><sym2| are the terms of the two gamma-adapted recovery operators,
+# R0 = (1-g)|0_L><0_L| + |1_L><1_L| on the no-damping branch and
+# R1 = (1-g)|0_L><000| + |1_L><sym2| on the single-damping branch.
 _E000 = _ENCODER[:, 1]
 _SYM2 = _ENCODER[::-1, 0]
 _P0L = _projector(codeword(0), codeword(0))
 _P1L = _projector(codeword(1), codeword(1))
 _L0_000 = _projector(codeword(0), _E000)
 _L1_SYM2 = _projector(codeword(1), _SYM2)
-
-
-def recovery_operators(gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """The two noise-adapted recovery operators.
-
-    R0 = (1-gamma)|0_L><0_L| + |1_L><1_L|           (no-damping branch)
-    R1 = (1-gamma)|0_L><000|
-         + |1_L>(<011| + <101| + <110|)/sqrt(3)     (single-damping branch)
-    """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma {gamma} outside [0, 1]")
-    return (1 - gamma) * _P0L + _P1L, (1 - gamma) * _L0_000 + _L1_SYM2
 
 
 # Columns 4d + 2 parity(d) of a 5-qubit recovery W on (q0, q1, q2, a1, a2):
@@ -218,9 +211,9 @@ class RecoveryMap:
     @classmethod
     def ideal(cls, gamma: float) -> "RecoveryMap":
         """The gamma-adapted recovery, whose a1 = 1 (no-damping) and a1 = 0
-        (damping) branches apply ``recovery_operators(gamma)`` block-encoded
-        on a2; its columns are (1-g) K_R + sqrt(g(2-g)) K_S + K_1, one
-        ``np.dot`` of those weights with the stacked blocks."""
+        (damping) branches apply R0 and R1 (written out beside ``_P0L``)
+        block-encoded on a2; its columns are (1-g) K_R + sqrt(g(2-g)) K_S
+        + K_1, one ``np.dot`` of those weights with the stacked blocks."""
         if not 0.0 <= gamma <= 1.0:
             raise ValueError(f"gamma {gamma} outside [0, 1]")
         weights = np.array((1 - gamma, math.sqrt(gamma * (2 - gamma)), 1.0),
@@ -697,19 +690,12 @@ def fidelity_from_distribution(probs: np.ndarray) -> tuple[float, float]:
 
 def oracle_fidelity_ad(theta: float, gamma: float) -> float:
     """Post-selected state fidelity under pure damping with the adapted
-    recovery: (1 + g^2 s^2 c^2) / (1 + g^2 s^2), s = sin(theta/2)."""
-    return oracle_fidelity_multiround(theta, [gamma])
-
-
-def oracle_fidelity_multiround(theta: float, gammas: Sequence[float]) -> float:
-    """Post-selected fidelity after rounds of pure damping gammas[i], each
-    followed by the recovery adapted to that round's gamma:
-    (1 + G s^2 c^2) / (1 + G s^2) with G = sum_i gammas[i]^2. No rounds
-    gives 1."""
-    big_g = sum(g * g for g in gammas)
+    recovery: (1 + g^2 s^2 c^2) / (1 + g^2 s^2), s = sin(theta/2),
+    c = cos(theta/2)."""
+    g2 = gamma * gamma
     s2 = math.sin(theta / 2) ** 2
     c2 = math.cos(theta / 2) ** 2
-    return (1 + big_g * s2 * c2) / (1 + big_g * s2)
+    return (1 + g2 * s2 * c2) / (1 + g2 * s2)
 
 
 def oracle_success_probability(theta: float, gamma: float, p: float = 0.0) -> float:
@@ -720,15 +706,6 @@ def oracle_success_probability(theta: float, gamma: float, p: float = 0.0) -> fl
     return (1 - gamma) ** 2 * (
         1 + gamma**2 * s2 + (8.0 / 3.0) * p * (p - 1) * (1 - gamma) * c2
     )
-
-
-def oracle_success_multiround(theta: float, gammas: Sequence[float]) -> float:
-    """Success probability after rounds of pure damping gammas[i], each
-    with the recovery adapted to its gamma: prod_i (1 - gammas[i])^2
-    (1 + G s^2), G = sum_i gammas[i]^2, s = sin(theta/2)."""
-    big_g = sum(g * g for g in gammas)
-    return math.prod((1 - g) ** 2 for g in gammas) \
-        * (1 + big_g * math.sin(theta / 2) ** 2)
 
 
 def success_probability_minus_form(theta: float, gamma: float) -> float:
@@ -750,86 +727,3 @@ def success_form(dev_plus: float, dev_minus: float) -> str:
     if dev_minus < 1e-10:
         return "minus"
     return "neither"
-
-
-# Both tables are the second-order Taylor coefficients, in a common scale of
-# (gamma, p), of the post-selected fidelity of the cycle qec_cycle runs:
-# damping gamma then dephasing p on each qubit, the parity split, the
-# variant's recovery_operators, and post-selection. They were derived
-# symbolically (sympy) from that cycle; neither variant has a term linear
-# in gamma. The ideal gamma^2 term is also the expansion of
-# oracle_fidelity_ad: with s = sin(theta/2), c = cos(theta/2),
-# (1 + g^2 s^2 c^2) / (1 + g^2 s^2) = 1 - g^2 s^4 + O(g^4).
-_SERIES_COEFFS = {
-    # variant -> (p, p^2, p*g, g^2) coefficient functions of theta
-    "ideal": (
-        lambda th: -(4.0 / 3.0) * math.sin(th) ** 2,
-        lambda th: -(4.0 / 9.0) * math.sin(th) ** 2 * (4 * math.cos(th) + 1),
-        lambda th: -(2.0 / 3.0) * math.sin(th) ** 2,
-        lambda th: -math.sin(th / 2) ** 4,
-    ),
-    "approximate": (
-        lambda th: -(4.0 / 3.0) * math.sin(th) ** 2,
-        lambda th: -(4.0 / 9.0) * math.sin(th) ** 2 * (4 * math.cos(th) + 1),
-        lambda th: (4.0 / 3.0) * math.cos(th) * math.sin(th) ** 2,
-        lambda th: 0.5 * (math.cos(th) - 1),
-    ),
-}
-
-
-def _series(variant: str) -> tuple:
-    """``variant``'s (p, p^2, p*g, g^2) coefficient functions of theta."""
-    if variant not in _SERIES_COEFFS:
-        raise ValueError(f"variant must be 'ideal' or 'approximate', got {variant!r}")
-    return _SERIES_COEFFS[variant]
-
-
-def _evaluate_series(coeffs, theta: float, gamma: float, p: float) -> float:
-    cp, cpp, cpg, cgg = coeffs
-    return 1.0 + cp(theta) * p + cpp(theta) * p**2 + cpg(theta) * p * gamma \
-        + cgg(theta) * gamma**2
-
-
-def oracle_fidelity_series(theta: float, gamma: float, p: float,
-                           variant: str = "ideal") -> float:
-    """Truncated small-(gamma, p) fidelity expansion for either recovery.
-
-    Valid in the small-noise regime only; the caller owns regime validity.
-    """
-    return _evaluate_series(_series(variant), theta, gamma, p)
-
-
-# The paper's printed expansion for the gamma-adapted recovery: the p and
-# p^2 terms are right, the p*gamma and gamma^2 terms are misprinted.
-_PRINTED_IDEAL_COEFFS = _SERIES_COEFFS["ideal"][:2] + (
-    lambda th: (1.0 / 3.0) * (2 * math.cos(th) - 1) * math.sin(th) ** 2,
-    lambda th: (1.0 / 8.0) * (3 * math.cos(th) - 5) * math.sin(th / 2) ** 2,
-)
-
-
-def oracle_fidelity_series_printed(theta: float, gamma: float, p: float) -> float:
-    """The paper's printed small-(gamma, p) expansion for the adapted recovery.
-
-    Its p*gamma coefficient (1/3)(2 cos(theta) - 1) sin^2(theta) and its
-    gamma^2 coefficient (1/8)(3 cos(theta) - 5) sin^2(theta/2) are
-    misprinted; the exact ones, used by oracle_fidelity_series, are
-    -(2/3) sin^2(theta) and -sin^4(theta/2). The two agree only at
-    theta in {0, pi}. Kept so that the misprint stays pinned by a test.
-    """
-    return _evaluate_series(_PRINTED_IDEAL_COEFFS, theta, gamma, p)
-
-
-def oracle_fidelity_series_time(theta: float, t: float, t1: float, t2: float,
-                                variant: str = "ideal") -> float:
-    """The same expansions re-parameterized in (t, T1, T2).
-
-    Substitutes gamma = 1 - exp(-t/T1) = t/T1 + O(t^2) and
-    p = (1 - exp(-r t))/2 = r t/2 - r^2 t^2/4 + O(t^3), with
-    r = 1/Tphi = 1/T2 - 1/(2 T1), and keeps the terms through t^2; no
-    term is linear in gamma, so its t^2 part drops out.
-    """
-    cp, cpp, cpg, cgg = (c(theta) for c in _series(variant))
-    r = 1 / t2 - 1 / (2 * t1)
-    p1, p2, g1 = r / 2, -r * r / 4, 1 / t1
-    quad = cp * p2 + cpp * p1**2 + cpg * p1 * g1 + cgg * g1**2
-    return 1.0 + cp * p1 * t + quad * t**2

@@ -1,4 +1,4 @@
-"""Noise strengths from coherence times and readout error.
+"""Noise strengths from coherence times.
 
 Damping strength follows gamma(t) = 1 - exp(-t/T1); the pure-dephasing
 probability follows p(t) = (1 - exp(-t/Tphi)) / 2, which the package never
@@ -6,8 +6,7 @@ forms: the closed-form round (``code3.PauliRound.of_delay``) takes
 1 - 2p = exp(-t/Tphi) from the delay itself. Idle noise over a delay
 is amplitude damping followed by dephasing on each data qubit; the two
 commute exactly, and ``code3.noise_superop`` applies them as one compiled
-map. Readout error is an independent flip of each measured bit
-(``readout_flip``).
+map. Readout error E enters only the gain model (``metrics.f_star``).
 """
 
 from __future__ import annotations
@@ -82,18 +81,3 @@ def gamma_of_t(t: float, t1: float) -> float:
     if t1 <= 0:
         raise ValueError(f"T1 must be positive, got {t1}")
     return 1.0 - math.exp(-t / t1)
-
-
-def readout_flip(distribution: np.ndarray, e_meas: float) -> np.ndarray:
-    """Convolve an outcome distribution with independent per-bit flips,
-    each bit misreported with probability ``e_meas`` either way."""
-    dist = np.asarray(distribution, dtype=float)
-    m = dist.shape[0].bit_length() - 1
-    if 2**m != dist.shape[0]:
-        raise ValueError("distribution length must be a power of two")
-    confusion = np.array([[1 - e_meas, e_meas], [e_meas, 1 - e_meas]])
-    out = dist.reshape((2,) * m)
-    for axis in range(m):
-        out = np.tensordot(confusion, out, axes=([1], [axis]))
-        out = np.moveaxis(out, 0, axis)
-    return out.reshape(-1)

@@ -32,9 +32,8 @@ A sweep point's schedule is the pair (full max_delay rounds, remainder),
 and its total evolution time a closed form in that pair; neither loops over
 rounds. ``_schedules`` computes both for every point of a sweep in Python
 integers over one common denominator (each input read as its exact decimal
-text), and one int / int division rounds each reported float correctly;
-``total_evolution_time`` returns the same time as an exact fraction. The
-durations (microseconds) are constants: encoding 0.548, recovery 3.072,
+text), and one int / int division rounds each reported float correctly.
+The durations (microseconds) are constants: encoding 0.548, recovery 3.072,
 ancilla reset 2.72. The reset overlaps the following round's delay and
 only adds time when that delay is shorter than the reset itself.
 Durations are exact decimal fractions, so worked examples come out exact.
@@ -127,17 +126,6 @@ def _schedules(total_free: Sequence[float],
             evolution += reset - rest
         points.append((full, rest, evolution))
     return den, points
-
-
-def total_evolution_time(total_free: float, max_delay: float) -> Fraction:
-    """Encode + per-round (delay + recovery) + mirrored decode, exactly.
-
-    The ancilla reset before every round but the first overlaps that
-    round's delay; if the delay is shorter than the reset, the shortfall
-    is added.
-    """
-    den, [(_, _, evolution)] = _schedules((total_free,), max_delay)
-    return Fraction(evolution, den)
 
 
 @dataclass(frozen=True)
@@ -257,17 +245,6 @@ def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoi
         return [code3.logical_fidelity(start, x) for x in states]
 
     return _run_rounds(config, reach, lambda delay: round_for(delay).advance, score)
-
-
-def fit_lifetime(times: Sequence[float], fidelities: Sequence[float]) -> float:
-    """Least-squares fit of A*exp(-t/tau); returns tau (microseconds)."""
-    from scipy.optimize import curve_fit
-
-    times = np.asarray(times, dtype=float)
-    fids = np.asarray(fidelities, dtype=float)
-    popt, _ = curve_fit(lambda t, a, tau: a * np.exp(-t / tau), times, fids,
-                        p0=(1.0, max(times.max(), 1.0)), maxfev=10000)
-    return float(popt[1])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ channel and the 5-qubit recovery unitary act on the full (q0, q1, q2, a1,
 a2) density matrix in turn (``noise_reference.apply_kraus``), with parity
 extracted by three CNOTs and the outcome read from the reduced state
 (``measure_computational``).
-The 5-qubit recovery unitary is built in full: ``block_unitary`` embeds
+The 5-qubit recovery unitary is built in full from the two recovery
+operators (``recovery_operators``): ``block_unitary`` embeds
 each branch operator by SVD, ``combined_recovery_unitary`` places the two
 blocks by a1, and ``combined_recovery_unitary_embed`` builds the same
 unitary by lifting each block with ``embed``. ``parity_projectors`` gives
@@ -28,13 +29,32 @@ from noise_reference import (
 
 from nadqec.code3 import (
     LogicalStateSpec,
+    codeword,
     encoder_unitary,
     prep_unitary,
-    recovery_operators,
 )
 
 CX = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
               dtype=complex)
+
+
+def recovery_operators(gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The two noise-adapted recovery operators, which
+    ``nadqec.code3.RecoveryMap.ideal`` block-encodes:
+
+    R0 = (1-gamma)|0_L><0_L| + |1_L><1_L|           (no-damping branch)
+    R1 = (1-gamma)|0_L><000|
+         + |1_L>(<011| + <101| + <110|)/sqrt(3)     (single-damping branch)
+
+    The last bra is |0_L> with its rows reversed.
+    """
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma {gamma} outside [0, 1]")
+    zero, one = codeword(0), codeword(1)
+    e000 = np.zeros(8, dtype=complex)
+    e000[0] = 1.0
+    return ((1 - gamma) * np.outer(zero, zero.conj()) + np.outer(one, one.conj()),
+            (1 - gamma) * np.outer(zero, e000.conj()) + np.outer(one, zero[::-1].conj()))
 
 
 def syndrome_extract(rho: np.ndarray) -> np.ndarray:

@@ -8,6 +8,9 @@ round delays, restarts from the encoded state, applies idle noise and the
 post-selected recovery to the 8x8 density matrix round by round, and sums
 the timing over that list.
 
+``total_evolution_time`` is the package's timing of one point as an exact
+fraction, and ``fit_lifetime`` fits a logical lifetime to a sweep.
+
 ``run_multiqec_mpmath`` is the same protocol at 60 digits: each round is
 the Pauli transfer matrix of the analytic round as a sympy derivation from
 the Kraus operators gives it (one polynomial per entry in the per-qubit
@@ -34,6 +37,7 @@ import mpmath
 import numpy as np
 from lindblad_reference import pulse_permutations
 from noise_reference import apply_kraus, fidelity, idle_noise, pure
+from scipy.optimize import curve_fit
 
 from nadqec import code3
 from nadqec.noise import NoiseParams, gamma_of_t
@@ -65,6 +69,24 @@ def split_rounds(total_free: float, max_delay: float) -> tuple[int, Fraction]:
     remainder round."""
     den, [(full, rest, _)] = _schedules((total_free,), max_delay)
     return full, Fraction(rest, den)
+
+
+def total_evolution_time(total_free: float, max_delay: float) -> Fraction:
+    """The package's one timing pass (``protocol._schedules``) for one
+    point, as an exact fraction: encode + per-round (delay + recovery) +
+    mirrored decode, with the shortfall of a delay shorter than the reset
+    before it added."""
+    den, [(_, _, evolution)] = _schedules((total_free,), max_delay)
+    return Fraction(evolution, den)
+
+
+def fit_lifetime(times: Sequence[float], fidelities: Sequence[float]) -> float:
+    """Least-squares fit of A*exp(-t/tau); returns tau (microseconds)."""
+    times = np.asarray(times, dtype=float)
+    fids = np.asarray(fidelities, dtype=float)
+    popt, _ = curve_fit(lambda t, a, tau: a * np.exp(-t / tau), times, fids,
+                        p0=(1.0, max(times.max(), 1.0)), maxfev=10000)
+    return float(popt[1])
 
 
 def schedule_rounds(total_free: float, max_delay: float) -> list[float]:

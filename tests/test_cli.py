@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from multiqec_reference import run_multiqec_mpmath
+from oracle_reference import oracle_fidelity_multiround
 
 from nadqec import cli, code3, protocol, synth
 from nadqec.circuits import Circuit
@@ -29,7 +30,6 @@ from nadqec.code3 import (
     LogicalStateSpec,
     RecoveryMap,
     encode_ideal,
-    oracle_fidelity_multiround,
     qec_cycle,
 )
 from nadqec.noise import NoiseParams, gamma_of_t
@@ -78,6 +78,43 @@ class TestSpecLoading:
         del payload["params"]["t1"]
         with pytest.raises(ConfigError, match="t1"):
             ExperimentSpec.load(write_spec(tmp_path, payload))
+
+    @pytest.mark.parametrize("case", [
+        "top-level number", "top-level null", "top-level list", "params null",
+        "params list", "kind list", "non-UTF-8", "nested too deeply", "directory",
+        "output NUL", "output surrogate", "output name too long"])
+    def test_malformed_spec_is_config_error(self, tmp_path, capsys, case):
+        # each once ended in a traceback (exit 1) or, for an output the file
+        # system cannot take, in a numerical failure (exit 3)
+        payload = multiqec_payload(tmp_path)
+        body = {
+            "top-level number": b"5",
+            "top-level null": b"null",
+            "top-level list": b'["kind", "output"]',
+            "params null": {**payload, "params": None},
+            "params list": {**payload,
+                            "params": ["theta", "max_delay", "total_free", "t1"]},
+            "kind list": {**payload, "kind": ["x"]},
+            "non-UTF-8": b'{"kind": "\xff"}',
+            "nested too deeply": b"[" * 10**5 + b"]" * 10**5,
+            "directory": None,
+            "output NUL": {**payload, "output": str(tmp_path / "a\0b.csv")},
+            "output surrogate": {**payload, "output": str(tmp_path / "a\ud800.csv")},
+            "output name too long": {**payload, "output": str(tmp_path / ("a" * 5000))},
+        }[case]
+        path = tmp_path / "spec.json"
+        if body is None:
+            path.mkdir()
+        else:
+            path.write_bytes(body if isinstance(body, bytes)
+                             else json.dumps(body).encode())
+        with pytest.raises(ConfigError) as info:
+            ExperimentSpec.load(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert cli.main(["run", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ") and "Traceback" not in err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["spec.json"]
 
 
 class TestRun:

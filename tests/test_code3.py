@@ -16,6 +16,7 @@ from estimator_reference import (
     combined_recovery_unitary,
     combined_recovery_unitary_embed,
     parity_projectors,
+    recovery_operators,
     syndrome_extract,
 )
 from estimator_reference import (
@@ -31,6 +32,13 @@ from noise_reference import (
     partial_trace,
     pure,
     tensor,
+)
+from oracle_reference import (
+    oracle_fidelity_multiround,
+    oracle_fidelity_series,
+    oracle_fidelity_series_printed,
+    oracle_fidelity_series_time,
+    oracle_success_multiround,
 )
 
 from nadqec import cli, code3
@@ -49,12 +57,8 @@ from nadqec.code3 import (
     measured_circuit_distribution,
     noise_superop,
     oracle_fidelity_ad,
-    oracle_fidelity_series,
-    oracle_fidelity_series_printed,
-    oracle_fidelity_series_time,
     oracle_success_probability,
     qec_cycle,
-    recovery_operators,
     success_form,
     success_probability_minus_form,
 )
@@ -557,9 +561,9 @@ class TestPauliRound:
             for k in (1, 2, 7, 40, 1000):
                 start = code3.logical_state(theta)
                 state, prob = PauliRound.of_noise(g, 0.0).advance(start, k)
-                want_p = code3.oracle_success_multiround(theta, [g] * k)
+                want_p = oracle_success_multiround(theta, [g] * k)
                 assert abs(code3.logical_fidelity(start, state)
-                           - code3.oracle_fidelity_multiround(theta, [g] * k)) <= 1e-12
+                           - oracle_fidelity_multiround(theta, [g] * k)) <= 1e-12
                 assert abs(prob - want_p) <= 1e-12 * want_p
 
     def test_outcome_equals_logical_outcomes(self):
@@ -731,11 +735,20 @@ class TestOracleGrids:
         assert worst < 1e-10
 
     def test_multiround_success_oracle_reduces_to_one_round(self):
-        assert code3.oracle_success_multiround(1.0, []) == 1.0
+        assert oracle_success_multiround(1.0, []) == 1.0
         for theta in np.linspace(0.0, math.pi, 7):
             for g in np.linspace(0.0, 1.0, 11):
-                assert abs(code3.oracle_success_multiround(theta, [g])
+                assert abs(oracle_success_multiround(theta, [g])
                            - oracle_success_probability(theta, g, 0.0)) < 1e-15
+
+    def test_fidelity_oracle_is_one_multiround_round_bit_for_bit(self):
+        # oracle-check and the bench read code3.oracle_fidelity_ad, which
+        # writes the one-round formula out; it keeps the multi-round
+        # oracle's digits
+        for theta in [*np.linspace(0.0, math.pi, 50), math.pi / 8, 3.14159]:
+            for g in [*np.linspace(0.0, 1.0, 50), 2.0**-52, 1e-300, 1 - 1e-16]:
+                assert oracle_fidelity_ad(theta, g) \
+                    == oracle_fidelity_multiround(theta, [g]), (theta, g)
 
     def test_worst_case_curve(self):
         # the minimum over logical states, at theta = pi: 1 / (1 + g^2)

@@ -6,14 +6,15 @@ and each test file, a name bound by an import must be referenced somewhere
 in the same file; a module-level private name of the package (a ``_name``
 bound by ``def``, ``class`` or assignment) must be referenced somewhere in
 the package; and a module-level public name of the package must be read by
-the package or the benchmark harness (``bench/*.py``), apart from the
-test-only names listed in ``TEST_ONLY``. A name counts as read when it is
-loaded bare, imported by name, or read as an attribute of a package module
+the package or the benchmark harness (``bench/*.py``); what only the
+tests read lives in ``tests/``. A name counts as read when it is loaded
+bare, imported by name, or read as an attribute of a package module
 (``code3.x``, ``synth.x``); an attribute of anything else (``res.cost``)
 reads no module-level name. The package also reaches numpy and scipy only
 through their public API: no name it imports from them, or reads as an
 attribute of what it imports, has a dotted component after the root that
-starts with ``_`` (``numpy.linalg._umath_linalg``), dunders aside.
+starts with ``_`` (``numpy.linalg._umath_linalg``), dunders aside. Only
+``synth`` imports scipy, at any level, so that no other kind loads it.
 """
 
 import ast
@@ -98,6 +99,33 @@ def test_no_private_library_modules():
     assert not found, "private numpy or scipy API:\n" + "\n".join(found)
 
 
+def scipy_imports(source: str) -> list[str]:
+    """Modules under scipy that ``source`` imports anywhere in its tree,
+    function bodies included."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
+        elif (isinstance(node, ast.ImportFrom) and not node.level and node.module
+              and node.module.split(".")[0] == "scipy"):
+            found.append(node.module)
+    return found
+
+
+def test_detects_a_scipy_import():
+    source = ("import numpy as np\nimport scipy.linalg as sl, os\n"
+              "from .scipy import x\nfrom scipyx import y\n"
+              "def f():\n    from scipy.optimize import curve_fit\n"
+              "    import scipy\n")
+    assert scipy_imports(source) == ["scipy.linalg", "scipy.optimize", "scipy"]
+
+
+def test_scipy_only_in_synth():
+    found = [f"{path.relative_to(ROOT)}: {name}" for path in PACKAGE
+             if path.name != "synth.py" for name in scipy_imports(path.read_text())]
+    assert not found, "scipy imported outside synth:\n" + "\n".join(found)
+
+
 def module_definitions(source: str) -> list[str]:
     """Names that ``source`` binds at module level by ``def``, ``class`` or
     assignment."""
@@ -154,18 +182,6 @@ def test_no_unused_private_names():
         + "\n".join(found)
 
 
-# Public names that only the tests read: closed-form oracles and helpers
-# the package no longer calls. The tuple may only shrink; a name the
-# package or the benchmark starts to read must leave it.
-TEST_ONLY = (
-    "recovery_operators", "oracle_success_multiround",
-    "oracle_fidelity_series", "oracle_fidelity_series_printed",
-    "oracle_fidelity_series_time",
-    "sample_qec_shots", "sample_bare_shots", "gain_expt",
-    "total_evolution_time", "fit_lifetime",
-)
-
-
 def unread_public_names(modules: dict[str, str], readers: list[str]) -> list[str]:
     """``module: name`` for each public module-level name of ``modules``
     (file name to source) that no source in ``readers`` reads."""
@@ -193,8 +209,5 @@ def test_no_unread_public_names():
     modules = {p.name: p.read_text() for p in PACKAGE if p.name != "__init__.py"}
     readers = [p.read_text() for p in PACKAGE + BENCH]
     unread = unread_public_names(modules, readers)
-    found = [entry for entry in unread if entry.split(": ")[1] not in TEST_ONLY]
-    assert not found, "public but read by neither the package nor bench/:\n" \
-        + "\n".join(found)
-    stale = set(TEST_ONLY) - {entry.split(": ")[1] for entry in unread}
-    assert not stale, f"read by the package now, drop from TEST_ONLY: {sorted(stale)}"
+    assert not unread, "public but read by neither the package nor bench/:\n" \
+        + "\n".join(unread)

@@ -7,17 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from nadqec import code3
-from nadqec.metrics import (
+from shots_reference import (
     ShotRecord,
-    f_star,
     gain_expt,
-    gain_surface,
     sample_bare_shots,
     sample_qec_shots,
     sample_shots,
 )
+
+from nadqec import code3
+from nadqec.metrics import f_star, gain_surface
 from nadqec.noise import gamma_of_t
 
 

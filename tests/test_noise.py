@@ -19,14 +19,11 @@ from noise_reference import (
     pure,
     tensor,
 )
+from shots_reference import readout_flip
 
 from nadqec import protocol
 from nadqec.code3 import LogicalStateSpec, noise_superop
-from nadqec.noise import (
-    NoiseParams,
-    gamma_of_t,
-    readout_flip,
-)
+from nadqec.noise import NoiseParams, gamma_of_t
 from nadqec.qcore import check_density
 
 

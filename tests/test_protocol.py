@@ -27,12 +27,15 @@ from multiqec_reference import (
     run_multiqec_with_chadd as run_multiqec_with_chadd_reference,
 )
 from multiqec_reference import (
+    fit_lifetime,
     run_multiqec_mpmath,
     schedule_rounds,
     split_rounds,
+    total_evolution_time,
     total_evolution_time_exact,
 )
 from noise_reference import Z, damp_dephase, embed, fidelity, pure
+from oracle_reference import oracle_fidelity_multiround, oracle_success_multiround
 
 from nadqec import code3, protocol
 from nadqec.noise import NoiseParams, gamma_of_t
@@ -41,13 +44,11 @@ from nadqec.protocol import (
     CrosstalkModel,
     ProtocolConfig,
     SpectatorLayout,
-    fit_lifetime,
     lindbladian,
     propagate,
     run_crosstalk_toy,
     run_multiqec,
     run_multiqec_with_chadd,
-    total_evolution_time,
 )
 from nadqec.qcore import X, check_density, rx
 
@@ -248,9 +249,9 @@ class TestMultiQec:
                     full, rest = split_rounds(pt.total_free_us, max_delay)
                     gammas = [gamma_of_t(max_delay, t1)] * full \
                         + ([gamma_of_t(float(rest), t1)] if rest else [])
-                    want = code3.oracle_fidelity_multiround(theta, gammas)
+                    want = oracle_fidelity_multiround(theta, gammas)
                     assert abs(pt.fidelity - want) <= 1e-10
-                    want_p = code3.oracle_success_multiround(theta, gammas)
+                    want_p = oracle_success_multiround(theta, gammas)
                     assert abs(pt.success_probability - want_p) <= 1e-10
 
     def test_one_round_map_per_distinct_delay(self, monkeypatch):

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from estimator_reference import parity_projectors
+from estimator_reference import parity_projectors, recovery_operators
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from noise_reference import embed
@@ -450,7 +450,7 @@ class TestCanonicalSplit:
         for g in (0.0, 0.15, 0.4):
             split = canonical_recovery_split(g)
             v1 = _XXX @ split.u @ _X1
-            r0, r1 = code3.recovery_operators(g)
+            r0, r1 = recovery_operators(g)
             np.testing.assert_allclose(
                 split.u @ split.d @ split.u.conj().T @ p_odd, r0 @ p_odd,
                 atol=1e-12)
@@ -482,7 +482,7 @@ class TestCanonicalSplit:
         # with singular values sorted descending the damping-branch relation
         # requires a completion column equal to an occupied one; the
         # canonical paired layout exists precisely because of this
-        _, r1 = code3.recovery_operators(0.3)
+        _, r1 = recovery_operators(0.3)
         u, _, vh = np.linalg.svd(r1)
         v_needed = embed(XMAT, [0], 3) @ embed(XMAT, [1], 3) @ embed(XMAT, [2], 3) \
             @ u[:, 4]
