@@ -20,9 +20,9 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -37,12 +37,122 @@ class ConfigError(Exception):
     pass
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
+def _number(ok: Callable[[float], bool] = lambda x: True) -> Callable:
+    """A check: a finite number that passes ``ok``."""
+    return lambda v: _is_real(v) and math.isfinite(v) and ok(v)
+
+
+def _numbers(ok: Callable = lambda x: True, empty: bool = True) -> Callable:
+    """A check: a list, empty only if ``empty``, of finite numbers passing ``ok``."""
+    return lambda v: (isinstance(v, list) and (empty or v != [])
+                      and all(map(_number(ok), v)))
+
+
+def _integer(low: int, high: float = math.inf) -> Callable:
+    return lambda v: _is_int(v) and low <= v <= high
+
+
+def _lifetime(v) -> bool:  # +inf passes: no relaxation or dephasing
+    return all(_is_real(x) and x > 0
+               for x in (v if isinstance(v, list) and v else [v]))
+
+
+class Field(NamedTuple):
+    rule: str  # completes "'<name>' must be ..."
+    ok: Callable[[object], bool]
+    default: object = None  # None: the field has no default of its own
+
+
+# Each spec field's rule and default, the same in every kind that takes it.
+# A rule that joins fields (t2 with t1 and tphi, lists per qubit, couplings
+# on the register, the ideal recovery's one T1, CHaDD's rounds) is a runner's.
+_LIFETIME = "a number > 0 or a non-empty list of them, one per qubit, Infinity for none"
+FIELDS: dict[str, Field] = {
+    "seed": Field("an integer >= 0", _integer(0)),  # top-level; ExperimentSpec.seed
+    "theta": Field("a number in [0, pi]",
+                   _number(lambda v: 0 <= v <= math.pi), math.pi),
+    "phi": Field("a number in [0, 2 pi)",
+                 _number(lambda v: 0 <= v < 2 * math.pi), 0.0),
+    "max_delay": Field("a finite number > 0", _number(lambda v: v > 0)),
+    "total_free": Field("a list of finite numbers >= 0",
+                        _numbers(lambda x: x >= 0)),
+    "delays": Field("a list of finite numbers > 0", _numbers(lambda x: x > 0)),
+    "recovery": Field("'ideal' or 'approximate'",
+                      lambda v: v in ("ideal", "approximate"), "ideal"),
+    "t1": Field(_LIFETIME, _lifetime),
+    "t2": Field("a number > 0", lambda v: _is_real(v) and v > 0),
+    "tphi": Field(_LIFETIME, _lifetime, math.inf),
+    "spectators": Field("an integer from 0 to 4 (7 qubits in all)",
+                        _integer(0, 4), 1),
+    "couplings": Field("a list of [qubit, qubit, g] triples, g a finite number",
+                       lambda v: isinstance(v, list) and all(
+                           isinstance(c, list) and len(c) == 3 and _number()(c[2])
+                           and all(map(_is_int, c[:2])) for c in v)),
+    "omega1": Field("a finite number", _number(), 0.3),
+    "omega2": Field("a finite number", _number(), 0.2),
+    "g": Field("a finite number", _number(), 0.05),
+    "t_final": Field("a finite number > 0", _number(lambda v: v > 0), 60.0),
+    # one CSV row per cycle for each probe, so the count is capped
+    "cycles": Field("an integer from 1 to 10000", _integer(1, 10**4), 4),
+    "t1_range": Field("a non-empty list of finite numbers > 0",
+                      _numbers(lambda x: x > 0, empty=False)),
+    "emeas_range": Field("a non-empty list of numbers in [0, 0.5]",
+                         _numbers(lambda x: 0 <= x <= 0.5, empty=False)),
+    "delay_range": Field("a non-empty list of finite numbers >= 0",
+                         _numbers(lambda x: x >= 0, empty=False)),
+    # a depth level that does not converge runs every start, and a search
+    # may try six levels; a failed start takes about 14 to 24 ms, up to
+    # 85 ms (200 seeded starts per level on a 2-vCPU Xeon VM, Python 3.11)
+    "restarts": Field("an integer from 1 to 1000", _integer(1, 1000), 20),
+    # one oracle-check CSV row per (theta, gamma) pair: at most 10^4
+    "theta_points": Field("an integer from 1 to 100", _integer(1, 100), 10),
+    "gamma_points": Field("an integer from 1 to 100", _integer(1, 100), 10),
+}
+_DEFAULTS = {name: f.default for name, f in FIELDS.items() if f.default is not None}
+_TOP_LEVEL = ("kind", "output", "seed", "params")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """One run: ``params`` as given, which the manifest echoes, and
+    ``resolved``, them over the defaults in ``FIELDS``, which runners read.
+    Construction checks each field; a ConfigError names the first bad one."""
+
     kind: str
     params: Mapping
     output: str
     seed: int = 0
+    resolved: Mapping = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        kind, params = self.kind, self.params
+        if not (isinstance(kind, str) and kind in CATALOG):
+            raise ConfigError(
+                f"unknown kind {kind!r}; known: {', '.join(sorted(CATALOG))}")
+        if not isinstance(params, dict):
+            raise ConfigError(f"'params' must be a JSON object, got {params!r}")
+        entry = CATALOG[kind]
+        missing = [f for f in entry.required if f not in params]
+        if missing:
+            raise ConfigError(
+                f"kind '{kind}' missing parameter field(s): " + ", ".join(missing))
+        unknown = sorted(set(params) - set(entry.required) - set(entry.optional))
+        if unknown:
+            raise ConfigError(
+                f"kind '{kind}' has no parameter field(s): " + ", ".join(unknown))
+        _require_output(self.output)
+        for name, v in (("seed", self.seed), *params.items()):
+            if not FIELDS[name].ok(v):
+                raise ConfigError(f"'{name}' must be {FIELDS[name].rule}, got {v!r}")
+        object.__setattr__(self, "resolved", {**_DEFAULTS, **params})
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentSpec":
@@ -61,39 +171,18 @@ class ExperimentSpec:
         except OSError as exc:
             raise ConfigError(f"{path}: cannot read the spec file ({exc.strerror})")
         try:
-            return cls._from_json(raw)
+            if not isinstance(raw, dict):
+                raise ConfigError(f"a spec must be a JSON object, got {raw!r}")
+            for req in ("kind", "output"):
+                if req not in raw:
+                    raise ConfigError(f"missing required field '{req}'")
+            unknown = sorted(set(raw) - set(_TOP_LEVEL))
+            if unknown:
+                raise ConfigError("a spec has no top-level field(s) " + ", ".join(
+                    map(repr, unknown)) + "; it holds " + ", ".join(_TOP_LEVEL))
+            return cls(**{"params": {}, **raw})
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from None
-
-    @classmethod
-    def _from_json(cls, raw) -> "ExperimentSpec":
-        if not isinstance(raw, dict):
-            raise ConfigError(f"a spec must be a JSON object, got {raw!r}")
-        for req in ("kind", "output"):
-            if req not in raw:
-                raise ConfigError(f"missing required field '{req}'")
-        kind = raw["kind"]
-        if not isinstance(kind, str):
-            raise ConfigError(f"'kind' must be a string, got {kind!r}")
-        if kind not in CATALOG:
-            raise ConfigError(
-                f"unknown kind '{kind}'; known: {', '.join(sorted(CATALOG))}")
-        params = raw.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError(f"'params' must be a JSON object, got {params!r}")
-        missing = [f for f in CATALOG[kind].required if f not in params]
-        if missing:
-            raise ConfigError(
-                f"kind '{kind}' missing parameter field(s): " + ", ".join(missing))
-        unknown = sorted(set(params) - set(CATALOG[kind].required)
-                         - set(CATALOG[kind].optional))
-        if unknown:
-            raise ConfigError(
-                f"kind '{kind}' has no parameter field(s): " + ", ".join(unknown))
-        _require_numbers(raw, ints={"seed": 0})
-        _require_output(raw["output"])
-        return cls(kind=kind, params=params, output=raw["output"],
-                   seed=raw.get("seed", 0))
 
 
 def _require_output(output) -> None:
@@ -150,21 +239,15 @@ def _write_manifest(spec: ExperimentSpec, out_csv: Path, t0: float) -> None:
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _noise_from(params: Mapping, n_qubits: int) -> NoiseParams:
-    """Noise for an ``n_qubits`` register; invalid values, or per-qubit
-    lifetimes that do not cover the register, are config errors."""
-    if "t1" not in params:
-        raise ConfigError("missing field 't1' in params")
-    for name in ("t1", "t2", "tphi"):  # +inf passes: no relaxation or dephasing
-        _require_in(params, name, _is_real, "a number or a non-empty list of numbers")
-    if "t2" in params and "tphi" in params:
+def _noise_from(spec: ExperimentSpec, n_qubits: int) -> NoiseParams:
+    """Noise for an ``n_qubits`` register: ``t1`` with ``t2`` or ``tphi``, not
+    both; values that do not cover the register are config errors."""
+    r = spec.resolved
+    if "t2" in r and "tphi" in spec.params:
         raise ConfigError("'t2' and 'tphi' both set the dephasing; give one of them")
-    t1 = params["t1"]
     try:
-        if "t2" in params:
-            noise = NoiseParams.from_t1_t2(t1, params["t2"])
-        else:
-            noise = NoiseParams(t1=t1, tphi=params.get("tphi", math.inf))
+        noise = (NoiseParams.from_t1_t2(r["t1"], r["t2"]) if "t2" in r
+                 else NoiseParams(t1=r["t1"], tphi=r["tphi"]))
         noise.lifetimes(n_qubits)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid noise params: {exc}") from exc
@@ -185,59 +268,13 @@ def _point_rows(pts, variant: str, chadd: bool) -> list[tuple]:
              x.rounds, variant, chadd) for x in pts]
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return _is_int(v) or isinstance(v, float)
-
-
-def _is_number(v) -> bool:
-    return _is_real(v) and math.isfinite(v)
-
-
-def _require_numbers(p: Mapping, fields: Sequence[str] = (),
-                     lists: Sequence[str] = (),
-                     ints: Optional[Mapping[str, int]] = None) -> None:
-    """Present ``fields`` are finite numbers, ``lists`` lists of them and
-    present ``ints`` integers at or above their minimum; else a config error."""
-    for name in fields:
-        if name in p and not _is_number(p[name]):
-            raise ConfigError(f"'{name}' must be a finite number, got {p[name]!r}")
-    for name in lists:
-        v = p.get(name)
-        if not (isinstance(v, (list, tuple)) and all(_is_number(x) for x in v)):
-            raise ConfigError(
-                f"'{name}' must be a list of finite numbers, got {v!r}")
-    for name, low in (ints or {}).items():
-        if name in p and not (_is_int(p[name]) and p[name] >= low):
-            raise ConfigError(f"'{name}' must be an integer >= {low}, got {p[name]!r}")
-
-
-def _require_in(p: Mapping, name: str, ok: Callable[[float], bool],
-                what: str) -> None:
-    """The present field ``name``, a number or a non-empty list of them,
-    has only values that pass ``ok``; else a config error."""
-    if name not in p:
-        return
-    values = p[name] if isinstance(p[name], list) else [p[name]]
-    if not (values and all(ok(v) for v in values)):
-        raise ConfigError(f"'{name}' must be {what}, got {p[name]!r}")
-
-
-def _protocol_config(p: Mapping, t1s: Sequence[float]) -> protocol.ProtocolConfig:
-    """The sweep of ``p`` for a register's ``t1s``; invalid values are config errors."""
-    _require_numbers(p, ("theta", "phi", "max_delay"), lists=("total_free",))
-    recovery = p.get("recovery", "ideal")
-    if recovery not in ("ideal", "approximate"):
-        raise ConfigError(
-            f"'recovery' must be 'ideal' or 'approximate', got {recovery!r}")
+def _protocol_config(r: Mapping, t1s: Sequence[float]) -> protocol.ProtocolConfig:
+    """The sweep of resolved fields ``r`` for a register's ``t1s``."""
     try:
         cfg = protocol.ProtocolConfig(
-            logical=code3.LogicalStateSpec(p["theta"], p.get("phi", 0.0)),
-            max_delay=p["max_delay"], total_free=tuple(p["total_free"]),
-            recovery_variant=recovery)
+            logical=code3.LogicalStateSpec(r["theta"], r["phi"]),
+            max_delay=r["max_delay"], total_free=tuple(r["total_free"]),
+            recovery_variant=r["recovery"])
         protocol.recovery_t1(cfg, t1s)
     except ValueError as exc:
         raise ConfigError(f"invalid protocol params: {exc}") from exc
@@ -245,8 +282,8 @@ def _protocol_config(p: Mapping, t1s: Sequence[float]) -> protocol.ProtocolConfi
 
 
 def _run_multiqec(spec: ExperimentSpec, out: Path) -> None:
-    noise = _noise_from(spec.params, 3)
-    cfg = _protocol_config(spec.params, noise.lifetimes(3)[0])
+    noise = _noise_from(spec, 3)
+    cfg = _protocol_config(spec.resolved, noise.lifetimes(3)[0])
     pts = protocol.run_multiqec(cfg, noise)
     _write_csv(out, _POINT_HEADER, _point_rows(pts, cfg.recovery_variant, False))
 
@@ -258,27 +295,18 @@ _CHADD_ROUNDS = 2500
 
 
 def _run_multiqec_chadd(spec: ExperimentSpec, out: Path) -> None:
-    p = spec.params
-    _require_numbers(p, ints={"spectators": 0})
-    _require_in(p, "spectators", lambda v: v <= 4, "at most 4 (7 qubits in all)")
-    spectators = p.get("spectators", 1)
+    r = spec.resolved
     # the default coupling names the first spectator, so it needs one
-    couplings = p.get("couplings", [[0, 3, 0.05]] if spectators else [])
-    if not (isinstance(couplings, list) and all(
-            isinstance(c, list) and len(c) == 3 and _is_int(c[0]) and _is_int(c[1])
-            and _is_number(c[2]) for c in couplings)):
-        raise ConfigError(
-            f"'couplings' must be [qubit, qubit, g] triples, got {couplings!r}")
-    layout = protocol.SpectatorLayout(
-        spectators=spectators,
-        couplings=tuple(tuple(c) for c in couplings))
+    couplings = r.get("couplings", [[0, 3, 0.05]] if r["spectators"] else [])
+    layout = protocol.SpectatorLayout(spectators=r["spectators"],
+                                      couplings=tuple(map(tuple, couplings)))
     n = layout.n_qubits
     for a, b, g in couplings:
         if a == b or not (0 <= a < n and 0 <= b < n):
             raise ConfigError(f"'couplings' entry {[a, b, g]} must name two "
                               f"distinct qubits of the {n}-qubit register")
-    noise = _noise_from(p, n)
-    cfg = _protocol_config(p, noise.lifetimes(n)[0])
+    noise = _noise_from(spec, n)
+    cfg = _protocol_config(r, noise.lifetimes(n)[0])
     rounds = cfg.walked_rounds()
     if rounds > _CHADD_ROUNDS:
         raise ConfigError(f"'total_free' over 'max_delay' {cfg.max_delay} "
@@ -291,14 +319,11 @@ def _run_multiqec_chadd(spec: ExperimentSpec, out: Path) -> None:
 
 
 def _run_delay_sweep(spec: ExperimentSpec, out: Path) -> None:
-    p = spec.params
-    noise = _noise_from(p, 3)
+    noise = _noise_from(spec, 3)
     t1s = noise.lifetimes(3)[0]
-    _require_numbers(p, (), lists=("delays",))
     rows = []
-    for max_delay in p["delays"]:
-        cfg = _protocol_config({"theta": math.pi, **p, "max_delay": max_delay},
-                               t1s)
+    for max_delay in spec.resolved["delays"]:
+        cfg = _protocol_config({**spec.resolved, "max_delay": max_delay}, t1s)
         for x in protocol.run_multiqec(cfg, noise):
             rows.append((max_delay, x.total_free_us, x.total_evolution_us,
                          x.fidelity, x.success_probability, x.rounds))
@@ -308,21 +333,13 @@ def _run_delay_sweep(spec: ExperimentSpec, out: Path) -> None:
 
 
 def _run_crosstalk_toy(spec: ExperimentSpec, out: Path) -> None:
-    p = spec.params
-    _require_numbers(p, ("omega1", "omega2", "g", "t_final"), ints={"cycles": 1})
-    _require_in(p, "t_final", lambda v: v > 0, "positive")
-    # one CSV row per cycle for each probe, so the count is capped
-    _require_in(p, "cycles", lambda v: v <= 10**4, "at most 10000")
-    noise = _noise_from(p, 2)
-    model = protocol.CrosstalkModel(
-        omega1=p.get("omega1", 0.3), omega2=p.get("omega2", 0.2),
-        g=p.get("g", 0.05), noise=noise)
-    t_final = p.get("t_final", 60.0)
-    cycles = p.get("cycles", 4)
+    r = spec.resolved
+    model = protocol.CrosstalkModel(omega1=r["omega1"], omega2=r["omega2"],
+                                    g=r["g"], noise=_noise_from(spec, 2))
     rows = []
     for probe in ("0", "1"):
-        for label, n_cycles in (("free", None), ("chadd", cycles)):
-            series = protocol.run_crosstalk_toy(model, probe, t_final, n_cycles)
+        for label, n_cycles in (("free", None), ("chadd", r["cycles"])):
+            series = protocol.run_crosstalk_toy(model, probe, r["t_final"], n_cycles)
             for t, p0, p1, f in zip(series.times, series.pop0, series.pop1,
                                     series.fidelity):
                 rows.append((probe, label, t, p0, p1, f))
@@ -331,16 +348,9 @@ def _run_crosstalk_toy(spec: ExperimentSpec, out: Path) -> None:
 
 
 def _run_gain_surface(spec: ExperimentSpec, out: Path) -> None:
-    p = spec.params
-    _require_numbers(p, ("theta",), lists=("t1_range", "emeas_range", "delay_range"))
-    _require_in(p, "theta", lambda v: 0 <= v <= math.pi, "in [0, pi]")
-    _require_in(p, "t1_range", lambda v: v > 0, "a non-empty list of positive numbers")
-    _require_in(p, "emeas_range", lambda v: 0 <= v <= 0.5,
-                "a non-empty list of numbers in [0, 0.5]")
-    _require_in(p, "delay_range", lambda v: v >= 0,
-                "a non-empty list of non-negative numbers")
-    cells = metrics.gain_surface(p["t1_range"], p["emeas_range"],
-                                 p["delay_range"], theta=p.get("theta", math.pi))
+    r = spec.resolved
+    cells = metrics.gain_surface(r["t1_range"], r["emeas_range"],
+                                 r["delay_range"], theta=r["theta"])
     rows = [(c.t1_us, c.e_meas, c.delay_us, c.gain, c.f_qec, c.f_bare,
              c.p_success, spec.seed) for c in cells]
     _write_csv(out, ["T1_us", "E_meas", "delay_us", "gain", "F_qec", "F_bare",
@@ -350,15 +360,7 @@ def _run_gain_surface(spec: ExperimentSpec, out: Path) -> None:
 def _run_synth(spec: ExperimentSpec, out: Path) -> None:
     from . import synth  # loads scipy.optimize, which no other kind needs
 
-    _require_numbers(spec.params, ints={"restarts": 1})
-    # a depth level that does not converge runs every start, and a search
-    # may try six levels. Failed starts, medians and maxima over 200 seeded
-    # starts per level on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4): the
-    # encoder at 3 layers about 15 ms, up to about 85 ms; the recovery
-    # factor about 14 ms at 4 layers and 19 ms at 5, up to about 45 ms, and
-    # about 24 ms at 6, up to about 50 ms
-    _require_in(spec.params, "restarts", lambda v: v <= 1000, "at most 1000")
-    restarts = spec.params.get("restarts", 20)
+    restarts = spec.resolved["restarts"]
     seed = spec.seed
     enc_circ, enc_res = synth.synthesize_encoder(seed=seed, restarts=restarts)
     u_circ, u_res = synth.synthesize_recovery_u(seed=seed + 1, restarts=restarts)
@@ -385,13 +387,8 @@ def _run_synth(spec: ExperimentSpec, out: Path) -> None:
 
 
 def _run_oracle_check(spec: ExperimentSpec, out: Path) -> None:
-    p = spec.params
-    _require_numbers(p, ints={"theta_points": 1, "gamma_points": 1})
-    # one CSV row per (theta, gamma) pair: at most 10^4, as the toy's cycles
-    for name in ("theta_points", "gamma_points"):
-        _require_in(p, name, lambda v: v <= 100, "at most 100")
-    thetas = np.linspace(0.0, math.pi, p.get("theta_points", 10))
-    gammas = np.linspace(0.0, 0.3, p.get("gamma_points", 10))
+    thetas = np.linspace(0.0, math.pi, spec.resolved["theta_points"])
+    gammas = np.linspace(0.0, 0.3, spec.resolved["gamma_points"])
     # one batched logical round per gamma; the rows run theta outer, gamma inner
     outcomes = [code3.logical_outcomes(thetas, g, 0.0, code3.RecoveryMap.ideal(g))
                 for g in gammas]
@@ -486,7 +483,9 @@ def list_experiments(as_json: bool = False) -> str:
     if as_json:
         return json.dumps(
             {k: {"required": v.required, "optional": v.optional,
-                 "figure": v.figure, "description": v.description}
+                 "figure": v.figure, "description": v.description,
+                 "rules": {f: FIELDS[f].rule
+                           for f in ("seed", *v.required, *v.optional)}}
              for k, v in CATALOG.items()},
             indent=2, sort_keys=True)
     lines = []

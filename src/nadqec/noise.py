@@ -80,4 +80,4 @@ def gamma_of_t(t: float, t1: float) -> float:
         raise ValueError(f"negative time {t}")
     if t1 <= 0:
         raise ValueError(f"T1 must be positive, got {t1}")
-    return 1.0 - math.exp(-t / t1)
+    return -math.expm1(-t / t1)  # 1 - exp(-t/T1) cancels at short delays

@@ -116,6 +116,41 @@ class TestSpecLoading:
         assert err.startswith(f"config error: {path}: ") and "Traceback" not in err
         assert sorted(f.name for f in tmp_path.iterdir()) == ["spec.json"]
 
+    @pytest.mark.parametrize("key", ["parms", "sed", "Seed", "outputs"])
+    def test_unknown_top_level_field_is_config_error(self, tmp_path, capsys, key):
+        # each once ran with defaults and exited 0: a misspelt params left
+        # oracle-check at its default grid, a misspelt seed ran at seed 0
+        out = tmp_path / "oracle.csv"
+        payload = {"kind": "oracle-check", "output": str(out),
+                   "params": {"theta_points": 2, "gamma_points": 2}}
+        if key == "parms":
+            payload["parms"] = payload.pop("params")
+        else:
+            payload[key] = str(tmp_path / "other.csv") if key == "outputs" else 4
+        path = write_spec(tmp_path, payload)
+        with pytest.raises(ConfigError, match=f"top-level field.*'{key}'"):
+            ExperimentSpec.load(path)
+        assert cli.main(["run", str(path)]) == EXIT_CONFIG
+        assert f"'{key}'" in capsys.readouterr().err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["spec.json"]
+
+    def test_constructed_spec_is_checked_and_resolved(self, tmp_path):
+        # a spec built in code meets the field table as a loaded one does;
+        # runners read the defaults, the manifest echoes the given params
+        out = tmp_path / "oracle.csv"
+        with pytest.raises(ConfigError,
+                           match="'theta_points' must be an integer from 1 to 100"):
+            ExperimentSpec("oracle-check", {"theta_points": 0}, str(out))
+        with pytest.raises(ConfigError, match="'seed' must be an integer >= 0"):
+            ExperimentSpec("oracle-check", {}, str(out), seed=-1)
+        spec = ExperimentSpec("oracle-check", {"theta_points": 3}, str(out))
+        assert spec.resolved["theta_points"] == 3
+        assert spec.resolved["gamma_points"] == cli.FIELDS["gamma_points"].default
+        assert cli.run(spec) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 1 + 3 * 10
+        manifest = json.loads((tmp_path / "oracle.csv.manifest.json").read_text())
+        assert manifest["params"] == {"theta_points": 3}
+
 
 class TestRun:
     def test_multiqec_writes_csv_and_manifest(self, tmp_path):
@@ -367,7 +402,8 @@ class TestRun:
         payload = {"kind": "synth", "output": str(tmp_path / "synth.csv"),
                    "params": {"restarts": 1001}}
         assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_CONFIG
-        assert "'restarts' must be at most 1000" in capsys.readouterr().err
+        assert "'restarts' must be an integer from 1 to 1000" \
+            in capsys.readouterr().err
         assert asked == []
         payload["params"]["restarts"] = 1000
         assert cli.main(["run", str(write_spec(tmp_path, payload))]) \
@@ -380,7 +416,8 @@ class TestRun:
         payload = {"kind": "oracle-check", "output": str(out),
                    "params": {"theta_points": 1, "gamma_points": 1, field: 101}}
         assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_CONFIG
-        assert f"'{field}' must be at most 100" in capsys.readouterr().err
+        assert f"'{field}' must be an integer from 1 to 100" \
+            in capsys.readouterr().err
         assert not out.exists()
         payload["params"][field] = 100
         assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_OK
@@ -820,6 +857,19 @@ class TestCatalog:
         assert set(data) == set(CATALOG)
         for entry in data.values():
             assert {"required", "figure", "description"} <= set(entry)
+            fields = {"seed", *entry["required"], *entry["optional"]}
+            assert entry["rules"] == {f: cli.FIELDS[f].rule for f in fields}
+
+    def test_every_field_has_one_rule_and_every_rule_a_field(self):
+        # a field added to a kind without a row in the table fails here
+        taken = set()
+        for kind, entry in CATALOG.items():
+            fields = entry.required + entry.optional
+            assert len(set(fields)) == len(fields), kind
+            assert set(fields) <= set(cli.FIELDS), kind
+            taken |= set(fields)
+        assert "seed" not in taken  # the one top-level field in the table
+        assert set(cli.FIELDS) == taken | {"seed"}
 
     def test_list_command(self, capsys):
         assert cli.main(["list"]) == EXIT_OK

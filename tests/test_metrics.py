@@ -149,6 +149,18 @@ class TestGainTheoretical:
                         / ((1 - g) * mpmath.sqrt(f * (1 - f))) * mpmath.sqrt(p)
                 assert cell.gain == pytest.approx(float(want), rel=1e-12), delay
 
+    def test_gain_at_pi_matches_the_closed_form_at_short_delays(self):
+        # theta = pi, E = 0: gain = sqrt((1 - gamma)(1 + gamma^2) / gamma) at
+        # the delay's exact gamma; a gamma formed as 1 - exp(-t/T1) put the
+        # 1e-9 us cell 2.3e-6 off
+        t1 = 220.0
+        delays = [1e-12, 1e-9, 1e-6, 1e-3, 0.03, 1.0, 30.0, 300.0]
+        for cell, delay in zip(gain_surface([t1], [0.0], delays), delays):
+            with mpmath.workdps(50):
+                g = -mpmath.expm1(-mpmath.mpf(delay) / mpmath.mpf(t1))
+                want = mpmath.sqrt((1 - g) * (1 + g**2) / g)
+            assert cell.gain == pytest.approx(float(want), rel=1e-12), delay
+
     def test_beats_break_even_at_low_readout_error(self):
         assert gain_surface([200.0], [0.0], [30.0])[0].gain > 1.0
 

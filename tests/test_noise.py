@@ -4,6 +4,7 @@ laws, readout convolution."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -59,6 +60,15 @@ class TestStrengths:
         assert p_of_t(0.0, 50.0) == 0.0
         assert abs(p_of_t(1e9, 50.0) - 0.5) < 1e-12
         assert abs(p_of_t(50.0, 50.0) - 0.5 * (1 - math.exp(-1))) < 1e-14
+
+    @pytest.mark.parametrize("t1", [1.0, 220.0])
+    def test_gamma_within_ulps_of_50_digit_arithmetic(self, t1):
+        # 1 - exp(-x) cancels at short delays (11 % off at x = 1e-15)
+        for x in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 5.0, 20.0, 40.0):
+            t = x * t1
+            with mpmath.workdps(50):
+                want = float(-mpmath.expm1(-mpmath.mpf(t) / mpmath.mpf(t1)))
+            assert abs(gamma_of_t(t, t1) - want) <= 3 * math.ulp(want), x
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
