@@ -27,27 +27,21 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import __version__, code3, metrics, protocol
-from .noise import NoiseParams
+from .noise import LIFETIME_RULE, NoiseParams, is_lifetime
+from .qcore import ConfigError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-class ConfigError(Exception):
-    pass
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_real(v) -> bool:
-    return _is_int(v) or isinstance(v, float)
-
-
 def _number(ok: Callable[[float], bool] = lambda x: True) -> Callable:
     """A check: a finite number that passes ``ok``."""
-    return lambda v: _is_real(v) and math.isfinite(v) and ok(v)
+    return lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v) and ok(v)
 
 
 def _numbers(ok: Callable = lambda x: True, empty: bool = True) -> Callable:
@@ -60,9 +54,8 @@ def _integer(low: int, high: float = math.inf) -> Callable:
     return lambda v: _is_int(v) and low <= v <= high
 
 
-def _lifetime(v) -> bool:  # +inf passes: no relaxation or dephasing
-    return all(_is_real(x) and x > 0
-               for x in (v if isinstance(v, list) and v else [v]))
+def _lifetime(v) -> bool:
+    return all(map(is_lifetime, v if isinstance(v, list) and v else [v]))
 
 
 class Field(NamedTuple):
@@ -71,10 +64,9 @@ class Field(NamedTuple):
     default: object = None  # None: the field has no default of its own
 
 
-# Each spec field's rule and default, the same in every kind that takes it.
-# A rule that joins fields (t2 with t1 and tphi, lists per qubit, couplings
-# on the register, the ideal recovery's one T1, CHaDD's rounds) is a runner's.
-_LIFETIME = "a number > 0 or a non-empty list of them, one per qubit, Infinity for none"
+# Each spec field's rule and default, the same in every kind that takes it;
+# a rule that joins fields raises ConfigError in the library or a runner.
+_LIFETIME = LIFETIME_RULE + ", or a non-empty list of them, one per qubit"
 FIELDS: dict[str, Field] = {
     "seed": Field("an integer >= 0", _integer(0)),  # top-level; ExperimentSpec.seed
     "theta": Field("a number in [0, pi]",
@@ -88,7 +80,7 @@ FIELDS: dict[str, Field] = {
     "recovery": Field("'ideal' or 'approximate'",
                       lambda v: v in ("ideal", "approximate"), "ideal"),
     "t1": Field(_LIFETIME, _lifetime),
-    "t2": Field("a number > 0", lambda v: _is_real(v) and v > 0),
+    "t2": Field(LIFETIME_RULE, is_lifetime),
     "tphi": Field(_LIFETIME, _lifetime, math.inf),
     "spectators": Field("an integer from 0 to 4 (7 qubits in all)",
                         _integer(0, 4), 1),
@@ -161,7 +153,7 @@ class ExperimentSpec:
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError:
-            raise ConfigError(f"spec file not found: {path}")
+            raise ConfigError(f"{path}: spec file not found")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})")
         except UnicodeDecodeError as exc:
@@ -239,19 +231,13 @@ def _write_manifest(spec: ExperimentSpec, out_csv: Path, t0: float) -> None:
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _noise_from(spec: ExperimentSpec, n_qubits: int) -> NoiseParams:
-    """Noise for an ``n_qubits`` register: ``t1`` with ``t2`` or ``tphi``, not
-    both; values that do not cover the register are config errors."""
+def _noise_from(spec: ExperimentSpec) -> NoiseParams:
+    """Noise from ``t1`` with ``t2`` or ``tphi``, not both."""
     r = spec.resolved
     if "t2" in r and "tphi" in spec.params:
         raise ConfigError("'t2' and 'tphi' both set the dephasing; give one of them")
-    try:
-        noise = (NoiseParams.from_t1_t2(r["t1"], r["t2"]) if "t2" in r
-                 else NoiseParams(t1=r["t1"], tphi=r["tphi"]))
-        noise.lifetimes(n_qubits)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid noise params: {exc}") from exc
-    return noise
+    return (NoiseParams.from_t1_t2(r["t1"], r["t2"]) if "t2" in r
+            else NoiseParams(t1=r["t1"], tphi=r["tphi"]))
 
 
 # ---------------------------------------------------------------------------
@@ -268,22 +254,16 @@ def _point_rows(pts, variant: str, chadd: bool) -> list[tuple]:
              x.rounds, variant, chadd) for x in pts]
 
 
-def _protocol_config(r: Mapping, t1s: Sequence[float]) -> protocol.ProtocolConfig:
-    """The sweep of resolved fields ``r`` for a register's ``t1s``."""
-    try:
-        cfg = protocol.ProtocolConfig(
-            logical=code3.LogicalStateSpec(r["theta"], r["phi"]),
-            max_delay=r["max_delay"], total_free=tuple(r["total_free"]),
-            recovery_variant=r["recovery"])
-        protocol.recovery_t1(cfg, t1s)
-    except ValueError as exc:
-        raise ConfigError(f"invalid protocol params: {exc}") from exc
-    return cfg
+def _protocol_config(r: Mapping) -> protocol.ProtocolConfig:
+    return protocol.ProtocolConfig(
+        logical=code3.LogicalStateSpec(r["theta"], r["phi"]),
+        max_delay=r["max_delay"], total_free=tuple(r["total_free"]),
+        recovery_variant=r["recovery"])
 
 
 def _run_multiqec(spec: ExperimentSpec, out: Path) -> None:
-    noise = _noise_from(spec, 3)
-    cfg = _protocol_config(spec.resolved, noise.lifetimes(3)[0])
+    noise = _noise_from(spec)
+    cfg = _protocol_config(spec.resolved)
     pts = protocol.run_multiqec(cfg, noise)
     _write_csv(out, _POINT_HEADER, _point_rows(pts, cfg.recovery_variant, False))
 
@@ -300,13 +280,8 @@ def _run_multiqec_chadd(spec: ExperimentSpec, out: Path) -> None:
     couplings = r.get("couplings", [[0, 3, 0.05]] if r["spectators"] else [])
     layout = protocol.SpectatorLayout(spectators=r["spectators"],
                                       couplings=tuple(map(tuple, couplings)))
-    n = layout.n_qubits
-    for a, b, g in couplings:
-        if a == b or not (0 <= a < n and 0 <= b < n):
-            raise ConfigError(f"'couplings' entry {[a, b, g]} must name two "
-                              f"distinct qubits of the {n}-qubit register")
-    noise = _noise_from(spec, n)
-    cfg = _protocol_config(r, noise.lifetimes(n)[0])
+    noise = _noise_from(spec)
+    cfg = _protocol_config(r)
     rounds = cfg.walked_rounds()
     if rounds > _CHADD_ROUNDS:
         raise ConfigError(f"'total_free' over 'max_delay' {cfg.max_delay} "
@@ -319,11 +294,10 @@ def _run_multiqec_chadd(spec: ExperimentSpec, out: Path) -> None:
 
 
 def _run_delay_sweep(spec: ExperimentSpec, out: Path) -> None:
-    noise = _noise_from(spec, 3)
-    t1s = noise.lifetimes(3)[0]
+    noise = _noise_from(spec)
     rows = []
     for max_delay in spec.resolved["delays"]:
-        cfg = _protocol_config({**spec.resolved, "max_delay": max_delay}, t1s)
+        cfg = _protocol_config({**spec.resolved, "max_delay": max_delay})
         for x in protocol.run_multiqec(cfg, noise):
             rows.append((max_delay, x.total_free_us, x.total_evolution_us,
                          x.fidelity, x.success_probability, x.rounds))
@@ -335,7 +309,7 @@ def _run_delay_sweep(spec: ExperimentSpec, out: Path) -> None:
 def _run_crosstalk_toy(spec: ExperimentSpec, out: Path) -> None:
     r = spec.resolved
     model = protocol.CrosstalkModel(omega1=r["omega1"], omega2=r["omega2"],
-                                    g=r["g"], noise=_noise_from(spec, 2))
+                                    g=r["g"], noise=_noise_from(spec))
     rows = []
     for probe in ("0", "1"):
         for label, n_cycles in (("free", None), ("chadd", r["cycles"])):
@@ -472,6 +446,8 @@ def run(spec: ExperimentSpec) -> int:
     out = Path(spec.output)
     try:
         CATALOG[spec.kind].runner(spec, out)
+    except ConfigError:
+        raise
     except (RuntimeError, ValueError, ArithmeticError) as exc:
         print(f"numerical failure in '{spec.kind}': {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -520,10 +496,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_OK
     if args.command == "check":
         return check()
+    where = ""  # the errors of load name the spec file themselves
     try:
-        return run(ExperimentSpec.load(args.spec))
+        spec = ExperimentSpec.load(args.spec)
+        where = f"{args.spec}: "
+        return run(spec)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {where}{exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

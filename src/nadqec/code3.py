@@ -123,7 +123,8 @@ def prep_unitary(spec: LogicalStateSpec) -> np.ndarray:
     c = cos(theta/2), s = sin(theta/2)."""
     e = complex(math.cos(spec.phi / 2), -math.sin(spec.phi / 2))
     c, s = math.cos(spec.theta / 2), math.sin(spec.theta / 2)
-    return np.array([[e * c, -e * s], [e.conjugate() * s, e.conjugate() * c]])
+    return np.array([e * c, -e * s, e.conjugate() * s,
+                     e.conjugate() * c]).reshape(2, 2)
 
 
 def encoder_unitary() -> np.ndarray:

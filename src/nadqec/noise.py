@@ -12,11 +12,22 @@ map. Readout error E enters only the gain model (``metrics.f_star``).
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .qcore import ConfigError
+
+# One lifetime T (us): its rate 1/T must be a float; +inf is no decay
+LIFETIME_RULE = f"a number > {1 / sys.float_info.max:.2g} (1/T finite; Infinity: none)"
+
+
+def is_lifetime(t) -> bool:  # not a boolean, which numpy would read as 0 or 1 us
+    return isinstance(t, numbers.Real) and not isinstance(t, bool) \
+        and t > 1 / sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -34,50 +45,45 @@ class NoiseParams:
     tphi: float | Sequence[float] = math.inf
 
     def __post_init__(self):
-        # +inf lifetimes mean no relaxation or no dephasing. NaN, booleans
-        # (numpy would read 0 and 1 us) and a rate 1/T that overflows are rejected
         for name in ("t1", "tphi"):
             raw = getattr(self, name)
-            if any(isinstance(x, (bool, np.bool_))
-                   for x in np.ravel(np.array(raw, dtype=object))):
-                raise ValueError(f"{name} must be a number, not a boolean, got {raw!r}")
-            v = np.asarray(raw, dtype=float)
-            if v.ndim > 1 or v.size == 0 or not np.all(v > 1 / sys.float_info.max):
-                raise ValueError(f"{name} must be a positive number or a flat list "
-                                 f"of them, with a finite rate 1/{name}, got {raw!r}")
-            object.__setattr__(self, name, tuple(np.atleast_1d(v).tolist()))
+            per_qubit = isinstance(raw, (list, tuple, np.ndarray))
+            values = tuple(raw) if per_qubit else (raw,)
+            if not (values and all(map(is_lifetime, values))):
+                listed = ", or a non-empty list of them" if per_qubit else ""
+                raise ConfigError(f"{name} must be a positive number with a finite "
+                                  f"rate 1/{name}{listed}, got {raw!r}")
+            object.__setattr__(self, name, tuple(map(float, values)))
 
     @classmethod
-    def from_t1_t2(cls, t1: float, t2: float) -> "NoiseParams":
-        # a rate 1/t2 that overflows would reach __post_init__ as tphi = 0
-        for name, v in (("t1", t1), ("t2", t2)):
-            if isinstance(v, bool) or not (isinstance(v, (int, float))
-                                           and v > 1 / sys.float_info.max):
-                raise ValueError(f"{name} must be a positive number with a finite "
-                                 f"rate 1/{name}, got {v!r}")
-        if t2 > 2 * t1 + 1e-12:
-            raise ValueError(f"T2 = {t2} exceeds the physical bound 2*T1 = {2 * t1}")
-        inv_tphi = 1.0 / t2 - 1.0 / (2.0 * t1)
-        tphi = math.inf if inv_tphi <= 0 else 1.0 / inv_tphi
-        return cls(t1=t1, tphi=tphi)
+    def from_t1_t2(cls, t1: float | Sequence[float], t2: float) -> "NoiseParams":
+        """T1, shared or per qubit, with one T2: Tphi_q = 1/(1/T2 - 1/(2 T1_q)),
+        inf where that rate is <= 0. T2 may not exceed 2 min T1."""
+        t1 = cls(t1=t1).t1
+        if not is_lifetime(t2):
+            raise ConfigError(f"t2 must be a positive number with a finite rate "
+                              f"1/t2, got {t2!r}")
+        if t2 > 2 * min(t1) + 1e-12:
+            raise ConfigError(f"t2 = {t2} exceeds the physical bound "
+                              f"T2 <= 2 min T1 = {2 * min(t1)}")
+        inv_tphi = [1.0 / t2 - 1.0 / (2.0 * t) for t in t1]
+        return cls(t1=t1, tphi=[math.inf if r <= 0 else 1.0 / r for r in inv_tphi])
 
     def lifetimes(self, n_qubits: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """(T1s, Tphis) of an ``n_qubits`` register, one value per qubit: a
         shared value repeated, else exactly ``n_qubits`` per-qubit values,
-        or ValueError."""
+        or ConfigError."""
         out = []
         for name, values in (("t1", self.t1), ("tphi", self.tphi)):
             if len(values) not in (1, n_qubits):
-                raise ValueError(f"{name} has {len(values)} per-qubit values for a "
-                                 f"{n_qubits}-qubit register")
+                raise ConfigError(f"{name} has {len(values)} per-qubit values for a "
+                                  f"{n_qubits}-qubit register")
             out.append(values * n_qubits if len(values) == 1 else values)
         return out[0], out[1]
 
 
 def gamma_of_t(t: float, t1: float) -> float:
     """Damping probability accumulated over an idle window of length t."""
-    if t < 0:
-        raise ValueError(f"negative time {t}")
-    if t1 <= 0:
-        raise ValueError(f"T1 must be positive, got {t1}")
+    if not (t >= 0 and t1 > 0):
+        raise ConfigError(f"gamma_of_t needs t >= 0 and T1 > 0, got t = {t}, T1 = {t1}")
     return -math.expm1(-t / t1)  # 1 - exp(-t/T1) cancels at short delays

@@ -53,7 +53,7 @@ import numpy as np
 
 from . import code3
 from .noise import NoiseParams, gamma_of_t
-from .qcore import check_density
+from .qcore import ConfigError, check_density
 
 
 # Durations (microseconds) of encoding (decoding mirrors it), one recovery
@@ -78,7 +78,7 @@ class ProtocolConfig:
         # the sweep, parsed once; an attribute, not a field, so == and repr ignore it
         object.__setattr__(self, "_schedule", _schedules(self.total_free, self.max_delay))
         if self.recovery_variant not in ("ideal", "approximate"):
-            raise ValueError(f"unknown recovery variant {self.recovery_variant!r}")
+            raise ConfigError(f"unknown recovery variant {self.recovery_variant!r}")
 
     def walked_rounds(self) -> int:
         """The rounds a runner that walks full rounds once per call
@@ -103,14 +103,14 @@ def _schedules(total_free: Sequence[float],
     """
     def exact(value, name: str) -> tuple[int, int]:
         if not (d := Decimal(str(value))).is_finite():
-            raise ValueError(f"{name} must be finite, got {value!r}")
+            raise ConfigError(f"{name} must be finite, got {value!r}")
         return d.as_integer_ratio()
     step_num, step_den = exact(max_delay, "max_delay")
     if step_num <= 0:
-        raise ValueError("max_delay must be positive")
+        raise ConfigError("max_delay must be positive")
     totals = [exact(t, "total_free") for t in total_free]
     if any(num < 0 for num, _ in totals):
-        raise ValueError("total_free must be non-negative")
+        raise ConfigError("total_free must be non-negative")
     den = math.lcm(_UNIT, step_den, *(d for _, d in totals))
     ends, recovery, reset = (int(t * den) for t in (_T_ENDS, T_RECOVERY, T_RESET))
     step = step_num * (den // step_den)
@@ -149,10 +149,10 @@ def recovery_t1(config: ProtocolConfig, t1s: Sequence[float]) -> float:
 
     The ideal recovery adapts to a single gamma. With T1 differing across
     the data qubits its result would depend on qubit order, so that case
-    raises ValueError; the approximate variant accepts it.
+    raises ConfigError; the approximate variant accepts it.
     """
     if config.recovery_variant == "ideal" and len(set(t1s[:3])) > 1:
-        raise ValueError(
+        raise ConfigError(
             f"the ideal recovery adapts to one T1, but the data qubits have "
             f"t1 = {list(t1s[:3])}; use the approximate recovery for per-qubit T1")
     return t1s[0]
@@ -337,6 +337,14 @@ def _require_phase(name: str, frequency: float, duration: float) -> None:
             f"overflows: the phase has no float value")
 
 
+def _require_couplings(couplings: Sequence, n: int) -> None:
+    """Each coupling (a, b, g) names two distinct qubits of an n-qubit register."""
+    for a, b, g in couplings:
+        if a == b or not (0 <= a < n and 0 <= b < n):
+            raise ConfigError(f"'couplings' entry {[a, b, g]} must name two "
+                              f"distinct qubits of the {n}-qubit register")
+
+
 def lindbladian(n_qubits: int, params: NoiseParams, couplings: Sequence = (),
                 omega: Optional[Sequence[float]] = None,
                 classical: int = 0) -> Lindbladian:
@@ -369,14 +377,11 @@ def lindbladian(n_qubits: int, params: NoiseParams, couplings: Sequence = (),
     t1s, tphis = params.lifetimes(n)
     omega = np.zeros(n) if omega is None else np.asarray(omega, dtype=float)
     if omega.shape != (n,):
-        raise ValueError(f"{omega.size} frequencies for {n} qubits")
-    for a, b, g in couplings:
-        if a == b or not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"coupling {(a, b, g)} must name two distinct "
-                             f"qubits of the {n}-qubit register")
+        raise ConfigError(f"{omega.size} frequencies for {n} qubits")
+    _require_couplings(couplings, n)
     quantum = n - classical
     if not 0 < quantum <= n:
-        raise ValueError(f"{classical} classical qubits in a {n}-qubit register")
+        raise ConfigError(f"{classical} classical qubits in a {n}-qubit register")
     # the view's axes: the quantum qubits' a, their b, then the classical
     # qubits' s; qubit j's slices fix bit j of a and b, or bit j of s
     axes = 2 * quantum + classical
@@ -503,12 +508,13 @@ def run_crosstalk_toy(model: CrosstalkModel, probe_init: str, t_final: float,
     kets = {"0": np.array([1, 0], complex), "1": np.array([0, 1], complex),
             "+": np.array([1, 1], complex) / math.sqrt(2)}
     if probe_init not in kets:
-        raise ValueError(f"probe_init must be one of {sorted(kets)}")
+        raise ConfigError(f"probe_init must be one of {sorted(kets)}")
     if not (t_final >= 0 if cycles is None else t_final > 0):
         need = "non-negative" if cycles is None else "positive"
-        raise ValueError(f"t_final must be {need}, got {t_final}")
+        raise ConfigError(f"t_final must be {need}, got {t_final}")
     if cycles is not None and cycles < 1:
-        raise ValueError(f"cycles must be at least 1, got {cycles}")
+        raise ConfigError(f"cycles must be at least 1, got {cycles}")
+    model.noise.lifetimes(2)  # a config error before a phase overflow
     # the free series' longest span is t_final; a CHaDD cycle's span is
     # each of its intervals, t_final / (8 cycles)
     span = t_final if cycles is None else t_final / (len(ROBUST_PULSES) * cycles)
@@ -558,6 +564,9 @@ class SpectatorLayout:
     spectators: int = 1
     couplings: tuple = ()
 
+    def __post_init__(self):
+        _require_couplings(self.couplings, self.n_qubits)
+
     @property
     def n_qubits(self) -> int:
         return 3 + self.spectators
@@ -601,7 +610,7 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
     """
     n = layout.n_qubits
     if n > 7:
-        raise ValueError(f"register of {n} qubits exceeds the 7-qubit cap")
+        raise ConfigError(f"register of {n} qubits exceeds the 7-qubit cap")
     t1 = recovery_t1(config, noise.lifetimes(n)[0])
     # the longest free evolution: max_delay if any point has a full round,
     # else the longest remainder (shorter than max_delay); with chadd, one

@@ -22,6 +22,10 @@ TOL_STRUCT = 1e-10
 TOL_ARITH = 1e-12
 
 
+class ConfigError(ValueError):
+    """An input breaks a rule; the message names the field at fault."""
+
+
 def check_density(data: np.ndarray, normalized: bool = True) -> None:
     """Raise ValueError unless ``data``, one (d, d) matrix or an (n, d, d)
     stack of them, is Hermitian within TOL_ARITH, of unit trace within

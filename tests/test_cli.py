@@ -1,14 +1,18 @@
 """Experiment runner: spec validation, determinism, exit codes, catalog."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
 import traceback
 import warnings
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -133,6 +137,18 @@ class TestSpecLoading:
         assert cli.main(["run", str(path)]) == EXIT_CONFIG
         assert f"'{key}'" in capsys.readouterr().err
         assert sorted(f.name for f in tmp_path.iterdir()) == ["spec.json"]
+
+    @pytest.mark.parametrize("field", ["t1", "tphi", "t2"])
+    def test_lifetime_without_a_finite_rate_fails_in_load(self, tmp_path, field):
+        # 1/5e-324 overflows: the table, not a runner, rejects the lifetime
+        payload = multiqec_payload(tmp_path)
+        payload["params"].pop("t2")
+        payload["params"][field] = 5e-324
+        with pytest.raises(ConfigError, match=rf"'{field}' must be a number > "
+                                              rf"5\.6e-309 \(1/T finite.* got 5e-324$"):
+            ExperimentSpec.load(write_spec(tmp_path, payload))
+        payload["params"][field] = 6e-309  # just above 1/max float: valid
+        ExperimentSpec.load(write_spec(tmp_path, payload))
 
     def test_constructed_spec_is_checked_and_resolved(self, tmp_path):
         # a spec built in code meets the field table as a loaded one does;
@@ -262,7 +278,7 @@ class TestRun:
         ("tphi", True, "'tphi'"), ("t1", [True, True, True], "'t1'"),
         ("tphi", "abc", "'tphi'"), ("t1", None, "'t1'"),
         ("tphi", 1.0, "'t2' and 'tphi'"),
-        ("t2", 5e-324, "t2 must be a positive number with a finite rate 1/t2")])
+        ("t2", 5e-324, "'t2' must be a number > 5.6e-309 (1/T finite")])
     def test_invalid_noise_is_config_error(self, tmp_path, field, value, named,
                                            capsys):
         payload = multiqec_payload(tmp_path)
@@ -343,6 +359,73 @@ class TestRun:
         assert cli.main(["run", str(write_spec(tmp_path, payload))]) == code
         if code == EXIT_CONFIG:
             assert "ideal recovery adapts to one T1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,params,field", [
+        ("multiqec", {"t2": 300.0, "tphi": 100.0}, "'t2' and 'tphi'"),
+        ("multiqec", {"t2": 441.0}, "t2 = 441.0"),
+        ("multiqec", {"t1": [220.0, 200.0]}, "t1 has 2 per-qubit values"),
+        ("multiqec-chadd", {"tphi": [300.0] * 3}, "tphi has 3 per-qubit values"),
+        ("multiqec", {"t1": [100.0, 300.0, 300.0]}, "t1 = [100.0, 300.0, 300.0]"),
+        ("multiqec-chadd", {"couplings": [[0, 9, 0.05]]}, "'couplings' entry"),
+        ("multiqec-chadd", {"total_free": [30.0 * (cli._CHADD_ROUNDS + 1)]},
+         "'total_free' over 'max_delay'")],
+        ids=["t2-with-tphi", "t2-above-2-t1", "t1-count", "tphi-count",
+             "ideal-unequal-t1", "coupling-off-register", "chadd-round-cap"])
+    def test_joined_rule_error_names_the_spec_file(self, tmp_path, capsys, kind,
+                                                   params, field):
+        # a rule that joins fields is checked in the run, not in load, and
+        # its message names the spec file as a single field's does
+        payload = {"kind": kind, "output": str(tmp_path / "out.csv"),
+                   "params": {"theta": 1.0, "max_delay": 30.0,
+                              "total_free": [30.0], "t1": 220.0, **params}}
+        path = write_spec(tmp_path, payload)
+        ExperimentSpec.load(path)
+        assert cli.main(["run", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ") and field in err
+        assert err.count("\n") == 1 and not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("kind,t1", [
+        ("multiqec", [220.0] * 3), ("multiqec-chadd", [220.0] * 4),
+        ("delay-sweep", [220.0] * 3), ("crosstalk-toy", [220.0] * 2)])
+    def test_t2_with_equal_per_qubit_t1(self, tmp_path, kind, t1):
+        # T1 per qubit with one T2 is the shared T1, byte for byte
+        params = {"multiqec": {"theta": 1.0, "max_delay": 30.0,
+                               "total_free": [30.0, 75.0]},
+                  "delay-sweep": {"delays": [30.0], "total_free": [30.0, 75.0]},
+                  "crosstalk-toy": {}}
+        params["multiqec-chadd"] = params["multiqec"]
+        csv = []
+        for name, lifetime in (("shared", t1[0]), ("per-qubit", t1)):
+            payload = {"kind": kind, "output": str(tmp_path / f"{name}.csv"),
+                       "params": {**params[kind], "t1": lifetime, "t2": 300.0}}
+            spec = tmp_path / f"{name}.json"
+            spec.write_text(json.dumps(payload))
+            assert cli.main(["run", str(spec)]) == EXIT_OK
+            csv.append((tmp_path / f"{name}.csv").read_bytes())
+        assert csv[0] == csv[1]
+
+    @pytest.mark.parametrize("kind,t1", [
+        ("multiqec", [100.0, 220.0, 400.0]),
+        ("multiqec-chadd", [100.0, 220.0, 400.0, 160.0])])
+    def test_t2_with_unequal_per_qubit_t1(self, tmp_path, kind, t1):
+        # one T2 forms Tphi_q = 1/(1/T2 - 1/(2 T1_q)) per qubit, so the run
+        # equals the spec that gives those Tphi; T2 = 2 T1_0 leaves qubit 0
+        # without dephasing (Tphi inf)
+        t2 = 200.0
+        tphi = [1.0 / (1.0 / t2 - 1.0 / (2.0 * t)) if t > 100.0 else math.inf
+                for t in t1]
+        csv = []
+        for name, noise in (("t2", {"t2": t2}), ("tphi", {"tphi": tphi})):
+            payload = {"kind": kind, "output": str(tmp_path / f"{name}.csv"),
+                       "params": {"theta": 1.0, "max_delay": 30.0,
+                                  "total_free": [30.0, 75.0], "t1": t1,
+                                  "recovery": "approximate", **noise}}
+            spec = tmp_path / f"{name}.json"
+            spec.write_text(json.dumps(payload))
+            assert cli.main(["run", str(spec)]) == EXIT_OK
+            csv.append((tmp_path / f"{name}.csv").read_bytes())
+        assert csv[0] == csv[1]
 
     @pytest.mark.parametrize("kind,params", [
         ("multiqec-chadd", {"theta": 1.0, "max_delay": 30.0,
@@ -771,15 +854,19 @@ def _numerical_raise_faults(spec: Path, out: Path, case: str) -> list:
     return [f"{case}: exit 3, but the runner did not raise again"]
 
 
-def _run_faults(spec: Path, out: Path, kind: str, params: dict, case: str) -> list:
+def _run_faults(spec: Path, out: Path, kind: str, params: dict, case: str,
+                fields: Sequence[str]) -> list:
     """Run one spec through ``cli.main``: the faults of a run that raises,
-    warns, ends with an exit code other than 0, 2 or 3, ends with exit 3 on
-    an exception that no ``nadqec`` line raised, or ends with exit 0 and a
-    CSV holding a non-finite number or a probability outside [0, 1]."""
+    warns, ends with an exit code other than 0, 2 or 3, ends with exit 2 on
+    a message that names not the spec file or none of ``fields``, ends with
+    exit 3 on an exception that no ``nadqec`` line raised, or ends with
+    exit 0 and a CSV holding a non-finite number or a probability outside
+    [0, 1]."""
     spec.write_text(json.dumps({"kind": kind, "output": str(out), "params": params}))
     out.unlink(missing_ok=True)
     faults = []
-    with warnings.catch_warnings(record=True) as caught:
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
         warnings.simplefilter("always")
         try:
             code = cli.main(["run", str(spec)])
@@ -790,6 +877,11 @@ def _run_faults(spec: Path, out: Path, kind: str, params: dict, case: str) -> li
     faults += [f"{case}: warned {w.message}" for w in caught]
     if code not in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL):
         faults.append(f"{case}: exit {code!r}")
+    message = err.getvalue()
+    if code == EXIT_CONFIG and not (
+            message.startswith(f"config error: {spec}: ")
+            and any(re.search(rf"\b{f}\b", message) for f in fields)):
+        faults.append(f"{case}: {message.strip()}")
     if code == EXIT_OK:
         header, *rows = [r.split(",") for r in out.read_text().splitlines()]
         for row in rows:
@@ -809,8 +901,9 @@ class TestInputFuzz:
     def test_every_field_value_ends_with_an_exit_code(self, tmp_path, capsys,
                                                       kind):
         # each catalog field in turn takes each value; a run ends with exit
-        # 0, 2 or 3, raises nothing and warns nothing, and an exit-0 CSV
-        # holds only finite numbers with its probabilities in [0, 1]
+        # 0, 2 or 3, raises nothing and warns nothing, an exit-2 message
+        # names the spec file and the field, and an exit-0 CSV holds only
+        # finite numbers with its probabilities in [0, 1]
         base = _FUZZ_BASE[kind]
         entry = CATALOG[kind]
         out = tmp_path / "out.csv"
@@ -824,7 +917,7 @@ class TestInputFuzz:
                 values += [[v] for v in _FUZZ_VALUES] + [[]]
             for value in values:
                 faults += _run_faults(spec, out, kind, {**base, field: value},
-                                      f"{field}={value!r}")
+                                      f"{field}={value!r}", [field])
         capsys.readouterr()
         assert not faults, "\n".join(faults)
 
@@ -836,7 +929,7 @@ class TestInputFuzz:
     def test_field_pairs_end_with_an_exit_code(self, tmp_path, capsys, kind,
                                                fields):
         faults = _run_faults(tmp_path / "spec.json", tmp_path / "out.csv", kind,
-                             {**_FUZZ_BASE[kind], **fields}, repr(fields))
+                             {**_FUZZ_BASE[kind], **fields}, repr(fields), fields)
         capsys.readouterr()
         assert not faults, "\n".join(faults)
         assert (tmp_path / "out.csv").exists()  # a defined result, exit 0

@@ -238,9 +238,20 @@ class TestNoiseParams:
         assert NoiseParams.from_t1_t2(100.0, 6e-309).lifetimes(1)[1][0] > 0
 
     def test_from_t1_t2_rejects_invalid_t1(self):
-        for t1 in (-5.0, math.nan, [100.0, 200.0]):
+        for t1 in (-5.0, math.nan, [100.0, 0.0], []):
             with pytest.raises(ValueError, match="t1"):
                 NoiseParams.from_t1_t2(t1, 100.0)
+
+    def test_from_t1_t2_per_qubit_t1(self):
+        # one T2 with T1 per qubit: Tphi_q = 1/(1/T2 - 1/(2 T1_q)), inf
+        # where that rate is <= 0, and T2 bounded by 2 min T1
+        p = NoiseParams.from_t1_t2([50.0, 200.0, 100.0], 100.0)
+        assert p.t1 == (50.0, 200.0, 100.0)
+        assert p.tphi == (math.inf, 1 / (1 / 100.0 - 1 / 400.0), 200.0)
+        assert NoiseParams.from_t1_t2([220.0] * 3, 300.0).lifetimes(3) \
+            == NoiseParams.from_t1_t2(220.0, 300.0).lifetimes(3)
+        with pytest.raises(ValueError, match=r"^t2 = 201.0 exceeds .* 2 min T1 = 200.0"):
+            NoiseParams.from_t1_t2([100.0, 200.0], 201.0)
 
     def test_per_qubit_lookup_does_not_wrap(self):
         p = NoiseParams(t1=[100.0, 200.0], tphi=[50.0, 60.0])
