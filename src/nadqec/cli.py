@@ -27,7 +27,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import __version__, code3, metrics, protocol
-from .noise import LIFETIME_RULE, NoiseParams, is_lifetime
+from .noise import LIFETIME_RULE, NoiseParams, is_lifetime, is_real
 from .qcore import ConfigError
 
 EXIT_OK = 0
@@ -41,7 +41,7 @@ def _is_int(v) -> bool:
 
 def _number(ok: Callable[[float], bool] = lambda x: True) -> Callable:
     """A check: a finite number that passes ``ok``."""
-    return lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v) and ok(v)
+    return lambda v: is_real(v) and math.isfinite(v) and ok(v)
 
 
 def _numbers(ok: Callable = lambda x: True, empty: bool = True) -> Callable:
@@ -71,8 +71,6 @@ FIELDS: dict[str, Field] = {
     "seed": Field("an integer >= 0", _integer(0)),  # top-level; ExperimentSpec.seed
     "theta": Field("a number in [0, pi]",
                    _number(lambda v: 0 <= v <= math.pi), math.pi),
-    "phi": Field("a number in [0, 2 pi)",
-                 _number(lambda v: 0 <= v < 2 * math.pi), 0.0),
     "max_delay": Field("a finite number > 0", _number(lambda v: v > 0)),
     "total_free": Field("a list of finite numbers >= 0",
                         _numbers(lambda x: x >= 0)),
@@ -256,7 +254,7 @@ def _point_rows(pts, variant: str, chadd: bool) -> list[tuple]:
 
 def _protocol_config(r: Mapping) -> protocol.ProtocolConfig:
     return protocol.ProtocolConfig(
-        logical=code3.LogicalStateSpec(r["theta"], r["phi"]),
+        logical=code3.LogicalStateSpec(r["theta"]),
         max_delay=r["max_delay"], total_free=tuple(r["total_free"]),
         recovery_variant=r["recovery"])
 
@@ -339,7 +337,7 @@ def _run_synth(spec: ExperimentSpec, out: Path) -> None:
     enc_circ, enc_res = synth.synthesize_encoder(seed=seed, restarts=restarts)
     u_circ, u_res = synth.synthesize_recovery_u(seed=seed + 1, restarts=restarts)
     rec_circ = synth.build_recovery_circuit(u_circ)
-    report = synth.verify_recovery_circuit(rec_circ, code3.RecoveryMap.approximate())
+    report = synth.verify_recovery_circuit(rec_circ, code3.RecoveryMap.ideal(0.0))
     d_circ = synth.block_encode_diagonal(0.0)
     d_block = d_circ.unitary()[0::2][:, 0::2]
     d_target = synth.canonical_recovery_split(0.0).d
@@ -367,7 +365,7 @@ def _run_oracle_check(spec: ExperimentSpec, out: Path) -> None:
     outcomes = [code3.logical_outcomes(thetas, g, 0.0, code3.RecoveryMap.ideal(g))
                 for g in gammas]
     # the closed-form round the multi-round runner and the gain model use
-    rounds = [code3.PauliRound.of_noise(g, 0.0) for g in gammas]
+    rounds = [code3.PauliRound.of_noise(g, 0.0, g) for g in gammas]
     dev_f = dev_p_app = dev_p_main = dev_closed = 0.0
     rows = []
     for i, theta in enumerate(thetas):
@@ -406,7 +404,7 @@ class ExperimentKind:
 
 
 _NOISE_FIELDS = ("t2", "tphi")
-_PROTOCOL_FIELDS = ("phi", "recovery") + _NOISE_FIELDS
+_PROTOCOL_FIELDS = ("recovery",) + _NOISE_FIELDS
 
 
 CATALOG: dict[str, ExperimentKind] = {

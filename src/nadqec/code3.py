@@ -58,7 +58,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .qcore import TOL_ARITH, check_density
+from .qcore import TOL_ARITH, ConfigError, check_density
 
 
 @dataclass(frozen=True)
@@ -70,9 +70,9 @@ class LogicalStateSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta {self.theta} outside [0, pi]")
+            raise ConfigError(f"'theta' must be in [0, pi], got {self.theta!r}")
         if not 0.0 <= self.phi < 2 * math.pi:
-            raise ValueError(f"phi {self.phi} outside [0, 2*pi)")
+            raise ConfigError(f"'phi' must be in [0, 2 pi), got {self.phi!r}")
 
 
 # The encoder En, one read-only constant: |000> -> |0_L> and |100> -> |1_L>
@@ -214,7 +214,8 @@ class RecoveryMap:
         """The gamma-adapted recovery, whose a1 = 1 (no-damping) and a1 = 0
         (damping) branches apply R0 and R1 (written out beside ``_P0L``)
         block-encoded on a2; its columns are (1-g) K_R + sqrt(g(2-g)) K_S
-        + K_1, one ``np.dot`` of those weights with the stacked blocks."""
+        + K_1, one ``np.dot`` of those weights with the stacked blocks. At
+        gamma = 0 it is the approximate recovery."""
         if not 0.0 <= gamma <= 1.0:
             raise ValueError(f"gamma {gamma} outside [0, 1]")
         weights = np.array((1 - gamma, math.sqrt(gamma * (2 - gamma)), 1.0),
@@ -222,11 +223,6 @@ class RecoveryMap:
         cols = np.dot(weights, _K_STACK).reshape(32, 8)
         cols.setflags(write=False)
         return cls(cols)
-
-    @classmethod
-    def approximate(cls) -> "RecoveryMap":
-        """The recovery adapted to gamma = 0."""
-        return cls.ideal(0.0)
 
     @classmethod
     def synthesized(cls, unitary: np.ndarray) -> "RecoveryMap":
@@ -351,7 +347,7 @@ def logical_round(gammas: float | Sequence[float], ps: float | Sequence[float],
     Lambda = V kron conj(V), V = [|0_L> |1_L>]. M Lambda is formed as
     R (N Lambda), two 64x64 by 64x4 products.
 
-    Both analytic recoveries map into span{|0_L>, |1_L>}, so a round that
+    Every analytic recovery maps into span{|0_L>, |1_L>}, so a round that
     starts in the code space ends there, M Lambda = Lambda L, and k rounds
     are L^k exactly. A round that leaks, M Lambda differing from
     Lambda L by more than 1e-12 in any entry (a generic circuit W does),
@@ -413,14 +409,14 @@ def _log_mean_exp(zs: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class PauliRound:
-    """One round of the noise then an analytic recovery (the ``ideal``
-    gamma-adapted one or the ``approximate`` gamma = 0 one) on the logical
+    """One round of the noise then an analytic recovery
+    (``RecoveryMap.ideal``, adapted to a gamma of its own) on the logical
     state, in closed form. It is what :func:`logical_round` computes
     numerically from the 64x64 maps, derived symbolically (sympy) for
     per-qubit damping gamma_q and dephasing p_q.
 
     With g_q = gamma_q, c_q = sqrt(1 - g_q)(1 - 2p_q) (a coherence's
-    factor), r = 1 - gamma of the recovery (1 for ``approximate``), e1 =
+    factor), r = 1 - gamma of the recovery (1 at gamma = 0), e1 =
     sum_q g_q, e2 = sum_{q<s} g_q g_s and C2 = sum_{q<s} c_q c_s, the round
     keeps the populations of |0_L> and |1_L> by the upper-triangular map
     [[T00, T01], [0, T11]], T00 = r^2 (3 + 2 e1 + 2 C2)/9, T01 = r^2 e2/3,
@@ -428,7 +424,7 @@ class PauliRound:
     lam = r C2/3. Its Pauli transfer matrix (:meth:`pauli`, Greenbaum,
     arXiv:1509.02921) is one 2x2 block on (I, Z) and lam on X and on Y.
     For uniform noise, with a = g^2/2, b = (4/3) p (1 - p)(1 - g) and
-    w = (1 - g)^2, the ``ideal`` (I, Z) block is w (I + u v^T), u = (1, 1),
+    w = (1 - g)^2, the (I, Z) block at r = 1 - g is w (I + u v^T), u = (1, 1),
     v = (a - b, -a - b).
 
     Powers need no products: T^k has T00^k and T11^k on its diagonal and
@@ -436,7 +432,7 @@ class PauliRound:
     evaluates as exp, expm1 and log1p of the fields below. Each field has
     an error of a few ulp of the round's own rates, so k rounds carry an
     error of a few ulp of k times those rates, the rate times the total
-    time: no rounding is amplified k-fold. For ``ideal`` uniform noise the
+    time: no rounding is amplified k-fold. For uniform noise and r = 1 - g the
     power is w^k (I + c_k u v^T), c_k = -expm1(k log1p(-2b))/(2b).
     """
 
@@ -447,37 +443,38 @@ class PauliRound:
 
     @classmethod
     def of_delay(cls, delay: float, t1s: Sequence[float], tphis: Sequence[float],
-                 variant: str = "ideal") -> "PauliRound":
+                 recovery_t1: float) -> "PauliRound":
         """The round of one idle ``delay`` with per-qubit T1 and Tphi (three
         each), its weights taken from the delay itself: log(1 - gamma_q) =
-        -delay/T1_q and 1 - 2 p_q = exp(-delay/Tphi_q). ``ideal`` adapts to
-        qubit 0's gamma."""
+        -delay/T1_q and 1 - 2 p_q = exp(-delay/Tphi_q). The recovery adapts
+        to gamma(delay) at ``recovery_t1`` (inf: gamma = 0)."""
         return cls._of_exponents([delay / t for t in t1s],
-                                 [delay / t for t in tphis], variant)
+                                 [delay / t for t in tphis], delay / recovery_t1)
 
     @classmethod
     def of_noise(cls, gammas: float | Sequence[float], ps: float | Sequence[float],
-                 variant: str = "ideal") -> "PauliRound":
+                 recovery_gamma: float) -> "PauliRound":
         """The round of damping gammas and dephasing ps (shared scalars or one
-        value per data qubit), as :func:`logical_round` takes them."""
+        value per data qubit), as :func:`logical_round` takes them, with the
+        recovery adapted to ``recovery_gamma`` in [0, 1]."""
         pairs = _per_qubit(gammas, ps)
+        if not 0.0 <= recovery_gamma <= 1.0:
+            raise ValueError(f"recovery gamma {recovery_gamma} outside [0, 1]")
         return cls._of_exponents(
             [-math.log1p(-g) if g < 1 else math.inf for g, _ in pairs],
             [-math.log1p(-2 * p) if p < 0.5 else math.inf for _, p in pairs],
-            variant)
+            -math.log1p(-recovery_gamma) if recovery_gamma < 1 else math.inf)
 
     @classmethod
     def _of_exponents(cls, x: Sequence[float], y: Sequence[float],
-                      variant: str) -> "PauliRound":
-        """From x_q = -log(1 - g_q) and y_q = -log(1 - 2 p_q). Where 1 -
-        exp(-x_q) rounds to 1, gamma_q is 1, as :func:`logical_round` and the
-        recovery built from that gamma see it."""
-        if variant not in ("ideal", "approximate"):
-            raise ValueError(f"unknown recovery variant {variant!r}")
-        if not all(v >= 0 for v in (*x, *y)):
-            raise ValueError(f"negative or NaN noise exponent in {list(x)}, {list(y)}")
-        x = [math.inf if -math.expm1(-v) == 1.0 else v for v in x]
-        log_r = -x[0] if variant == "ideal" else 0.0
+                      x_r: float) -> "PauliRound":
+        """From x_q = -log(1 - g_q), y_q = -log(1 - 2 p_q) and the recovery's
+        x_r = -log(1 - gamma). Where 1 - exp(-x) rounds to 1, that gamma is 1,
+        as :func:`logical_round` and the recovery built from it see it."""
+        if not all(v >= 0 for v in (*x, *y, x_r)):
+            raise ValueError(f"negative or NaN noise exponent in {[*x, *y, x_r]}")
+        *x, x_r = [math.inf if -math.expm1(-v) == 1.0 else v for v in (*x, x_r)]
+        log_r = -x_r
         gs = [-math.expm1(-v) for v in x]
         coh = [(x[a] + x[b]) / 2 + y[a] + y[b] for a, b in _PAIRS]
         # T00 / r^2 = 1 + (2/9)(sum_q g_q - sum_{q<s} (1 - c_q c_s))

@@ -76,7 +76,7 @@ def gain_surface(
             for delay in delay_range:
                 g = gamma_of_t(delay, t1)
                 if g not in cycles:
-                    rnd = code3.PauliRound.of_noise(g, 0.0, "ideal")
+                    rnd = code3.PauliRound.of_noise(g, 0.0, g)
                     cycles[g] = (*rnd.outcome(theta), rnd.infidelity(theta))
                 f_qec, p_success, u_qec = cycles[g]
                 cells.append(GainCell(t1, e, delay, _gain(f_qec, u_qec, p_success, g, e),

@@ -25,9 +25,13 @@ from .qcore import ConfigError
 LIFETIME_RULE = f"a number > {1 / sys.float_info.max:.2g} (1/T finite; Infinity: none)"
 
 
-def is_lifetime(t) -> bool:  # not a boolean, which numpy would read as 0 or 1 us
-    return isinstance(t, numbers.Real) and not isinstance(t, bool) \
-        and t > 1 / sys.float_info.max
+def is_real(v) -> bool:  # not a boolean (numpy reads 0 or 1), nor an int no float holds
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) \
+        and not (isinstance(v, numbers.Integral) and abs(v) > sys.float_info.max)
+
+
+def is_lifetime(t) -> bool:
+    return is_real(t) and t > 1 / sys.float_info.max
 
 
 @dataclass(frozen=True)

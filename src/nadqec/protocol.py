@@ -137,21 +137,19 @@ class MultiQecPoint:
     success_probability: float
 
 
-def _recovery_map(config: ProtocolConfig, gamma: float) -> code3.RecoveryMap:
-    if config.recovery_variant == "ideal":
-        return code3.RecoveryMap.ideal(gamma)
-    return code3.RecoveryMap.approximate()
-
-
 def recovery_t1(config: ProtocolConfig, t1s: Sequence[float]) -> float:
-    """The T1 whose gamma(delay) the recovery is built from: data qubit 0's,
-    of the register's per-qubit ``t1s`` (``NoiseParams.lifetimes``).
+    """The T1 whose gamma(delay) the recovery adapts to, of the register's
+    per-qubit ``t1s`` (``NoiseParams.lifetimes``): data qubit 0's for the
+    ideal recovery, inf (gamma = 0 at every delay) for the approximate one.
+    The spec's recovery name is read here and nowhere below.
 
     The ideal recovery adapts to a single gamma. With T1 differing across
     the data qubits its result would depend on qubit order, so that case
     raises ConfigError; the approximate variant accepts it.
     """
-    if config.recovery_variant == "ideal" and len(set(t1s[:3])) > 1:
+    if config.recovery_variant == "approximate":
+        return math.inf
+    if len(set(t1s[:3])) > 1:
         raise ConfigError(
             f"the ideal recovery adapts to one T1, but the data qubits have "
             f"t1 = {list(t1s[:3])}; use the approximate recovery for per-qubit T1")
@@ -228,12 +226,12 @@ def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoi
     underflow to 0.0 at large total times; F stays defined.
     """
     t1s, tphis = noise.lifetimes(3)
-    recovery_t1(config, t1s)
+    t1_r = recovery_t1(config, t1s)
     start = code3.logical_state(config.logical.theta)
 
     @functools.cache
     def round_for(delay: float) -> code3.PauliRound:
-        return code3.PauliRound.of_delay(delay, t1s, tphis, config.recovery_variant)
+        return code3.PauliRound.of_delay(delay, t1s, tphis, t1_r)
 
     step = float(config.max_delay)
 
@@ -611,7 +609,7 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
     n = layout.n_qubits
     if n > 7:
         raise ConfigError(f"register of {n} qubits exceeds the 7-qubit cap")
-    t1 = recovery_t1(config, noise.lifetimes(n)[0])
+    t1_r = recovery_t1(config, noise.lifetimes(n)[0])
     # the longest free evolution: max_delay if any point has a full round,
     # else the longest remainder (shorter than max_delay); with chadd, one
     # of the CHaDD cycle's eight intervals
@@ -635,7 +633,7 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
     @functools.cache
     def round_for(delay: float):
         free = gen.propagator(delay / len(ROBUST_PULSES) if chadd else delay)
-        kept = _recovery_map(config, gamma_of_t(delay, t1)).superop()
+        kept = code3.RecoveryMap.ideal(gamma_of_t(delay, t1_r)).superop()
 
         def one_round(rho: np.ndarray):
             rho = _chadd_cycle(free, rho, pulses) if chadd else propagate(free, rho)

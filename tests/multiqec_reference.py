@@ -49,11 +49,9 @@ from nadqec.protocol import (
     MultiQecPoint,
     ProtocolConfig,
     SpectatorLayout,
-    _recovery_map,
     _schedules,
     lindbladian,
     propagate,
-    recovery_t1,
 )
 from nadqec.qcore import check_density
 
@@ -123,9 +121,18 @@ def total_evolution_time_exact(schedule: Sequence[float]) -> Fraction:
     return total
 
 
+def recovery_map(config: ProtocolConfig, delay: float,
+                 t1s: Sequence[float]) -> code3.RecoveryMap:
+    """The recovery of a round of ``delay``, resolved from the config's
+    variant: adapted to data qubit 0's gamma (ideal), or to gamma = 0
+    (approximate)."""
+    gamma = gamma_of_t(delay, t1s[0]) if config.recovery_variant == "ideal" else 0.0
+    return code3.RecoveryMap.ideal(gamma)
+
+
 def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoint]:
     target = code3.encode_ideal(config.logical)
-    t1 = noise.lifetimes(3)[0][0]  # the recovery adapts to qubit 0's gamma
+    t1s = noise.lifetimes(3)[0]
     points = []
     for total_free in config.total_free:
         schedule = schedule_rounds(total_free, config.max_delay)
@@ -133,7 +140,7 @@ def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoi
         p_total = 1.0
         for delay in schedule:
             rho = idle_noise(rho, delay, noise)
-            rmap = _recovery_map(config, gamma_of_t(delay, t1))
+            rmap = recovery_map(config, delay, t1s)
             kept = apply_kraus(rho, rmap.kraus(), [0, 1, 2])
             weight = float(np.real(np.trace(kept)))
             if weight <= 0:
@@ -225,7 +232,7 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
     """The CHaDD runner on the full register, each point walked from the
     encoded state."""
     n = layout.n_qubits
-    t1 = recovery_t1(config, noise.lifetimes(n)[0])
+    t1s = noise.lifetimes(n)[0]
     target = code3.encode_ideal(config.logical)
     gen = lindbladian(n, noise, layout.couplings)
     perms = pulse_permutations(layout.resolved_colors())
@@ -243,7 +250,7 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
                 rho = rho[perm][:, perm]
         else:
             rho = propagate(gen.propagator(delay), rho)
-        kept = _recovery_map(config, gamma_of_t(delay, t1)).superop()
+        kept = recovery_map(config, delay, t1s).superop()
         return apply_cycle_full(kept, rho)
 
     points = []

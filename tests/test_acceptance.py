@@ -83,13 +83,12 @@ def test_ac3_series_agreement():
     failures = []
     worst_ratio = 0.0
     for variant in ("ideal", "approximate"):
-        rmap = {"ideal": None, "approximate": RecoveryMap.approximate()}[variant]
         for theta in thetas:
             for g in grid:
                 for p in grid:
                     sim = qec_cycle(
                         encode_ideal(LogicalStateSpec(theta)), g, p,
-                        rmap if rmap is not None else RecoveryMap.ideal(g))
+                        RecoveryMap.ideal(g if variant == "ideal" else 0.0))
                     dev = abs(sim.fidelity
                               - oracle_fidelity_series(theta, g, p, variant))
                     bound = 5.0 * (g + p) ** 3
@@ -109,7 +108,7 @@ def test_ac3_series_agreement():
 
 def test_ac4_first_order_protection():
     gammas = np.linspace(0.01, 0.05, 11)
-    fids = [qec_cycle(codeword(1), g, 0.0, RecoveryMap.approximate()).fidelity
+    fids = [qec_cycle(codeword(1), g, 0.0, RecoveryMap.ideal(0.0)).fidelity
             for g in gammas]
     scale = 0.05
     coeffs = np.polyfit(gammas / scale, fids, 5)[::-1]
@@ -143,7 +142,7 @@ def test_ac6_synthesis():
     enc_circ, enc_res = synth.synthesize_encoder(seed=7, tolerance=1e-12)
     u_circ, u_res = synth.synthesize_recovery_u(seed=11, tolerance=1e-12)
     rec_circ = synth.build_recovery_circuit(u_circ)
-    rep = synth.verify_recovery_circuit(rec_circ, RecoveryMap.approximate())
+    rep = synth.verify_recovery_circuit(rec_circ, RecoveryMap.ideal(0.0))
     d_block = synth.block_encode_diagonal(0.0)
     elapsed = time.monotonic() - t0
     ok = (enc_res.cost < 1e-6 and u_res.cost < 1e-6

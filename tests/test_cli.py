@@ -463,7 +463,7 @@ class TestRun:
         recovery = Circuit.deserialize(
             (tmp_path / "synth.recovery.txt").read_text(), 5)
         assert synth.verify_recovery_circuit(recovery,
-                                             RecoveryMap.approximate()).passed
+                                             RecoveryMap.ideal(0.0)).passed
 
     @pytest.mark.parametrize("restarts", [0, -1, "2", 1.5, True])
     def test_synth_restarts_validated(self, tmp_path, restarts):
@@ -556,6 +556,36 @@ class TestRun:
         assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_CONFIG
         assert f"'{field}'" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("kind,field,value", [
+        ("multiqec", "theta", 10**400),  # a bounded number
+        ("crosstalk-toy", "omega1", -10**400),  # an unbounded one
+        ("multiqec", "total_free", [30.0, 10**400]),  # a list of numbers
+        ("gain-surface", "emeas_range", [-10**400]),
+        ("multiqec-chadd", "couplings", [[0, 3, 10**400]]),  # a coupling's g
+        ("multiqec", "t1", 10**400),  # a lifetime
+        ("delay-sweep", "tphi", [10**400, 100.0, 100.0]),
+        ("crosstalk-toy", "t2", 10**400)],
+        ids=lambda v: v if isinstance(v, str) else "huge")
+    def test_integer_too_large_for_a_float_is_config_error(self, tmp_path, capsys,
+                                                           kind, field, value):
+        # JSON writes any integer; one that no float holds breaks the rule
+        params = {**_FUZZ_BASE[kind], field: value}
+        path = write_spec(tmp_path, {"kind": kind, "output": str(tmp_path / "out.csv"),
+                                     "params": params})
+        assert cli.main(["run", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {path}: '{field}' must be")
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["multiqec", "multiqec-chadd"])
+    def test_phi_is_not_a_field(self, tmp_path, capsys, kind):
+        # F and P do not depend on the logical state's phase (see
+        # test_protocol.py::TestPhaseInvariance), so no spec sets it
+        params = {**_FUZZ_BASE[kind], "phi": 0.5}
+        path = write_spec(tmp_path, {"kind": kind, "output": str(tmp_path / "out.csv"),
+                                     "params": params})
+        assert cli.main(["run", str(path)]) == EXIT_CONFIG
+        assert f"kind '{kind}' has no parameter field(s): phi" in capsys.readouterr().err
 
     def test_delay_sweep(self, tmp_path):
         payload = {
@@ -813,9 +843,9 @@ class TestRun:
 # except t2 and tphi (together they are a config error; each is fuzzed alone)
 _FUZZ_BASE = {
     "multiqec": {"theta": 1.0, "max_delay": 30.0, "total_free": [30.0, 45.0],
-                 "t1": 220.0, "phi": 0.5, "recovery": "ideal"},
+                 "t1": 220.0, "recovery": "ideal"},
     "multiqec-chadd": {"theta": 1.0, "max_delay": 30.0,
-                       "total_free": [30.0, 45.0], "t1": 220.0, "phi": 0.5,
+                       "total_free": [30.0, 45.0], "t1": 220.0,
                        "recovery": "ideal", "spectators": 1,
                        "couplings": [[0, 3, 0.05]]},
     "delay-sweep": {"delays": [30.0, 60.0], "total_free": [30.0, 90.0],
@@ -827,7 +857,7 @@ _FUZZ_BASE = {
     "oracle-check": {"theta_points": 3, "gamma_points": 2},
 }
 _FUZZ_VALUES = (math.nan, math.inf, -math.inf, 1e308, 5e-324, True, "x", None,
-                10**30)
+                10**30, 10**400, -10**400)
 # fields that take a list (per-qubit lifetimes included)
 _LIST_FIELDS = {"total_free", "delays", "couplings", "t1_range", "emeas_range",
                 "delay_range", "t1", "t2", "tphi"}
@@ -935,9 +965,48 @@ class TestInputFuzz:
         assert (tmp_path / "out.csv").exists()  # a defined result, exit 0
 
 
+# Two values of each field that write different CSVs over the kind's
+# _FUZZ_BASE spec (synth's is {"restarts": 2}); `spectators` is probed
+# without `couplings`, 0 against 1 with the default coupling. The toy's
+# probes start diagonal, so its frequencies, coupling and dephasing change
+# no byte (test_protocol.py::TestCrosstalkToy::
+# test_diagonal_probes_cannot_see_coupling_or_dephasing).
+_PROBES = {
+    "theta": (1.0, 2.0), "max_delay": (30.0, 20.0),
+    "total_free": ([30.0], [45.0]), "delays": ([30.0], [20.0]),
+    "recovery": ("ideal", "approximate"), "t1": (220.0, 100.0),
+    "t2": (440.0, 300.0), "tphi": (300.0, 600.0), "spectators": (0, 1),
+    "couplings": ([[0, 3, 0.05]], [[0, 3, 0.1]]), "t_final": (16.0, 24.0),
+    "cycles": (2, 3), "t1_range": ([100.0], [200.0]),
+    "emeas_range": ([0.01], [0.02]), "delay_range": ([10.0], [20.0]),
+    "restarts": (1, 2), "theta_points": (3, 4), "gamma_points": (2, 3)}
+_NO_EFFECT = {"crosstalk-toy": {"omega1", "omega2", "g", "t2", "tphi"}}
+
+
 class TestCatalog:
     def test_seven_kinds(self):
         assert len(CATALOG) == 7
+
+    def test_every_field_changes_the_output(self, tmp_path):
+        # a field that changes no byte of the output is a setting without effect
+        out = tmp_path / "out.csv"
+        faults = []
+        for kind, entry in CATALOG.items():
+            fields = set(entry.required + entry.optional)
+            assert _NO_EFFECT.get(kind, set()) <= fields
+            for field in sorted(fields - _NO_EFFECT.get(kind, set())):
+                base = dict(_FUZZ_BASE.get(kind, {"restarts": 2}))
+                if field == "spectators":
+                    base.pop("couplings")
+                written = []
+                for value in _PROBES.get(field, ()):
+                    path = write_spec(tmp_path, {"kind": kind, "output": str(out),
+                                                 "params": {**base, field: value}})
+                    assert cli.main(["run", str(path)]) == EXIT_OK, (kind, field, value)
+                    written.append(out.read_bytes())
+                if len(written) != 2 or written[0] == written[1]:
+                    faults.append(f"{kind}: {field}")
+        assert not faults, "fields that change no output byte: " + ", ".join(faults)
 
     def test_listing_mentions_figures_and_fields(self):
         text = list_experiments()

@@ -62,7 +62,8 @@ from nadqec.code3 import (
     success_form,
     success_probability_minus_form,
 )
-from nadqec.qcore import check_density, ry, rz
+from nadqec.noise import gamma_of_t
+from nadqec.qcore import ConfigError, check_density, ry, rz
 
 
 def brute_force_cycle(theta, phi, gamma, p, recovery_gamma):
@@ -146,6 +147,13 @@ class TestCodewords:
         with pytest.raises(ValueError):
             codeword(2)
 
+    @pytest.mark.parametrize("theta,phi,field", [
+        (4.0, 0.0, "theta"), (-0.1, 0.0, "theta"), (math.nan, 0.0, "theta"),
+        (1.0, 2 * math.pi, "phi"), (1.0, -0.1, "phi"), (1.0, math.nan, "phi")])
+    def test_invalid_spec_is_config_error_naming_the_angle(self, theta, phi, field):
+        with pytest.raises(ConfigError, match=f"^'{field}' must be in "):
+            LogicalStateSpec(theta, phi)
+
     @pytest.mark.parametrize("make", [
         lambda: codeword(0), lambda: codeword(1),
         lambda: encode_ideal(LogicalStateSpec(1.3, 2.1))],
@@ -216,10 +224,12 @@ class TestRecoveryOperators:
         assert np.array_equal(got[1], r1)
 
     def test_approximate_equals_ideal_at_zero(self):
-        approx = RecoveryMap.approximate().kraus()
-        ideal0 = RecoveryMap.ideal(0.0).kraus()
-        for a, b in zip(approx, ideal0):
-            np.testing.assert_allclose(a, b, atol=1e-15)
+        # the approximate recovery adapts to T1 = inf, where gamma(delay) is 0
+        for delay in (0.0, 1e-300, 30.0, 1e300):
+            approx = RecoveryMap.ideal(gamma_of_t(delay, math.inf)).kraus()
+            ideal0 = RecoveryMap.ideal(0.0).kraus()
+            for a, b in zip(approx, ideal0):
+                np.testing.assert_allclose(a, b, atol=1e-15)
 
     @pytest.mark.parametrize("g", [0.0, 2.0**-52, 1e-300, 1e-15, 0.07, 0.23,
                                    1.0 / 3.0, 0.5, 0.9, 1 - 1e-16, 1.0])
@@ -229,11 +239,9 @@ class TestRecoveryOperators:
         p_odd, p_even = parity_projectors()
         r0, r1 = recovery_operators(g)
         want = (r0 @ p_odd, r1 @ p_even)
-        for rmap in (RecoveryMap.ideal(g),) + (
-                (RecoveryMap.approximate(),) if g == 0.0 else ()):
-            got = rmap.kraus()
-            assert len(got) == 2
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        got = RecoveryMap.ideal(g).kraus()
+        assert len(got) == 2
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_recover_branch_weights(self):
         g = 0.1
@@ -305,8 +313,7 @@ def _random_rmap(variant, rng, gamma):
         w = _haar_unitary(rng, 32)
         return RecoveryMap.synthesized(w), w
     g = gamma if variant == "ideal" else 0.0
-    rmap = RecoveryMap.ideal(g) if variant == "ideal" else RecoveryMap.approximate()
-    return rmap, combined_recovery_unitary(*recovery_operators(g))
+    return RecoveryMap.ideal(g), combined_recovery_unitary(*recovery_operators(g))
 
 
 class TestRecoveryEngine:
@@ -402,7 +409,7 @@ class TestRecoveryEngine:
 
     def test_register_too_small(self):
         with pytest.raises(ValueError, match="register of 2 qubits"):
-            apply_cycle(RecoveryMap.approximate().superop(), pure(ket(2, 0)))
+            apply_cycle(RecoveryMap.ideal(0.0).superop(), pure(ket(2, 0)))
 
 
 def _choi(superop):
@@ -512,9 +519,13 @@ def _pauli_transfer(round_map):
                      for p in _PAULIS])
 
 
+def _recovery_gamma(variant, gamma):
+    """The gamma a recovery variant adapts to at damping gamma."""
+    return gamma if variant == "ideal" else 0.0
+
+
 def _analytic_rmap(variant, gamma):
-    return RecoveryMap.ideal(gamma) if variant == "ideal" \
-        else RecoveryMap.approximate()
+    return RecoveryMap.ideal(_recovery_gamma(variant, gamma))
 
 
 class TestPauliRound:
@@ -527,7 +538,7 @@ class TestPauliRound:
         for g in np.linspace(0.0, 0.95, 20):
             for p in np.linspace(0.0, 0.5, 11):
                 want = _pauli_transfer(logical_round(g, p, _analytic_rmap(variant, g)))
-                got = PauliRound.of_noise(g, p, variant).pauli()
+                got = PauliRound.of_noise(g, p, _recovery_gamma(variant, g)).pauli()
                 worst = max(worst, np.abs(got - want).max())
         assert worst <= 2e-15
 
@@ -541,17 +552,18 @@ class TestPauliRound:
             gammas = [gammas[0]] * 3
         want = _pauli_transfer(logical_round(gammas, ps,
                                              _analytic_rmap(variant, gammas[0])))
-        assert np.abs(PauliRound.of_noise(gammas, ps, variant).pauli() - want).max() \
-            <= 2e-15
+        got = PauliRound.of_noise(gammas, ps, _recovery_gamma(variant, gammas[0]))
+        assert np.abs(got.pauli() - want).max() <= 2e-15
 
     @pytest.mark.parametrize("variant", ["ideal", "approximate"])
     @pytest.mark.parametrize("p", [0.0, 0.2, 0.5])
     def test_complete_damping_equals_logical_round(self, variant, p):
         rmap = _analytic_rmap(variant, 1.0)
-        got = PauliRound.of_noise(1.0, p, variant).pauli()
+        got = PauliRound.of_noise(1.0, p, _recovery_gamma(variant, 1.0)).pauli()
         assert np.abs(got - _pauli_transfer(logical_round(1.0, p, rmap))).max() <= 2e-15
         # 40 us at T1 = 1 us: 1 - exp(-40) rounds to 1
-        got = PauliRound.of_delay(40.0, [1.0] * 3, [300.0] * 3, variant).pauli()
+        t1_r = 1.0 if variant == "ideal" else math.inf
+        got = PauliRound.of_delay(40.0, [1.0] * 3, [300.0] * 3, t1_r).pauli()
         want = _pauli_transfer(logical_round(1.0, p_of_t(40.0, 300.0), rmap))
         assert np.abs(got - want).max() <= 2e-15
 
@@ -560,7 +572,7 @@ class TestPauliRound:
         for g in (0.0, 1e-9, 1e-3, 0.05):
             for k in (1, 2, 7, 40, 1000):
                 start = code3.logical_state(theta)
-                state, prob = PauliRound.of_noise(g, 0.0).advance(start, k)
+                state, prob = PauliRound.of_noise(g, 0.0, g).advance(start, k)
                 want_p = oracle_success_multiround(theta, [g] * k)
                 assert abs(code3.logical_fidelity(start, state)
                            - oracle_fidelity_multiround(theta, [g] * k)) <= 1e-12
@@ -571,7 +583,7 @@ class TestPauliRound:
         for variant in ("ideal", "approximate"):
             for g, p in ((0.0, 0.0), (0.1, 0.03), (0.6, 0.4)):
                 fids, probs = logical_outcomes(thetas, g, p, _analytic_rmap(variant, g))
-                rnd = PauliRound.of_noise(g, p, variant)
+                rnd = PauliRound.of_noise(g, p, _recovery_gamma(variant, g))
                 for theta, f, prob in zip(thetas, fids, probs):
                     got_f, got_p = rnd.outcome(theta)
                     assert abs(got_f - f) <= 1e-14
@@ -582,13 +594,14 @@ class TestPauliRound:
                                          (0.1, 0.6), (math.nan, 0.0), (0.1, math.nan)])
     def test_noise_outside_range_raises(self, gamma, p):
         with pytest.raises(ValueError, match="outside"):
-            PauliRound.of_noise(gamma, p)
+            PauliRound.of_noise(gamma, p, 0.0)
 
-    def test_unknown_variant_and_negative_delay_raise(self):
-        with pytest.raises(ValueError, match="unknown recovery variant"):
-            PauliRound.of_noise(0.1, 0.0, "synthesized")
+    def test_recovery_gamma_outside_range_and_negative_delay_raise(self):
+        for recovery_gamma in (-0.1, 1.1, math.nan):
+            with pytest.raises(ValueError, match="recovery gamma .* outside"):
+                PauliRound.of_noise(0.1, 0.0, recovery_gamma)
         with pytest.raises(ValueError, match="negative or NaN"):
-            PauliRound.of_delay(-1.0, [220.0] * 3, [300.0] * 3)
+            PauliRound.of_delay(-1.0, [220.0] * 3, [300.0] * 3, 220.0)
 
 
 class TestLogicalOutcomes:
@@ -602,8 +615,7 @@ class TestLogicalOutcomes:
              variant="approximate")
     @example(thetas=[0.0, math.pi], gamma=0.0, p=0.0, variant="ideal")
     def test_matches_qec_cycle(self, thetas, gamma, p, variant):
-        rmap = RecoveryMap.ideal(gamma) if variant == "ideal" \
-            else RecoveryMap.approximate()
+        rmap = _analytic_rmap(variant, gamma)
         fids, probs = logical_outcomes(thetas, gamma, p, rmap)
         assert fids.shape == probs.shape == (len(thetas),)
         for theta, f, prob in zip(thetas, fids, probs):
@@ -659,7 +671,7 @@ class TestQecCycle:
     def test_approximate_matches_brute_force(self):
         f_ref, p_ref = brute_force_cycle(1.1, 0.0, 0.12, 0.04, 0.0)
         out = qec_cycle(encode_ideal(LogicalStateSpec(1.1)), 0.12, 0.04,
-                        RecoveryMap.approximate())
+                        RecoveryMap.ideal(0.0))
         assert abs(out.fidelity - f_ref) < 1e-12
         assert abs(out.success_probability - p_ref) < 1e-12
 
@@ -808,7 +820,7 @@ class TestSeriesOracles:
             for g in (0.005, 0.01, 0.02):
                 for p in (0.005, 0.01, 0.02):
                     out = qec_cycle(encode_ideal(LogicalStateSpec(theta)), g, p,
-                                    RecoveryMap.approximate())
+                                    RecoveryMap.ideal(0.0))
                     series = oracle_fidelity_series(theta, g, p, "approximate")
                     assert abs(out.fidelity - series) < 5 * (g + p) ** 3
 
@@ -839,7 +851,7 @@ class TestSeriesOracles:
 class TestFirstOrderProtection:
     def test_approximate_recovery_kills_linear_damping(self):
         gammas = np.linspace(0.01, 0.05, 11)
-        fids = [qec_cycle(codeword(1), g, 0.0, RecoveryMap.approximate()).fidelity
+        fids = [qec_cycle(codeword(1), g, 0.0, RecoveryMap.ideal(0.0)).fidelity
                 for g in gammas]
         # rescaled degree-5 fit: high enough that the cubic/quartic tail
         # does not alias into the linear coefficient
@@ -944,20 +956,18 @@ class TestCompiledEstimator:
         parity = np.array([bin(d).count("1") % 2 for d in range(8)])
         c = math.sqrt(gamma * (2 - gamma))
         r0, r1 = recovery_operators(gamma)
-        for rmap in (RecoveryMap.ideal(gamma),) + (
-                (RecoveryMap.approximate(),) if gamma == 0.0 else ()):
-            k = rmap.columns.reshape(8, 2, 2, 8)  # (d, a1, a2, d')
-            for b, r in ((1, r0), (0, r1)):
-                cols = parity == b
-                want = block_unitary(r)[:, :8].reshape(2, 8, 8)[:, :, cols]
-                got = k[:, b].transpose(1, 0, 2)[:, :, cols]  # (a2, d, d')
-                assert np.max(np.abs(got[0] - want[0])) < 1e-12
-                s_got, s_want = got[1], want[1]
-                assert np.max(np.abs(s_got.conj().T @ s_got
-                                     - s_want.conj().T @ s_want)) < 1e-12
-                if c < 1e-12 or c > 1e-4:
-                    assert np.max(np.abs(s_got - s_want)) < 1e-12
-                assert not np.any(k[:, 1 - b][:, :, cols])
+        k = RecoveryMap.ideal(gamma).columns.reshape(8, 2, 2, 8)  # (d, a1, a2, d')
+        for b, r in ((1, r0), (0, r1)):
+            cols = parity == b
+            want = block_unitary(r)[:, :8].reshape(2, 8, 8)[:, :, cols]
+            got = k[:, b].transpose(1, 0, 2)[:, :, cols]  # (a2, d, d')
+            assert np.max(np.abs(got[0] - want[0])) < 1e-12
+            s_got, s_want = got[1], want[1]
+            assert np.max(np.abs(s_got.conj().T @ s_got
+                                 - s_want.conj().T @ s_want)) < 1e-12
+            if c < 1e-12 or c > 1e-4:
+                assert np.max(np.abs(s_got - s_want)) < 1e-12
+            assert not np.any(k[:, 1 - b][:, :, cols])
 
     def test_kept_columns_of_synthesized_unitary(self):
         w = _haar_unitary(np.random.default_rng(5), 32)

@@ -176,7 +176,7 @@ class TestGainSurface:
         cells = gain_surface([200.0], [0.01], [30.0])
         assert len(cells) == 1
         g = gamma_of_t(30.0, 200.0)
-        f, p = code3.PauliRound.of_noise(g, 0.0, "ideal").outcome(math.pi)
+        f, p = code3.PauliRound.of_noise(g, 0.0, g).outcome(math.pi)
         fq, fb = f_star(f, 0.01), f_star(1 - g, 0.01)
         want = fq * math.sqrt(fb * (1 - fb)) / (fb * math.sqrt(fq * (1 - fq))) \
             * math.sqrt(p)

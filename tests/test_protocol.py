@@ -50,7 +50,7 @@ from nadqec.protocol import (
     run_multiqec,
     run_multiqec_with_chadd,
 )
-from nadqec.qcore import X, check_density, rx
+from nadqec.qcore import X, ConfigError, check_density, rx
 
 
 # decimals m * 10^e from 1e-4 to about 1e13, many of them below the reset
@@ -941,9 +941,9 @@ class TestMultiQecWithChadd:
         assert run(total_free) == [run((t,))[0] for t in total_free]
 
     def test_one_round_per_distinct_delay(self, monkeypatch):
-        built = {"propagator": [], "_recovery_map": []}
+        built = {"propagator": [], "ideal": []}
         for owner, name in ((protocol.Lindbladian, "propagator"),
-                            (protocol, "_recovery_map")):
+                            (code3.RecoveryMap, "ideal")):
             calls, original = built[name], getattr(owner, name)
             monkeypatch.setattr(
                 owner, name,
@@ -955,7 +955,7 @@ class TestMultiQecWithChadd:
             spectators=1, couplings=((0, 3, 0.05),)), chadd=True)
         # 30, 15 and 20 us, each with one robust cycle of 8 intervals
         assert [a[1] for a in built["propagator"]] == [30 / 8, 15 / 8, 20 / 8]
-        assert len(built["_recovery_map"]) == 3
+        assert len(built["ideal"]) == 3
 
     @settings(max_examples=50, deadline=None)
     @given(spectators=st.integers(0, 4), chadd=st.booleans(),
@@ -1047,3 +1047,57 @@ def test_row_assignment_matches_realized_signs():
     for color in (1, 2):
         row = np.tile(_SIGN_MATRIX[_SIGN_ROWS[color]], reps)
         np.testing.assert_array_equal(signs[color - 1], row)
+
+
+class TestRecoveryT1:
+    @staticmethod
+    def _config(variant: str) -> ProtocolConfig:
+        return ProtocolConfig(code3.LogicalStateSpec(1.0), 30.0, (30.0,),
+                              recovery_variant=variant)
+
+    def test_each_variant_resolves_to_a_t1(self):
+        # the ideal recovery adapts to data qubit 0's T1, the approximate
+        # one to T1 = inf, where gamma(delay) is exactly 0
+        t1s = (220.0, 220.0, 220.0, 90.0)
+        assert protocol.recovery_t1(self._config("ideal"), t1s) == 220.0
+        assert protocol.recovery_t1(self._config("approximate"), t1s) == math.inf
+        assert gamma_of_t(30.0, math.inf) == 0.0
+
+    def test_ideal_needs_one_data_t1(self):
+        t1s = (220.0, 200.0, 220.0)
+        with pytest.raises(ConfigError, match="adapts to one T1"):
+            protocol.recovery_t1(self._config("ideal"), t1s)
+        assert protocol.recovery_t1(self._config("approximate"), t1s) == math.inf
+
+
+class TestPhaseInvariance:
+    """F and P of both multi-round runners do not depend on the logical
+    state's phase phi, which is why no spec sets it. Gate noise on emitted
+    circuits may break that covariance; this test would then show it."""
+
+    @pytest.mark.parametrize("variant", ["ideal", "approximate"])
+    def test_runners_ignore_phi(self, variant):
+        # per-qubit lifetimes (one data T1 for the ideal recovery), data-data
+        # and data-spectator couplings, remainder rounds, CHaDD off and on
+        data_t1 = [220.0] * 3 if variant == "ideal" else [220.0, 150.0, 300.0]
+        tphi = [300.0, 500.0, 400.0, 80.0, math.inf]
+        data_noise = NoiseParams(t1=data_t1, tphi=tphi[:3])
+        noise = NoiseParams(t1=data_t1 + [90.0, 400.0], tphi=tphi)
+        layout = SpectatorLayout(2, ((0, 1, 0.03), (1, 2, -0.02), (0, 3, 0.05),
+                                     (2, 4, -0.04)))
+
+        def runs(phi):
+            cfg = ProtocolConfig(code3.LogicalStateSpec(2.0, phi), max_delay=12.5,
+                                 total_free=(0.0, 20.0, 37.5, 60.0),
+                                 recovery_variant=variant)
+            return [run_multiqec(cfg, data_noise)] + [
+                run_multiqec_with_chadd(cfg, noise, layout, chadd=chadd)
+                for chadd in (False, True)]
+
+        want = runs(0.0)
+        for phi in (0.9, 2.5, 4.0, 6.2):
+            for got_pts, want_pts in zip(runs(phi), want, strict=True):
+                for a, b in zip(got_pts, want_pts, strict=True):
+                    assert abs(a.fidelity - b.fidelity) <= 1e-15
+                    assert abs(a.success_probability - b.success_probability) \
+                        <= 2e-15 * b.success_probability

@@ -537,7 +537,7 @@ class TestRecoveryCircuit:
 
     def test_approx_matches_analytic(self, recovery_u):
         circ = build_recovery_circuit(recovery_u)
-        report = verify_recovery_circuit(circ, code3.RecoveryMap.approximate())
+        report = verify_recovery_circuit(circ, code3.RecoveryMap.ideal(0.0))
         assert report.passed
         assert report.max_deviation < 1e-6
 
@@ -559,7 +559,7 @@ class TestRecoveryCircuit:
                 gates[i] = Gate("RX", g.qubits, g.param + 0.1)
                 break
         report = verify_recovery_circuit(Circuit(5, tuple(gates)),
-                                         code3.RecoveryMap.approximate())
+                                         code3.RecoveryMap.ideal(0.0))
         assert report.max_deviation > 1e-3
         assert not report.passed
 
@@ -567,7 +567,7 @@ class TestRecoveryCircuit:
         # X on a1 after a converged circuit moves each branch's kept rows to
         # the other syndrome outcome, where the analytic branch has none
         circ = build_recovery_circuit(recovery_u)
-        rmap = code3.RecoveryMap.approximate()
+        rmap = code3.RecoveryMap.ideal(0.0)
         assert verify_recovery_circuit(circ, rmap).passed
         flipped = Circuit(5, circ.gates + (Gate("X", (3,)),))
         report = verify_recovery_circuit(flipped, rmap)
@@ -579,7 +579,7 @@ class TestRecoveryCircuit:
         rmap = code3.RecoveryMap.synthesized(circ.unitary())
         spec = code3.LogicalStateSpec(1.9, 0.7)
         psi = code3.encode_ideal(spec)
-        a = code3.qec_cycle(psi, 0.06, 0.01, code3.RecoveryMap.approximate())
+        a = code3.qec_cycle(psi, 0.06, 0.01, code3.RecoveryMap.ideal(0.0))
         b = code3.qec_cycle(psi, 0.06, 0.01, rmap)
         assert abs(a.fidelity - b.fidelity) < 1e-10
         assert abs(a.success_probability - b.success_probability) < 1e-10
