@@ -138,7 +138,7 @@ class ExperimentSpec:
         if unknown:
             raise ConfigError(
                 f"kind '{kind}' has no parameter field(s): " + ", ".join(unknown))
-        _require_output(self.output)
+        _require_output(kind, self.output)
         for name, v in (("seed", self.seed), *params.items()):
             if not FIELDS[name].ok(v):
                 raise ConfigError(f"'{name}' must be {FIELDS[name].rule}, got {v!r}")
@@ -175,26 +175,43 @@ class ExperimentSpec:
             raise ConfigError(f"{path}: {exc}") from None
 
 
-def _require_output(output) -> None:
+def _written(kind: str, output: str) -> list[Path]:
+    """Every file a run of ``kind`` writes: the CSV ``output``, its
+    manifest, and for ``synth`` its circuit files beside it."""
+    csv = Path(output)
+    base = str(csv).removesuffix(".csv")
+    ends = (".encoder.txt", ".recovery.txt", ".encoder.angles.txt")
+    return [csv, Path(f"{csv}.manifest.json")] + [
+        Path(base + end) for end in (ends if kind == "synth" else ())]
+
+
+def _require_output(kind: str, output) -> None:
     """``output`` is a path a CSV can be written to: a non-empty string
     that names a file (no NUL byte, encodable as a file name), not a
-    directory, with no existing file among its parent directories."""
+    directory, with no existing file among its parent directories; and no
+    file a run of ``kind`` writes (``_written``) has a name longer than the
+    file system takes."""
     if not (isinstance(output, str) and output):
         raise ConfigError(f"'output' must be a file path, got {output!r}")
     if "\0" in output:
         raise ConfigError(f"'output' {output!r} holds a NUL byte")
-    out = Path(output)
+    out, *beside = _written(kind, output)
     try:
         os.fsencode(output)  # a lone surrogate names no file
         is_dir = out.is_dir()
-        ancestor = next((d for d in out.parents if d.exists()), None)
+        ancestor = next((d for d in out.parents if d.exists()), Path("."))
+        name_max = os.pathconf(ancestor, "PC_NAME_MAX")
     except (OSError, UnicodeError) as exc:
         raise ConfigError(f"'output' {output!r} is not a usable file path ({exc})")
     if is_dir:
         raise ConfigError(f"'output' {output!r} is a directory")
-    if ancestor is not None and not ancestor.is_dir():
+    if not ancestor.is_dir():
         raise ConfigError(f"'output' {output!r} lies under {str(ancestor)!r}, "
                           f"which is not a directory")
+    for path in (out, *beside):
+        if any(len(os.fsencode(part)) > name_max for part in path.parts):
+            raise ConfigError(f"'output' {output!r} makes a name in {str(path)!r} "
+                              f"longer than the file system's {name_max} bytes")
 
 
 def _fmt(x) -> str:
@@ -225,7 +242,7 @@ def _write_manifest(spec: ExperimentSpec, out_csv: Path, t0: float) -> None:
         "version": __version__,
         "wall_time_s": round(time.time() - t0, 3),
     }
-    Path(str(out_csv) + ".manifest.json").write_text(
+    _written(spec.kind, spec.output)[1].write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -284,11 +301,9 @@ def _run_multiqec_chadd(spec: ExperimentSpec, out: Path) -> None:
     if rounds > _CHADD_ROUNDS:
         raise ConfigError(f"'total_free' over 'max_delay' {cfg.max_delay} "
                           f"needs {rounds} rounds; at most {_CHADD_ROUNDS}")
-    rows = []
-    for chadd in (False, True):
-        rows += _point_rows(protocol.run_multiqec_with_chadd(
-            cfg, noise, layout, chadd=chadd), cfg.recovery_variant, chadd)
-    _write_csv(out, _POINT_HEADER, rows)
+    plain, chadd = protocol.run_multiqec_with_chadd(cfg, noise, layout)
+    _write_csv(out, _POINT_HEADER, _point_rows(plain, cfg.recovery_variant, False)
+               + _point_rows(chadd, cfg.recovery_variant, True))
 
 
 def _run_delay_sweep(spec: ExperimentSpec, out: Path) -> None:
@@ -310,8 +325,8 @@ def _run_crosstalk_toy(spec: ExperimentSpec, out: Path) -> None:
                                     g=r["g"], noise=_noise_from(spec))
     rows = []
     for probe in ("0", "1"):
-        for label, n_cycles in (("free", None), ("chadd", r["cycles"])):
-            series = protocol.run_crosstalk_toy(model, probe, r["t_final"], n_cycles)
+        pair = protocol.run_crosstalk_toy(model, probe, r["t_final"], r["cycles"])
+        for label, series in zip(("free", "chadd"), pair):
             for t, p0, p1, f in zip(series.times, series.pop0, series.pop1,
                                     series.fidelity):
                 rows.append((probe, label, t, p0, p1, f))
@@ -350,10 +365,10 @@ def _run_synth(spec: ExperimentSpec, out: Path) -> None:
     ]
     _write_csv(out, ["component", "cost_or_deviation", "cz_count", "restarts"],
                rows)
-    base = Path(str(out).removesuffix(".csv"))
-    Path(f"{base}.encoder.txt").write_text(enc_circ.serialize())
-    Path(f"{base}.recovery.txt").write_text(rec_circ.serialize())
-    Path(f"{base}.encoder.angles.txt").write_text(enc_circ.describe())
+    encoder, recovery, angles = _written(spec.kind, spec.output)[2:]
+    encoder.write_text(enc_circ.serialize())
+    recovery.write_text(rec_circ.serialize())
+    angles.write_text(enc_circ.describe())
     if not (enc_res.converged and u_res.converged and report.passed):
         raise RuntimeError("synthesis failed to converge; see the CSV report")
 

@@ -218,8 +218,23 @@ class RecoveryMap:
         gamma = 0 it is the approximate recovery."""
         if not 0.0 <= gamma <= 1.0:
             raise ValueError(f"gamma {gamma} outside [0, 1]")
-        weights = np.array((1 - gamma, math.sqrt(gamma * (2 - gamma)), 1.0),
-                           dtype=complex)
+        return cls._weighted(1 - gamma, math.sqrt(gamma * (2 - gamma)))
+
+    @classmethod
+    def of_delay(cls, delay: float, t1: float) -> "RecoveryMap":
+        """``ideal`` adapted to gamma = 1 - exp(-delay/t1), its weights
+        taken from the exponent: exp(-delay/t1) for 1 - gamma and
+        sqrt(-expm1(-2 delay/t1)) for sqrt(gamma(2 - gamma)), so they keep
+        their digits where gamma rounds near or to 1. t1 = inf is gamma = 0."""
+        x = delay / t1
+        if not x >= 0:
+            raise ValueError(f"delay {delay} over T1 {t1} is negative or NaN")
+        return cls._weighted(math.exp(-x), math.sqrt(-math.expm1(-2 * x)))
+
+    @classmethod
+    def _weighted(cls, keep: float, swap: float) -> "RecoveryMap":
+        """The columns keep K_R + swap K_S + K_1."""
+        weights = np.array((keep, swap, 1.0), dtype=complex)
         cols = np.dot(weights, _K_STACK).reshape(32, 8)
         cols.setflags(write=False)
         return cls(cols)
@@ -438,7 +453,7 @@ class PauliRound:
 
     log_keep0: float  # log T00
     log_keep1: float  # log T11
-    feed: float  # T01
+    log_feed: float  # log T01
     log_coherence: float  # log lam
 
     @classmethod
@@ -469,26 +484,28 @@ class PauliRound:
     def _of_exponents(cls, x: Sequence[float], y: Sequence[float],
                       x_r: float) -> "PauliRound":
         """From x_q = -log(1 - g_q), y_q = -log(1 - 2 p_q) and the recovery's
-        x_r = -log(1 - gamma). Where 1 - exp(-x) rounds to 1, that gamma is 1,
-        as :func:`logical_round` and the recovery built from it see it."""
+        x_r = -log(1 - gamma). Every field is a log formed from the
+        exponents themselves, so a round of many T1, whose gammas round to
+        1, keeps its digits and its weights stay defined below the smallest
+        float; only x = inf is gamma = 1."""
         if not all(v >= 0 for v in (*x, *y, x_r)):
             raise ValueError(f"negative or NaN noise exponent in {[*x, *y, x_r]}")
-        *x, x_r = [math.inf if -math.expm1(-v) == 1.0 else v for v in (*x, x_r)]
         log_r = -x_r
         gs = [-math.expm1(-v) for v in x]
         coh = [(x[a] + x[b]) / 2 + y[a] + y[b] for a, b in _PAIRS]
         # T00 / r^2 = 1 + (2/9)(sum_q g_q - sum_{q<s} (1 - c_q c_s))
         drift = sum(gs) + sum(math.expm1(-z) for z in coh)
+        feed = sum(gs[a] * gs[b] for a, b in _PAIRS) / 3  # T01 / r^2
         return cls(log_keep0=2 * log_r + math.log1p(2 * drift / 9),
                    log_keep1=_log_mean_exp([x[a] + x[b] for a, b in _PAIRS]),
-                   feed=math.exp(2 * log_r) * sum(gs[a] * gs[b] for a, b in _PAIRS) / 3,
+                   log_feed=2 * log_r + math.log(feed) if feed else -math.inf,
                    log_coherence=log_r + _log_mean_exp(coh))
 
     def pauli(self) -> np.ndarray:
         """The 4x4 Pauli transfer matrix R_ij = Tr(P_i L(P_j))/2 over
         (I, X, Y, Z)."""
         t00, t11 = math.exp(self.log_keep0), math.exp(self.log_keep1)
-        t01, lam = self.feed, math.exp(self.log_coherence)
+        t01, lam = math.exp(self.log_feed), math.exp(self.log_coherence)
         return np.array([[(t00 + t01 + t11) / 2, 0, 0, (t00 - t01 - t11) / 2],
                          [0, lam, 0, 0], [0, 0, lam, 0],
                          [(t00 + t01 - t11) / 2, 0, 0, (t00 - t01 + t11) / 2]])
@@ -512,7 +529,7 @@ class PauliRound:
             # (T00^k - T11^k) / (T00 - T11) / exp((k - 1) top)
             ratio = k if gap == 0 else math.expm1(-k * gap) / math.expm1(-gap)
             p0 = math.exp(k * (self.log_keep0 - top)) * p0 \
-                + self.feed * math.exp(-top) * ratio * p1
+                + math.exp(self.log_feed - top) * ratio * p1
             p1 = math.exp(k * (self.log_keep1 - top)) * p1
             coh *= math.exp(k * (self.log_coherence - top))
             trace = p0 + p1
@@ -538,7 +555,7 @@ class PauliRound:
         c2, s2, _ = logical_state(theta)
         keep0 = self.log_keep0 - self.log_coherence
         keep1 = self.log_keep1 - self.log_coherence
-        feed = self.feed * math.exp(-self.log_coherence)
+        feed = math.exp(self.log_feed - self.log_coherence)
         return s2 * (c2 * (math.expm1(keep0) + math.expm1(keep1)) + feed * s2) \
             / (math.exp(keep0) * c2 + (feed + math.exp(keep1)) * s2)
 

@@ -9,14 +9,14 @@ round in closed form, and k rounds are that form's closed-form power: a
 point costs a few scalar operations at any k, 1e18 rounds as many as one,
 and the result is exact to a few ulp (see ``run_multiqec``).
 ``run_multiqec_with_chadd``'s round is Lindblad evolution of the data +
-spectator register, optionally as one robust CHaDD cycle, then the kept
+spectator register, plain or as one robust CHaDD cycle, then the kept
 recovery branch (``RecoveryMap.superop``) applied by ``code3.apply_cycle``.
 Its spectators stay classical, so it holds the register as one 8x8 data
 block per spectator bit string, 64 * 2^k numbers for k spectators; it walks
-full rounds once per call and keeps the states at the round counts that
+full rounds once per series and keeps the states at the round counts that
 sweep points end on. The robust cycle is the constant pulse list
 ``ROBUST_PULSES``, which ``_chadd_cycle`` walks for this runner and for the
-ZZ toy alike.
+ZZ toy alike; each returns its plain and its CHaDD series from one call.
 
 Every Lindblad evolution here (that register and the two-qubit ZZ toy)
 has a diagonal Z + ZZ Hamiltonian with per-qubit relaxation and
@@ -52,7 +52,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import code3
-from .noise import NoiseParams, gamma_of_t
+from .noise import NoiseParams
 from .qcore import ConfigError, check_density
 
 
@@ -81,9 +81,9 @@ class ProtocolConfig:
             raise ConfigError(f"unknown recovery variant {self.recovery_variant!r}")
 
     def walked_rounds(self) -> int:
-        """The rounds a runner that walks full rounds once per call
-        (``run_multiqec_with_chadd``) applies: the longest point's full
-        rounds, plus one remainder round per point that has one."""
+        """The rounds a runner that walks full rounds once per series
+        (``run_multiqec_with_chadd``) applies to each: the longest point's
+        full rounds, plus one remainder round per point that has one."""
         points = self._schedule[1]
         return (max((full for full, _, _ in points), default=0)
                 + sum(rest > 0 for _, rest, _ in points))
@@ -220,10 +220,16 @@ def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoi
     (``tests/multiqec_reference.run_multiqec_mpmath``): F and P within
     2.6e-15 relative at 792 points, theta from 0.3 to 3.14159, uniform and
     per-qubit T1 and Tphi, both variants, max_delay from 1e-20 to 30 us
-    and k up to 3e21 (the tests hold them to 1e-12). The per-round error
-    is a few ulp of the round's rates, so k rounds carry a few ulp of the
-    rate times the total time; nothing is amplified k-fold. P can
-    underflow to 0.0 at large total times; F stays defined.
+    and k up to 3e21 (the tests hold them to 1e-12). The round is formed
+    from delay / T1, not from gamma, so delays past 37 T1, where gamma
+    rounds to 1, keep their digits: against 400 digits, F within 2.3e-16
+    and P within 1.6e-15 relative at 504 points from 15 to 300 T1 (1 and 3
+    rounds, theta 1.0 and pi/2, both variants; the tests check 37 to 300
+    T1 at 1e-12). The per-round error is a few ulp of the round's
+    rates, so k rounds carry a few ulp of the rate times the total time;
+    nothing is amplified k-fold. P can underflow to 0.0 at large total
+    times; F stays defined. Only delay / T1 = inf is full damping, where
+    post-selection keeps no weight.
     """
     t1s, tphis = noise.lifetimes(3)
     t1_r = recovery_t1(config, t1s)
@@ -491,58 +497,49 @@ class ToySeries:
 
 
 def run_crosstalk_toy(model: CrosstalkModel, probe_init: str, t_final: float,
-                      cycles: Optional[int] = None) -> ToySeries:
-    """Evolve (probe, spectator=|0>) under the ZZ toy model, recording the
-    probe populations and its fidelity to the initial probe state.
+                      cycles: int) -> tuple[ToySeries, ToySeries]:
+    """Evolve (probe, spectator=|0>) under the ZZ toy model over a positive
+    ``t_final``, recording the probe populations and its fidelity to the
+    initial probe state, free and with CHaDD: returns (free, chadd), both
+    from one initial state, one generator and one phase check over t_final.
 
-    ``cycles=None`` is free evolution, sampled 40 times at multiples of
-    t_final / 40 by one propagator over all 40 durations (one closed-form
-    call, no stepping); t_final = 0 keeps the initial state. Otherwise
-    t_final must be positive and is chopped into ``cycles`` robust CHaDD
-    cycles with instantaneous pulses between their intervals; samples are
-    taken once per full cycle (the pulse product is identity up to phase
-    there).
+    The free series is sampled 40 times at multiples of t_final / 40 by one
+    propagator over all 40 durations (one closed-form call, no stepping).
+    The CHaDD series chops t_final into ``cycles`` robust CHaDD cycles with
+    instantaneous pulses between their intervals, sampled once per full
+    cycle (the pulse product is identity up to phase there).
     """
     kets = {"0": np.array([1, 0], complex), "1": np.array([0, 1], complex),
             "+": np.array([1, 1], complex) / math.sqrt(2)}
     if probe_init not in kets:
         raise ConfigError(f"probe_init must be one of {sorted(kets)}")
-    if not (t_final >= 0 if cycles is None else t_final > 0):
-        need = "non-negative" if cycles is None else "positive"
-        raise ConfigError(f"t_final must be {need}, got {t_final}")
-    if cycles is not None and cycles < 1:
+    if not t_final > 0:
+        raise ConfigError(f"t_final must be positive, got {t_final}")
+    if cycles < 1:
         raise ConfigError(f"cycles must be at least 1, got {cycles}")
     model.noise.lifetimes(2)  # a config error before a phase overflow
-    # the free series' longest span is t_final; a CHaDD cycle's span is
-    # each of its intervals, t_final / (8 cycles)
-    span = t_final if cycles is None else t_final / (len(ROBUST_PULSES) * cycles)
-    for name in ("omega1", "omega2", "g"):
-        _require_phase(name, getattr(model, name), span)
+    for name in ("omega1", "omega2", "g"):  # t_final bounds a CHaDD interval
+        _require_phase(name, getattr(model, name), t_final)
     probe = kets[probe_init]
     psi = np.kron(probe, kets["0"])
     state = np.outer(psi, psi.conj())
     gen = model.lindbladian()
-
-    if cycles is None:
-        times = t_final / 40 * np.arange(41)
-        stack = np.concatenate(
-            (state[None], propagate(gen.propagator(times[1:]), state)))
-    else:
-        cycle = span * len(ROBUST_PULSES)  # t_final / cycles rounds differently
-        free = gen.propagator(span)
-        pulses = _pulse_gathers((1, 2), 1)
-        times, rows = [0.0], [state]
-        for i in range(cycles):
-            state = _chadd_cycle(free, state, pulses)
-            times.append((i + 1) * cycle)
-            rows.append(state)
-        stack = np.stack(rows)
+    times = t_final / 40 * np.arange(41)
+    rows = [state, *propagate(gen.propagator(times[1:]), state), state]
+    span = t_final / (len(ROBUST_PULSES) * cycles)  # one CHaDD interval
+    free, pulses = gen.propagator(span), _pulse_gathers((1, 2), 1)
+    for _ in range(cycles):
+        rows.append(_chadd_cycle(free, rows[-1], pulses))
+    stack = np.stack(rows)  # the free series' 41 states, then the CHaDD series'
     check_density(stack, normalized=False)
     reduced = np.trace(stack.reshape(-1, 2, 2, 2, 2), axis1=2, axis2=4)
     proj_probe = np.outer(probe, probe.conj())
-    fid = np.trace(proj_probe @ reduced, axis1=1, axis2=2)
-    return ToySeries(np.asarray(times), np.real(reduced[:, 0, 0]),
-                     np.real(reduced[:, 1, 1]), np.real(fid))
+    fid = np.real(np.trace(proj_probe @ reduced, axis1=1, axis2=2))
+    pop0, pop1 = np.real(reduced[:, 0, 0]), np.real(reduced[:, 1, 1])
+    # span * 8 is the cycle: t_final / cycles rounds differently
+    cycle_times = span * len(ROBUST_PULSES) * np.arange(cycles + 1)
+    return (ToySeries(times, pop0[:41], pop1[:41], fid[:41]),
+            ToySeries(cycle_times, pop0[41:], pop1[41:], fid[41:]))
 
 
 # ---------------------------------------------------------------------------
@@ -579,11 +576,14 @@ class SpectatorLayout:
 
 
 def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
-                            layout: SpectatorLayout, *,
-                            chadd: bool) -> list[MultiQecPoint]:
+                            layout: SpectatorLayout
+                            ) -> tuple[list[MultiQecPoint], list[MultiQecPoint]]:
     """Multi-round QEC where each delay is Lindblad free evolution of the
-    data + spectator register (ZZ couplings included), with ``chadd``
-    chopped into one robust CHaDD cycle with instantaneous pulses.
+    data + spectator register (ZZ couplings included), plain and chopped
+    into one robust CHaDD cycle with instantaneous pulses: returns (plain,
+    chadd), both from one check (the phases over the plain delay, which
+    bounds a CHaDD interval), one state, one generator and one kept
+    recovery branch per distinct delay (``RecoveryMap.of_delay``).
 
     The spectators stay classical: they start in |0...0>, the generator is
     diagonal in Z with sigma- and Z dissipators, every pulse flips the same
@@ -596,7 +596,7 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
     columns and maps block s to s xor its spectator mask
     (``_pulse_gathers``), and ``code3.apply_cycle`` applies the kept
     recovery branch to every block in one product. Full rounds are walked
-    once per call, keeping only the states at the round counts that points
+    once per series, keeping only the states at the round counts that points
     end on. A point's F is psi^dag sigma psi for the data's state sigma,
     the sum of the blocks over its trace, and every reported state is
     validated block by block in one ``check_density`` call: a
@@ -611,14 +611,11 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
         raise ConfigError(f"register of {n} qubits exceeds the 7-qubit cap")
     t1_r = recovery_t1(config, noise.lifetimes(n)[0])
     # the longest free evolution: max_delay if any point has a full round,
-    # else the longest remainder (shorter than max_delay); with chadd, one
-    # of the CHaDD cycle's eight intervals
+    # else the longest remainder (shorter than max_delay)
     den, points = config._schedule
     span = max((rest / den for _, rest, _ in points), default=0.0)
     if any(full for full, _, _ in points):
         span = float(config.max_delay)
-    if chadd:
-        span /= len(ROBUST_PULSES)
     for q in range(n):
         _require_phase(f"the summed |g| of the couplings on qubit {q}",
                        sum(abs(g) for a, b, g in layout.couplings if q in (a, b)),
@@ -626,29 +623,11 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
     psi = code3.encode_ideal(config.logical)
     m = 2**layout.spectators
     gen = lindbladian(n, noise, layout.couplings, classical=layout.spectators)
-    pulses = _pulse_gathers(layout.resolved_colors(), m) if chadd else None
-    rho = np.zeros((8, 8, m), dtype=complex)
-    rho[:, :, 0] = np.outer(psi, psi.conj())  # the spectators in |0...0>
-
-    @functools.cache
-    def round_for(delay: float):
-        free = gen.propagator(delay / len(ROBUST_PULSES) if chadd else delay)
-        kept = code3.RecoveryMap.ideal(gamma_of_t(delay, t1_r)).superop()
-
-        def one_round(rho: np.ndarray):
-            rho = _chadd_cycle(free, rho, pulses) if chadd else propagate(free, rho)
-            return code3.apply_cycle(kept, rho)
-        return one_round
-
-    # walk the full rounds once, keeping the states that points end on
-    needed = {full for full, _, _ in points}
-    reached, p_total = {}, 1.0
-    for k in range(max(needed, default=0) + 1):
-        if k:
-            rho, p_round = round_for(float(config.max_delay))(rho)
-            p_total *= p_round
-        if k in needed:
-            reached[k] = rho, p_total
+    pulses = _pulse_gathers(layout.resolved_colors(), m)
+    start = np.zeros((8, 8, m), dtype=complex)
+    start[:, :, 0] = np.outer(psi, psi.conj())  # the spectators in |0...0>
+    kept = functools.cache(
+        lambda delay: code3.RecoveryMap.of_delay(delay, t1_r).superop())
 
     def score(states: list) -> list[float]:
         stack = np.stack(states)  # (points, 8, 8, m)
@@ -658,4 +637,25 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
         return [float(np.real(psi.conj() @ (r / np.real(np.trace(r))) @ psi))
                 for r in stack.sum(axis=-1)]
 
-    return _run_rounds(config, reached.__getitem__, round_for, score)
+    def series(chadd: bool) -> list[MultiQecPoint]:
+        @functools.cache
+        def round_for(delay: float):
+            free = gen.propagator(delay / len(ROBUST_PULSES) if chadd else delay)
+
+            def one_round(rho: np.ndarray):
+                rho = _chadd_cycle(free, rho, pulses) if chadd else propagate(free, rho)
+                return code3.apply_cycle(kept(delay), rho)
+            return one_round
+
+        # walk the full rounds once, keeping the states that points end on
+        needed = {full for full, _, _ in points}
+        rho, reached, p_total = start, {}, 1.0
+        for k in range(max(needed, default=0) + 1):
+            if k:
+                rho, p_round = round_for(float(config.max_delay))(rho)
+                p_total *= p_round
+            if k in needed:
+                reached[k] = rho, p_total
+        return _run_rounds(config, reached.__getitem__, round_for, score)
+
+    return series(False), series(True)

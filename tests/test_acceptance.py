@@ -183,8 +183,7 @@ def test_ac9_crosstalk_toy_directionality():
     t_final = 60.0
     outcomes = {}
     for probe in ("0", "1"):
-        with_dd = protocol.run_crosstalk_toy(model, probe, t_final, 4)
-        without = protocol.run_crosstalk_toy(model, probe, t_final)
+        without, with_dd = protocol.run_crosstalk_toy(model, probe, t_final, 4)
         outcomes[probe] = (with_dd.fidelity[-1], without.fidelity[-1])
     ok = (outcomes["1"][0] > outcomes["1"][1]
           and outcomes["0"][0] < outcomes["0"][1])

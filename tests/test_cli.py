@@ -221,13 +221,16 @@ class TestRun:
         assert cli.main(["run", str(path)]) == EXIT_CONFIG
 
     def test_numerical_error_exit_code(self, tmp_path):
-        # T1 = 0.5 us damps a 30 us delay to gamma = 1: post-selection keeps
-        # no weight
+        # T1 = 1e-308 us: 30 us over T1 overflows to inf, gamma = 1 exactly,
+        # and post-selection keeps no weight; at T1 = 0.5 us (60 T1) the
+        # round is defined
         payload = multiqec_payload(tmp_path)
-        payload["params"]["t1"] = 0.5
-        payload["params"]["t2"] = 1.0
+        payload["params"]["t1"] = 1e-308
+        payload["params"]["t2"] = 2e-308
         path = write_spec(tmp_path, payload)
         assert cli.main(["run", str(path)]) == EXIT_NUMERICAL
+        payload["params"].update(t1=0.5, t2=1.0)
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_OK
 
     @pytest.mark.parametrize("kind,params,message", [
         # 6e324 rounds: the evolution time exceeds the largest float,
@@ -331,6 +334,25 @@ class TestRun:
         assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_CONFIG
         assert "'output'" in capsys.readouterr().err
         assert [f.name for f in tmp_path.iterdir()] == ["spec.json"]
+
+    @pytest.mark.parametrize("kind,length", [("oracle-check", 249), ("synth", 244)])
+    def test_output_whose_written_names_do_not_fit(self, tmp_path, capsys, kind,
+                                                   length):
+        # the CSV's name fits in 255 bytes, but the manifest's (14 bytes
+        # longer) or synth's encoder angles file (15 longer) does not; each
+        # once wrote some files, then ended in a traceback
+        name = "a" * (length - 4) + ".csv"
+        payload = {"kind": kind, "output": str(tmp_path / name),
+                   "params": {"restarts": 1} if kind == "synth" else {}}
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'output'" in err and "Traceback" not in err
+        assert [f.name for f in tmp_path.iterdir()] == ["spec.json"]
+        # a name that leaves room for every file runs
+        payload["output"] = str(tmp_path / name[length - 240:])
+        if kind == "oracle-check":
+            assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_OK
+            assert len(list(tmp_path.iterdir())) == 3
 
     def test_infinite_t1_accepted(self, tmp_path):
         # json reads Infinity as +inf: no relaxation, as NoiseParams allows
@@ -694,7 +716,7 @@ class TestRun:
         # error naming the field, raised before any round runs
         ran = []
         monkeypatch.setattr(protocol, "run_multiqec_with_chadd",
-                            lambda *a, **k: ran.append(a) or [])
+                            lambda *a: ran.append(a) or ([], []))
         payload = {"kind": "multiqec-chadd", "output": str(tmp_path / "out.csv"),
                    "params": {"theta": 1.0, "max_delay": max_delay,
                               "total_free": total_free, "t1": 220.0}}
@@ -705,7 +727,7 @@ class TestRun:
         payload["params"].update(max_delay=30.0, total_free=[
             30.0 * (cli._CHADD_ROUNDS - 2), 20.0, 30.0 * (cli._CHADD_ROUNDS - 3) + 5.0])
         assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_OK
-        assert len(ran) == 2
+        assert len(ran) == 1  # one call returns both series
 
     def test_chadd_parses_the_sweep_once(self, tmp_path, monkeypatch):
         # the round cap and both runs read the config's one schedule
@@ -764,6 +786,21 @@ class TestRun:
         gains = [float(row.split(",")[3]) for row in
                  (tmp_path / "gain.csv").read_text().splitlines()[1:]]
         assert gains[3] > gains[1]  # E_meas 0.01 against 0.05 at 10 us
+
+    def test_gain_surface_past_37_t1(self, tmp_path):
+        # gamma rounds to 1 at 2000 us over T1 = 50 us; such a cell once
+        # exited 3 and lost the whole grid
+        def rows(delays):
+            payload = {"kind": "gain-surface", "output": str(tmp_path / "gain.csv"),
+                       "params": {"t1_range": [50.0], "emeas_range": [0.01],
+                                  "delay_range": delays}}
+            assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_OK
+            return (tmp_path / "gain.csv").read_text().splitlines()[1:]
+        grid = rows([10.0, 2000.0, 1e5])
+        assert grid[0] == rows([10.0])[0]
+        assert [float(x) for x in grid[1].split(",")[3:7]] \
+            == pytest.approx([0.0, 0.5, math.exp(-40.0), 0.0], abs=2e-7, rel=1e-9)
+        assert grid[2].split(",")[3] == grid[2].split(",")[6] == "0"  # gain, p
 
     def test_oracle_check(self, tmp_path):
         payload = {

@@ -561,7 +561,8 @@ class TestPauliRound:
         rmap = _analytic_rmap(variant, 1.0)
         got = PauliRound.of_noise(1.0, p, _recovery_gamma(variant, 1.0)).pauli()
         assert np.abs(got - _pauli_transfer(logical_round(1.0, p, rmap))).max() <= 2e-15
-        # 40 us at T1 = 1 us: 1 - exp(-40) rounds to 1
+        # 40 us at T1 = 1 us: the round of delay / T1 = 40 against the
+        # complete-damping round, whose entries it matches within about 1e-35
         t1_r = 1.0 if variant == "ideal" else math.inf
         got = PauliRound.of_delay(40.0, [1.0] * 3, [300.0] * 3, t1_r).pauli()
         want = _pauli_transfer(logical_round(1.0, p_of_t(40.0, 300.0), rmap))
@@ -928,6 +929,26 @@ class TestCompiledEstimator:
             want = (1 - g) * k_r + math.sqrt(g * (2 - g)) * k_s + k_1
             got = RecoveryMap.ideal(g).columns
             assert got.tobytes() == want.tobytes()
+
+    def test_of_delay_takes_its_weights_from_the_exponent(self):
+        # exp(-x) and sqrt(-expm1(-2x)) for 1 - gamma and sqrt(gamma(2 - gamma)),
+        # x = delay / T1: ideal(gamma(delay)) within a few ulp where gamma keeps
+        # its digits, and the exact weights past 37 T1, where gamma rounds to 1
+        k_r, k_s, k_1 = code3._K_STACK.reshape(3, 32, 8)
+        for x in (1e-300, 1e-9, 0.07, 1.0, 5.0, 30.0, 40.0, 300.0, 1e4):
+            got = RecoveryMap.of_delay(50.0 * x, 50.0).columns
+            want = math.exp(-x) * k_r + math.sqrt(-math.expm1(-2 * x)) * k_s + k_1
+            assert got.tobytes() == want.tobytes()
+            if x <= 5.0:
+                ideal = RecoveryMap.ideal(gamma_of_t(50.0 * x, 50.0)).columns
+                assert np.abs(got - ideal).max() <= 1e-15
+        assert RecoveryMap.of_delay(30.0, math.inf).columns.tobytes() \
+            == RecoveryMap.ideal(0.0).columns.tobytes()
+        assert gamma_of_t(40.0, 1.0) == 1.0  # so ideal(gamma) keeps nothing of K_R
+        assert not np.array_equal(RecoveryMap.of_delay(40.0, 1.0).columns,
+                                  RecoveryMap.ideal(1.0).columns)
+        with pytest.raises(ValueError, match="negative or NaN"):
+            RecoveryMap.of_delay(-1.0, 50.0)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.07, 0.3, 1.0])
     def test_combined_unitary_equals_embed_construction(self, gamma):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from multiqec_reference import run_multiqec_mpmath
 from shots_reference import (
     ShotRecord,
     gain_expt,
@@ -17,7 +18,8 @@ from shots_reference import (
 
 from nadqec import code3
 from nadqec.metrics import f_star, gain_surface
-from nadqec.noise import gamma_of_t
+from nadqec.noise import NoiseParams, gamma_of_t
+from nadqec.protocol import ProtocolConfig
 
 
 class TestSampleShots:
@@ -213,20 +215,38 @@ class TestGainSurface:
         gains = [c.gain for c in cells]
         assert all(a >= b for a, b in zip(gains, gains[1:]))
 
+    def test_cells_past_37_t1_keep_their_digits(self):
+        # gamma rounds to 1 from about 37 T1 on: 2000 us at T1 = 50 us
+        # against 50 digits, and at 2000 T1 p_success underflows to 0
+        cells = gain_surface([50.0], [0.01], [10.0, 2000.0, 1e5])
+        cfg = ProtocolConfig(code3.LogicalStateSpec(math.pi), 2000.0, (2000.0,))
+        with mpmath.workdps(50):
+            (f, p), = run_multiqec_mpmath(cfg, NoiseParams(t1=50.0), 50)
+            f_bare, e = mpmath.exp(-40), mpmath.mpf(0.01)
+            fq, fb = f * (1 - e) + (1 - f) * e, f_bare * (1 - e) + (1 - f_bare) * e
+            gain = fq * mpmath.sqrt(fb * (1 - fb)) / (fb * mpmath.sqrt(fq * (1 - fq))) \
+                * mpmath.sqrt(p)
+            for got, want in ((cells[1].f_qec, f), (cells[1].p_success, p),
+                              (cells[1].f_bare, f_bare), (cells[1].gain, gain)):
+                assert abs(got / want - 1) <= 1e-10
+        assert (cells[2].gain, cells[2].p_success) == (0.0, 0.0)
+
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             gain_surface([], [0.0], [30.0])
 
     def test_one_cycle_per_distinct_gamma(self, monkeypatch):
-        # delay / T1 repeats across T1 rows and every E_meas reuses gamma
+        # delay / T1, which sets gamma, repeats across T1 rows and every
+        # E_meas reuses it; the cache is keyed on delay / T1, since gamma
+        # is 1.0 for every delay past about 37 T1
         t1s, es, delays = [50.0, 100.0], [0.01, 0.05], [10.0, 20.0, 40.0]
         cycles = []
-        of_noise = code3.PauliRound.of_noise
-        monkeypatch.setattr(code3.PauliRound, "of_noise",
-                            lambda *a: cycles.append(a[0]) or of_noise(*a))
+        of_delay = code3.PauliRound.of_delay
+        monkeypatch.setattr(code3.PauliRound, "of_delay",
+                            lambda *a: cycles.append(a[0] / a[1][0]) or of_delay(*a))
         cells = gain_surface(t1s, es, delays, theta=2.0)
-        assert sorted(cycles) == sorted({gamma_of_t(d, t1)
-                                         for t1 in t1s for d in delays})
+        assert sorted(cycles) == sorted({d / t1 for t1 in t1s for d in delays})
+        assert len(cycles) == len({gamma_of_t(d, t1) for t1 in t1s for d in delays})
         # a cell read from the cache equals the cell of its lone grid
         for c in cells:
             lone, = gain_surface([c.t1_us], [c.e_meas], [c.delay_us], theta=2.0)

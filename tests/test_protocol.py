@@ -141,16 +141,13 @@ class TestScheduling:
         assert "_schedule" not in repr(cfg)
         noise = NoiseParams.from_t1_t2(220.0, 300.0)
         layout = SpectatorLayout(spectators=1, couplings=((0, 3, 0.05),))
-        want = [run_multiqec(cfg, noise)] + [
-            run_multiqec_with_chadd(cfg, noise, layout, chadd=chadd)
-            for chadd in (False, True)]
+        want = [run_multiqec(cfg, noise), run_multiqec_with_chadd(cfg, noise, layout)]
 
         def parse_again(*args):
             raise AssertionError("the schedule was parsed again")
         monkeypatch.setattr(protocol, "_schedules", parse_again)
-        assert [run_multiqec(cfg, noise)] + [
-            run_multiqec_with_chadd(cfg, noise, layout, chadd=chadd)
-            for chadd in (False, True)] == want
+        assert [run_multiqec(cfg, noise),
+                run_multiqec_with_chadd(cfg, noise, layout)] == want
 
 
 class TestTiming:
@@ -306,12 +303,33 @@ class TestMultiQec:
     @pytest.mark.parametrize("total_free", [(30.0,), (60.0,), (75.0,), (20.0,),
                                             (0.0, 90.0)])
     def test_full_damping_removes_all_weight(self, total_free):
-        # T1 = 0.5 us damps every delay here to gamma = 1, whether a point
-        # reaches it by one round, by a power or by its remainder
+        # T1 = 1e-308 us: every delay here over T1 overflows to inf, gamma
+        # = 1 exactly, whether a point reaches it by one round, by a power
+        # or by its remainder (a finite delay / T1 keeps a defined round,
+        # see test_rounds_of_many_t1_match_mpmath)
         cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
                              total_free=total_free)
         with pytest.raises(ValueError, match="post-selection removed all weight"):
-            run_multiqec(cfg, NoiseParams(t1=0.5))
+            run_multiqec(cfg, NoiseParams(t1=1e-308))
+
+    @pytest.mark.parametrize("variant", ["ideal", "approximate"])
+    @pytest.mark.parametrize("many", [37, 40, 100, 300, 400])
+    def test_rounds_of_many_t1_match_mpmath(self, many, variant):
+        # gamma rounds to 1 from about 37 T1 on; unless T01 is carried as a
+        # log, T01 over the larger population weight overflows past 355 T1
+        # and T01 itself underflows past 372 T1; P may underflow to 0
+        t1 = 50.0
+        noise = NoiseParams(t1=t1)
+        for theta in (1.0, math.pi / 2, 3.14):
+            cfg = ProtocolConfig(code3.LogicalStateSpec(theta), many * t1,
+                                 (many * t1, 2.5 * many * t1, 0.5 * many * t1),
+                                 recovery_variant=variant)
+            for got, (fid, prob) in zip(run_multiqec(cfg, noise),
+                                        run_multiqec_mpmath(cfg, noise, 400),
+                                        strict=True):
+                assert abs(got.fidelity - fid) <= 1e-12
+                if prob >= 1e-300:
+                    assert abs(got.success_probability / prob - 1) <= 1e-12
 
     def test_nan_weight_raises(self):
         # the weight guard of the closed-form power is written so that NaN
@@ -610,17 +628,18 @@ class TestLindblad:
         bound = sys.float_info.max / (4 * 60.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            series = run_crosstalk_toy(CrosstalkModel(g=0.99 * bound), "+", 60.0)
-        assert np.all(np.isfinite(series.fidelity))
+            pair = run_crosstalk_toy(CrosstalkModel(g=0.99 * bound), "+", 60.0, 1)
+        assert all(np.all(np.isfinite(series.fidelity)) for series in pair)
         for field in ("omega1", "omega2", "g"):
             model = CrosstalkModel(**{field: -1.01 * bound})
-            for cycles in (None, 1):
+            # the free series' span, t_final, bounds each CHaDD interval
+            for cycles in (1, 8):
                 with pytest.raises(FloatingPointError, match=f"^{field} = "):
-                    run_crosstalk_toy(model, "0", 60.0 * (8 if cycles else 1), cycles)
+                    run_crosstalk_toy(model, "0", 60.0, cycles)
         cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), 60.0, (10.0, 70.0))
         layout = SpectatorLayout(couplings=((0, 3, 0.6 * bound), (1, 3, 0.6 * bound)))
         with pytest.raises(FloatingPointError, match="couplings on qubit 3 = "):
-            run_multiqec_with_chadd(cfg, NoiseParams(t1=220.0), layout, chadd=False)
+            run_multiqec_with_chadd(cfg, NoiseParams(t1=220.0), layout)
 
     def test_overflowing_decay_is_zero(self):
         # t / T1 past the largest float is a decay of exactly 0, with no
@@ -756,26 +775,24 @@ class TestLindblad:
 class TestCrosstalkToy:
     def test_stationary_without_coupling_or_noise(self):
         model = CrosstalkModel(omega1=0.0, omega2=0.0, g=0.0)
-        series = run_crosstalk_toy(model, "1", 40.0)
-        np.testing.assert_allclose(series.pop1, 1.0, atol=1e-10)
+        for series in run_crosstalk_toy(model, "1", 40.0, 4):
+            np.testing.assert_allclose(series.pop1, 1.0, atol=1e-10)
 
     def test_probe_one_improves_with_chadd(self):
         model = CrosstalkModel(omega1=0.3, omega2=0.2, g=0.05,
                                noise=NoiseParams(t1=100.0))
-        with_dd = run_crosstalk_toy(model, "1", 60.0, 4)
-        without = run_crosstalk_toy(model, "1", 60.0)
+        without, with_dd = run_crosstalk_toy(model, "1", 60.0, 4)
         assert with_dd.fidelity[-1] > without.fidelity[-1]
 
     def test_probe_zero_degrades_with_chadd(self):
         model = CrosstalkModel(omega1=0.3, omega2=0.2, g=0.05,
                                noise=NoiseParams(t1=100.0))
-        with_dd = run_crosstalk_toy(model, "0", 60.0, 4)
-        without = run_crosstalk_toy(model, "0", 60.0)
+        without, with_dd = run_crosstalk_toy(model, "0", 60.0, 4)
         assert with_dd.fidelity[-1] < without.fidelity[-1]
 
     def test_unknown_probe(self):
         with pytest.raises(ValueError):
-            run_crosstalk_toy(CrosstalkModel(), "2", 10.0)
+            run_crosstalk_toy(CrosstalkModel(), "2", 10.0, 4)
 
     @pytest.mark.parametrize("cycles", [0, -2])
     def test_cycles_must_be_positive(self, cycles):
@@ -783,8 +800,7 @@ class TestCrosstalkToy:
             run_crosstalk_toy(CrosstalkModel(), "0", 10.0, cycles)
 
     @pytest.mark.parametrize("t_final, cycles, need", [
-        (0.0, 4, "positive"), (-60.0, 4, "positive"),
-        (-60.0, None, "non-negative")])
+        (0.0, 4, "positive"), (-60.0, 4, "positive")])
     def test_bad_t_final_rejected(self, t_final, cycles, need):
         with pytest.raises(ValueError, match=f"t_final must be {need}"):
             run_crosstalk_toy(CrosstalkModel(noise=NoiseParams(t1=50.0)), "1",
@@ -795,7 +811,7 @@ class TestCrosstalkToy:
         # one propagator over the 40 sample times against 40 steps of one
         model = CrosstalkModel(omega1=0.3, omega2=0.2, g=0.05,
                                noise=NoiseParams(t1=80.0, tphi=120.0))
-        series = run_crosstalk_toy(model, probe, 60.0)
+        series, _ = run_crosstalk_toy(model, probe, 60.0, 1)
         ket = {"0": [1, 0], "1": [0, 1], "+": [1 / math.sqrt(2)] * 2}[probe]
         psi = np.kron(ket, [1, 0]).astype(complex)
         state = np.outer(psi, psi.conj())
@@ -811,7 +827,7 @@ class TestCrosstalkToy:
                           (series.fidelity, np.real(np.conj(ket) @ reduced @ ket))):
             assert np.abs(got - want).max() <= 1e-12
 
-    @pytest.mark.parametrize("cycles", [None, 3])
+    @pytest.mark.parametrize("cycles", [1, 3])
     def test_diagonal_probes_cannot_see_coupling_or_dephasing(self, cycles):
         # |0> and |1> start the probe diagonal, and the ZZ coupling, the Z
         # terms and dephasing act only on coherences, so the populations
@@ -825,16 +841,25 @@ class TestCrosstalkToy:
             want = run_crosstalk_toy(base, probe, 60.0, cycles)
             for model in others:
                 got = run_crosstalk_toy(model, probe, 60.0, cycles)
-                for field in ("times", "pop0", "pop1", "fidelity"):
-                    assert np.array_equal(getattr(got, field), getattr(want, field))
-        plus = [run_crosstalk_toy(m, "+", 60.0, cycles).fidelity
-                for m in (base,) + others]
-        assert all(not np.array_equal(plus[0], f) for f in plus[1:])
+                for a, b in zip(got, want, strict=True):  # free, then chadd
+                    for field in ("times", "pop0", "pop1", "fidelity"):
+                        assert np.array_equal(getattr(a, field), getattr(b, field))
+        for which in (0, 1):
+            plus = [run_crosstalk_toy(m, "+", 60.0, cycles)[which].fidelity
+                    for m in (base,) + others]
+            assert all(not np.array_equal(plus[0], f) for f in plus[1:])
 
-    def test_free_evolution_over_zero_time_keeps_the_state(self):
-        series = run_crosstalk_toy(CrosstalkModel(noise=NoiseParams(t1=50.0)), "1", 0.0)
-        assert len(series.times) == 41 and not series.times.any()
-        np.testing.assert_array_equal(series.fidelity, 1.0)
+    def test_one_generator_and_state_per_call(self, monkeypatch):
+        # both series of a call share its one generator and initial state
+        built = []
+        original = CrosstalkModel.lindbladian
+        monkeypatch.setattr(CrosstalkModel, "lindbladian",
+                            lambda self: built.append(self) or original(self))
+        free, chadd = run_crosstalk_toy(CrosstalkModel(noise=NoiseParams(t1=50.0)),
+                                        "+", 60.0, 3)
+        assert len(built) == 1
+        assert np.array_equal(free.fidelity[:1], chadd.fidelity[:1])
+        assert (len(free.times), len(chadd.times)) == (41, 4)
 
 
 class TestMultiQecWithChadd:
@@ -844,74 +869,80 @@ class TestMultiQecWithChadd:
         cfg = ProtocolConfig(code3.LogicalStateSpec(math.pi / 2), max_delay=30,
                              total_free=(60.0,))
         layout = SpectatorLayout(spectators=1, couplings=((0, 3, 0.0),))
-        pts = run_multiqec_with_chadd(cfg, NoiseParams(t1=1e12), layout, chadd=True)
-        assert abs(pts[0].fidelity - 1.0) < 1e-8
-        assert abs(pts[0].success_probability - 1.0) < 1e-8
+        for pts in run_multiqec_with_chadd(cfg, NoiseParams(t1=1e12), layout):
+            assert abs(pts[0].fidelity - 1.0) < 1e-8
+            assert abs(pts[0].success_probability - 1.0) < 1e-8
 
     @pytest.mark.parametrize("chadd", [False, True])
     def test_empty_sweep_returns_no_points(self, chadd):
         cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
                              total_free=())
         layout = SpectatorLayout(spectators=1, couplings=((0, 3, 0.05),))
-        assert run_multiqec_with_chadd(cfg, self.noise, layout, chadd=chadd) == []
+        assert run_multiqec_with_chadd(cfg, self.noise, layout)[chadd] == []
 
-    def test_matches_kraus_engine_without_chadd(self):
-        cfg = ProtocolConfig(code3.LogicalStateSpec(2.1, 0.4), max_delay=30,
-                             total_free=(45.0,))
+    @settings(max_examples=60, deadline=None)
+    @given(variant=st.sampled_from(["ideal", "approximate"]),
+           theta=st.floats(0.0, math.pi), t1=st.floats(10.0, 500.0),
+           t2_share=st.floats(0.05, 1.0), delay_t1=st.floats(1e-3, 100.0),
+           spans=st.lists(st.floats(0.0, 3.5), min_size=1, max_size=3))
+    @example(variant="ideal", theta=math.pi / 2, t1=50.0, t2_share=1.0,
+             delay_t1=40.0, spans=[1.0, 2.5])  # gamma rounds to 1
+    @example(variant="ideal", theta=2.1, t1=220.0, t2_share=1.0,
+             delay_t1=30 / 220, spans=[1.5])
+    def test_matches_kraus_engine_without_chadd(self, variant, theta, t1, t2_share,
+                                                delay_t1, spans):
+        # the plain series without spectators is the closed-form round:
+        # T2 up to 2 T1, max_delay up to 100 T1, points with remainders
+        noise = NoiseParams.from_t1_t2(t1, 2 * t1 * t2_share)
+        max_delay = delay_t1 * t1
+        cfg = ProtocolConfig(code3.LogicalStateSpec(theta), max_delay,
+                             tuple(max_delay * x for x in spans),
+                             recovery_variant=variant)
         layout = SpectatorLayout(spectators=0, couplings=())
-        a = run_multiqec_with_chadd(cfg, self.noise, layout, chadd=False)[0]
-        b = run_multiqec(cfg, self.noise)[0]
-        assert abs(a.fidelity - b.fidelity) < 1e-9
-        assert abs(a.success_probability - b.success_probability) < 1e-9
+        got, _ = run_multiqec_with_chadd(cfg, noise, layout)
+        for a, b in zip(got, run_multiqec(cfg, noise), strict=True):
+            assert abs(a.fidelity - b.fidelity) <= 1e-12
+            if b.success_probability >= 1e-300:
+                assert abs(a.success_probability / b.success_probability - 1) <= 1e-12
 
     def test_chadd_suppresses_spectator_crosstalk(self):
         layout = SpectatorLayout(spectators=1, couplings=((0, 3, 0.05),))
         cfg = ProtocolConfig(code3.LogicalStateSpec(math.pi / 2),
                              max_delay=30, total_free=(60.0,))
-        fids = {}
-        for chadd in (False, True):
-            fids[chadd] = run_multiqec_with_chadd(
-                cfg, self.noise, layout, chadd=chadd)[0].fidelity
-        assert fids[True] >= fids[False]
+        plain, chadd = run_multiqec_with_chadd(cfg, self.noise, layout)
+        assert chadd[0].fidelity >= plain[0].fidelity
 
     def test_chadd_hurts_zero_logical_without_crosstalk(self):
         layout = SpectatorLayout(spectators=0, couplings=())
         cfg = ProtocolConfig(code3.LogicalStateSpec(0.0), max_delay=30,
                              total_free=(60.0,))
-        fids = {}
-        for chadd in (False, True):
-            fids[chadd] = run_multiqec_with_chadd(
-                cfg, self.noise, layout, chadd=chadd)[0].fidelity
-        assert fids[True] < fids[False]
+        plain, chadd = run_multiqec_with_chadd(cfg, self.noise, layout)
+        assert chadd[0].fidelity < plain[0].fidelity
 
     def test_register_cap(self):
         cfg = ProtocolConfig(code3.LogicalStateSpec(0.0), max_delay=30,
                              total_free=(30.0,))
         with pytest.raises(ValueError):
-            run_multiqec_with_chadd(cfg, self.noise,
-                                    SpectatorLayout(spectators=5), chadd=True)
+            run_multiqec_with_chadd(cfg, self.noise, SpectatorLayout(spectators=5))
 
     def test_seven_qubit_register_chadd_suppresses_crosstalk(self):
         layout = SpectatorLayout(spectators=4, couplings=(
             (0, 3, 0.05), (2, 4, 0.04), (1, 5, 0.03), (0, 6, 0.02)))
         cfg = ProtocolConfig(code3.LogicalStateSpec(math.pi / 2),
                              max_delay=30, total_free=(30.0,))
-        fids = {}
-        for chadd in (False, True):
-            fids[chadd] = run_multiqec_with_chadd(
-                cfg, self.noise, layout, chadd=chadd)[0].fidelity
-        assert fids[True] >= fids[False]
+        plain, chadd = run_multiqec_with_chadd(cfg, self.noise, layout)
+        assert chadd[0].fidelity >= plain[0].fidelity
 
     def test_ideal_rejects_unequal_data_t1(self):
         cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
                              total_free=(30.0,))
         with pytest.raises(ValueError, match="ideal recovery adapts to one T1"):
             run_multiqec_with_chadd(cfg, NoiseParams(t1=[220.0, 100.0, 220.0, 220.0]),
-                                    SpectatorLayout(spectators=1), chadd=False)
+                                    SpectatorLayout(spectators=1))
 
     def test_pulse_unitaries_built_once_per_run(self, monkeypatch):
-        # the pulses, as gathers of the block state: one set per run with
-        # CHaDD, none without
+        # the pulses, as gathers of the block state: one set per call, which
+        # the CHaDD series reads
         built = []
         gathers = protocol._pulse_gathers
         monkeypatch.setattr(protocol, "_pulse_gathers",
@@ -919,9 +950,7 @@ class TestMultiQecWithChadd:
         cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
                              total_free=(30.0, 75.0))
         layout = SpectatorLayout(spectators=1, couplings=((0, 3, 0.05),))
-        run_multiqec_with_chadd(cfg, self.noise, layout, chadd=False)
-        assert built == []
-        run_multiqec_with_chadd(cfg, self.noise, layout, chadd=True)
+        run_multiqec_with_chadd(cfg, self.noise, layout)
         assert built == [(layout.resolved_colors(), 2)]
 
     @pytest.mark.parametrize("chadd", [False, True])
@@ -936,26 +965,32 @@ class TestMultiQecWithChadd:
         def run(points):
             cfg = ProtocolConfig(code3.LogicalStateSpec(2.0, 1.1), max_delay=30,
                                  total_free=points)
-            return run_multiqec_with_chadd(cfg, self.noise, layout, chadd=chadd)
+            return run_multiqec_with_chadd(cfg, self.noise, layout)[chadd]
 
         assert run(total_free) == [run((t,))[0] for t in total_free]
 
     def test_one_round_per_distinct_delay(self, monkeypatch):
-        built = {"propagator": [], "ideal": []}
-        for owner, name in ((protocol.Lindbladian, "propagator"),
-                            (code3.RecoveryMap, "ideal")):
+        # per call: one generator, one propagator per distinct delay of each
+        # series, and one kept recovery branch per distinct delay, which
+        # both series share
+        built = {"lindbladian": [], "propagator": [], "of_delay": []}
+        for owner, name in ((protocol, "lindbladian"),
+                            (protocol.Lindbladian, "propagator"),
+                            (code3.RecoveryMap, "of_delay")):
             calls, original = built[name], getattr(owner, name)
             monkeypatch.setattr(
                 owner, name,
-                lambda *a, calls=calls, original=original:
-                    calls.append(a) or original(*a))
+                lambda *a, calls=calls, original=original, **k:
+                    calls.append(a) or original(*a, **k))
         cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
                              total_free=(90.0, 30.0, 45.0, 75.0, 20.0))
         run_multiqec_with_chadd(cfg, self.noise, SpectatorLayout(
-            spectators=1, couplings=((0, 3, 0.05),)), chadd=True)
-        # 30, 15 and 20 us, each with one robust cycle of 8 intervals
-        assert [a[1] for a in built["propagator"]] == [30 / 8, 15 / 8, 20 / 8]
-        assert len(built["ideal"]) == 3
+            spectators=1, couplings=((0, 3, 0.05),)))
+        assert len(built["lindbladian"]) == 1
+        # 30, 15 and 20 us plain, then each as one robust cycle of 8 intervals
+        assert [a[1] for a in built["propagator"]] \
+            == [30.0, 15.0, 20.0, 30 / 8, 15 / 8, 20 / 8]
+        assert [a[0] for a in built["of_delay"]] == [30.0, 15.0, 20.0]
 
     @settings(max_examples=50, deadline=None)
     @given(spectators=st.integers(0, 4), chadd=st.booleans(),
@@ -991,7 +1026,7 @@ class TestMultiQecWithChadd:
                 [0.0, 5.0, 10.0, 17.5, 25.0, 32.5], size=3)),
             recovery_variant=variant)
         layout = SpectatorLayout(spectators, tuple(couplings))
-        got = run_multiqec_with_chadd(cfg, noise, layout, chadd=chadd)
+        got = run_multiqec_with_chadd(cfg, noise, layout)[chadd]
         want = run_multiqec_with_chadd_reference(cfg, noise, layout, chadd=chadd)
         for a, b in zip(got, want, strict=True):
             assert (a.total_free_us, a.total_evolution_us, a.rounds) \
@@ -1017,9 +1052,10 @@ class TestMultiQecWithChadd:
             (0, 3 + i, 0.05) for i in range(spectators)))
         cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
                              total_free=(45.0,))
-        run_multiqec_with_chadd(cfg, self.noise, layout, chadd=True)
-        # two rounds of 8 intervals, each with its recovery
-        assert len(sizes) == 2 * (8 + 1)
+        run_multiqec_with_chadd(cfg, self.noise, layout)
+        # two plain rounds of one interval, then two rounds of 8 intervals,
+        # each with its recovery
+        assert len(sizes) == 2 * (1 + 1) + 2 * (8 + 1)
         assert set(sizes) == {(64 * 2**spectators,) * 2}
 
     def test_default_coloring_is_proper(self):
@@ -1090,9 +1126,8 @@ class TestPhaseInvariance:
             cfg = ProtocolConfig(code3.LogicalStateSpec(2.0, phi), max_delay=12.5,
                                  total_free=(0.0, 20.0, 37.5, 60.0),
                                  recovery_variant=variant)
-            return [run_multiqec(cfg, data_noise)] + [
-                run_multiqec_with_chadd(cfg, noise, layout, chadd=chadd)
-                for chadd in (False, True)]
+            return [run_multiqec(cfg, data_noise),
+                    *run_multiqec_with_chadd(cfg, noise, layout)]
 
         want = runs(0.0)
         for phi in (0.9, 2.5, 4.0, 6.2):
