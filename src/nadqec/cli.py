@@ -293,15 +293,14 @@ def _run_multiqec_chadd(spec: ExperimentSpec, out: Path) -> None:
     r = spec.resolved
     # the default coupling names the first spectator, so it needs one
     couplings = r.get("couplings", [[0, 3, 0.05]] if r["spectators"] else [])
-    layout = protocol.SpectatorLayout(spectators=r["spectators"],
-                                      couplings=tuple(map(tuple, couplings)))
     noise = _noise_from(spec)
     cfg = _protocol_config(r)
     rounds = cfg.walked_rounds()
     if rounds > _CHADD_ROUNDS:
         raise ConfigError(f"'total_free' over 'max_delay' {cfg.max_delay} "
                           f"needs {rounds} rounds; at most {_CHADD_ROUNDS}")
-    plain, chadd = protocol.run_multiqec_with_chadd(cfg, noise, layout)
+    plain, chadd = protocol.run_multiqec_with_chadd(cfg, noise, r["spectators"],
+                                                    couplings)
     _write_csv(out, _POINT_HEADER, _point_rows(plain, cfg.recovery_variant, False)
                + _point_rows(chadd, cfg.recovery_variant, True))
 
@@ -321,11 +320,12 @@ def _run_delay_sweep(spec: ExperimentSpec, out: Path) -> None:
 
 def _run_crosstalk_toy(spec: ExperimentSpec, out: Path) -> None:
     r = spec.resolved
-    model = protocol.CrosstalkModel(omega1=r["omega1"], omega2=r["omega2"],
-                                    g=r["g"], noise=_noise_from(spec))
+    probes = ("0", "1")
+    pairs = protocol.run_crosstalk_toy(_noise_from(spec), r["g"],
+                                       (r["omega1"], r["omega2"]), r["t_final"],
+                                       r["cycles"], probes)
     rows = []
-    for probe in ("0", "1"):
-        pair = protocol.run_crosstalk_toy(model, probe, r["t_final"], r["cycles"])
+    for probe, pair in zip(probes, pairs):
         for label, series in zip(("free", "chadd"), pair):
             for t, p0, p1, f in zip(series.times, series.pop0, series.pop1,
                                     series.fidelity):

@@ -53,6 +53,7 @@ compare against are in ``tests/oracle_reference.py``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -298,9 +299,14 @@ def _checked(g: float, p: float) -> tuple[float, float]:
 
 def _per_qubit(gammas: float | Sequence[float],
                ps: float | Sequence[float]) -> list[tuple[float, float]]:
-    """Shared scalars or one value per data qubit, as three checked pairs."""
+    """Shared scalars or one value per data qubit, as three checked pairs;
+    a sequence of other than 1 or 3 values raises ValueError naming it."""
     if np.ndim(gammas) == np.ndim(ps) == 0:
         return [_checked(gammas, ps)] * 3
+    for name, values in (("gammas", gammas), ("ps", ps)):
+        if np.ndim(values) and np.shape(values) not in ((1,), (3,)):
+            raise ValueError(f"{name} has {np.size(values)} per-qubit values "
+                             f"for the 3 data qubits")
     return [_checked(g, p) for g, p in
             zip(np.broadcast_to(gammas, 3), np.broadcast_to(ps, 3))]
 
@@ -584,7 +590,9 @@ def apply_cycle(superop: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, float
 
     The blocks' row-major vecs are the columns of one (64, m) array, so the
     map is one product. Returns the kept state renormalized to unit trace
-    (the sum of its blocks' traces) and its weight relative to rho's.
+    (the sum of its blocks' traces) and its weight relative to rho's. A
+    kept weight not above 1 / (the largest float), whose reciprocal
+    overflows, raises ValueError naming it.
     """
     if rho.shape[:2] != (8, 8) or rho.ndim > 3:
         raise ValueError(f"the recovery takes 8x8 blocks of the 3 data qubits, "
@@ -592,8 +600,10 @@ def apply_cycle(superop: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, float
                          f"qubits")
     out = (superop @ rho.reshape(64, -1)).reshape(rho.shape)
     weight = float(np.real(np.trace(out).sum()))
-    if not weight > 0:
-        raise ValueError(f"post-selection removed all weight (kept weight {weight})")
+    if not weight > 1 / sys.float_info.max:
+        raise ValueError(f"post-selection removed all weight (kept weight {weight!r}, "
+                         f"not above 1/{sys.float_info.max!r}, where renormalizing "
+                         f"overflows)")
     return out / weight, weight / float(np.real(np.trace(rho).sum()))
 
 

@@ -341,14 +341,6 @@ def _require_phase(name: str, frequency: float, duration: float) -> None:
             f"overflows: the phase has no float value")
 
 
-def _require_couplings(couplings: Sequence, n: int) -> None:
-    """Each coupling (a, b, g) names two distinct qubits of an n-qubit register."""
-    for a, b, g in couplings:
-        if a == b or not (0 <= a < n and 0 <= b < n):
-            raise ConfigError(f"'couplings' entry {[a, b, g]} must name two "
-                              f"distinct qubits of the {n}-qubit register")
-
-
 def lindbladian(n_qubits: int, params: NoiseParams, couplings: Sequence = (),
                 omega: Optional[Sequence[float]] = None,
                 classical: int = 0) -> Lindbladian:
@@ -382,7 +374,10 @@ def lindbladian(n_qubits: int, params: NoiseParams, couplings: Sequence = (),
     omega = np.zeros(n) if omega is None else np.asarray(omega, dtype=float)
     if omega.shape != (n,):
         raise ConfigError(f"{omega.size} frequencies for {n} qubits")
-    _require_couplings(couplings, n)
+    for a, b, g in couplings:
+        if a == b or not (0 <= a < n and 0 <= b < n):
+            raise ConfigError(f"'couplings' entry {[a, b, g]} must name two "
+                              f"distinct qubits of the {n}-qubit register")
     quantum = n - classical
     if not 0 < quantum <= n:
         raise ConfigError(f"{classical} classical qubits in a {n}-qubit register")
@@ -438,23 +433,6 @@ def propagate(prop: Propagator, rho: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.swapaxes(lead, lead + 1).conj())
 
 
-@dataclass(frozen=True)
-class CrosstalkModel:
-    """Two-qubit ZZ toy model: H = w1/2 Z1 + w2/2 Z2 + g Z1 Z2 (angular
-    frequencies, rad/us) with relaxation and dephasing from ``noise``,
-    shared or per qubit (``NoiseParams.lifetimes(2)``)."""
-
-    omega1: float = 0.0
-    omega2: float = 0.0
-    g: float = 0.05
-    noise: NoiseParams = NoiseParams(t1=math.inf)
-
-    def lindbladian(self) -> Lindbladian:
-        """The model's generator."""
-        return lindbladian(2, self.noise, ((0, 1, self.g),),
-                           (self.omega1, self.omega2))
-
-
 def _pulse_gathers(colors: Sequence[int], m: int) -> dict:
     """Each color's pulse as one gather of the flattened (d, d, m) block
     view (``lindbladian``) of the register ``colors`` colors qubit by qubit,
@@ -496,12 +474,16 @@ class ToySeries:
     fidelity: np.ndarray
 
 
-def run_crosstalk_toy(model: CrosstalkModel, probe_init: str, t_final: float,
-                      cycles: int) -> tuple[ToySeries, ToySeries]:
-    """Evolve (probe, spectator=|0>) under the ZZ toy model over a positive
-    ``t_final``, recording the probe populations and its fidelity to the
-    initial probe state, free and with CHaDD: returns (free, chadd), both
-    from one initial state, one generator and one phase check over t_final.
+def run_crosstalk_toy(noise: NoiseParams, g: float, omegas: Sequence[float],
+                      t_final: float, cycles: int, probes: Sequence[str]
+                      ) -> list[tuple[ToySeries, ToySeries]]:
+    """Evolve (probe, spectator=|0>) over a positive ``t_final`` under the
+    two-qubit ZZ toy model, H = w1/2 Z1 + w2/2 Z2 + g Z1 Z2 (``omegas`` =
+    (w1, w2); rad/us) with relaxation and dephasing from ``noise``,
+    recording the probe populations and its fidelity to the initial probe
+    state, free and with CHaDD. Returns one (free, chadd) pair per entry of
+    ``probes`` ("0", "1" or "+"), all from one set of checks, one generator
+    and the propagators and pulses below, each built once.
 
     The free series is sampled 40 times at multiples of t_final / 40 by one
     propagator over all 40 durations (one closed-form call, no stepping).
@@ -511,35 +493,38 @@ def run_crosstalk_toy(model: CrosstalkModel, probe_init: str, t_final: float,
     """
     kets = {"0": np.array([1, 0], complex), "1": np.array([0, 1], complex),
             "+": np.array([1, 1], complex) / math.sqrt(2)}
-    if probe_init not in kets:
-        raise ConfigError(f"probe_init must be one of {sorted(kets)}")
+    if any(probe not in kets for probe in probes):
+        raise ConfigError(f"each probe must be one of {sorted(kets)}, "
+                          f"got {list(probes)}")
     if not t_final > 0:
         raise ConfigError(f"t_final must be positive, got {t_final}")
     if cycles < 1:
         raise ConfigError(f"cycles must be at least 1, got {cycles}")
-    model.noise.lifetimes(2)  # a config error before a phase overflow
-    for name in ("omega1", "omega2", "g"):  # t_final bounds a CHaDD interval
-        _require_phase(name, getattr(model, name), t_final)
-    probe = kets[probe_init]
-    psi = np.kron(probe, kets["0"])
-    state = np.outer(psi, psi.conj())
-    gen = model.lindbladian()
+    gen = lindbladian(2, noise, ((0, 1, g),), omegas)  # config errors first
+    for name, frequency in zip(("omega1", "omega2", "g"), (*omegas, g)):
+        _require_phase(name, frequency, t_final)  # t_final bounds a CHaDD interval
     times = t_final / 40 * np.arange(41)
-    rows = [state, *propagate(gen.propagator(times[1:]), state), state]
+    along = gen.propagator(times[1:])
     span = t_final / (len(ROBUST_PULSES) * cycles)  # one CHaDD interval
     free, pulses = gen.propagator(span), _pulse_gathers((1, 2), 1)
-    for _ in range(cycles):
-        rows.append(_chadd_cycle(free, rows[-1], pulses))
-    stack = np.stack(rows)  # the free series' 41 states, then the CHaDD series'
-    check_density(stack, normalized=False)
-    reduced = np.trace(stack.reshape(-1, 2, 2, 2, 2), axis1=2, axis2=4)
-    proj_probe = np.outer(probe, probe.conj())
-    fid = np.real(np.trace(proj_probe @ reduced, axis1=1, axis2=2))
-    pop0, pop1 = np.real(reduced[:, 0, 0]), np.real(reduced[:, 1, 1])
     # span * 8 is the cycle: t_final / cycles rounds differently
     cycle_times = span * len(ROBUST_PULSES) * np.arange(cycles + 1)
-    return (ToySeries(times, pop0[:41], pop1[:41], fid[:41]),
-            ToySeries(cycle_times, pop0[41:], pop1[41:], fid[41:]))
+    pairs = []
+    for probe in map(kets.get, probes):
+        psi = np.kron(probe, kets["0"])
+        state = np.outer(psi, psi.conj())
+        rows = [state, *propagate(along, state), state]
+        for _ in range(cycles):
+            rows.append(_chadd_cycle(free, rows[-1], pulses))
+        stack = np.stack(rows)  # the free series' 41 states, then the CHaDD series'
+        check_density(stack, normalized=False)
+        reduced = np.trace(stack.reshape(-1, 2, 2, 2, 2), axis1=2, axis2=4)
+        proj_probe = np.outer(probe, probe.conj())
+        fid = np.real(np.trace(proj_probe @ reduced, axis1=1, axis2=2))
+        pop0, pop1 = np.real(reduced[:, 0, 0]), np.real(reduced[:, 1, 1])
+        pairs.append((ToySeries(times, pop0[:41], pop1[:41], fid[:41]),
+                      ToySeries(cycle_times, pop0[41:], pop1[41:], fid[41:])))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -547,43 +532,29 @@ def run_crosstalk_toy(model: CrosstalkModel, probe_init: str, t_final: float,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectatorLayout:
-    """Data qubits 0..2 plus spectators, with static ZZ couplings.
-
-    ``couplings`` are (qubit_a, qubit_b, g_rad_per_us) over the combined
-    register. CHaDD colors alternate along the data chain, and each
-    spectator takes the color opposite its first coupled partner.
-    """
-
-    spectators: int = 1
-    couplings: tuple = ()
-
-    def __post_init__(self):
-        _require_couplings(self.couplings, self.n_qubits)
-
-    @property
-    def n_qubits(self) -> int:
-        return 3 + self.spectators
-
-    def resolved_colors(self) -> tuple:
-        colors = {0: 1, 1: 2, 2: 1}
-        for q in range(3, self.n_qubits):
-            partner = next((a if b == q else b for a, b, _ in self.couplings
-                            if q in (a, b)), None)
-            colors[q] = 1 if partner is None else 3 - colors.get(partner, 2)
-        return tuple(colors[q] for q in range(self.n_qubits))
+def _colors(n: int, couplings: Sequence) -> tuple[int, ...]:
+    """The CHaDD color of each of the n qubits: 1, 2, 1 along the data
+    chain, then each spectator the color opposite its first coupled
+    partner's, 1 if that partner is a later spectator or it has none. The
+    couplings must be valid (``lindbladian`` checks them)."""
+    colors = [1, 2, 1]
+    for q in range(3, n):
+        partner = next((a if b == q else b for a, b, _ in couplings
+                        if q in (a, b)), n)
+        colors.append(1 if partner >= q else 3 - colors[partner])
+    return tuple(colors)
 
 
 def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
-                            layout: SpectatorLayout
+                            spectators: int, couplings: Sequence
                             ) -> tuple[list[MultiQecPoint], list[MultiQecPoint]]:
     """Multi-round QEC where each delay is Lindblad free evolution of the
-    data + spectator register (ZZ couplings included), plain and chopped
-    into one robust CHaDD cycle with instantaneous pulses: returns (plain,
-    chadd), both from one check (the phases over the plain delay, which
-    bounds a CHaDD interval), one state, one generator and one kept
-    recovery branch per distinct delay (``RecoveryMap.of_delay``).
+    register of data qubits 0..2 and ``spectators`` more, with static ZZ
+    ``couplings`` (a, b, g rad/us) over it, plain and chopped into one
+    robust CHaDD cycle with instantaneous pulses (colored by ``_colors``):
+    returns (plain, chadd), both from one check (the phases over the plain
+    delay, which bounds a CHaDD interval), one state, one generator and one
+    kept recovery branch per distinct delay (``RecoveryMap.of_delay``).
 
     The spectators stay classical: they start in |0...0>, the generator is
     diagonal in Z with sigma- and Z dissipators, every pulse flips the same
@@ -606,7 +577,7 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
     act on the data qubits through ``code3.apply_cycle``, and the ancilla
     reset is an exact replacement, so only their timing matters.
     """
-    n = layout.n_qubits
+    n = 3 + spectators
     if n > 7:
         raise ConfigError(f"register of {n} qubits exceeds the 7-qubit cap")
     t1_r = recovery_t1(config, noise.lifetimes(n)[0])
@@ -618,12 +589,12 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
         span = float(config.max_delay)
     for q in range(n):
         _require_phase(f"the summed |g| of the couplings on qubit {q}",
-                       sum(abs(g) for a, b, g in layout.couplings if q in (a, b)),
+                       sum(abs(g) for a, b, g in couplings if q in (a, b)),
                        span)
     psi = code3.encode_ideal(config.logical)
-    m = 2**layout.spectators
-    gen = lindbladian(n, noise, layout.couplings, classical=layout.spectators)
-    pulses = _pulse_gathers(layout.resolved_colors(), m)
+    m = 2**spectators
+    gen = lindbladian(n, noise, couplings, classical=spectators)
+    pulses = _pulse_gathers(_colors(n, couplings), m)
     start = np.zeros((8, 8, m), dtype=complex)
     start[:, :, 0] = np.outer(psi, psi.conj())  # the spectators in |0...0>
     kept = functools.cache(

@@ -25,7 +25,7 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from nadqec.noise import NoiseParams
-from nadqec.protocol import ROBUST_PULSES, CrosstalkModel
+from nadqec.protocol import ROBUST_PULSES
 
 
 def pulse_permutations(colors: Sequence[int]) -> dict:
@@ -42,11 +42,11 @@ def pulse_permutations(colors: Sequence[int]) -> dict:
             for color in (1, 2)}
 
 
-def crosstalk_hamiltonian(model: CrosstalkModel) -> np.ndarray:
+def crosstalk_hamiltonian(g: float, omegas: Sequence[float]) -> np.ndarray:
     """H = w1/2 Z1 + w2/2 Z2 + g Z1 Z2 of the two-qubit ZZ toy model."""
     z1 = embed(Z, [0], 2)
     z2 = embed(Z, [1], 2)
-    return 0.5 * model.omega1 * z1 + 0.5 * model.omega2 * z2 + model.g * z1 @ z2
+    return 0.5 * omegas[0] * z1 + 0.5 * omegas[1] * z2 + g * z1 @ z2
 
 
 def chadd_cycle_unitary(tau: float, h: np.ndarray,

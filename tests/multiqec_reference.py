@@ -48,7 +48,6 @@ from nadqec.protocol import (
     T_RESET,
     MultiQecPoint,
     ProtocolConfig,
-    SpectatorLayout,
     _schedules,
     lindbladian,
     propagate,
@@ -226,20 +225,33 @@ def apply_cycle_full(superop: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, 
     return out / weight, weight / float(np.real(np.trace(rho)))
 
 
+def chadd_colors(spectators: int, couplings: Sequence) -> tuple:
+    """The CHaDD colors of data qubits 0..2 and the spectators: the data
+    chain alternates 1, 2, 1, and each spectator takes the color opposite
+    its first coupled partner, a partner not yet colored counting as 2 and
+    no partner giving 1."""
+    colors = {0: 1, 1: 2, 2: 1}
+    for q in range(3, 3 + spectators):
+        partner = next((a if b == q else b for a, b, _ in couplings
+                        if q in (a, b)), None)
+        colors[q] = 1 if partner is None else 3 - colors.get(partner, 2)
+    return tuple(colors[q] for q in range(3 + spectators))
+
+
 def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
-                            layout: SpectatorLayout, *,
+                            spectators: int, couplings: Sequence, *,
                             chadd: bool) -> list[MultiQecPoint]:
     """The CHaDD runner on the full register, each point walked from the
     encoded state."""
-    n = layout.n_qubits
+    n = 3 + spectators
     t1s = noise.lifetimes(n)[0]
     target = code3.encode_ideal(config.logical)
-    gen = lindbladian(n, noise, layout.couplings)
-    perms = pulse_permutations(layout.resolved_colors())
+    gen = lindbladian(n, noise, couplings)
+    perms = pulse_permutations(chadd_colors(spectators, couplings))
     m = 2**(n - 3)
-    spectators = np.zeros((m, m))
-    spectators[0, 0] = 1.0
-    rho0 = np.kron(pure(target), spectators)
+    ground = np.zeros((m, m))
+    ground[0, 0] = 1.0  # the spectators in |0...0>
+    rho0 = np.kron(pure(target), ground)
 
     def one_round(rho, delay):
         if chadd:

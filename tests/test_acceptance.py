@@ -168,8 +168,7 @@ def test_ac8_chadd_exactness():
     worst = 0.0
     for _ in range(10):
         w1, w2, g, tau = rng.uniform(0.05, 2.0, 4)
-        model = protocol.CrosstalkModel(omega1=w1, omega2=w2, g=g)
-        u = chadd_cycle_unitary(tau, crosstalk_hamiltonian(model), (1, 2))
+        u = chadd_cycle_unitary(tau, crosstalk_hamiltonian(g, (w1, w2)), (1, 2))
         phase = u[0, 0] / abs(u[0, 0])
         worst = max(worst, float(np.abs(u / phase - np.eye(4)).max()))
     assert report(8, worst < 1e-8,
@@ -178,12 +177,11 @@ def test_ac8_chadd_exactness():
 
 
 def test_ac9_crosstalk_toy_directionality():
-    model = protocol.CrosstalkModel(omega1=0.3, omega2=0.2, g=0.05,
-                                    noise=NoiseParams(t1=100.0))
-    t_final = 60.0
+    probes = ("0", "1")
+    pairs = protocol.run_crosstalk_toy(NoiseParams(t1=100.0), 0.05, (0.3, 0.2),
+                                       60.0, 4, probes)
     outcomes = {}
-    for probe in ("0", "1"):
-        without, with_dd = protocol.run_crosstalk_toy(model, probe, t_final, 4)
+    for probe, (without, with_dd) in zip(probes, pairs):
         outcomes[probe] = (with_dd.fidelity[-1], without.fidelity[-1])
     ok = (outcomes["1"][0] > outcomes["1"][1]
           and outcomes["0"][0] < outcomes["0"][1])

@@ -631,6 +631,23 @@ class TestRun:
         assert "probe,sequence,time_us" in text.splitlines()[0]
         assert "chadd" in text and "free" in text
 
+    def test_crosstalk_toy_is_one_run_of_both_probes(self, tmp_path, monkeypatch):
+        # one spec: one runner call over both probes, one generator, and two
+        # propagators (the 40 sample times and one CHaDD interval)
+        built = {"run_crosstalk_toy": [], "lindbladian": [], "propagator": []}
+        for owner, name in ((protocol, "run_crosstalk_toy"), (protocol, "lindbladian"),
+                            (protocol.Lindbladian, "propagator")):
+            calls, original = built[name], getattr(owner, name)
+            monkeypatch.setattr(
+                owner, name,
+                lambda *a, calls=calls, original=original, **k:
+                    calls.append(a) or original(*a, **k))
+        payload = {"kind": "crosstalk-toy", "output": str(tmp_path / "toy.csv"),
+                   "params": {"t1": 100.0, "t_final": 16.0, "cycles": 2}}
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_OK
+        assert {k: len(v) for k, v in built.items()} \
+            == {"run_crosstalk_toy": 1, "lindbladian": 1, "propagator": 2}
+
     def test_crosstalk_toy_cycles_of_a_long_final_time(self, tmp_path):
         # t_final / (8 * cycles) times 8 * cycles is not t_final to 1e-9 here;
         # the runner takes the cycle count as given instead of recovering it
@@ -749,6 +766,18 @@ class TestRun:
                               "total_free": [1e9], "t1": 220.0}}
         assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_NUMERICAL
         assert "post-selection removed all weight" in capsys.readouterr().err
+
+    def test_kept_weight_too_small_to_renormalize(self, tmp_path, capsys):
+        # 360 T1: the round's kept weight, 3e-313, is not above 1/(the
+        # largest float); the run exits on the error naming it, with no
+        # numpy warning before it
+        payload = {"kind": "multiqec-chadd", "output": str(tmp_path / "out.csv"),
+                   "params": {"theta": math.pi / 2, "spectators": 0, "t1": 50,
+                              "max_delay": 18000, "total_free": [18000]}}
+        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "post-selection removed all weight (kept weight 3.048" in err
+        assert "Warning" not in err
 
     def test_gain_surface(self, tmp_path):
         payload = {

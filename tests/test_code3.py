@@ -7,6 +7,7 @@ parity. Expected values quoted in the assertions were computed with it.
 """
 
 import math
+import sys
 from itertools import product
 
 import numpy as np
@@ -394,6 +395,20 @@ class TestRecoveryEngine:
         np.testing.assert_allclose(state5, state3[:, :, None] * spect,
                                    atol=1e-14)
 
+    def test_weight_whose_reciprocal_overflows_raises(self):
+        # 1/weight overflows at or below 1/(the largest float); just above
+        # it the kept state is renormalized as at any weight, and nothing
+        # warns (pytest turns a warning into a failure)
+        kept = RecoveryMap.ideal(0.2).superop()
+        rho = pure(codeword(0))
+        weight = apply_cycle(kept, rho)[1]
+        tiny = 1 / sys.float_info.max
+        state, p = apply_cycle(kept, rho * (1.2 * tiny / weight))
+        assert np.all(np.isfinite(state)) and abs(np.trace(state) - 1) < 1e-12
+        for scale in (0.99 * tiny / weight, 1e-5 * tiny / weight):
+            with pytest.raises(ValueError, match=r"removed all weight \(kept weight "):
+                apply_cycle(kept, rho * scale)
+
     def test_zero_weight_raises(self):
         # at gamma = 1 the no-damping branch removes the W state entirely
         with pytest.raises(ValueError, match="removed all weight"):
@@ -462,6 +477,22 @@ class TestCompletePositivity:
 class TestLogicalRound:
     """The 4x4 logical round: completely positive, trace-non-increasing,
     and exactly the 64x64 round on the code space."""
+
+    @pytest.mark.parametrize("count", [2, 4])
+    @pytest.mark.parametrize("which", ["gammas", "ps"])
+    def test_per_qubit_values_need_one_or_three(self, which, count):
+        # a gamma or p sequence of other than 1 or 3 entries is named with
+        # its count by every builder that takes per-qubit noise; 1 and 3
+        # entries are the shared value and one per data qubit
+        args = {"gammas": 0.1, "ps": 0.01}
+        rmap = RecoveryMap.ideal(0.1)
+        for build in (noise_superop, lambda gammas, ps: logical_round(gammas, ps, rmap),
+                      lambda gammas, ps: PauliRound.of_noise(gammas, ps, 0.1)):
+            with pytest.raises(ValueError, match=f"^{which} has {count} per-qubit"):
+                build(**{**args, which: [args[which]] * count})
+            for ok in (1, 3):
+                got = build(**{**args, which: [args[which]] * ok})
+                assert np.array_equal(np.asarray(got), np.asarray(build(**args)))
 
     @settings(max_examples=60, deadline=None)
     @given(gammas=st.lists(st.floats(0.0, 1.0, exclude_max=True),

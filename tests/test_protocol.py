@@ -27,6 +27,7 @@ from multiqec_reference import (
     run_multiqec_with_chadd as run_multiqec_with_chadd_reference,
 )
 from multiqec_reference import (
+    chadd_colors,
     fit_lifetime,
     run_multiqec_mpmath,
     schedule_rounds,
@@ -38,12 +39,11 @@ from noise_reference import Z, damp_dephase, embed, fidelity, pure
 from oracle_reference import oracle_fidelity_multiround, oracle_success_multiround
 
 from nadqec import code3, protocol
+from nadqec.metrics import gain_surface
 from nadqec.noise import NoiseParams, gamma_of_t
 from nadqec.protocol import (
     ROBUST_PULSES,
-    CrosstalkModel,
     ProtocolConfig,
-    SpectatorLayout,
     lindbladian,
     propagate,
     run_crosstalk_toy,
@@ -140,14 +140,15 @@ class TestScheduling:
         assert cfg == ProtocolConfig(code3.LogicalStateSpec(1.0), 30, (0.0, 40.0, 95.5))
         assert "_schedule" not in repr(cfg)
         noise = NoiseParams.from_t1_t2(220.0, 300.0)
-        layout = SpectatorLayout(spectators=1, couplings=((0, 3, 0.05),))
-        want = [run_multiqec(cfg, noise), run_multiqec_with_chadd(cfg, noise, layout)]
+        couplings = ((0, 3, 0.05),)
+        want = [run_multiqec(cfg, noise),
+                run_multiqec_with_chadd(cfg, noise, 1, couplings)]
 
         def parse_again(*args):
             raise AssertionError("the schedule was parsed again")
         monkeypatch.setattr(protocol, "_schedules", parse_again)
         assert [run_multiqec(cfg, noise),
-                run_multiqec_with_chadd(cfg, noise, layout)] == want
+                run_multiqec_with_chadd(cfg, noise, 1, couplings)] == want
 
 
 class TestTiming:
@@ -516,10 +517,16 @@ class TestChaddSequence:
         rng = np.random.default_rng(17)
         for _ in range(10):
             w1, w2, g, tau = rng.uniform(0.05, 2.0, 4)
-            model = CrosstalkModel(omega1=w1, omega2=w2, g=g)
-            u = chadd_cycle_unitary(tau, crosstalk_hamiltonian(model), (1, 2))
+            u = chadd_cycle_unitary(tau, crosstalk_hamiltonian(g, (w1, w2)), (1, 2))
             phase = u[0, 0] / abs(u[0, 0])
             assert np.abs(u / phase - np.eye(4)).max() < 1e-8
+
+
+def _toy(probe, t_final, cycles, g=0.05, omegas=(0.0, 0.0),
+         noise=NoiseParams(t1=math.inf)):
+    """One probe's (free, chadd) pair of the ZZ toy; by default a coupled,
+    undetuned pair without noise."""
+    return run_crosstalk_toy(noise, g, omegas, t_final, cycles, (probe,))[0]
 
 
 def _random_density(rng, dim):
@@ -559,18 +566,16 @@ def _restrict(rho, m):
 
 class TestLindblad:
     def test_trace_preserved(self):
-        model = CrosstalkModel(omega1=0.4, omega2=0.1, g=0.07,
-                               noise=NoiseParams(t1=80.0, tphi=120.0))
+        gen = lindbladian(2, NoiseParams(t1=80.0, tphi=120.0), ((0, 1, 0.07),),
+                          (0.4, 0.1))
         rho = np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex)
-        out = propagate(model.lindbladian().propagator(25.0), rho)
+        out = propagate(gen.propagator(25.0), rho)
         assert abs(np.trace(out).real - 1.0) < 1e-9
 
     def test_richardson_convergence(self):
-        model = CrosstalkModel(omega1=0.4, omega2=0.1, g=0.07,
-                               noise=NoiseParams(t1=80.0, tphi=120.0))
         collapse = collapse_operators(2, NoiseParams(t1=80.0, tphi=120.0))
         rho = np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex)
-        h = crosstalk_hamiltonian(model)
+        h = crosstalk_hamiltonian(0.07, (0.4, 0.1))
         coarse = evolve_lindblad(h, rho, 10.0, collapse, 400)
         fine = evolve_lindblad(h, rho, 10.0, collapse, 800)
         assert np.abs(coarse - fine).max() < 1e-8
@@ -614,12 +619,13 @@ class TestLindblad:
                 assert np.all(later[~np.eye(4, dtype=bool)] == 0)
                 assert abs(np.trace(later) - 1) < 1e-15
 
-    @pytest.mark.parametrize("model", [CrosstalkModel(omega1=1e308),
-                                       CrosstalkModel(g=1e308)])
+    @pytest.mark.parametrize("model", [(0.05, (1e308, 0.0)), (1e308, (0.0, 0.0))])
     def test_overflowing_phase_raises(self, model):
         # omega t or g t past the largest float is a phase with no value
+        g, omegas = model
+        gen = lindbladian(2, NoiseParams(t1=math.inf), ((0, 1, g),), omegas)
         with pytest.raises(FloatingPointError, match="invalid value"):
-            model.lindbladian().propagator(np.array([1.0, 16.0]))
+            gen.propagator(np.array([1.0, 16.0]))
 
     def test_runners_name_an_overflowing_phase(self):
         # each runner checks 4 |f| t, the largest phase the propagator
@@ -628,18 +634,19 @@ class TestLindblad:
         bound = sys.float_info.max / (4 * 60.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pair = run_crosstalk_toy(CrosstalkModel(g=0.99 * bound), "+", 60.0, 1)
+            pair = _toy("+", 60.0, 1, g=0.99 * bound)
         assert all(np.all(np.isfinite(series.fidelity)) for series in pair)
-        for field in ("omega1", "omega2", "g"):
-            model = CrosstalkModel(**{field: -1.01 * bound})
+        big = -1.01 * bound
+        for field, model in (("omega1", dict(omegas=(big, 0.0))),
+                             ("omega2", dict(omegas=(0.0, big))), ("g", dict(g=big))):
             # the free series' span, t_final, bounds each CHaDD interval
             for cycles in (1, 8):
                 with pytest.raises(FloatingPointError, match=f"^{field} = "):
-                    run_crosstalk_toy(model, "0", 60.0, cycles)
+                    _toy("0", 60.0, cycles, **model)
         cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), 60.0, (10.0, 70.0))
-        layout = SpectatorLayout(couplings=((0, 3, 0.6 * bound), (1, 3, 0.6 * bound)))
+        couplings = ((0, 3, 0.6 * bound), (1, 3, 0.6 * bound))
         with pytest.raises(FloatingPointError, match="couplings on qubit 3 = "):
-            run_multiqec_with_chadd(cfg, NoiseParams(t1=220.0), layout)
+            run_multiqec_with_chadd(cfg, NoiseParams(t1=220.0), 1, couplings)
 
     def test_overflowing_decay_is_zero(self):
         # t / T1 past the largest float is a decay of exactly 0, with no
@@ -774,48 +781,43 @@ class TestLindblad:
 
 class TestCrosstalkToy:
     def test_stationary_without_coupling_or_noise(self):
-        model = CrosstalkModel(omega1=0.0, omega2=0.0, g=0.0)
-        for series in run_crosstalk_toy(model, "1", 40.0, 4):
+        for series in _toy("1", 40.0, 4, g=0.0):
             np.testing.assert_allclose(series.pop1, 1.0, atol=1e-10)
 
     def test_probe_one_improves_with_chadd(self):
-        model = CrosstalkModel(omega1=0.3, omega2=0.2, g=0.05,
-                               noise=NoiseParams(t1=100.0))
-        without, with_dd = run_crosstalk_toy(model, "1", 60.0, 4)
+        without, with_dd = _toy("1", 60.0, 4, omegas=(0.3, 0.2),
+                                noise=NoiseParams(t1=100.0))
         assert with_dd.fidelity[-1] > without.fidelity[-1]
 
     def test_probe_zero_degrades_with_chadd(self):
-        model = CrosstalkModel(omega1=0.3, omega2=0.2, g=0.05,
-                               noise=NoiseParams(t1=100.0))
-        without, with_dd = run_crosstalk_toy(model, "0", 60.0, 4)
+        without, with_dd = _toy("0", 60.0, 4, omegas=(0.3, 0.2),
+                                noise=NoiseParams(t1=100.0))
         assert with_dd.fidelity[-1] < without.fidelity[-1]
 
     def test_unknown_probe(self):
         with pytest.raises(ValueError):
-            run_crosstalk_toy(CrosstalkModel(), "2", 10.0, 4)
+            _toy("2", 10.0, 4)
 
     @pytest.mark.parametrize("cycles", [0, -2])
     def test_cycles_must_be_positive(self, cycles):
         with pytest.raises(ValueError, match="cycles"):
-            run_crosstalk_toy(CrosstalkModel(), "0", 10.0, cycles)
+            _toy("0", 10.0, cycles)
 
     @pytest.mark.parametrize("t_final, cycles, need", [
         (0.0, 4, "positive"), (-60.0, 4, "positive")])
     def test_bad_t_final_rejected(self, t_final, cycles, need):
         with pytest.raises(ValueError, match=f"t_final must be {need}"):
-            run_crosstalk_toy(CrosstalkModel(noise=NoiseParams(t1=50.0)), "1",
-                              t_final, cycles)
+            _toy("1", t_final, cycles, noise=NoiseParams(t1=50.0))
 
     @pytest.mark.parametrize("probe", ["0", "1", "+"])
     def test_free_series_equals_stepped_series(self, probe):
         # one propagator over the 40 sample times against 40 steps of one
-        model = CrosstalkModel(omega1=0.3, omega2=0.2, g=0.05,
-                               noise=NoiseParams(t1=80.0, tphi=120.0))
-        series, _ = run_crosstalk_toy(model, probe, 60.0, 1)
+        noise = NoiseParams(t1=80.0, tphi=120.0)
+        series, _ = _toy(probe, 60.0, 1, omegas=(0.3, 0.2), noise=noise)
         ket = {"0": [1, 0], "1": [0, 1], "+": [1 / math.sqrt(2)] * 2}[probe]
         psi = np.kron(ket, [1, 0]).astype(complex)
         state = np.outer(psi, psi.conj())
-        step = model.lindbladian().propagator(60.0 / 40)
+        step = lindbladian(2, noise, ((0, 1, 0.05),), (0.3, 0.2)).propagator(60.0 / 40)
         rows = [state]
         for _ in range(40):
             state = propagate(step, state)
@@ -832,34 +834,46 @@ class TestCrosstalkToy:
         # |0> and |1> start the probe diagonal, and the ZZ coupling, the Z
         # terms and dephasing act only on coherences, so the populations
         # and fidelity follow T1 alone, bit for bit; a "+" probe sees them
-        base = CrosstalkModel(g=0.0, noise=NoiseParams(t1=80.0))
-        others = (CrosstalkModel(omega1=0.3, omega2=0.2, g=0.05,
-                                 noise=NoiseParams(t1=80.0, tphi=120.0)),
-                  CrosstalkModel(omega1=-1.1, omega2=0.7, g=0.2,
-                                 noise=NoiseParams.from_t1_t2(80.0, 100.0)))
+        base = dict(g=0.0, noise=NoiseParams(t1=80.0))
+        others = (dict(omegas=(0.3, 0.2), g=0.05,
+                       noise=NoiseParams(t1=80.0, tphi=120.0)),
+                  dict(omegas=(-1.1, 0.7), g=0.2,
+                       noise=NoiseParams.from_t1_t2(80.0, 100.0)))
         for probe in ("0", "1"):
-            want = run_crosstalk_toy(base, probe, 60.0, cycles)
+            want = _toy(probe, 60.0, cycles, **base)
             for model in others:
-                got = run_crosstalk_toy(model, probe, 60.0, cycles)
+                got = _toy(probe, 60.0, cycles, **model)
                 for a, b in zip(got, want, strict=True):  # free, then chadd
                     for field in ("times", "pop0", "pop1", "fidelity"):
                         assert np.array_equal(getattr(a, field), getattr(b, field))
         for which in (0, 1):
-            plus = [run_crosstalk_toy(m, "+", 60.0, cycles)[which].fidelity
+            plus = [_toy("+", 60.0, cycles, **m)[which].fidelity
                     for m in (base,) + others]
             assert all(not np.array_equal(plus[0], f) for f in plus[1:])
 
     def test_one_generator_and_state_per_call(self, monkeypatch):
-        # both series of a call share its one generator and initial state
-        built = []
-        original = CrosstalkModel.lindbladian
-        monkeypatch.setattr(CrosstalkModel, "lindbladian",
-                            lambda self: built.append(self) or original(self))
-        free, chadd = run_crosstalk_toy(CrosstalkModel(noise=NoiseParams(t1=50.0)),
-                                        "+", 60.0, 3)
-        assert len(built) == 1
-        assert np.array_equal(free.fidelity[:1], chadd.fidelity[:1])
-        assert (len(free.times), len(chadd.times)) == (41, 4)
+        # every probe of a call shares its one generator and its two
+        # propagators (the 40 sample times, one CHaDD interval), and both
+        # series of a probe its one initial state
+        built = {"lindbladian": [], "propagator": []}
+        for owner, name in ((protocol, "lindbladian"),
+                            (protocol.Lindbladian, "propagator")):
+            calls, original = built[name], getattr(owner, name)
+            monkeypatch.setattr(
+                owner, name,
+                lambda *a, calls=calls, original=original, **k:
+                    calls.append(a) or original(*a, **k))
+        pairs = run_crosstalk_toy(NoiseParams(t1=50.0), 0.05, (0.0, 0.0), 60.0, 3,
+                                  ("+", "0", "1"))
+        assert (len(built["lindbladian"]), len(built["propagator"])) == (1, 2)
+        assert len(pairs) == 3
+        for (free, chadd), probe in zip(pairs, ("+", "0", "1")):
+            assert np.array_equal(free.fidelity[:1], chadd.fidelity[:1])
+            assert (len(free.times), len(chadd.times)) == (41, 4)
+            lone = _toy(probe, 60.0, 3, noise=NoiseParams(t1=50.0))
+            for a, b in zip((free, chadd), lone, strict=True):
+                for field in ("times", "pop0", "pop1", "fidelity"):
+                    assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
 class TestMultiQecWithChadd:
@@ -868,8 +882,8 @@ class TestMultiQecWithChadd:
     def test_no_coupling_no_noise_is_perfect(self):
         cfg = ProtocolConfig(code3.LogicalStateSpec(math.pi / 2), max_delay=30,
                              total_free=(60.0,))
-        layout = SpectatorLayout(spectators=1, couplings=((0, 3, 0.0),))
-        for pts in run_multiqec_with_chadd(cfg, NoiseParams(t1=1e12), layout):
+        for pts in run_multiqec_with_chadd(cfg, NoiseParams(t1=1e12), 1,
+                                           ((0, 3, 0.0),)):
             assert abs(pts[0].fidelity - 1.0) < 1e-8
             assert abs(pts[0].success_probability - 1.0) < 1e-8
 
@@ -877,8 +891,7 @@ class TestMultiQecWithChadd:
     def test_empty_sweep_returns_no_points(self, chadd):
         cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
                              total_free=())
-        layout = SpectatorLayout(spectators=1, couplings=((0, 3, 0.05),))
-        assert run_multiqec_with_chadd(cfg, self.noise, layout)[chadd] == []
+        assert run_multiqec_with_chadd(cfg, self.noise, 1, ((0, 3, 0.05),))[chadd] == []
 
     @settings(max_examples=60, deadline=None)
     @given(variant=st.sampled_from(["ideal", "approximate"]),
@@ -898,39 +911,52 @@ class TestMultiQecWithChadd:
         cfg = ProtocolConfig(code3.LogicalStateSpec(theta), max_delay,
                              tuple(max_delay * x for x in spans),
                              recovery_variant=variant)
-        layout = SpectatorLayout(spectators=0, couplings=())
-        got, _ = run_multiqec_with_chadd(cfg, noise, layout)
+        got, _ = run_multiqec_with_chadd(cfg, noise, 0, ())
         for a, b in zip(got, run_multiqec(cfg, noise), strict=True):
             assert abs(a.fidelity - b.fidelity) <= 1e-12
             if b.success_probability >= 1e-300:
                 assert abs(a.success_probability / b.success_probability - 1) <= 1e-12
 
+    @pytest.mark.parametrize("many", [355, 360, 375, 400])
+    def test_kept_weight_too_small_to_renormalize_raises(self, many):
+        # a round of many T1 keeps a weight of about 6.7e-309 at 355 T1 and
+        # below 1/(the largest float) from 360 T1 on, where renormalizing
+        # overflows: the walk then ends on the defined error naming the
+        # weight, and warns nothing (pytest turns a warning into a failure)
+        t1 = 50.0
+        cfg = ProtocolConfig(code3.LogicalStateSpec(math.pi / 2), many * t1,
+                             (many * t1,))
+        if many == 355:
+            (got,), _ = run_multiqec_with_chadd(cfg, NoiseParams(t1=t1), 0, ())
+            (want,) = run_multiqec(cfg, NoiseParams(t1=t1))
+            assert abs(got.fidelity - want.fidelity) <= 1e-12
+        else:
+            with pytest.raises(ValueError, match=r"removed all weight \(kept weight "):
+                run_multiqec_with_chadd(cfg, NoiseParams(t1=t1), 0, ())
+
     def test_chadd_suppresses_spectator_crosstalk(self):
-        layout = SpectatorLayout(spectators=1, couplings=((0, 3, 0.05),))
         cfg = ProtocolConfig(code3.LogicalStateSpec(math.pi / 2),
                              max_delay=30, total_free=(60.0,))
-        plain, chadd = run_multiqec_with_chadd(cfg, self.noise, layout)
+        plain, chadd = run_multiqec_with_chadd(cfg, self.noise, 1, ((0, 3, 0.05),))
         assert chadd[0].fidelity >= plain[0].fidelity
 
     def test_chadd_hurts_zero_logical_without_crosstalk(self):
-        layout = SpectatorLayout(spectators=0, couplings=())
         cfg = ProtocolConfig(code3.LogicalStateSpec(0.0), max_delay=30,
                              total_free=(60.0,))
-        plain, chadd = run_multiqec_with_chadd(cfg, self.noise, layout)
+        plain, chadd = run_multiqec_with_chadd(cfg, self.noise, 0, ())
         assert chadd[0].fidelity < plain[0].fidelity
 
     def test_register_cap(self):
         cfg = ProtocolConfig(code3.LogicalStateSpec(0.0), max_delay=30,
                              total_free=(30.0,))
         with pytest.raises(ValueError):
-            run_multiqec_with_chadd(cfg, self.noise, SpectatorLayout(spectators=5))
+            run_multiqec_with_chadd(cfg, self.noise, 5, ())
 
     def test_seven_qubit_register_chadd_suppresses_crosstalk(self):
-        layout = SpectatorLayout(spectators=4, couplings=(
-            (0, 3, 0.05), (2, 4, 0.04), (1, 5, 0.03), (0, 6, 0.02)))
+        couplings = ((0, 3, 0.05), (2, 4, 0.04), (1, 5, 0.03), (0, 6, 0.02))
         cfg = ProtocolConfig(code3.LogicalStateSpec(math.pi / 2),
                              max_delay=30, total_free=(30.0,))
-        plain, chadd = run_multiqec_with_chadd(cfg, self.noise, layout)
+        plain, chadd = run_multiqec_with_chadd(cfg, self.noise, 4, couplings)
         assert chadd[0].fidelity >= plain[0].fidelity
 
     def test_ideal_rejects_unequal_data_t1(self):
@@ -938,7 +964,7 @@ class TestMultiQecWithChadd:
                              total_free=(30.0,))
         with pytest.raises(ValueError, match="ideal recovery adapts to one T1"):
             run_multiqec_with_chadd(cfg, NoiseParams(t1=[220.0, 100.0, 220.0, 220.0]),
-                                    SpectatorLayout(spectators=1))
+                                    1, ())
 
     def test_pulse_unitaries_built_once_per_run(self, monkeypatch):
         # the pulses, as gathers of the block state: one set per call, which
@@ -949,23 +975,22 @@ class TestMultiQecWithChadd:
                             lambda *a: built.append(a) or gathers(*a))
         cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
                              total_free=(30.0, 75.0))
-        layout = SpectatorLayout(spectators=1, couplings=((0, 3, 0.05),))
-        run_multiqec_with_chadd(cfg, self.noise, layout)
-        assert built == [(layout.resolved_colors(), 2)]
+        run_multiqec_with_chadd(cfg, self.noise, 1, ((0, 3, 0.05),))
+        assert built == [((1, 2, 1, 2), 2)]
 
     @pytest.mark.parametrize("chadd", [False, True])
     @pytest.mark.parametrize("spectators", [0, 1, 2])
     def test_sweep_point_equals_its_lone_run(self, spectators, chadd):
         # shared prefixes change no bit: a zero point, full rounds only,
         # and remainders of 15 and 20 us, in an unsorted sweep
-        layout = SpectatorLayout(spectators, tuple(
-            (0, 3 + i, 0.05 - 0.01 * i) for i in range(spectators)))
+        couplings = [(0, 3 + i, 0.05 - 0.01 * i) for i in range(spectators)]
         total_free = (75.0, 0.0, 60.0, 20.0, 45.0)
 
         def run(points):
             cfg = ProtocolConfig(code3.LogicalStateSpec(2.0, 1.1), max_delay=30,
                                  total_free=points)
-            return run_multiqec_with_chadd(cfg, self.noise, layout)[chadd]
+            return run_multiqec_with_chadd(cfg, self.noise, spectators,
+                                           couplings)[chadd]
 
         assert run(total_free) == [run((t,))[0] for t in total_free]
 
@@ -984,8 +1009,7 @@ class TestMultiQecWithChadd:
                     calls.append(a) or original(*a, **k))
         cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
                              total_free=(90.0, 30.0, 45.0, 75.0, 20.0))
-        run_multiqec_with_chadd(cfg, self.noise, SpectatorLayout(
-            spectators=1, couplings=((0, 3, 0.05),)))
+        run_multiqec_with_chadd(cfg, self.noise, 1, ((0, 3, 0.05),))
         assert len(built["lindbladian"]) == 1
         # 30, 15 and 20 us plain, then each as one robust cycle of 8 intervals
         assert [a[1] for a in built["propagator"]] \
@@ -1025,9 +1049,9 @@ class TestMultiQecWithChadd:
             total_free=tuple(float(t) for t in rng.choice(
                 [0.0, 5.0, 10.0, 17.5, 25.0, 32.5], size=3)),
             recovery_variant=variant)
-        layout = SpectatorLayout(spectators, tuple(couplings))
-        got = run_multiqec_with_chadd(cfg, noise, layout)[chadd]
-        want = run_multiqec_with_chadd_reference(cfg, noise, layout, chadd=chadd)
+        got = run_multiqec_with_chadd(cfg, noise, spectators, couplings)[chadd]
+        want = run_multiqec_with_chadd_reference(cfg, noise, spectators, couplings,
+                                                 chadd=chadd)
         for a, b in zip(got, want, strict=True):
             assert (a.total_free_us, a.total_evolution_us, a.rounds) \
                 == (b.total_free_us, b.total_evolution_us, b.rounds)
@@ -1048,22 +1072,36 @@ class TestMultiQecWithChadd:
                                                 else out)))
                 return out
             monkeypatch.setattr(owner, name, wrapped)
-        layout = SpectatorLayout(spectators, tuple(
-            (0, 3 + i, 0.05) for i in range(spectators)))
+        couplings = [(0, 3 + i, 0.05) for i in range(spectators)]
         cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
                              total_free=(45.0,))
-        run_multiqec_with_chadd(cfg, self.noise, layout)
+        run_multiqec_with_chadd(cfg, self.noise, spectators, couplings)
         # two plain rounds of one interval, then two rounds of 8 intervals,
         # each with its recovery
         assert len(sizes) == 2 * (1 + 1) + 2 * (8 + 1)
         assert set(sizes) == {(64 * 2**spectators,) * 2}
 
     def test_default_coloring_is_proper(self):
-        layout = SpectatorLayout(spectators=2,
-                                 couplings=((0, 3, 0.1), (2, 4, 0.1)))
-        colors = layout.resolved_colors()
-        for a, b, _ in layout.couplings:
+        couplings = ((0, 3, 0.1), (2, 4, 0.1))
+        colors = protocol._colors(5, couplings)
+        for a, b, _ in couplings:
             assert colors[a] != colors[b]
+
+    @settings(max_examples=200, deadline=None)
+    @given(layout=st.integers(0, 4).flatmap(lambda k: st.tuples(st.just(k), st.lists(
+        st.tuples(st.integers(0, 2 + k), st.integers(0, 2 + k)).filter(
+            lambda ab: ab[0] != ab[1]), max_size=6))))
+    @example(layout=(2, [(3, 4), (0, 3), (4, 2)]))
+    def test_colors_follow_the_first_partner(self, layout):
+        # each spectator opposite its first coupled partner; a partner that
+        # is a later spectator counts as color 2, and no partner gives 1
+        spectators, pairs = layout
+        couplings = [(a, b, 0.1) for a, b in pairs]
+        assert protocol._colors(3 + spectators, couplings) \
+            == chadd_colors(spectators, couplings)
+        # 3's first partner is 4, a later spectator: 3 takes color 1
+        assert protocol._colors(5, [(3, 4, 0.1), (0, 3, 0.1), (4, 2, 0.1)]) \
+            == (1, 2, 1, 1, 2)
 
 
 class TestEdgeCases:
@@ -1119,15 +1157,14 @@ class TestPhaseInvariance:
         tphi = [300.0, 500.0, 400.0, 80.0, math.inf]
         data_noise = NoiseParams(t1=data_t1, tphi=tphi[:3])
         noise = NoiseParams(t1=data_t1 + [90.0, 400.0], tphi=tphi)
-        layout = SpectatorLayout(2, ((0, 1, 0.03), (1, 2, -0.02), (0, 3, 0.05),
-                                     (2, 4, -0.04)))
+        couplings = ((0, 1, 0.03), (1, 2, -0.02), (0, 3, 0.05), (2, 4, -0.04))
 
         def runs(phi):
             cfg = ProtocolConfig(code3.LogicalStateSpec(2.0, phi), max_delay=12.5,
                                  total_free=(0.0, 20.0, 37.5, 60.0),
                                  recovery_variant=variant)
             return [run_multiqec(cfg, data_noise),
-                    *run_multiqec_with_chadd(cfg, noise, layout)]
+                    *run_multiqec_with_chadd(cfg, noise, 2, couplings)]
 
         want = runs(0.0)
         for phi in (0.9, 2.5, 4.0, 6.2):
@@ -1136,3 +1173,53 @@ class TestPhaseInvariance:
                     assert abs(a.fidelity - b.fidelity) <= 1e-15
                     assert abs(a.success_probability - b.success_probability) \
                         <= 2e-15 * b.success_probability
+
+
+class TestScaleInvariance:
+    """Scale every T1, Tphi and delay by one factor c and every coupling g
+    by 1/c: F and P of both multi-round runners, and every gain-surface
+    cell, stay the same. No output sets a clock that T1 could be long or
+    short against; the fixed gate durations reach only
+    ``total_evolution_us``, which is left out here. Once the recovery and
+    reset windows carry noise of their own, their fixed durations set that
+    clock, and this test should then fail."""
+
+    @staticmethod
+    def _close(a: float, b: float) -> bool:
+        return a == b or abs(a - b) <= 1e-14 * abs(b)
+
+    @settings(max_examples=20, deadline=None)
+    @given(c=st.sampled_from([2.0**-10, 0.001, 0.5, 2.0, 3.0, 7.3, 8.0]),
+           variant=st.sampled_from(["ideal", "approximate"]),
+           theta=st.floats(0.3, 3.0))
+    def test_no_output_has_a_clock(self, c, variant, theta):
+        # per-qubit lifetimes (one data T1 for the ideal recovery), data-data
+        # and data-spectator couplings, remainder rounds, CHaDD off and on
+        data_t1 = [220.0] * 3 if variant == "ideal" else [220.0, 150.0, 300.0]
+        t1 = data_t1 + [90.0, 400.0]
+        tphi = [300.0, 500.0, 400.0, 80.0, math.inf]
+        couplings = ((0, 1, 0.03), (1, 2, -0.02), (0, 3, 0.05), (2, 4, -0.04))
+
+        def runs(k):
+            def scale(xs):
+                return [x * k for x in xs]
+            cfg = ProtocolConfig(code3.LogicalStateSpec(theta), 12.5 * k,
+                                 scale([0.0, 20.0, 37.5, 60.0]),
+                                 recovery_variant=variant)
+            series = [run_multiqec(cfg, NoiseParams(t1=scale(data_t1),
+                                                    tphi=scale(tphi[:3]))),
+                      *run_multiqec_with_chadd(
+                          cfg, NoiseParams(t1=scale(t1), tphi=scale(tphi)), 2,
+                          [(a, b, g / k) for a, b, g in couplings])]
+            cells = gain_surface(scale([50.0, 220.0]), [0.0, 0.02],
+                                 scale([1.0, 30.0, 200.0]), theta=theta)
+            return ([[(x.fidelity, x.success_probability) for x in pts]
+                     for pts in series],
+                    [(x.gain, x.f_qec, x.f_bare, x.p_success) for x in cells])
+
+        (want_series, want_cells), (got_series, got_cells) = runs(1.0), runs(c)
+        for got, want in zip(got_series, want_series, strict=True):
+            for a, b in zip(got, want, strict=True):
+                assert all(map(self._close, a, b)), (a, b)
+        for a, b in zip(got_cells, want_cells, strict=True):
+            assert all(map(self._close, a, b)), (a, b)
