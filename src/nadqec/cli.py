@@ -190,7 +190,7 @@ def _require_output(kind: str, output) -> None:
     that names a file (no NUL byte, encodable as a file name), not a
     directory, with no existing file among its parent directories; and no
     file a run of ``kind`` writes (``_written``) has a name longer than the
-    file system takes."""
+    file system takes or is an existing directory."""
     if not (isinstance(output, str) and output):
         raise ConfigError(f"'output' must be a file path, got {output!r}")
     if "\0" in output:
@@ -212,6 +212,9 @@ def _require_output(kind: str, output) -> None:
         if any(len(os.fsencode(part)) > name_max for part in path.parts):
             raise ConfigError(f"'output' {output!r} makes a name in {str(path)!r} "
                               f"longer than the file system's {name_max} bytes")
+        if path.is_dir():
+            raise ConfigError(f"'output' {output!r} makes the file {str(path)!r}, "
+                              f"which is a directory")
 
 
 def _fmt(x) -> str:
@@ -269,50 +272,43 @@ def _point_rows(pts, variant: str, chadd: bool) -> list[tuple]:
              x.rounds, variant, chadd) for x in pts]
 
 
-def _protocol_config(r: Mapping) -> protocol.ProtocolConfig:
-    return protocol.ProtocolConfig(
-        logical=code3.LogicalStateSpec(r["theta"]),
-        max_delay=r["max_delay"], total_free=tuple(r["total_free"]),
-        recovery_variant=r["recovery"])
+def _noise_and_recovery(spec: ExperimentSpec, n_qubits: int = 3) -> tuple:
+    """The spec's noise and the T1 its recovery adapts to, once per spec."""
+    noise = _noise_from(spec)
+    return noise, protocol.recovery_t1(spec.resolved["recovery"],
+                                       noise.lifetimes(n_qubits)[0])
 
 
 def _run_multiqec(spec: ExperimentSpec, out: Path) -> None:
-    noise = _noise_from(spec)
-    cfg = _protocol_config(spec.resolved)
-    pts = protocol.run_multiqec(cfg, noise)
-    _write_csv(out, _POINT_HEADER, _point_rows(pts, cfg.recovery_variant, False))
-
-
-# The CHaDD runner walks the full rounds of its longest point once, plus
-# one remainder round for each point that has one, at about 1.6 ms a round
-# at 7 qubits (CHaDD off plus on), so that count is capped.
-_CHADD_ROUNDS = 2500
+    r = spec.resolved
+    noise, t1_r = _noise_and_recovery(spec)
+    pts = protocol.run_multiqec(r["theta"], r["max_delay"], r["total_free"],
+                                noise, t1_r)
+    _write_csv(out, _POINT_HEADER, _point_rows(pts, r["recovery"], False))
 
 
 def _run_multiqec_chadd(spec: ExperimentSpec, out: Path) -> None:
     r = spec.resolved
     # the default coupling names the first spectator, so it needs one
     couplings = r.get("couplings", [[0, 3, 0.05]] if r["spectators"] else [])
-    noise = _noise_from(spec)
-    cfg = _protocol_config(r)
-    rounds = cfg.walked_rounds()
-    if rounds > _CHADD_ROUNDS:
-        raise ConfigError(f"'total_free' over 'max_delay' {cfg.max_delay} "
-                          f"needs {rounds} rounds; at most {_CHADD_ROUNDS}")
-    plain, chadd = protocol.run_multiqec_with_chadd(cfg, noise, r["spectators"],
-                                                    couplings)
-    _write_csv(out, _POINT_HEADER, _point_rows(plain, cfg.recovery_variant, False)
-               + _point_rows(chadd, cfg.recovery_variant, True))
+    noise, t1_r = _noise_and_recovery(spec, 3 + r["spectators"])
+    plain, chadd = protocol.run_multiqec_with_chadd(
+        r["theta"], r["max_delay"], r["total_free"], noise, t1_r, r["spectators"],
+        couplings)
+    _write_csv(out, _POINT_HEADER, _point_rows(plain, r["recovery"], False)
+               + _point_rows(chadd, r["recovery"], True))
 
 
 def _run_delay_sweep(spec: ExperimentSpec, out: Path) -> None:
-    noise = _noise_from(spec)
+    r = spec.resolved
+    noise, t1_r = _noise_and_recovery(spec)
     rows = []
-    for max_delay in spec.resolved["delays"]:
-        cfg = _protocol_config({**spec.resolved, "max_delay": max_delay})
-        for x in protocol.run_multiqec(cfg, noise):
-            rows.append((max_delay, x.total_free_us, x.total_evolution_us,
-                         x.fidelity, x.success_probability, x.rounds))
+    for max_delay in r["delays"]:
+        pts = protocol.run_multiqec(r["theta"], max_delay, r["total_free"],
+                                    noise, t1_r)
+        rows += [(max_delay, total, x.total_evolution_us, x.fidelity,
+                  x.success_probability, x.rounds)
+                 for total, x in zip(r["total_free"], pts, strict=True)]
     _write_csv(out,
                ["max_delay_us", "total_free_us", "total_evolution_us",
                 "fidelity", "success_probability", "rounds"], rows)

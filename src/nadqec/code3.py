@@ -59,6 +59,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .noise import is_real
 from .qcore import TOL_ARITH, ConfigError, check_density
 
 
@@ -70,9 +71,9 @@ class LogicalStateSpec:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
+        if not (is_real(self.theta) and 0.0 <= self.theta <= math.pi):
             raise ConfigError(f"'theta' must be in [0, pi], got {self.theta!r}")
-        if not 0.0 <= self.phi < 2 * math.pi:
+        if not (is_real(self.phi) and 0.0 <= self.phi < 2 * math.pi):
             raise ConfigError(f"'phi' must be in [0, 2 pi), got {self.phi!r}")
 
 

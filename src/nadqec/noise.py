@@ -26,7 +26,7 @@ LIFETIME_RULE = f"a number > {1 / sys.float_info.max:.2g} (1/T finite; Infinity:
 
 
 def is_real(v) -> bool:  # not a boolean (numpy reads 0 or 1), nor an int no float holds
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) \
+    return type(v) is float or isinstance(v, numbers.Real) and not isinstance(v, bool) \
         and not (isinstance(v, numbers.Integral) and abs(v) > sys.float_info.max)
 
 

@@ -1,19 +1,21 @@
 """Multi-round QEC scheduling, CHaDD dynamical decoupling, and the
 two-qubit ZZ-crosstalk Lindblad toy model.
 
-Both multi-round runners share one sweep loop (``_run_rounds``), and each
-builds a distinct delay's round once per call; they differ only in how a
-point reaches k full rounds. ``run_multiqec``'s round starts and ends in the
-code space, so it runs on the logical state as ``code3.PauliRound``, the
-round in closed form, and k rounds are that form's closed-form power: a
-point costs a few scalar operations at any k, 1e18 rounds as many as one,
-and the result is exact to a few ulp (see ``run_multiqec``).
-``run_multiqec_with_chadd``'s round is Lindblad evolution of the data +
-spectator register, plain or as one robust CHaDD cycle, then the kept
-recovery branch (``RecoveryMap.superop``) applied by ``code3.apply_cycle``.
-Its spectators stay classical, so it holds the register as one 8x8 data
-block per spectator bit string, 64 * 2^k numbers for k spectators; it walks
-full rounds once per series and keeps the states at the round counts that
+Both multi-round runners take the values a spec resolves, the recovery as
+the T1 it adapts to (``recovery_t1``), parse their sweep once and share one
+sweep loop (``_run_rounds``); each builds a distinct delay's round once per
+call, and they differ only in how a point reaches k full rounds.
+``run_multiqec``'s round starts and ends in the code space, so it runs on
+the logical state as ``code3.PauliRound``, the round in closed form, and k
+rounds are that form's closed-form power: a point costs a few scalar
+operations at any k, 1e18 rounds as many as one, and the result is exact to
+a few ulp (see ``run_multiqec``). ``run_multiqec_with_chadd``'s round is
+Lindblad evolution of the data + spectator register, plain or as one robust
+CHaDD cycle, then the kept recovery branch (``RecoveryMap.superop``)
+applied by ``code3.apply_cycle``. Its spectators stay classical, so it
+holds the register as one 8x8 data block per spectator bit string, 64 * 2^k
+numbers for k spectators; it walks full rounds once per series, at most
+``CHADD_ROUND_CAP`` of them, and keeps the states at the round counts that
 sweep points end on. The robust cycle is the constant pulse list
 ``ROBUST_PULSES``, which ``_chadd_cycle`` walks for this runner and for the
 ZZ toy alike; each returns its plain and its CHaDD series from one call.
@@ -52,7 +54,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import code3
-from .noise import NoiseParams
+from .noise import LIFETIME_RULE, NoiseParams, is_lifetime, is_real
 from .qcore import ConfigError, check_density
 
 
@@ -66,48 +68,25 @@ _T_ENDS = 2 * T_ENCODE  # encoding and the mirrored decoding
 _UNIT = math.lcm(*(t.denominator for t in (T_ENCODE, T_RECOVERY, T_RESET)))
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
-    logical: code3.LogicalStateSpec
-    max_delay: float
-    total_free: tuple[float, ...]  # sweep points, microseconds
-    recovery_variant: str = "ideal"  # ideal | approximate
-
-    def __post_init__(self):
-        object.__setattr__(self, "total_free", tuple(self.total_free))
-        # the sweep, parsed once; an attribute, not a field, so == and repr ignore it
-        object.__setattr__(self, "_schedule", _schedules(self.total_free, self.max_delay))
-        if self.recovery_variant not in ("ideal", "approximate"):
-            raise ConfigError(f"unknown recovery variant {self.recovery_variant!r}")
-
-    def walked_rounds(self) -> int:
-        """The rounds a runner that walks full rounds once per series
-        (``run_multiqec_with_chadd``) applies to each: the longest point's
-        full rounds, plus one remainder round per point that has one."""
-        points = self._schedule[1]
-        return (max((full for full, _, _ in points), default=0)
-                + sum(rest > 0 for _, rest, _ in points))
-
-
 def _schedules(total_free: Sequence[float],
                max_delay: float) -> tuple[int, list[tuple[int, int, int]]]:
     """Each point's (full max_delay rounds, remainder, total evolution
     time), the last two as integers over the common denominator returned
     with them: every input is read as its exact decimal text, so the sums
     are exact and one int / int division rounds each result correctly. The
-    one check of both inputs: finite, max_delay > 0, total_free entries >= 0.
+    one check of both inputs: finite reals, max_delay > 0, total_free >= 0.
 
     A full round's delay shorter than the reset before it adds the
     shortfall, T_RESET - max_delay, on every full round but the first, and
     a remainder round after a full one adds T_RESET - remainder likewise.
     """
     def exact(value, name: str) -> tuple[int, int]:
-        if not (d := Decimal(str(value))).is_finite():
-            raise ConfigError(f"{name} must be finite, got {value!r}")
-        return d.as_integer_ratio()
+        if not (is_real(value) and math.isfinite(value)):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        return Decimal(str(value)).as_integer_ratio()
     step_num, step_den = exact(max_delay, "max_delay")
     if step_num <= 0:
-        raise ConfigError("max_delay must be positive")
+        raise ConfigError(f"max_delay must be positive, got {max_delay!r}")
     totals = [exact(t, "total_free") for t in total_free]
     if any(num < 0 for num, _ in totals):
         raise ConfigError("total_free must be non-negative")
@@ -130,24 +109,23 @@ def _schedules(total_free: Sequence[float],
 
 @dataclass(frozen=True)
 class MultiQecPoint:
-    total_free_us: float
     total_evolution_us: float
     rounds: int
     fidelity: float
     success_probability: float
 
 
-def recovery_t1(config: ProtocolConfig, t1s: Sequence[float]) -> float:
-    """The T1 whose gamma(delay) the recovery adapts to, of the register's
-    per-qubit ``t1s`` (``NoiseParams.lifetimes``): data qubit 0's for the
-    ideal recovery, inf (gamma = 0 at every delay) for the approximate one.
-    The spec's recovery name is read here and nowhere below.
+def recovery_t1(recovery: str, t1s: Sequence[float]) -> float:
+    """The T1 whose gamma(delay) the ``recovery`` a spec names adapts to, of
+    the register's per-qubit ``t1s`` (``NoiseParams.lifetimes``): data qubit
+    0's for "ideal", inf (gamma = 0 at every delay) for "approximate". The
+    name is read here and nowhere below: the runners take this number.
 
     The ideal recovery adapts to a single gamma. With T1 differing across
     the data qubits its result would depend on qubit order, so that case
     raises ConfigError; the approximate variant accepts it.
     """
-    if config.recovery_variant == "approximate":
+    if recovery == "approximate":
         return math.inf
     if len(set(t1s[:3])) > 1:
         raise ConfigError(
@@ -156,28 +134,38 @@ def recovery_t1(config: ProtocolConfig, t1s: Sequence[float]) -> float:
     return t1s[0]
 
 
-def _run_rounds(config: ProtocolConfig, reach: Callable[[int], tuple],
-                round_for: Callable[[float], Callable],
+def _sweep(theta: float, max_delay: float, total_free: Sequence[float],
+           recovery_t1: float) -> tuple[int, list[tuple[int, int, int]]]:
+    """Both runners' checks of the arguments they share, each a ConfigError
+    naming it, then the sweep's one parse (``_schedules``)."""
+    code3.LogicalStateSpec(theta)  # theta in [0, pi]
+    if not is_lifetime(recovery_t1):
+        raise ConfigError(f"recovery_t1 must be {LIFETIME_RULE}, got {recovery_t1!r}")
+    return _schedules(total_free, max_delay)
+
+
+def _run_rounds(total_free: Sequence[float], max_delay: float, sweep: tuple,
+                reach: Callable[[int], tuple], round_for: Callable[[float], Callable],
                 score: Callable[[list], Sequence[float]]) -> list[MultiQecPoint]:
     """The sweep loop of both runners. ``reach(k)`` returns the state after
     k full max_delay rounds and its cumulative post-selection weight, for
     every point's full-round count k; ``round_for(delay)`` returns one round
     as state -> (renormalized state, p_round), for a point's remainder.
-    Every point's schedule and timing come from the config's one integer
-    pass over the sweep (``_schedules``), and ``score`` turns the final
-    states of all points into their fidelities in one call; an empty sweep
-    returns [] without calling it. A point whose total evolution time
+    Every point's schedule and timing come from ``sweep``, the runner's one
+    integer pass over ``total_free`` (``_sweep``), and ``score`` turns the
+    final states of all points into their fidelities in one call; an empty
+    sweep returns [] without calling it. A point whose total evolution time
     exceeds the largest float, or whose carried success probability exceeds
     1 + 1e-12, raises ValueError."""
-    den, schedules = config._schedule
+    den, schedules = sweep
     finals, rows = [], []
-    for total_free, (k, rest, evolution) in zip(config.total_free, schedules):
+    for total, (k, rest, evolution) in zip(total_free, schedules, strict=True):
         try:
             evolution_us = evolution / den
         except OverflowError:
             raise ValueError(
-                f"the total evolution time at total_free {total_free} with "
-                f"max_delay {config.max_delay} exceeds {sys.float_info.max!r} "
+                f"the total evolution time at total_free {total} with "
+                f"max_delay {max_delay} exceeds {sys.float_info.max!r} "
                 f"us, the largest float") from None
         state, p_total = reach(k)
         if rest:
@@ -186,20 +174,21 @@ def _run_rounds(config: ProtocolConfig, reach: Callable[[int], tuple],
         if p_total > 1 + 1e-12:
             raise ValueError(
                 f"success probability {p_total} exceeds 1 at total_free "
-                f"{total_free} with max_delay {config.max_delay}")
+                f"{total} with max_delay {max_delay}")
         finals.append(state)
-        rows.append((total_free, evolution_us, k + (rest > 0), p_total))
+        rows.append((evolution_us, k + (rest > 0), p_total))
     if not rows:  # an empty sweep: no states to score
         return []
-    return [MultiQecPoint(total_free_us=t, total_evolution_us=evolution,
-                          rounds=n, fidelity=f, success_probability=p)
-            for (t, evolution, n, p), f in zip(rows, score(finals), strict=True)]
+    return [MultiQecPoint(evolution, n, f, p)
+            for (evolution, n, p), f in zip(rows, score(finals), strict=True)]
 
 
-def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoint]:
-    """Analytic multi-round protocol: encode, n x (idle noise + QEC cycle),
-    report fidelity against the ideal logical state and the cumulative
-    post-selection probability.
+def run_multiqec(theta: float, max_delay: float, total_free: Sequence[float],
+                 noise: NoiseParams, recovery_t1: float) -> list[MultiQecPoint]:
+    """Analytic multi-round protocol: encode at angle ``theta`` (phi = 0),
+    n x (idle noise + QEC cycle) per ``total_free`` in rounds of at most
+    ``max_delay``, the recovery adapted to gamma(delay) at ``recovery_t1``;
+    report F against the ideal logical state and the cumulative P.
 
     Idle noise is damping and dephasing over each delay; the recovery
     window itself is noiseless (gates are time-accounted but error-free),
@@ -231,15 +220,15 @@ def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoi
     times; F stays defined. Only delay / T1 = inf is full damping, where
     post-selection keeps no weight.
     """
+    sweep = _sweep(theta, max_delay, total_free, recovery_t1)
     t1s, tphis = noise.lifetimes(3)
-    t1_r = recovery_t1(config, t1s)
-    start = code3.logical_state(config.logical.theta)
+    start = code3.logical_state(theta)
 
     @functools.cache
     def round_for(delay: float) -> code3.PauliRound:
-        return code3.PauliRound.of_delay(delay, t1s, tphis, t1_r)
+        return code3.PauliRound.of_delay(delay, t1s, tphis, recovery_t1)
 
-    step = float(config.max_delay)
+    step = float(max_delay)
 
     def reach(k: int) -> tuple[tuple, float]:
         return round_for(step).advance(start, k) if k else (start, 1.0)
@@ -248,7 +237,8 @@ def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoi
         check_density(np.array([[[p0, coh], [coh, p1]] for p0, p1, coh in states]))
         return [code3.logical_fidelity(start, x) for x in states]
 
-    return _run_rounds(config, reach, lambda delay: round_for(delay).advance, score)
+    return _run_rounds(total_free, max_delay, sweep, reach,
+                       lambda delay: round_for(delay).advance, score)
 
 
 # ---------------------------------------------------------------------------
@@ -545,16 +535,24 @@ def _colors(n: int, couplings: Sequence) -> tuple[int, ...]:
     return tuple(colors)
 
 
-def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
-                            spectators: int, couplings: Sequence
+# The CHaDD runner walks the full rounds of its longest point once, plus
+# one remainder round for each point that has one, at about 1.6 ms a round
+# at 7 qubits (CHaDD off plus on), so that count is capped.
+CHADD_ROUND_CAP = 2500
+
+
+def run_multiqec_with_chadd(theta: float, max_delay: float,
+                            total_free: Sequence[float], noise: NoiseParams,
+                            recovery_t1: float, spectators: int, couplings: Sequence
                             ) -> tuple[list[MultiQecPoint], list[MultiQecPoint]]:
-    """Multi-round QEC where each delay is Lindblad free evolution of the
-    register of data qubits 0..2 and ``spectators`` more, with static ZZ
-    ``couplings`` (a, b, g rad/us) over it, plain and chopped into one
-    robust CHaDD cycle with instantaneous pulses (colored by ``_colors``):
+    """``run_multiqec``'s sweep, each delay Lindblad free evolution of the
+    register of data qubits 0..2 and ``spectators`` (0 to 4) more, with
+    static ZZ ``couplings`` (a, b, g rad/us) over it, plain and chopped into
+    one robust CHaDD cycle with instantaneous pulses (colored by ``_colors``):
     returns (plain, chadd), both from one check (the phases over the plain
     delay, which bounds a CHaDD interval), one state, one generator and one
-    kept recovery branch per distinct delay (``RecoveryMap.of_delay``).
+    kept recovery branch per distinct delay (``RecoveryMap.of_delay``). A
+    walk over ``CHADD_ROUND_CAP`` rounds is a ConfigError before any round.
 
     The spectators stay classical: they start in |0...0>, the generator is
     diagonal in Z with sigma- and Z dissipators, every pulse flips the same
@@ -577,28 +575,32 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
     act on the data qubits through ``code3.apply_cycle``, and the ancilla
     reset is an exact replacement, so only their timing matters.
     """
+    if type(spectators) is not int or not 0 <= spectators <= 4:  # not a bool
+        raise ConfigError(f"spectators must be an integer in [0, 4], got {spectators!r}")
+    den, points = sweep = _sweep(theta, max_delay, total_free, recovery_t1)
+    # the walk: the longest point's full rounds, then the remainder rounds
+    needed = {full for full, _, _ in points}
+    longest = max(needed, default=0)
+    if (walked := longest + sum(rest > 0 for _, rest, _ in points)) > CHADD_ROUND_CAP:
+        raise ConfigError(f"'total_free' over 'max_delay' {max_delay} needs "
+                          f"{walked} rounds; at most {CHADD_ROUND_CAP}")
     n = 3 + spectators
-    if n > 7:
-        raise ConfigError(f"register of {n} qubits exceeds the 7-qubit cap")
-    t1_r = recovery_t1(config, noise.lifetimes(n)[0])
+    gen = lindbladian(n, noise, couplings, classical=spectators)  # config errors first
     # the longest free evolution: max_delay if any point has a full round,
     # else the longest remainder (shorter than max_delay)
-    den, points = config._schedule
-    span = max((rest / den for _, rest, _ in points), default=0.0)
-    if any(full for full, _, _ in points):
-        span = float(config.max_delay)
+    span = float(max_delay) if longest else max(
+        (rest / den for _, rest, _ in points), default=0.0)
     for q in range(n):
         _require_phase(f"the summed |g| of the couplings on qubit {q}",
                        sum(abs(g) for a, b, g in couplings if q in (a, b)),
                        span)
-    psi = code3.encode_ideal(config.logical)
+    psi = code3.encode_ideal(code3.LogicalStateSpec(theta))
     m = 2**spectators
-    gen = lindbladian(n, noise, couplings, classical=spectators)
     pulses = _pulse_gathers(_colors(n, couplings), m)
     start = np.zeros((8, 8, m), dtype=complex)
     start[:, :, 0] = np.outer(psi, psi.conj())  # the spectators in |0...0>
     kept = functools.cache(
-        lambda delay: code3.RecoveryMap.of_delay(delay, t1_r).superop())
+        lambda delay: code3.RecoveryMap.of_delay(delay, recovery_t1).superop())
 
     def score(states: list) -> list[float]:
         stack = np.stack(states)  # (points, 8, 8, m)
@@ -619,14 +621,14 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
             return one_round
 
         # walk the full rounds once, keeping the states that points end on
-        needed = {full for full, _, _ in points}
         rho, reached, p_total = start, {}, 1.0
-        for k in range(max(needed, default=0) + 1):
+        for k in range(longest + 1):
             if k:
-                rho, p_round = round_for(float(config.max_delay))(rho)
+                rho, p_round = round_for(float(max_delay))(rho)
                 p_total *= p_round
             if k in needed:
                 reached[k] = rho, p_total
-        return _run_rounds(config, reached.__getitem__, round_for, score)
+        return _run_rounds(total_free, max_delay, sweep, reached.__getitem__,
+                           round_for, score)
 
     return series(False), series(True)

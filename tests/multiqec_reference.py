@@ -6,7 +6,9 @@ reaches each point's k rounds by one closed-form power of the logical round
 closed form: here every point lists its
 round delays, restarts from the encoded state, applies idle noise and the
 post-selected recovery to the 8x8 density matrix round by round, and sums
-the timing over that list.
+the timing over that list. It takes the package runners' values plus the
+logical state's phase phi, which the package runners leave at 0, so the
+tests can show that F and P do not depend on it.
 
 ``total_evolution_time`` is the package's timing of one point as an exact
 fraction, and ``fit_lifetime`` fits a logical lifetime to a sweep.
@@ -47,7 +49,6 @@ from nadqec.protocol import (
     T_RECOVERY,
     T_RESET,
     MultiQecPoint,
-    ProtocolConfig,
     _schedules,
     lindbladian,
     propagate,
@@ -120,26 +121,24 @@ def total_evolution_time_exact(schedule: Sequence[float]) -> Fraction:
     return total
 
 
-def recovery_map(config: ProtocolConfig, delay: float,
-                 t1s: Sequence[float]) -> code3.RecoveryMap:
-    """The recovery of a round of ``delay``, resolved from the config's
-    variant: adapted to data qubit 0's gamma (ideal), or to gamma = 0
-    (approximate)."""
-    gamma = gamma_of_t(delay, t1s[0]) if config.recovery_variant == "ideal" else 0.0
-    return code3.RecoveryMap.ideal(gamma)
+def recovery_map(delay: float, recovery_t1: float) -> code3.RecoveryMap:
+    """The recovery of a round of ``delay``, adapted to gamma(delay) at
+    ``recovery_t1`` (inf: gamma = 0, the approximate recovery)."""
+    return code3.RecoveryMap.ideal(gamma_of_t(delay, recovery_t1))
 
 
-def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoint]:
-    target = code3.encode_ideal(config.logical)
-    t1s = noise.lifetimes(3)[0]
+def run_multiqec(theta: float, phi: float, max_delay: float,
+                 total_free: Sequence[float], noise: NoiseParams,
+                 recovery_t1: float) -> list[MultiQecPoint]:
+    target = code3.encode_ideal(code3.LogicalStateSpec(theta, phi))
     points = []
-    for total_free in config.total_free:
-        schedule = schedule_rounds(total_free, config.max_delay)
+    for total in total_free:
+        schedule = schedule_rounds(total, max_delay)
         rho = pure(target)
         p_total = 1.0
         for delay in schedule:
             rho = idle_noise(rho, delay, noise)
-            rmap = recovery_map(config, delay, t1s)
+            rmap = recovery_map(delay, recovery_t1)
             kept = apply_kraus(rho, rmap.kraus(), [0, 1, 2])
             weight = float(np.real(np.trace(kept)))
             if weight <= 0:
@@ -148,7 +147,6 @@ def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoi
             rho = kept / weight
             check_density(rho)
         points.append(MultiQecPoint(
-            total_free_us=total_free,
             total_evolution_us=float(total_evolution_time_exact(schedule)),
             rounds=len(schedule),
             fidelity=fidelity(rho, target) if schedule else 1.0,
@@ -157,7 +155,7 @@ def run_multiqec(config: ProtocolConfig, noise: NoiseParams) -> list[MultiQecPoi
     return points
 
 
-def _pauli_round_mp(delay, noise: NoiseParams, variant: str):
+def _pauli_round_mp(delay, noise: NoiseParams, recovery_t1: float):
     """One round's (I, Z) block and its X and Y entry, in mpmath."""
     delay = mpmath.mpf(delay)
     t1s, tphis = noise.lifetimes(3)
@@ -167,7 +165,7 @@ def _pauli_round_mp(delay, noise: NoiseParams, variant: str):
     e1 = sum(g)
     e2 = sum(g[a] * g[b] for a, b in pairs)
     c2 = sum(c[a] * c[b] for a, b in pairs)
-    r = 1 - g[0] if variant == "ideal" else mpmath.mpf(1)
+    r = mpmath.exp(-delay / recovery_t1)  # 1 - the recovery's gamma
     common = 2 * r**2 * c2 + 2 * e1 * r**2 + 3 * r**2
     block = mpmath.matrix([
         [common + 3 * e2 * (r**2 + 1) - 6 * e1 + 9,
@@ -188,22 +186,24 @@ def _power_mp(block, lam, k: int):
     return out, out_lam
 
 
-def run_multiqec_mpmath(config: ProtocolConfig, noise: NoiseParams,
+def run_multiqec_mpmath(theta: float, max_delay: float, total_free: Sequence[float],
+                        noise: NoiseParams, recovery_t1: float,
                         digits: int = 60) -> list[tuple]:
     """(fidelity, success probability) of each point as mpf values: k full
     rounds of float(max_delay), then the remainder round, on the Bloch
-    vector (1, sin theta cos phi, sin theta sin phi, cos theta)."""
+    vector (1, sin theta, 0, cos theta); the round scales X and Y alike,
+    so any phi gives the same values."""
     with mpmath.workdps(digits):
-        theta = mpmath.mpf(config.logical.theta)
+        theta = mpmath.mpf(theta)
         x0, z0 = mpmath.sin(theta), mpmath.cos(theta)
         out = []
-        for total_free in config.total_free:
-            full, rest = split_rounds(total_free, config.max_delay)
+        for total in total_free:
+            full, rest = split_rounds(total, max_delay)
             iz, lam = mpmath.matrix([1, z0]), mpmath.mpf(1)
-            steps = [(float(config.max_delay), full)] + [(float(rest), 1)] * (rest > 0)
+            steps = [(float(max_delay), full)] + [(float(rest), 1)] * (rest > 0)
             for delay, k in steps:
-                block, scale = _power_mp(*_pauli_round_mp(delay, noise,
-                                                          config.recovery_variant), k)
+                block, scale = _power_mp(*_pauli_round_mp(delay, noise, recovery_t1),
+                                         k)
                 iz, lam = block * iz, lam * scale
             weight = iz[0]
             out.append(((weight + x0 * x0 * lam + z0 * iz[1]) / (2 * weight), weight))
@@ -238,14 +238,14 @@ def chadd_colors(spectators: int, couplings: Sequence) -> tuple:
     return tuple(colors[q] for q in range(3 + spectators))
 
 
-def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
-                            spectators: int, couplings: Sequence, *,
-                            chadd: bool) -> list[MultiQecPoint]:
+def run_multiqec_with_chadd(theta: float, phi: float, max_delay: float,
+                            total_free: Sequence[float], noise: NoiseParams,
+                            recovery_t1: float, spectators: int, couplings: Sequence,
+                            *, chadd: bool) -> list[MultiQecPoint]:
     """The CHaDD runner on the full register, each point walked from the
     encoded state."""
     n = 3 + spectators
-    t1s = noise.lifetimes(n)[0]
-    target = code3.encode_ideal(config.logical)
+    target = code3.encode_ideal(code3.LogicalStateSpec(theta, phi))
     gen = lindbladian(n, noise, couplings)
     perms = pulse_permutations(chadd_colors(spectators, couplings))
     m = 2**(n - 3)
@@ -262,12 +262,12 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
                 rho = rho[perm][:, perm]
         else:
             rho = propagate(gen.propagator(delay), rho)
-        kept = recovery_map(config, delay, t1s).superop()
+        kept = recovery_map(delay, recovery_t1).superop()
         return apply_cycle_full(kept, rho)
 
     points = []
-    for total_free in config.total_free:
-        schedule = schedule_rounds(total_free, config.max_delay)
+    for total in total_free:
+        schedule = schedule_rounds(total, max_delay)
         rho, p_total = rho0, 1.0
         for delay in schedule:
             rho, p_round = one_round(rho, delay)
@@ -275,7 +275,6 @@ def run_multiqec_with_chadd(config: ProtocolConfig, noise: NoiseParams,
         check_density(rho, normalized=False)
         reduced = np.trace(rho.reshape(8, m, 8, m), axis1=1, axis2=3)
         points.append(MultiQecPoint(
-            total_free_us=total_free,
             total_evolution_us=float(total_evolution_time_exact(schedule)),
             rounds=len(schedule),
             fidelity=fidelity(reduced / np.real(np.trace(reduced)), target),

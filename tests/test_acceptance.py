@@ -193,9 +193,8 @@ def test_ac9_crosstalk_toy_directionality():
 
 def test_ac10_break_even_lifetime():
     noise = NoiseParams.from_t1_t2(220.0, 440.0)
-    cfg = protocol.ProtocolConfig(LogicalStateSpec(math.pi), max_delay=30.0,
-                                  total_free=tuple(np.arange(30.0, 331.0, 30.0)))
-    pts = protocol.run_multiqec(cfg, noise)
+    pts = protocol.run_multiqec(math.pi, 30.0, tuple(np.arange(30.0, 331.0, 30.0)),
+                                noise, 220.0)
     tau = fit_lifetime([p.total_evolution_us for p in pts],
                        [p.fidelity for p in pts])
     ok = tau >= 2 * 220.0
@@ -210,9 +209,7 @@ def test_ac11_delay_sweep_ordering():
     delays = (10.0, 30.0, 50.0, 70.0)
     curves = {}
     for d in delays:
-        cfg = protocol.ProtocolConfig(LogicalStateSpec(math.pi), max_delay=d,
-                                      total_free=totals)
-        curves[d] = protocol.run_multiqec(cfg, noise)
+        curves[d] = protocol.run_multiqec(math.pi, d, totals, noise, 220.0)
     ok = True
     for i in range(len(totals)):
         fids = [curves[d][i].fidelity for d in delays]

@@ -263,9 +263,9 @@ class TestRun:
                    "params": {"theta": 3.14159, "t1": 220.0,
                               "total_free": [0, 30], **params}}
         assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_OK
-        cfg = protocol.ProtocolConfig(LogicalStateSpec(3.14159), params["max_delay"],
-                                      tuple(payload["params"]["total_free"]))
-        want = run_multiqec_mpmath(cfg, NoiseParams.from_t1_t2(220.0, params["t2"]),
+        want = run_multiqec_mpmath(3.14159, params["max_delay"],
+                                   payload["params"]["total_free"],
+                                   NoiseParams.from_t1_t2(220.0, params["t2"]), 220.0,
                                    digits)
         rows = (tmp_path / "out.csv").read_text().splitlines()[1:]
         assert len(rows) == len(want)
@@ -335,6 +335,26 @@ class TestRun:
         assert "'output'" in capsys.readouterr().err
         assert [f.name for f in tmp_path.iterdir()] == ["spec.json"]
 
+    @pytest.mark.parametrize("kind,beside", [
+        ("multiqec", "out.csv.manifest.json"), ("synth", "out.encoder.txt")])
+    def test_output_whose_written_file_is_a_directory(self, tmp_path, capsys, kind,
+                                                      beside):
+        # the CSV's path is free, but a file the run writes beside it (the
+        # manifest, or synth's encoder circuit) is a directory: each once
+        # wrote the CSV, then ended in a traceback
+        (tmp_path / beside).mkdir()
+        payload = (multiqec_payload(tmp_path) if kind == "multiqec" else
+                   {"kind": kind, "output": str(tmp_path / "out.csv"),
+                    "params": {"restarts": 1}})
+        path = write_spec(tmp_path, payload)
+        assert cli.main(["run", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (f"config error: {path}: 'output' {str(tmp_path / 'out.csv')!r} "
+                       f"makes the file {str(tmp_path / beside)!r}, which is a "
+                       f"directory\n")
+        assert sorted(f.name for f in tmp_path.iterdir()) == sorted([beside, "spec.json"])
+        assert not any((tmp_path / beside).iterdir())
+
     @pytest.mark.parametrize("kind,length", [("oracle-check", 249), ("synth", 244)])
     def test_output_whose_written_names_do_not_fit(self, tmp_path, capsys, kind,
                                                    length):
@@ -382,6 +402,25 @@ class TestRun:
         if code == EXIT_CONFIG:
             assert "ideal recovery adapts to one T1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t1,message", [
+        ([220.0, 200.0, 220.0], "the ideal recovery adapts to one T1"),
+        ([220.0, 200.0], "t1 has 2 per-qubit values for a 3-qubit register")],
+        ids=["ideal-unequal-t1", "t1-count"])
+    @pytest.mark.parametrize("kind,sweep", [
+        ("delay-sweep", {"delays": [], "total_free": [30.0]}),
+        ("multiqec", {"theta": 1.0, "max_delay": 30.0, "total_free": []})],
+        ids=["delay-sweep", "multiqec"])
+    def test_empty_sweep_checks_the_joined_rules(self, tmp_path, capsys, kind,
+                                                 sweep, t1, message):
+        # the recovery is resolved once per spec, so a sweep with no run in
+        # it breaks the rules that join t1 and the recovery as any other does
+        payload = {"kind": kind, "output": str(tmp_path / "out.csv"),
+                   "params": {**sweep, "t1": t1}}
+        path = write_spec(tmp_path, payload)
+        assert cli.main(["run", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {path}: {message}")
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("kind,params,field", [
         ("multiqec", {"t2": 300.0, "tphi": 100.0}, "'t2' and 'tphi'"),
         ("multiqec", {"t2": 441.0}, "t2 = 441.0"),
@@ -389,7 +428,7 @@ class TestRun:
         ("multiqec-chadd", {"tphi": [300.0] * 3}, "tphi has 3 per-qubit values"),
         ("multiqec", {"t1": [100.0, 300.0, 300.0]}, "t1 = [100.0, 300.0, 300.0]"),
         ("multiqec-chadd", {"couplings": [[0, 9, 0.05]]}, "'couplings' entry"),
-        ("multiqec-chadd", {"total_free": [30.0 * (cli._CHADD_ROUNDS + 1)]},
+        ("multiqec-chadd", {"total_free": [30.0 * (protocol.CHADD_ROUND_CAP + 1)]},
          "'total_free' over 'max_delay'")],
         ids=["t2-with-tphi", "t2-above-2-t1", "t1-count", "tphi-count",
              "ideal-unequal-t1", "coupling-off-register", "chadd-round-cap"])
@@ -722,32 +761,41 @@ class TestRun:
         assert "3-qubit register" in capsys.readouterr().err
 
     @pytest.mark.parametrize("max_delay,total_free", [
-        (30.0, [30.0, 30.0 * (cli._CHADD_ROUNDS + 1)]),  # cap + 1 full rounds
-        (30.0, [30.0 * cli._CHADD_ROUNDS + 1.5]),  # the cap plus a remainder
-        (30.0, [20.0] * (cli._CHADD_ROUNDS + 1)),  # cap + 1 remainder rounds
+        (30.0, [30.0, 30.0 * (protocol.CHADD_ROUND_CAP + 1)]),  # cap + 1 full rounds
+        (30.0, [30.0 * protocol.CHADD_ROUND_CAP + 1.5]),  # the cap plus a remainder
+        (30.0, [20.0] * (protocol.CHADD_ROUND_CAP + 1)),  # cap + 1 remainder rounds
         (1e-6, [1000.0])])  # 10^9 rounds
     def test_chadd_round_cap(self, tmp_path, capsys, monkeypatch, max_delay,
                              total_free):
         # the rounds a run walks (its longest point's full rounds, plus one
         # remainder round per point with one) over the cap are a config
-        # error naming the field, raised before any round runs
-        ran = []
-        monkeypatch.setattr(protocol, "run_multiqec_with_chadd",
-                            lambda *a: ran.append(a) or ([], []))
+        # error naming the field, raised before any round runs: the runner
+        # checks the cap before it builds its generator
+        class Reached(Exception):
+            pass
+
+        built = []
+
+        def lindbladian(*args, **kwargs):
+            built.append(args)
+            raise Reached
+        monkeypatch.setattr(protocol, "lindbladian", lindbladian)
         payload = {"kind": "multiqec-chadd", "output": str(tmp_path / "out.csv"),
                    "params": {"theta": 1.0, "max_delay": max_delay,
                               "total_free": total_free, "t1": 220.0}}
         assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_CONFIG
         assert "'total_free'" in capsys.readouterr().err
-        assert ran == [] and not (tmp_path / "out.csv").exists()
-        # at the cap the spec runs
+        assert built == [] and not (tmp_path / "out.csv").exists()
+        # at the cap the run passes the check and goes on to its rounds
         payload["params"].update(max_delay=30.0, total_free=[
-            30.0 * (cli._CHADD_ROUNDS - 2), 20.0, 30.0 * (cli._CHADD_ROUNDS - 3) + 5.0])
-        assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_OK
-        assert len(ran) == 1  # one call returns both series
+            30.0 * (protocol.CHADD_ROUND_CAP - 2), 20.0,
+            30.0 * (protocol.CHADD_ROUND_CAP - 3) + 5.0])
+        with pytest.raises(Reached):
+            cli.main(["run", str(write_spec(tmp_path, payload))])
+        assert len(built) == 1  # one generator serves both series
 
     def test_chadd_parses_the_sweep_once(self, tmp_path, monkeypatch):
-        # the round cap and both runs read the config's one schedule
+        # the round cap, the walk and both series read the runner's one parse
         passes = []
         schedules = protocol._schedules
         monkeypatch.setattr(protocol, "_schedules",

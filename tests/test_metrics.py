@@ -19,7 +19,6 @@ from shots_reference import (
 from nadqec import code3
 from nadqec.metrics import f_star, gain_surface
 from nadqec.noise import NoiseParams, gamma_of_t
-from nadqec.protocol import ProtocolConfig
 
 
 class TestSampleShots:
@@ -219,9 +218,9 @@ class TestGainSurface:
         # gamma rounds to 1 from about 37 T1 on: 2000 us at T1 = 50 us
         # against 50 digits, and at 2000 T1 p_success underflows to 0
         cells = gain_surface([50.0], [0.01], [10.0, 2000.0, 1e5])
-        cfg = ProtocolConfig(code3.LogicalStateSpec(math.pi), 2000.0, (2000.0,))
         with mpmath.workdps(50):
-            (f, p), = run_multiqec_mpmath(cfg, NoiseParams(t1=50.0), 50)
+            (f, p), = run_multiqec_mpmath(math.pi, 2000.0, (2000.0,),
+                                          NoiseParams(t1=50.0), 50.0, 50)
             f_bare, e = mpmath.exp(-40), mpmath.mpf(0.01)
             fq, fb = f * (1 - e) + (1 - f) * e, f_bare * (1 - e) + (1 - f_bare) * e
             gain = fq * mpmath.sqrt(fb * (1 - fb)) / (fb * mpmath.sqrt(fq * (1 - fq))) \

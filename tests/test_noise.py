@@ -23,7 +23,7 @@ from noise_reference import (
 from shots_reference import readout_flip
 
 from nadqec import protocol
-from nadqec.code3 import LogicalStateSpec, noise_superop
+from nadqec.code3 import noise_superop
 from nadqec.noise import NoiseParams, gamma_of_t
 from nadqec.qcore import check_density
 
@@ -261,22 +261,18 @@ class TestNoiseParams:
             NoiseParams(t1=100.0, tphi=[50.0, 60.0]).lifetimes(3)
 
     def test_idle_noise_needs_a_value_per_qubit(self):
-        cfg = protocol.ProtocolConfig(LogicalStateSpec(1.0), max_delay=30,
-                                      total_free=(30.0,),
-                                      recovery_variant="approximate")
         with pytest.raises(ValueError, match="t1"):
-            protocol.run_multiqec(cfg, NoiseParams(t1=[100.0, 200.0]))
+            protocol.run_multiqec(1.0, 30, (30.0,), NoiseParams(t1=[100.0, 200.0]),
+                                  math.inf)
 
     @pytest.mark.parametrize("noise,message", [
         (NoiseParams(t1=[220.0] * 4), "t1 has 4 per-qubit values"),
         (NoiseParams(t1=220.0, tphi=[300.0] * 7), "tphi has 7 per-qubit values")])
     def test_run_multiqec_needs_one_value_per_data_qubit(self, noise, message):
         # a longer list is not cut to the three data qubits
-        cfg = protocol.ProtocolConfig(LogicalStateSpec(1.0), max_delay=30,
-                                      total_free=(30.0,))
         with pytest.raises(ValueError,
                            match=f"^{message} for a 3-qubit register$"):
-            protocol.run_multiqec(cfg, noise)
+            protocol.run_multiqec(1.0, 30, (30.0,), noise, 220.0)
 
     def test_lifetimes(self):
         assert NoiseParams(t1=100.0).lifetimes(5) == ((100.0,) * 5, (math.inf,) * 5)

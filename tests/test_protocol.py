@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import re
 import sys
 import warnings
 from decimal import Decimal
@@ -40,10 +41,9 @@ from oracle_reference import oracle_fidelity_multiround, oracle_success_multirou
 
 from nadqec import code3, protocol
 from nadqec.metrics import gain_surface
-from nadqec.noise import NoiseParams, gamma_of_t
+from nadqec.noise import LIFETIME_RULE, NoiseParams, gamma_of_t
 from nadqec.protocol import (
     ROBUST_PULSES,
-    ProtocolConfig,
     lindbladian,
     propagate,
     run_crosstalk_toy,
@@ -106,8 +106,7 @@ class TestScheduling:
         # the sweep's points share one integer denominator
         max_delay = float(step)
         total_free = tuple(float(t % (300 * step)) for t in totals)
-        cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay, total_free)
-        pts = run_multiqec(cfg, NoiseParams(t1=1e15))
+        pts = run_multiqec(1.0, max_delay, total_free, NoiseParams(t1=1e15), 1e15)
         for t, pt in zip(total_free, pts, strict=True):
             schedule = schedule_rounds(t, max_delay)
             assert pt.rounds == len(schedule)
@@ -122,33 +121,30 @@ class TestScheduling:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_inputs_name_the_field(self, bad):
-        spec = code3.LogicalStateSpec(1.0)
+        noise = NoiseParams(t1=220.0)
         for field, call in (
-                ("max_delay", lambda: ProtocolConfig(spec, bad, (30.0,))),
-                ("total_free", lambda: ProtocolConfig(spec, 30.0, (30.0, bad))),
+                ("max_delay", lambda: run_multiqec(1.0, bad, (30.0,), noise, 220.0)),
+                ("total_free",
+                 lambda: run_multiqec(1.0, 30.0, (30.0, bad), noise, 220.0)),
                 ("max_delay", lambda: split_rounds(30.0, bad)),
                 ("total_free", lambda: split_rounds(bad, 30.0)),
                 ("max_delay", lambda: total_evolution_time(30.0, bad)),
                 ("total_free", lambda: total_evolution_time(bad, 30.0))):
-            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
                 call()
 
-    def test_runners_read_the_config_schedule(self, monkeypatch):
-        # the config parses its sweep once; the runners read that schedule
-        cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
-                             total_free=(0.0, 40.0, 95.5))
-        assert cfg == ProtocolConfig(code3.LogicalStateSpec(1.0), 30, (0.0, 40.0, 95.5))
-        assert "_schedule" not in repr(cfg)
+    def test_each_runner_parses_its_sweep_once(self, monkeypatch):
+        # one parse serves a runner's every point, and for the CHaDD runner
+        # its round cap, its walk and both of its series
+        passes = []
+        schedules = protocol._schedules
+        monkeypatch.setattr(protocol, "_schedules",
+                            lambda *a: passes.append(a) or schedules(*a))
         noise = NoiseParams.from_t1_t2(220.0, 300.0)
-        couplings = ((0, 3, 0.05),)
-        want = [run_multiqec(cfg, noise),
-                run_multiqec_with_chadd(cfg, noise, 1, couplings)]
-
-        def parse_again(*args):
-            raise AssertionError("the schedule was parsed again")
-        monkeypatch.setattr(protocol, "_schedules", parse_again)
-        assert [run_multiqec(cfg, noise),
-                run_multiqec_with_chadd(cfg, noise, 1, couplings)] == want
+        total_free = (0.0, 40.0, 95.5)
+        run_multiqec(1.0, 30, total_free, noise, 220.0)
+        run_multiqec_with_chadd(1.0, 30, total_free, noise, 220.0, 1, ((0, 3, 0.05),))
+        assert passes == [(total_free, 30)] * 2
 
 
 class TestTiming:
@@ -176,27 +172,23 @@ class TestTiming:
 
 class TestMultiQec:
     def test_zero_noise_everything_perfect(self):
-        cfg = ProtocolConfig(code3.LogicalStateSpec(1.2, 0.3), max_delay=30,
-                             total_free=(30.0, 60.0, 90.0))
-        pts = run_multiqec(cfg, NoiseParams(t1=1e15))
+        pts = run_multiqec(1.2, 30, (30.0, 60.0, 90.0), NoiseParams(t1=1e15), 1e15)
         for p in pts:
             assert abs(p.fidelity - 1.0) < 1e-9
             assert abs(p.success_probability - 1.0) < 1e-9
 
     def test_single_round_reproduces_oracle(self):
-        cfg = ProtocolConfig(code3.LogicalStateSpec(math.pi), max_delay=30,
-                             total_free=(20.0,))
-        pts = run_multiqec(cfg, NoiseParams.from_t1_t2(220.0, 440.0))
+        pts = run_multiqec(math.pi, 30, (20.0,), NoiseParams.from_t1_t2(220.0, 440.0),
+                           220.0)
         g = 1 - math.exp(-20.0 / 220.0)
         assert abs(pts[0].fidelity - code3.oracle_fidelity_ad(math.pi, g)) < 1e-10
 
     def test_multi_round_composes_single_round_maps(self):
-        # independent reimplementation: iterate the analytic cycle by hand
+        # independent reimplementation: iterate the analytic cycle by hand,
+        # on a state of phase phi = 1, which the runner leaves at 0
         noise = NoiseParams.from_t1_t2(200.0, 300.0)
-        cfg = ProtocolConfig(code3.LogicalStateSpec(2.0, 1.0), max_delay=25,
-                             total_free=(70.0,))
-        pts = run_multiqec(cfg, noise)
-        target = code3.encode_ideal(cfg.logical)
+        pts = run_multiqec(2.0, 25, (70.0,), noise, 200.0)
+        target = code3.encode_ideal(code3.LogicalStateSpec(2.0, 1.0))
         rho = pure(target)
         p_total = 1.0
         for delay in (25.0, 25.0, 20.0):
@@ -221,13 +213,14 @@ class TestMultiQec:
                                          per_qubit, tphi, max_delay,
                                          total_free):
         # ideal needs one T1, the others take per-qubit T1; a finite Tphi
-        # puts T2 below 2 T1; max_delay mostly leaves a remainder round
+        # puts T2 below 2 T1; max_delay mostly leaves a remainder round; the
+        # reference encodes at phi, the runner at 0
         t1 = t1s if per_qubit and variant != "ideal" else t1s[0]
         noise = NoiseParams(t1=t1, tphi=tphi)
-        cfg = ProtocolConfig(code3.LogicalStateSpec(theta, phi), max_delay,
-                             tuple(total_free), recovery_variant=variant)
-        for got, want in zip(run_multiqec(cfg, noise),
-                             run_multiqec_reference(cfg, noise), strict=True):
+        t1_r = protocol.recovery_t1(variant, noise.lifetimes(3)[0])
+        for got, want in zip(run_multiqec(theta, max_delay, total_free, noise, t1_r),
+                             run_multiqec_reference(theta, phi, max_delay, total_free,
+                                                    noise, t1_r), strict=True):
             assert got.rounds == want.rounds
             assert got.total_evolution_us == want.total_evolution_us
             assert abs(got.fidelity - want.fidelity) <= 1e-12
@@ -241,10 +234,9 @@ class TestMultiQec:
         total_free = tuple(25.0 * k for k in range(1, 21))
         for theta in np.linspace(0.0, math.pi, 9):
             for max_delay in (30.0, 45.0, 120.0):
-                cfg = ProtocolConfig(code3.LogicalStateSpec(theta), max_delay,
-                                     total_free)
-                for pt in run_multiqec(cfg, noise):
-                    full, rest = split_rounds(pt.total_free_us, max_delay)
+                for total, pt in zip(total_free, run_multiqec(theta, max_delay,
+                                                              total_free, noise, t1)):
+                    full, rest = split_rounds(total, max_delay)
                     gammas = [gamma_of_t(max_delay, t1)] * full \
                         + ([gamma_of_t(float(rest), t1)] if rest else [])
                     want = oracle_fidelity_multiround(theta, gammas)
@@ -257,9 +249,8 @@ class TestMultiQec:
         build = code3.PauliRound.of_delay
         monkeypatch.setattr(code3.PauliRound, "of_delay",
                             lambda *a: built.append(a[0]) or build(*a))
-        cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
-                             total_free=(600.0, 30.0, 45.0, 75.0, 90.0, 20.0))
-        run_multiqec(cfg, NoiseParams(t1=220.0, tphi=300.0))
+        run_multiqec(1.0, 30, (600.0, 30.0, 45.0, 75.0, 90.0, 20.0),
+                     NoiseParams(t1=220.0, tphi=300.0), 220.0)
         assert sorted(built) == [15.0, 20.0, 30.0]
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 8, 1000, 10**6, 2**40 - 1])
@@ -278,10 +269,9 @@ class TestMultiQec:
         for rest in (0.0, 0.25):  # without and with a remainder round
             advanced.clear()
             built.clear()
-            cfg = ProtocolConfig(code3.LogicalStateSpec(2.0, 0.5), max_delay=0.5,
-                                 total_free=(0.5 * k + rest,))
-            assert run_multiqec(cfg, NoiseParams(t1=220.0, tphi=300.0))[0].rounds \
-                == k + (rest > 0)
+            pts = run_multiqec(2.0, 0.5, (0.5 * k + rest,),
+                               NoiseParams(t1=220.0, tphi=300.0), 220.0)
+            assert pts[0].rounds == k + (rest > 0)
             assert advanced == [k] * (k > 0) + [1] * (rest > 0)
             assert len(built) == (k > 0) + (rest > 0)
             assert len(advanced) <= 2 * math.ceil(math.log2(k + 1)) + 1
@@ -295,10 +285,8 @@ class TestMultiQec:
         for name in ("logical_round", "logical_outcomes", "noise_superop"):
             monkeypatch.setattr(code3, name, refuse)
         monkeypatch.setattr(code3.RecoveryMap, "superop", refuse)
-        cfg = ProtocolConfig(code3.LogicalStateSpec(2.0, 0.5), max_delay=30,
-                             total_free=(0.0, 20.0, 600.0, 1e9),
-                             recovery_variant="approximate")
-        pts = run_multiqec(cfg, NoiseParams(t1=t1, tphi=tphi))
+        pts = run_multiqec(2.0, 30, (0.0, 20.0, 600.0, 1e9),
+                           NoiseParams(t1=t1, tphi=tphi), math.inf)
         assert [p.rounds for p in pts] == [0, 1, 20, 33333334]
 
     @pytest.mark.parametrize("total_free", [(30.0,), (60.0,), (75.0,), (20.0,),
@@ -308,10 +296,8 @@ class TestMultiQec:
         # = 1 exactly, whether a point reaches it by one round, by a power
         # or by its remainder (a finite delay / T1 keeps a defined round,
         # see test_rounds_of_many_t1_match_mpmath)
-        cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
-                             total_free=total_free)
         with pytest.raises(ValueError, match="post-selection removed all weight"):
-            run_multiqec(cfg, NoiseParams(t1=1e-308))
+            run_multiqec(1.0, 30, total_free, NoiseParams(t1=1e-308), 1e-308)
 
     @pytest.mark.parametrize("variant", ["ideal", "approximate"])
     @pytest.mark.parametrize("many", [37, 40, 100, 300, 400])
@@ -321,12 +307,12 @@ class TestMultiQec:
         # and T01 itself underflows past 372 T1; P may underflow to 0
         t1 = 50.0
         noise = NoiseParams(t1=t1)
+        t1_r = protocol.recovery_t1(variant, noise.lifetimes(3)[0])
+        sweep = (many * t1, (many * t1, 2.5 * many * t1, 0.5 * many * t1))
         for theta in (1.0, math.pi / 2, 3.14):
-            cfg = ProtocolConfig(code3.LogicalStateSpec(theta), many * t1,
-                                 (many * t1, 2.5 * many * t1, 0.5 * many * t1),
-                                 recovery_variant=variant)
-            for got, (fid, prob) in zip(run_multiqec(cfg, noise),
-                                        run_multiqec_mpmath(cfg, noise, 400),
+            for got, (fid, prob) in zip(run_multiqec(theta, *sweep, noise, t1_r),
+                                        run_multiqec_mpmath(theta, *sweep, noise,
+                                                            t1_r, 400),
                                         strict=True):
                 assert abs(got.fidelity - fid) <= 1e-12
                 if prob >= 1e-300:
@@ -348,31 +334,22 @@ class TestMultiQec:
         noise = NoiseParams(t1=220.0, tphi=300.0)
 
         def run(points):
-            cfg = ProtocolConfig(code3.LogicalStateSpec(2.0, 1.1), max_delay=30,
-                                 total_free=points)
-            return run_multiqec(cfg, noise)
+            return run_multiqec(2.0, 30, points, noise, 220.0)
 
         assert run(total_free) == [run((t,))[0] for t in total_free]
 
-    def test_ideal_rejects_unequal_t1(self):
-        cfg = ProtocolConfig(code3.LogicalStateSpec(math.pi), max_delay=60,
-                             total_free=(60.0,))
-        with pytest.raises(ValueError, match="ideal recovery adapts to one T1"):
-            run_multiqec(cfg, NoiseParams(t1=[100.0, 300.0, 300.0]))
-
     def test_approximate_accepts_per_qubit_t1(self):
-        cfg = ProtocolConfig(code3.LogicalStateSpec(math.pi), max_delay=60,
-                             total_free=(60.0,), recovery_variant="approximate")
-        fids = [run_multiqec(cfg, NoiseParams(t1=t1))[0].fidelity
-                for t1 in ([100.0, 300.0, 300.0], [300.0, 300.0, 100.0])]
+        def fidelity(t1):
+            return run_multiqec(math.pi, 60, (60.0,), NoiseParams(t1=t1),
+                                math.inf)[0].fidelity
+        fids = [fidelity(t1) for t1 in ([100.0, 300.0, 300.0], [300.0, 300.0, 100.0])]
         # the approximate recovery does not adapt, so qubit order is moot
         assert abs(fids[0] - fids[1]) < 1e-12
-        assert fids[0] < run_multiqec(cfg, NoiseParams(t1=300.0))[0].fidelity
+        assert fids[0] < fidelity(300.0)
 
     def test_break_even_lifetime(self):
-        cfg = ProtocolConfig(code3.LogicalStateSpec(math.pi), max_delay=30,
-                             total_free=tuple(np.arange(30.0, 331.0, 30.0)))
-        pts = run_multiqec(cfg, NoiseParams.from_t1_t2(220.0, 440.0))
+        pts = run_multiqec(math.pi, 30, tuple(np.arange(30.0, 331.0, 30.0)),
+                           NoiseParams.from_t1_t2(220.0, 440.0), 220.0)
         tau = fit_lifetime([p.total_evolution_us for p in pts],
                            [p.fidelity for p in pts])
         assert tau >= 2 * 220.0
@@ -384,10 +361,13 @@ class TestMultiQec:
         assert abs(tau - 220.0) < 1e-6
 
 
-def _assert_matches_mpmath(cfg, noise, digits=60):
+def _assert_matches_mpmath(theta, max_delay, total_free, noise, variant,
+                           digits=60):
     """Every point's F and P within 1e-12 relative of the mpmath powers."""
-    for got, (fid, prob) in zip(run_multiqec(cfg, noise),
-                                run_multiqec_mpmath(cfg, noise, digits), strict=True):
+    sweep = (theta, max_delay, total_free, noise,
+             protocol.recovery_t1(variant, noise.lifetimes(3)[0]))
+    for got, (fid, prob) in zip(run_multiqec(*sweep),
+                                run_multiqec_mpmath(*sweep, digits), strict=True):
         assert abs(got.fidelity / fid - 1) <= 1e-12
         assert abs(got.success_probability / prob - 1) <= 1e-12
 
@@ -413,9 +393,7 @@ class TestExtremeRoundCounts:
     def test_matches_mpmath(self, max_delay, t2, total_free, variant):
         noise = NoiseParams.from_t1_t2(220.0, t2)
         for theta in (3.14159, 1.2):
-            cfg = ProtocolConfig(code3.LogicalStateSpec(theta), max_delay,
-                                 total_free, recovery_variant=variant)
-            _assert_matches_mpmath(cfg, noise)
+            _assert_matches_mpmath(theta, max_delay, total_free, noise, variant)
 
     @pytest.mark.parametrize("variant,t1", [
         ("ideal", 220.0), ("approximate", [200.0, 220.0, 250.0])])
@@ -424,15 +402,12 @@ class TestExtremeRoundCounts:
     def test_per_qubit_noise_matches_mpmath(self, variant, t1, max_delay,
                                             total_free):
         noise = NoiseParams(t1=t1, tphi=[300.0, 500.0, 400.0])
-        cfg = ProtocolConfig(code3.LogicalStateSpec(2.0), max_delay, total_free,
-                             recovery_variant=variant)
-        _assert_matches_mpmath(cfg, noise)
+        _assert_matches_mpmath(2.0, max_delay, total_free, noise, variant)
 
     def test_shortest_rounds_need_more_digits(self):
         # 1e-300 us rounds: 60 digits cannot hold 1 - 1e-300, 360 can
         noise = NoiseParams.from_t1_t2(220.0, 440.0)
-        cfg = ProtocolConfig(code3.LogicalStateSpec(3.14159), 1e-300, (30.0,))
-        _assert_matches_mpmath(cfg, noise, digits=360)
+        _assert_matches_mpmath(3.14159, 1e-300, (30.0,), noise, "ideal", digits=360)
 
 
 # The 4x4 Walsh-Hadamard sign matrix; the toggling signs of color 1 and
@@ -643,10 +618,10 @@ class TestLindblad:
             for cycles in (1, 8):
                 with pytest.raises(FloatingPointError, match=f"^{field} = "):
                     _toy("0", 60.0, cycles, **model)
-        cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), 60.0, (10.0, 70.0))
         couplings = ((0, 3, 0.6 * bound), (1, 3, 0.6 * bound))
         with pytest.raises(FloatingPointError, match="couplings on qubit 3 = "):
-            run_multiqec_with_chadd(cfg, NoiseParams(t1=220.0), 1, couplings)
+            run_multiqec_with_chadd(1.0, 60.0, (10.0, 70.0), NoiseParams(t1=220.0),
+                                    220.0, 1, couplings)
 
     def test_overflowing_decay_is_zero(self):
         # t / T1 past the largest float is a decay of exactly 0, with no
@@ -880,18 +855,16 @@ class TestMultiQecWithChadd:
     noise = NoiseParams.from_t1_t2(220.0, 440.0)
 
     def test_no_coupling_no_noise_is_perfect(self):
-        cfg = ProtocolConfig(code3.LogicalStateSpec(math.pi / 2), max_delay=30,
-                             total_free=(60.0,))
-        for pts in run_multiqec_with_chadd(cfg, NoiseParams(t1=1e12), 1,
+        for pts in run_multiqec_with_chadd(math.pi / 2, 30, (60.0,),
+                                           NoiseParams(t1=1e12), 1e12, 1,
                                            ((0, 3, 0.0),)):
             assert abs(pts[0].fidelity - 1.0) < 1e-8
             assert abs(pts[0].success_probability - 1.0) < 1e-8
 
     @pytest.mark.parametrize("chadd", [False, True])
     def test_empty_sweep_returns_no_points(self, chadd):
-        cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
-                             total_free=())
-        assert run_multiqec_with_chadd(cfg, self.noise, 1, ((0, 3, 0.05),))[chadd] == []
+        assert run_multiqec_with_chadd(1.0, 30, (), self.noise, 220.0, 1,
+                                       ((0, 3, 0.05),))[chadd] == []
 
     @settings(max_examples=60, deadline=None)
     @given(variant=st.sampled_from(["ideal", "approximate"]),
@@ -908,11 +881,10 @@ class TestMultiQecWithChadd:
         # T2 up to 2 T1, max_delay up to 100 T1, points with remainders
         noise = NoiseParams.from_t1_t2(t1, 2 * t1 * t2_share)
         max_delay = delay_t1 * t1
-        cfg = ProtocolConfig(code3.LogicalStateSpec(theta), max_delay,
-                             tuple(max_delay * x for x in spans),
-                             recovery_variant=variant)
-        got, _ = run_multiqec_with_chadd(cfg, noise, 0, ())
-        for a, b in zip(got, run_multiqec(cfg, noise), strict=True):
+        sweep = (theta, max_delay, tuple(max_delay * x for x in spans), noise,
+                 protocol.recovery_t1(variant, noise.lifetimes(3)[0]))
+        got, _ = run_multiqec_with_chadd(*sweep, 0, ())
+        for a, b in zip(got, run_multiqec(*sweep), strict=True):
             assert abs(a.fidelity - b.fidelity) <= 1e-12
             if b.success_probability >= 1e-300:
                 assert abs(a.success_probability / b.success_probability - 1) <= 1e-12
@@ -924,47 +896,35 @@ class TestMultiQecWithChadd:
         # overflows: the walk then ends on the defined error naming the
         # weight, and warns nothing (pytest turns a warning into a failure)
         t1 = 50.0
-        cfg = ProtocolConfig(code3.LogicalStateSpec(math.pi / 2), many * t1,
-                             (many * t1,))
+        sweep = (math.pi / 2, many * t1, (many * t1,), NoiseParams(t1=t1), t1)
         if many == 355:
-            (got,), _ = run_multiqec_with_chadd(cfg, NoiseParams(t1=t1), 0, ())
-            (want,) = run_multiqec(cfg, NoiseParams(t1=t1))
+            (got,), _ = run_multiqec_with_chadd(*sweep, 0, ())
+            (want,) = run_multiqec(*sweep)
             assert abs(got.fidelity - want.fidelity) <= 1e-12
         else:
             with pytest.raises(ValueError, match=r"removed all weight \(kept weight "):
-                run_multiqec_with_chadd(cfg, NoiseParams(t1=t1), 0, ())
+                run_multiqec_with_chadd(*sweep, 0, ())
 
     def test_chadd_suppresses_spectator_crosstalk(self):
-        cfg = ProtocolConfig(code3.LogicalStateSpec(math.pi / 2),
-                             max_delay=30, total_free=(60.0,))
-        plain, chadd = run_multiqec_with_chadd(cfg, self.noise, 1, ((0, 3, 0.05),))
+        plain, chadd = run_multiqec_with_chadd(math.pi / 2, 30, (60.0,), self.noise,
+                                               220.0, 1, ((0, 3, 0.05),))
         assert chadd[0].fidelity >= plain[0].fidelity
 
     def test_chadd_hurts_zero_logical_without_crosstalk(self):
-        cfg = ProtocolConfig(code3.LogicalStateSpec(0.0), max_delay=30,
-                             total_free=(60.0,))
-        plain, chadd = run_multiqec_with_chadd(cfg, self.noise, 0, ())
+        plain, chadd = run_multiqec_with_chadd(0.0, 30, (60.0,), self.noise, 220.0,
+                                               0, ())
         assert chadd[0].fidelity < plain[0].fidelity
 
     def test_register_cap(self):
-        cfg = ProtocolConfig(code3.LogicalStateSpec(0.0), max_delay=30,
-                             total_free=(30.0,))
-        with pytest.raises(ValueError):
-            run_multiqec_with_chadd(cfg, self.noise, 5, ())
+        with pytest.raises(ConfigError, match=r"^spectators must be an integer "
+                                              r"in \[0, 4\], got 5$"):
+            run_multiqec_with_chadd(0.0, 30, (30.0,), self.noise, 220.0, 5, ())
 
     def test_seven_qubit_register_chadd_suppresses_crosstalk(self):
         couplings = ((0, 3, 0.05), (2, 4, 0.04), (1, 5, 0.03), (0, 6, 0.02))
-        cfg = ProtocolConfig(code3.LogicalStateSpec(math.pi / 2),
-                             max_delay=30, total_free=(30.0,))
-        plain, chadd = run_multiqec_with_chadd(cfg, self.noise, 4, couplings)
+        plain, chadd = run_multiqec_with_chadd(math.pi / 2, 30, (30.0,), self.noise,
+                                               220.0, 4, couplings)
         assert chadd[0].fidelity >= plain[0].fidelity
-
-    def test_ideal_rejects_unequal_data_t1(self):
-        cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
-                             total_free=(30.0,))
-        with pytest.raises(ValueError, match="ideal recovery adapts to one T1"):
-            run_multiqec_with_chadd(cfg, NoiseParams(t1=[220.0, 100.0, 220.0, 220.0]),
-                                    1, ())
 
     def test_pulse_unitaries_built_once_per_run(self, monkeypatch):
         # the pulses, as gathers of the block state: one set per call, which
@@ -973,9 +933,8 @@ class TestMultiQecWithChadd:
         gathers = protocol._pulse_gathers
         monkeypatch.setattr(protocol, "_pulse_gathers",
                             lambda *a: built.append(a) or gathers(*a))
-        cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
-                             total_free=(30.0, 75.0))
-        run_multiqec_with_chadd(cfg, self.noise, 1, ((0, 3, 0.05),))
+        run_multiqec_with_chadd(1.0, 30, (30.0, 75.0), self.noise, 220.0, 1,
+                                ((0, 3, 0.05),))
         assert built == [((1, 2, 1, 2), 2)]
 
     @pytest.mark.parametrize("chadd", [False, True])
@@ -987,10 +946,8 @@ class TestMultiQecWithChadd:
         total_free = (75.0, 0.0, 60.0, 20.0, 45.0)
 
         def run(points):
-            cfg = ProtocolConfig(code3.LogicalStateSpec(2.0, 1.1), max_delay=30,
-                                 total_free=points)
-            return run_multiqec_with_chadd(cfg, self.noise, spectators,
-                                           couplings)[chadd]
+            return run_multiqec_with_chadd(2.0, 30, points, self.noise, 220.0,
+                                           spectators, couplings)[chadd]
 
         assert run(total_free) == [run((t,))[0] for t in total_free]
 
@@ -1007,9 +964,8 @@ class TestMultiQecWithChadd:
                 owner, name,
                 lambda *a, calls=calls, original=original, **k:
                     calls.append(a) or original(*a, **k))
-        cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
-                             total_free=(90.0, 30.0, 45.0, 75.0, 20.0))
-        run_multiqec_with_chadd(cfg, self.noise, 1, ((0, 3, 0.05),))
+        run_multiqec_with_chadd(1.0, 30, (90.0, 30.0, 45.0, 75.0, 20.0), self.noise,
+                                220.0, 1, ((0, 3, 0.05),))
         assert len(built["lindbladian"]) == 1
         # 30, 15 and 20 us plain, then each as one robust cycle of 8 intervals
         assert [a[1] for a in built["propagator"]] \
@@ -1043,18 +999,19 @@ class TestMultiQecWithChadd:
         for _ in range(rng.integers(3)):
             a, b = rng.choice(n, 2, replace=False)
             couplings.append((int(a), int(b), g()))
-        cfg = ProtocolConfig(
-            code3.LogicalStateSpec(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)),
-            max_delay=float(rng.choice([7.5, 10.0, 12.5])),
-            total_free=tuple(float(t) for t in rng.choice(
-                [0.0, 5.0, 10.0, 17.5, 25.0, 32.5], size=3)),
-            recovery_variant=variant)
-        got = run_multiqec_with_chadd(cfg, noise, spectators, couplings)[chadd]
-        want = run_multiqec_with_chadd_reference(cfg, noise, spectators, couplings,
+        # the reference encodes at a random phase phi, the runner at 0
+        theta, phi = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
+        max_delay = float(rng.choice([7.5, 10.0, 12.5]))
+        total_free = tuple(float(t) for t in rng.choice(
+            [0.0, 5.0, 10.0, 17.5, 25.0, 32.5], size=3))
+        t1_r = protocol.recovery_t1(variant, t1)
+        got = run_multiqec_with_chadd(theta, max_delay, total_free, noise, t1_r,
+                                      spectators, couplings)[chadd]
+        want = run_multiqec_with_chadd_reference(theta, phi, max_delay, total_free,
+                                                 noise, t1_r, spectators, couplings,
                                                  chadd=chadd)
         for a, b in zip(got, want, strict=True):
-            assert (a.total_free_us, a.total_evolution_us, a.rounds) \
-                == (b.total_free_us, b.total_evolution_us, b.rounds)
+            assert (a.total_evolution_us, a.rounds) == (b.total_evolution_us, b.rounds)
             assert abs(a.fidelity - b.fidelity) <= 1e-12
             assert abs(a.success_probability - b.success_probability) \
                 <= 1e-12 * b.success_probability
@@ -1073,9 +1030,8 @@ class TestMultiQecWithChadd:
                 return out
             monkeypatch.setattr(owner, name, wrapped)
         couplings = [(0, 3 + i, 0.05) for i in range(spectators)]
-        cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
-                             total_free=(45.0,))
-        run_multiqec_with_chadd(cfg, self.noise, spectators, couplings)
+        run_multiqec_with_chadd(1.0, 30, (45.0,), self.noise, 220.0, spectators,
+                                couplings)
         # two plain rounds of one interval, then two rounds of 8 intervals,
         # each with its recovery
         assert len(sizes) == 2 * (1 + 1) + 2 * (8 + 1)
@@ -1106,9 +1062,7 @@ class TestMultiQecWithChadd:
 
 class TestEdgeCases:
     def test_zero_total_free_point(self):
-        cfg = ProtocolConfig(code3.LogicalStateSpec(1.0), max_delay=30,
-                             total_free=(0.0,))
-        pts = run_multiqec(cfg, NoiseParams(t1=100.0))
+        pts = run_multiqec(1.0, 30, (0.0,), NoiseParams(t1=100.0), 100.0)
         assert pts[0].rounds == 0
         assert pts[0].fidelity == 1.0
         assert pts[0].success_probability == 1.0
@@ -1124,30 +1078,57 @@ def test_row_assignment_matches_realized_signs():
 
 
 class TestRecoveryT1:
-    @staticmethod
-    def _config(variant: str) -> ProtocolConfig:
-        return ProtocolConfig(code3.LogicalStateSpec(1.0), 30.0, (30.0,),
-                              recovery_variant=variant)
-
     def test_each_variant_resolves_to_a_t1(self):
         # the ideal recovery adapts to data qubit 0's T1, the approximate
         # one to T1 = inf, where gamma(delay) is exactly 0
         t1s = (220.0, 220.0, 220.0, 90.0)
-        assert protocol.recovery_t1(self._config("ideal"), t1s) == 220.0
-        assert protocol.recovery_t1(self._config("approximate"), t1s) == math.inf
+        assert protocol.recovery_t1("ideal", t1s) == 220.0
+        assert protocol.recovery_t1("approximate", t1s) == math.inf
         assert gamma_of_t(30.0, math.inf) == 0.0
 
     def test_ideal_needs_one_data_t1(self):
         t1s = (220.0, 200.0, 220.0)
         with pytest.raises(ConfigError, match="adapts to one T1"):
-            protocol.recovery_t1(self._config("ideal"), t1s)
-        assert protocol.recovery_t1(self._config("approximate"), t1s) == math.inf
+            protocol.recovery_t1("ideal", t1s)
+        assert protocol.recovery_t1("approximate", t1s) == math.inf
+
+
+_BAD_SHARED = [
+    ("max_delay", True, "max_delay must be a finite number, got True"),
+    ("max_delay", 0.0, "max_delay must be positive, got 0.0"),
+    ("total_free", (30.0, False), "total_free must be a finite number, got False"),
+    ("theta", 4.0, "'theta' must be in [0, pi], got 4.0"),
+    ("theta", True, "'theta' must be in [0, pi], got True"),
+    ("recovery_t1", 0.0, f"recovery_t1 must be {LIFETIME_RULE}, got 0.0"),
+    ("recovery_t1", "ideal", f"recovery_t1 must be {LIFETIME_RULE}, got 'ideal'"),
+    ("recovery_t1", True, f"recovery_t1 must be {LIFETIME_RULE}, got True"),
+]
+_BAD_CASES = [(runner, *case) for runner in ("run_multiqec", "run_multiqec_with_chadd")
+              for case in _BAD_SHARED] + [
+    ("run_multiqec_with_chadd", "spectators", value,
+     f"spectators must be an integer in [0, 4], got {value!r}")
+    for value in (1.0, True, -1, 5)]
+
+
+@pytest.mark.parametrize("runner,field,value,message", _BAD_CASES,
+                         ids=[f"{r}-{f}-{v!r}" for r, f, v, _ in _BAD_CASES])
+def test_bad_runner_argument_is_named(runner, field, value, message):
+    # a runner takes the values a spec resolves; one that breaks its rule
+    # is a ConfigError naming it, raised before any round runs
+    args = dict(theta=1.0, max_delay=30.0, total_free=(30.0,),
+                noise=NoiseParams(t1=220.0), recovery_t1=220.0)
+    if runner == "run_multiqec_with_chadd":
+        args.update(spectators=1, couplings=((0, 3, 0.05),))
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        getattr(protocol, runner)(**{**args, field: value})
 
 
 class TestPhaseInvariance:
     """F and P of both multi-round runners do not depend on the logical
-    state's phase phi, which is why no spec sets it. Gate noise on emitted
-    circuits may break that covariance; this test would then show it."""
+    state's phase phi, which is why no spec sets it and the runners encode
+    at phi = 0: the per-round references, which take phi, give the
+    runners' values at every phi. Gate noise on emitted circuits may break
+    that covariance; this test would then show it."""
 
     @pytest.mark.parametrize("variant", ["ideal", "approximate"])
     def test_runners_ignore_phi(self, variant):
@@ -1158,17 +1139,19 @@ class TestPhaseInvariance:
         data_noise = NoiseParams(t1=data_t1, tphi=tphi[:3])
         noise = NoiseParams(t1=data_t1 + [90.0, 400.0], tphi=tphi)
         couplings = ((0, 1, 0.03), (1, 2, -0.02), (0, 3, 0.05), (2, 4, -0.04))
+        t1_r = protocol.recovery_t1(variant, data_t1)
+        sweep = (12.5, (0.0, 20.0, 37.5, 60.0))
 
-        def runs(phi):
-            cfg = ProtocolConfig(code3.LogicalStateSpec(2.0, phi), max_delay=12.5,
-                                 total_free=(0.0, 20.0, 37.5, 60.0),
-                                 recovery_variant=variant)
-            return [run_multiqec(cfg, data_noise),
-                    *run_multiqec_with_chadd(cfg, noise, 2, couplings)]
+        def references(phi):
+            return [run_multiqec_reference(2.0, phi, *sweep, data_noise, t1_r),
+                    *(run_multiqec_with_chadd_reference(2.0, phi, *sweep, noise, t1_r,
+                                                        2, couplings, chadd=chadd)
+                      for chadd in (False, True))]
 
-        want = runs(0.0)
-        for phi in (0.9, 2.5, 4.0, 6.2):
-            for got_pts, want_pts in zip(runs(phi), want, strict=True):
+        want = [run_multiqec(2.0, *sweep, data_noise, t1_r),
+                *run_multiqec_with_chadd(2.0, *sweep, noise, t1_r, 2, couplings)]
+        for phi in (0.0, 0.9, 2.5, 4.0, 6.2):
+            for got_pts, want_pts in zip(references(phi), want, strict=True):
                 for a, b in zip(got_pts, want_pts, strict=True):
                     assert abs(a.fidelity - b.fidelity) <= 1e-15
                     assert abs(a.success_probability - b.success_probability) \
@@ -1203,14 +1186,13 @@ class TestScaleInvariance:
         def runs(k):
             def scale(xs):
                 return [x * k for x in xs]
-            cfg = ProtocolConfig(code3.LogicalStateSpec(theta), 12.5 * k,
-                                 scale([0.0, 20.0, 37.5, 60.0]),
-                                 recovery_variant=variant)
-            series = [run_multiqec(cfg, NoiseParams(t1=scale(data_t1),
-                                                    tphi=scale(tphi[:3]))),
+            sweep = (theta, 12.5 * k, scale([0.0, 20.0, 37.5, 60.0]))
+            t1_r = protocol.recovery_t1(variant, scale(data_t1))
+            series = [run_multiqec(*sweep, NoiseParams(t1=scale(data_t1),
+                                                       tphi=scale(tphi[:3])), t1_r),
                       *run_multiqec_with_chadd(
-                          cfg, NoiseParams(t1=scale(t1), tphi=scale(tphi)), 2,
-                          [(a, b, g / k) for a, b, g in couplings])]
+                          *sweep, NoiseParams(t1=scale(t1), tphi=scale(tphi)), t1_r,
+                          2, [(a, b, g / k) for a, b, g in couplings])]
             cells = gain_surface(scale([50.0, 220.0]), [0.0, 0.02],
                                  scale([1.0, 30.0, 200.0]), theta=theta)
             return ([[(x.fidelity, x.success_probability) for x in pts]
