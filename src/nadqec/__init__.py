@@ -2,5 +2,5 @@
 
 __version__ = "0.1.0"
 
-# synth, which loads scipy.optimize, is imported where it is used
+# synth, which only the synth kind needs, is imported where it is used
 from . import circuits, code3, metrics, noise, protocol, qcore  # noqa: F401

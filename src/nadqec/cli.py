@@ -341,7 +341,7 @@ def _run_gain_surface(spec: ExperimentSpec, out: Path) -> None:
 
 
 def _run_synth(spec: ExperimentSpec, out: Path) -> None:
-    from . import synth  # loads scipy.optimize, which no other kind needs
+    from . import synth  # imported here, so that no other kind loads it
 
     restarts = spec.resolved["restarts"]
     seed = spec.seed

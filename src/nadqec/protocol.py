@@ -74,7 +74,8 @@ def _schedules(total_free: Sequence[float],
     time), the last two as integers over the common denominator returned
     with them: every input is read as its exact decimal text, so the sums
     are exact and one int / int division rounds each result correctly. The
-    one check of both inputs: finite reals, max_delay > 0, total_free >= 0.
+    one check of both inputs: finite reals, max_delay > 0, total_free a
+    sequence of values >= 0.
 
     A full round's delay shorter than the reset before it adds the
     shortfall, T_RESET - max_delay, on every full round but the first, and
@@ -87,6 +88,8 @@ def _schedules(total_free: Sequence[float],
     step_num, step_den = exact(max_delay, "max_delay")
     if step_num <= 0:
         raise ConfigError(f"max_delay must be positive, got {max_delay!r}")
+    if isinstance(total_free, str) or not isinstance(total_free, (Sequence, np.ndarray)):
+        raise ConfigError(f"total_free must be a sequence of numbers, got {total_free!r}")
     totals = [exact(t, "total_free") for t in total_free]
     if any(num < 0 for num, _ in totals):
         raise ConfigError("total_free must be non-negative")
@@ -364,7 +367,11 @@ def lindbladian(n_qubits: int, params: NoiseParams, couplings: Sequence = (),
     omega = np.zeros(n) if omega is None else np.asarray(omega, dtype=float)
     if omega.shape != (n,):
         raise ConfigError(f"{omega.size} frequencies for {n} qubits")
-    for a, b, g in couplings:
+    for entry in couplings:
+        if isinstance(entry, str) or not (isinstance(entry, (Sequence, np.ndarray))
+                                          and len(entry) == 3):
+            raise ConfigError(f"'couplings' entry {entry!r} must be an (a, b, g) triple")
+        a, b, g = entry
         if a == b or not (0 <= a < n and 0 <= b < n):
             raise ConfigError(f"'couplings' entry {[a, b, g]} must name two "
                               f"distinct qubits of the {n}-qubit register")

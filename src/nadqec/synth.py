@@ -2,16 +2,12 @@
 
 Targets are matched by minimizing the masked squared Frobenius distance
 C(theta) = sum_{(i,j) in mask} |O_ij - U_ij(theta)|^2 from seeded
-multi-start points. Both optimizers read one derivative, the exact
-Jacobian of the masked residual: the encoder runs Levenberg-Marquardt on
-the stacked real and imaginary residual (``_levenberg_marquardt``); the
-recovery factor runs BFGS on the gradient that the Jacobian gives
-(``_bfgs``), where a start whose cost stalls above the tolerance is ended
-there (``_STALL_DECREASE``), which no start that meets the tolerance ever
-is. The ansatz is applied one rotation layer at a time, each layer a
-single 2^n x 2^n matrix with the preceding CZ layer's +-1 diagonal folded
-in, and the Jacobian's columns are masked entries of suffix x generator x
-prefix products.
+multi-start points. Every start, for the encoder and the recovery factor
+alike, runs Levenberg-Marquardt (``_levenberg_marquardt``) on the stacked
+real and imaginary residual and its exact Jacobian. The ansatz is applied
+one rotation layer at a time, each layer a single 2^n x 2^n matrix with
+the preceding CZ layer's +-1 diagonal folded in, and the Jacobian's
+columns are masked entries of suffix x generator x prefix products.
 
 Also holds the shared-factor split of the non-unitary recovery and the
 block encoding of its diagonal part. The recovery factorization uses a
@@ -31,7 +27,6 @@ import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from . import code3
 from .circuits import Circuit, Gate, remapped
@@ -83,9 +78,7 @@ class _AnsatzEvaluator:
     S_l = W_L ... W_{l+1} = U U_l^dag, the derivative of U by an angle of
     layer l on qubit q is S_l (-i/2) G U_l: G = Z for the RZ angle and
     G = RZ X RZ^dag = e^{-ib Z} X for the RX angle (RZ is last on its
-    qubit), so G U_l is a row sign or a row gather with a phase. Both
-    optimizers read this one Jacobian: LM as its stacked real and imaginary
-    parts, BFGS as the gradient 2 Re(r^H J) of C = |r|^2.
+    qubit), so G U_l is a row sign or a row gather with a phase.
     """
 
     def __init__(self, problem: SynthesisProblem):
@@ -139,9 +132,10 @@ class _AnsatzEvaluator:
     def unitary(self, params: np.ndarray) -> np.ndarray:
         return self._forward(params)[1][-1]
 
-    def _columns(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The complex masked residual r = U - T and its Jacobian, one
-        column per angle."""
+    def jacobian(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The masked residual r = U - T stacked as its real then its
+        imaginary part, f with C = f.f, and its Jacobian, one column per
+        angle."""
         b, pre = self._forward(params)
         res = pre[-1][self.rows, self.cols] - self.target_vals
         # S_l = U U_l^dag, as U_l is unitary: the suffix rows the mask
@@ -159,17 +153,7 @@ class _AnsatzEvaluator:
         flipped *= s[:, None]
         phase = np.exp(-1j * b.T[:, :, None] * self.z_sign)
         np.matmul(phase[:, :, None], flipped, out=d[:, :, :1])
-        return res, -0.5j * d.reshape(self.n_params, -1).T
-
-    def gradient(self, params: np.ndarray) -> tuple[float, np.ndarray]:
-        """The cost C = |r|^2 and its gradient 2 Re(r^H J), for BFGS."""
-        res, jac = self._columns(params)
-        return float(np.vdot(res, res).real), 2 * (res.conj() @ jac).real
-
-    def jacobian(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The stacked real and imaginary residual f, with C = f.f, and its
-        Jacobian, for LM."""
-        res, jac = self._columns(params)
+        jac = -0.5j * d.reshape(self.n_params, -1).T
         return (np.concatenate([res.real, res.imag]),
                 np.concatenate([jac.real, jac.imag]))
 
@@ -197,54 +181,19 @@ class SynthesisResult(NamedTuple):
     restarts_used: int
 
 
-# A BFGS iteration that lowers the cost by less than this fraction of itself
-# has stalled: the change is a few dozen ulps of the cost, where the line
-# search can no longer tell descent from rounding, and further iterations
-# only wear it down until scipy reports a loss of precision, at a cost that
-# agrees to about 1e-14 relative. The rule ends a start only while its cost
-# is above the tolerance, so a start that has met the tolerance is never
-# cut. That a converging start never stalls on its way down is measured,
-# not guaranteed: every start tested that converges without the rule
-# (encoder and recovery factor at 3 and 4 layers; the tests check seeds
-# 0-9) runs bit for bit as before. Deeper levels (5 to 8 layers) are not
-# covered. The callback takes scipy's ``intermediate_result`` and ends
-# the run with ``StopIteration``, both new in scipy 1.11.
-_STALL_DECREASE = 1e-14
-
-
-def _stall_stop(tolerance: float):
-    """BFGS callback ending a start whose cost stalls above ``tolerance``."""
-    last = math.inf
-
-    def callback(intermediate_result):
-        nonlocal last
-        fun = float(intermediate_result.fun)
-        if fun > tolerance and last - fun < _STALL_DECREASE * fun:
-            raise StopIteration
-        last = fun
-
-    return callback
-
-
-def _bfgs(evaluator: _AnsatzEvaluator, x0: np.ndarray,
-          tolerance: float) -> tuple[np.ndarray, float]:
-    """One BFGS start on the gradient 2 Re(r^H J), ended once it stalls
-    above ``tolerance``."""
-    res = sciopt.minimize(evaluator.gradient, x0, jac=True, method="BFGS",
-                          callback=_stall_stop(tolerance),
-                          options={"gtol": 1e-12, "maxiter": 400})
-    return res.x, float(res.fun)
-
-
 def _levenberg_marquardt(evaluator: _AnsatzEvaluator, x: np.ndarray,
                          tolerance: float) -> tuple[np.ndarray, float]:
     """One Levenberg-Marquardt start on the stacked residual and its exact
     Jacobian, with Nielsen's damping update (IMM-REP-1999-05).
 
-    Each iteration solves (J^T J + mu I) step = -J^T f, so more angles than
-    residuals need no special case. A step is kept when it lowers the cost
-    C = f.f; mu then scales by max(1/3, 1 - (2 rho - 1)^3), rho being the
-    actual over the predicted decrease, else mu grows by nu and nu doubles.
+    Each iteration solves (J^T J + mu I) step = -J^T f (Marquardt, J. SIAM
+    11, 431, 1963), so more angles than residuals need no special case.
+    The damping starts at mu0 = max diag(J^T J), tau = 1 in Madsen, Nielsen
+    and Tingleff's mu0 = tau max diag(J^T J), their value for a start far
+    from the solution (IMM 2004, sec. 3.2), as a uniform random start is.
+    A step is kept when it lowers the cost C = f.f; mu then scales by
+    max(1/3, 1 - (2 rho - 1)^3), rho being the actual over the predicted
+    decrease, else mu grows by nu and nu doubles.
     The start ends at a cost of 1e-30, at a step of 1e-15 relative to x,
     when a kept step lowers a cost still above ``tolerance`` by 1e-15
     relative or less (a stall), when mu exceeds 1e20, or after 400
@@ -253,7 +202,7 @@ def _levenberg_marquardt(evaluator: _AnsatzEvaluator, x: np.ndarray,
     f, jac = evaluator.jacobian(x)
     c = float(f @ f)
     a, g = jac.T @ jac, jac.T @ f
-    mu, nu = 1e-3 * float(np.max(np.diag(a))), 2.0
+    mu, nu = float(np.max(np.diag(a))), 2.0
     eye = np.eye(x.size)
     for _ in range(400):
         if c <= 1e-30 or mu > 1e20:
@@ -277,18 +226,13 @@ def _levenberg_marquardt(evaluator: _AnsatzEvaluator, x: np.ndarray,
     return x, c
 
 
-def optimize(problem: SynthesisProblem, seed: int = 0, restarts: int = 20,
-             _start=_bfgs) -> SynthesisResult:
+def optimize(problem: SynthesisProblem, seed: int = 0,
+             restarts: int = 20) -> SynthesisResult:
     """Multi-start minimization of the masked cost.
 
     Deterministic for a given (problem, seed); restarts stop early once the
-    problem tolerance is met. Each start runs ``_start`` (BFGS by default;
-    ``_levenberg_marquardt`` for the encoder) from its own seeded point. A
-    BFGS start whose cost stalls above the tolerance (an iteration lowering
-    it by less than ``_STALL_DECREASE`` of itself) is ended there instead of
-    running BFGS's line search into a loss of precision; a start that meets
-    the tolerance is never ended early. Non-convergence is reported, not
-    raised.
+    problem tolerance is met. Each start runs ``_levenberg_marquardt`` from
+    its own seeded point. Non-convergence is reported, not raised.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -297,7 +241,7 @@ def optimize(problem: SynthesisProblem, seed: int = 0, restarts: int = 20,
     for r in range(restarts):
         rng = np.random.default_rng((seed << 20) + r)
         x0 = rng.uniform(-math.pi, math.pi, evaluator.n_params)
-        x, c = _start(evaluator, x0, problem.tolerance)
+        x, c = _levenberg_marquardt(evaluator, x0, problem.tolerance)
         if c < best_c:
             best_x, best_c = x, c
         if best_c <= problem.tolerance:
@@ -313,20 +257,18 @@ def synthesize(
     tolerance: float = 1e-10,
     restarts: int = 20,
     first_layers: int = 3,
-    _start=_bfgs,
 ) -> tuple[Circuit, SynthesisResult]:
     """Depth-growing synthesis on a line of qubits: start at
     ``first_layers`` CZ layers, add one on failure, up to 8. Every level
     seeds its starts alike, so starting above levels that would fail
     changes no emitted circuit. The result's ``restarts_used`` counts the
-    starts of every level tried. ``_start`` is the per-start optimizer
-    that ``optimize`` runs."""
+    starts of every level tried."""
     starts = 0
     for layers in range(first_layers, 9):
         ansatz = Ansatz(n_qubits, layers)
         problem = SynthesisProblem(np.asarray(target, dtype=complex), ansatz,
                                    mask=mask, tolerance=tolerance)
-        result = optimize(problem, seed=seed, restarts=restarts, _start=_start)
+        result = optimize(problem, seed=seed, restarts=restarts)
         starts += result.restarts_used
         if result.converged:
             break
@@ -503,16 +445,15 @@ def recovery_u_target() -> tuple[np.ndarray, list[tuple[int, int]]]:
 
 
 def synthesize_encoder(seed: int = 7, **kwargs) -> tuple[Circuit, SynthesisResult]:
-    """The encoder by Levenberg-Marquardt, which converges more of its
-    starts at 3 CZ layers than BFGS (README, "Synthesis notes")."""
+    """The encoder from 3 CZ layers up, where most starts converge (README,
+    "Synthesis notes")."""
     target, mask = encoder_target()
-    return synthesize(target, mask, 3, seed=seed,
-                      _start=_levenberg_marquardt, **kwargs)
+    return synthesize(target, mask, 3, seed=seed, **kwargs)
 
 
 def synthesize_recovery_u(seed: int = 11, **kwargs) -> tuple[Circuit, SynthesisResult]:
-    """U from 4 CZ layers up: none of 1000 BFGS starts converges at 3
-    (README, "Synthesis notes"), so that level would only spend starts."""
+    """U from 4 CZ layers up: none of 400 starts converges at 3 (README,
+    "Synthesis notes"), so that level would only spend starts."""
     target, mask = recovery_u_target()
     return synthesize(target, mask, 3, seed=seed, first_layers=4, **kwargs)
 

@@ -509,7 +509,7 @@ class TestRun:
     def test_synth_restarts_column_counts_every_level(self, tmp_path):
         # seed 1, two restarts: the recovery factor (seed 2) spends both
         # 4-layer starts and fails, then 5 layers converge on the first
-        # start; the encoder converges on its first 3-layer start
+        # start; the encoder converges on its second 3-layer start
         payload = {"kind": "synth", "seed": 1,
                    "output": str(tmp_path / "synth.csv"),
                    "params": {"restarts": 2}}
@@ -517,7 +517,7 @@ class TestRun:
         rows = {r.split(",")[0]: r.split(",")
                 for r in (tmp_path / "synth.csv").read_text().splitlines()[1:]}
         assert rows["recovery_u"][2:] == ["10", "3"]
-        assert rows["encoder"][2:] == ["6", "1"]
+        assert rows["encoder"][2:] == ["6", "2"]
         # the written circuits parse back, and the recovery still verifies
         encoder = Circuit.deserialize((tmp_path / "synth.encoder.txt").read_text(), 3)
         assert encoder.count("CZ") == 6
@@ -1095,6 +1095,9 @@ _PROBES = {
     "emeas_range": ([0.01], [0.02]), "delay_range": ([10.0], [20.0]),
     "restarts": (1, 2), "theta_points": (3, 4), "gamma_points": (2, 3)}
 _NO_EFFECT = {"crosstalk-toy": {"omega1", "omega2", "g", "t2", "tphi"}}
+# at seed 0 every synth start that runs converges, so how many may run
+# changes nothing; at seed 1 the encoder's first 3-layer start fails
+_PROBE_SEED = {"synth": 1}
 
 
 class TestCatalog:
@@ -1115,6 +1118,7 @@ class TestCatalog:
                 written = []
                 for value in _PROBES.get(field, ()):
                     path = write_spec(tmp_path, {"kind": kind, "output": str(out),
+                                                 "seed": _PROBE_SEED.get(kind, 0),
                                                  "params": {**base, field: value}})
                     assert cli.main(["run", str(path)]) == EXIT_OK, (kind, field, value)
                     written.append(out.read_bytes())
@@ -1167,11 +1171,20 @@ class TestCatalog:
         assert done.returncode == 0, done.stderr
 
     def test_import_leaves_out_scipy_optimize(self):
-        # only the synth kind needs scipy.optimize, and it imports synth
-        # itself, so no other kind pays for importing either
+        # only the synth kind needs nadqec.synth, and it imports synth
+        # itself, so no other kind pays for importing it
         done = self._python("-c", "import nadqec, nadqec.cli, sys; "
                                   "assert 'scipy.optimize' not in sys.modules; "
                                   "assert 'nadqec.synth' not in sys.modules")
+        assert done.returncode == 0, done.stderr
+
+    def test_synth_run_loads_no_scipy(self, tmp_path):
+        path = write_spec(tmp_path, {"kind": "synth", "params": {"restarts": 2},
+                                     "output": str(tmp_path / "synth.csv")})
+        done = self._python("-c", "import sys; from nadqec import cli; "
+                                  f"assert cli.main(['run', {str(path)!r}]) == 0; "
+                                  "assert not [m for m in sys.modules "
+                                  "if m.split('.')[0] == 'scipy']")
         assert done.returncode == 0, done.stderr
 
 

@@ -13,8 +13,9 @@ bare, imported by name, or read as an attribute of a package module
 reads no module-level name. The package also reaches numpy and scipy only
 through their public API: no name it imports from them, or reads as an
 attribute of what it imports, has a dotted component after the root that
-starts with ``_`` (``numpy.linalg._umath_linalg``), dunders aside. Only
-``synth`` imports scipy, at any level, so that no other kind loads it.
+starts with ``_`` (``numpy.linalg._umath_linalg``), dunders aside. No
+package module imports scipy, at any level: only the tests' references
+use it.
 """
 
 import ast
@@ -120,10 +121,10 @@ def test_detects_a_scipy_import():
     assert scipy_imports(source) == ["scipy.linalg", "scipy.optimize", "scipy"]
 
 
-def test_scipy_only_in_synth():
+def test_no_scipy_in_the_package():
     found = [f"{path.relative_to(ROOT)}: {name}" for path in PACKAGE
-             if path.name != "synth.py" for name in scipy_imports(path.read_text())]
-    assert not found, "scipy imported outside synth:\n" + "\n".join(found)
+             for name in scipy_imports(path.read_text())]
+    assert not found, "scipy imported by the package:\n" + "\n".join(found)
 
 
 def module_definitions(source: str) -> list[str]:

@@ -133,6 +133,11 @@ class TestScheduling:
             with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
                 call()
 
+    @pytest.mark.parametrize("total_free", [30.0, "30", None])
+    def test_total_free_not_a_sequence_names_it(self, total_free):
+        with pytest.raises(ConfigError, match="^total_free must be a sequence"):
+            run_multiqec(1.0, 30.0, total_free, NoiseParams(t1=220.0), 220.0)
+
     def test_each_runner_parses_its_sweep_once(self, monkeypatch):
         # one parse serves a runner's every point, and for the CHaDD runner
         # its round cap, its walk and both of its series
@@ -638,6 +643,12 @@ class TestLindblad:
         # a -1 index would otherwise wrap silently to the last qubit
         with pytest.raises(ValueError, match="two distinct qubits"):
             lindbladian(4, NoiseParams(t1=100.0), [(0, 3, 0.05), (a, b, 0.05)])
+
+    @pytest.mark.parametrize("entry", [(0, 3), (0, 3, 0.05, 1), 3, "a3g"])
+    def test_coupling_not_a_triple_names_couplings(self, entry):
+        with pytest.raises(ConfigError, match="^'couplings' entry .* triple"):
+            run_multiqec_with_chadd(1.0, 30.0, [30.0], NoiseParams(t1=220.0),
+                                    220.0, 1, [entry])
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 4), count=st.integers(1, 3),

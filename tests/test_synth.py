@@ -7,7 +7,6 @@ synthesized once at module scope and reused.
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from estimator_reference import parity_projectors, recovery_operators
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from noise_reference import embed
-from scipy import optimize as sciopt
 from synth_reference import AnsatzEvaluator as GateByGateEvaluator
 
 from nadqec import code3, synth
@@ -47,10 +45,17 @@ def column_mask(columns, dim):
     return [(i, j) for j in columns for i in range(dim)]
 
 
+def gradient(evaluator, x):
+    """The masked cost C = f.f = |U - T|^2 and its gradient 2 J^T f, from
+    the package's stacked residual f and Jacobian J."""
+    f, jac = evaluator.jacobian(x)
+    return float(f @ f), 2 * jac.T @ f
+
+
 def cost(problem, params):
     """The package's masked cost C = |U - T|^2."""
     x = np.asarray(params, dtype=float)
-    return synth._AnsatzEvaluator(problem).gradient(x)[0]
+    return gradient(synth._AnsatzEvaluator(problem), x)[0]
 
 
 def residual(evaluator, x):
@@ -176,89 +181,6 @@ class TestOptimize:
         assert res.cost > 1e-3
 
 
-def _starts(monkeypatch, problem, seed, restarts, stall=True):
-    """``optimize``'s result and the scipy result of each of its starts,
-    with the stall rule or (``stall=False``) with no callback at all."""
-    runs = []
-
-    def minimize(*args, **kwargs):
-        runs.append(sciopt.minimize(*args, **kwargs))
-        return runs[-1]
-
-    with monkeypatch.context() as mp:
-        mp.setattr(synth, "sciopt", SimpleNamespace(minimize=minimize))
-        if not stall:
-            mp.setattr(synth, "_stall_stop", lambda tolerance: None)
-        result = optimize(problem, seed=seed, restarts=restarts)
-    return result, runs
-
-
-class TestStallStop:
-    def test_converged_starts_untouched(self, monkeypatch):
-        # every start that converges without the rule runs exactly as before;
-        # every other start ends where the plain run would, to rounding (the
-        # recovery factor never converges at 3 layers)
-        outcomes = set()
-        for target in (synth.encoder_target, synth.recovery_u_target):
-            t, mask = target()
-            for layers in (3, 4):
-                problem = SynthesisProblem(t, Ansatz(3, layers), mask=mask)
-                for seed in range(10):
-                    plain, (p,) = _starts(monkeypatch, problem, seed, 1,
-                                          stall=False)
-                    cut, (c,) = _starts(monkeypatch, problem, seed, 1)
-                    outcomes.add(plain.converged)
-                    if plain.converged:
-                        np.testing.assert_array_equal(c.x, p.x)
-                        np.testing.assert_array_equal(cut.params, plain.params)
-                        assert (c.nfev, cut.cost, cut.converged) == \
-                            (p.nfev, plain.cost, True)
-                    else:
-                        assert not cut.converged and c.nfev <= p.nfev
-                        assert abs(c.fun - p.fun) <= 1e-12 * p.fun
-        assert outcomes == {True, False}
-
-    def test_met_tolerance_never_cut(self, monkeypatch):
-        # without an entangler the cost bottoms out at 4 and BFGS stalls
-        # there: the rule ends that start below a tolerance the floor misses,
-        # and leaves it whole above one the floor meets
-        swapish = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
-        for tolerance, cut_short in ((1e-10, True), (10.0, False)):
-            problem = SynthesisProblem(swapish, Ansatz(2, 0), full_mask(4),
-                                       tolerance=tolerance)
-            _, (p,) = _starts(monkeypatch, problem, 0, 1, stall=False)
-            _, (c,) = _starts(monkeypatch, problem, 0, 1)
-            assert (c.nfev < p.nfev) == cut_short
-            if not cut_short:
-                np.testing.assert_array_equal(c.x, p.x)
-
-    def test_stalled_starts_end_early(self, monkeypatch):
-        # BFGS on the bench spec's encoder target (``synthesize_encoder``
-        # itself runs Levenberg-Marquardt): both 3-layer starts stall at a
-        # nonzero minimum, then the first 4-layer start converges
-        calls = []
-        gradient = synth._AnsatzEvaluator.gradient
-
-        def counted(self, params):
-            calls.append(1)
-            return gradient(self, params)
-
-        t, mask = synth.encoder_target()
-        with monkeypatch.context() as mp:
-            mp.setattr(synth._AnsatzEvaluator, "gradient", counted)
-            circ, res = synth.synthesize(t, mask, 3, seed=10, restarts=2)
-        assert res.converged and circ.count("CZ") == 8
-        assert len(calls) <= 150  # 267 without the rule
-        problem = SynthesisProblem(t, Ansatz(3, 3), mask=mask)
-        plain, p_runs = _starts(monkeypatch, problem, 10, 2, stall=False)
-        cut, c_runs = _starts(monkeypatch, problem, 10, 2)
-        assert not plain.converged and not cut.converged
-        for c, p in zip(c_runs, p_runs, strict=True):
-            assert c.nfev < p.nfev
-            assert abs(c.fun - p.fun) <= 1e-12 * p.fun
-        assert abs(cut.cost - plain.cost) <= 1e-12 * plain.cost
-
-
 def _random_unitary(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return np.linalg.qr(a)[0]
@@ -275,7 +197,7 @@ _PROBLEMS = pytest.mark.parametrize("make_problem", [
 
 
 class TestGradient:
-    """The BFGS gradient against central differences of ``cost``."""
+    """The cost's gradient against central differences of ``cost``."""
 
     @_PROBLEMS
     def test_matches_central_differences(self, make_problem):
@@ -283,7 +205,7 @@ class TestGradient:
         problem = make_problem(rng)
         x = rng.uniform(-math.pi, math.pi, problem.ansatz.parameter_count)
         evaluator = synth._AnsatzEvaluator(problem)
-        c, g = evaluator.gradient(x)
+        c, g = gradient(evaluator, x)
         assert abs(c - np.sum(np.abs(residual(evaluator, x)) ** 2)) < 1e-12
         h = 1e-6
         fd = np.array([(cost(problem, x + h * e) - cost(problem, x - h * e))
@@ -316,8 +238,7 @@ class TestJacobian:
 
     @_PROBLEMS
     def test_twice_jt_f_is_the_gradient(self, make_problem):
-        # the package's BFGS gradient is 2 Re(r^H J) by construction, so
-        # the check is against the independent gate-by-gate backward sweep
+        # the gradient is 2 J^T f by construction, so the check is against the independent gate-by-gate backward sweep
         rng = np.random.default_rng(22)
         problem = make_problem(rng)
         evaluator = synth._AnsatzEvaluator(problem)
@@ -349,8 +270,7 @@ class TestLevenbergMarquardt:
         problem = SynthesisProblem(target, Ansatz(3, 5), mask=mask)
         evaluator = synth._AnsatzEvaluator(problem)
         assert (evaluator.n_params, 2 * evaluator.rows.size) == (36, 32)
-        res = optimize(problem, seed=10, restarts=1,
-                       _start=synth._levenberg_marquardt)
+        res = optimize(problem, seed=10, restarts=1)
         assert res.converged and res.cost < 1e-20
 
     def test_failure_reported_not_raised(self):
@@ -358,30 +278,26 @@ class TestLevenbergMarquardt:
         swapish = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
         problem = SynthesisProblem(swapish, Ansatz(2, 0), full_mask(4),
                                    tolerance=1e-10)
-        res = optimize(problem, seed=0, restarts=2,
-                       _start=synth._levenberg_marquardt)
+        res = optimize(problem, seed=0, restarts=2)
         assert not res.converged and res.restarts_used == 2
         assert abs(res.cost - 4.0) < 1e-9
 
-    def test_encoder_no_deeper_than_bfgs(self):
-        # (CZ count, starts) of the BFGS encoder at spec seeds 0-11,
-        # restarts 2; Levenberg-Marquardt converges at 3 layers at each
-        bfgs = [(6, 1)] * 8 + [(6, 2), (6, 2), (8, 3), (6, 1)]
-        for seed, (cz, starts) in enumerate(bfgs):
-            circ, res = synthesize_encoder(seed=seed, restarts=2)
-            assert res.converged and circ.count("CZ") == 6 <= cz
-            assert res.restarts_used <= starts
-
-    def test_recovery_factor_depth_table(self):
-        # (CZ count, starts) of the BFGS recovery factor at seeds 0-12,
-        # restarts 2: every level past 4 layers spends both failed starts
-        table = {0: (8, 2), 1: (8, 2), 2: (10, 3), 4: (10, 3), 5: (10, 3),
-                 7: (8, 2), 10: (8, 2)}
-        for seed in range(13):
-            circ, res = synth.synthesize_recovery_u(seed=seed, restarts=2)
-            assert res.converged
-            assert (circ.count("CZ"), res.restarts_used) == \
-                table.get(seed, (8, 1)), seed
+    def test_depth_table(self):
+        # (CZ count, starts) of the encoder and of the recovery factor at
+        # spec seeds 0-11, restarts 2 (the factor runs at seed + 1): every
+        # encoder converges at 3 layers; a factor level past 4 layers
+        # spends both failed starts
+        encoder = {1: (6, 2)}
+        factor = {2: (10, 3), 10: (10, 3), 3: (8, 2), 4: (8, 2), 6: (8, 2),
+                  7: (8, 2)}
+        for seed in range(12):
+            enc_circ, enc = synthesize_encoder(seed=seed, restarts=2)
+            u_circ, u = synth.synthesize_recovery_u(seed=seed + 1, restarts=2)
+            assert enc.converged and u.converged
+            assert (enc_circ.count("CZ"), enc.restarts_used) == \
+                encoder.get(seed, (6, 1)), seed
+            assert (u_circ.count("CZ"), u.restarts_used) == \
+                factor.get(seed + 1, (8, 1)), seed
 
 
 class TestLayerEvaluator:
@@ -411,7 +327,7 @@ class TestLayerEvaluator:
         problem, x = self._case(n, layers, mask_kind, picks, seed)
         layered = synth._AnsatzEvaluator(problem)
         reference = GateByGateEvaluator(problem)
-        c, g = layered.gradient(x)
+        c, g = gradient(layered, x)
         c_ref, g_ref = reference.gradient(x)
         assert abs(c - c_ref) <= 1e-12
         np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-12)
@@ -430,12 +346,10 @@ class TestLayerEvaluator:
         rng = np.random.default_rng(5)
         for _ in range(3):
             x = rng.uniform(-math.pi, math.pi, problem.ansatz.parameter_count)
-            c, g = layered.gradient(x)
+            c, g = gradient(layered, x)
             c_ref, g_ref = reference.gradient(x)
             assert abs(c - c_ref) <= 1e-12
             np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-12)
-            f, jac = layered.jacobian(x)
-            np.testing.assert_allclose(2 * jac.T @ f, g_ref, rtol=0, atol=1e-12)
 
 
 _XXX = embed(XMAT, [0], 3) @ embed(XMAT, [1], 3) @ embed(XMAT, [2], 3)
@@ -618,14 +532,25 @@ class TestSynthKindStructure:
     def test_benchmark_spec_depths_and_restarts(self):
         # the `synth` kind at seed 10, restarts 2 (bench/workloads.py's
         # SYNTH_SPEC) synthesizes the encoder at seed 10 and U at seed 11;
-        # the encoder converges on its first 3-layer start (BFGS failed
-        # both and needed 4 layers), and U, whose search starts at 4
-        # layers, converges on the first
+        # the encoder converges on its first 3-layer start, and U, whose
+        # search starts at 4 layers, converges on the first
         enc_circ, enc = synthesize_encoder(seed=10, restarts=2)
         u_circ, u = synth.synthesize_recovery_u(seed=11, restarts=2)
         assert enc.converged and u.converged
         assert (enc_circ.count("CZ"), enc.restarts_used) == (6, 1)
         assert (u_circ.count("CZ"), u.restarts_used) == (8, 1)
+
+    def test_default_restarts_reach_the_shallowest_circuits(self):
+        # at the kind's default of 20 restarts every spec seed 0-11 gives a
+        # 6-CZ encoder and an 8-CZ factor, and the recovery built on the
+        # factor passes its check
+        for seed in range(12):
+            enc_circ, enc = synthesize_encoder(seed=seed, restarts=20)
+            u_circ, u = synth.synthesize_recovery_u(seed=seed + 1, restarts=20)
+            assert (enc_circ.count("CZ"), u_circ.count("CZ")) == (6, 8), seed
+            report = verify_recovery_circuit(build_recovery_circuit(u_circ),
+                                             code3.RecoveryMap.ideal(0.0))
+            assert report.max_deviation < 1e-6, seed
 
 
 class TestRecoveryFirstDepth:
@@ -645,7 +570,8 @@ class TestRecoveryFirstDepth:
             assert (res.cost, res.converged) == (old.cost, old.converged)
 
     def test_three_layer_starts_stall_far_from_zero(self):
-        # a 1000-start search found no cost below 0.179 (README)
+        # neither 1000 BFGS starts nor 400 Levenberg-Marquardt starts found
+        # a cost below 0.179 (README)
         target, mask = synth.recovery_u_target()
         problem = SynthesisProblem(target, Ansatz(3, 3), mask=mask)
         for seed in range(10):
