@@ -22,90 +22,18 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import __version__, code3, metrics, protocol
-from .noise import LIFETIME_RULE, NoiseParams, is_lifetime, is_real
-from .qcore import ConfigError
+from .noise import NoiseParams
+from .qcore import FIELDS, ConfigError, require
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _number(ok: Callable[[float], bool] = lambda x: True) -> Callable:
-    """A check: a finite number that passes ``ok``."""
-    return lambda v: is_real(v) and math.isfinite(v) and ok(v)
-
-
-def _numbers(ok: Callable = lambda x: True, empty: bool = True) -> Callable:
-    """A check: a list, empty only if ``empty``, of finite numbers passing ``ok``."""
-    return lambda v: (isinstance(v, list) and (empty or v != [])
-                      and all(map(_number(ok), v)))
-
-
-def _integer(low: int, high: float = math.inf) -> Callable:
-    return lambda v: _is_int(v) and low <= v <= high
-
-
-def _lifetime(v) -> bool:
-    return all(map(is_lifetime, v if isinstance(v, list) and v else [v]))
-
-
-class Field(NamedTuple):
-    rule: str  # completes "'<name>' must be ..."
-    ok: Callable[[object], bool]
-    default: object = None  # None: the field has no default of its own
-
-
-# Each spec field's rule and default, the same in every kind that takes it;
-# a rule that joins fields raises ConfigError in the library or a runner.
-_LIFETIME = LIFETIME_RULE + ", or a non-empty list of them, one per qubit"
-FIELDS: dict[str, Field] = {
-    "seed": Field("an integer >= 0", _integer(0)),  # top-level; ExperimentSpec.seed
-    "theta": Field("a number in [0, pi]",
-                   _number(lambda v: 0 <= v <= math.pi), math.pi),
-    "max_delay": Field("a finite number > 0", _number(lambda v: v > 0)),
-    "total_free": Field("a list of finite numbers >= 0",
-                        _numbers(lambda x: x >= 0)),
-    "delays": Field("a list of finite numbers > 0", _numbers(lambda x: x > 0)),
-    "recovery": Field("'ideal' or 'approximate'",
-                      lambda v: v in ("ideal", "approximate"), "ideal"),
-    "t1": Field(_LIFETIME, _lifetime),
-    "t2": Field(LIFETIME_RULE, is_lifetime),
-    "tphi": Field(_LIFETIME, _lifetime, math.inf),
-    "spectators": Field("an integer from 0 to 4 (7 qubits in all)",
-                        _integer(0, 4), 1),
-    "couplings": Field("a list of [qubit, qubit, g] triples, g a finite number",
-                       lambda v: isinstance(v, list) and all(
-                           isinstance(c, list) and len(c) == 3 and _number()(c[2])
-                           and all(map(_is_int, c[:2])) for c in v)),
-    "omega1": Field("a finite number", _number(), 0.3),
-    "omega2": Field("a finite number", _number(), 0.2),
-    "g": Field("a finite number", _number(), 0.05),
-    "t_final": Field("a finite number > 0", _number(lambda v: v > 0), 60.0),
-    # one CSV row per cycle for each probe, so the count is capped
-    "cycles": Field("an integer from 1 to 10000", _integer(1, 10**4), 4),
-    "t1_range": Field("a non-empty list of finite numbers > 0",
-                      _numbers(lambda x: x > 0, empty=False)),
-    "emeas_range": Field("a non-empty list of numbers in [0, 0.5]",
-                         _numbers(lambda x: 0 <= x <= 0.5, empty=False)),
-    "delay_range": Field("a non-empty list of finite numbers >= 0",
-                         _numbers(lambda x: x >= 0, empty=False)),
-    # a depth level that does not converge runs every start, and a search
-    # may try six levels; a failed start takes about 14 to 24 ms, up to
-    # 85 ms (200 seeded starts per level on a 2-vCPU Xeon VM, Python 3.11)
-    "restarts": Field("an integer from 1 to 1000", _integer(1, 1000), 20),
-    # one oracle-check CSV row per (theta, gamma) pair: at most 10^4
-    "theta_points": Field("an integer from 1 to 100", _integer(1, 100), 10),
-    "gamma_points": Field("an integer from 1 to 100", _integer(1, 100), 10),
-}
 _DEFAULTS = {name: f.default for name, f in FIELDS.items() if f.default is not None}
 _TOP_LEVEL = ("kind", "output", "seed", "params")
 
@@ -140,8 +68,7 @@ class ExperimentSpec:
                 f"kind '{kind}' has no parameter field(s): " + ", ".join(unknown))
         _require_output(kind, self.output)
         for name, v in (("seed", self.seed), *params.items()):
-            if not FIELDS[name].ok(v):
-                raise ConfigError(f"'{name}' must be {FIELDS[name].rule}, got {v!r}")
+            require(name, v)
         object.__setattr__(self, "resolved", {**_DEFAULTS, **params})
 
     @classmethod

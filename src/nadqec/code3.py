@@ -59,8 +59,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .noise import is_real
-from .qcore import TOL_ARITH, ConfigError, check_density
+from .qcore import TOL_ARITH, ConfigError, check_density, is_real, require
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,7 @@ class LogicalStateSpec:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not (is_real(self.theta) and 0.0 <= self.theta <= math.pi):
-            raise ConfigError(f"'theta' must be in [0, pi], got {self.theta!r}")
+        require("theta", self.theta)
         if not (is_real(self.phi) and 0.0 <= self.phi < 2 * math.pi):
             raise ConfigError(f"'phi' must be in [0, 2 pi), got {self.phi!r}")
 

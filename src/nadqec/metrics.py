@@ -15,6 +15,7 @@ from typing import Sequence
 
 from . import code3
 from .noise import gamma_of_t
+from .qcore import require
 
 
 def f_star(f: float, e_meas: float) -> float:
@@ -73,8 +74,9 @@ def gain_surface(
     with its infidelity ``code3.PauliRound.infidelity``; F_bare =
     exp(-delay/T1) from |1> decay, its infidelity gamma. Past about 37 T1,
     where gamma rounds to 1, each cell keeps its digits."""
-    if not (len(t1_range) and len(emeas_range) and len(delay_range)):
-        raise ValueError("all grid ranges must be non-empty")
+    for name, value in (("t1_range", t1_range), ("emeas_range", emeas_range),
+                        ("delay_range", delay_range), ("theta", theta)):
+        require(name, value)
     cycles: dict[float, tuple[float, float, float]] = {}
     cells = []
     for t1 in t1_range:

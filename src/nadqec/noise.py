@@ -12,26 +12,12 @@ map. Readout error E enters only the gain model (``metrics.f_star``).
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .qcore import ConfigError
-
-# One lifetime T (us): its rate 1/T must be a float; +inf is no decay
-LIFETIME_RULE = f"a number > {1 / sys.float_info.max:.2g} (1/T finite; Infinity: none)"
-
-
-def is_real(v) -> bool:  # not a boolean (numpy reads 0 or 1), nor an int no float holds
-    return type(v) is float or isinstance(v, numbers.Real) and not isinstance(v, bool) \
-        and not (isinstance(v, numbers.Integral) and abs(v) > sys.float_info.max)
-
-
-def is_lifetime(t) -> bool:
-    return is_real(t) and t > 1 / sys.float_info.max
+from .qcore import ConfigError, require
 
 
 @dataclass(frozen=True)
@@ -51,12 +37,8 @@ class NoiseParams:
     def __post_init__(self):
         for name in ("t1", "tphi"):
             raw = getattr(self, name)
-            per_qubit = isinstance(raw, (list, tuple, np.ndarray))
-            values = tuple(raw) if per_qubit else (raw,)
-            if not (values and all(map(is_lifetime, values))):
-                listed = ", or a non-empty list of them" if per_qubit else ""
-                raise ConfigError(f"{name} must be a positive number with a finite "
-                                  f"rate 1/{name}{listed}, got {raw!r}")
+            require(name, raw)
+            values = raw if isinstance(raw, (list, tuple, np.ndarray)) else (raw,)
             object.__setattr__(self, name, tuple(map(float, values)))
 
     @classmethod
@@ -64,9 +46,7 @@ class NoiseParams:
         """T1, shared or per qubit, with one T2: Tphi_q = 1/(1/T2 - 1/(2 T1_q)),
         inf where that rate is <= 0. T2 may not exceed 2 min T1."""
         t1 = cls(t1=t1).t1
-        if not is_lifetime(t2):
-            raise ConfigError(f"t2 must be a positive number with a finite rate "
-                              f"1/t2, got {t2!r}")
+        require("t2", t2)
         if t2 > 2 * min(t1) + 1e-12:
             raise ConfigError(f"t2 = {t2} exceeds the physical bound "
                               f"T2 <= 2 min T1 = {2 * min(t1)}")

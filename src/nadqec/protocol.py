@@ -54,8 +54,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import code3
-from .noise import LIFETIME_RULE, NoiseParams, is_lifetime, is_real
-from .qcore import ConfigError, check_density
+from .noise import NoiseParams
+from .qcore import LIFETIME_RULE, ConfigError, check_density, is_lifetime, require
 
 
 # Durations (microseconds) of encoding (decoding mirrors it), one recovery
@@ -74,25 +74,14 @@ def _schedules(total_free: Sequence[float],
     time), the last two as integers over the common denominator returned
     with them: every input is read as its exact decimal text, so the sums
     are exact and one int / int division rounds each result correctly. The
-    one check of both inputs: finite reals, max_delay > 0, total_free a
-    sequence of values >= 0.
+    inputs are those ``_sweep`` checks.
 
     A full round's delay shorter than the reset before it adds the
     shortfall, T_RESET - max_delay, on every full round but the first, and
     a remainder round after a full one adds T_RESET - remainder likewise.
     """
-    def exact(value, name: str) -> tuple[int, int]:
-        if not (is_real(value) and math.isfinite(value)):
-            raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        return Decimal(str(value)).as_integer_ratio()
-    step_num, step_den = exact(max_delay, "max_delay")
-    if step_num <= 0:
-        raise ConfigError(f"max_delay must be positive, got {max_delay!r}")
-    if isinstance(total_free, str) or not isinstance(total_free, (Sequence, np.ndarray)):
-        raise ConfigError(f"total_free must be a sequence of numbers, got {total_free!r}")
-    totals = [exact(t, "total_free") for t in total_free]
-    if any(num < 0 for num, _ in totals):
-        raise ConfigError("total_free must be non-negative")
+    step_num, step_den = Decimal(str(max_delay)).as_integer_ratio()
+    totals = [Decimal(str(t)).as_integer_ratio() for t in total_free]
     den = math.lcm(_UNIT, step_den, *(d for _, d in totals))
     ends, recovery, reset = (int(t * den) for t in (_T_ENDS, T_RECOVERY, T_RESET))
     step = step_num * (den // step_den)
@@ -128,6 +117,7 @@ def recovery_t1(recovery: str, t1s: Sequence[float]) -> float:
     the data qubits its result would depend on qubit order, so that case
     raises ConfigError; the approximate variant accepts it.
     """
+    require("recovery", recovery)
     if recovery == "approximate":
         return math.inf
     if len(set(t1s[:3])) > 1:
@@ -141,7 +131,9 @@ def _sweep(theta: float, max_delay: float, total_free: Sequence[float],
            recovery_t1: float) -> tuple[int, list[tuple[int, int, int]]]:
     """Both runners' checks of the arguments they share, each a ConfigError
     naming it, then the sweep's one parse (``_schedules``)."""
-    code3.LogicalStateSpec(theta)  # theta in [0, pi]
+    for name, value in (("theta", theta), ("max_delay", max_delay),
+                        ("total_free", total_free)):
+        require(name, value)
     if not is_lifetime(recovery_t1):
         raise ConfigError(f"recovery_t1 must be {LIFETIME_RULE}, got {recovery_t1!r}")
     return _schedules(total_free, max_delay)
@@ -367,11 +359,8 @@ def lindbladian(n_qubits: int, params: NoiseParams, couplings: Sequence = (),
     omega = np.zeros(n) if omega is None else np.asarray(omega, dtype=float)
     if omega.shape != (n,):
         raise ConfigError(f"{omega.size} frequencies for {n} qubits")
-    for entry in couplings:
-        if isinstance(entry, str) or not (isinstance(entry, (Sequence, np.ndarray))
-                                          and len(entry) == 3):
-            raise ConfigError(f"'couplings' entry {entry!r} must be an (a, b, g) triple")
-        a, b, g = entry
+    require("couplings", couplings)
+    for a, b, g in couplings:
         if a == b or not (0 <= a < n and 0 <= b < n):
             raise ConfigError(f"'couplings' entry {[a, b, g]} must name two "
                               f"distinct qubits of the {n}-qubit register")
@@ -493,10 +482,10 @@ def run_crosstalk_toy(noise: NoiseParams, g: float, omegas: Sequence[float],
     if any(probe not in kets for probe in probes):
         raise ConfigError(f"each probe must be one of {sorted(kets)}, "
                           f"got {list(probes)}")
-    if not t_final > 0:
-        raise ConfigError(f"t_final must be positive, got {t_final}")
-    if cycles < 1:
-        raise ConfigError(f"cycles must be at least 1, got {cycles}")
+    pair = tuple(omegas) if isinstance(omegas, (list, tuple, np.ndarray)) else (omegas,)
+    for name, value in (("g", g), *zip(("omega1", "omega2"), pair),
+                        ("t_final", t_final), ("cycles", cycles)):
+        require(name, value)
     gen = lindbladian(2, noise, ((0, 1, g),), omegas)  # config errors first
     for name, frequency in zip(("omega1", "omega2", "g"), (*omegas, g)):
         _require_phase(name, frequency, t_final)  # t_final bounds a CHaDD interval
@@ -582,8 +571,7 @@ def run_multiqec_with_chadd(theta: float, max_delay: float,
     act on the data qubits through ``code3.apply_cycle``, and the ancilla
     reset is an exact replacement, so only their timing matters.
     """
-    if type(spectators) is not int or not 0 <= spectators <= 4:  # not a bool
-        raise ConfigError(f"spectators must be an integer in [0, 4], got {spectators!r}")
+    require("spectators", spectators)
     den, points = sweep = _sweep(theta, max_delay, total_free, recovery_t1)
     # the walk: the longest point's full rounds, then the remainder rounds
     needed = {full for full, _, _ in points}

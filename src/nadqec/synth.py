@@ -30,6 +30,7 @@ import numpy as np
 
 from . import code3
 from .circuits import Circuit, Gate, remapped
+from .qcore import require
 
 
 class Ansatz(NamedTuple):
@@ -234,8 +235,8 @@ def optimize(problem: SynthesisProblem, seed: int = 0,
     problem tolerance is met. Each start runs ``_levenberg_marquardt`` from
     its own seeded point. Non-convergence is reported, not raised.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    require("seed", seed)
+    require("restarts", restarts)
     evaluator = _AnsatzEvaluator(problem)
     best_x, best_c = None, math.inf
     for r in range(restarts):

@@ -19,7 +19,7 @@ import pytest
 from multiqec_reference import run_multiqec_mpmath
 from oracle_reference import oracle_fidelity_multiround
 
-from nadqec import cli, code3, protocol, synth
+from nadqec import cli, code3, metrics, protocol, synth
 from nadqec.circuits import Circuit
 from nadqec.cli import (
     CATALOG,
@@ -37,6 +37,7 @@ from nadqec.code3 import (
     qec_cycle,
 )
 from nadqec.noise import NoiseParams, gamma_of_t
+from nadqec.qcore import FIELDS
 
 
 def write_spec(tmp_path: Path, payload: dict) -> Path:
@@ -1186,6 +1187,152 @@ class TestCatalog:
                                   "assert not [m for m in sys.modules "
                                   "if m.split('.')[0] == 'scipy']")
         assert done.returncode == 0, done.stderr
+
+
+_NOISE = NoiseParams(t1=220.0)
+
+
+def _tiny_problem() -> synth.SynthesisProblem:
+    """A one-qubit identity target that the first start meets."""
+    return synth.SynthesisProblem(np.eye(2, dtype=complex), synth.Ansatz(1, 0),
+                                  [(i, j) for i in range(2) for j in range(2)])
+
+
+def _toy(g=0.05, omegas=(0.3, 0.2), t_final=60.0, cycles=4):
+    return protocol.run_crosstalk_toy(_NOISE, g, omegas, t_final, cycles, ("0",))
+
+
+# Each library function that takes an argument named after a spec field,
+# called with that argument alone varied and cheap valid values elsewhere,
+# and a valid JSON value of the field
+_READERS = {
+    ("code3.LogicalStateSpec", "theta"): (code3.LogicalStateSpec, 1.0),
+    ("noise.NoiseParams", "t1"): (lambda v: NoiseParams(t1=v), [220.0, 200.0]),
+    ("noise.NoiseParams", "tphi"): (lambda v: NoiseParams(t1=220.0, tphi=v), [300.0]),
+    ("noise.NoiseParams.from_t1_t2", "t2"):
+        (lambda v: NoiseParams.from_t1_t2(220.0, v), 300.0),
+    ("protocol._sweep", "theta"): (lambda v: protocol._sweep(v, 30.0, [30.0], 220.0),
+                                   1.0),
+    ("protocol._sweep", "max_delay"):
+        (lambda v: protocol._sweep(1.0, v, [30.0], 220.0), 30.0),
+    ("protocol._sweep", "total_free"):
+        (lambda v: protocol._sweep(1.0, 30.0, v, 220.0), [0.0, 95.5]),
+    ("protocol.recovery_t1", "recovery"):
+        (lambda v: protocol.recovery_t1(v, (220.0,) * 3), "approximate"),
+    ("protocol.run_multiqec_with_chadd", "spectators"):
+        (lambda v: protocol.run_multiqec_with_chadd(1.0, 30.0, [], _NOISE, 220.0, v,
+                                                    []), 2),
+    ("protocol.lindbladian", "couplings"):
+        (lambda v: protocol.lindbladian(4, _NOISE, v), [[0, 3, 0.05], [1, 2, -1]]),
+    ("protocol.run_crosstalk_toy", "g"): (lambda v: _toy(g=v), 0.05),
+    ("protocol.run_crosstalk_toy", "omega1"):
+        (lambda v: _toy(omegas=(v, 0.2)), 0.3),
+    ("protocol.run_crosstalk_toy", "omega2"):
+        (lambda v: _toy(omegas=(0.3, v)), 0.2),
+    ("protocol.run_crosstalk_toy", "t_final"): (lambda v: _toy(t_final=v), 60.0),
+    ("protocol.run_crosstalk_toy", "cycles"): (lambda v: _toy(cycles=v), 3),
+    ("metrics.gain_surface", "t1_range"):
+        (lambda v: metrics.gain_surface(v, [0.0], [30.0]), [200.0, 50.0]),
+    ("metrics.gain_surface", "emeas_range"):
+        (lambda v: metrics.gain_surface([200.0], v, [30.0]), [0.0, 0.5]),
+    ("metrics.gain_surface", "delay_range"):
+        (lambda v: metrics.gain_surface([200.0], [0.0], v), [0.0, 30.0]),
+    ("metrics.gain_surface", "theta"):
+        (lambda v: metrics.gain_surface([200.0], [0.0], [30.0], theta=v), 2.0),
+    ("synth.optimize", "seed"):
+        (lambda v: synth.optimize(_tiny_problem(), seed=v, restarts=1), 3),
+    ("synth.optimize", "restarts"):
+        (lambda v: synth.optimize(_tiny_problem(), seed=0, restarts=v), 2),
+}
+# the rows that only ExperimentSpec reads
+_CLI_ONLY = ("delays", "theta_points", "gamma_points")
+
+
+def _widened(good) -> list:
+    """Forms no JSON value takes, which a rule may widen to: a tuple and a
+    numpy array of ``good`` (or of its entries), a numpy integer, a numpy
+    float, and a float array where integer indices belong."""
+    forms = [(1.0,), np.array([1.0]), np.int64(1), np.float64(0.25),
+             np.array([[0, 3, 0.05]]), np.array(1.0)]
+    if isinstance(good, list):
+        forms += [tuple(good), np.array(good, dtype=object), np.array(good[:1])]
+        if isinstance(good[0], list):
+            forms += [tuple(map(tuple, good)), [np.array(c) for c in good]]
+    elif isinstance(good, int):
+        forms += [np.int64(good), np.int8(good)]
+    return forms
+
+
+def _named_error(field: str, call) -> bool:
+    """Whether ``call()`` raises the ConfigError of ``field``'s row; any
+    other outcome (a result, another error) is False."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            call()
+    except ConfigError as exc:
+        return str(exc).startswith(f"'{field}' must be {FIELDS[field].rule}, got ")
+    except (ValueError, ArithmeticError):
+        pass
+    return False
+
+
+class TestLibraryReaders:
+    """The library checks its spec-named arguments by the rows the CLI reads."""
+
+    def test_every_row_has_a_reader_or_is_named_cli_only(self):
+        read = {field for _, field in _READERS}
+        assert read.isdisjoint(_CLI_ONLY)
+        assert read | set(_CLI_ONLY) == set(FIELDS)
+
+    @pytest.mark.parametrize("reader,field", list(_READERS),
+                             ids=[f"{r}-{f}" for r, f in _READERS])
+    def test_reader_rejects_exactly_what_the_row_rejects(self, reader, field):
+        call, good = _READERS[(reader, field)]
+        values = list(_FUZZ_VALUES) + [good] + _widened(good)
+        if field in _LIST_FIELDS:
+            values += [[v] for v in _FUZZ_VALUES] + [[]]
+        assert FIELDS[field].ok(good)
+        faults = [f"{value!r}: the row says {FIELDS[field].ok(value)}"
+                  for value in values
+                  if _named_error(field, lambda: call(value)) == FIELDS[field].ok(value)]
+        assert not faults, "\n".join(faults)
+
+
+# Python calls that the CLI rejects at load and that the library once ran,
+# or failed on without naming the field: each is its row's ConfigError now
+_DRIFTS = {
+    "float-coupling-index": ("couplings", lambda: protocol.run_multiqec_with_chadd(
+        1.0, 30.0, [30.0], _NOISE, 220.0, 1, [(0.0, 3, 0.05)])),
+    "float-coupling-array": ("couplings", lambda: protocol.run_multiqec_with_chadd(
+        1.0, 30.0, [30.0], _NOISE, 220.0, 1, np.array([[0, 3, 0.05]]))),
+    "boolean-coupling-indices": ("couplings", lambda: protocol.run_multiqec_with_chadd(
+        1.0, 30.0, [30.0], _NOISE, 220.0, 1, [(False, True, 0.05)])),
+    "infinite-coupling": ("couplings", lambda: protocol.lindbladian(
+        4, _NOISE, [(0, 3, math.inf)])),
+    "toy-cycles-true": ("cycles", lambda: _toy(cycles=True)),
+    "toy-cycles-fraction": ("cycles", lambda: _toy(cycles=2.5)),
+    "toy-infinite-t_final": ("t_final", lambda: _toy(g=0.0, omegas=(0.0, 0.0),
+                                                      t_final=math.inf)),
+    "unknown-recovery": ("recovery", lambda: protocol.recovery_t1(
+        "bogus", (220.0,) * 3)),
+    "gain-theta-above-pi": ("theta", lambda: metrics.gain_surface(
+        [200.0], [0.0], [30.0], theta=4.0)),
+    "gain-theta-nan": ("theta", lambda: metrics.gain_surface(
+        [200.0], [0.0], [30.0], theta=math.nan)),
+    "gain-emeas-above-half": ("emeas_range", lambda: metrics.gain_surface(
+        [200.0], [0.7], [30.0])),
+    "optimize-negative-seed": ("seed", lambda: synth.optimize(
+        _tiny_problem(), seed=-1, restarts=1)),
+    "optimize-boolean-restarts": ("restarts", lambda: synth.optimize(
+        _tiny_problem(), seed=0, restarts=True)),
+}
+
+
+@pytest.mark.parametrize("case", list(_DRIFTS))
+def test_library_drift_is_the_rows_config_error(case):
+    field, call = _DRIFTS[case]
+    assert _named_error(field, call), case
 
 
 class TestCheck:

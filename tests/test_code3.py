@@ -7,6 +7,7 @@ parity. Expected values quoted in the assertions were computed with it.
 """
 
 import math
+import re
 import sys
 from itertools import product
 
@@ -152,7 +153,10 @@ class TestCodewords:
         (4.0, 0.0, "theta"), (-0.1, 0.0, "theta"), (math.nan, 0.0, "theta"),
         (1.0, 2 * math.pi, "phi"), (1.0, -0.1, "phi"), (1.0, math.nan, "phi")])
     def test_invalid_spec_is_config_error_naming_the_angle(self, theta, phi, field):
-        with pytest.raises(ConfigError, match=f"^'{field}' must be in "):
+        # theta is a spec field and takes its row's wording; phi is none
+        rule = {"theta": "a number in [0, pi]", "phi": "in [0, 2 pi)"}[field]
+        with pytest.raises(ConfigError, match=f"^'{field}' must be {re.escape(rule)}, "
+                                              f"got "):
             LogicalStateSpec(theta, phi)
 
     @pytest.mark.parametrize("make", [

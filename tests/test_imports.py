@@ -15,11 +15,16 @@ through their public API: no name it imports from them, or reads as an
 attribute of what it imports, has a dotted component after the root that
 starts with ``_`` (``numpy.linalg._umath_linalg``), dunders aside. No
 package module imports scipy, at any level: only the tests' references
-use it.
+use it. Each spec field's rule is stated once, by its row of
+``qcore.FIELDS``: no other package module raises an error whose message
+starts with a field's name, bare or quoted, and "must be".
 """
 
 import ast
+import re
 from pathlib import Path
+
+from nadqec.qcore import FIELDS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "nadqec").glob("*.py"))
@@ -212,3 +217,55 @@ def test_no_unread_public_names():
     unread = unread_public_names(modules, readers)
     assert not unread, "public but read by neither the package nor bench/:\n" \
         + "\n".join(unread)
+
+
+def _message_text(node: ast.expr):
+    """The text of a message expression, each formatted value as "{}", or
+    None when it is no string literal, f-string or sum starting with one."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}"
+                       for v in node.values)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        left = _message_text(node.left)
+        return None if left is None else left + (_message_text(node.right) or "{}")
+    return None
+
+
+def restated_rules(source: str, fields=tuple(FIELDS)) -> list[str]:
+    """Messages of the errors ``source`` raises that start with one of
+    ``fields``, bare or quoted, or with a formatted value that may hold
+    one, and then "must be": a field rule stated a second time."""
+    pattern = re.compile(r"'?(%s|\{\})'? must be" % "|".join(map(re.escape, fields)))
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) \
+                and node.exc.args:
+            text = _message_text(node.exc.args[0])
+            if text is not None and pattern.match(text):
+                found.append(text)
+    return found
+
+
+def test_detects_a_restated_rule():
+    source = ("raise ConfigError(f\"'theta' must be in [0, pi], got {x}\")\n"
+              "raise ValueError('t1 must be positive')\n"
+              "raise ConfigError(f'{name} must be a number')\n"
+              "raise ValueError('max_delay' + f' must be > 0, got {v}')\n"
+              "raise ConfigError(f\"'phi' must be in [0, 2 pi)\")\n"
+              "raise ConfigError(f\"'couplings' entry {e} must name two qubits\")\n"
+              "raise ValueError(f'recovery_t1 must be {RULE}')\n"
+              "raise ValueError(f't1_range must be {RULE}')\n"
+              "raise ConfigError\nraise ValueError(message)\n"
+              "text = 'theta must be'\n")
+    assert restated_rules(source, ("theta", "t1", "t1_range", "max_delay")) == [
+        "'theta' must be in [0, pi], got {}", "t1 must be positive",
+        "{} must be a number", "max_delay must be > 0, got {}",
+        "t1_range must be {}"]
+
+
+def test_each_field_rule_is_stated_once():
+    found = [f"{path.relative_to(ROOT)}: {text}" for path in PACKAGE
+             if path.name != "qcore.py" for text in restated_rules(path.read_text())]
+    assert not found, "a field rule stated outside qcore.FIELDS:\n" + "\n".join(found)

@@ -19,6 +19,7 @@ from shots_reference import (
 from nadqec import code3
 from nadqec.metrics import f_star, gain_surface
 from nadqec.noise import NoiseParams, gamma_of_t
+from nadqec.qcore import ConfigError
 
 
 class TestSampleShots:
@@ -231,8 +232,11 @@ class TestGainSurface:
         assert (cells[2].gain, cells[2].p_success) == (0.0, 0.0)
 
     def test_empty_range_rejected(self):
-        with pytest.raises(ValueError):
-            gain_surface([], [0.0], [30.0])
+        for empty, field in enumerate(("t1_range", "emeas_range", "delay_range")):
+            ranges = [[200.0], [0.0], [30.0]]
+            ranges[empty] = []
+            with pytest.raises(ConfigError, match=f"^'{field}' must be a non-empty "):
+                gain_surface(*ranges)
 
     def test_one_cycle_per_distinct_gamma(self, monkeypatch):
         # delay / T1, which sets gamma, repeats across T1 rows and every

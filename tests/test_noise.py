@@ -3,6 +3,7 @@ dephasing map of the data (``code3.noise_superop``) and its composition
 laws, readout convolution."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -25,7 +26,7 @@ from shots_reference import readout_flip
 from nadqec import protocol
 from nadqec.code3 import noise_superop
 from nadqec.noise import NoiseParams, gamma_of_t
-from nadqec.qcore import check_density
+from nadqec.qcore import FIELDS, ConfigError, check_density
 
 
 def _density(data):
@@ -219,7 +220,8 @@ class TestNoiseParams:
         (True, 100.0, "t1"), (100.0, True, "t2"), (True, True, "t1")])
     def test_from_t1_t2_rejects_booleans(self, t1, t2, field):
         # a boolean is an int to isinstance: True would be T = 1 us
-        with pytest.raises(ValueError, match=f"{field} must be a positive number"):
+        with pytest.raises(ConfigError, match=f"^'{field}' must be "
+                           f"{re.escape(FIELDS[field].rule)}, got True$"):
             NoiseParams.from_t1_t2(t1, t2)
 
     def test_infinite_lifetimes_mean_no_noise(self):
@@ -232,8 +234,8 @@ class TestNoiseParams:
         (100.0, 5e-324, "t2"), (100.0, 5e-309, "t2"), (5e-324, 1e-13, "t1")])
     def test_from_t1_t2_names_an_overflowing_rate(self, t1, t2, field):
         # 1/t2 = inf once made tphi = 0.0, and the error named tphi
-        with pytest.raises(ValueError, match=f"^{field} must be a positive "
-                           f"number with a finite rate 1/{field}, got"):
+        with pytest.raises(ConfigError, match=f"^'{field}' must be "
+                           f"{re.escape(FIELDS[field].rule)}, got "):
             NoiseParams.from_t1_t2(t1, t2)
         assert NoiseParams.from_t1_t2(100.0, 6e-309).lifetimes(1)[1][0] > 0
 

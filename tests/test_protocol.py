@@ -41,7 +41,7 @@ from oracle_reference import oracle_fidelity_multiround, oracle_success_multirou
 
 from nadqec import code3, protocol
 from nadqec.metrics import gain_surface
-from nadqec.noise import LIFETIME_RULE, NoiseParams, gamma_of_t
+from nadqec.noise import NoiseParams, gamma_of_t
 from nadqec.protocol import (
     ROBUST_PULSES,
     lindbladian,
@@ -50,7 +50,7 @@ from nadqec.protocol import (
     run_multiqec,
     run_multiqec_with_chadd,
 )
-from nadqec.qcore import X, ConfigError, check_density, rx
+from nadqec.qcore import FIELDS, LIFETIME_RULE, X, ConfigError, check_density, rx
 
 
 # decimals m * 10^e from 1e-4 to about 1e13, many of them below the reset
@@ -114,28 +114,33 @@ class TestScheduling:
                 == float(total_evolution_time_exact(schedule))
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError, match="max_delay"):
-            split_rounds(30, 0)
-        with pytest.raises(ValueError, match="total_free"):
-            split_rounds(-1, 30)
+        # _schedules reads what _sweep, the runners' one check, has passed
+        for max_delay, total_free, field in ((0, (30,), "max_delay"),
+                                             (30, (-1,), "total_free")):
+            with pytest.raises(ConfigError, match=f"^'{field}' must be "):
+                protocol._sweep(1.0, max_delay, total_free, 220.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_inputs_name_the_field(self, bad):
         noise = NoiseParams(t1=220.0)
+        chadd = functools.partial(run_multiqec_with_chadd, noise=noise,
+                                  recovery_t1=220.0, spectators=0, couplings=())
         for field, call in (
                 ("max_delay", lambda: run_multiqec(1.0, bad, (30.0,), noise, 220.0)),
                 ("total_free",
                  lambda: run_multiqec(1.0, 30.0, (30.0, bad), noise, 220.0)),
-                ("max_delay", lambda: split_rounds(30.0, bad)),
-                ("total_free", lambda: split_rounds(bad, 30.0)),
-                ("max_delay", lambda: total_evolution_time(30.0, bad)),
-                ("total_free", lambda: total_evolution_time(bad, 30.0))):
-            with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+                ("max_delay", lambda: chadd(1.0, bad, (30.0,))),
+                ("total_free", lambda: chadd(1.0, 30.0, (bad,))),
+                ("max_delay", lambda: protocol._sweep(1.0, bad, (30.0,), 220.0)),
+                ("total_free", lambda: protocol._sweep(1.0, 30.0, (bad,), 220.0))):
+            with pytest.raises(ConfigError, match=f"^'{field}' must be "
+                               f"{re.escape(FIELDS[field].rule)}, got "):
                 call()
 
     @pytest.mark.parametrize("total_free", [30.0, "30", None])
     def test_total_free_not_a_sequence_names_it(self, total_free):
-        with pytest.raises(ConfigError, match="^total_free must be a sequence"):
+        with pytest.raises(ConfigError, match=r"^'total_free' must be a list of "
+                                              r"finite numbers >= 0, got "):
             run_multiqec(1.0, 30.0, total_free, NoiseParams(t1=220.0), 220.0)
 
     def test_each_runner_parses_its_sweep_once(self, monkeypatch):
@@ -646,7 +651,8 @@ class TestLindblad:
 
     @pytest.mark.parametrize("entry", [(0, 3), (0, 3, 0.05, 1), 3, "a3g"])
     def test_coupling_not_a_triple_names_couplings(self, entry):
-        with pytest.raises(ConfigError, match="^'couplings' entry .* triple"):
+        with pytest.raises(ConfigError, match=r"^'couplings' must be a list of "
+                                              r"\[qubit, qubit, g\] triples"):
             run_multiqec_with_chadd(1.0, 30.0, [30.0], NoiseParams(t1=220.0),
                                     220.0, 1, [entry])
 
@@ -784,6 +790,15 @@ class TestCrosstalkToy:
         with pytest.raises(ValueError):
             _toy("2", 10.0, 4)
 
+    @pytest.mark.parametrize("omegas,message", [
+        (0.3, "^1 frequencies for 2 qubits$"), ((0.3, 0.2, 0.1), "^3 frequencies"),
+        (None, "^'omega1' must be a finite number, got None$"),
+        (("x", 0.2), "^'omega1' must be "), ((0.3, True), "^'omega2' must be ")])
+    def test_frequencies_not_a_pair_of_numbers_rejected(self, omegas, message):
+        # each frequency is checked by its field's row, then their count
+        with pytest.raises(ConfigError, match=message):
+            _toy("0", 10.0, 4, omegas=omegas)
+
     @pytest.mark.parametrize("cycles", [0, -2])
     def test_cycles_must_be_positive(self, cycles):
         with pytest.raises(ValueError, match="cycles"):
@@ -792,7 +807,8 @@ class TestCrosstalkToy:
     @pytest.mark.parametrize("t_final, cycles, need", [
         (0.0, 4, "positive"), (-60.0, 4, "positive")])
     def test_bad_t_final_rejected(self, t_final, cycles, need):
-        with pytest.raises(ValueError, match=f"t_final must be {need}"):
+        rule = {"positive": "a finite number > 0"}[need]
+        with pytest.raises(ConfigError, match=f"^'t_final' must be {rule}, got "):
             _toy("1", t_final, cycles, noise=NoiseParams(t1=50.0))
 
     @pytest.mark.parametrize("probe", ["0", "1", "+"])
@@ -927,8 +943,9 @@ class TestMultiQecWithChadd:
         assert chadd[0].fidelity < plain[0].fidelity
 
     def test_register_cap(self):
-        with pytest.raises(ConfigError, match=r"^spectators must be an integer "
-                                              r"in \[0, 4\], got 5$"):
+        with pytest.raises(ConfigError, match=r"^'spectators' must be an integer "
+                                              r"from 0 to 4 \(7 qubits in all\), "
+                                              r"got 5$"):
             run_multiqec_with_chadd(0.0, 30, (30.0,), self.noise, 220.0, 5, ())
 
     def test_seven_qubit_register_chadd_suppresses_crosstalk(self):
@@ -1105,11 +1122,12 @@ class TestRecoveryT1:
 
 
 _BAD_SHARED = [
-    ("max_delay", True, "max_delay must be a finite number, got True"),
-    ("max_delay", 0.0, "max_delay must be positive, got 0.0"),
-    ("total_free", (30.0, False), "total_free must be a finite number, got False"),
-    ("theta", 4.0, "'theta' must be in [0, pi], got 4.0"),
-    ("theta", True, "'theta' must be in [0, pi], got True"),
+    ("max_delay", True, "'max_delay' must be a finite number > 0, got True"),
+    ("max_delay", 0.0, "'max_delay' must be a finite number > 0, got 0.0"),
+    ("total_free", (30.0, False),
+     "'total_free' must be a list of finite numbers >= 0, got (30.0, False)"),
+    ("theta", 4.0, "'theta' must be a number in [0, pi], got 4.0"),
+    ("theta", True, "'theta' must be a number in [0, pi], got True"),
     ("recovery_t1", 0.0, f"recovery_t1 must be {LIFETIME_RULE}, got 0.0"),
     ("recovery_t1", "ideal", f"recovery_t1 must be {LIFETIME_RULE}, got 'ideal'"),
     ("recovery_t1", True, f"recovery_t1 must be {LIFETIME_RULE}, got True"),
@@ -1117,7 +1135,7 @@ _BAD_SHARED = [
 _BAD_CASES = [(runner, *case) for runner in ("run_multiqec", "run_multiqec_with_chadd")
               for case in _BAD_SHARED] + [
     ("run_multiqec_with_chadd", "spectators", value,
-     f"spectators must be an integer in [0, 4], got {value!r}")
+     f"'spectators' must be an integer from 0 to 4 (7 qubits in all), got {value!r}")
     for value in (1.0, True, -1, 5)]
 
 

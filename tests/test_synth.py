@@ -18,7 +18,7 @@ from synth_reference import AnsatzEvaluator as GateByGateEvaluator
 
 from nadqec import code3, synth
 from nadqec.circuits import Circuit, Gate
-from nadqec.qcore import ry, rz
+from nadqec.qcore import ConfigError, ry, rz
 from nadqec.synth import (
     Ansatz,
     SynthesisProblem,
@@ -166,7 +166,8 @@ class TestOptimize:
         ansatz = Ansatz(1, 0)
         problem = SynthesisProblem(np.eye(2, dtype=complex), ansatz, full_mask(2))
         for restarts in (0, -1):
-            with pytest.raises(ValueError, match="restarts"):
+            with pytest.raises(ConfigError, match="^'restarts' must be an integer "
+                                                  "from 1 to 1000, got "):
                 optimize(problem, seed=0, restarts=restarts)
 
     def test_failure_reported_not_raised(self):
