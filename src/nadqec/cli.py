@@ -244,9 +244,8 @@ def _run_delay_sweep(spec: ExperimentSpec, out: Path) -> None:
 def _run_crosstalk_toy(spec: ExperimentSpec, out: Path) -> None:
     r = spec.resolved
     probes = ("0", "1")
-    pairs = protocol.run_crosstalk_toy(_noise_from(spec), r["g"],
-                                       (r["omega1"], r["omega2"]), r["t_final"],
-                                       r["cycles"], probes)
+    pairs = protocol.run_crosstalk_toy(_noise_from(spec), r["g"], r["omega1"],
+                                       r["omega2"], r["t_final"], r["cycles"], probes)
     rows = []
     for probe, pair in zip(probes, pairs):
         for label, series in zip(("free", "chadd"), pair):
@@ -302,8 +301,10 @@ def _run_oracle_check(spec: ExperimentSpec, out: Path) -> None:
     # one batched logical round per gamma; the rows run theta outer, gamma inner
     outcomes = [code3.logical_outcomes(thetas, g, 0.0, code3.RecoveryMap.ideal(g))
                 for g in gammas]
-    # the closed-form round the multi-round runner and the gain model use
-    rounds = [code3.PauliRound.of_noise(g, 0.0, g) for g in gammas]
+    # the closed-form round as the multi-round runner and the gain model
+    # build it: a delay of -log(1 - g) T1, after which the damping is g
+    rounds = [code3.PauliRound.of_delay(-math.log1p(-g), (1.0,) * 3,
+                                        (math.inf,) * 3, 1.0) for g in gammas]
     dev_f = dev_p_app = dev_p_main = dev_closed = 0.0
     rows = []
     for i, theta in enumerate(thetas):
@@ -314,8 +315,9 @@ def _run_oracle_check(spec: ExperimentSpec, out: Path) -> None:
             dpm = abs(prob - code3.success_probability_minus_form(theta, g))
             dev_f, dev_p_app = max(dev_f, df), max(dev_p_app, dpa)
             dev_p_main = max(dev_p_main, dpm)
-            dev_closed = max(dev_closed, *(abs(a - b) for a, b in
-                                           zip(rnd.outcome(theta), (f, prob))))
+            dev_closed = max(dev_closed, abs(rnd.infidelity(theta) - (1 - f)),
+                             *(abs(a - b) for a, b in
+                               zip(rnd.outcome(theta), (f, prob))))
             rows.append((theta, g, f, prob, df, dpa))
     _write_csv(out, ["theta", "gamma", "fidelity", "p_success",
                      "fidelity_deviation", "p_success_deviation"], rows)

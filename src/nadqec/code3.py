@@ -35,11 +35,12 @@ space ends there, so ``logical_round`` restricts it exactly to a 4x4 map
 on the 2x2 logical state, which ``logical_outcomes`` applies to a batch of
 encoded states (the ``oracle-check`` kind).
 ``PauliRound`` is that round in closed form, per-qubit noise included, with
-powers in closed form too: ``protocol.run_multiqec`` and the gain model
-run on it and build no 64x64 map, and ``oracle-check`` and the tests pin
-it to ``logical_round``. The measured estimator applies the same noise map,
-then its post-noise circuit as one 32x8 isometry built from the same 8
-columns (``RecoveryMap.columns``).
+powers in closed form too, built from one idle delay by
+``PauliRound.of_delay``: ``protocol.run_multiqec`` and the gain model run
+on it and build no 64x64 map, and ``oracle-check`` and the tests pin it,
+built the same way, to ``logical_round``. The measured estimator applies
+the same noise map, then its post-noise circuit as one 32x8 isometry built
+from the same 8 columns (``RecoveryMap.columns``).
 
 The success probability comes in two closed-form variants that disagree
 in one sign; see ``success_probability_minus_form`` /
@@ -94,8 +95,8 @@ _ENCODER = np.array([
     [0,    0,   0,   0,         1,   0,   0,   0],     # |111>
 ], dtype=complex)
 _ENCODER.setflags(write=False)
-_CODEWORDS = _ENCODER[:, [0, 4]].T.copy()  # rows |0_L>, |1_L>
-_CODEWORDS.setflags(write=False)
+_CODE = _ENCODER[:, [0, 4]]  # V = [|0_L> |1_L>] (8x2), the code space
+_CODE.setflags(write=False)
 
 
 def codeword(which: int) -> np.ndarray:
@@ -103,7 +104,7 @@ def codeword(which: int) -> np.ndarray:
     4 * which: 0 -> the W state, 1 -> |111>."""
     if which not in (0, 1):
         raise ValueError(f"codeword index must be 0 or 1, got {which}")
-    return _CODEWORDS[which]
+    return _CODE[:, which]
 
 
 def encode_ideal(spec: LogicalStateSpec) -> np.ndarray:
@@ -341,15 +342,14 @@ def noise_superop(gammas: float | Sequence[float],
     return noise.reshape(64, 64)
 
 
-# What the measured estimator reads of the package encoder En, built once
-# so that an estimator call rebuilds none of it: V = En[:, [0, 4]] (8x2,
-# the code space), En^dag reshaped to (2, 32), whose row j holds rows
-# 4j..4j+3 of En^dag (the rows that q0 = j of the inverted encoder
-# writes), and the identity that the isometry check subtracts.
-_CODE = _ENCODER[:, [0, 4]]
+# What the measured estimator reads of the package encoder En besides
+# ``_CODE``, built once so that an estimator call rebuilds none of it: En^dag
+# reshaped to (2, 32), whose row j holds rows 4j..4j+3 of En^dag (the rows
+# that q0 = j of the inverted encoder writes), and the identity that the
+# isometry check subtracts.
 _ENCODER_DAG = _ENCODER.conj().T.reshape(2, 32)
 _EYE8 = np.eye(8)
-for _const in (_CODE, _ENCODER_DAG, _EYE8):
+for _const in (_ENCODER_DAG, _EYE8):
     _const.setflags(write=False)
 
 # The code space on the row-major vec: Lambda = V kron conj(V) with
@@ -391,13 +391,12 @@ def logical_outcomes(thetas: Sequence[float], gamma: float, p: float,
     vec(sigma0), sigma0 = psi psi^dag, psi = (cos theta/2, sin theta/2), in
     one product. Each kept state is renormalized by its weight, the success
     probability, and all are validated in one ``check_density``; F is
-    Re sum kept * sigma0. A theta outside [0, pi] raises ValueError, and so
-    does a weight of 0 or less.
+    Re sum kept * sigma0. Each theta is checked by its field's rule
+    (``require``), and a weight of 0 or less raises ValueError.
     """
+    for theta in thetas:
+        require("theta", theta)
     thetas = np.asarray(thetas, dtype=float)
-    bad = thetas[~((thetas >= 0.0) & (thetas <= math.pi))]
-    if bad.size:
-        raise ValueError(f"theta {bad[0]} outside [0, pi]")
     psi = np.stack([np.cos(thetas / 2), np.sin(thetas / 2)], axis=-1)
     sigma0 = (psi[:, :, None] * psi[:, None, :]).reshape(-1, 4)
     out = sigma0 @ logical_round(gamma, p, rmap).T
@@ -430,10 +429,11 @@ def _log_mean_exp(zs: Sequence[float]) -> float:
 @dataclass(frozen=True)
 class PauliRound:
     """One round of the noise then an analytic recovery
-    (``RecoveryMap.ideal``, adapted to a gamma of its own) on the logical
-    state, in closed form. It is what :func:`logical_round` computes
-    numerically from the 64x64 maps, derived symbolically (sympy) for
-    per-qubit damping gamma_q and dephasing p_q.
+    (``RecoveryMap.of_delay``, adapted to a T1 of its own) on the logical
+    state, in closed form, built by :meth:`of_delay` from one idle delay.
+    It is what :func:`logical_round` computes numerically from the 64x64
+    maps, derived symbolically (sympy) for per-qubit damping gamma_q and
+    dephasing p_q.
 
     With g_q = gamma_q, c_q = sqrt(1 - g_q)(1 - 2p_q) (a coherence's
     factor), r = 1 - gamma of the recovery (1 at gamma = 0), e1 =
@@ -470,20 +470,6 @@ class PauliRound:
         to gamma(delay) at ``recovery_t1`` (inf: gamma = 0)."""
         return cls._of_exponents([delay / t for t in t1s],
                                  [delay / t for t in tphis], delay / recovery_t1)
-
-    @classmethod
-    def of_noise(cls, gammas: float | Sequence[float], ps: float | Sequence[float],
-                 recovery_gamma: float) -> "PauliRound":
-        """The round of damping gammas and dephasing ps (shared scalars or one
-        value per data qubit), as :func:`logical_round` takes them, with the
-        recovery adapted to ``recovery_gamma`` in [0, 1]."""
-        pairs = _per_qubit(gammas, ps)
-        if not 0.0 <= recovery_gamma <= 1.0:
-            raise ValueError(f"recovery gamma {recovery_gamma} outside [0, 1]")
-        return cls._of_exponents(
-            [-math.log1p(-g) if g < 1 else math.inf for g, _ in pairs],
-            [-math.log1p(-2 * p) if p < 0.5 else math.inf for _, p in pairs],
-            -math.log1p(-recovery_gamma) if recovery_gamma < 1 else math.inf)
 
     @classmethod
     def _of_exponents(cls, x: Sequence[float], y: Sequence[float],

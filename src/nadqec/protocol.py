@@ -460,14 +460,14 @@ class ToySeries:
     fidelity: np.ndarray
 
 
-def run_crosstalk_toy(noise: NoiseParams, g: float, omegas: Sequence[float],
+def run_crosstalk_toy(noise: NoiseParams, g: float, omega1: float, omega2: float,
                       t_final: float, cycles: int, probes: Sequence[str]
                       ) -> list[tuple[ToySeries, ToySeries]]:
     """Evolve (probe, spectator=|0>) over a positive ``t_final`` under the
-    two-qubit ZZ toy model, H = w1/2 Z1 + w2/2 Z2 + g Z1 Z2 (``omegas`` =
-    (w1, w2); rad/us) with relaxation and dephasing from ``noise``,
-    recording the probe populations and its fidelity to the initial probe
-    state, free and with CHaDD. Returns one (free, chadd) pair per entry of
+    two-qubit ZZ toy model, H = omega1/2 Z1 + omega2/2 Z2 + g Z1 Z2 (rad/us)
+    with relaxation and dephasing from ``noise``, recording the probe
+    populations and its fidelity to the initial probe state, free and with
+    CHaDD. Returns one (free, chadd) pair per entry of
     ``probes`` ("0", "1" or "+"), all from one set of checks, one generator
     and the propagators and pulses below, each built once.
 
@@ -482,12 +482,11 @@ def run_crosstalk_toy(noise: NoiseParams, g: float, omegas: Sequence[float],
     if any(probe not in kets for probe in probes):
         raise ConfigError(f"each probe must be one of {sorted(kets)}, "
                           f"got {list(probes)}")
-    pair = tuple(omegas) if isinstance(omegas, (list, tuple, np.ndarray)) else (omegas,)
-    for name, value in (("g", g), *zip(("omega1", "omega2"), pair),
-                        ("t_final", t_final), ("cycles", cycles)):
+    frequencies = {"omega1": omega1, "omega2": omega2, "g": g}
+    for name, value in (*frequencies.items(), ("t_final", t_final), ("cycles", cycles)):
         require(name, value)
-    gen = lindbladian(2, noise, ((0, 1, g),), omegas)  # config errors first
-    for name, frequency in zip(("omega1", "omega2", "g"), (*omegas, g)):
+    gen = lindbladian(2, noise, ((0, 1, g),), (omega1, omega2))  # config errors first
+    for name, frequency in frequencies.items():
         _require_phase(name, frequency, t_final)  # t_final bounds a CHaDD interval
     times = t_final / 40 * np.arange(41)
     along = gen.propagator(times[1:])

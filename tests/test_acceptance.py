@@ -178,7 +178,7 @@ def test_ac8_chadd_exactness():
 
 def test_ac9_crosstalk_toy_directionality():
     probes = ("0", "1")
-    pairs = protocol.run_crosstalk_toy(NoiseParams(t1=100.0), 0.05, (0.3, 0.2),
+    pairs = protocol.run_crosstalk_toy(NoiseParams(t1=100.0), 0.05, 0.3, 0.2,
                                        60.0, 4, probes)
     outcomes = {}
     for probe, (without, with_dd) in zip(probes, pairs):

@@ -946,6 +946,15 @@ class TestRun:
         assert cli.main(["run", str(write_spec(tmp_path, payload))]) == EXIT_NUMERICAL
         assert "closed-form round deviates" in capsys.readouterr().err
 
+    def test_check_pins_the_infidelity_the_gain_model_reads(self, monkeypatch, capsys):
+        # gain-surface's sigma_QEC comes from PauliRound.infidelity, so
+        # `nadqec check` takes it against 1 - F of the 64x64 round too
+        infidelity = code3.PauliRound.infidelity
+        monkeypatch.setattr(code3.PauliRound, "infidelity",
+                            lambda rnd, theta: infidelity(rnd, theta) + 1e-11)
+        assert cli.main(["check"]) == EXIT_NUMERICAL
+        assert "closed-form round deviates" in capsys.readouterr().err
+
     def test_ten_digit_precision(self, tmp_path):
         path = write_spec(tmp_path, multiqec_payload(tmp_path))
         cli.main(["run", str(path)])
@@ -1198,8 +1207,9 @@ def _tiny_problem() -> synth.SynthesisProblem:
                                   [(i, j) for i in range(2) for j in range(2)])
 
 
-def _toy(g=0.05, omegas=(0.3, 0.2), t_final=60.0, cycles=4):
-    return protocol.run_crosstalk_toy(_NOISE, g, omegas, t_final, cycles, ("0",))
+def _toy(g=0.05, omega1=0.3, omega2=0.2, t_final=60.0, cycles=4):
+    return protocol.run_crosstalk_toy(_NOISE, g, omega1, omega2, t_final, cycles,
+                                      ("0",))
 
 
 # Each library function that takes an argument named after a spec field,
@@ -1207,6 +1217,9 @@ def _toy(g=0.05, omegas=(0.3, 0.2), t_final=60.0, cycles=4):
 # and a valid JSON value of the field
 _READERS = {
     ("code3.LogicalStateSpec", "theta"): (code3.LogicalStateSpec, 1.0),
+    ("code3.logical_outcomes", "theta"):
+        (lambda v: code3.logical_outcomes([v], 0.1, 0.0, code3.RecoveryMap.ideal(0.1)),
+         1.0),
     ("noise.NoiseParams", "t1"): (lambda v: NoiseParams(t1=v), [220.0, 200.0]),
     ("noise.NoiseParams", "tphi"): (lambda v: NoiseParams(t1=220.0, tphi=v), [300.0]),
     ("noise.NoiseParams.from_t1_t2", "t2"):
@@ -1225,10 +1238,8 @@ _READERS = {
     ("protocol.lindbladian", "couplings"):
         (lambda v: protocol.lindbladian(4, _NOISE, v), [[0, 3, 0.05], [1, 2, -1]]),
     ("protocol.run_crosstalk_toy", "g"): (lambda v: _toy(g=v), 0.05),
-    ("protocol.run_crosstalk_toy", "omega1"):
-        (lambda v: _toy(omegas=(v, 0.2)), 0.3),
-    ("protocol.run_crosstalk_toy", "omega2"):
-        (lambda v: _toy(omegas=(0.3, v)), 0.2),
+    ("protocol.run_crosstalk_toy", "omega1"): (lambda v: _toy(omega1=v), 0.3),
+    ("protocol.run_crosstalk_toy", "omega2"): (lambda v: _toy(omega2=v), 0.2),
     ("protocol.run_crosstalk_toy", "t_final"): (lambda v: _toy(t_final=v), 60.0),
     ("protocol.run_crosstalk_toy", "cycles"): (lambda v: _toy(cycles=v), 3),
     ("metrics.gain_surface", "t1_range"):
@@ -1312,7 +1323,7 @@ _DRIFTS = {
         4, _NOISE, [(0, 3, math.inf)])),
     "toy-cycles-true": ("cycles", lambda: _toy(cycles=True)),
     "toy-cycles-fraction": ("cycles", lambda: _toy(cycles=2.5)),
-    "toy-infinite-t_final": ("t_final", lambda: _toy(g=0.0, omegas=(0.0, 0.0),
+    "toy-infinite-t_final": ("t_final", lambda: _toy(g=0.0, omega1=0.0, omega2=0.0,
                                                       t_final=math.inf)),
     "unknown-recovery": ("recovery", lambda: protocol.recovery_t1(
         "bogus", (220.0,) * 3)),

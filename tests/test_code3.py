@@ -65,7 +65,7 @@ from nadqec.code3 import (
     success_probability_minus_form,
 )
 from nadqec.noise import gamma_of_t
-from nadqec.qcore import ConfigError, check_density, ry, rz
+from nadqec.qcore import FIELDS, ConfigError, check_density, ry, rz
 
 
 def brute_force_cycle(theta, phi, gamma, p, recovery_gamma):
@@ -490,8 +490,7 @@ class TestLogicalRound:
         # entries are the shared value and one per data qubit
         args = {"gammas": 0.1, "ps": 0.01}
         rmap = RecoveryMap.ideal(0.1)
-        for build in (noise_superop, lambda gammas, ps: logical_round(gammas, ps, rmap),
-                      lambda gammas, ps: PauliRound.of_noise(gammas, ps, 0.1)):
+        for build in (noise_superop, lambda gammas, ps: logical_round(gammas, ps, rmap)):
             with pytest.raises(ValueError, match=f"^{which} has {count} per-qubit"):
                 build(**{**args, which: [args[which]] * count})
             for ok in (1, 3):
@@ -554,13 +553,26 @@ def _pauli_transfer(round_map):
                      for p in _PAULIS])
 
 
-def _recovery_gamma(variant, gamma):
-    """The gamma a recovery variant adapts to at damping gamma."""
-    return gamma if variant == "ideal" else 0.0
-
-
 def _analytic_rmap(variant, gamma):
-    return RecoveryMap.ideal(_recovery_gamma(variant, gamma))
+    """The recovery a variant applies at damping gamma: the ideal one
+    adapted to gamma, the approximate one to gamma = 0."""
+    return RecoveryMap.ideal(gamma if variant == "ideal" else 0.0)
+
+
+def _recovery_t1(variant, t1):
+    """The T1 a recovery variant adapts to (``protocol.recovery_t1``)."""
+    return t1 if variant == "ideal" else math.inf
+
+
+def _delay_rounds(delay, t1s, tphis, recovery_t1):
+    """The closed-form round of one idle delay (``PauliRound.of_delay``) and
+    the 64x64 logical round at the gamma_q = -expm1(-delay/T1_q) and
+    p_q = -expm1(-delay/Tphi_q)/2 that delay gives, its recovery adapted
+    to ``recovery_t1`` as the runners adapt it (``RecoveryMap.of_delay``)."""
+    gammas = [-math.expm1(-delay / t) for t in t1s]
+    ps = [-math.expm1(-delay / t) / 2 for t in tphis]
+    return (PauliRound.of_delay(delay, t1s, tphis, recovery_t1),
+            logical_round(gammas, ps, RecoveryMap.of_delay(delay, recovery_t1)))
 
 
 class TestPauliRound:
@@ -569,36 +581,52 @@ class TestPauliRound:
 
     @pytest.mark.parametrize("variant", ["ideal", "approximate"])
     def test_equals_logical_round_on_a_grid(self, variant):
+        # a delay of 1 at the T1 and Tphi that give gamma in [0, 0.95] and
+        # p in [0, 0.5]; p = 1/2, which no finite delay reaches, goes
+        # through the exponents (Tphi = 0)
         worst = 0.0
         for g in np.linspace(0.0, 0.95, 20):
-            for p in np.linspace(0.0, 0.5, 11):
-                want = _pauli_transfer(logical_round(g, p, _analytic_rmap(variant, g)))
-                got = PauliRound.of_noise(g, p, _recovery_gamma(variant, g)).pauli()
-                worst = max(worst, np.abs(got - want).max())
+            t1 = -1 / math.log1p(-g) if g else math.inf
+            rt1 = _recovery_t1(variant, t1)
+            for p in np.linspace(0.0, 0.5, 11)[:-1]:
+                tphi = -1 / math.log1p(-2 * p) if p else math.inf
+                got, want = _delay_rounds(1.0, [t1] * 3, [tphi] * 3, rt1)
+                worst = max(worst, np.abs(got.pauli() - _pauli_transfer(want)).max())
+            got = PauliRound._of_exponents([1 / t1] * 3, [math.inf] * 3, 1 / rt1)
+            want = logical_round(-math.expm1(-1 / t1), 0.5, RecoveryMap.of_delay(1.0, rt1))
+            worst = max(worst, np.abs(got.pauli() - _pauli_transfer(want)).max())
         assert worst <= 2e-15
 
     @settings(max_examples=60, deadline=None)
-    @given(gammas=st.lists(st.floats(0.0, 0.95), min_size=3, max_size=3),
-           ps=st.lists(st.floats(0.0, 0.5), min_size=3, max_size=3),
+    @given(delay=st.floats(1e-3, 1e3),
+           t1s=st.lists(st.one_of(st.just(math.inf), st.floats(0.334, 1e6)),
+                        min_size=3, max_size=3),
+           tphis=st.lists(st.one_of(st.just(math.inf), st.floats(1e-2, 1e6)),
+                          min_size=3, max_size=3),
            variant=st.sampled_from(["ideal", "approximate"]))
-    def test_per_qubit_noise_equals_logical_round(self, gammas, ps, variant):
-        # the ideal recovery adapts to one gamma, so it takes one
-        if variant == "ideal":
-            gammas = [gammas[0]] * 3
-        want = _pauli_transfer(logical_round(gammas, ps,
-                                             _analytic_rmap(variant, gammas[0])))
-        got = PauliRound.of_noise(gammas, ps, _recovery_gamma(variant, gammas[0]))
-        assert np.abs(got.pauli() - want).max() <= 2e-15
+    @example(delay=30.0, t1s=[math.inf] * 3, tphis=[math.inf] * 3, variant="ideal")
+    @example(delay=1.0, t1s=[0.334, math.inf, 1.0], tphis=[1e-2, math.inf, 0.5],
+             variant="ideal")
+    def test_per_qubit_noise_equals_logical_round(self, delay, t1s, tphis, variant):
+        # T1_q and Tphi_q in units of the delay: gamma_q up to 0.95, p_q up
+        # to 1/2; the ideal recovery adapts to data qubit 0's T1
+        t1s, tphis = [delay * t for t in t1s], [delay * t for t in tphis]
+        got, want = _delay_rounds(delay, t1s, tphis, _recovery_t1(variant, t1s[0]))
+        assert np.abs(got.pauli() - _pauli_transfer(want)).max() <= 2e-15
 
     @pytest.mark.parametrize("variant", ["ideal", "approximate"])
     @pytest.mark.parametrize("p", [0.0, 0.2, 0.5])
     def test_complete_damping_equals_logical_round(self, variant, p):
+        # gamma = 1 (and p = 1/2) is no finite delay's round: it goes
+        # through the exponents, x = inf (y = inf)
         rmap = _analytic_rmap(variant, 1.0)
-        got = PauliRound.of_noise(1.0, p, _recovery_gamma(variant, 1.0)).pauli()
+        y = -math.log1p(-2 * p) if p < 0.5 else math.inf
+        got = PauliRound._of_exponents([math.inf] * 3, [y] * 3,
+                                       math.inf if variant == "ideal" else 0.0).pauli()
         assert np.abs(got - _pauli_transfer(logical_round(1.0, p, rmap))).max() <= 2e-15
         # 40 us at T1 = 1 us: the round of delay / T1 = 40 against the
         # complete-damping round, whose entries it matches within about 1e-35
-        t1_r = 1.0 if variant == "ideal" else math.inf
+        t1_r = _recovery_t1(variant, 1.0)
         got = PauliRound.of_delay(40.0, [1.0] * 3, [300.0] * 3, t1_r).pauli()
         want = _pauli_transfer(logical_round(1.0, p_of_t(40.0, 300.0), rmap))
         assert np.abs(got - want).max() <= 2e-15
@@ -606,9 +634,11 @@ class TestPauliRound:
     @pytest.mark.parametrize("theta", [0.0, 1.0, math.pi / 2, 3.14159, math.pi])
     def test_powers_equal_multiround_oracles_at_zero_dephasing(self, theta):
         for g in (0.0, 1e-9, 1e-3, 0.05):
+            # a delay of -log(1 - g) T1, after which the damping is g
+            rnd = PauliRound.of_delay(-math.log1p(-g), (1.0,) * 3, (math.inf,) * 3, 1.0)
             for k in (1, 2, 7, 40, 1000):
                 start = code3.logical_state(theta)
-                state, prob = PauliRound.of_noise(g, 0.0, g).advance(start, k)
+                state, prob = rnd.advance(start, k)
                 want_p = oracle_success_multiround(theta, [g] * k)
                 assert abs(code3.logical_fidelity(start, state)
                            - oracle_fidelity_multiround(theta, [g] * k)) <= 1e-12
@@ -617,25 +647,21 @@ class TestPauliRound:
     def test_outcome_equals_logical_outcomes(self):
         thetas = np.linspace(0.0, math.pi, 7)
         for variant in ("ideal", "approximate"):
-            for g, p in ((0.0, 0.0), (0.1, 0.03), (0.6, 0.4)):
-                fids, probs = logical_outcomes(thetas, g, p, _analytic_rmap(variant, g))
-                rnd = PauliRound.of_noise(g, p, _recovery_gamma(variant, g))
+            # a delay of 30 without noise, then at (T1, Tphi) of (220, 300)
+            # and (30, 20): (gamma, p) about (0.13, 0.05) and (0.63, 0.39)
+            for t1, tphi in ((math.inf, math.inf), (220.0, 300.0), (30.0, 20.0)):
+                g, p = -math.expm1(-30.0 / t1), -math.expm1(-30.0 / tphi) / 2
+                rt1 = _recovery_t1(variant, t1)
+                fids, probs = logical_outcomes(thetas, g, p,
+                                               RecoveryMap.of_delay(30.0, rt1))
+                rnd = PauliRound.of_delay(30.0, [t1] * 3, [tphi] * 3, rt1)
                 for theta, f, prob in zip(thetas, fids, probs):
                     got_f, got_p = rnd.outcome(theta)
                     assert abs(got_f - f) <= 1e-14
                     assert abs(got_p - prob) <= 1e-14
                     assert abs(rnd.infidelity(theta) - (1 - f)) <= 1e-14
 
-    @pytest.mark.parametrize("gamma,p", [(-0.1, 0.0), (1.1, 0.0), (0.1, -0.2),
-                                         (0.1, 0.6), (math.nan, 0.0), (0.1, math.nan)])
-    def test_noise_outside_range_raises(self, gamma, p):
-        with pytest.raises(ValueError, match="outside"):
-            PauliRound.of_noise(gamma, p, 0.0)
-
-    def test_recovery_gamma_outside_range_and_negative_delay_raise(self):
-        for recovery_gamma in (-0.1, 1.1, math.nan):
-            with pytest.raises(ValueError, match="recovery gamma .* outside"):
-                PauliRound.of_noise(0.1, 0.0, recovery_gamma)
+    def test_negative_delay_raises(self):
         with pytest.raises(ValueError, match="negative or NaN"):
             PauliRound.of_delay(-1.0, [220.0] * 3, [300.0] * 3, 220.0)
 
@@ -659,10 +685,15 @@ class TestLogicalOutcomes:
             assert abs(f - out.fidelity) <= 1e-14
             assert abs(prob - out.success_probability) <= 1e-14
 
-    @pytest.mark.parametrize("theta", [-1e-9, math.pi + 1e-9, math.nan])
-    def test_theta_outside_range_raises(self, theta):
-        with pytest.raises(ValueError, match="outside \\[0, pi\\]"):
-            logical_outcomes([1.0, theta], 0.1, 0.0, RecoveryMap.ideal(0.1))
+    @pytest.mark.parametrize("thetas", [
+        [1.0, -1e-9], [1.0, math.pi + 1e-9], [1.0, math.nan], [4.0], [True],
+        np.array([False, True])])
+    def test_theta_outside_its_rule_raises_the_field_error(self, thetas):
+        # each entry is checked by theta's row: a boolean is no angle
+        bad = next(t for t in thetas if not FIELDS["theta"].ok(t))
+        with pytest.raises(ConfigError, match=f"^'theta' must be "
+                           f"{re.escape(FIELDS['theta'].rule)}, got {re.escape(repr(bad))}$"):
+            logical_outcomes(thetas, 0.1, 0.0, RecoveryMap.ideal(0.1))
 
 
 class TestQecCycle:

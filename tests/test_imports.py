@@ -236,8 +236,11 @@ def _message_text(node: ast.expr):
 def restated_rules(source: str, fields=tuple(FIELDS)) -> list[str]:
     """Messages of the errors ``source`` raises that start with one of
     ``fields``, bare or quoted, or with a formatted value that may hold
-    one, and then "must be": a field rule stated a second time."""
-    pattern = re.compile(r"'?(%s|\{\})'? must be" % "|".join(map(re.escape, fields)))
+    one, and then "must be", or with one of ``fields`` and then a formatted
+    value and "outside": a field rule stated a second time."""
+    names = "|".join(map(re.escape, fields))
+    pattern = re.compile(r"'?(?:(%s|\{\})'? must be|(%s)'? \{\} outside)"
+                         % (names, names))
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) \
@@ -257,12 +260,16 @@ def test_detects_a_restated_rule():
               "raise ConfigError(f\"'couplings' entry {e} must name two qubits\")\n"
               "raise ValueError(f'recovery_t1 must be {RULE}')\n"
               "raise ValueError(f't1_range must be {RULE}')\n"
+              "raise ValueError(f'theta {bad} outside [0, pi]')\n"
+              "raise ValueError(f\"'t1' {t} outside (0, inf]\")\n"
+              "raise ValueError(f'gamma {g} outside [0, 1]')\n"
+              "raise ValueError(f'{name} {v} outside [0, 1]')\n"
               "raise ConfigError\nraise ValueError(message)\n"
               "text = 'theta must be'\n")
     assert restated_rules(source, ("theta", "t1", "t1_range", "max_delay")) == [
         "'theta' must be in [0, pi], got {}", "t1 must be positive",
         "{} must be a number", "max_delay must be > 0, got {}",
-        "t1_range must be {}"]
+        "t1_range must be {}", "theta {} outside [0, pi]", "'t1' {} outside (0, inf]"]
 
 
 def test_each_field_rule_is_stated_once():

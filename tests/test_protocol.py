@@ -511,7 +511,7 @@ def _toy(probe, t_final, cycles, g=0.05, omegas=(0.0, 0.0),
          noise=NoiseParams(t1=math.inf)):
     """One probe's (free, chadd) pair of the ZZ toy; by default a coupled,
     undetuned pair without noise."""
-    return run_crosstalk_toy(noise, g, omegas, t_final, cycles, (probe,))[0]
+    return run_crosstalk_toy(noise, g, *omegas, t_final, cycles, (probe,))[0]
 
 
 def _random_density(rng, dim):
@@ -642,6 +642,11 @@ class TestLindblad:
             prop = lindbladian(1, NoiseParams(t1=1e-300)).propagator(1e10)
         out = propagate(prop, rho)
         assert np.max(np.abs(out - np.diag([1.0, 0.0]))) < 1e-15
+
+    @pytest.mark.parametrize("omega,count", [(0.3, 1), ((0.3, 0.2, 0.1), 3)])
+    def test_frequency_count_rejected(self, omega, count):
+        with pytest.raises(ConfigError, match=f"^{count} frequencies for 2 qubits$"):
+            lindbladian(2, NoiseParams(t1=math.inf), ((0, 1, 0.05),), omega)
 
     @pytest.mark.parametrize("a,b", [(0, 0), (0, -1), (4, 1)])
     def test_bad_coupling_rejected(self, a, b):
@@ -791,11 +796,11 @@ class TestCrosstalkToy:
             _toy("2", 10.0, 4)
 
     @pytest.mark.parametrize("omegas,message", [
-        (0.3, "^1 frequencies for 2 qubits$"), ((0.3, 0.2, 0.1), "^3 frequencies"),
-        (None, "^'omega1' must be a finite number, got None$"),
-        (("x", 0.2), "^'omega1' must be "), ((0.3, True), "^'omega2' must be ")])
-    def test_frequencies_not_a_pair_of_numbers_rejected(self, omegas, message):
-        # each frequency is checked by its field's row, then their count
+        ((None, 0.2), "^'omega1' must be a finite number, got None$"),
+        (("x", 0.2), "^'omega1' must be "), ((0.3, True), "^'omega2' must be "),
+        (((0.3, 0.2), 0.2), "^'omega1' must be a finite number, got \\(0.3, 0.2\\)$")])
+    def test_frequencies_not_numbers_rejected(self, omegas, message):
+        # each frequency is checked by its field's row
         with pytest.raises(ConfigError, match=message):
             _toy("0", 10.0, 4, omegas=omegas)
 
@@ -865,7 +870,7 @@ class TestCrosstalkToy:
                 owner, name,
                 lambda *a, calls=calls, original=original, **k:
                     calls.append(a) or original(*a, **k))
-        pairs = run_crosstalk_toy(NoiseParams(t1=50.0), 0.05, (0.0, 0.0), 60.0, 3,
+        pairs = run_crosstalk_toy(NoiseParams(t1=50.0), 0.05, 0.0, 0.0, 60.0, 3,
                                   ("+", "0", "1"))
         assert (len(built["lindbladian"]), len(built["propagator"])) == (1, 2)
         assert len(pairs) == 3
